@@ -25,6 +25,7 @@ pub mod analyze;
 pub mod certificate;
 pub mod concrete;
 pub mod diag;
+pub mod exec;
 pub mod fission;
 pub mod lint;
 pub mod privatize;
@@ -33,16 +34,14 @@ pub mod schedule;
 pub mod terminator;
 
 pub use analyze::{analyze, Analysis};
+pub use exec::{compile_source, plan_hints};
 
 use wlp_ir::frontend::{lower, parse_program, FrontendError, Program};
 
-/// One-stop pipeline entry: parse → lower → [`analyze()`] in a single
-/// call, returning the parsed [`Program`] (what an interpreter executes)
-/// together with the finished [`Analysis`] (certificate included).
-///
-/// This is the exact sequence the serve-layer certificate cache runs on
-/// a miss and warm-restart recovery runs per persisted record; keeping
-/// it here guarantees every consumer derives certificates the same way.
+/// Parse → lower → [`analyze()`] in a single call, returning the parsed
+/// [`Program`] together with the finished [`Analysis`] (certificate
+/// included). [`compile_source`] is the same pipeline carried one step
+/// further, to the execution plan.
 pub fn analyze_source(source: &str) -> Result<(Program, Analysis), FrontendError> {
     let program = parse_program(source)?;
     let body = lower(&program)?;

@@ -58,7 +58,7 @@ pub use speculate::{
     run_twice_speculative, speculative_while, speculative_while_chunked,
     speculative_while_chunked_rec, speculative_while_group, speculative_while_privatized,
     speculative_while_rec, speculative_while_strips, speculative_while_windowed, GroupAccess,
-    SpecOutcome, SpeculativeArray, StripSpecOutcome,
+    GroupArray, GroupFault, SpecOutcome, SpeculativeArray, StripSpecOutcome,
 };
 pub use strategy::{
     governed_while, governed_while_rec, hedged_execute, CancelToken, GovernedOutcome, HedgeWinner,

@@ -28,7 +28,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
 use wlp_pd::{copy_out_last_values, IterMarker, PdVerdict, Shadow, TrailSet};
-use wlp_runtime::{doall_dynamic, doall_dynamic_chunked, ChunkPolicy, Pool, Step};
+use wlp_runtime::{
+    doall_dynamic, doall_dynamic_chunked, doall_dynamic_with, ChunkPolicy, Pool, Step,
+};
 
 /// An undo-log budget for one speculative attempt: a cap on the number of
 /// stamped (restorable) writes. Exceeding it aborts the speculation with
@@ -657,41 +659,170 @@ where
     )
 }
 
-/// Per-iteration view of *several* arrays under test at once. Real loops
-/// usually reference more than one statically-unanalyzable array; the PD
-/// test "is applied to each shared variable referenced during the loop
-/// whose accesses cannot be analyzed at compile-time" — each array gets
-/// its own shadow, and the loop is valid only if every one passes.
+/// How one array takes part in a speculative group: exactly the machinery
+/// the static analysis left necessary for it, and no more. The PD test "is
+/// applied to each shared variable referenced during the loop whose
+/// accesses cannot be analyzed at compile-time" (Section 5) — the other
+/// arrays of the same loop pay nothing for it.
 #[derive(Debug)]
-pub struct GroupAccess<'a, T: Copy> {
-    arrays: &'a [SpeculativeArray<T>],
-    markers: Vec<Option<IterMarker<'a>>>,
+pub enum GroupArray<'a, T: Copy> {
+    /// Never written by the loop: the caller's slice is shared as is — no
+    /// copy, no checkpoint, no shadow.
+    ReadOnly(&'a [T]),
+    /// Written, but every access is statically certified independent:
+    /// checkpointed so a failed speculation can roll it back, time-stamped
+    /// only when built with [`VersionedArray::new`] (a loop that can
+    /// overshoot, Section 4), never PD-marked.
+    Certified(VersionedArray<T>),
+    /// Accesses the analysis could not certify: checkpoint, stamps and the
+    /// full PD test.
+    Shadowed(SpeculativeArray<T>),
+}
+
+impl<T: Copy + Send + Sync> GroupArray<'_, T> {
+    /// The checkpointed store of a written array.
+    fn versioned(&self) -> Option<&VersionedArray<T>> {
+        match self {
+            GroupArray::ReadOnly(_) => None,
+            GroupArray::Certified(v) => Some(v),
+            GroupArray::Shadowed(s) => Some(&s.versioned),
+        }
+    }
+
+    /// Consumes a written array, keeping its live values (`None` for a
+    /// read-only one: its owner never gave the data up).
+    pub fn into_live(self) -> Option<Vec<T>> {
+        match self {
+            GroupArray::ReadOnly(_) => None,
+            GroupArray::Certified(v) => Some(v.into_live()),
+            GroupArray::Shadowed(s) => Some(s.versioned.into_live()),
+        }
+    }
+}
+
+/// Iterations one claim on the shared counter grants a group worker.
+/// Consecutive iterations touch neighbouring elements of every affinely
+/// subscripted array (data, stamps and shadow marks alike), so handing
+/// them out one at a time makes two workers write the same cache lines in
+/// turn; a run of this many keeps a worker on lines of its own, and cuts
+/// the claim traffic by the same factor. The price is span: an exit can
+/// be overshot by up to this many iterations per worker (undone from the
+/// stamps, Section 4).
+const GROUP_CHUNK: usize = 32;
+
+/// Stamped writes a worker buffers before charging the group's budget.
+const CHARGE_BATCH: u64 = 256;
+
+/// A worker's view of the arrays of a speculative group, re-aimed at each
+/// iteration it executes. Accesses are bounds-checked here (`None` = out
+/// of range, nothing recorded), so a body interpreting untrusted
+/// subscripts needs no second check.
+///
+/// Stamped writes are counted on the handle and charged to the group's
+/// budget in batches (and when the handle drops), so the shared counter is
+/// not touched per iteration.
+#[derive(Debug)]
+pub struct GroupAccess<'g, T: Copy> {
+    arrays: &'g [GroupArray<'g, T>],
+    /// One slot per array: `Some` for a shadowed array while speculating.
+    markers: Vec<Option<IterMarker<'g>>>,
+    budget: Option<&'g SpecBudget>,
     iter: usize,
-    pending_charges: Vec<u64>,
+    /// `false` during sequential (re-)execution: writes go straight to the
+    /// live data, unstamped and unmarked.
+    speculating: bool,
+    pending_charges: u64,
+}
+
+impl<'g, T: Copy + Send + Sync> GroupAccess<'g, T> {
+    fn new(
+        arrays: &'g [GroupArray<'g, T>],
+        budget: Option<&'g SpecBudget>,
+        speculating: bool,
+    ) -> Self {
+        let markers = arrays
+            .iter()
+            .map(|a| match a {
+                GroupArray::Shadowed(s) if speculating => Some(s.shadow.iteration(0)),
+                _ => None,
+            })
+            .collect();
+        GroupAccess {
+            arrays,
+            markers,
+            budget,
+            iter: 0,
+            speculating,
+            pending_charges: 0,
+        }
+    }
+
+    /// Re-aims the handle at iteration `i`.
+    fn begin(&mut self, i: usize) {
+        self.iter = i;
+        for m in self.markers.iter_mut().flatten() {
+            m.restart(i);
+        }
+        if self.pending_charges >= CHARGE_BATCH {
+            self.flush_charges();
+        }
+    }
+}
+
+impl<T: Copy> GroupAccess<'_, T> {
+    fn flush_charges(&mut self) {
+        if let Some(b) = self.budget {
+            b.charge_many(self.pending_charges);
+        }
+        self.pending_charges = 0;
+    }
 }
 
 impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
     /// Reads element `e` of array `a`.
-    pub fn read(&mut self, a: usize, e: usize) -> T {
-        if let Some(m) = &mut self.markers[a] {
-            m.mark_read(e);
+    #[inline]
+    pub fn read(&mut self, a: usize, e: usize) -> Option<T> {
+        match &self.arrays[a] {
+            GroupArray::ReadOnly(s) => s.get(e).copied(),
+            GroupArray::Certified(v) => (e < v.len()).then(|| v.read(e)),
+            GroupArray::Shadowed(s) => {
+                if e >= s.len() {
+                    return None;
+                }
+                if let Some(m) = &mut self.markers[a] {
+                    m.mark_read(e);
+                }
+                Some(s.versioned.read(e))
+            }
         }
-        self.arrays[a].versioned.read(e)
     }
 
     /// Writes `v` to element `e` of array `a`.
-    pub fn write(&mut self, a: usize, e: usize, v: T) {
-        match &mut self.markers[a] {
-            Some(m) => {
-                m.mark_write(e);
-                self.pending_charges[a] += 1;
-                self.arrays[a].versioned.write(e, v, self.iter);
-            }
-            None => self.arrays[a].versioned.write_direct(e, v),
+    ///
+    /// # Panics
+    /// Panics if `a` is [`GroupArray::ReadOnly`]: the caller declared that
+    /// the loop never writes it.
+    #[inline]
+    pub fn write(&mut self, a: usize, e: usize, v: T) -> Option<()> {
+        let versioned = self.arrays[a]
+            .versioned()
+            .expect("write to an array declared read-only");
+        if e >= versioned.len() {
+            return None;
         }
+        if !self.speculating {
+            versioned.write_direct(e, v);
+            return Some(());
+        }
+        if let Some(m) = &mut self.markers[a] {
+            m.mark_write(e);
+            self.pending_charges += 1;
+        }
+        versioned.write(e, v, self.iter);
+        Some(())
     }
 
-    /// The iteration this handle belongs to.
+    /// The iteration this handle is aimed at.
     pub fn iteration(&self) -> usize {
         self.iter
     }
@@ -699,75 +830,131 @@ impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
 
 impl<T: Copy> Drop for GroupAccess<'_, T> {
     fn drop(&mut self) {
-        for (a, &n) in self.pending_charges.iter().enumerate() {
-            if n != 0 {
-                if let Some(b) = &self.arrays[a].budget {
-                    b.charge_many(n);
-                }
-            }
-        }
+        self.flush_charges();
     }
 }
 
-/// Speculative execution over a *group* of arrays under test: like
-/// [`speculative_while`], but every array is shadowed independently and
-/// the parallel result is kept only when all of them validate.
-pub fn speculative_while_group<T, TF, BF>(
+/// A worker's private count, added to the shared total when the worker
+/// leaves the region.
+struct Tally<'a> {
+    local: u64,
+    total: &'a AtomicU64,
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.total.fetch_add(self.local, Ordering::Relaxed);
+    }
+}
+
+/// A body failure that survived sequential re-execution of a speculative
+/// group: a genuine error of the loop, at the iteration the sequential
+/// loop meets it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupFault<E> {
+    /// The failing iteration (every earlier one completed).
+    pub iter: usize,
+    /// What the body reported.
+    pub error: E,
+}
+
+/// Speculative execution over a *group* of arrays, each in the mode its
+/// [`GroupArray`] variant names: shadowed arrays are PD-tested
+/// independently and the parallel result is kept only when all of them
+/// validate; certified arrays ride along checkpointed; read-only arrays
+/// are shared untouched.
+///
+/// `iteration(i, scratch, arrays)` is the whole loop body, terminator
+/// first: `Ok(Step::Quit)` means the loop exits *before* iteration `i`
+/// does any work, `Ok(Step::Continue)` that the body ran. `scratch` is
+/// per-worker state built by `init` once per worker per region (and once
+/// more for a sequential re-execution), so neither this driver nor the
+/// body allocates per iteration. `budget` caps the stamped writes to
+/// shadowed arrays over the whole attempt ([`AbortReason::Budget`] past
+/// it).
+///
+/// An `Err` from a speculative iteration is treated like the paper treats
+/// an exception: the attempt is invalid (the iteration may have overshot,
+/// or read a doomed value), everything is restored and the loop
+/// re-executed sequentially. Only an error the sequential loop meets too
+/// is returned, as a [`GroupFault`]; the arrays then hold what the
+/// sequential loop had written when it failed.
+pub fn speculative_while_group<T, S, E, I, F>(
     pool: &Pool,
     upper: usize,
-    arrays: &[SpeculativeArray<T>],
-    term: TF,
-    body: BF,
-) -> SpecOutcome
+    arrays: &[GroupArray<'_, T>],
+    budget: Option<u64>,
+    init: I,
+    iteration: F,
+) -> Result<SpecOutcome, GroupFault<E>>
 where
     T: Copy + Send + Sync,
-    TF: Fn(usize, &mut GroupAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut GroupAccess<'_, T>) + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(usize, &mut S, &mut GroupAccess<'_, T>) -> Result<Step, E> + Sync,
 {
-    let exception = AtomicBool::new(false);
+    let budget = budget.map(|limit| SpecBudget {
+        limit,
+        stamped: AtomicU64::new(0),
+    });
+    let budget = budget.as_ref();
+    let over_budget = || budget.is_some_and(|b| b.exceeded());
+    let faulted = AtomicBool::new(false);
     let executed = AtomicU64::new(0);
 
-    let out = doall_dynamic(pool, upper, |i, _vpn| {
-        if arrays.iter().any(|a| a.budget_exceeded()) {
-            return Step::Quit;
-        }
-        let mut acc = GroupAccess {
-            arrays,
-            markers: arrays.iter().map(|a| Some(a.shadow.iteration(i))).collect(),
-            iter: i,
-            pending_charges: vec![0; arrays.len()],
-        };
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
+    let out = doall_dynamic_with(
+        pool,
+        upper,
+        ChunkPolicy::Fixed(GROUP_CHUNK),
+        |_vpn| {
+            let bodies = Tally {
+                local: 0,
+                total: &executed,
+            };
+            (GroupAccess::new(arrays, budget, true), init(), bodies)
+        },
+        |i, (acc, scratch, bodies)| {
+            if over_budget() {
+                return Step::Quit;
             }
-        }));
-        match step {
-            Ok(s) => s,
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                Step::Quit
+            acc.begin(i);
+            match iteration(i, scratch, acc) {
+                Ok(Step::Continue) => {
+                    bodies.local += 1;
+                    Step::Continue
+                }
+                Ok(Step::Quit) => Step::Quit,
+                Err(_) => {
+                    faulted.store(true, Ordering::Release);
+                    Step::Quit
+                }
             }
-        }
-    });
+        },
+    );
 
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
+    // a panicking body is contained by the region (`out.panic`); an `Err`
+    // body raised `faulted` — both invalidate the attempt the same way
+    let had_exception = faulted.load(Ordering::Acquire) || out.panic.is_some();
     let last_valid = out.quit;
+    let executed = executed.load(Ordering::Relaxed);
+    // an unstamped array cannot undo selectively: its loop was declared
+    // unable to overshoot, and if it did anyway the attempt is void
+    let overshot = last_valid.is_some_and(|li| executed > li as u64);
+    let unstamped = arrays
+        .iter()
+        .any(|a| a.versioned().is_some_and(|v| !v.is_stamped()));
     let early_abort = if out.timeout.is_some() {
         Some(AbortReason::Timeout)
     } else if had_exception {
         Some(AbortReason::Exception)
-    } else if arrays.iter().any(|a| a.budget_exceeded()) {
+    } else if over_budget() {
         Some(AbortReason::Budget)
+    } else if overshot && unstamped {
+        Some(AbortReason::Dependence)
     } else {
         None
     };
 
-    // every array must pass; merge the verdicts
+    // every shadowed array must pass; merge the verdicts
     let verdict = early_abort.is_none().then(|| {
         let mut merged = PdVerdict {
             doall: true,
@@ -775,59 +962,65 @@ where
             conflicts: Vec::new(),
         };
         for a in arrays {
-            let v = a.shadow.analyze(pool, last_valid, 16);
-            merged.doall &= v.doall;
-            merged.privatized_doall &= v.privatized_doall;
-            merged.conflicts.extend(v.conflicts);
+            if let GroupArray::Shadowed(s) = a {
+                let v = s.shadow.analyze(pool, last_valid, 16);
+                merged.doall &= v.doall;
+                merged.privatized_doall &= v.privatized_doall;
+                merged.conflicts.extend(v.conflicts);
+            }
         }
         merged
     });
 
     let valid = verdict.as_ref().is_some_and(|v| v.doall);
     if !valid {
-        for a in arrays {
-            a.versioned.restore_all();
+        for v in arrays.iter().filter_map(GroupArray::versioned) {
+            v.restore_all();
         }
+        let mut acc = GroupAccess::new(arrays, None, false);
+        let mut scratch = init();
         let mut lv = None;
         for i in 0..upper {
-            let mut acc = GroupAccess {
-                arrays,
-                markers: arrays.iter().map(|_| None).collect(),
-                iter: i,
-                pending_charges: vec![0; arrays.len()],
-            };
-            if term(i, &mut acc) {
-                lv = Some(i);
-                break;
+            acc.begin(i);
+            match iteration(i, &mut scratch, &mut acc) {
+                Ok(Step::Continue) => {}
+                Ok(Step::Quit) => {
+                    lv = Some(i);
+                    break;
+                }
+                Err(error) => return Err(GroupFault { iter: i, error }),
             }
-            body(i, &mut acc);
         }
-        return SpecOutcome {
+        return Ok(SpecOutcome {
             verdict,
             committed_parallel: false,
             reexecuted_sequentially: true,
             exception: had_exception,
             abort: early_abort.or(Some(AbortReason::Dependence)),
             last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
+            executed_parallel: executed,
             undone: 0,
-        };
+        });
     }
 
     let undone = match last_valid {
-        Some(li) => arrays.iter().map(|a| a.versioned.undo_past(li)).sum(),
+        Some(li) => arrays
+            .iter()
+            .filter_map(GroupArray::versioned)
+            .map(|v| v.undo_past(li))
+            .sum(),
         None => 0,
     };
-    SpecOutcome {
+    Ok(SpecOutcome {
         verdict,
         committed_parallel: true,
         reexecuted_sequentially: false,
         exception: false,
         abort: None,
         last_valid,
-        executed_parallel: executed.load(Ordering::Relaxed),
+        executed_parallel: executed,
         undone,
-    }
+    })
 }
 
 /// The Section 5 two-pass scheme: "First, the loop is run in parallel to
@@ -1519,77 +1712,228 @@ mod tests {
         assert_eq!(a1.snapshot(), a2.snapshot());
     }
 
+    /// Snapshot of a written group array's live values.
+    fn live(a: &GroupArray<'_, i64>) -> Vec<i64> {
+        a.versioned().expect("written array").snapshot()
+    }
+
+    type Infallible = std::convert::Infallible;
+
     #[test]
     fn group_speculation_validates_independent_arrays() {
         // two arrays: a data array and a count array, disjoint per iteration
         let arrays = [
-            SpeculativeArray::new(vec![0i64; 100]),
-            SpeculativeArray::new(vec![10i64; 100]),
+            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 100])),
+            GroupArray::Shadowed(SpeculativeArray::new(vec![10i64; 100])),
         ];
         let out = speculative_while_group(
             &pool(),
             100,
             &arrays,
-            |_, _| false,
-            |i, g| {
-                let v = g.read(1, i);
-                g.write(0, i, v + i as i64);
-                g.write(1, i, v + 1);
+            None,
+            || (),
+            |i, _, g| {
+                let v = g.read(1, i).unwrap();
+                g.write(0, i, v + i as i64).unwrap();
+                g.write(1, i, v + 1).unwrap();
+                Ok::<_, Infallible>(Step::Continue)
             },
-        );
+        )
+        .unwrap();
         assert!(out.committed_parallel, "{:?}", out.verdict);
-        assert_eq!(arrays[0].snapshot()[7], 17);
-        assert_eq!(arrays[1].snapshot()[7], 11);
+        assert_eq!(live(&arrays[0])[7], 17);
+        assert_eq!(live(&arrays[1])[7], 11);
     }
 
     #[test]
-    fn group_speculation_fails_if_any_array_conflicts() {
-        // array 0 is independent; array 1 is a shared accumulator
+    fn group_failure_restores_every_mode_before_rerunning() {
+        // array 0 is certified and stamped, array 1 certified and
+        // unstamped, array 2 a shared accumulator that fails the PD
+        // test, array 3 read-only: after the failed attempt all written
+        // arrays must be back at their checkpoint, or the accumulating
+        // bodies below would double-count
+        let weights: Vec<i64> = (0..50).collect();
         let arrays = [
-            SpeculativeArray::new(vec![0i64; 50]),
-            SpeculativeArray::new(vec![0i64; 1]),
+            GroupArray::Certified(VersionedArray::new(vec![0i64; 50])),
+            GroupArray::Certified(VersionedArray::new_unstamped(vec![0i64; 50])),
+            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 1])),
+            GroupArray::ReadOnly(&weights),
         ];
         let out = speculative_while_group(
             &pool(),
             50,
             &arrays,
-            |_, _| false,
-            |i, g| {
-                g.write(0, i, 1);
-                let acc = g.read(1, 0);
-                g.write(1, 0, acc + 1);
+            None,
+            || (),
+            |i, _, g| {
+                let w = g.read(3, i).unwrap();
+                let a = g.read(0, i).unwrap();
+                g.write(0, i, a + w).unwrap();
+                let b = g.read(1, i).unwrap();
+                g.write(1, i, b + 1).unwrap();
+                let acc = g.read(2, 0).unwrap();
+                g.write(2, 0, acc + 1).unwrap();
+                Ok::<_, Infallible>(Step::Continue)
             },
-        );
+        )
+        .unwrap();
         assert!(!out.committed_parallel);
         assert!(out.reexecuted_sequentially);
-        // sequential semantics hold for both arrays
-        assert_eq!(arrays[1].snapshot()[0], 50);
-        assert!(arrays[0].snapshot().iter().all(|&v| v == 1));
+        assert_eq!(out.abort, Some(AbortReason::Dependence));
+        // sequential semantics hold for every array
+        assert_eq!(live(&arrays[0]), weights);
+        assert!(live(&arrays[1]).iter().all(|&v| v == 1));
+        assert_eq!(live(&arrays[2])[0], 50);
+        assert_eq!(weights, (0..50).collect::<Vec<i64>>());
     }
 
     #[test]
     fn group_speculation_undoes_overshoot_across_arrays() {
         let arrays = [
-            SpeculativeArray::new(vec![0i64; 500]),
-            SpeculativeArray::new(vec![0i64; 500]),
+            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 500])),
+            GroupArray::Certified(VersionedArray::new(vec![0i64; 500])),
         ];
         let out = speculative_while_group(
             &pool(),
             500,
             &arrays,
-            |i, _| i == 60,
-            |i, g| {
-                g.write(0, i, 1);
-                g.write(1, i, 2);
+            None,
+            || (),
+            |i, _, g| {
+                if i == 60 {
+                    return Ok::<_, Infallible>(Step::Quit);
+                }
+                g.write(0, i, 1).unwrap();
+                g.write(1, i, 2).unwrap();
+                Ok(Step::Continue)
             },
-        );
+        )
+        .unwrap();
         assert!(out.committed_parallel);
         assert_eq!(out.last_valid, Some(60));
         for arr in &arrays {
-            let snap = arr.snapshot();
+            let snap = live(arr);
             assert!(snap[..60].iter().all(|&v| v != 0));
-            assert!(snap[61..].iter().all(|&v| v == 0));
+            assert!(snap[60..].iter().all(|&v| v == 0));
         }
+    }
+
+    #[test]
+    fn group_overshoot_into_an_unstamped_array_voids_the_attempt() {
+        // the exit is not a threshold (only one iteration sees it), so
+        // iterations past it run their bodies before the QUIT is visible;
+        // an unstamped array cannot undo them, so the driver must notice
+        // and fall back rather than commit the overshoot
+        let arrays = [GroupArray::Certified(VersionedArray::new_unstamped(vec![
+            0i64;
+            400
+        ]))];
+        // the exit and the overshooting body sit in different claims, so
+        // two workers hold them at once; they meet once, during the
+        // parallel attempt — the sequential re-execution passes through
+        let (exit, late) = (GROUP_CHUNK + 8, 2 * GROUP_CHUNK);
+        let gate = std::sync::Barrier::new(2);
+        let (held, ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        let out = speculative_while_group(
+            &Pool::new(2),
+            400,
+            &arrays,
+            None,
+            || (),
+            |i, _, g| {
+                if i == exit {
+                    if !held.swap(true, Ordering::AcqRel) {
+                        gate.wait(); // hold the QUIT until a later body ran
+                    }
+                    return Ok::<_, Infallible>(Step::Quit);
+                }
+                g.write(0, i, 1).unwrap();
+                if i == late && !ran.swap(true, Ordering::AcqRel) {
+                    gate.wait();
+                }
+                Ok(Step::Continue)
+            },
+        )
+        .unwrap();
+        assert_eq!(out.last_valid, Some(exit));
+        let snap = live(&arrays[0]);
+        assert!(snap[..exit].iter().all(|&v| v == 1));
+        assert!(snap[exit..].iter().all(|&v| v == 0), "overshoot leaked");
+        assert!(!out.committed_parallel);
+    }
+
+    #[test]
+    fn group_errors_surface_only_when_the_sequential_loop_meets_them() {
+        // iteration 30 exits; iterations past it fail. Sequentially the
+        // failure is never reached, so a speculative overshoot that meets
+        // it must not report it.
+        let arrays = [GroupArray::Certified(VersionedArray::new(vec![0i64; 100]))];
+        let body = |i: usize, _: &mut (), g: &mut GroupAccess<'_, i64>| {
+            if i == 30 {
+                return Ok(Step::Quit);
+            }
+            if i > 30 {
+                return Err("past the exit");
+            }
+            g.write(0, i, 1).unwrap();
+            Ok(Step::Continue)
+        };
+        let out = speculative_while_group(&pool(), 100, &arrays, None, || (), body).unwrap();
+        assert_eq!(out.last_valid, Some(30));
+        assert_eq!(live(&arrays[0]).iter().sum::<i64>(), 30);
+
+        // a failure below the exit is real: reported with its iteration,
+        // the arrays holding what the sequential loop wrote before it
+        let arrays = [GroupArray::Certified(VersionedArray::new(vec![0i64; 100]))];
+        let fault = speculative_while_group(
+            &pool(),
+            100,
+            &arrays,
+            None,
+            || (),
+            |i, _, g| {
+                if i == 12 {
+                    return Err("bad iteration");
+                }
+                g.write(0, i, 1).unwrap();
+                Ok(Step::Continue)
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            fault,
+            GroupFault {
+                iter: 12,
+                error: "bad iteration"
+            }
+        );
+        assert_eq!(live(&arrays[0]).iter().sum::<i64>(), 12);
+    }
+
+    #[test]
+    fn group_budget_counts_shadowed_writes_only() {
+        // 64 certified writes and 64 shadowed ones against a budget of 8:
+        // only the shadowed array charges it, and it trips
+        let arrays = [
+            GroupArray::Certified(VersionedArray::new(vec![0i64; 64])),
+            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 64])),
+        ];
+        let body = |i: usize, _: &mut (), g: &mut GroupAccess<'_, i64>| {
+            g.write(0, i, 1).unwrap();
+            g.write(1, i, 1).unwrap();
+            Ok::<_, Infallible>(Step::Continue)
+        };
+        let out = speculative_while_group(&pool(), 64, &arrays, Some(8), || (), body).unwrap();
+        assert_eq!(out.abort, Some(AbortReason::Budget));
+        assert!(live(&arrays[1]).iter().all(|&v| v == 1), "rerun completes");
+        // with the certified bound (one shadowed write per iteration) it
+        // never trips
+        let arrays = [
+            GroupArray::Certified(VersionedArray::new(vec![0i64; 64])),
+            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 64])),
+        ];
+        let out = speculative_while_group(&pool(), 64, &arrays, Some(64), || (), body).unwrap();
+        assert!(out.committed_parallel);
     }
 
     #[test]

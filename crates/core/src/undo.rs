@@ -48,6 +48,27 @@ impl<T: Copy> VersionedArray<T> {
         }
     }
 
+    /// Checkpoints `init` **without** write time-stamps: for arrays whose
+    /// loop cannot overshoot (nothing to undo selectively), so the only
+    /// rollback ever needed is the whole-array [`restore_all`] of a failed
+    /// speculation. Saves the stamp array and the per-write stamp RMW.
+    /// [`undo_past`] restores nothing on such an array.
+    ///
+    /// [`restore_all`]: Self::restore_all
+    /// [`undo_past`]: Self::undo_past
+    pub fn new_unstamped(init: Vec<T>) -> Self {
+        VersionedArray {
+            data: init.iter().copied().map(AtomicCell::new).collect(),
+            stamp: Vec::new(),
+            checkpoint: init,
+        }
+    }
+
+    /// Whether writes are time-stamped (see [`new_unstamped`](Self::new_unstamped)).
+    pub fn is_stamped(&self) -> bool {
+        self.stamp.len() == self.data.len()
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -80,11 +101,13 @@ impl<T: Copy> VersionedArray<T> {
     /// in-flight RMWs.
     #[inline]
     pub fn write(&self, e: usize, v: T, iter: usize) {
-        let it = u32::try_from(iter).expect("iteration fits in u32");
-        assert!(it < UNWRITTEN, "iteration stamp space exhausted");
         self.data[e].store(v);
-        if self.stamp[e].load(Ordering::Relaxed) > it {
-            self.stamp[e].fetch_min(it, Ordering::Relaxed);
+        if let Some(stamp) = self.stamp.get(e) {
+            let it = u32::try_from(iter).expect("iteration fits in u32");
+            assert!(it < UNWRITTEN, "iteration stamp space exhausted");
+            if stamp.load(Ordering::Relaxed) > it {
+                stamp.fetch_min(it, Ordering::Relaxed);
+            }
         }
     }
 
@@ -92,7 +115,7 @@ impl<T: Copy> VersionedArray<T> {
     /// any. (`Relaxed`: stamps are self-contained data, ordered by the
     /// region join — see [`write`](Self::write).)
     pub fn stamp(&self, e: usize) -> Option<usize> {
-        let s = self.stamp[e].load(Ordering::Relaxed);
+        let s = self.stamp.get(e)?.load(Ordering::Relaxed);
         (s != UNWRITTEN).then_some(s as usize)
     }
 
@@ -102,7 +125,7 @@ impl<T: Copy> VersionedArray<T> {
     pub fn undo_past(&self, last_valid: usize) -> usize {
         let li = u32::try_from(last_valid).unwrap_or(UNWRITTEN - 1);
         let mut restored = 0;
-        for e in 0..self.data.len() {
+        for e in 0..self.stamp.len() {
             let s = self.stamp[e].load(Ordering::Relaxed);
             if s != UNWRITTEN && s > li {
                 self.data[e].store(self.checkpoint[e]);
@@ -117,6 +140,13 @@ impl<T: Copy> VersionedArray<T> {
     /// speculation or an exception), clearing all stamps. Returns the
     /// number of elements restored.
     pub fn restore_all(&self) -> usize {
+        if !self.is_stamped() {
+            // no record of which elements were written: copy them all back
+            for (cell, &v) in self.data.iter().zip(&self.checkpoint) {
+                cell.store(v);
+            }
+            return self.data.len();
+        }
         let mut restored = 0;
         for e in 0..self.data.len() {
             if self.stamp[e].swap(UNWRITTEN, Ordering::Relaxed) != UNWRITTEN {
@@ -132,13 +162,26 @@ impl<T: Copy> VersionedArray<T> {
     pub fn commit(&mut self) {
         for e in 0..self.data.len() {
             self.checkpoint[e] = self.data[e].load();
-            *self.stamp[e].get_mut() = UNWRITTEN;
+        }
+        for s in &mut self.stamp {
+            *s.get_mut() = UNWRITTEN;
         }
     }
 
     /// Copies the live values out.
     pub fn snapshot(&self) -> Vec<T> {
         self.data.iter().map(|c| c.load()).collect()
+    }
+
+    /// Consumes the array, keeping the live values: the checkpoint's
+    /// buffer is reused, so handing the result of a finished loop back to
+    /// its owner allocates nothing.
+    pub fn into_live(self) -> Vec<T> {
+        let mut out = self.checkpoint;
+        for (slot, cell) in out.iter_mut().zip(self.data) {
+            *slot = cell.into_inner();
+        }
+        out
     }
 
     /// Direct un-stamped write, for sequential re-execution after a failed
@@ -218,6 +261,21 @@ mod tests {
         assert_eq!(a.undo_past(499), 500);
         assert_eq!(a.read(700), 0);
         assert_eq!(a.read(400), 800);
+    }
+
+    #[test]
+    fn unstamped_arrays_roll_back_whole_and_never_undo_selectively() {
+        let a = VersionedArray::new_unstamped(vec![1, 2, 3]);
+        assert!(!a.is_stamped());
+        a.write(0, 10, 0);
+        a.write(2, 30, 7);
+        assert_eq!(a.stamp(2), None);
+        assert_eq!(a.undo_past(3), 0, "nothing is stamped, nothing is undone");
+        assert_eq!(a.snapshot(), vec![10, 2, 30]);
+        assert_eq!(a.restore_all(), 3);
+        assert_eq!(a.snapshot(), vec![1, 2, 3]);
+        a.write(1, 20, 1);
+        assert_eq!(a.into_live(), vec![1, 20, 3]);
     }
 
     #[test]

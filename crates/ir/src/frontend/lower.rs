@@ -24,9 +24,21 @@ impl std::fmt::Display for LowerError {
     }
 }
 
+/// The source names behind a lowered loop's ids: `arrays[a.0]` names
+/// [`ArrayId`] `a`, `vars[v.0]` names [`VarId`] `v`. Consumers that turn
+/// analysis results (which speak ids) back into statements about the
+/// parsed program (which speaks names) go through here.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Symbols {
+    /// Array names, indexed by [`ArrayId`].
+    pub arrays: Vec<String>,
+    /// Scalar names, indexed by [`VarId`].
+    pub vars: Vec<String>,
+}
+
 /// A linear form `Σ coeff·var + konst` with integer coefficients, or
 /// nothing when the expression is not linear/foldable.
-fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
+pub(crate) fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
     match e {
         Expr::Int(v) => Some((HashMap::new(), *v)),
         Expr::Var(v) => {
@@ -84,7 +96,7 @@ fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
 }
 
 /// The recurrence shape of `name = rhs`, if `rhs` references `name`.
-fn recurrence_shape(name: &str, rhs: &Expr) -> Option<UpdateOp> {
+pub(crate) fn recurrence_shape(name: &str, rhs: &Expr) -> Option<UpdateOp> {
     // p = next(p)
     if let Expr::Call(f, args) = rhs {
         if f == "next" && args.len() == 1 {
@@ -203,6 +215,11 @@ fn const_fold(e: &Expr) -> Option<i64> {
 
 /// Lowers a parsed program to [`LoopIr`].
 pub fn lower(p: &Program) -> Result<LoopIr, LowerError> {
+    lower_with_symbols(p).map(|(ir, _)| ir)
+}
+
+/// [`lower`], also returning the names the ids it minted stand for.
+pub fn lower_with_symbols(p: &Program) -> Result<(LoopIr, Symbols), LowerError> {
     let mut lw = Lowerer {
         vars: HashMap::new(),
         arrays: HashMap::new(),
@@ -280,7 +297,18 @@ pub fn lower(p: &Program) -> Result<LoopIr, LowerError> {
             span: p.cond_span,
         });
     }
-    Ok(ir)
+    let by_id = |ids: Vec<(String, u32)>| {
+        let mut names = vec![String::new(); ids.len()];
+        for (name, id) in ids {
+            names[id as usize] = name;
+        }
+        names
+    };
+    let symbols = Symbols {
+        arrays: by_id(lw.arrays.into_iter().map(|(n, a)| (n, a.0)).collect()),
+        vars: by_id(lw.vars.into_iter().map(|(n, v)| (n, v.0)).collect()),
+    };
+    Ok((ir, symbols))
 }
 
 #[cfg(test)]
@@ -435,6 +463,30 @@ mod tests {
             ir.stmts[1].kind,
             StmtKind::Update(UpdateOp::Other)
         ));
+    }
+
+    #[test]
+    fn symbols_name_the_ids_the_ir_uses() {
+        use super::super::parser::parse_program;
+        let p = parse_program("integer i = 0\nwhile (i < n) { A[idx[i]] = B[i] + x; i = i + 1 }")
+            .unwrap();
+        let (ir, syms) = lower_with_symbols(&p).unwrap();
+        assert_eq!(ir, lower(&p).unwrap());
+        let mut arrays = syms.arrays.clone();
+        arrays.sort();
+        assert_eq!(arrays, ["A", "B", "idx"]);
+        // the store's target id resolves to the name the source wrote
+        let WRef::Element(a, _) = ir.stmts[1].writes[0] else {
+            panic!()
+        };
+        assert_eq!(syms.arrays[a.0 as usize], "A");
+        let StmtKind::Update(_) = ir.stmts[2].kind else {
+            panic!()
+        };
+        let WRef::Scalar(v) = ir.stmts[2].writes[0] else {
+            panic!()
+        };
+        assert_eq!(syms.vars[v.0 as usize], "i");
     }
 
     #[test]

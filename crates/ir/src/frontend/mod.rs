@@ -27,12 +27,12 @@
 
 mod ast;
 pub mod lexer;
-mod lower;
+pub(crate) mod lower;
 mod parser;
 
 pub use ast::{BinOp, Decl, Expr, Program, Stmt};
 pub use lexer::{LexError, Token};
-pub use lower::{lower, LowerError};
+pub use lower::{lower, lower_with_symbols, LowerError, Symbols};
 pub use parser::{parse_program, ParseError};
 
 use crate::ir::LoopIr;

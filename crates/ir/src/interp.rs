@@ -1,27 +1,19 @@
-//! An interpreter for parsed WHILE loops: the executable end of the
-//! pipeline.
+//! The interpreter's public face: the [`Machine`] a loop runs against and
+//! the two classic entry points.
 //!
 //! [`run_sequential`] gives the reference semantics of a [`Program`];
-//! [`run_parallel`] consults the [`plan`](crate::plan::plan) and — when the
-//! strategy allows — executes the loop as a speculative DOALL with every
-//! array routed through the PD test, falling back to sequential
-//! interpretation exactly like the paper's generated code would. The two
-//! entry points are guaranteed to produce identical final machines.
-//!
-//! Two canonicalizations keep the parallel semantics honest:
-//!
-//! * `exit if` conditions are evaluated at the **head** of each iteration
-//!   (test-then-work, the paper's canonical WHILE form);
-//! * only loops whose scalar updates are recurrences of a single known
-//!   induction variable run in parallel — anything else (pointer chases,
-//!   extra scalar state) is interpreted sequentially, mirroring the
-//!   planner's conservatism.
+//! [`run_parallel`] executes it as a speculative DOALL when the planner
+//! allows, falling back to sequential interpretation exactly like the
+//! paper's generated code would. Both lower the program to an
+//! [`ExecPlan`] and run that — they are
+//! compile-then-execute conveniences over the one executor in
+//! [`exec`](crate::exec), and are guaranteed to produce identical final
+//! machines.
 
-use crate::frontend::{BinOp, Decl, Expr, Program, Stmt};
-use crate::ir::UpdateOp;
+use crate::exec::{ExecPlan, Frame, PlanHints};
+use crate::frontend::Program;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wlp_core::speculate::{speculative_while_group, GroupAccess, SpeculativeArray};
 use wlp_core::taxonomy::DispatcherClass;
 use wlp_runtime::Pool;
 
@@ -70,10 +62,6 @@ impl std::fmt::Display for ExecError {
     }
 }
 
-fn err<T>(msg: impl Into<String>) -> Result<T, ExecError> {
-    Err(ExecError { msg: msg.into() })
-}
-
 /// How a loop finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOutcome {
@@ -86,424 +74,96 @@ pub struct ExecOutcome {
     pub ran_parallel: bool,
 }
 
-/// Array view used by expression evaluation.
-trait ArrayView {
-    fn read(&mut self, name: &str, idx: i64) -> Result<i64, ExecError>;
-    fn write(&mut self, name: &str, idx: i64, v: i64) -> Result<(), ExecError>;
-}
-
-struct DirectView<'a> {
-    arrays: &'a mut HashMap<String, Vec<i64>>,
-}
-
-impl ArrayView for DirectView<'_> {
-    fn read(&mut self, name: &str, idx: i64) -> Result<i64, ExecError> {
-        let arr = self.arrays.get(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        usize::try_from(idx)
-            .ok()
-            .and_then(|i| arr.get(i).copied())
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })
-    }
-
-    fn write(&mut self, name: &str, idx: i64, v: i64) -> Result<(), ExecError> {
-        let arr = self.arrays.get_mut(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        let i = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < arr.len())
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })?;
-        arr[i] = v;
-        Ok(())
-    }
-}
-
-struct SpecView<'a, 'b> {
-    access: &'a mut GroupAccess<'b, i64>,
-    index_of: &'a HashMap<String, usize>,
-    lens: &'a HashMap<String, usize>,
-}
-
-impl ArrayView for SpecView<'_, '_> {
-    fn read(&mut self, name: &str, idx: i64) -> Result<i64, ExecError> {
-        let a = *self.index_of.get(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        let i = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < self.lens[name])
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })?;
-        Ok(self.access.read(a, i))
-    }
-
-    fn write(&mut self, name: &str, idx: i64, v: i64) -> Result<(), ExecError> {
-        let a = *self.index_of.get(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        let i = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < self.lens[name])
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })?;
-        self.access.write(a, i, v);
-        Ok(())
-    }
-}
-
-fn eval(
-    e: &Expr,
-    scalars: &HashMap<String, i64>,
-    funcs: &HashMap<String, HostFn>,
-    view: &mut dyn ArrayView,
-) -> Result<i64, ExecError> {
-    use crate::frontend::lexer::CmpOp;
-    Ok(match e {
-        Expr::Int(v) => *v,
-        Expr::Null => 0,
-        Expr::Var(v) => match scalars.get(v) {
-            Some(x) => *x,
-            None => return err(format!("unbound scalar `{v}`")),
-        },
-        Expr::Index(arr, sub) => {
-            let i = eval(sub, scalars, funcs, view)?;
-            view.read(arr, i)?
-        }
-        Expr::Call(f, args) => {
-            let func = funcs
-                .get(f)
-                .ok_or_else(|| ExecError {
-                    msg: format!("unknown function `{f}`"),
-                })?
-                .clone();
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, scalars, funcs, view)?);
-            }
-            func(&vals)
-        }
-        Expr::Neg(inner) => -eval(inner, scalars, funcs, view)?,
-        Expr::Bin(op, a, b) => {
-            let (x, y) = (
-                eval(a, scalars, funcs, view)?,
-                eval(b, scalars, funcs, view)?,
-            );
-            match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                BinOp::Div => {
-                    if y == 0 {
-                        return err("division by zero");
-                    }
-                    x.wrapping_div(y)
-                }
+impl Machine {
+    /// Moves this machine's state into a [`Frame`] for `plan`: each array
+    /// the plan names leaves the machine (no copy), scalars and host
+    /// functions are bound by slot. Names the plan does not mention stay
+    /// behind untouched. [`absorb`](Self::absorb) is the way back.
+    pub fn bind(&mut self, plan: &ExecPlan) -> Frame {
+        let mut frame = plan.frame();
+        for (a, name) in plan.arrays().iter().enumerate() {
+            if let Some(data) = self.arrays.remove(name) {
+                frame.bind_array(a, data);
             }
         }
-        Expr::Cmp(op, a, b) => {
-            let (x, y) = (
-                eval(a, scalars, funcs, view)?,
-                eval(b, scalars, funcs, view)?,
-            );
-            i64::from(match op {
-                CmpOp::Lt => x < y,
-                CmpOp::Gt => x > y,
-                CmpOp::Le => x <= y,
-                CmpOp::Ge => x >= y,
-                CmpOp::Eq => x == y,
-                CmpOp::Ne => x != y,
-            })
+        for (s, name) in plan.scalars().iter().enumerate() {
+            if let Some(&v) = self.scalars.get(name) {
+                frame.bind_scalar(s, v);
+            }
         }
-    })
+        for (f, name) in plan.funcs().iter().enumerate() {
+            if let Some(func) = self.funcs.get(name) {
+                frame.bind_fn(f, func.clone());
+            }
+        }
+        frame
+    }
+
+    /// Takes back what [`bind`](Self::bind) gave `frame`, as the
+    /// execution left it: arrays return by move, every scalar the loop
+    /// declared or assigned is (re)defined.
+    pub fn absorb(&mut self, plan: &ExecPlan, mut frame: Frame) {
+        for (a, name) in plan.arrays().iter().enumerate() {
+            if let Some(data) = frame.take_array(a) {
+                self.arrays.insert(name.clone(), data);
+            }
+        }
+        for (s, name) in plan.scalars().iter().enumerate() {
+            if let Some(v) = frame.scalar(s) {
+                self.scalars.insert(name.clone(), v);
+            }
+        }
+    }
 }
 
-fn apply_decls(p: &Program, m: &mut Machine) -> Result<(), ExecError> {
-    for Decl { name, init, .. } in &p.decls {
-        let v = match init {
-            Some(e) => {
-                let mut view = DirectView {
-                    arrays: &mut m.arrays,
-                };
-                eval(e, &m.scalars, &m.funcs, &mut view)?
-            }
-            None => 0,
-        };
-        m.scalars.insert(name.clone(), v);
-    }
-    Ok(())
+/// Runs `exec` against `machine` bound into a frame for `plan` — the
+/// machine gets its state back on success and on error alike, as the tree
+/// walker that used to mutate it in place left it.
+fn on_machine(
+    plan: &ExecPlan,
+    machine: &mut Machine,
+    exec: impl FnOnce(&mut Frame) -> Result<ExecOutcome, ExecError>,
+) -> Result<ExecOutcome, ExecError> {
+    let mut frame = machine.bind(plan);
+    let result = exec(&mut frame);
+    machine.absorb(plan, frame);
+    result
 }
 
 /// Interprets the loop sequentially against `machine` (which is updated in
 /// place). `max_iters` bounds runaway loops.
+///
+/// Lowers an [`ExecPlan`] and executes it; a caller running one program
+/// many times lowers once and keeps the plan.
 pub fn run_sequential(
     p: &Program,
     machine: &mut Machine,
     max_iters: usize,
 ) -> Result<ExecOutcome, ExecError> {
-    apply_decls(p, machine)?;
-    let mut iterations = 0usize;
-    for i in 0..max_iters {
-        let cont = {
-            let mut view = DirectView {
-                arrays: &mut machine.arrays,
-            };
-            eval(&p.cond, &machine.scalars, &machine.funcs, &mut view)?
-        };
-        if cont == 0 {
-            return Ok(ExecOutcome {
-                iterations,
-                exited_at: Some(i),
-                ran_parallel: false,
-            });
-        }
-        // canonical test-then-work: all exit tests at the iteration head
-        for st in &p.body {
-            if let Stmt::ExitIf(c) = st {
-                let mut view = DirectView {
-                    arrays: &mut machine.arrays,
-                };
-                if eval(c, &machine.scalars, &machine.funcs, &mut view)? != 0 {
-                    return Ok(ExecOutcome {
-                        iterations,
-                        exited_at: Some(i),
-                        ran_parallel: false,
-                    });
-                }
-            }
-        }
-        for st in &p.body {
-            match st {
-                Stmt::ExitIf(_) => {}
-                Stmt::AssignVar(name, rhs) => {
-                    let v = {
-                        let mut view = DirectView {
-                            arrays: &mut machine.arrays,
-                        };
-                        eval(rhs, &machine.scalars, &machine.funcs, &mut view)?
-                    };
-                    machine.scalars.insert(name.clone(), v);
-                }
-                Stmt::AssignElem(arr, sub, rhs) => {
-                    let mut view = DirectView {
-                        arrays: &mut machine.arrays,
-                    };
-                    let i = eval(sub, &machine.scalars, &machine.funcs, &mut view)?;
-                    let v = eval(rhs, &machine.scalars, &machine.funcs, &mut view)?;
-                    view.write(arr, i, v)?;
-                }
-            }
-        }
-        iterations += 1;
-    }
-    Ok(ExecOutcome {
-        iterations,
-        exited_at: None,
-        ran_parallel: false,
+    // no schedule is consulted on this path, so any dispatcher class does
+    let plan = ExecPlan::lower(p, &PlanHints::uncertified(DispatcherClass::General));
+    on_machine(&plan, machine, |frame| {
+        plan.run_sequential(frame, max_iters)
     })
 }
 
-/// The single induction variable a parallel interpretation needs:
-/// `(name, stride, init)`. `None` when the loop does not qualify.
-fn parallel_induction(p: &Program) -> Option<(String, i64, i64)> {
-    let ir = crate::frontend::lower(p).ok()?;
-    let plan = crate::plan::plan(&ir);
-    if plan.dispatcher != DispatcherClass::MonotonicInduction {
-        return None;
-    }
-    // every scalar assignment must be the induction update itself
-    let mut found: Option<(String, i64)> = None;
-    for st in &p.body {
-        if let Stmt::AssignVar(name, rhs) = st {
-            let shape = {
-                // reuse the recurrence matcher by lowering the single
-                // statement in isolation
-                let tmp = Program {
-                    decls: vec![],
-                    cond: Expr::Int(1),
-                    cond_span: crate::span::Span::default(),
-                    body: vec![Stmt::AssignVar(name.clone(), rhs.clone())],
-                    stmt_spans: vec![],
-                };
-                let ir = crate::frontend::lower(&tmp).ok()?;
-                match ir.stmts.last()?.kind {
-                    crate::ir::StmtKind::Update(op) => Some(op),
-                    _ => None,
-                }
-            };
-            match shape {
-                Some(UpdateOp::AddConst) if found.is_none() => {
-                    // stride from the linear form: rhs = name + stride
-                    let stride = stride_of(name, rhs)?;
-                    found = Some((name.clone(), stride));
-                }
-                _ => return None, // extra scalar state: not a DOALL candidate
-            }
-        }
-    }
-    let (name, stride) = found?;
-    let init = p.decls.iter().find(|d| d.name == name)?.init.as_ref()?;
-    let init = const_eval(init)?;
-    Some((name, stride, init))
-}
-
-fn stride_of(name: &str, rhs: &Expr) -> Option<i64> {
-    // rhs is known AddConst: evaluate rhs with name := 0 and no other vars
-    fn go(e: &Expr, name: &str) -> Option<i64> {
-        match e {
-            Expr::Int(v) => Some(*v),
-            Expr::Var(v) if v == name => Some(0),
-            Expr::Neg(i) => Some(-go(i, name)?),
-            Expr::Bin(BinOp::Add, a, b) => Some(go(a, name)? + go(b, name)?),
-            Expr::Bin(BinOp::Sub, a, b) => Some(go(a, name)? - go(b, name)?),
-            Expr::Bin(BinOp::Mul, a, b) => Some(go(a, name)? * go(b, name)?),
-            _ => None,
-        }
-    }
-    go(rhs, name)
-}
-
-fn const_eval(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Int(v) => Some(*v),
-        Expr::Neg(i) => Some(-const_eval(i)?),
-        Expr::Bin(op, a, b) => {
-            let (x, y) = (const_eval(a)?, const_eval(b)?);
-            Some(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x.checked_div(y)?,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Interprets the loop through the planned parallel strategy: a
-/// speculative DOALL with every array under the PD test. Loops the plan
-/// cannot parallelize (general dispatchers, provable recurrences, extra
-/// scalar state) fall back to [`run_sequential`] — either way, the final
-/// machine equals the sequential semantics.
+/// Interprets the loop through the planned parallel strategy without a
+/// certificate: a speculative DOALL with every stored-to array under the
+/// PD test. Loops the plan cannot parallelize (general dispatchers, extra
+/// scalar state) run sequentially — either way, the final machine equals
+/// the sequential semantics.
 pub fn run_parallel(
     p: &Program,
     machine: &mut Machine,
     pool: &Pool,
     max_iters: usize,
 ) -> Result<ExecOutcome, ExecError> {
-    let Some((ivar, stride, init)) = parallel_induction(p) else {
-        return run_sequential(p, machine, max_iters);
-    };
-    apply_decls(p, machine)?;
-
-    // order arrays and wrap them for speculation
-    let names: Vec<String> = {
-        let mut v: Vec<String> = machine.arrays.keys().cloned().collect();
-        v.sort();
-        v
-    };
-    let index_of: HashMap<String, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i))
-        .collect();
-    let lens: HashMap<String, usize> = names
-        .iter()
-        .map(|n| (n.clone(), machine.arrays[n].len()))
-        .collect();
-    let spec: Vec<SpeculativeArray<i64>> = names
-        .iter()
-        .map(|n| SpeculativeArray::new(machine.arrays[n].clone()))
-        .collect();
-
-    let base_scalars = machine.scalars.clone();
-    let funcs = machine.funcs.clone();
-    let fail: parking_lot::Mutex<Option<ExecError>> = parking_lot::Mutex::new(None);
-
-    let bind = |i: usize| {
-        let mut s = base_scalars.clone();
-        s.insert(ivar.clone(), init + stride * i as i64);
-        s
-    };
-
-    let out = speculative_while_group(
-        pool,
-        max_iters,
-        &spec,
-        |i, g| {
-            let scalars = bind(i);
-            let mut view = SpecView {
-                access: g,
-                index_of: &index_of,
-                lens: &lens,
-            };
-            // while-condition failing, or any (head-hoisted) exit-if firing
-            match eval(&p.cond, &scalars, &funcs, &mut view) {
-                Ok(0) => return true,
-                Ok(_) => {}
-                Err(e) => {
-                    fail.lock().get_or_insert(e);
-                    return true;
-                }
-            }
-            for st in &p.body {
-                if let Stmt::ExitIf(c) = st {
-                    match eval(c, &scalars, &funcs, &mut view) {
-                        Ok(v) if v != 0 => return true,
-                        Ok(_) => {}
-                        Err(e) => {
-                            fail.lock().get_or_insert(e);
-                            return true;
-                        }
-                    }
-                }
-            }
-            false
-        },
-        |i, g| {
-            let scalars = bind(i);
-            let mut view = SpecView {
-                access: g,
-                index_of: &index_of,
-                lens: &lens,
-            };
-            for st in &p.body {
-                if let Stmt::AssignElem(arr, sub, rhs) = st {
-                    let r = eval(sub, &scalars, &funcs, &mut view).and_then(|idx| {
-                        let v = eval(rhs, &scalars, &funcs, &mut view)?;
-                        view.write(arr, idx, v)
-                    });
-                    if let Err(e) = r {
-                        fail.lock().get_or_insert(e);
-                        return;
-                    }
-                }
-            }
-        },
-    );
-
-    if let Some(e) = fail.into_inner() {
-        return Err(e);
-    }
-
-    // copy arrays back and advance the induction variable to its final value
-    for (n, arr) in names.iter().zip(&spec) {
-        machine.arrays.insert(n.clone(), arr.snapshot());
-    }
-    let end = out.last_valid.unwrap_or(max_iters);
-    machine.scalars.insert(ivar, init + stride * end as i64);
-
-    Ok(ExecOutcome {
-        iterations: end,
-        exited_at: out.last_valid,
-        ran_parallel: out.committed_parallel,
+    let dispatcher = crate::frontend::lower(p).map_or(DispatcherClass::General, |ir| {
+        crate::plan::plan(&ir).dispatcher
+    });
+    let plan = ExecPlan::lower(p, &PlanHints::uncertified(dispatcher));
+    on_machine(&plan, machine, |frame| {
+        plan.run_speculative(frame, pool, max_iters)
     })
 }
 

@@ -21,12 +21,16 @@
 //!   to `wlp-core`'s executors and cost model;
 //! * [`frontend`] — a small Fortran-flavored source front-end that parses
 //!   WHILE-loop text into the IR;
-//! * [`interp`] — an interpreter executing parsed loops sequentially or
-//!   through the planned speculative parallel strategy, completing the
-//!   source → analysis → plan → parallel-execution pipeline.
+//! * [`exec`] — the slot-resolved [`ExecPlan`] a parsed loop is lowered to
+//!   once, and the one executor that runs it sequentially or as a
+//!   speculative DOALL with per-array access modes;
+//! * [`interp`] — the [`Machine`] and the compile-then-execute entry
+//!   points over that executor, completing the source → analysis → plan →
+//!   parallel-execution pipeline.
 
 pub mod dependence;
 pub mod distribute;
+pub mod exec;
 pub mod frontend;
 pub mod interp;
 pub mod ir;
@@ -38,6 +42,7 @@ pub use dependence::{
     refs_conflict_cross_iteration, refs_may_conflict, DepEdge, DepGraph, DepKind,
 };
 pub use distribute::{distribute, fuse, DistributedLoop, FusedBlock, LoopNature};
+pub use exec::{AccessMode, ExecPlan, Frame, PlanHints, Schedule, SeqReason};
 pub use frontend::parse_loop;
 pub use interp::{run_parallel, run_sequential, ExecOutcome, Machine};
 pub use ir::{ArrayId, LoopIr, Stmt, StmtKind, Subscript, UpdateOp, VarId, WRef};

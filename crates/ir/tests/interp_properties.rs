@@ -1,115 +1,410 @@
-//! Property: for randomly generated loop programs, the interpreter's
-//! parallel execution (speculative DOALL through the planner) produces a
-//! machine identical to the sequential interpretation — whatever the
-//! subscript shapes, exit positions or collision patterns.
+//! Property: for generated loop programs, every way of executing the
+//! lowered [`ExecPlan`] — sequentially, or as a speculative DOALL at
+//! p ∈ {1, 2}, under every access-mode assignment the certifier can emit
+//! — leaves exactly the machine the reference tree walker leaves: final
+//! arrays, final scalars, iteration count, exit position, and (when the
+//! program fails) the error message and the partial state at the failure.
+//!
+//! The generator covers scalar temporaries, reductions, host calls,
+//! affine / indirect / nested-indirect / constant subscripts, threshold
+//! and non-threshold terminators, RI and RV exits, ascending and
+//! descending inductions, an induction update that is not the last
+//! statement, and the five error cases (unbound scalar, unknown array,
+//! unknown function, out of bounds, division by zero).
 
+mod common;
+
+use common::reference_run;
 use proptest::prelude::*;
-use wlp_ir::frontend::parse_program;
-use wlp_ir::interp::{run_parallel, run_sequential, Machine};
+use std::path::Path;
+use wlp_analyze::{analyze, plan_hints};
+use wlp_ir::exec::{AccessMode, ExecPlan, PlanHints, Schedule};
+use wlp_ir::frontend::{lower_with_symbols, parse_program, Program};
+use wlp_ir::interp::{ExecError, ExecOutcome, Machine};
 use wlp_runtime::Pool;
+use wlp_workloads::sources::machine_inputs;
+
+/// The hint sets a plan is lowered under. All are sound for any program:
+/// the certifier's own, the same with stamps forced on (what an RV
+/// terminator would ask for), and no certificate at all (every stored-to
+/// array shadowed).
+fn hint_variants(p: &Program) -> Vec<(&'static str, PlanHints)> {
+    let (body, symbols) = lower_with_symbols(p).expect("generated programs lower");
+    let analysis = analyze(&body);
+    let certified = plan_hints(&body, &symbols, &analysis);
+    let stamped = PlanHints {
+        terminator_rv: true,
+        ..certified.clone()
+    };
+    let uncertified = PlanHints::uncertified(analysis.baseline.dispatcher);
+    vec![
+        ("certified", certified),
+        ("certified+stamps", stamped),
+        ("uncertified", uncertified),
+    ]
+}
+
+/// What an execution leaves behind, in comparable form.
+#[derive(Debug, PartialEq)]
+struct Final {
+    result: Result<(usize, Option<usize>), String>,
+    arrays: Vec<(String, Vec<i64>)>,
+    scalars: Vec<(String, i64)>,
+}
+
+fn final_of(result: Result<ExecOutcome, ExecError>, m: Machine) -> Final {
+    let mut arrays: Vec<_> = m.arrays.into_iter().collect();
+    arrays.sort();
+    let mut scalars: Vec<_> = m.scalars.into_iter().collect();
+    scalars.sort();
+    Final {
+        result: result
+            .map(|o| (o.iterations, o.exited_at))
+            .map_err(|e| e.msg),
+        arrays,
+        scalars,
+    }
+}
+
+/// Asserts that every execution of every plan for `p` from `start`
+/// matches the reference walker. Returns whether any speculative
+/// execution committed in parallel.
+fn assert_all_executions_match(
+    src: &str,
+    p: &Program,
+    start: &Machine,
+    max_iters: usize,
+    pools: &[Pool],
+) -> bool {
+    let mut m = start.clone();
+    let want = final_of(reference_run(p, &mut m, max_iters), m);
+    let mut committed = false;
+    for (label, hints) in hint_variants(p) {
+        let plan = ExecPlan::lower(p, &hints);
+        // the certified undo budget must cover what the plan can stamp,
+        // or a valid execution could trip it
+        if let Some(budget) = hints.write_budget_per_iter {
+            assert!(
+                plan.shadowed_stores_per_iter() <= budget
+                    || matches!(plan.schedule(), Schedule::Sequential(_)),
+                "[{label}] budget {budget}/iter below the plan's shadowed stores\n{src}"
+            );
+        }
+
+        let mut m = start.clone();
+        let mut frame = m.bind(&plan);
+        let result = plan.run_sequential(&mut frame, max_iters);
+        m.absorb(&plan, frame);
+        assert_eq!(
+            final_of(result, m),
+            want,
+            "plan-sequential [{label}] diverged\n{src}"
+        );
+
+        for pool in pools {
+            let mut m = start.clone();
+            let mut frame = m.bind(&plan);
+            let result = plan.run_speculative(&mut frame, pool, max_iters);
+            committed |= result.as_ref().is_ok_and(|o| o.ran_parallel);
+            m.absorb(&plan, frame);
+            assert_eq!(
+                final_of(result, m),
+                want,
+                "plan-speculative [{label}, p={}] diverged\n{src}\nmodes {:?} schedule {:?}",
+                pool.size(),
+                plan.modes(),
+                plan.schedule(),
+            );
+        }
+    }
+    committed
+}
 
 #[derive(Debug, Clone)]
 enum Sub {
     Affine(i64, i64), // coeff·i + offset
     Indirect,         // idx[i]
+    Nested,           // idx[idx[i]]
+    Const(i64),
+}
+
+impl Sub {
+    fn text(&self) -> String {
+        match self {
+            Sub::Affine(c, o) => format!("{c}*i + {o}"),
+            Sub::Indirect => "idx[i]".into(),
+            Sub::Nested => "idx[idx[i]]".into(),
+            Sub::Const(k) => k.to_string(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Fault {
+    UnboundScalar,
+    UnknownArray,
+    UnknownFunction,
+    OutOfBounds,
+    DivisionByZero,
+}
+
+impl Fault {
+    /// A term that fails — some at once, some only on a later iteration.
+    fn text(&self) -> &'static str {
+        match self {
+            Fault::UnboundScalar => "q",
+            Fault::UnknownArray => "Z[i]",
+            Fault::UnknownFunction => "nosuch(w[i])",
+            Fault::OutOfBounds => "w[i - 3]",
+            Fault::DivisionByZero => "w[i] / (i - 4)",
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Line {
+    /// `target[sub] = target[sub] + term`
+    Store(bool, Sub, usize),
+    /// `t = term` — a scalar temporary
+    Temp(usize),
+    /// `s = s + term` — a reduction
+    Reduce(usize),
+}
+
+#[derive(Debug, Clone)]
+enum Exit {
+    None,
+    /// `exit if (stop[i] == 1)`: remainder-invariant, not a threshold
+    Stop(usize),
+    /// `exit if (A[i] > limit)`: remainder-variant when A is stored to
+    Limit,
 }
 
 #[derive(Debug, Clone)]
 struct ProgParams {
     n: usize,
+    descending: bool,
     stride: i64,
-    stores: Vec<(Sub, i64)>, // target subscript, addend
-    exit_at: Option<usize>,
+    /// `while (stop[i] == 0)` instead of a threshold on `i`
+    stop_cond: Option<usize>,
+    lines: Vec<Line>,
+    exit: Exit,
+    update_first: bool,
     idx_collides: bool,
+    fault: Option<Fault>,
 }
 
+/// Terms a right-hand side draws from (by index).
+const TERMS: [&str; 8] = [
+    "i",
+    "3",
+    "w[i]",
+    "g(w[i])",
+    "max(i, limit) - h(B[i])",
+    "-w[i] * 2",
+    "A[i] / 2",
+    "t",
+];
+
 fn sub_strategy() -> impl Strategy<Value = Sub> {
+    let affine = || (1i64..3, 0i64..4).prop_map(|(c, o)| Sub::Affine(c, o));
     prop_oneof![
-        (1i64..3, 0i64..4).prop_map(|(c, o)| Sub::Affine(c, o)),
+        affine(),
+        affine(),
+        affine(),
         Just(Sub::Indirect),
+        Just(Sub::Indirect),
+        Just(Sub::Nested),
+        (0i64..6).prop_map(Sub::Const),
+    ]
+}
+
+fn line_strategy() -> impl Strategy<Value = Line> {
+    let store = || {
+        (any::<bool>(), sub_strategy(), 0usize..TERMS.len())
+            .prop_map(|(a, s, t)| Line::Store(a, s, t))
+    };
+    // mostly stores: a temporary or a reduction makes the plan sequential
+    prop_oneof![
+        store(),
+        store(),
+        store(),
+        store(),
+        store(),
+        store(),
+        (0usize..TERMS.len() - 1).prop_map(Line::Temp),
+        (0usize..TERMS.len()).prop_map(Line::Reduce),
+    ]
+}
+
+fn exit_strategy() -> impl Strategy<Value = Exit> {
+    prop_oneof![
+        Just(Exit::None),
+        Just(Exit::None),
+        (0usize..60).prop_map(Exit::Stop),
+        Just(Exit::Limit),
+    ]
+}
+
+fn fault_strategy() -> impl Strategy<Value = Option<Fault>> {
+    // one program in three fails
+    prop_oneof![
+        (0u8..10).prop_map(|_| None),
+        (0u8..10).prop_map(|_| None),
+        prop_oneof![
+            Just(Some(Fault::UnboundScalar)),
+            Just(Some(Fault::UnknownArray)),
+            Just(Some(Fault::UnknownFunction)),
+            Just(Some(Fault::OutOfBounds)),
+            Just(Some(Fault::DivisionByZero)),
+        ],
     ]
 }
 
 fn prog_strategy() -> impl Strategy<Value = ProgParams> {
     (
-        4usize..60,
-        1i64..3,
-        prop::collection::vec((sub_strategy(), -5i64..6), 1..4),
-        prop::option::of(0usize..80),
-        any::<bool>(),
+        (6usize..48, any::<bool>(), 1i64..3),
+        prop::option::of(4usize..40),
+        prop::collection::vec(line_strategy(), 1..4),
+        exit_strategy(),
+        (0u8..8, any::<bool>()),
+        fault_strategy(),
     )
-        .prop_map(|(n, stride, stores, exit_at, idx_collides)| ProgParams {
-            n,
-            stride,
-            stores,
-            exit_at,
-            idx_collides,
-        })
+        .prop_map(
+            |((n, descending, stride), stop_cond, lines, exit, (upd, idx_collides), fault)| {
+                ProgParams {
+                    n,
+                    descending,
+                    stride,
+                    // a non-threshold condition on one program in three
+                    stop_cond: stop_cond.filter(|c| c % 3 == 0),
+                    lines,
+                    exit,
+                    update_first: upd == 0,
+                    idx_collides,
+                    fault,
+                }
+            },
+        )
+}
+
+/// Largest value `i` can take: every array is long enough for it under
+/// any generated subscript.
+fn i_max(p: &ProgParams) -> usize {
+    2 * p.n + 8
 }
 
 fn source_of(p: &ProgParams) -> String {
-    let mut body = String::new();
-    if p.exit_at.is_some() {
-        body.push_str("    exit if (stop[i] == 1)\n");
+    let uses_t = p.lines.iter().any(|l| {
+        matches!(l, Line::Temp(_))
+            || matches!(l, Line::Store(_, _, t) | Line::Reduce(t) if TERMS[*t] == "t")
+    });
+    let mut src = String::new();
+    if p.descending {
+        src.push_str(&format!("integer i = {}\n", p.n - 1));
+    } else {
+        src.push_str("integer i = 0\n");
     }
-    for (sub, add) in &p.stores {
-        let s = match sub {
-            Sub::Affine(c, o) => format!("{c}*i + {o}"),
-            Sub::Indirect => "idx[i]".to_string(),
+    if uses_t {
+        src.push_str("integer t = 1\n");
+    }
+    if p.lines.iter().any(|l| matches!(l, Line::Reduce(_))) {
+        src.push_str("integer s = 0\n");
+    }
+    let cond = match (p.stop_cond, p.descending) {
+        (Some(_), _) => "stop2[i] == 0".to_string(),
+        (None, false) => format!("i < {}", p.n),
+        (None, true) => "i >= 0".to_string(),
+    };
+    src.push_str(&format!("while ({cond}) {{\n"));
+    match p.exit {
+        Exit::None => {}
+        Exit::Stop(_) => src.push_str("    exit if (stop[i] == 1)\n"),
+        Exit::Limit => src.push_str("    exit if (A[i] > limit)\n"),
+    }
+    let step = if p.descending { -1 } else { p.stride };
+    let update = format!("    i = i + {step}\n");
+    if p.update_first {
+        src.push_str(&update);
+    }
+    for (k, line) in p.lines.iter().enumerate() {
+        // the fault rides on the first line's term
+        let term = |t: usize| match (&p.fault, k) {
+            (Some(f), 0) => format!("{} + {}", TERMS[t], f.text()),
+            _ => TERMS[t].to_string(),
         };
-        body.push_str(&format!("    A[{s}] = A[{s}] + i + {add}\n"));
+        match line {
+            Line::Store(a, sub, t) => {
+                let (arr, s) = (if *a { "A" } else { "B" }, sub.text());
+                src.push_str(&format!("    {arr}[{s}] = {arr}[{s}] + {}\n", term(*t)));
+            }
+            Line::Temp(t) => src.push_str(&format!("    t = {}\n", term(*t))),
+            Line::Reduce(t) => src.push_str(&format!("    s = s + {}\n", term(*t))),
+        }
     }
-    body.push_str(&format!("    i = i + {}\n", p.stride));
-    format!("integer i = 0\nwhile (i < {}) {{\n{body}}}", p.n)
+    if !p.update_first {
+        src.push_str(&update);
+    }
+    src.push('}');
+    src
 }
 
 fn machine_of(p: &ProgParams) -> Machine {
+    let top = i_max(p);
     let mut m = Machine::default();
-    // array big enough for every affine subscript: max coeff 2·n + 4, plus
-    // the indirect range
-    let asize = 3 * p.n + 16;
-    m.arrays.insert("A".into(), (0..asize as i64).collect());
-    let idx: Vec<i64> = (0..p.n)
+    // long enough for 2·i + 3 at the largest i
+    let len = 2 * top + 8;
+    m.arrays.insert("A".into(), (0..len as i64).collect());
+    m.arrays
+        .insert("B".into(), (0..len as i64).map(|v| 1000 - v).collect());
+    let idx: Vec<i64> = (0..=top)
         .map(|i| {
             if p.idx_collides {
                 (i as i64 / 2) * 2 // pairs collide
             } else {
-                ((i * 17) % p.n) as i64 // permutation for n coprime to 17…
+                ((i * 17) % (top + 1)) as i64 // a permutation when coprime
             }
         })
         .collect();
     m.arrays.insert("idx".into(), idx);
-    let mut stop = vec![0i64; p.n];
-    if let Some(e) = p.exit_at {
-        if e < p.n {
+    m.arrays
+        .insert("w".into(), (0..=top as i64).map(|v| v * 3 - 7).collect());
+    let mut stop = vec![0i64; top + 1];
+    if let Exit::Stop(e) = p.exit {
+        if e <= top {
             stop[e] = 1;
         }
     }
     m.arrays.insert("stop".into(), stop);
+    // the non-threshold condition turns false at one position and true
+    // again after it: only max_iters or that position ends the loop
+    let mut stop2 = vec![0i64; top + 1];
+    if let Some(c) = p.stop_cond {
+        stop2[c.min(top)] = 1;
+    }
+    m.arrays.insert("stop2".into(), stop2);
+    m.scalars.insert("limit".into(), 40);
+    m.define_fn("g", |a| a[0].wrapping_add(7));
+    m.define_fn("h", |a| a[0] >> 1);
+    m.define_fn("max", |a| a.iter().copied().max().unwrap_or(0));
     m
 }
 
+fn pools() -> [Pool; 2] {
+    [Pool::new(1), Pool::new(2)]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn parallel_interpretation_equals_sequential(params in prog_strategy(), workers in 1usize..5) {
+    fn every_plan_execution_equals_the_reference_walker(params in prog_strategy()) {
         let src = source_of(&params);
         let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
-
-        let mut seq = machine_of(&params);
-        let so = run_sequential(&prog, &mut seq, params.n + 10).unwrap();
-
-        let mut par = machine_of(&params);
-        let pool = Pool::new(workers);
-        let po = run_parallel(&prog, &mut par, &pool, params.n + 10).unwrap();
-
-        prop_assert_eq!(&par.arrays, &seq.arrays, "src:\n{}", src);
-        prop_assert_eq!(par.scalars.get("i"), seq.scalars.get("i"));
-        // iterations agree whenever both terminated by condition/exit
-        if so.exited_at.is_some() && po.exited_at.is_some() {
-            prop_assert_eq!(so.iterations, po.iterations);
-        }
+        // a bound that sometimes cuts the loop short and never lets `i`
+        // leave the arrays
+        let max_iters = params.n + 4;
+        assert_all_executions_match(&src, &prog, &machine_of(&params), max_iters, &pools());
     }
 
     #[test]
@@ -122,18 +417,103 @@ proptest! {
             "integer i = 0\nwhile (i < {n}) {{ A[idx[i]] = A[idx[i]] + 1; i = i + 1 }}"
         );
         let prog = parse_program(&src).unwrap();
-        let build = || {
-            let mut m = Machine::default();
-            m.arrays.insert("A".into(), vec![0; 8]);
-            m.arrays.insert("idx".into(), vec![3; n]);
-            m
-        };
-        let mut seq = build();
-        run_sequential(&prog, &mut seq, n + 1).unwrap();
-        let mut par = build();
-        let out = run_parallel(&prog, &mut par, &Pool::new(workers), n).unwrap();
-        prop_assert!(!out.ran_parallel);
-        prop_assert_eq!(par.arrays["A"][3], n as i64);
-        prop_assert_eq!(&par.arrays, &seq.arrays);
+        let mut m = Machine::default();
+        m.arrays.insert("A".into(), vec![0; 8]);
+        m.arrays.insert("idx".into(), vec![3; n]);
+        let committed =
+            assert_all_executions_match(&src, &prog, &m, n + 1, &[Pool::new(workers)]);
+        prop_assert!(!committed, "a shared cell must fail the PD test");
     }
+}
+
+/// One colliding-subscript program per access mode: `A` is stored to
+/// through colliding indirections (shadowed — the PD test fails), `B`
+/// accumulates in place through a certified subscript, `w` is only read.
+/// A failed speculation that did not restore `B` would count its
+/// iterations twice; one that touched `w` would change the addends.
+#[test]
+fn failed_speculation_restores_certified_and_read_only_arrays_too() {
+    let n = 64;
+    for (exit, stamped) in [("", false), ("    exit if (stop[i] == 1)\n", true)] {
+        let src = format!(
+            "integer i = 0\nwhile (i < {n}) {{\n{exit}    B[i] = B[i] + w[i]\n    \
+             A[idx[i]] = A[idx[i]] + B[i]\n    i = i + 1\n}}"
+        );
+        let prog = parse_program(&src).unwrap();
+        let mut m = Machine::default();
+        m.arrays.insert("A".into(), vec![0; 4]);
+        m.arrays.insert("B".into(), (0..n as i64).collect());
+        m.arrays.insert("idx".into(), vec![1; n]); // every iteration hits A[1]
+        m.arrays
+            .insert("w".into(), (0..n as i64).map(|v| v + 5).collect());
+        m.arrays.insert("stop".into(), vec![0; n]);
+
+        // the certifier assigns all three modes, stamped or not as planned
+        let (_, hints) = hint_variants(&prog).swap_remove(0);
+        let plan = ExecPlan::lower(&prog, &hints);
+        let mode = |name: &str| plan.modes()[plan.arrays().iter().position(|a| a == name).unwrap()];
+        assert_eq!(mode("A"), AccessMode::Shadowed, "{src}");
+        assert_eq!(mode("B"), AccessMode::Certified, "{src}");
+        assert_eq!(mode("w"), AccessMode::ReadOnly, "{src}");
+        assert!(matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }));
+        assert_eq!(plan.stamps_certified(), stamped, "{src}");
+
+        let committed = assert_all_executions_match(&src, &prog, &m, n + 1, &pools());
+        assert!(!committed, "colliding subscripts must abort: {src}");
+    }
+}
+
+/// Errors an overshot iteration runs into are not the loop's: only what
+/// the sequential loop meets is reported.
+#[test]
+fn overshoot_into_a_failing_iteration_is_not_an_error() {
+    // A is shorter than the trip bound, but the exit fires first
+    let src = "integer i = 0\nwhile (i < 400) {\n    exit if (stop[i] == 1)\n    \
+               A[i] = A[i] + 1\n    i = i + 1\n}";
+    let prog = parse_program(src).unwrap();
+    let mut m = Machine::default();
+    m.arrays.insert("A".into(), vec![0; 100]);
+    let mut stop = vec![0; 400];
+    stop[99] = 1;
+    m.arrays.insert("stop".into(), stop);
+    assert_all_executions_match(src, &prog, &m, 500, &pools());
+}
+
+/// The corpus under `examples/loops`: each golden names the verdict the
+/// certifier reaches, and every execution of the plan lowered under that
+/// certificate matches the reference walker on the corpus inputs.
+#[test]
+fn corpus_plans_match_the_reference_walker_and_the_goldens() {
+    let loops = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/loops");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&loops).expect("examples/loops exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "wlp") {
+            continue;
+        }
+        let name = path.file_stem().unwrap().to_str().unwrap();
+        let src = std::fs::read_to_string(&path).unwrap();
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+
+        let (body, _) = lower_with_symbols(&prog).unwrap();
+        let verdict = format!("verdict {:?};", analyze(&body).certificate.verdict);
+        let golden =
+            std::fs::read_to_string(loops.join("expected").join(format!("{name}.txt"))).unwrap();
+        assert!(
+            golden.contains(&verdict),
+            "{name}: golden lacks `{verdict}`"
+        );
+
+        for n in [8, 96] {
+            let (arrays, scalars) = machine_inputs(name, n);
+            let mut m = Machine::default();
+            m.arrays.extend(arrays);
+            m.scalars.extend(scalars);
+            m.define_fn("f", |a| a[0].wrapping_mul(3).wrapping_add(1));
+            m.define_fn("g", |a| a[0].wrapping_add(7));
+            assert_all_executions_match(&src, &prog, &m, 2 * n + 4, &pools());
+        }
+        seen += 1;
+    }
+    assert_eq!(seen, 7, "the corpus has seven loops");
 }

@@ -509,6 +509,23 @@ impl IterMarker<'_> {
     pub fn iter(&self) -> usize {
         self.iter as usize
     }
+
+    /// Re-aims the marker at iteration `iter`: the covered-write set
+    /// starts empty again (a new iteration has covered nothing yet), the
+    /// buffered access totals are kept and still flushed once, on drop. A
+    /// worker that executes many iterations keeps one marker and restarts
+    /// it, paying the two shared-counter flushes once per region instead
+    /// of once per iteration.
+    ///
+    /// # Panics
+    /// Panics if `iter >= u32::MAX − 1` (stamp space), like
+    /// [`Shadow::iteration`].
+    pub fn restart(&mut self, iter: usize) {
+        let iter32 = u32::try_from(iter).expect("iteration fits in u32");
+        assert!(iter32 < UNMARKED, "iteration stamp space exhausted");
+        self.iter = iter32;
+        self.written = WriteSet::new();
+    }
 }
 
 impl Drop for IterMarker<'_> {
@@ -546,6 +563,23 @@ mod tests {
         assert!(v.doall);
         assert!(v.privatized_doall);
         assert!(v.conflicts.is_empty());
+    }
+
+    #[test]
+    fn a_restarted_marker_marks_like_a_fresh_one() {
+        // one marker carried across iterations must not let iteration 0's
+        // write cover iteration 1's read of the same element
+        let sh = Shadow::new(4);
+        let mut m = sh.iteration(0);
+        m.mark_write(2);
+        m.restart(1);
+        assert_eq!(m.iter(), 1);
+        m.mark_read(2);
+        drop(m);
+        assert_eq!(sh.total_accesses(), 2, "totals flush once, on drop");
+        let v = sh.analyze(&pool(), None, 8);
+        assert!(!v.doall, "the exposed read must be seen");
+        assert_eq!(v.conflicts[0].kind, ConflictKind::FlowOrAnti);
     }
 
     #[test]

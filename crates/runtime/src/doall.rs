@@ -247,6 +247,46 @@ where
     R: Recorder,
     F: Fn(usize, usize) -> Step + Sync,
 {
+    drive_dynamic(pool, upper, policy, rec, |vpn| vpn, |i, vpn| body(i, *vpn))
+}
+
+/// [`doall_dynamic_chunked`] with per-worker state: `init(vpn)` runs once
+/// on each worker before it claims its first iteration, and the value it
+/// returns is handed to every `body(i, &mut state)` that worker executes.
+/// Scratch a body would otherwise allocate per iteration (evaluation
+/// stacks, marker tables) is built once per worker per region and lives
+/// on the worker's own stack: no lock, no sharing. The state is dropped
+/// when the worker leaves the region; a panic in `init` is contained like
+/// a body panic.
+pub fn doall_dynamic_with<S, I, F>(
+    pool: &Pool,
+    upper: usize,
+    policy: ChunkPolicy,
+    init: I,
+    body: F,
+) -> DoallOutcome
+where
+    I: Fn(usize) -> S + Sync,
+    F: Fn(usize, &mut S) -> Step + Sync,
+{
+    drive_dynamic(pool, upper, policy, &NoopRecorder, init, body)
+}
+
+/// The one dynamic self-scheduling driver every `doall_dynamic*` entry
+/// point delegates to.
+fn drive_dynamic<R, S, I, F>(
+    pool: &Pool,
+    upper: usize,
+    policy: ChunkPolicy,
+    rec: &R,
+    init: I,
+    body: F,
+) -> DoallOutcome
+where
+    R: Recorder,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(usize, &mut S) -> Step + Sync,
+{
     // Every shared word on the claim path gets its own cache line: the
     // claim counter is RMW-hot from all workers, the quit bound is
     // polled per iteration, the executed/max_started accumulators are
@@ -274,6 +314,7 @@ where
         // attributed to the iteration its lane cursor recorded just
         // before the call.
         let caught = catch_unwind(AssertUnwindSafe(|| {
+            let mut state = init(vpn);
             'claiming: loop {
                 if cancel.is_cancelled() {
                     break;
@@ -314,7 +355,7 @@ where
                     local_max = i + 1;
                     cursor[vpn].store(i, Ordering::Relaxed);
                     let t0 = R::ENABLED.then(Instant::now);
-                    let step = body(i, vpn);
+                    let step = body(i, &mut state);
                     local_exec += 1;
                     if R::ENABLED {
                         let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);

@@ -60,7 +60,8 @@ pub use deque::{Steal, StealDeque};
 pub use doacross::{doacross, doacross_grained, doacross_rec, DoacrossOutcome};
 pub use doall::{
     doall_dynamic, doall_dynamic_chunked, doall_dynamic_chunked_rec, doall_dynamic_rec,
-    doall_static_blocked, doall_static_cyclic, doall_worksteal, DoallOutcome, Step,
+    doall_dynamic_with, doall_static_blocked, doall_static_cyclic, doall_worksteal, DoallOutcome,
+    Step,
 };
 pub use governor::{FailureCounts, Governor, GovernorPolicy, Transition};
 pub use pool::{

@@ -39,7 +39,7 @@ use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wlp_serve::proto::{self, codes, ProtoError};
 use wlp_serve::{CancelFlag, ServeConfig, Service};
 
@@ -385,6 +385,47 @@ fn serve_tcp(service: &Arc<Service>, addr: &str, quiet: bool) -> ExitCode {
     finish_drain(service, quiet)
 }
 
+/// How long a connection's handler keeps polling for the client's next
+/// line after it has answered one, before it blocks on the channel.
+///
+/// A closed-loop client sends its next request some tens of µs after it
+/// reads a response. If the handler blocks in that gap its cpu goes idle,
+/// and what it costs to wake a thread on an idle cpu is not the daemon's
+/// to set: on a shared virtual machine it moves between ~15 µs and
+/// ~100 µs with what the host's other guests are doing, per hop, and a
+/// request crosses three (client → reader → handler → client). Since the
+/// executor stopped being the larger part of a small request, those hops
+/// are: one build answered `n = 512` requests at 4300 or at 6200 a second
+/// (the benchmark's `hot-small`, at its yardstick's nominal speed)
+/// depending on the host. Polling keeps the handler's cpu awake across the
+/// gap, which takes the reader → handler hop out and lets the reader wake
+/// on the cpu the client has just left: 6000–6200 in either state.
+///
+/// The poll yields on every turn, so it only uses a cpu nobody else
+/// wants, and it is bounded, so a quiet connection is parked as before
+/// and costs nothing. The gap is one slow wake-up (the client's) plus
+/// ~35 µs: 50 µs of polling did not cover it on a slow host, 100 and 200
+/// read the same as this; the rest is room for a host slower than the
+/// slowest seen (wake-ups of ~140 µs).
+const HOT_POLL: Duration = Duration::from_micros(500);
+
+/// The connection's next line: polled for [`HOT_POLL`] when the
+/// connection has just been answered (`hot`), then waited for. `None`
+/// when the reader is gone.
+fn next_item(rx: &mpsc::Receiver<BoundedLine>, hot: bool) -> Option<BoundedLine> {
+    if hot {
+        let started = Instant::now();
+        while started.elapsed() < HOT_POLL {
+            match rx.try_recv() {
+                Ok(item) => return Some(item),
+                Err(mpsc::TryRecvError::Disconnected) => return None,
+                Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
+            }
+        }
+    }
+    rx.recv().ok()
+}
+
 /// One TCP connection. The reader runs on its own thread so a
 /// connection reset is noticed *while* a request executes: the reset
 /// raises `cancel`, the service aborts the region, and the lane goes
@@ -417,7 +458,9 @@ fn serve_conn(service: &Service, stream: TcpStream) {
         }
     });
     let mut out = BufWriter::new(write_half);
-    while let Ok(item) = rx.recv() {
+    let mut hot = false;
+    while let Some(item) = next_item(&rx, hot) {
+        hot = true;
         let resp = match item {
             BoundedLine::Eof => break,
             BoundedLine::TooLong => line_too_long_response(),
@@ -436,4 +479,45 @@ fn serve_conn(service: &Service, stream: TcpStream) {
     }
     drop(rx);
     let _ = reader.join();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(item: Option<BoundedLine>) -> Option<String> {
+        match item {
+            Some(BoundedLine::Line(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_hot_connection_gets_a_queued_line_without_blocking() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(BoundedLine::Line("a".into())).unwrap();
+        assert_eq!(line(next_item(&rx, true)).as_deref(), Some("a"));
+    }
+
+    #[test]
+    fn a_line_later_than_the_poll_still_arrives() {
+        let (tx, rx) = mpsc::channel();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(HOT_POLL * 20);
+            tx.send(BoundedLine::Line("late".into())).unwrap();
+        });
+        let started = Instant::now();
+        assert_eq!(line(next_item(&rx, true)).as_deref(), Some("late"));
+        assert!(started.elapsed() >= HOT_POLL);
+        late.join().unwrap();
+    }
+
+    #[test]
+    fn a_hung_up_reader_ends_the_connection_hot_or_not() {
+        for hot in [false, true] {
+            let (tx, rx) = mpsc::channel::<BoundedLine>();
+            drop(tx);
+            assert!(next_item(&rx, hot).is_none());
+        }
+    }
 }

@@ -9,8 +9,10 @@
 //! (verifying the stored source byte-for-byte on hit, since FNV-1a is
 //! not collision-resistant) — a hit skips the whole `wlp-ir` front end
 //! and `wlp-analyze` pipeline
-//! and hands back the parsed [`Program`] plus the finished [`Analysis`]
-//! behind an `Arc`, so concurrent requests share one copy.
+//! and hands back the parsed [`Program`], the finished [`Analysis`] and
+//! the [`ExecPlan`] lowered under its certificate, behind an `Arc`, so
+//! concurrent requests share one copy and execute without lowering
+//! anything again.
 //!
 //! Eviction is LRU over a bounded capacity: the cache is sized for the
 //! working set of distinct programs, not the request volume, and a cold
@@ -20,16 +22,33 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wlp_analyze::{analyze_source, Analysis};
+use wlp_analyze::{compile_source, Analysis};
+use wlp_ir::exec::ExecPlan;
 use wlp_ir::frontend::{FrontendError, Program};
 
-/// 64-bit FNV-1a over a byte string — the content hash the cache keys on
-/// (and the digest [`crate::Service`] reports for result arrays).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a over a byte string — the content hash the cache keys on.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The digest [`crate::Service`] reports for a result array:
+/// [`fnv1a64`] of the elements' little-endian bytes, streamed so no byte
+/// buffer is ever built.
+pub fn fnv1a64_i64s(data: &[i64]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for x in data {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
     }
     h
 }
@@ -46,10 +65,13 @@ pub struct CacheEntry {
     /// otherwise a crafted program could poison the shared cache and
     /// other tenants would silently run the wrong program.
     pub source: String,
-    /// The parsed AST the interpreter executes.
+    /// The parsed AST.
     pub program: Program,
     /// The full static analysis, certificate included.
     pub analysis: Analysis,
+    /// What a request executes: `program` lowered once, under
+    /// `analysis`'s certificate.
+    pub plan: ExecPlan,
 }
 
 /// Why [`CertCache::load_recovered`] refused a persisted record. Every
@@ -93,6 +115,7 @@ pub struct CertCache {
     state: Mutex<LruState>,
     hits: AtomicU64,
     misses: AtomicU64,
+    plans_compiled: AtomicU64,
 }
 
 impl CertCache {
@@ -106,10 +129,24 @@ impl CertCache {
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            plans_compiled: AtomicU64::new(0),
         }
     }
 
-    /// Looks up `source`, running parse → lower → analyze on a miss.
+    /// The whole pipeline for one source: parse → lower → analyze → plan.
+    fn build(&self, key: u64, source: &str) -> Result<Arc<CacheEntry>, FrontendError> {
+        let (program, analysis, plan) = compile_source(source)?;
+        self.plans_compiled.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::new(CacheEntry {
+            key,
+            source: source.to_string(),
+            program,
+            analysis,
+            plan,
+        }))
+    }
+
+    /// Looks up `source`, running parse → lower → analyze → plan on a miss.
     ///
     /// Front-end failures are returned without being cached: a malformed
     /// program pays its (cheap) parse error on every submission rather
@@ -141,13 +178,7 @@ impl CertCache {
         // Build outside the lock: a slow analysis must not serialize
         // unrelated hits. Two racing misses both build; last insert wins
         // and both results are identical (the pipeline is deterministic).
-        let (program, analysis) = analyze_source(source)?;
-        let entry = Arc::new(CacheEntry {
-            key,
-            source: source.to_string(),
-            program,
-            analysis,
-        });
+        let entry = self.build(key, source)?;
         let mut st = self.state.lock();
         match st.map.get(&key) {
             None => {
@@ -195,16 +226,10 @@ impl CertCache {
                 return Err(RecoverError::Collision);
             }
         }
-        let (program, analysis) = analyze_source(source).map_err(RecoverError::Frontend)?;
-        if analysis.certificate.encode_compact() != cert_line {
+        let entry = self.build(key, source).map_err(RecoverError::Frontend)?;
+        if entry.analysis.certificate.encode_compact() != cert_line {
             return Err(RecoverError::CertMismatch);
         }
-        let entry = Arc::new(CacheEntry {
-            key,
-            source: source.to_string(),
-            program,
-            analysis,
-        });
         let mut st = self.state.lock();
         match st.map.get(&key) {
             None => {
@@ -241,6 +266,13 @@ impl CertCache {
     /// Lookups that ran parse + analysis.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Execution plans lowered so far: one per miss and one per record
+    /// [`load_recovered`](Self::load_recovered) analyzed — never one for
+    /// a hit.
+    pub fn plans_compiled(&self) -> u64 {
+        self.plans_compiled.load(Ordering::Relaxed)
     }
 
     /// Hits over total lookups (0.0 when empty).
@@ -290,6 +322,39 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
         assert_eq!(fnv1a64(LOOP_A.as_bytes()), fnv1a64(LOOP_A.as_bytes()));
+    }
+
+    #[test]
+    fn streamed_digest_equals_fnv_of_the_byte_buffer() {
+        for data in [
+            vec![],
+            vec![0i64],
+            vec![-1, i64::MIN, i64::MAX, 42],
+            (0..1000).map(|i| i * 7919 - 3).collect::<Vec<i64>>(),
+        ] {
+            let mut bytes = Vec::with_capacity(data.len() * 8);
+            for x in &data {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            assert_eq!(fnv1a64_i64s(&data), fnv1a64(&bytes));
+        }
+    }
+
+    #[test]
+    fn recovered_entries_carry_the_plan_a_fresh_compile_gives() {
+        let recovered = CertCache::new(8);
+        for src in [LOOP_A, LOOP_B, LOOP_C] {
+            let line = wlp_analyze::certify_compact(src).unwrap();
+            recovered.load_recovered(src, &line).unwrap();
+        }
+        assert_eq!(recovered.plans_compiled(), 3);
+        for entry in recovered.resident_entries() {
+            let (_, _, fresh) = compile_source(&entry.source).unwrap();
+            assert_eq!(entry.plan, fresh, "{}", entry.source);
+        }
+        // serving them afterwards lowers nothing more
+        recovered.lookup(LOOP_A).unwrap();
+        assert_eq!((recovered.hits(), recovered.plans_compiled()), (1, 3));
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! onto one shared worker budget. Three mechanisms make that safe and
 //! fast:
 //!
-//! * **Certificate cache** ([`cache::CertCache`]) — parse, lowering, and
-//!   the full `wlp-analyze` pipeline are memoized by source content hash;
-//!   a hot program pays zero front-end cost per request, and the hit/miss
-//!   counters surface through `wlp-obs` events and the `stats` op.
+//! * **Certificate cache** ([`cache::CertCache`]) — parse, lowering, the
+//!   full `wlp-analyze` pipeline and the slot-resolved
+//!   [`ExecPlan`](wlp_ir::exec::ExecPlan) are memoized by source content
+//!   hash; a hot program pays zero front-end cost per request, and the
+//!   hit/miss counters surface through `wlp-obs` events and the `stats`
+//!   op.
 //! * **Region scheduler** ([`wlp_runtime::RegionScheduler`]) — resident
 //!   worker lanes checked out per region in FIFO order, so concurrent
 //!   tenants never cold-start threads and never oversubscribe the host
@@ -44,13 +46,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wlp_analyze::CertVerdict;
-use wlp_ir::interp::{run_parallel, run_sequential, Machine};
+use wlp_ir::exec::{Schedule, SeqReason};
+use wlp_ir::interp::{HostFn, Machine};
 use wlp_obs::{AbortReason, Event, ProfileReport, Sample, StrategyChoice, Trace};
 use wlp_runtime::{
     payload_message, Deadline, Governor, GovernorPolicy, Pool, RegionScheduler, SchedulerConfig,
 };
 
-pub use cache::fnv1a64;
+pub use cache::{fnv1a64, fnv1a64_i64s};
 pub use circuit::CircuitState;
 pub use proto::PROTOCOL_VERSION;
 pub use wlp_runtime::CancelFlag;
@@ -83,7 +86,11 @@ pub struct ServeConfig {
     pub governor: GovernorPolicy,
     /// Most obs [`Sample`]s the service retains (a ring: oldest are
     /// dropped past the cap, counted in `samples_dropped`). Without a
-    /// bound a resident daemon's event buffer grows with request volume.
+    /// bound a resident daemon's event buffer grows with request volume;
+    /// with one, the ring is resident memory the daemon carries for as
+    /// long as it lives (48 bytes a sample, two samples a request), so
+    /// the default is sized to a few seconds of recent history, not to
+    /// the request rate.
     pub max_samples: usize,
     /// Most distinct tenants the table holds; past the cap an idle
     /// tenant is evicted to admit a new name (tenant strings are
@@ -120,7 +127,7 @@ impl Default for ServeConfig {
             retry_after_ms: 25,
             tenant_spec_credits: 1 << 20,
             governor: GovernorPolicy::default(),
-            max_samples: 65_536,
+            max_samples: 16_384,
             max_tenants: 1_024,
             max_deadline_ms: 60_000,
             drain_deadline_ms: 5_000,
@@ -213,6 +220,13 @@ pub struct Service {
     active: AtomicUsize,
     /// Crash-safe certificate store (`Some` iff `cfg.persist` was set).
     persist: Option<Arc<PersistentStore>>,
+    /// The fixed host functions, built once; a request's machine starts
+    /// from a clone of the table (`Arc`s, not closures).
+    builtins: HashMap<String, HostFn>,
+    /// Runs served by a statically sequential plan, per [`SeqReason`]
+    /// (indexed like [`SeqReason::ALL`]): degradation that is reported,
+    /// not silent.
+    sequential_plans: [AtomicU64; SeqReason::ALL.len()],
 }
 
 impl Service {
@@ -251,6 +265,9 @@ impl Service {
             lane_width: cfg.lane_width,
         });
         let cache = CertCache::new(cfg.cache_capacity);
+        let mut builtins = Machine::default();
+        register_builtins(&mut builtins);
+        let builtins = builtins.funcs;
         let svc = Service {
             cfg,
             scheduler,
@@ -267,6 +284,8 @@ impl Service {
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             persist,
+            builtins,
+            sequential_plans: Default::default(),
         };
         if let Some(store) = svc.persist.clone() {
             // Load every recovered record through the cache's re-analyze
@@ -442,7 +461,7 @@ impl Service {
     /// checkout bounded by the deadline, execution under the tenant's
     /// governor rung with cancellation threaded into the pool, response
     /// assembly.
-    fn run(&self, req: RunRequest, cancel: Option<&Arc<CancelFlag>>) -> String {
+    fn run(&self, mut req: RunRequest, cancel: Option<&Arc<CancelFlag>>) -> String {
         let started = Instant::now();
         let tenant = self.tenant(&req.tenant);
         tenant.requests.fetch_add(1, Ordering::Relaxed);
@@ -461,7 +480,8 @@ impl Service {
                 );
             }
         };
-        let cert = entry.analysis.certificate.clone();
+        let cert = &entry.analysis.certificate;
+        let plan = &entry.plan;
         let max_iters = req.max_iters.unwrap_or(self.cfg.default_max_iters);
         // The deadline is measured from request parse and clamped so a
         // client cannot buy more wall-clock than the operator allows.
@@ -502,8 +522,10 @@ impl Service {
 
         // Speculative runs reserve their certified write budget from the
         // tenant's credit pool — the backpressure valve for tenants whose
-        // speculation keeps the undo machinery hot.
-        let cost = if cert.verdict == CertVerdict::SpeculateBounded {
+        // speculation keeps the undo machinery hot. A plan that is
+        // sequential by construction never speculates and reserves nothing.
+        let speculative_plan = matches!(plan.schedule(), Schedule::SpeculativeDoall { .. });
+        let cost = if speculative_plan && cert.verdict == CertVerdict::SpeculateBounded {
             cert.write_budget(max_iters as u64).max(1)
         } else {
             0
@@ -527,23 +549,28 @@ impl Service {
             );
         }
 
-        // ---- machine assembly ----
-        let mut machine = Machine::default();
-        for (name, data) in &req.arrays {
-            machine.arrays.insert(name.clone(), data.clone());
-        }
-        for (name, v) in &req.scalars {
-            machine.scalars.insert(name.clone(), *v);
-        }
-        register_builtins(&mut machine);
+        // ---- frame assembly ----
+        // The request is owned: its arrays move (no copy) into a machine
+        // and from there into the plan's frame by slot. Names the program
+        // never mentions stay behind in the machine — they are still part
+        // of the reported state.
+        let mut machine = Machine {
+            arrays: std::mem::take(&mut req.arrays).into_iter().collect(),
+            scalars: std::mem::take(&mut req.scalars).into_iter().collect(),
+            funcs: self.builtins.clone(),
+        };
         if self.cfg.chaos_builtins {
             register_chaos_builtins(&mut machine);
         }
+        let mut frame = machine.bind(plan);
 
         // ---- execution on a checked-out lane ----
+        // Whether the loop can run in parallel at all was decided when
+        // the plan was lowered; the governor only ever sees attempts the
+        // plan allows, so planner conservatism is never booked against a
+        // tenant as a failed speculation.
         let rung = tenant.governor.lock().current();
-        let attempt_parallel =
-            cert.verdict != CertVerdict::CertifiedSequential && rung != StrategyChoice::Sequential;
+        let attempt_parallel = speculative_plan && rung != StrategyChoice::Sequential;
         let Some(lane) = self.scheduler.acquire_until(expiry, cancel.map(|c| &**c)) else {
             // Gave up in the lane queue: the deadline expired or the
             // client went away before any work started. The ticket was
@@ -572,11 +599,14 @@ impl Service {
         if let Some(c) = cancel {
             pool = pool.with_abort(c.clone());
         }
+        if let Schedule::Sequential(reason) = plan.schedule() {
+            self.sequential_plans[reason.index()].fetch_add(1, Ordering::Relaxed);
+        }
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if attempt_parallel {
-                run_parallel(&entry.program, &mut machine, &pool, max_iters)
+                plan.run_speculative(&mut frame, &pool, max_iters)
             } else {
-                run_sequential(&entry.program, &mut machine, max_iters)
+                plan.run_sequential(&mut frame, max_iters)
             }
         }));
         drop(lane);
@@ -648,8 +678,8 @@ impl Service {
             if out.ran_parallel {
                 gov.record_success();
             } else {
-                // the speculative path fell back (abort or planner
-                // conservatism): count it against the tenant's ladder
+                // the speculation was attempted and thrown away: count
+                // it against the tenant's ladder
                 gov.record_failure(AbortReason::Dependence);
             }
         }
@@ -674,46 +704,29 @@ impl Service {
             ),
             ("ran_parallel".into(), Value::Bool(out.ran_parallel)),
         ];
-        let digests: Vec<(String, Value)> = {
-            let mut names: Vec<&String> = machine.arrays.keys().collect();
-            names.sort();
-            names
-                .iter()
-                .map(|name| {
-                    let data = &machine.arrays[*name];
-                    let mut bytes = Vec::with_capacity(data.len() * 8);
-                    for x in data {
-                        bytes.extend_from_slice(&x.to_le_bytes());
-                    }
-                    ((*name).clone(), Value::UInt(fnv1a64(&bytes)))
-                })
-                .collect()
-        };
+        machine.absorb(plan, frame);
+        let mut arrays: Vec<(&String, &Vec<i64>)> = machine.arrays.iter().collect();
+        arrays.sort_unstable_by_key(|(name, _)| *name);
+        let digests = arrays
+            .iter()
+            .map(|(name, data)| ((*name).clone(), Value::UInt(fnv1a64_i64s(data))))
+            .collect();
         fields.push(("digests".into(), Value::Object(digests)));
         if req.reply != ReplyMode::Digest {
-            let mut names: Vec<&String> = machine.scalars.keys().collect();
-            names.sort();
-            let scalars: Vec<(String, Value)> = names
-                .iter()
-                .map(|name| ((*name).clone(), Value::Int(machine.scalars[*name])))
+            let mut scalars: Vec<(&String, &i64)> = machine.scalars.iter().collect();
+            scalars.sort_unstable_by_key(|(name, _)| *name);
+            let scalars = scalars
+                .into_iter()
+                .map(|(name, v)| (name.clone(), Value::Int(*v)))
                 .collect();
             fields.push(("scalars".into(), Value::Object(scalars)));
         }
         if req.reply == ReplyMode::Full {
-            let mut names: Vec<&String> = machine.arrays.keys().collect();
-            names.sort();
-            let arrays: Vec<(String, Value)> = names
+            let arrays = arrays
                 .iter()
-                .map(|name| {
-                    (
-                        (*name).clone(),
-                        Value::Array(
-                            machine.arrays[*name]
-                                .iter()
-                                .map(|&x| Value::Int(x))
-                                .collect(),
-                        ),
-                    )
+                .map(|(name, data)| {
+                    let items = data.iter().map(|&x| Value::Int(x)).collect();
+                    ((*name).clone(), Value::Array(items))
                 })
                 .collect();
             fields.push(("arrays".into(), Value::Object(arrays)));
@@ -1022,6 +1035,23 @@ impl Service {
                 "cache_hit_ratio".into(),
                 Value::Float(self.cache.hit_ratio()),
             ),
+            (
+                "plans_compiled".into(),
+                Value::UInt(self.cache.plans_compiled()),
+            ),
+            (
+                "sequential_plans".into(),
+                Value::Object(
+                    SeqReason::ALL
+                        .iter()
+                        .map(|&reason| {
+                            let runs =
+                                self.sequential_plans[reason.index()].load(Ordering::Relaxed);
+                            (reason.name().to_string(), Value::UInt(runs))
+                        })
+                        .collect(),
+                ),
+            ),
             ("cache_len".into(), Value::UInt(self.cache.len() as u64)),
             (
                 "cache_capacity".into(),
@@ -1237,6 +1267,49 @@ mod tests {
         let report = svc.profile();
         assert_eq!((report.cache_hits, report.cache_misses), (1, 1));
         assert_eq!(report.regions_admitted, 2);
+    }
+
+    #[test]
+    fn a_cache_hit_lowers_nothing() {
+        let svc = Service::with_defaults();
+        for a in [[1, 2, 3], [4, 5, 6], [7, 8, 9]] {
+            let r = svc.handle_line(&run_line("t0", 3, &a));
+            assert!(r.contains("\"ok\":true"), "{r}");
+        }
+        svc.handle_line(&format!(
+            r#"{{"op":"certify","program":{}}}"#,
+            json::to_string(DOUBLE)
+        ));
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"cache_hits\":3"), "{stats}");
+        assert!(stats.contains("\"cache_misses\":1"), "{stats}");
+        assert!(stats.contains("\"plans_compiled\":1"), "{stats}");
+    }
+
+    #[test]
+    fn planner_conservatism_is_reported_and_never_demotes_the_tenant() {
+        // certified DOALL, but `s` is extra scalar state: the plan is
+        // sequential by construction, which is no fault of the tenant's
+        let fill = "integer i = 0\ninteger s = 0\nwhile (i < n) {\n    s = s + 3\n    A[i] = 2 * A[i]\n    i = i + 1\n}";
+        let line = format!(
+            r#"{{"op":"run","tenant":"innocent","program":{},"arrays":{{"A":[1,2,3]}},"scalars":{{"n":3}}}}"#,
+            json::to_string(fill)
+        );
+        let svc = Service::with_defaults();
+        for _ in 0..12 {
+            let r = svc.handle_line(&line);
+            assert!(r.contains("\"verdict\":\"certified_doall\""), "{r}");
+            assert!(r.contains("\"ran_parallel\":false"), "{r}");
+            assert!(r.contains("\"rung\":\"speculative\""), "{r}");
+            assert!(r.contains("\"scalars\":{\"i\":3,\"n\":3,\"s\":9}"), "{r}");
+        }
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"extra_scalar_state\":12"), "{stats}");
+        assert!(stats.contains("\"certified_sequential\":0"), "{stats}");
+        assert!(stats.contains("\"rung\":\"speculative\""), "{stats}");
+        // the same tenant's parallelizable program still runs parallel
+        let r = svc.handle_line(&run_line("innocent", 3, &[1, 2, 3]));
+        assert!(r.contains("\"ran_parallel\":true"), "{r}");
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! deterministic admission rejections, and the hit-path/miss-path
 //! certificate identity property.
 
+#[path = "../../ir/tests/common/mod.rs"]
+mod reference;
+
 use proptest::prelude::*;
+use reference::reference_run;
 use serde::{json, Value};
 use std::sync::Arc;
 use wlp_ir::frontend::parse_program;
-use wlp_ir::interp::{run_sequential, Machine};
+use wlp_ir::interp::Machine;
 use wlp_serve::{fnv1a64, register_builtins, ServeConfig, Service};
 use wlp_workloads::sources::{corpus, machine_inputs};
 
@@ -40,7 +44,8 @@ fn run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
 type StateSummary = (Vec<(String, u64)>, Vec<(String, i64)>);
 
 /// The ground truth for one `(program, n)` pair: digests and scalars
-/// after a plain sequential interpretation.
+/// after the reference tree walker (not the plan executor the service
+/// runs) interpreted the program.
 fn sequential_reference(name: &str, src: &str, n: usize) -> StateSummary {
     let program = parse_program(src).expect("corpus parses");
     let (arrays, scalars) = machine_inputs(name, n);
@@ -52,7 +57,7 @@ fn sequential_reference(name: &str, src: &str, n: usize) -> StateSummary {
         machine.scalars.insert(k, v);
     }
     register_builtins(&mut machine);
-    run_sequential(&program, &mut machine, 2 * n + 4).expect("reference runs");
+    reference_run(&program, &mut machine, 2 * n + 4).expect("reference runs");
     let mut digests: Vec<(String, u64)> = machine
         .arrays
         .iter()
