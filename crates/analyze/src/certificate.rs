@@ -114,7 +114,7 @@ impl SafetyCertificate {
         policy.with_budget(self.write_budget(iters).max(1))
     }
 
-    /// Wraps shared data in a [`SpeculativeArray`] whose undo budget is
+    /// Wraps shared data in a [`SpeculativeArray`](wlp_core::SpeculativeArray) whose undo budget is
     /// the certified bound for `iters` iterations — the `with_budget`
     /// handoff the runtime uses instead of the naive every-write cap.
     pub fn speculative_array<T: Copy + Send + Sync>(

@@ -7,7 +7,7 @@
 //! adversary — property tests randomize it), and every location (scalar or
 //! array element) is mapped to a unique address in one flat space, so the
 //! whole loop becomes a per-iteration [`Access`] log the
-//! [`wlp_pd::crosscheck`] harness and the oracle understand.
+//! [`wlp_pd::crosscheck()`] harness and the oracle understand.
 //!
 //! Within a statement, reads precede writes — `tmp = A[2i]` reads `A[2i]`
 //! before defining `tmp` — which is what makes def-before-use visible to

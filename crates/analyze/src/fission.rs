@@ -11,7 +11,7 @@
 //!    privatization-refined remainder** (so privatized scalars and the
 //!    dispatcher's own carried edges do not glue unrelated statements
 //!    together), condense it with [`wlp_ir::condense`] and distribute
-//!    along SCCs ([`wlp_ir::distribute`]);
+//!    along SCCs ([`wlp_ir::distribute()`]);
 //! 2. fuse contiguous same-nature loops bottom-up ([`wlp_ir::fuse`]),
 //!    then apply the ICC-style splitting criterion: a *parallel* block is
 //!    split wherever a loop-carried edge connects two of its statements —
@@ -21,7 +21,7 @@
 //! 3. certify every **work block** (a block containing at least one
 //!    computation statement) independently, by masking the body down to
 //!    the block's statements and running the exact certificate pipeline
-//!    the whole loop gets ([`crate::analyze::certify_core`]);
+//!    the whole loop gets (`certify_core` in [`mod@crate::analyze`]);
 //! 4. emit the cross-block loop-carried edges with computed
 //!    synchronization distances — for affine subscript pairs with equal
 //!    stride the distance is exact `(o₁−o₂)/c`; anything else is

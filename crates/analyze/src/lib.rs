@@ -14,7 +14,7 @@
 //!   only those, and the governor starts on the right ladder rung.
 //!
 //! Every certificate is falsifiable: [`concrete`] replays the loop into
-//! access logs and [`wlp_pd::crosscheck`] drives them through the dynamic
+//! access logs and [`wlp_pd::crosscheck()`] drives them through the dynamic
 //! oracle — the static-vs-dynamic agreement property the test suite pins.
 //!
 //! Pipeline: [`privatize`] (def-before-use ⇒ drop carried edges) →

@@ -21,7 +21,7 @@
 
 use crate::fission::FissionPlan;
 use wlp_obs::AbortReason;
-use wlp_runtime::doacross::{doacross_grained, DoacrossOutcome};
+use wlp_runtime::doacross::{doacross_with, DoacrossOptions, DoacrossOutcome};
 use wlp_runtime::governor::Governor;
 use wlp_runtime::Pool;
 
@@ -44,8 +44,11 @@ where
     F: Fn(usize, usize) + Sync,
 {
     let stages = plan.stages().max(1);
-    let grain = governor.current_grain();
-    let out = doacross_grained(pool, upper, stages, grain, body);
+    let opts = DoacrossOptions {
+        grain: governor.current_grain(),
+        ..DoacrossOptions::default()
+    };
+    let out = doacross_with(pool, upper, stages, opts, body);
     if out.panic.is_some() {
         governor.record_failure(AbortReason::Exception);
     } else if out.timeout.is_some() {

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wlp_core::general::{general1, general2, general3, GeneralConfig};
 use wlp_core::induction::induction2;
 use wlp_list::ListArena;
-use wlp_runtime::Pool;
+use wlp_runtime::{DoallOptions, Pool};
 
 fn work(v: u64) -> u64 {
     let mut acc = v;
@@ -95,6 +95,7 @@ fn bench_induction(c: &mut Criterion) {
                 let out = induction2(
                     &pool,
                     n,
+                    DoallOptions::default(),
                     |i| i >= 40_000,
                     |i, _| {
                         acc.fetch_add(work(i as u64), Ordering::Relaxed);

@@ -26,17 +26,18 @@
 //!   undo), against its sequential reference; reported but not gated,
 //!   since the speculation machinery's overhead is the quantity under
 //!   study, not a regression.
-//! * `dispatch` — many small regions back to back, resident pool vs
-//!   spawn-per-region: the dispatch-overhead exhibit. The resident pool
-//!   must win at small iteration counts; `--gate` enforces it.
+//! * `dispatch` — many small regions back to back on the resident pool:
+//!   the dispatch-overhead exhibit. Reported, not gated (the
+//!   spawn-per-region pool it used to be measured against is gone; the
+//!   last comparison is recorded in EXPERIMENTS.md).
 //! * `watchdog` — the same DOALL on a deadline-armed pool vs the plain
 //!   resident pool: the cost of the per-region watchdog monitor. The
 //!   deadline is generous (never trips), so the delta is pure
 //!   monitoring overhead; `--gate` bounds it at 5%.
 //! * `contention` — tiny bodies at full pool width, the pure claim-path
-//!   exhibit: one-at-a-time and chunked self-scheduling, the
-//!   work-stealing DOALL, and a stamp-dense speculative loop whose cost
-//!   is dominated by shadow marking and undo stamping. Reported but not
+//!   exhibit: one-at-a-time and chunked self-scheduling, and a
+//!   stamp-dense speculative loop whose cost is dominated by shadow
+//!   marking and undo stamping. Reported but not
 //!   gated: these cells *are* the dispatcher/marking overhead under
 //!   study, and their absolute cost is what `--trajectory` tracks
 //!   across commits.
@@ -44,9 +45,8 @@
 //! With `--gate`, the run fails (exit 1) if any gated parallel exhibit at
 //! the largest pool size is more than 1.5× slower than its sequential
 //! baseline, if a compute `one`-policy cell at `p ≥ 2` falls below 0.9×
-//! of sequential on a multi-CPU machine, if the resident pool loses to
-//! spawn-per-region, or if the deadline-armed pool is more than 5%
-//! slower than the ungoverned one.
+//! of sequential on a multi-CPU machine, or if the deadline-armed pool is
+//! more than 5% slower than the ungoverned one.
 //!
 //! With `--trajectory PATH`, one JSON line per run — git sha, date,
 //! machine, and every exhibit's median — is *appended* to `PATH`
@@ -62,9 +62,10 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 use wlp_core::{governed_while, speculative_while, SpeculativeArray};
+use wlp_obs::NoopRecorder;
 use wlp_runtime::{
-    doall_dynamic_chunked, doall_worksteal, ChunkPolicy, Deadline, Governor, GovernorPolicy, Pool,
-    Step,
+    doall_dynamic, doall_with, ChunkPolicy, Deadline, DoallOptions, DoallOutcome, Governor,
+    GovernorPolicy, IssueOrder, Pool, Step,
 };
 use wlp_workloads::{spice, track};
 
@@ -102,7 +103,7 @@ struct Exhibit {
     /// Unique id: `family/mode/policy/p{p}`.
     name: String,
     family: String,
-    /// `seq`, `resident` or `spawn`.
+    /// `seq`, `resident`, `deadline` or `spec`.
     mode: String,
     /// Chunk policy label (`-` where not applicable).
     policy: String,
@@ -345,6 +346,29 @@ fn policies() -> Vec<ChunkPolicy> {
     ]
 }
 
+/// A dynamic DOALL claiming chunks by `policy`; the body discards `vpn`.
+fn doall_chunked(
+    pool: &Pool,
+    n: usize,
+    policy: ChunkPolicy,
+    body: impl Fn(usize) + Sync,
+) -> DoallOutcome {
+    let opts = DoallOptions {
+        order: IssueOrder::Dynamic(policy),
+        ..DoallOptions::default()
+    };
+    doall_with(
+        pool,
+        n,
+        opts,
+        |_| (),
+        |i, ()| {
+            body(i);
+            Step::Continue
+        },
+    )
+}
+
 fn run_all(h: &mut Harness, sizes: &Sizes) {
     // -- compute: sequential baseline, then every (p, policy) cell --------
     println!("compute (n = {}):", sizes.compute_n);
@@ -368,9 +392,8 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
                 Some("compute/seq/-/p1"),
                 p > 1,
                 || {
-                    doall_dynamic_chunked(&pool, n, policy, |i, _| {
+                    doall_chunked(&pool, n, policy, |i| {
                         black_box(flops(i));
-                        Step::Continue
                     });
                 },
             );
@@ -430,7 +453,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
         );
     }
 
-    // -- dispatch: many tiny regions, resident vs spawn-per-region --------
+    // -- dispatch: many tiny regions back to back on the resident pool ----
     println!(
         "dispatch ({} regions of {} iterations):",
         sizes.dispatch_regions, sizes.dispatch_n
@@ -438,35 +461,17 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     let (n, regions) = (sizes.dispatch_n, sizes.dispatch_regions);
     for &p in &pool_sizes() {
         if p == 1 {
-            continue; // both modes run inline at p = 1
+            continue; // p = 1 runs inline: no region is dispatched
         }
-        let spawning = Pool::new_spawning(p);
-        h.run("dispatch", "spawn", "-", p, n, None, false, || {
+        let resident = Pool::new(p);
+        h.run("dispatch", "resident", "-", p, n, None, false, || {
             for _ in 0..regions {
-                doall_dynamic_chunked(&spawning, n, ChunkPolicy::One, |i, _| {
+                doall_dynamic(&resident, n, |i, _| {
                     black_box(i);
                     Step::Continue
                 });
             }
         });
-        let resident = Pool::new(p);
-        h.run(
-            "dispatch",
-            "resident",
-            "-",
-            p,
-            n,
-            Some(&format!("dispatch/spawn/-/p{p}")),
-            false, // gated separately: resident must beat spawn
-            || {
-                for _ in 0..regions {
-                    doall_dynamic_chunked(&resident, n, ChunkPolicy::One, |i, _| {
-                        black_box(i);
-                        Step::Continue
-                    });
-                }
-            },
-        );
     }
 
     // -- watchdog: deadline-armed pool vs ungoverned resident pool --------
@@ -478,9 +483,8 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
         }
         let plain = Pool::new(p);
         h.run("watchdog", "resident", "-", p, n, None, false, || {
-            doall_dynamic_chunked(&plain, n, ChunkPolicy::Guided { min: 4 }, |i, _| {
+            doall_chunked(&plain, n, ChunkPolicy::Guided { min: 4 }, |i| {
                 black_box(flops(i));
-                Step::Continue
             });
         });
         // A deadline far beyond the region's runtime: the watchdog arms,
@@ -496,9 +500,8 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             Some(&format!("watchdog/resident/-/p{p}")),
             false, // gated separately: within WATCHDOG_GATE of the baseline
             || {
-                doall_dynamic_chunked(&armed, n, ChunkPolicy::Guided { min: 4 }, |i, _| {
+                doall_chunked(&armed, n, ChunkPolicy::Guided { min: 4 }, |i| {
                     black_box(flops(i));
-                    Step::Continue
                 });
             },
         );
@@ -507,9 +510,9 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     // -- contention: tiny bodies at full width — the claim-path exhibit --
     // The body is a single black_box, so every cell measures the cost of
     // *getting* an iteration, not running it: the shared-cursor claim
-    // (`one`), the amortized claim (`fixed32`), the per-worker deque with
-    // stealing (`worksteal`), and the shadow-marking + undo-stamping
-    // fast path (`spec`). Full pool width maximizes claim collisions.
+    // (`one`), the amortized claim (`fixed32`), and the shadow-marking +
+    // undo-stamping fast path (`spec`). Full pool width maximizes claim
+    // collisions.
     let p = pool_sizes().into_iter().max().unwrap_or(1).max(4);
     let n = sizes.contention_n;
     println!("contention (n = {n}, p = {p}):");
@@ -531,28 +534,12 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             Some("contention/seq/-/p1"),
             false, // pure dispatcher overhead: tracked, not gated
             || {
-                doall_dynamic_chunked(&pool, n, policy, |i, _| {
+                doall_chunked(&pool, n, policy, |i| {
                     black_box(i);
-                    Step::Continue
                 });
             },
         );
     }
-    h.run(
-        "contention",
-        "worksteal",
-        "fixed32",
-        p,
-        n,
-        Some("contention/seq/-/p1"),
-        false,
-        || {
-            doall_worksteal(&pool, n, 32, |i, _| {
-                black_box(i);
-                Step::Continue
-            });
-        },
-    );
     // Stamp-dense speculation: every iteration reads and writes its own
     // element, so the run commits in parallel while every single body
     // exercises the relaxed shadow CAS, the undo fetch_min fast path and
@@ -610,6 +597,7 @@ fn governed_storm() -> GovernorCounters {
             upper,
             vec![0i64; upper],
             &mut gov,
+            &NoopRecorder,
             |i| i >= exit,
             |i, a| a.write(i, i as i64 + 1),
         );
@@ -631,9 +619,8 @@ fn governed_storm() -> GovernorCounters {
 }
 
 /// `--gate`: every gated exhibit at the largest pool size must be within
-/// [`GATE_SLOWDOWN`] of its baseline, compute `one`-policy cells at
-/// `p >= 2` must hold [`ONE_POLICY_GATE`] of sequential, and every
-/// resident dispatch exhibit must beat its spawn counterpart. Gated
+/// [`GATE_SLOWDOWN`] of its baseline, and compute `one`-policy cells at
+/// `p >= 2` must hold [`ONE_POLICY_GATE`] of sequential. Gated
 /// cells wider than the machine (`p > cpus`) are skipped, and the
 /// `one`-policy bound is skipped entirely on single-CPU machines:
 /// oversubscription contention is not a regression in the construct.
@@ -662,16 +649,6 @@ fn gate(exhibits: &[Exhibit], cpus: usize) -> Vec<String> {
                          of sequential on a {cpus}-cpu machine)",
                         e.name,
                         e.baseline.as_deref().unwrap_or("?"),
-                    ));
-                }
-            }
-        }
-        if e.family == "dispatch" && e.mode == "resident" {
-            if let Some(s) = e.speedup_vs_baseline {
-                if s <= 1.0 {
-                    failures.push(format!(
-                        "{}: resident pool must beat spawn-per-region, got {s:.2}x",
-                        e.name
                     ));
                 }
             }
@@ -764,7 +741,7 @@ fn main() {
     if apply_gate {
         let failures = gate(&file.exhibits, file.machine.cpus);
         if failures.is_empty() {
-            println!("gate: every parallel construct within {GATE_SLOWDOWN}x of sequential; resident pool beats spawn");
+            println!("gate: every parallel construct within {GATE_SLOWDOWN}x of sequential");
         } else {
             eprintln!("gate FAILED:");
             for f in &failures {

@@ -821,10 +821,10 @@ pub fn render_faults() -> String {
 /// binary turns that into a non-zero exit).
 pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, String> {
     use std::time::Instant;
-    use wlp_core::{speculative_while_rec, SpeculativeArray};
+    use wlp_core::{speculative_while, speculative_while_with, SpeculativeArray};
     use wlp_fault::{FaultAction, FaultMode, FaultPlan};
     use wlp_obs::{AbortReason, BufferRecorder, NoopRecorder, ProfileReport};
-    use wlp_runtime::{Deadline, Pool};
+    use wlp_runtime::{Deadline, DoallOptions, Pool};
     use wlp_workloads::spice::{build_device_list, load_parallel_recovering};
 
     let label = format!("{}/{seed}", mode.name());
@@ -863,11 +863,11 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let t0 = Instant::now();
-    let out = speculative_while_rec(
+    let out = speculative_while_with(
         &pool,
         n,
         &arr,
-        &rec,
+        DoallOptions::recorded(&rec),
         |i, _| i == exit,
         |i, a| {
             if let FaultAction::HogWrites(k) = plan.inject(i, 0) {
@@ -909,14 +909,7 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
 
     // the faulted region must leave the resident pool reusable
     let probe = SpeculativeArray::new(vec![0i64; 64]);
-    let ok = speculative_while_rec(
-        &pool,
-        64,
-        &probe,
-        &NoopRecorder,
-        |i, _| i == 32,
-        |i, a| a.write(i, 1),
-    );
+    let ok = speculative_while(&pool, 64, &probe, |i, _| i == 32, |i, a| a.write(i, 1));
     let reusable = ok.committed_parallel && ok.abort.is_none();
     if !reusable {
         return Err(format!("{label}: pool not reusable after the fault"));

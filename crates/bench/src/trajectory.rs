@@ -116,7 +116,7 @@ impl TrajectoryRecord {
     }
 
     /// Parses one JSONL line back into a record — the read side of
-    /// [`append_to`], used by scoreboard consumers and by the bench
+    /// [`append_to`](Self::append_to), used by scoreboard consumers and by the bench
     /// gate's post-append self-check. Unknown fields are ignored
     /// (additive schema); a missing or mistyped required field is an
     /// error naming the field.

@@ -9,18 +9,18 @@
 
 use crate::induction::InductionOutcome;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wlp_runtime::{doacross, doall_dynamic, Pool, Step};
+use wlp_runtime::{doacross, doall_dynamic, DoallOptions, Pool, Step};
 
 /// WHILE-DOALL: a WHILE loop with an induction dispatcher and independent
 /// iterations, run as a DOALL with the terminator inlined and QUIT
 /// semantics. (An alias with the paper's construct name; identical to
-/// [`crate::induction::induction2`].)
+/// [`crate::induction::induction2`] under its default options.)
 pub fn while_doall<TF, BF>(pool: &Pool, upper: usize, term: TF, body: BF) -> InductionOutcome
 where
     TF: Fn(usize) -> bool + Sync,
     BF: Fn(usize, usize) + Sync,
 {
-    crate::induction::induction2(pool, upper, term, body)
+    crate::induction::induction2(pool, upper, DoallOptions::default(), term, body)
 }
 
 /// WHILE-DOACROSS: a WHILE loop whose remainder carries cross-iteration

@@ -18,7 +18,8 @@
 //! exit is dispatcher exhaustion (the RI null-pointer terminator — "no
 //! backups or time-stamps", Table 2), and an `_until` flavour whose body
 //! returns [`Step`] to model additional (possibly RV) exits with QUIT
-//! semantics.
+//! semantics. Both take a [`GeneralConfig`], which carries the iteration
+//! cap and the recorder that observes the run.
 
 use crate::dispatch::Dispatcher;
 use crate::recover::FirstFault;
@@ -30,12 +31,36 @@ use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
 use wlp_runtime::{doall_dynamic, CancelFlag, Pool, Step, WorkerPanic};
 
 /// Options for the General methods.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GeneralConfig {
+#[derive(Debug)]
+pub struct GeneralConfig<'r, R = NoopRecorder> {
     /// Cap on the number of iterations (the paper's `u`); `None` = run to
     /// the end of the list.
     pub upper: Option<usize>,
+    /// Observes the run. Probes are guarded by `R::ENABLED`, so the
+    /// default [`NoopRecorder`] compiles every one of them away.
+    pub rec: &'r R,
 }
+
+impl Default for GeneralConfig<'static> {
+    fn default() -> Self {
+        GeneralConfig::recorded(&NoopRecorder)
+    }
+}
+
+impl<'r, R> GeneralConfig<'r, R> {
+    /// No iteration cap, observed by `rec`.
+    pub fn recorded(rec: &'r R) -> Self {
+        GeneralConfig { upper: None, rec }
+    }
+}
+
+impl<R> Clone for GeneralConfig<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for GeneralConfig<'_, R> {}
 
 /// Result of a General-method execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +79,7 @@ pub struct GeneralOutcome {
     /// hanging.
     pub diverged: Option<DispatcherDiverged>,
     /// Whether a sequential fallback re-execution produced this result
-    /// (only set by [`general3_recovering_rec`]).
+    /// (only set by [`general3_recovering`]).
     pub recovered: bool,
 }
 
@@ -94,29 +119,14 @@ impl DivergedCell {
 const NO_QUIT: usize = usize::MAX;
 
 /// General-1 with an explicit termination step. See [`general1`].
-pub fn general1_until<T, B>(
+///
+/// `cfg.rec` is told the time blocked on the dispatcher lock, the
+/// critical-section hold, the single `next()` hop per claim, each body
+/// execution, QUIT broadcast and end-of-loop join.
+pub fn general1_until<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) -> Step + Sync,
-{
-    general1_until_rec(pool, list, cfg, &NoopRecorder, body)
-}
-
-/// [`general1_until`] with observability: the time blocked on the
-/// dispatcher lock, the critical-section hold, the single `next()` hop per
-/// claim, each body execution, QUIT broadcast and end-of-loop join are
-/// reported to `rec`. With [`NoopRecorder`] — which is what
-/// [`general1_until`] passes — every probe compiles away.
-pub fn general1_until_rec<T, B, R>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    rec: &R,
+    cfg: GeneralConfig<'_, R>,
     body: B,
 ) -> GeneralOutcome
 where
@@ -124,6 +134,7 @@ where
     B: Fn(usize, NodeId) -> Step + Sync,
     R: Recorder,
 {
+    let rec = cfg.rec;
     let upper = cfg.upper.unwrap_or(usize::MAX);
     let len = list.len();
     let cursor = parking_lot::Mutex::new((list.head(), 0usize));
@@ -234,15 +245,16 @@ where
 
 /// General-1: serialize accesses to `next()` with a lock; the remainder
 /// runs outside the critical section. Iterations issue in lock order.
-pub fn general1<T, B>(
+pub fn general1<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
+    cfg: GeneralConfig<'_, R>,
     body: B,
 ) -> GeneralOutcome
 where
     T: Sync,
     B: Fn(usize, NodeId) + Sync,
+    R: Recorder,
 {
     general1_until(pool, list, cfg, |i, n| {
         body(i, n);
@@ -250,11 +262,13 @@ where
     })
 }
 
-/// General-2 with an explicit termination step. See [`general2`].
+/// General-2 with an explicit termination step. See [`general2`]. The
+/// private traversals are not instrumented, so the configuration cannot
+/// carry a recorder.
 pub fn general2_until<T, B>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
+    cfg: GeneralConfig<'_>,
     body: B,
 ) -> GeneralOutcome
 where
@@ -327,7 +341,7 @@ where
 pub fn general2<T, B>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
+    cfg: GeneralConfig<'_>,
     body: B,
 ) -> GeneralOutcome
 where
@@ -341,29 +355,14 @@ where
 }
 
 /// General-3 with an explicit termination step. See [`general3`].
-pub fn general3_until<T, B>(
+///
+/// `cfg.rec` is told each lock-free claim, private cursor catch-up (the
+/// `next()` hops with their measured cost), body execution, QUIT broadcast
+/// and end-of-loop join.
+pub fn general3_until<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) -> Step + Sync,
-{
-    general3_until_rec(pool, list, cfg, &NoopRecorder, body)
-}
-
-/// [`general3_until`] with observability: each lock-free claim, private
-/// cursor catch-up (the `next()` hops with their measured cost), body
-/// execution, QUIT broadcast and end-of-loop join are reported to `rec`.
-/// With [`NoopRecorder`] — which is what [`general3_until`] passes — every
-/// probe compiles away.
-pub fn general3_until_rec<T, B, R>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    rec: &R,
+    cfg: GeneralConfig<'_, R>,
     body: B,
 ) -> GeneralOutcome
 where
@@ -371,6 +370,7 @@ where
     B: Fn(usize, NodeId) -> Step + Sync,
     R: Recorder,
 {
+    let rec = cfg.rec;
     let upper = cfg.upper.unwrap_or(usize::MAX);
     let len = list.len();
     let claim = AtomicUsize::new(0);
@@ -477,15 +477,16 @@ where
 /// General-3: dynamic self-scheduling without locks — the paper's best
 /// general-recurrence method (Table 2's SPICE row: 4.9× vs General-1's
 /// 2.9× at p = 8).
-pub fn general3<T, B>(
+pub fn general3<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
+    cfg: GeneralConfig<'_, R>,
     body: B,
 ) -> GeneralOutcome
 where
     T: Sync,
     B: Fn(usize, NodeId) + Sync,
+    R: Recorder,
 {
     general3_until(pool, list, cfg, |i, n| {
         body(i, n);
@@ -521,7 +522,7 @@ where
 }
 
 /// Fault-tolerant General-3 (the Section 5 exception rule applied to the
-/// list strategies): runs [`general3_until_rec`]; on a contained worker
+/// list strategies): runs [`general3_until`]; on a contained worker
 /// panic, emits [`Event::SpecAbort`] with [`AbortReason::Exception`] and
 /// re-executes the surviving loop *sequentially* on the caller's thread
 /// over a guarded cursor. List bodies write each node's private output
@@ -530,11 +531,10 @@ where
 ///
 /// A corrupted (cyclic) list is **not** recoverable by re-execution: the
 /// divergence is reported as-is and the sequential pass is skipped.
-pub fn general3_recovering_rec<T, B, R>(
+pub fn general3_recovering<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
-    cfg: GeneralConfig,
-    rec: &R,
+    cfg: GeneralConfig<'_, R>,
     body: B,
 ) -> GeneralOutcome
 where
@@ -542,7 +542,8 @@ where
     B: Fn(usize, NodeId) -> Step + Sync,
     R: Recorder,
 {
-    let out = general3_until_rec(pool, list, cfg, rec, &body);
+    let rec = cfg.rec;
+    let out = general3_until(pool, list, cfg, &body);
     let Some(panic) = out.panic else {
         return out;
     };
@@ -586,20 +587,6 @@ where
         diverged,
         recovered: true,
     }
-}
-
-/// [`general3_recovering_rec`] without observability.
-pub fn general3_recovering<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) -> Step + Sync,
-{
-    general3_recovering_rec(pool, list, cfg, &NoopRecorder, body)
 }
 
 #[cfg(test)]
@@ -677,7 +664,10 @@ mod tests {
     #[test]
     fn upper_bound_caps_iterations() {
         let list = ListArena::from_values(0..100usize);
-        let cfg = GeneralConfig { upper: Some(30) };
+        let cfg = GeneralConfig {
+            upper: Some(30),
+            ..GeneralConfig::default()
+        };
         for out in [
             general1(&pool(), &list, cfg, |_, _| {}),
             general2(&pool(), &list, cfg, |_, _| {}),
@@ -751,7 +741,7 @@ mod tests {
         let list = ListArena::from_values(0..200usize);
 
         let rec = BufferRecorder::new(4);
-        let out = general3_until_rec(&pool(), &list, GeneralConfig::default(), &rec, |_, _| {
+        let out = general3_until(&pool(), &list, GeneralConfig::recorded(&rec), |_, _| {
             Step::Continue
         });
         let report = ProfileReport::from_trace(&rec.finish());
@@ -767,7 +757,7 @@ mod tests {
         report.check_conservation().expect("laws hold");
 
         let rec = BufferRecorder::new(4);
-        general1_until_rec(&pool(), &list, GeneralConfig::default(), &rec, |_, _| {
+        general1_until(&pool(), &list, GeneralConfig::recorded(&rec), |_, _| {
             Step::Continue
         });
         let report = ProfileReport::from_trace(&rec.finish());
@@ -825,7 +815,10 @@ mod tests {
         let mut list = ListArena::from_values(0..200usize);
         let tail = list.tail().unwrap();
         list.corrupt_link(tail, list.head().unwrap());
-        let cfg = GeneralConfig { upper: Some(100) };
+        let cfg = GeneralConfig {
+            upper: Some(100),
+            ..GeneralConfig::default()
+        };
         for out in [
             general1(&pool(), &list, cfg, |_, _| {}),
             general3(&pool(), &list, cfg, |_, _| {}),
@@ -844,14 +837,13 @@ mod tests {
         let slots: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
         let armed = AtomicBool::new(true);
         let rec = BufferRecorder::new(4);
-        let out =
-            general3_recovering_rec(&pool(), &list, GeneralConfig::default(), &rec, |i, node| {
-                if i == 150 && armed.swap(false, Ordering::SeqCst) {
-                    panic!("transient fault");
-                }
-                slots[i].store(list[node], Ordering::Relaxed);
-                Step::Continue
-            });
+        let out = general3_recovering(&pool(), &list, GeneralConfig::recorded(&rec), |i, node| {
+            if i == 150 && armed.swap(false, Ordering::SeqCst) {
+                panic!("transient fault");
+            }
+            slots[i].store(list[node], Ordering::Relaxed);
+            Step::Continue
+        });
         assert!(out.recovered);
         assert_eq!(out.panic.as_ref().unwrap().message, "transient fault");
         assert_eq!(out.iterations, n, "fallback covers the whole list");

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use wlp_obs::{Event, NoopRecorder, Recorder};
-use wlp_runtime::{doall_dynamic, doall_static_cyclic, parallel_min, Pool, Step, WorkerPanic};
+use wlp_runtime::{doall_with, parallel_min, DoallOptions, DoallOutcome, Pool, Step, WorkerPanic};
 
 /// Result of an induction-method execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,24 +41,16 @@ pub struct InductionOutcome {
 /// Iterations above a processor's local minimum are skipped, but
 /// processors do not learn each other's minima until the final reduction —
 /// the overshoot cost of not having `QUIT`.
-pub fn induction1<TF, BF>(pool: &Pool, upper: usize, term: TF, body: BF) -> InductionOutcome
-where
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, usize) + Sync,
-{
-    induction1_rec(pool, upper, &NoopRecorder, term, body)
-}
-
-/// [`induction1`] with observability: each claim, terminator-only
-/// evaluation (`TermTest`), executed body and the closing join are
-/// reported to `rec`. Terminator evaluations fused with a body are folded
-/// into the body's `IterExecuted` cost, mirroring the simulator's
-/// convention. With [`NoopRecorder`] — which is what [`induction1`]
-/// passes — every probe compiles away.
-pub fn induction1_rec<TF, BF, R>(
+///
+/// `opts.rec` is told each claim, terminator-only evaluation (`TermTest`),
+/// executed body and the closing join. Terminator evaluations fused with a
+/// body are folded into the body's `IterExecuted` cost, mirroring the
+/// simulator's convention. With the default [`wlp_obs::NoopRecorder`]
+/// every probe compiles away.
+pub fn induction1<TF, BF, R>(
     pool: &Pool,
     upper: usize,
-    rec: &R,
+    opts: DoallOptions<'_, R>,
     term: TF,
     body: BF,
 ) -> InductionOutcome
@@ -70,94 +62,55 @@ where
     let l: Vec<AtomicUsize> = (0..pool.size())
         .map(|_| AtomicUsize::new(usize::MAX))
         .collect();
-    let executed = AtomicU64::new(0);
-    let out = doall_dynamic(pool, upper, |i, vpn| {
-        if R::ENABLED {
-            rec.record(
-                vpn,
-                Event::IterClaimed {
-                    iter: i as u64,
-                    cost: 0,
-                },
-            );
-        }
-        if l[vpn].load(Ordering::Relaxed) > i {
-            let t0 = R::ENABLED.then(Instant::now);
-            if term(i) {
+    let (out, executed) = induction_doall(pool, upper, opts, false, |i, vpn| {
+        // iterations above the local minimum are claimed, but neither
+        // tested nor run
+        (l[vpn].load(Ordering::Relaxed) > i).then(|| {
+            let hit = term(i);
+            if hit {
                 l[vpn].store(i, Ordering::Relaxed);
-                if R::ENABLED {
-                    let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    rec.record(
-                        vpn,
-                        Event::TermTest {
-                            iter: i as u64,
-                            cost,
-                        },
-                    );
-                }
             } else {
                 body(i, vpn);
-                executed.fetch_add(1, Ordering::Relaxed);
-                if R::ENABLED {
-                    let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    rec.record(
-                        vpn,
-                        Event::IterExecuted {
-                            iter: i as u64,
-                            cost,
-                        },
-                    );
-                }
             }
-        }
-        Step::Continue
+            hit
+        })
     });
-    if R::ENABLED {
-        for proc in 0..pool.size() {
-            rec.record(proc, Event::Barrier { cost: 0 });
-        }
-    }
     let minima: Vec<usize> = l.iter().map(|a| a.load(Ordering::Relaxed)).collect();
     let li = parallel_min(pool, &minima).filter(|&m| m != usize::MAX);
     InductionOutcome {
         last_valid: li,
-        executed: executed.load(Ordering::Relaxed),
+        executed,
         max_started: out.max_started,
         panic: out.panic,
     }
 }
 
 /// Induction-2: DOALL with the software `QUIT` — iterations larger than the
-/// smallest quitting one are not begun. Ordered (dynamic) issue.
+/// smallest quitting one are not begun. Issue is ordered (dynamic) by
+/// default; [`IssueOrder::Cyclic`](wlp_runtime::IssueOrder::Cyclic) in
+/// `opts.order` gives the static assignment the paper contrasts against it
+/// (iteration `i` on processor `i mod p`) — same semantics, potentially
+/// larger spans of overshot iterations.
+///
+/// `opts.rec` is told each claim, terminator-only evaluation, executed
+/// body, QUIT broadcast and the closing join.
 ///
 /// ```
 /// use wlp_core::induction::induction2;
-/// use wlp_runtime::Pool;
+/// use wlp_runtime::{DoallOptions, Pool};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// // while !(i*i > 1000) { work(i) } — an RI threshold terminator
 /// let sum = AtomicU64::new(0);
-/// let out = induction2(&Pool::new(4), 1_000_000, |i| i * i > 1000,
+/// let out = induction2(&Pool::new(4), 1_000_000, DoallOptions::default(), |i| i * i > 1000,
 ///     |i, _vpn| { sum.fetch_add(i as u64, Ordering::Relaxed); });
 /// assert_eq!(out.last_valid, Some(32));          // 32² = 1024
 /// assert_eq!(sum.load(Ordering::Relaxed), (0..32).sum::<u64>());
 /// ```
-pub fn induction2<TF, BF>(pool: &Pool, upper: usize, term: TF, body: BF) -> InductionOutcome
-where
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, usize) + Sync,
-{
-    induction2_rec(pool, upper, &NoopRecorder, term, body)
-}
-
-/// [`induction2`] with observability: each claim, terminator-only
-/// evaluation, executed body, QUIT broadcast and the closing join are
-/// reported to `rec`. With [`NoopRecorder`] — which is what
-/// [`induction2`] passes — every probe compiles away.
-pub fn induction2_rec<TF, BF, R>(
+pub fn induction2<TF, BF, R>(
     pool: &Pool,
     upper: usize,
-    rec: &R,
+    opts: DoallOptions<'_, R>,
     term: TF,
     body: BF,
 ) -> InductionOutcome
@@ -166,84 +119,83 @@ where
     BF: Fn(usize, usize) + Sync,
     R: Recorder,
 {
-    let executed = AtomicU64::new(0);
-    let out = doall_dynamic(pool, upper, |i, vpn| {
-        if R::ENABLED {
-            rec.record(
-                vpn,
-                Event::IterClaimed {
-                    iter: i as u64,
-                    cost: 0,
-                },
-            );
-        }
-        let t0 = R::ENABLED.then(Instant::now);
-        if term(i) {
-            if R::ENABLED {
-                let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(
-                    vpn,
-                    Event::TermTest {
-                        iter: i as u64,
-                        cost,
-                    },
-                );
-                rec.record(vpn, Event::Quit { iter: i as u64 });
-            }
-            Step::Quit
-        } else {
+    let (out, executed) = induction_doall(pool, upper, opts, true, |i, vpn| {
+        let hit = term(i);
+        if !hit {
             body(i, vpn);
-            executed.fetch_add(1, Ordering::Relaxed);
-            if R::ENABLED {
-                let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(
-                    vpn,
-                    Event::IterExecuted {
-                        iter: i as u64,
-                        cost,
-                    },
-                );
-            }
-            Step::Continue
         }
+        Some(hit)
     });
-    if R::ENABLED {
-        for proc in 0..pool.size() {
-            rec.record(proc, Event::Barrier { cost: 0 });
-        }
-    }
     InductionOutcome {
         last_valid: out.quit,
-        executed: executed.load(Ordering::Relaxed),
+        executed,
         max_started: out.max_started,
         panic: out.panic,
     }
 }
 
-/// Induction-2 with a static cyclic schedule (iteration `i` on processor
-/// `i mod p`): the assignment the paper contrasts against dynamic issue —
-/// same semantics, potentially larger spans of overshot iterations.
-pub fn induction2_static<TF, BF>(pool: &Pool, upper: usize, term: TF, body: BF) -> InductionOutcome
-where
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, usize) + Sync,
-{
+/// The DOALL both induction methods run, with their shared event
+/// accounting. `iteration(i, vpn)` returns `None` for an iteration it
+/// skipped, else whether the terminator held (the body ran iff it did
+/// not); `quit` is the one difference between the methods — whether a
+/// terminator hit issues `QUIT`. Returns the DOALL's outcome and the number
+/// of bodies executed.
+fn induction_doall<R: Recorder>(
+    pool: &Pool,
+    upper: usize,
+    opts: DoallOptions<'_, R>,
+    quit: bool,
+    iteration: impl Fn(usize, usize) -> Option<bool> + Sync,
+) -> (DoallOutcome, u64) {
+    let rec = opts.rec;
     let executed = AtomicU64::new(0);
-    let out = doall_static_cyclic(pool, upper, |i, vpn| {
-        if term(i) {
-            Step::Quit
-        } else {
-            body(i, vpn);
-            executed.fetch_add(1, Ordering::Relaxed);
-            Step::Continue
+    // this layer records its own per-iteration events (a terminator hit is
+    // a `TermTest`, not an executed body), so the DOALL runs unobserved
+    let issue = DoallOptions {
+        order: opts.order,
+        rec: &NoopRecorder,
+    };
+    let out = doall_with(
+        pool,
+        upper,
+        issue,
+        |vpn| vpn,
+        |i, &mut vpn| {
+            let iter = i as u64;
+            if R::ENABLED {
+                rec.record(vpn, Event::IterClaimed { iter, cost: 0 });
+            }
+            let t0 = R::ENABLED.then(Instant::now);
+            let Some(hit) = iteration(i, vpn) else {
+                return Step::Continue;
+            };
+            if !hit {
+                executed.fetch_add(1, Ordering::Relaxed);
+            }
+            if R::ENABLED {
+                let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                if hit {
+                    rec.record(vpn, Event::TermTest { iter, cost });
+                } else {
+                    rec.record(vpn, Event::IterExecuted { iter, cost });
+                }
+                if hit && quit {
+                    rec.record(vpn, Event::Quit { iter });
+                }
+            }
+            if hit && quit {
+                Step::Quit
+            } else {
+                Step::Continue
+            }
+        },
+    );
+    if R::ENABLED {
+        for proc in 0..pool.size() {
+            rec.record(proc, Event::Barrier { cost: 0 });
         }
-    });
-    InductionOutcome {
-        last_valid: out.quit,
-        executed: executed.load(Ordering::Relaxed),
-        max_started: out.max_started,
-        panic: out.panic,
     }
+    (out, executed.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -258,7 +210,13 @@ mod tests {
 
     #[test]
     fn induction1_finds_last_valid_iteration() {
-        let out = induction1(&pool(), 10_000, |i| i >= 137, |_, _| {});
+        let out = induction1(
+            &pool(),
+            10_000,
+            DoallOptions::default(),
+            |i| i >= 137,
+            |_, _| {},
+        );
         assert_eq!(out.last_valid, Some(137));
     }
 
@@ -268,6 +226,7 @@ mod tests {
         let out = induction1(
             &pool(),
             1000,
+            DoallOptions::default(),
             |i| i >= 600,
             |i, _| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
@@ -285,14 +244,20 @@ mod tests {
 
     #[test]
     fn induction1_no_termination_runs_full_range() {
-        let out = induction1(&pool(), 500, |_| false, |_, _| {});
+        let out = induction1(&pool(), 500, DoallOptions::default(), |_| false, |_, _| {});
         assert_eq!(out.last_valid, None);
         assert_eq!(out.executed, 500);
     }
 
     #[test]
     fn induction2_quits_early() {
-        let out = induction2(&pool(), 1_000_000, |i| i >= 50, |_, _| {});
+        let out = induction2(
+            &pool(),
+            1_000_000,
+            DoallOptions::default(),
+            |i| i >= 50,
+            |_, _| {},
+        );
         assert_eq!(out.last_valid, Some(50));
         assert_eq!(out.executed, 50, "exactly the valid bodies ran");
         // QUIT bounds issue tightly compared to the 1M range
@@ -302,9 +267,14 @@ mod tests {
     #[test]
     fn induction2_static_matches_semantics() {
         let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
-        let out = induction2_static(
+        let cyclic = DoallOptions {
+            order: wlp_runtime::IssueOrder::Cyclic,
+            ..DoallOptions::default()
+        };
+        let out = induction2(
             &pool(),
             1000,
+            cyclic,
             |i| i >= 300,
             |i, _| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
@@ -322,6 +292,7 @@ mod tests {
         let out = induction2(
             &pool(),
             1000,
+            DoallOptions::default(),
             |_| false,
             |i, _| {
                 if i == 77 {
@@ -337,6 +308,7 @@ mod tests {
         let out = induction1(
             &pool(),
             1000,
+            DoallOptions::default(),
             |_| false,
             |i, _| {
                 if i == 77 {
@@ -350,8 +322,20 @@ mod tests {
     #[test]
     fn induction_methods_agree_on_last_valid() {
         for exit in [0usize, 1, 7, 99] {
-            let a = induction1(&pool(), 200, move |i| i >= exit, |_, _| {});
-            let b = induction2(&pool(), 200, move |i| i >= exit, |_, _| {});
+            let a = induction1(
+                &pool(),
+                200,
+                DoallOptions::default(),
+                move |i| i >= exit,
+                |_, _| {},
+            );
+            let b = induction2(
+                &pool(),
+                200,
+                DoallOptions::default(),
+                move |i| i >= exit,
+                |_, _| {},
+            );
             assert_eq!(a.last_valid, Some(exit));
             assert_eq!(b.last_valid, Some(exit));
         }
@@ -367,6 +351,7 @@ mod tests {
         let out = induction1(
             &pool(),
             1000,
+            DoallOptions::default(),
             |i| flag[i].load(Ordering::Relaxed) == 1 && i >= 400,
             |i, _| {
                 flag[i].store(1, Ordering::Relaxed);

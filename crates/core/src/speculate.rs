@@ -29,7 +29,8 @@ use std::time::Instant;
 use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
 use wlp_pd::{copy_out_last_values, IterMarker, PdVerdict, Shadow, TrailSet};
 use wlp_runtime::{
-    doall_dynamic, doall_dynamic_chunked, doall_dynamic_with, ChunkPolicy, Pool, Step,
+    doall_dynamic, doall_windowed, doall_with, ChunkPolicy, DoallOptions, DoallOutcome, IssueOrder,
+    Pool, Step, WorkerTimeout,
 };
 
 /// An undo-log budget for one speculative attempt: a cap on the number of
@@ -263,45 +264,30 @@ where
     TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
 {
-    speculative_while_rec(pool, upper, arr, &NoopRecorder, term, body)
+    speculative_while_with(pool, upper, arr, DoallOptions::default(), term, body)
 }
 
-/// [`speculative_while`] with a self-scheduling [`ChunkPolicy`]: the
-/// underlying DOALL claims chunks of iterations instead of one at a time,
+/// [`speculative_while`] under explicit [`DoallOptions`].
+///
+/// `opts.order` is how the underlying DOALL issues iterations: a
+/// [`ChunkPolicy`] claims chunks of iterations instead of one at a time,
 /// trading shared-counter traffic for a wider in-flight span. Under an RV
-/// terminator the extra span means more overshoot to undo on commit —
-/// the chunk size is the knob the paper's `T_a` analysis prices.
-pub fn speculative_while_chunked<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    policy: ChunkPolicy,
-    arr: &SpeculativeArray<T>,
-    term: TF,
-    body: BF,
-) -> SpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    speculative_while_chunked_rec(pool, upper, policy, arr, &NoopRecorder, term, body)
-}
-
-/// [`speculative_while`] with observability: the checkpoint volume
-/// (`Backup`), each claim, terminator-only evaluation, executed body and
-/// QUIT, the PD analysis (`PdAnalyze`, via
-/// [`Shadow::analyze_rec`](wlp_pd::Shadow::analyze_rec)), every restore
-/// (`UndoRestore`) and the final `SpecCommit`/`SpecAbort` verdict are
-/// reported to `rec`. Sequential re-execution after an abort is *not*
-/// recorded as busy time: it happens on the calling thread and shows up
-/// as idle in the profile, exactly like the paper's serial fallback.
-/// With [`NoopRecorder`] — which is what [`speculative_while`] passes —
-/// every probe compiles away.
-pub fn speculative_while_rec<T, TF, BF, R>(
+/// terminator the extra span means more overshoot to undo on commit — the
+/// chunk size is the knob the paper's `T_a` analysis prices.
+///
+/// `opts.rec` is told the checkpoint volume (`Backup`), each claim,
+/// terminator-only evaluation, executed body and QUIT, the PD analysis
+/// (`PdAnalyze`, via [`Shadow::analyze_rec`]), every restore
+/// (`UndoRestore`) and the final `SpecCommit`/`SpecAbort` verdict.
+/// Sequential re-execution after an abort is *not* recorded as busy time:
+/// it happens on the calling thread and shows up as idle in the profile,
+/// exactly like the paper's serial fallback. With [`NoopRecorder`] —
+/// which is what [`speculative_while`] passes — every probe compiles away.
+pub fn speculative_while_with<T, TF, BF, R>(
     pool: &Pool,
     upper: usize,
     arr: &SpeculativeArray<T>,
-    rec: &R,
+    opts: DoallOptions<'_, R>,
     term: TF,
     body: BF,
 ) -> SpecOutcome
@@ -311,116 +297,230 @@ where
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
     R: Recorder,
 {
-    speculative_while_chunked_rec(pool, upper, ChunkPolicy::One, arr, rec, term, body)
+    let rec = opts.rec;
+    record_backup(rec, arr.len());
+    let tally = RegionTally::default();
+    // this layer records its own per-iteration events (a terminator hit is
+    // a `TermTest`, not an executed body), so the DOALL runs unobserved
+    let issue = DoallOptions {
+        order: opts.order,
+        rec: &NoopRecorder,
+    };
+    let out = doall_with(
+        pool,
+        upper,
+        issue,
+        |vpn| vpn,
+        |i, vpn| {
+            if arr.budget_exceeded() {
+                // Stop issuing; `settle` rolls everything back. No events:
+                // this is not a terminator hit.
+                return Step::Quit;
+            }
+            spec_iteration(rec, &tally, (i, *vpn), &mut arr.access(i), &term, &body)
+        },
+    );
+    settle(pool, arr, tally.attempt(out), rec, || {
+        run_sequential(upper, arr, &term, &body)
+    })
 }
 
-/// [`speculative_while_chunked`] with observability — the fully general
-/// driver the other `speculative_while*` entry points delegate to.
-#[allow(clippy::too_many_arguments)] // the superset driver: pool, range, policy, data, probe, loop
-pub fn speculative_while_chunked_rec<T, TF, BF, R>(
+/// [`speculative_while`] under the Section 8.2 sliding window: the span of
+/// in-flight iterations never exceeds `window`, so at most `window ×`
+/// (writes per iteration) time-stamps are live and RV overshoot is bounded
+/// by the window — the resource-controlled variant of speculation. Reports
+/// to `rec` like [`speculative_while_with`]; returns the outcome and the
+/// maximum span observed.
+pub fn speculative_while_windowed<T, TF, BF, R>(
     pool: &Pool,
     upper: usize,
-    policy: ChunkPolicy,
+    window: usize,
     arr: &SpeculativeArray<T>,
     rec: &R,
     term: TF,
     body: BF,
-) -> SpecOutcome
+) -> (SpecOutcome, usize)
 where
     T: Copy + Send + Sync,
     TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
     R: Recorder,
 {
+    record_backup(rec, arr.len());
+    let tally = RegionTally::default();
+    let (out, span) = doall_windowed(pool, upper, window, &NoopRecorder, |i, vpn| {
+        if arr.budget_exceeded() {
+            return Step::Quit;
+        }
+        spec_iteration(rec, &tally, (i, vpn), &mut arr.access(i), &term, &body)
+    });
+    let outcome = settle(pool, arr, tally.attempt(out), rec, || {
+        run_sequential(upper, arr, &term, &body)
+    });
+    (outcome, span)
+}
+
+/// The checkpoint copy happened when the array was built; its volume is
+/// charged when the attempt starts, so the report sees the backup side of
+/// `Tb`.
+fn record_backup<R: Recorder>(rec: &R, elems: usize) {
     if R::ENABLED {
-        // the checkpoint copy happened when the array was built; charge
-        // its volume here so the report sees the backup side of Tb
         rec.record(
             0,
             Event::Backup {
-                elems: arr.len() as u64,
+                elems: elems as u64,
                 cost: 0,
             },
         );
     }
-    let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
+}
 
-    let out = doall_dynamic_chunked(pool, upper, policy, |i, vpn| {
-        if arr.budget_exceeded() {
-            // Stop issuing; the budget-abort path below rolls everything
-            // back. No events: this is not a terminator hit.
-            return Step::Quit;
+/// The shared counters of one speculative region.
+#[derive(Default)]
+struct RegionTally {
+    /// A body panicked (or reported an error).
+    exception: AtomicBool,
+    /// Bodies executed (valid + overshot).
+    executed: AtomicU64,
+}
+
+impl RegionTally {
+    /// What the drained region `out` amounts to. The runtime-level catch
+    /// is the backstop: a panic that escapes the per-body catch (e.g.
+    /// inside a probe) still counts as an exception.
+    fn attempt(&self, out: DoallOutcome) -> Attempt {
+        Attempt {
+            timeout: out.timeout,
+            exception: self.exception.load(Ordering::Acquire) || out.panic.is_some(),
+            last_valid: out.quit,
+            executed: self.executed.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One speculative iteration — terminator first, then the body — with its
+/// events, under its own `catch_unwind`: an exception stops issue like a
+/// QUIT and marks the region for the sequential fallback.
+fn spec_iteration<A, R: Recorder>(
+    rec: &R,
+    tally: &RegionTally,
+    (i, vpn): (usize, usize),
+    acc: &mut A,
+    term: &impl Fn(usize, &mut A) -> bool,
+    body: &impl Fn(usize, &mut A),
+) -> Step {
+    if R::ENABLED {
+        rec.record(
+            vpn,
+            Event::IterClaimed {
+                iter: i as u64,
+                cost: 0,
+            },
+        );
+    }
+    let t0 = R::ENABLED.then(Instant::now);
+    let step = catch_unwind(AssertUnwindSafe(|| {
+        if term(i, acc) {
+            Step::Quit
+        } else {
+            body(i, acc);
+            tally.executed.fetch_add(1, Ordering::Relaxed);
+            Step::Continue
+        }
+    }));
+    let Ok(step) = step else {
+        tally.exception.store(true, Ordering::Release);
         if R::ENABLED {
-            rec.record(
-                vpn,
-                Event::IterClaimed {
-                    iter: i as u64,
-                    cost: 0,
-                },
-            );
+            rec.record(vpn, Event::Quit { iter: i as u64 });
         }
-        let mut acc = arr.access(i);
-        let t0 = R::ENABLED.then(Instant::now);
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
+        return Step::Quit;
+    };
+    if R::ENABLED {
+        let iter = i as u64;
+        let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         match step {
-            Ok(Step::Quit) => {
-                if R::ENABLED {
-                    let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    rec.record(
-                        vpn,
-                        Event::TermTest {
-                            iter: i as u64,
-                            cost,
-                        },
-                    );
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
-                Step::Quit
+            Step::Quit => {
+                rec.record(vpn, Event::TermTest { iter, cost });
+                rec.record(vpn, Event::Quit { iter });
             }
-            Ok(s) => {
-                if R::ENABLED {
-                    let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    rec.record(
-                        vpn,
-                        Event::IterExecuted {
-                            iter: i as u64,
-                            cost,
-                        },
-                    );
-                }
-                s
-            }
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                if R::ENABLED {
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
-                Step::Quit
-            }
+            Step::Continue => rec.record(vpn, Event::IterExecuted { iter, cost }),
         }
-    });
+    }
+    step
+}
 
-    // the runtime-level catch is the backstop: a panic that escapes the
-    // per-body catch (e.g. inside a probe) still aborts the speculation
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let last_valid = out.quit;
+/// What [`settle`] is told about a drained speculative region.
+struct Attempt {
+    /// The watchdog verdict, if the region overran its deadline.
+    timeout: Option<WorkerTimeout>,
+    /// A body panicked or reported an error.
+    exception: bool,
+    /// The region's QUIT bound: the first iteration that met the
+    /// terminator.
+    last_valid: Option<usize>,
+    /// Bodies executed (valid + overshot).
+    executed: u64,
+}
 
-    // A watchdog expiry, a contained panic, or an exhausted budget all
-    // invalidate the parallel attempt the same way — restore the
-    // checkpoint, re-execute sequentially — but are *attributed*
-    // differently, in that precedence order (a timed-out region may also
-    // carry panics from its drain; the timeout caused them to surface).
-    let invalid = if let Some(to) = &out.timeout {
+/// What [`settle`] needs from the data a speculative region ran against.
+trait SpecStore {
+    /// The undo-log budget tripped during the region.
+    fn budget_exceeded(&self) -> bool;
+    /// The PD test over the marks of iterations up to `last_valid`.
+    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict;
+    /// Whether `verdict` lets the parallel result stand.
+    fn validates(&self, verdict: &PdVerdict) -> bool {
+        verdict.doall
+    }
+    /// Invalid attempt: every written element goes back to its checkpoint.
+    /// Returns the element volume the restore is charged.
+    fn restore_all(&self) -> usize;
+    /// Valid attempt: the writes of iterations past `last_valid` are
+    /// undone (or, for private copies, the valid last values copied out).
+    /// Returns the elements touched.
+    fn keep(self, last_valid: Option<usize>) -> usize;
+}
+
+impl<T: Copy + Send + Sync> SpecStore for &SpeculativeArray<T> {
+    fn budget_exceeded(&self) -> bool {
+        SpeculativeArray::budget_exceeded(self)
+    }
+    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict {
+        self.shadow.analyze_rec(pool, last_valid, 16, rec)
+    }
+    fn restore_all(&self) -> usize {
+        self.versioned.restore_all();
+        self.len()
+    }
+    fn keep(self, last_valid: Option<usize>) -> usize {
+        last_valid.map_or(0, |li| self.versioned.undo_past(li))
+    }
+}
+
+/// The one tail every speculative driver ends in (Section 5): classify the
+/// drained region, and either throw the parallel attempt away — restore,
+/// re-execute sequentially through `rerun`, which returns the exit it
+/// found — or keep it, minus the overshoot.
+///
+/// A watchdog expiry, a contained exception and an exhausted budget all
+/// invalidate the attempt the same way, but are *attributed* differently,
+/// in that precedence order (a timed-out region may also carry panics
+/// from its drain; the timeout caused them to surface). Only an attempt
+/// that survives all three is PD-tested.
+fn settle<S: SpecStore, R: Recorder>(
+    pool: &Pool,
+    store: S,
+    attempt: Attempt,
+    rec: &R,
+    rerun: impl FnOnce() -> Option<usize>,
+) -> SpecOutcome {
+    let Attempt {
+        timeout,
+        exception,
+        last_valid,
+        executed,
+    } = attempt;
+    let early_abort = if let Some(to) = &timeout {
         if R::ENABLED {
             rec.record(
                 to.vpn,
@@ -431,232 +531,68 @@ where
             );
         }
         Some(AbortReason::Timeout)
-    } else if had_exception {
+    } else if exception {
         Some(AbortReason::Exception)
-    } else if arr.budget_exceeded() {
+    } else if store.budget_exceeded() {
         Some(AbortReason::Budget)
     } else {
         None
     };
-    if let Some(reason) = invalid {
-        let u0 = R::ENABLED.then(Instant::now);
-        arr.versioned.restore_all();
+    let verdict = early_abort
+        .is_none()
+        .then(|| store.analyze(pool, last_valid, rec));
+
+    let u0 = R::ENABLED.then(Instant::now);
+    let undo_cost = || u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    let valid = verdict.as_ref().is_some_and(|v| store.validates(v));
+    let (abort, last_valid, undone) = if valid {
+        // undo only the overshot iterations
+        let undone = store.keep(last_valid);
         if R::ENABLED {
-            let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            if undone > 0 {
+                let (elems, cost) = (undone as u64, undo_cost());
+                rec.record(0, Event::UndoRestore { elems, cost });
+            }
+            // every iteration below the exit executed a body, so the kept
+            // share is exactly `last_valid` (or everything, with no exit)
+            let committed = last_valid.map_or(executed, |li| (li as u64).min(executed));
             rec.record(
                 0,
-                Event::UndoRestore {
-                    elems: arr.len() as u64,
-                    cost,
+                Event::SpecCommit {
+                    committed,
+                    undone: executed - committed,
                 },
             );
+        }
+        (None, last_valid, undone)
+    } else {
+        // cross-iteration dependences, or no verdict at all: the parallel
+        // result is invalid
+        let reason = early_abort.unwrap_or(AbortReason::Dependence);
+        let elems = store.restore_all() as u64;
+        if R::ENABLED {
+            let cost = undo_cost();
+            rec.record(0, Event::UndoRestore { elems, cost });
             rec.record(
                 0,
                 Event::SpecAbort {
                     reason,
-                    discarded: executed.load(Ordering::Relaxed),
+                    discarded: executed,
                 },
             );
         }
-        let lv = run_sequential(upper, arr, &term, &body);
-        return SpecOutcome {
-            verdict: None,
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: had_exception,
-            abort: Some(reason),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone: 0,
-        };
-    }
-
-    let verdict = arr.shadow.analyze_rec(pool, last_valid, 16, rec);
-    if !verdict.doall {
-        // cross-iteration dependences: the parallel result is invalid
-        let u0 = R::ENABLED.then(Instant::now);
-        arr.versioned.restore_all();
-        if R::ENABLED {
-            let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            rec.record(
-                0,
-                Event::UndoRestore {
-                    elems: arr.len() as u64,
-                    cost,
-                },
-            );
-            rec.record(
-                0,
-                Event::SpecAbort {
-                    reason: AbortReason::Dependence,
-                    discarded: executed.load(Ordering::Relaxed),
-                },
-            );
-        }
-        let lv = run_sequential(upper, arr, &term, &body);
-        return SpecOutcome {
-            verdict: Some(verdict),
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: false,
-            abort: Some(AbortReason::Dependence),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone: 0,
-        };
-    }
-
-    // valid: undo only the overshot iterations
-    let u0 = R::ENABLED.then(Instant::now);
-    let undone = match last_valid {
-        Some(li) => arr.versioned.undo_past(li),
-        None => 0,
+        (Some(reason), rerun(), 0)
     };
-    if R::ENABLED {
-        let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        if undone > 0 {
-            rec.record(
-                0,
-                Event::UndoRestore {
-                    elems: undone as u64,
-                    cost,
-                },
-            );
-        }
-        // every iteration below the exit executed a body, so the kept
-        // share is exactly `last_valid` (or everything, with no exit)
-        let exec = executed.load(Ordering::Relaxed);
-        let committed = last_valid.map_or(exec, |li| (li as u64).min(exec));
-        rec.record(
-            0,
-            Event::SpecCommit {
-                committed,
-                undone: exec - committed,
-            },
-        );
-    }
     SpecOutcome {
-        verdict: Some(verdict),
-        committed_parallel: true,
-        reexecuted_sequentially: false,
-        exception: false,
-        abort: None,
+        verdict,
+        committed_parallel: valid,
+        reexecuted_sequentially: !valid,
+        exception,
+        abort,
         last_valid,
-        executed_parallel: executed.load(Ordering::Relaxed),
+        executed_parallel: executed,
         undone,
     }
-}
-
-/// [`speculative_while`] under the Section 8.2 sliding window: the span of
-/// in-flight iterations never exceeds `window`, so at most `window ×`
-/// (writes per iteration) time-stamps are live and RV overshoot is bounded
-/// by the window — the resource-controlled variant of speculation. Returns
-/// the outcome and the maximum span observed.
-pub fn speculative_while_windowed<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    window: usize,
-    arr: &SpeculativeArray<T>,
-    term: TF,
-    body: BF,
-) -> (SpecOutcome, usize)
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
-
-    let (out, span) = wlp_runtime::doall_windowed(pool, upper, window, |i, _vpn| {
-        if arr.budget_exceeded() {
-            return Step::Quit;
-        }
-        let mut acc = arr.access(i);
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
-        match step {
-            Ok(s) => s,
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                Step::Quit
-            }
-        }
-    });
-
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let last_valid = out.quit;
-
-    let invalid = if out.timeout.is_some() {
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if arr.budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-    if let Some(reason) = invalid {
-        arr.versioned.restore_all();
-        let lv = run_sequential(upper, arr, &term, &body);
-        return (
-            SpecOutcome {
-                verdict: None,
-                committed_parallel: false,
-                reexecuted_sequentially: true,
-                exception: had_exception,
-                abort: Some(reason),
-                last_valid: lv,
-                executed_parallel: executed.load(Ordering::Relaxed),
-                undone: 0,
-            },
-            span,
-        );
-    }
-
-    let verdict = arr.shadow.analyze(pool, last_valid, 16);
-    if !verdict.doall {
-        arr.versioned.restore_all();
-        let lv = run_sequential(upper, arr, &term, &body);
-        return (
-            SpecOutcome {
-                verdict: Some(verdict),
-                committed_parallel: false,
-                reexecuted_sequentially: true,
-                exception: false,
-                abort: Some(AbortReason::Dependence),
-                last_valid: lv,
-                executed_parallel: executed.load(Ordering::Relaxed),
-                undone: 0,
-            },
-            span,
-        );
-    }
-
-    let undone = match last_valid {
-        Some(li) => arr.versioned.undo_past(li),
-        None => 0,
-    };
-    (
-        SpecOutcome {
-            verdict: Some(verdict),
-            committed_parallel: true,
-            reexecuted_sequentially: false,
-            exception: false,
-            abort: None,
-            last_valid,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone,
-        },
-        span,
-    )
 }
 
 /// How one array takes part in a speculative group: exactly the machinery
@@ -897,23 +833,25 @@ where
         stamped: AtomicU64::new(0),
     });
     let budget = budget.as_ref();
-    let over_budget = || budget.is_some_and(|b| b.exceeded());
-    let faulted = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
+    let tally = RegionTally::default();
 
-    let out = doall_dynamic_with(
+    let opts = DoallOptions {
+        order: IssueOrder::Dynamic(ChunkPolicy::Fixed(GROUP_CHUNK)),
+        rec: &NoopRecorder,
+    };
+    let out = doall_with(
         pool,
         upper,
-        ChunkPolicy::Fixed(GROUP_CHUNK),
+        opts,
         |_vpn| {
             let bodies = Tally {
                 local: 0,
-                total: &executed,
+                total: &tally.executed,
             };
             (GroupAccess::new(arrays, budget, true), init(), bodies)
         },
         |i, (acc, scratch, bodies)| {
-            if over_budget() {
+            if budget.is_some_and(|b| b.exceeded()) {
                 return Step::Quit;
             }
             acc.begin(i);
@@ -924,103 +862,88 @@ where
                 }
                 Ok(Step::Quit) => Step::Quit,
                 Err(_) => {
-                    faulted.store(true, Ordering::Release);
+                    // like a contained panic: the attempt is void
+                    tally.exception.store(true, Ordering::Release);
                     Step::Quit
                 }
             }
         },
     );
 
-    // a panicking body is contained by the region (`out.panic`); an `Err`
-    // body raised `faulted` — both invalidate the attempt the same way
-    let had_exception = faulted.load(Ordering::Acquire) || out.panic.is_some();
-    let last_valid = out.quit;
-    let executed = executed.load(Ordering::Relaxed);
-    // an unstamped array cannot undo selectively: its loop was declared
-    // unable to overshoot, and if it did anyway the attempt is void
-    let overshot = last_valid.is_some_and(|li| executed > li as u64);
+    let attempt = tally.attempt(out);
+    let overshot = attempt
+        .last_valid
+        .is_some_and(|li| attempt.executed > li as u64);
     let unstamped = arrays
         .iter()
         .any(|a| a.versioned().is_some_and(|v| !v.is_stamped()));
-    let early_abort = if out.timeout.is_some() {
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if over_budget() {
-        Some(AbortReason::Budget)
-    } else if overshot && unstamped {
-        Some(AbortReason::Dependence)
-    } else {
-        None
+    let store = GroupStore {
+        arrays,
+        budget,
+        void: overshot && unstamped,
     };
+    let mut fault = None;
+    let outcome = settle(pool, store, attempt, &NoopRecorder, || {
+        let mut acc = GroupAccess::new(arrays, None, false);
+        let mut scratch = init();
+        for i in 0..upper {
+            acc.begin(i);
+            match iteration(i, &mut scratch, &mut acc) {
+                Ok(Step::Continue) => {}
+                Ok(Step::Quit) => return Some(i),
+                Err(error) => {
+                    fault = Some(GroupFault { iter: i, error });
+                    break;
+                }
+            }
+        }
+        None
+    });
+    fault.map_or(Ok(outcome), Err)
+}
 
-    // every shadowed array must pass; merge the verdicts
-    let verdict = early_abort.is_none().then(|| {
+/// A speculative group as [`settle`] sees it.
+struct GroupStore<'g, T: Copy> {
+    arrays: &'g [GroupArray<'g, T>],
+    budget: Option<&'g SpecBudget>,
+    /// The region overshot its exit into an unstamped array. Such an array
+    /// cannot undo selectively: its loop was declared unable to overshoot,
+    /// and if it did anyway the attempt is void.
+    void: bool,
+}
+
+impl<T: Copy + Send + Sync> SpecStore for GroupStore<'_, T> {
+    fn budget_exceeded(&self) -> bool {
+        self.budget.is_some_and(|b| b.exceeded())
+    }
+    /// Every shadowed array must pass; the verdicts are merged.
+    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict {
         let mut merged = PdVerdict {
-            doall: true,
-            privatized_doall: true,
+            doall: !self.void,
+            privatized_doall: !self.void,
             conflicts: Vec::new(),
         };
-        for a in arrays {
+        if self.void {
+            return merged;
+        }
+        for a in self.arrays {
             if let GroupArray::Shadowed(s) = a {
-                let v = s.shadow.analyze(pool, last_valid, 16);
+                let v = s.analyze(pool, last_valid, rec);
                 merged.doall &= v.doall;
                 merged.privatized_doall &= v.privatized_doall;
                 merged.conflicts.extend(v.conflicts);
             }
         }
         merged
-    });
-
-    let valid = verdict.as_ref().is_some_and(|v| v.doall);
-    if !valid {
-        for v in arrays.iter().filter_map(GroupArray::versioned) {
-            v.restore_all();
-        }
-        let mut acc = GroupAccess::new(arrays, None, false);
-        let mut scratch = init();
-        let mut lv = None;
-        for i in 0..upper {
-            acc.begin(i);
-            match iteration(i, &mut scratch, &mut acc) {
-                Ok(Step::Continue) => {}
-                Ok(Step::Quit) => {
-                    lv = Some(i);
-                    break;
-                }
-                Err(error) => return Err(GroupFault { iter: i, error }),
-            }
-        }
-        return Ok(SpecOutcome {
-            verdict,
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: had_exception,
-            abort: early_abort.or(Some(AbortReason::Dependence)),
-            last_valid: lv,
-            executed_parallel: executed,
-            undone: 0,
-        });
     }
-
-    let undone = match last_valid {
-        Some(li) => arrays
-            .iter()
-            .filter_map(GroupArray::versioned)
-            .map(|v| v.undo_past(li))
-            .sum(),
-        None => 0,
-    };
-    Ok(SpecOutcome {
-        verdict,
-        committed_parallel: true,
-        reexecuted_sequentially: false,
-        exception: false,
-        abort: None,
-        last_valid,
-        executed_parallel: executed,
-        undone,
-    })
+    fn restore_all(&self) -> usize {
+        let written = self.arrays.iter().filter_map(GroupArray::versioned);
+        written.map(VersionedArray::restore_all).sum()
+    }
+    fn keep(self, last_valid: Option<usize>) -> usize {
+        let written = self.arrays.iter().filter_map(GroupArray::versioned);
+        last_valid.map_or(0, |li| written.map(|v| v.undo_past(li)).sum())
+    }
 }
 
 /// The Section 5 two-pass scheme: "First, the loop is run in parallel to
@@ -1033,10 +956,11 @@ where
 /// an RI condition); pass 2 speculates over the exact valid range with
 /// the ordinary PD test. Dependence failures still fall back to
 /// sequential re-execution.
-pub fn run_twice_speculative<T, TF, BF>(
+pub fn run_twice_speculative<T, TF, BF, R>(
     pool: &Pool,
     upper: usize,
     arr: &SpeculativeArray<T>,
+    rec: &R,
     term: TF,
     body: BF,
 ) -> SpecOutcome
@@ -1044,6 +968,7 @@ where
     T: Copy + Send + Sync,
     TF: Fn(usize) -> bool + Sync,
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
+    R: Recorder,
 {
     // pass 1: terminator-only DOALL with QUIT — finds the trip count
     let pass1 = doall_dynamic(pool, upper, |i, _| {
@@ -1060,31 +985,22 @@ where
     }
     if pass1.timeout.is_some() {
         // the trip count was never determined: nothing speculative to
-        // salvage, run the whole loop sequentially
-        let mut lv = None;
-        for i in 0..upper {
-            if term(i) {
-                lv = Some(i);
-                break;
-            }
-            let mut acc = arr.direct();
-            body(i, &mut acc);
-        }
-        return SpecOutcome {
-            verdict: None,
-            committed_parallel: false,
-            reexecuted_sequentially: true,
+        // salvage, the whole loop runs sequentially
+        let attempt = Attempt {
+            timeout: pass1.timeout,
             exception: false,
-            abort: Some(AbortReason::Timeout),
-            last_valid: lv,
-            executed_parallel: 0,
-            undone: 0,
+            last_valid: None,
+            executed: 0,
         };
+        return settle(pool, arr, attempt, rec, || {
+            run_sequential(upper, arr, &|i, _: &mut SpecAccess<'_, T>| term(i), &body)
+        });
     }
     let end = pass1.quit.unwrap_or(upper);
 
     // pass 2: a known-range speculative DOALL (no overshoot possible)
-    let mut out = speculative_while(pool, end, arr, |_, _| false, body);
+    let opts = DoallOptions::recorded(rec);
+    let mut out = speculative_while_with(pool, end, arr, opts, |_, _| false, body);
     out.last_valid = pass1.quit;
     out
 }
@@ -1131,6 +1047,7 @@ where
     assert!(strip > 0, "strip size must be positive");
     let mut strips_committed = Vec::new();
     let mut executed_parallel = 0u64;
+    let mut last_valid = None;
     let mut lo = 0usize;
     while lo < upper {
         let hi = (lo + strip).min(upper);
@@ -1143,21 +1060,17 @@ where
         );
         executed_parallel += out.executed_parallel;
         strips_committed.push(out.committed_parallel);
-        let strip_exit = out.last_valid;
         // commit the strip (sequential re-execution already wrote direct)
         arr.commit();
-        if let Some(local) = strip_exit {
-            return StripSpecOutcome {
-                strips_committed,
-                last_valid: Some(lo + local),
-                executed_parallel,
-            };
+        if let Some(local) = out.last_valid {
+            last_valid = Some(lo + local);
+            break;
         }
         lo = hi;
     }
     StripSpecOutcome {
         strips_committed,
-        last_valid: None,
+        last_valid,
         executed_parallel,
     }
 }
@@ -1263,8 +1176,7 @@ where
         .map(|_| parking_lot::Mutex::new(HashMap::new()))
         .collect();
     let trail: TrailSet<T> = TrailSet::new(p);
-    let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
+    let tally = RegionTally::default();
 
     let out = doall_dynamic(pool, upper, |i, vpn| {
         if arr.budget_exceeded() {
@@ -1281,73 +1193,49 @@ where
             iter: i,
             pending_charges: 0,
         };
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
-        match step {
-            Ok(s) => s,
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                Step::Quit
-            }
-        }
+        spec_iteration(&NoopRecorder, &tally, (i, vpn), &mut acc, &term, &body)
     });
 
-    let last_valid = out.quit;
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let early_abort = if out.timeout.is_some() {
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if arr.budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-    let verdict = early_abort
-        .is_none()
-        .then(|| arr.shadow.analyze(pool, last_valid, 16));
+    let store = PrivStore { arr, trail };
+    settle(pool, store, tally.attempt(out), &NoopRecorder, || {
+        run_sequential_privatized(upper, arr, &term, &body)
+    })
+}
 
-    let valid = verdict.as_ref().is_some_and(|v| v.privatized_doall);
-    if !valid {
-        // shared data was never touched — no restore needed, just re-run
-        let lv = run_sequential_privatized(upper, arr, &term, &body);
-        return SpecOutcome {
-            verdict,
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: had_exception,
-            abort: early_abort.or(Some(AbortReason::Dependence)),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone: 0,
-        };
-    }
+/// A privatized array and the trail of its private writes, as [`settle`]
+/// sees them.
+struct PrivStore<'a, T: Copy> {
+    arr: &'a SpeculativeArray<T>,
+    trail: TrailSet<T>,
+}
 
-    // copy-out: last value per element with stamp ≤ LI (or any stamp if the
-    // loop ran its full range)
-    let events = trail.into_events();
-    let mut values = arr.versioned.snapshot();
-    let li = last_valid.unwrap_or(usize::MAX - 1);
-    let copied = copy_out_last_values(&events, li, &mut values);
-    for (e, v) in values.into_iter().enumerate() {
-        arr.versioned.write_direct(e, v);
+impl<T: Copy + Send + Sync> SpecStore for PrivStore<'_, T> {
+    fn budget_exceeded(&self) -> bool {
+        self.arr.budget_exceeded()
     }
-    SpecOutcome {
-        verdict,
-        committed_parallel: true,
-        reexecuted_sequentially: false,
-        exception: false,
-        abort: None,
-        last_valid,
-        executed_parallel: executed.load(Ordering::Relaxed),
-        undone: copied, // elements whose value came from the trail
+    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict {
+        self.arr.analyze(pool, last_valid, rec)
+    }
+    fn validates(&self, verdict: &PdVerdict) -> bool {
+        verdict.privatized_doall
+    }
+    /// The shared data was never touched — the original version *is* the
+    /// backup.
+    fn restore_all(&self) -> usize {
+        0
+    }
+    /// Copy-out: the last value per element with stamp ≤ `last_valid` (or
+    /// any stamp if the loop ran its full range). Returns the elements
+    /// whose value came from the trail.
+    fn keep(self, last_valid: Option<usize>) -> usize {
+        let events = self.trail.into_events();
+        let mut values = self.arr.versioned.snapshot();
+        let li = last_valid.unwrap_or(usize::MAX - 1);
+        let copied = copy_out_last_values(&events, li, &mut values);
+        for (e, v) in values.into_iter().enumerate() {
+            self.arr.versioned.write_direct(e, v);
+        }
+        copied
     }
 }
 
@@ -1398,6 +1286,13 @@ mod tests {
 
     fn pool() -> Pool {
         Pool::new(4)
+    }
+
+    fn chunked(policy: ChunkPolicy) -> DoallOptions<'static> {
+        DoallOptions {
+            order: IssueOrder::Dynamic(policy),
+            ..DoallOptions::default()
+        }
     }
 
     #[test]
@@ -1643,7 +1538,14 @@ mod tests {
     #[test]
     fn run_twice_speculative_avoids_overshoot_entirely() {
         let arr = SpeculativeArray::new(vec![0i64; 1000]);
-        let out = run_twice_speculative(&pool(), 1000, &arr, |i| i == 250, |i, a| a.write(i, 1));
+        let out = run_twice_speculative(
+            &pool(),
+            1000,
+            &arr,
+            &NoopRecorder,
+            |i| i == 250,
+            |i, a| a.write(i, 1),
+        );
         assert!(out.committed_parallel);
         assert_eq!(out.last_valid, Some(250));
         assert_eq!(out.undone, 0, "a known-range DOALL cannot overshoot");
@@ -1660,6 +1562,7 @@ mod tests {
             &pool(),
             n,
             &arr,
+            &NoopRecorder,
             |_| false,
             |i, a| {
                 let left = a.read(i);
@@ -1682,6 +1585,7 @@ mod tests {
             2000,
             8,
             &arr,
+            &NoopRecorder,
             |i, _| i == 300,
             |i, a| a.write(i, 1),
         );
@@ -1707,7 +1611,8 @@ mod tests {
         let a1 = SpeculativeArray::new((0..1000i64).collect());
         speculative_while(&pool(), 1000, &a1, term, body);
         let a2 = SpeculativeArray::new((0..1000i64).collect());
-        let (out, _) = speculative_while_windowed(&pool(), 1000, 16, &a2, term, body);
+        let (out, _) =
+            speculative_while_windowed(&pool(), 1000, 16, &a2, &NoopRecorder, term, body);
         assert!(out.committed_parallel);
         assert_eq!(a1.snapshot(), a2.snapshot());
     }
@@ -1943,11 +1848,11 @@ mod tests {
         // committing run with overshoot past the exit at 50
         let arr = SpeculativeArray::new(vec![0i64; 500]);
         let rec = BufferRecorder::new(4);
-        let out = speculative_while_rec(
+        let out = speculative_while_with(
             &pool(),
             500,
             &arr,
-            &rec,
+            DoallOptions::recorded(&rec),
             |i, _| i == 50,
             |i, a| a.write(i, 1),
         );
@@ -1966,11 +1871,11 @@ mod tests {
         let n = 64usize;
         let arr = SpeculativeArray::new(vec![1i64; n + 1]);
         let rec = BufferRecorder::new(4);
-        let out = speculative_while_rec(
+        let out = speculative_while_with(
             &pool(),
             n,
             &arr,
-            &rec,
+            DoallOptions::recorded(&rec),
             |i, _| i >= n,
             |i, a| {
                 let left = a.read(i);
@@ -1998,7 +1903,7 @@ mod tests {
         assert!(b.committed_parallel);
         for policy in [ChunkPolicy::Fixed(16), ChunkPolicy::Guided { min: 2 }] {
             let arr = SpeculativeArray::new((0..500i64).collect());
-            let out = speculative_while_chunked(&pool(), 500, policy, &arr, term, body);
+            let out = speculative_while_with(&pool(), 500, &arr, chunked(policy), term, body);
             assert!(out.committed_parallel, "{policy:?}");
             assert_eq!(out.last_valid, Some(333), "{policy:?}");
             assert_eq!(arr.snapshot(), base.snapshot(), "{policy:?}");
@@ -2009,11 +1914,11 @@ mod tests {
     fn chunked_speculation_still_catches_dependences() {
         let n = 64usize;
         let arr = SpeculativeArray::new(vec![1i64; n + 1]);
-        let out = speculative_while_chunked(
+        let out = speculative_while_with(
             &pool(),
             n,
-            ChunkPolicy::Fixed(8),
             &arr,
+            chunked(ChunkPolicy::Fixed(8)),
             |_, _| false,
             |i, a| {
                 let left = a.read(i);
@@ -2102,11 +2007,11 @@ mod tests {
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
         let arr = SpeculativeArray::new(vec![0i64; 10_000]);
         let rec = BufferRecorder::new(4);
-        let out = speculative_while_rec(
+        let out = speculative_while_with(
             &pool,
             10_000,
             &arr,
-            &rec,
+            DoallOptions::recorded(&rec),
             |i, _| i >= 10_000,
             |i, a| {
                 if i == 3 {

@@ -21,12 +21,12 @@
 //! schedulers, which the methods in this crate compose with.)
 
 use crate::speculate::{
-    run_twice_speculative, speculative_while_rec, speculative_while_windowed, SpecAccess,
-    SpeculativeArray,
+    run_twice_speculative, speculative_while_windowed, speculative_while_with, SpecAccess,
+    SpecOutcome, SpeculativeArray,
 };
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder, StrategyChoice};
-use wlp_runtime::{Governor, Pool, Transition};
+use wlp_obs::{AbortReason, Event, Recorder, StrategyChoice};
+use wlp_runtime::{DoallOptions, Governor, Pool, Transition};
 
 /// How a governed attempt went: which rung ran, whether the governor
 /// moved, and the usual speculation outcome facts.
@@ -49,28 +49,11 @@ pub struct GovernedOutcome {
     pub executed: u64,
 }
 
-/// [`governed_while_rec`] without tracing.
-pub fn governed_while<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    init: Vec<T>,
-    governor: &mut Governor,
-    term: TF,
-    body: BF,
-) -> (GovernedOutcome, Vec<T>)
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    governed_while_rec(pool, upper, init, governor, &NoopRecorder, term, body)
-}
-
 /// Executes one instance of `while !term(i) { body(i, A) }` on the rung
 /// the [`Governor`] currently recommends:
 ///
 /// * [`StrategyChoice::Speculative`] — full speculation with the PD test
-///   ([`speculative_while_rec`]);
+///   ([`speculative_while_with`]);
 /// * [`StrategyChoice::Windowed`] — the same, but through the Section 8.2
 ///   sliding window at the governor's [`degraded_window`] (half the
 ///   configured span), bounding in-flight state;
@@ -85,7 +68,9 @@ where
 /// or a write storm aborts the attempt instead of hanging or OOMing. The
 /// attempt's outcome is fed back into the governor; a resulting
 /// [`Transition`] is emitted as [`Event::Demote`]/[`Event::Repromote`]
-/// and returned in the outcome.
+/// and returned in the outcome. Every parallel rung reports its
+/// checkpoint, iterations, restores and commit/abort verdict to `rec`
+/// (pass [`wlp_obs::NoopRecorder`] to run untraced).
 ///
 /// The terminator is index-only (the paper's RI condition) — required by
 /// the distribution rung, whose first pass evaluates it without the
@@ -95,7 +80,7 @@ where
 ///
 /// [`degraded_window`]: Governor::degraded_window
 /// [`Deadline`]: wlp_runtime::Deadline
-pub fn governed_while_rec<T, TF, BF, R>(
+pub fn governed_while<T, TF, BF, R>(
     pool: &Pool,
     upper: usize,
     init: Vec<T>,
@@ -123,41 +108,29 @@ where
         }
     };
     let rung = governor.current();
+    let spec = |out: SpecOutcome| {
+        (
+            out.abort,
+            out.committed_parallel,
+            out.last_valid,
+            out.executed_parallel,
+        )
+    };
+    let index_term = |i: usize, _: &mut SpecAccess<'_, T>| term(i);
     let (abort, committed_parallel, last_valid, executed) = match rung {
         StrategyChoice::Speculative => {
-            let out = speculative_while_rec(&gpool, upper, &arr, rec, |i, _| term(i), &body);
-            (
-                out.abort,
-                out.committed_parallel,
-                out.last_valid,
-                out.executed_parallel,
-            )
+            let opts = DoallOptions::recorded(rec);
+            spec(speculative_while_with(
+                &gpool, upper, &arr, opts, index_term, &body,
+            ))
         }
         StrategyChoice::Windowed => {
-            let (out, _span) = speculative_while_windowed(
-                &gpool,
-                upper,
-                governor.degraded_window(),
-                &arr,
-                |i, _| term(i),
-                &body,
-            );
-            (
-                out.abort,
-                out.committed_parallel,
-                out.last_valid,
-                out.executed_parallel,
-            )
+            let window = governor.degraded_window();
+            spec(speculative_while_windowed(&gpool, upper, window, &arr, rec, index_term, &body).0)
         }
-        StrategyChoice::Distribution => {
-            let out = run_twice_speculative(&gpool, upper, &arr, &term, &body);
-            (
-                out.abort,
-                out.committed_parallel,
-                out.last_valid,
-                out.executed_parallel,
-            )
-        }
+        StrategyChoice::Distribution => spec(run_twice_speculative(
+            &gpool, upper, &arr, rec, &term, &body,
+        )),
         StrategyChoice::Sequential => {
             let mut last_valid = None;
             let mut executed = 0u64;
@@ -319,6 +292,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlp_obs::NoopRecorder;
 
     #[test]
     fn stamping_threshold_scales_with_confidence() {
@@ -424,6 +398,7 @@ mod tests {
             256,
             vec![0i64; 256],
             &mut gov,
+            &NoopRecorder,
             |i| i == 200,
             |i, a| a.write(i, i as i64 + 1),
         );
@@ -456,6 +431,7 @@ mod tests {
                 64,
                 vec![0i64; 64],
                 &mut gov,
+                &NoopRecorder,
                 |i| i == 40,
                 |i, a| a.write(i, i as i64 + 1),
             );
@@ -495,7 +471,7 @@ mod tests {
         let mut gov = Governor::new(policy);
         let rec = wlp_obs::BufferRecorder::new(pool.size());
         for _ in 0..12 {
-            let (_, snap) = governed_while_rec(
+            let (_, snap) = governed_while(
                 &pool,
                 16,
                 vec![0i64; 16],

@@ -53,7 +53,7 @@ impl fmt::Display for DispatcherDiverged {
 
 impl std::error::Error for DispatcherDiverged {}
 
-/// A [`Cursor`] with a runaway guard: every advance is charged against a
+/// A [`Cursor`](crate::Cursor) with a runaway guard: every advance is charged against a
 /// step budget and checked by Brent's algorithm, so traversing a corrupted
 /// (cyclic) list returns [`DispatcherDiverged`] instead of spinning.
 #[derive(Debug)]
@@ -165,7 +165,7 @@ impl<T> ListArena<T> {
         Ok(visited)
     }
 
-    /// An unguarded [`Cursor`] starting at the list head (re-exported here
+    /// An unguarded [`Cursor`](crate::Cursor) starting at the list head (re-exported here
     /// for symmetry with [`GuardedCursor`]; see [`ListArena::cursor`]).
     pub fn guarded_cursor(&self) -> GuardedCursor<'_, T> {
         GuardedCursor::new(self)

@@ -18,7 +18,7 @@
 //!   mark keeps the two smallest distinct marking iterations, which makes
 //!   the filtered analysis *exact* (see `shadow` module docs), not merely
 //!   conservative.
-//! * [`crosscheck`] — replays concrete access logs through the oracle
+//! * [`crosscheck`](mod@crosscheck) — replays concrete access logs through the oracle
 //!   *and* the shadow to falsify static safety certificates (the
 //!   `wlp-analyze` agreement harness).
 //! * [`oracle`] — a sequential, brute-force dependence checker over explicit

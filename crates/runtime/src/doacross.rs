@@ -21,11 +21,12 @@
 //! fault path drains within one timeout tick.
 
 use crate::doall::FaultCell;
-use crate::pool::{CancelFlag, Pool, WorkerPanic};
+use crate::pool::{CancelFlag, Pool, WorkerPanic, WorkerTimeout};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use wlp_obs::{Event, NoopRecorder, Recorder};
 
 /// Result of a DOACROSS execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +41,7 @@ pub struct DoacrossOutcome {
     /// Watchdog verdict, if the region overran its deadline (see
     /// [`Pool::with_deadline`](crate::pool::Pool::with_deadline)); like a
     /// panic, it invalidates the executed prefix.
-    pub timeout: Option<crate::pool::WorkerTimeout>,
+    pub timeout: Option<WorkerTimeout>,
 }
 
 /// Cross-iteration synchronization state for a DOACROSS pipeline.
@@ -129,10 +130,38 @@ impl Wavefront {
     }
 }
 
+/// The options of a DOACROSS pipeline: its synchronization grain and who
+/// observes the run.
+#[derive(Debug)]
+pub struct DoacrossOptions<'r, R = NoopRecorder> {
+    /// Iterations per wavefront post (clamped to ≥ 1): at grain `g` the
+    /// iterations are grouped into chunks of `g` consecutive ones and stage
+    /// `s` of chunk `c` waits on stage `s` of chunk `c−1`. A coarser grain
+    /// divides the sync posts (and their lock traffic) by `g`, at the price
+    /// of `g−1` iterations of lost pipeline overlap at each stage boundary;
+    /// the `Governor`'s grain ladder walks this trade-off at run time
+    /// ([`Governor::current_grain`](crate::governor::Governor::current_grain)).
+    pub grain: usize,
+    /// Receives each claim, wavefront stall (recorded as a `LockWait`) and
+    /// completed unit of work. Indices are chunk numbers when `grain > 1`.
+    /// With [`NoopRecorder`] every probe compiles away.
+    pub rec: &'r R,
+}
+
+impl Default for DoacrossOptions<'static> {
+    fn default() -> Self {
+        DoacrossOptions {
+            grain: 1,
+            rec: &NoopRecorder,
+        }
+    }
+}
+
 /// Executes `0..upper` iterations of `stages` pipeline stages each, with
 /// the DOACROSS ordering: stage `s` of iteration `i` runs after stage `s`
 /// of iteration `i−1` and after stage `s−1` of iteration `i`. Iterations
 /// are claimed dynamically; `body(i, s)` performs one stage.
+/// [`doacross_with`] under its default options.
 ///
 /// The ordering guarantees make cross-iteration flow dependences safe as
 /// long as each dependence source is in a stage `≤` its sink's stage.
@@ -146,17 +175,11 @@ pub fn doacross<F>(pool: &Pool, upper: usize, stages: usize, body: F) -> Doacros
 where
     F: Fn(usize, usize) + Sync,
 {
-    doacross_rec(pool, upper, stages, &wlp_obs::NoopRecorder, body)
+    doacross_with(pool, upper, stages, DoacrossOptions::default(), body)
 }
 
-/// [`doacross`] with a tunable grain: iterations are grouped into chunks
-/// of `grain` consecutive iterations, and the wavefront synchronizes per
-/// *chunk* instead of per iteration — stage `s` of chunk `c` waits on
-/// stage `s` of chunk `c−1`. A coarser grain divides the sync posts (and
-/// their lock traffic) by `grain`, at the price of `grain−1` iterations
-/// of lost pipeline overlap at each stage boundary; the `Governor`'s
-/// grain ladder walks this trade-off at run time
-/// ([`Governor::current_grain`](crate::governor::Governor::current_grain)).
+/// [`doacross`] with a tunable grain and a recorder (see
+/// [`DoacrossOptions`]).
 ///
 /// Correctness: chunked synchronization is strictly *stronger* than
 /// per-iteration synchronization for forward cross-iteration dependences
@@ -166,27 +189,27 @@ where
 /// acquire on wait) — stage bodies need no fences of their own.
 ///
 /// `executed` is reported in iterations; when `panic`/`timeout` are set
-/// the executed prefix is invalid (as with [`doacross`]) and callers
-/// should restore their checkpoint.
+/// the executed prefix is invalid and callers should restore their
+/// checkpoint.
 ///
 /// # Panics
 /// Panics if `stages == 0`.
-pub fn doacross_grained<F>(
+pub fn doacross_with<R, F>(
     pool: &Pool,
     upper: usize,
     stages: usize,
-    grain: usize,
+    opts: DoacrossOptions<'_, R>,
     body: F,
 ) -> DoacrossOutcome
 where
+    R: Recorder,
     F: Fn(usize, usize) + Sync,
 {
-    let g = grain.max(1);
+    let g = opts.grain.max(1);
     if g == 1 {
-        return doacross(pool, upper, stages, body);
+        return pipeline(pool, upper, stages, opts.rec, body);
     }
-    let chunks = upper.div_ceil(g);
-    let out = doacross(pool, chunks, stages, |c, s| {
+    let out = pipeline(pool, upper.div_ceil(g), stages, opts.rec, |c, s| {
         let lo = c * g;
         let hi = (lo + g).min(upper);
         for i in lo..hi {
@@ -195,32 +218,17 @@ where
     });
     DoacrossOutcome {
         executed: (out.executed * g as u64).min(upper as u64),
-        panic: out.panic,
-        timeout: out.timeout,
+        ..out
     }
 }
 
-/// [`doacross`] with observability: each claim, wavefront stall (recorded
-/// as a `LockWait`) and completed iteration is reported to `rec`. With
-/// [`wlp_obs::NoopRecorder`] — which is what [`doacross`] passes — every
-/// probe compiles away.
-///
-/// # Panics
-/// Panics if `stages == 0`.
-pub fn doacross_rec<R, F>(
-    pool: &Pool,
-    upper: usize,
-    stages: usize,
-    rec: &R,
-    body: F,
-) -> DoacrossOutcome
+/// The wavefront pipeline over `0..upper` units of work (iterations, or
+/// chunks of them) both entry points run.
+fn pipeline<R, F>(pool: &Pool, upper: usize, stages: usize, rec: &R, body: F) -> DoacrossOutcome
 where
-    R: wlp_obs::Recorder,
+    R: Recorder,
     F: Fn(usize, usize) + Sync,
 {
-    use std::time::Instant;
-    use wlp_obs::Event;
-
     assert!(stages > 0, "need at least one stage");
     if upper == 0 {
         return DoacrossOutcome {
@@ -325,7 +333,11 @@ mod tests {
         let pool = Pool::new(4);
         for grain in [1usize, 3, 8, 64] {
             let xs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let out = doacross_grained(&pool, n, 1, grain, |i, _| {
+            let opts = DoacrossOptions {
+                grain,
+                ..Default::default()
+            };
+            let out = doacross_with(&pool, n, 1, opts, |i, _| {
                 let prev = if i == 0 {
                     0
                 } else {
@@ -347,11 +359,33 @@ mod tests {
     fn grain_zero_is_clamped_to_one() {
         let pool = Pool::new(2);
         let hits = AtomicU64::new(0);
-        let out = doacross_grained(&pool, 10, 1, 0, |_, _| {
+        let opts = DoacrossOptions {
+            grain: 0,
+            ..Default::default()
+        };
+        let out = doacross_with(&pool, 10, 1, opts, |_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(out.executed, 10);
         assert_eq!(hits.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn recorded_pipeline_reports_every_claim_body_and_join() {
+        use wlp_obs::{BufferRecorder, ProfileReport};
+        let pool = Pool::new(3);
+        let rec = BufferRecorder::new(3);
+        let opts = DoacrossOptions {
+            grain: 4,
+            rec: &rec,
+        };
+        let out = doacross_with(&pool, 100, 2, opts, |_, _| {});
+        assert_eq!(out.executed, 100);
+        let report = ProfileReport::from_trace(&rec.finish());
+        assert_eq!(report.executed, 25, "recorded per chunk at grain 4");
+        assert_eq!(report.claimed, report.executed);
+        assert_eq!(report.barriers, 3, "one join event per worker");
+        report.check_conservation().expect("laws hold");
     }
 
     #[test]

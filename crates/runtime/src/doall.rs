@@ -7,37 +7,34 @@
 //! multiple QUIT operations are issued, then the iteration with the smallest
 //! loop counter executing a QUIT will control the exit of the loop."
 //!
-//! [`doall_dynamic`] reproduces those semantics in software: a shared atomic
-//! claim counter issues iterations *in order* (the Alliant's ordered-issue
-//! property), and a shared atomic minimum records the smallest quitting
-//! iteration. Iterations already past the claim check may still complete
-//! after a QUIT — that is precisely the *overshoot* the paper's undo
-//! machinery (Section 4) deals with, so it is deliberately not prevented.
+//! [`doall_with`] reproduces those semantics in software for every
+//! [`IssueOrder`], and [`doall_dynamic`] is its default spelling: a shared
+//! atomic claim counter issues iterations *in order* (the Alliant's
+//! ordered-issue property), and a shared atomic minimum records the
+//! smallest quitting iteration. Iterations already past the claim check may
+//! still complete after a QUIT — that is precisely the *overshoot* the
+//! paper's undo machinery (Section 4) deals with, so it is deliberately not
+//! prevented.
 //!
-//! [`doall_static_cyclic`] issues iteration `i` on worker `i mod p`
-//! (the paper's General-2-style static assignment), and
-//! [`doall_static_blocked`] issues contiguous blocks. The paper notes that
-//! static assignment can have a much larger *span* of concurrently executing
-//! iterations, and therefore more iterations to undo under an RV terminator;
-//! the outcome's `max_started` field lets callers observe exactly that.
+//! [`IssueOrder::Dynamic`] carries a [`ChunkPolicy`]: one `fetch_add`
+//! grants a run of consecutive iterations (fixed-size or guided/shrinking
+//! chunks), amortizing the claim overhead the cost model charges per
+//! dispatch. [`IssueOrder::Cyclic`] issues iteration `i` on worker
+//! `i mod p` (the paper's General-2-style static assignment), and
+//! [`IssueOrder::Blocked`] issues one contiguous block per worker. Every
+//! issued iteration tests the QUIT bound before its body, so termination
+//! semantics are the same under every order — only the *span* of
+//! concurrently executing iterations (and thus `max_started`, the work an
+//! RV terminator leaves to undo) grows, from one-at-a-time dynamic issue
+//! over larger chunks to the static orders.
 //!
-//! [`doall_dynamic_chunked`] generalizes the dynamic scheduler with a
-//! [`ChunkPolicy`]: one `fetch_add` grants a run of consecutive iterations
-//! (fixed-size or guided/shrinking chunks), amortizing the claim overhead
-//! the cost model charges per dispatch. Every granted iteration still
-//! tests the QUIT bound before its body, so termination semantics are
-//! unchanged — only the span (and thus `max_started`) can grow with the
-//! chunk size, exactly the static-vs-dynamic trade-off above on a
-//! continuous dial.
-//!
-//! Fault containment: a panicking body is caught at its own iteration
-//! boundary, raises the shared [`CancelFlag`] (the fault-path analogue of
-//! `QUIT` — peers stop claiming at their next boundary), and is reported
-//! through [`DoallOutcome::panic`] so the strategies above can restore
-//! their checkpoint and fall back to sequential re-execution.
+//! Fault containment: a panicking body is caught at its worker's boundary,
+//! raises the shared [`CancelFlag`] (the fault-path analogue of `QUIT` —
+//! peers stop claiming at their next boundary), and is reported through
+//! [`DoallOutcome::panic`] so the strategies above can restore their
+//! checkpoint and fall back to sequential re-execution.
 
 use crate::chunk::ChunkPolicy;
-use crate::deque::{Steal, StealDeque};
 use crate::pool::{payload_message, CancelFlag, Pool, PoolOutcome, WorkerPanic, WorkerTimeout};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,29 +81,11 @@ pub struct DoallOutcome {
     pub timeout: Option<WorkerTimeout>,
 }
 
-impl DoallOutcome {
-    fn from_parts(
-        quit: usize,
-        executed: u64,
-        max_started: usize,
-        panic: Option<WorkerPanic>,
-        timeout: Option<WorkerTimeout>,
-    ) -> Self {
-        DoallOutcome {
-            quit: (quit != usize::MAX).then_some(quit),
-            executed,
-            max_started,
-            panic,
-            timeout,
-        }
-    }
-}
-
 /// Splits a drained pool outcome into the watchdog verdict and the first
 /// contained panic. The pool-level [`WorkerTimeout`] cannot know loop
 /// counters, so the overdue lane's last *started* iteration — tracked in
 /// `cursor` by the drivers below — is patched in here.
-fn split_outcome(
+pub(crate) fn split_outcome(
     pool_out: PoolOutcome,
     fault: &FaultCell,
     cursor: &[CachePadded<AtomicUsize>],
@@ -141,6 +120,11 @@ impl QuitCell {
     #[inline]
     fn quit_at(&self, i: usize) {
         self.0.fetch_min(i, Ordering::AcqRel);
+    }
+    /// The smallest quitting iteration, if any.
+    fn get(&self) -> Option<usize> {
+        let q = self.bound();
+        (q != usize::MAX).then_some(q)
     }
 }
 
@@ -182,103 +166,100 @@ impl FaultCell {
     }
 }
 
-/// Dynamic self-scheduled DOALL over `0..upper` with ordered issue.
+/// How a DOALL hands iterations to its workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IssueOrder {
+    /// Workers claim runs of iterations from a shared counter, so iteration
+    /// *begin* order equals index order (the Alliant ordered-issue
+    /// property); the [`ChunkPolicy`] sizes each claim.
+    /// [`ChunkPolicy::One`] is the classical self-scheduler.
+    Dynamic(ChunkPolicy),
+    /// Static cyclic: worker `vpn` executes iterations `vpn, vpn+p, …` —
+    /// the issue pattern of the paper's General-2 method. No shared claim
+    /// counter; because issue order is not global, the span of started
+    /// iterations can exceed the dynamic scheduler's.
+    Cyclic,
+    /// Static blocked: worker `vpn` executes the contiguous block
+    /// [`Pool::block`] assigns it.
+    Blocked,
+}
+
+impl Default for IssueOrder {
+    fn default() -> Self {
+        IssueOrder::Dynamic(ChunkPolicy::One)
+    }
+}
+
+/// The options of a DOALL-shaped construct ([`doall_with`],
+/// [`strip_mined`](crate::strip::strip_mined), and the strategies built
+/// on them): how iterations are issued and who observes the run.
 ///
-/// Workers claim iterations from a shared counter, so iteration *begin*
-/// order equals iteration index order (the Alliant ordered-issue property).
+/// Probes are guarded by `R::ENABLED`, an associated constant, so the
+/// default [`NoopRecorder`] monomorphizes to the uninstrumented loop: no
+/// clock reads, no branches, no recording.
+#[derive(Debug)]
+pub struct DoallOptions<'r, R = NoopRecorder> {
+    /// Issue order (and, for dynamic issue, the chunk policy).
+    pub order: IssueOrder,
+    /// Receives each claim, chunk grant (`ChunkClaimed`, for grants of
+    /// more than one iteration), body execution, QUIT broadcast and
+    /// end-of-loop join.
+    pub rec: &'r R,
+}
+
+impl Default for DoallOptions<'static> {
+    fn default() -> Self {
+        DoallOptions::recorded(&NoopRecorder)
+    }
+}
+
+impl<'r, R> DoallOptions<'r, R> {
+    /// Default issue order, observed by `rec`.
+    pub fn recorded(rec: &'r R) -> Self {
+        DoallOptions {
+            order: IssueOrder::default(),
+            rec,
+        }
+    }
+}
+
+/// Dynamic self-scheduled DOALL over `0..upper` with ordered issue, one
+/// iteration per claim: [`doall_with`] under its default options.
 /// `body(i, vpn)` returns [`Step::Quit`] to request loop exit.
 pub fn doall_dynamic<F>(pool: &Pool, upper: usize, body: F) -> DoallOutcome
 where
     F: Fn(usize, usize) -> Step + Sync,
 {
-    doall_dynamic_rec(pool, upper, &NoopRecorder, body)
+    doall_with(
+        pool,
+        upper,
+        DoallOptions::default(),
+        |vpn| vpn,
+        |i, vpn| body(i, *vpn),
+    )
 }
 
-/// [`doall_dynamic`] with observability: each claim, body execution, QUIT
-/// broadcast and end-of-loop join is reported to `rec`.
+/// The DOALL over `0..upper`: iterations are issued in `opts.order`, every
+/// issued iteration re-tests the QUIT bound before its body, and
+/// `body(i, &mut state)` returns [`Step::Quit`] to request loop exit. The
+/// Alliant contract — every iteration at or below the smallest quitting
+/// one runs exactly once, and none above it begins once the quit is
+/// visible — holds for every order and chunk policy; what grows with the
+/// chunk size (and under the static orders) is the *span*, and with it
+/// `max_started` and the RV-terminator overshoot to undo.
 ///
-/// Probes are guarded by `R::ENABLED`, an associated constant, so calling
-/// this with [`NoopRecorder`] — which is exactly what [`doall_dynamic`]
-/// does — monomorphizes to the uninstrumented loop: no clock reads, no
-/// branches, no recording.
-pub fn doall_dynamic_rec<R, F>(pool: &Pool, upper: usize, rec: &R, body: F) -> DoallOutcome
-where
-    R: Recorder,
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_dynamic_chunked_rec(pool, upper, ChunkPolicy::One, rec, body)
-}
-
-/// Dynamic self-scheduled DOALL with a [`ChunkPolicy`]: each `fetch_add`
-/// on the shared claim counter grants a run of consecutive iterations
-/// instead of one. Chunks are granted in index order; within a chunk,
-/// iterations run in order and each one re-tests the QUIT bound before
-/// its body, so the Alliant contract — no iteration with a counter larger
-/// than the smallest quitting iteration begins once the quit is visible —
-/// is preserved for every policy. What changes is the *span*: a worker
-/// deep in a large chunk can be executing an iteration far above a
-/// sibling's, so `max_started` (and RV-terminator overshoot to undo)
-/// grows with the chunk size. [`ChunkPolicy::One`] is byte-for-byte the
-/// classical scheduler.
-pub fn doall_dynamic_chunked<F>(
-    pool: &Pool,
-    upper: usize,
-    policy: ChunkPolicy,
-    body: F,
-) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_dynamic_chunked_rec(pool, upper, policy, &NoopRecorder, body)
-}
-
-/// [`doall_dynamic_chunked`] with observability: chunk grants of more
-/// than one iteration are reported as [`Event::ChunkClaimed`]; each
-/// iteration still reports `IterClaimed`/`IterExecuted`/`Quit` as in
-/// [`doall_dynamic_rec`], so per-iteration accounting is unchanged.
-pub fn doall_dynamic_chunked_rec<R, F>(
-    pool: &Pool,
-    upper: usize,
-    policy: ChunkPolicy,
-    rec: &R,
-    body: F,
-) -> DoallOutcome
-where
-    R: Recorder,
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    drive_dynamic(pool, upper, policy, rec, |vpn| vpn, |i, vpn| body(i, *vpn))
-}
-
-/// [`doall_dynamic_chunked`] with per-worker state: `init(vpn)` runs once
-/// on each worker before it claims its first iteration, and the value it
-/// returns is handed to every `body(i, &mut state)` that worker executes.
+/// `init(vpn)` runs once on each worker before its first iteration, and
+/// the state it returns is handed to every body that worker executes
+/// (pass `|vpn| vpn` for a body that only wants its processor number).
 /// Scratch a body would otherwise allocate per iteration (evaluation
 /// stacks, marker tables) is built once per worker per region and lives
 /// on the worker's own stack: no lock, no sharing. The state is dropped
 /// when the worker leaves the region; a panic in `init` is contained like
 /// a body panic.
-pub fn doall_dynamic_with<S, I, F>(
+pub fn doall_with<R, S, I, F>(
     pool: &Pool,
     upper: usize,
-    policy: ChunkPolicy,
-    init: I,
-    body: F,
-) -> DoallOutcome
-where
-    I: Fn(usize) -> S + Sync,
-    F: Fn(usize, &mut S) -> Step + Sync,
-{
-    drive_dynamic(pool, upper, policy, &NoopRecorder, init, body)
-}
-
-/// The one dynamic self-scheduling driver every `doall_dynamic*` entry
-/// point delegates to.
-fn drive_dynamic<R, S, I, F>(
-    pool: &Pool,
-    upper: usize,
-    policy: ChunkPolicy,
-    rec: &R,
+    opts: DoallOptions<'_, R>,
     init: I,
     body: F,
 ) -> DoallOutcome
@@ -287,6 +268,7 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(usize, &mut S) -> Step + Sync,
 {
+    let DoallOptions { order, rec } = opts;
     // Every shared word on the claim path gets its own cache line: the
     // claim counter is RMW-hot from all workers, the quit bound is
     // polled per iteration, the executed/max_started accumulators are
@@ -315,20 +297,41 @@ where
         // before the call.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut state = init(vpn);
+            // The static orders' private cursor: the next run this worker
+            // issues itself (`upper` once a blocked worker is done).
+            let (mut next, block_hi) = match order {
+                IssueOrder::Dynamic(_) => (0, 0),
+                IssueOrder::Cyclic => (vpn, 0),
+                IssueOrder::Blocked => pool.block(vpn, upper),
+            };
             'claiming: loop {
                 if cancel.is_cancelled() {
                     break;
                 }
-                // Advisory read of the unclaimed remainder — only the
-                // grant *size* depends on it, so a stale value is
-                // harmless.
-                let seen = claim.load(Ordering::Relaxed).min(upper);
-                let want = policy.grant(upper - seen, p);
-                let lo = claim.fetch_add(want, Ordering::Relaxed);
+                let (lo, hi) = match order {
+                    IssueOrder::Dynamic(policy) => {
+                        // Advisory read of the unclaimed remainder — only
+                        // the grant *size* depends on it, so a stale value
+                        // is harmless.
+                        let seen = claim.load(Ordering::Relaxed).min(upper);
+                        let want = policy.grant(upper - seen, p);
+                        let lo = claim.fetch_add(want, Ordering::Relaxed);
+                        (lo, lo.saturating_add(want).min(upper))
+                    }
+                    IssueOrder::Cyclic => {
+                        let lo = next;
+                        next = lo.saturating_add(p);
+                        (lo, lo.saturating_add(1).min(upper))
+                    }
+                    IssueOrder::Blocked => {
+                        let lo = next;
+                        next = upper;
+                        (lo, block_hi)
+                    }
+                };
                 if lo >= upper || lo > quit.bound() {
                     break;
                 }
-                let hi = (lo + want).min(upper);
                 if R::ENABLED && hi - lo > 1 {
                     rec.record(
                         vpn,
@@ -390,245 +393,13 @@ where
     });
 
     let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
+    DoallOutcome {
+        quit: quit.get(),
+        executed: executed.load(Ordering::Relaxed),
+        max_started: max_started.load(Ordering::Relaxed),
         panic,
         timeout,
-    )
-}
-
-/// Static cyclic DOALL: worker `vpn` executes iterations `vpn, vpn+p, …`.
-///
-/// This is the issue pattern of the paper's General-2 method. The QUIT bound
-/// is still honoured (iterations larger than the smallest quitting iteration
-/// are not begun once the quit is visible), but because issue order is not
-/// global, the span of started iterations can exceed the dynamic scheduler's.
-pub fn doall_static_cyclic<F>(pool: &Pool, upper: usize, body: F) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
-    let p = pool.size();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..p)
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut i = vpn;
-            while i < upper && i <= quit.bound() && !cancel.is_cancelled() {
-                local_max = i + 1;
-                cursor[vpn].store(i, Ordering::Relaxed);
-                let step = body(i, vpn);
-                local_exec += 1;
-                if let Step::Quit = step {
-                    quit.quit_at(i);
-                }
-                i += p;
-            }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
-        }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
-}
-
-/// Static blocked DOALL: worker `vpn` executes one contiguous block of
-/// `0..upper`, honouring the QUIT bound.
-pub fn doall_static_blocked<F>(pool: &Pool, upper: usize, body: F) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..pool.size())
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let (lo, hi) = pool.block(vpn, upper);
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            for i in lo..hi {
-                if i > quit.bound() || cancel.is_cancelled() {
-                    break;
-                }
-                local_max = i + 1;
-                cursor[vpn].store(i, Ordering::Relaxed);
-                let step = body(i, vpn);
-                local_exec += 1;
-                if let Step::Quit = step {
-                    quit.quit_at(i);
-                }
-            }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
-        }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
-}
-
-/// Work-stealing DOALL: chunks of `chunk` consecutive iterations are
-/// pre-distributed into one Chase–Lev [`StealDeque`] per worker; each
-/// worker drains its own deque with relaxed owner pops and steals from
-/// peers (one CAS per steal) only when dry. There is **no shared claim
-/// counter at all** — under claim-dense workloads (tiny bodies at high
-/// `p`) this removes the last contended RMW from the issue path.
-///
-/// Semantics versus [`doall_dynamic_chunked`]:
-///
-/// * The QUIT bound is honoured identically — every granted iteration
-///   re-tests the bound before its body, all iterations ≤ the smallest
-///   quitting iteration run exactly once, and none above it begins once
-///   the quit is visible.
-/// * Issue order is **not** globally ascending (chunks run in
-///   owner-LIFO/steal-FIFO order), like the static schedulers and unlike
-///   the dynamic ones. Do not drive *privatized* speculation with this
-///   scheduler: the privatization overshoot exemption in `wlp-core`
-///   leans on the claim counter's ordered issue.
-/// * `max_started` can therefore exceed the dynamic scheduler's span —
-///   the static-vs-dynamic trade-off of the paper, §4.
-pub fn doall_worksteal<F>(pool: &Pool, upper: usize, chunk: usize, body: F) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    let p = pool.size();
-    let chunk = chunk.max(1);
-    let nchunks = upper.div_ceil(chunk);
-    let share = nchunks.div_ceil(p).max(1);
-    // Pre-seed: worker v owns the contiguous chunk block
-    // [v*share, (v+1)*share). Seeding happens on the caller's thread,
-    // which is sound because the pool's region publication edge orders
-    // these pushes before any worker's first steal/pop.
-    let deques: Vec<StealDeque> = (0..p).map(|_| StealDeque::new(share)).collect();
-    for c in 0..nchunks {
-        let pushed = deques[c / share].push(c);
-        debug_assert!(pushed, "each deque holds at most `share` chunks");
     }
-
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..p)
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        let own = &deques[vpn];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            'running: loop {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                // Own deque first (relaxed fast path), then one sweep
-                // over the peers. A Retry anywhere means contention, not
-                // exhaustion — sweep again rather than exiting early.
-                let c = match own.pop() {
-                    Some(c) => c,
-                    None => {
-                        let mut found = None;
-                        let mut contended = false;
-                        for off in 1..p {
-                            match deques[(vpn + off) % p].steal() {
-                                Steal::Success(c) => {
-                                    found = Some(c);
-                                    break;
-                                }
-                                Steal::Retry => contended = true,
-                                Steal::Empty => {}
-                            }
-                        }
-                        match found {
-                            Some(c) => c,
-                            None if contended => {
-                                std::hint::spin_loop();
-                                continue;
-                            }
-                            None => break,
-                        }
-                    }
-                };
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(upper);
-                for i in lo..hi {
-                    if cancel.is_cancelled() {
-                        break 'running;
-                    }
-                    if i > quit.bound() {
-                        // The rest of this chunk is above the bound, but
-                        // chunks with smaller indices may still be
-                        // queued elsewhere — keep claiming.
-                        continue 'running;
-                    }
-                    local_max = local_max.max(i + 1);
-                    cursor[vpn].store(i, Ordering::Relaxed);
-                    let step = body(i, vpn);
-                    local_exec += 1;
-                    if let Step::Quit = step {
-                        quit.quit_at(i);
-                    }
-                }
-            }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
-        }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
 }
 
 #[cfg(test)]
@@ -637,89 +408,136 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    fn mark_all(
-        doall: impl Fn(&Pool, usize, &(dyn Fn(usize, usize) -> Step + Sync)) -> DoallOutcome,
-    ) {
+    const CHUNKED: [IssueOrder; 3] = [
+        IssueOrder::Dynamic(ChunkPolicy::One),
+        IssueOrder::Dynamic(ChunkPolicy::Fixed(32)),
+        IssueOrder::Dynamic(ChunkPolicy::Guided { min: 4 }),
+    ];
+
+    /// Every way the one driver enumerates iterations.
+    const ORDERS: [IssueOrder; 5] = [
+        CHUNKED[0],
+        CHUNKED[1],
+        CHUNKED[2],
+        IssueOrder::Cyclic,
+        IssueOrder::Blocked,
+    ];
+
+    fn run(
+        pool: &Pool,
+        upper: usize,
+        order: IssueOrder,
+        body: impl Fn(usize, usize) -> Step + Sync,
+    ) -> DoallOutcome {
+        let opts = DoallOptions {
+            order,
+            rec: &NoopRecorder,
+        };
+        doall_with(pool, upper, opts, |vpn| vpn, |i, vpn| body(i, *vpn))
+    }
+
+    fn quit_from(at: usize) -> impl Fn(usize, usize) -> Step + Sync {
+        move |i, _| {
+            if i >= at {
+                Step::Quit
+            } else {
+                Step::Continue
+            }
+        }
+    }
+
+    fn mark_all(order: IssueOrder) {
         let pool = Pool::new(4);
         let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
-        let out = doall(&pool, 100, &|i, _| {
+        let out = run(&pool, 100, order, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             Step::Continue
         });
-        assert_eq!(out.quit, None);
-        assert_eq!(out.executed, 100);
-        assert_eq!(out.max_started, 100);
-        assert_eq!(out.panic, None);
+        assert_eq!(out.quit, None, "{order:?}");
+        assert_eq!(out.executed, 100, "{order:?}");
+        assert_eq!(out.max_started, 100, "{order:?}");
+        assert_eq!(out.panic, None, "{order:?}");
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn dynamic_covers_all_iterations_exactly_once() {
-        mark_all(|p, u, b| doall_dynamic(p, u, b));
+        let pool = Pool::new(4);
+        let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
+        let out = doall_dynamic(&pool, 100, |i, _| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+            Step::Continue
+        });
+        assert_eq!((out.quit, out.executed, out.max_started), (None, 100, 100));
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn cyclic_covers_all_iterations_exactly_once() {
-        mark_all(|p, u, b| doall_static_cyclic(p, u, b));
+        mark_all(IssueOrder::Cyclic);
     }
 
     #[test]
     fn blocked_covers_all_iterations_exactly_once() {
-        mark_all(|p, u, b| doall_static_blocked(p, u, b));
+        mark_all(IssueOrder::Blocked);
+    }
+
+    #[test]
+    fn chunked_covers_all_iterations_exactly_once() {
+        CHUNKED.into_iter().for_each(mark_all);
     }
 
     #[test]
     fn quit_reports_smallest_quitting_iteration() {
+        // iteration 50 is at or below every bound a later quitter can
+        // set, so it runs — and wins — under every order
         let pool = Pool::new(4);
-        let out = doall_dynamic(&pool, 10_000, |i, _| {
-            if i >= 50 {
-                Step::Quit
-            } else {
-                Step::Continue
-            }
-        });
-        assert_eq!(out.quit, Some(50));
+        for order in ORDERS {
+            let out = run(&pool, 10_000, order, quit_from(50));
+            assert_eq!(out.quit, Some(50), "{order:?}");
+        }
     }
 
     #[test]
     fn quit_executes_every_iteration_below_the_quit_point() {
         // The QUIT contract: all iterations < quit must have run.
         let pool = Pool::new(8);
-        let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
-        let out = doall_dynamic(&pool, 1000, |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            if i == 200 {
-                Step::Quit
-            } else {
-                Step::Continue
+        for order in ORDERS {
+            let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
+            let out = run(&pool, 1000, order, |i, _| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                if i == 200 {
+                    Step::Quit
+                } else {
+                    Step::Continue
+                }
+            });
+            assert_eq!(out.quit, Some(200), "{order:?}");
+            for i in 0..=200 {
+                assert_eq!(
+                    hits[i].load(Ordering::Relaxed),
+                    1,
+                    "{order:?}: iteration {i} must run"
+                );
             }
-        });
-        assert_eq!(out.quit, Some(200));
-        for i in 0..=200 {
-            assert_eq!(hits[i].load(Ordering::Relaxed), 1, "iteration {i} must run");
+            // no iteration runs twice, overshoot is bounded by what was claimed
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
+            assert!(out.executed >= 201, "{order:?}");
         }
-        // no iteration runs twice, overshoot is bounded by what was claimed
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
-        assert!(out.executed >= 201);
     }
 
     #[test]
     fn cyclic_quit_bound_holds() {
         let pool = Pool::new(4);
         let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
-        let out = doall_static_cyclic(&pool, 1000, |i, _| {
+        let out = run(&pool, 1000, IssueOrder::Cyclic, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
-            if i >= 100 {
-                Step::Quit
-            } else {
-                Step::Continue
-            }
+            quit_from(100)(i, 0)
         });
-        // smallest quitting iteration is in 100..104 (each worker quits at
-        // its first i >= 100); all iterations below it must have run
-        let q = out.quit.unwrap();
-        assert!((100..100 + 4).contains(&q));
-        for i in 0..=q {
+        // each worker quits at its first i >= 100, and iteration 100 is
+        // below every such bound, so it always runs and wins
+        assert_eq!(out.quit, Some(100));
+        for i in 0..=100 {
             assert_eq!(hits[i].load(Ordering::Relaxed), 1);
         }
     }
@@ -728,7 +546,7 @@ mod tests {
     fn cyclic_assignment_is_mod_p() {
         let pool = Pool::new(3);
         let owner: Vec<AtomicUsize> = (0..30).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        doall_static_cyclic(&pool, 30, |i, vpn| {
+        run(&pool, 30, IssueOrder::Cyclic, |i, vpn| {
             owner[i].store(vpn, Ordering::Relaxed);
             Step::Continue
         });
@@ -741,7 +559,7 @@ mod tests {
     fn blocked_assignment_is_contiguous() {
         let pool = Pool::new(4);
         let owner: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        doall_static_blocked(&pool, 40, |i, vpn| {
+        run(&pool, 40, IssueOrder::Blocked, |i, vpn| {
             owner[i].store(vpn, Ordering::Relaxed);
             Step::Continue
         });
@@ -752,137 +570,130 @@ mod tests {
     #[test]
     fn empty_range_runs_nothing() {
         let pool = Pool::new(4);
-        let out = doall_dynamic(&pool, 0, |_, _| Step::Quit);
-        assert_eq!(out.executed, 0);
-        assert_eq!(out.quit, None);
-        assert_eq!(out.max_started, 0);
+        for order in ORDERS {
+            let out = run(&pool, 0, order, |_, _| Step::Quit);
+            assert_eq!(out.executed, 0, "{order:?}");
+            assert_eq!(out.quit, None, "{order:?}");
+            assert_eq!(out.max_started, 0, "{order:?}");
+        }
     }
 
     #[test]
     fn multiple_quits_pick_minimum() {
-        let pool = Pool::new(8);
-        let out = doall_dynamic(&pool, 10_000, |i, _| {
-            // every iteration in 70.. quits; 70 must win
-            if i >= 70 {
-                Step::Quit
-            } else {
-                Step::Continue
-            }
-        });
+        // every iteration in 70.. quits; 70 must win
+        let out = doall_dynamic(&Pool::new(8), 10_000, quit_from(70));
         assert_eq!(out.quit, Some(70));
     }
 
     #[test]
     fn recorded_doall_reports_claims_bodies_and_quit() {
         let pool = Pool::new(4);
-        let rec = wlp_obs::BufferRecorder::new(4);
-        let out = doall_dynamic_rec(&pool, 1000, &rec, |i, _| {
-            if i == 100 {
-                Step::Quit
-            } else {
-                Step::Continue
-            }
-        });
-        let trace = rec.finish();
-        let count = |f: &dyn Fn(&Event) -> bool| {
-            trace.samples.iter().filter(|s| f(&s.event)).count() as u64
-        };
-        assert_eq!(
-            count(&|e| matches!(e, Event::IterClaimed { .. })),
-            out.executed
-        );
-        assert_eq!(
-            count(&|e| matches!(e, Event::IterExecuted { .. })),
-            out.executed
-        );
-        assert_eq!(count(&|e| matches!(e, Event::Quit { iter: 100 })), 1);
-        assert_eq!(count(&|e| matches!(e, Event::Barrier { .. })), 4);
-        assert!(trace.makespan > 0);
+        for order in ORDERS {
+            let rec = wlp_obs::BufferRecorder::new(4);
+            let opts = DoallOptions { order, rec: &rec };
+            let out = doall_with(
+                &pool,
+                1000,
+                opts,
+                |_| (),
+                |i, ()| {
+                    if i == 100 {
+                        Step::Quit
+                    } else {
+                        Step::Continue
+                    }
+                },
+            );
+            let trace = rec.finish();
+            let count = |f: &dyn Fn(&Event) -> bool| {
+                trace.samples.iter().filter(|s| f(&s.event)).count() as u64
+            };
+            assert_eq!(
+                count(&|e| matches!(e, Event::IterClaimed { .. })),
+                out.executed,
+                "{order:?}"
+            );
+            assert_eq!(
+                count(&|e| matches!(e, Event::IterExecuted { .. })),
+                out.executed,
+                "{order:?}"
+            );
+            assert_eq!(count(&|e| matches!(e, Event::Quit { iter: 100 })), 1);
+            assert_eq!(count(&|e| matches!(e, Event::Barrier { .. })), 4);
+            assert!(trace.makespan > 0);
+        }
     }
 
     #[test]
     fn works_on_single_worker_pool() {
         let pool = Pool::new(1);
-        let out = doall_dynamic(&pool, 100, |i, _| {
-            if i == 10 {
-                Step::Quit
-            } else {
-                Step::Continue
-            }
-        });
-        assert_eq!(out.quit, Some(10));
-        // sequential execution: exactly iterations 0..=10 ran
-        assert_eq!(out.executed, 11);
-        assert_eq!(out.max_started, 11);
+        for order in ORDERS {
+            let out = run(&pool, 100, order, |i, _| {
+                if i == 10 {
+                    Step::Quit
+                } else {
+                    Step::Continue
+                }
+            });
+            assert_eq!(out.quit, Some(10), "{order:?}");
+            // sequential execution: exactly iterations 0..=10 ran
+            assert_eq!(out.executed, 11, "{order:?}");
+            assert_eq!(out.max_started, 11, "{order:?}");
+        }
     }
 
-    fn assert_panic_contained(
-        doall: impl Fn(&Pool, usize, &(dyn Fn(usize, usize) -> Step + Sync)) -> DoallOutcome,
-    ) {
+    fn assert_panic_contained(order: IssueOrder) {
         let pool = Pool::new(4);
-        let out = doall(&pool, 1000, &|i, _| {
+        let out = run(&pool, 1000, order, |i, _| {
             if i == 37 {
                 panic!("injected at 37");
             }
             Step::Continue
         });
         let wp = out.panic.expect("panic must be reported");
-        assert_eq!(wp.iter, Some(37));
+        assert_eq!(wp.iter, Some(37), "{order:?}");
         assert_eq!(wp.message, "injected at 37");
         // the faulting body is not counted as executed
-        assert!(out.executed < 1000);
+        assert!(out.executed < 1000, "{order:?}");
     }
 
     #[test]
     fn dynamic_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_dynamic(p, u, b));
+        assert_panic_contained(IssueOrder::default());
     }
 
     #[test]
     fn cyclic_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_static_cyclic(p, u, b));
+        assert_panic_contained(IssueOrder::Cyclic);
     }
 
     #[test]
     fn blocked_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_static_blocked(p, u, b));
+        assert_panic_contained(IssueOrder::Blocked);
     }
 
     #[test]
-    fn chunked_covers_all_iterations_exactly_once() {
-        for policy in [
-            ChunkPolicy::One,
-            ChunkPolicy::Fixed(16),
-            ChunkPolicy::Guided { min: 4 },
-        ] {
-            mark_all(|p, u, b| doall_dynamic_chunked(p, u, policy, b));
-        }
+    fn chunked_contains_body_panic() {
+        CHUNKED.into_iter().for_each(assert_panic_contained);
     }
 
     #[test]
     fn chunked_quit_contract_holds_for_every_policy() {
-        for policy in [
-            ChunkPolicy::Fixed(32),
-            ChunkPolicy::Guided { min: 2 },
-            ChunkPolicy::Fixed(1),
-        ] {
+        let fixed1 = IssueOrder::Dynamic(ChunkPolicy::Fixed(1));
+        for order in ORDERS.into_iter().chain([fixed1]) {
             let pool = Pool::new(4);
             let hits: Vec<AtomicU32> = (0..2000).map(|_| AtomicU32::new(0)).collect();
-            let out = doall_dynamic_chunked(&pool, 2000, policy, |i, _| {
+            let out = run(&pool, 2000, order, |i, _| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
-                if i >= 300 {
-                    Step::Quit
-                } else {
-                    Step::Continue
-                }
+                quit_from(300)(i, 0)
             });
             let q = out.quit.expect("loop must quit");
-            assert!(q >= 300, "{policy:?}: quit below the terminator");
+            assert!(q >= 300, "{order:?}: quit below the terminator");
             for i in 0..=q {
                 assert_eq!(
                     hits[i].load(Ordering::Relaxed),
                     1,
-                    "{policy:?}: iteration {i} below the quit must run exactly once"
+                    "{order:?}: iteration {i} below the quit must run exactly once"
                 );
             }
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
@@ -891,17 +702,14 @@ mod tests {
     }
 
     #[test]
-    fn chunked_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_dynamic_chunked(p, u, ChunkPolicy::Fixed(8), b));
-    }
-
-    #[test]
     fn chunked_recorded_run_reports_chunk_grants() {
         let pool = Pool::new(4);
         let rec = wlp_obs::BufferRecorder::new(4);
-        let out = doall_dynamic_chunked_rec(&pool, 1000, ChunkPolicy::Fixed(50), &rec, |_, _| {
-            Step::Continue
-        });
+        let opts = DoallOptions {
+            order: IssueOrder::Dynamic(ChunkPolicy::Fixed(50)),
+            rec: &rec,
+        };
+        let out = doall_with(&pool, 1000, opts, |_| (), |_, ()| Step::Continue);
         assert_eq!(out.executed, 1000);
         let trace = rec.finish();
         let grants: Vec<(u64, u64)> = trace
@@ -934,7 +742,8 @@ mod tests {
     fn one_policy_emits_no_chunk_events() {
         let pool = Pool::new(2);
         let rec = wlp_obs::BufferRecorder::new(2);
-        doall_dynamic_chunked_rec(&pool, 100, ChunkPolicy::One, &rec, |_, _| Step::Continue);
+        let opts = DoallOptions::recorded(&rec);
+        doall_with(&pool, 100, opts, |_| (), |_, ()| Step::Continue);
         let trace = rec.finish();
         assert!(
             !trace
@@ -946,79 +755,60 @@ mod tests {
     }
 
     #[test]
-    fn worksteal_covers_all_iterations_exactly_once() {
-        for (p, chunk) in [(1, 4), (4, 1), (4, 7), (8, 16)] {
-            let pool = Pool::new(p);
-            let hits: Vec<AtomicU32> = (0..500).map(|_| AtomicU32::new(0)).collect();
-            let out = doall_worksteal(&pool, 500, chunk, |i, _| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            });
-            assert_eq!(out.quit, None, "p={p} chunk={chunk}");
-            assert_eq!(out.executed, 500, "p={p} chunk={chunk}");
-            assert_eq!(out.max_started, 500, "p={p} chunk={chunk}");
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn worksteal_quit_contract_holds() {
-        let pool = Pool::new(4);
-        let hits: Vec<AtomicU32> = (0..2000).map(|_| AtomicU32::new(0)).collect();
-        let out = doall_worksteal(&pool, 2000, 8, |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            if i >= 300 {
-                Step::Quit
-            } else {
-                Step::Continue
+    fn worker_state_is_built_once_per_worker_and_threaded_through() {
+        let pool = Pool::new(3);
+        let inits = AtomicU32::new(0);
+        let sum = AtomicU64::new(0);
+        struct Flush<'a>(u64, &'a AtomicU64);
+        impl Drop for Flush<'_> {
+            fn drop(&mut self) {
+                self.1.fetch_add(self.0, Ordering::Relaxed);
             }
-        });
-        let q = out.quit.expect("loop must quit");
-        assert!(q >= 300, "quit below the terminator");
-        for i in 0..=q {
-            assert_eq!(
-                hits[i].load(Ordering::Relaxed),
-                1,
-                "iteration {i} at or below the quit must run exactly once"
-            );
         }
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
-    }
-
-    #[test]
-    fn worksteal_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_worksteal(p, u, 8, b));
-    }
-
-    #[test]
-    fn worksteal_empty_range_runs_nothing() {
-        let pool = Pool::new(4);
-        let out = doall_worksteal(&pool, 0, 16, |_, _| Step::Quit);
-        assert_eq!(out.executed, 0);
-        assert_eq!(out.quit, None);
-        assert_eq!(out.max_started, 0);
+        let out = doall_with(
+            &pool,
+            500,
+            DoallOptions::default(),
+            |_| {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Flush(0, &sum)
+            },
+            |i, local| {
+                local.0 += i as u64;
+                Step::Continue
+            },
+        );
+        assert_eq!(out.executed, 500);
+        assert_eq!(inits.load(Ordering::Relaxed), 3, "one state per worker");
+        assert_eq!(sum.load(Ordering::Relaxed), (0..500).sum::<u64>());
     }
 
     #[test]
     fn deadline_overrun_surfaces_timeout_with_the_overdue_iteration() {
         use crate::pool::Deadline;
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
-        let out = doall_dynamic(&pool, 1_000_000, |i, _| {
-            if i == 5 {
-                // A stall that never polls anything loop-visible: the
-                // watchdog must cancel issue and blame this iteration.
-                std::thread::sleep(std::time::Duration::from_millis(200));
-            }
-            Step::Continue
-        });
-        let to = out.timeout.expect("watchdog verdict must be surfaced");
-        assert_eq!(to.iter, Some(5), "overdue lane's loop counter patched in");
-        assert!(to.elapsed >= std::time::Duration::from_millis(25));
-        assert_eq!(out.panic, None);
-        assert!(
-            out.executed < 1_000_000,
-            "cancellation must stop issue well before the range is exhausted"
-        );
+        for order in ORDERS {
+            let out = run(&pool, 1_000_000, order, |i, _| {
+                if i == 5 {
+                    // A stall that never polls anything loop-visible: the
+                    // watchdog must cancel issue and blame this iteration.
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                }
+                Step::Continue
+            });
+            let to = out.timeout.expect("watchdog verdict must be surfaced");
+            assert_eq!(
+                to.iter,
+                Some(5),
+                "{order:?}: overdue lane's counter patched in"
+            );
+            assert!(to.elapsed >= std::time::Duration::from_millis(25));
+            assert_eq!(out.panic, None);
+            assert!(
+                out.executed < 1_000_000,
+                "{order:?}: cancellation must stop issue well before the range is exhausted"
+            );
+        }
     }
 
     #[test]
@@ -1035,18 +825,20 @@ mod tests {
         // After a panic, peers stop claiming at the next boundary: far
         // fewer than `upper` iterations run.
         let pool = Pool::new(4);
-        let ran = AtomicU64::new(0);
-        let out = doall_dynamic(&pool, 1_000_000, |i, _| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            if i == 10 {
-                panic!("stop the presses");
-            }
-            Step::Continue
-        });
-        assert!(out.panic.is_some());
-        assert!(
-            ran.load(Ordering::Relaxed) < 1_000_000,
-            "cancellation must stop issue well before the range is exhausted"
-        );
+        for order in ORDERS {
+            let ran = AtomicU64::new(0);
+            let out = run(&pool, 1_000_000, order, |i, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i == 10 {
+                    panic!("stop the presses");
+                }
+                Step::Continue
+            });
+            assert!(out.panic.is_some(), "{order:?}");
+            assert!(
+                ran.load(Ordering::Relaxed) < 1_000_000,
+                "{order:?}: cancellation must stop issue well before the range is exhausted"
+            );
+        }
     }
 }

@@ -20,9 +20,9 @@
 //! Because workers *steal* lane tickets rather than owning a fixed lane,
 //! the mapping from OS thread to vpn may differ from region to region
 //! (each lane still runs exactly once per region — tickets are taken by
-//! CAS). [`Pool::new_spawning`] keeps the old spawn-per-region behaviour
-//! (scoped threads) — the bench harness uses it to measure exactly how
-//! much dispatch overhead residency removes.
+//! CAS). Only a region launched while another is in flight on the same
+//! pool (a nested or racing `run_with`) runs on freshly spawned scoped
+//! threads instead.
 //!
 //! # Fault containment
 //!
@@ -504,8 +504,7 @@ fn worker_loop(shared: &Shared, p: usize) {
 /// and parked between regions, so consecutive `run`/`run_with` calls reuse
 /// the same OS threads (cheap dispatch, as on the Alliant). The closure may
 /// still borrow from the caller's stack: the leader does not return until
-/// every worker has finished the region. [`Pool::new_spawning`] reproduces
-/// the old spawn-per-region behaviour for comparison benchmarks.
+/// every worker has finished the region.
 ///
 /// Cloning a `Pool` shares the same resident workers. A `run_with` that is
 /// re-entered (a body launching a nested region on the same pool) or raced
@@ -534,19 +533,6 @@ impl Pool {
         Pool {
             workers: p,
             resident,
-            deadline: None,
-            abort: None,
-        }
-    }
-
-    /// Creates a pool that spawns fresh scoped threads for every region —
-    /// the pre-resident behaviour, kept so the bench harness can measure
-    /// the dispatch overhead residency removes.
-    pub fn new_spawning(p: usize) -> Self {
-        assert!(p > 0, "a pool needs at least one worker");
-        Pool {
-            workers: p,
-            resident: None,
             deadline: None,
             abort: None,
         }
@@ -597,9 +583,8 @@ impl Pool {
         self.workers
     }
 
-    /// Whether regions run on persistent parked workers (`true`) or on
-    /// freshly spawned scoped threads (`false`; also the case for `p = 1`,
-    /// which always runs inline).
+    /// Whether regions run on persistent parked workers (`false` only for
+    /// `p = 1`, which always runs inline).
     #[inline]
     pub fn is_resident(&self) -> bool {
         self.resident.is_some()
@@ -649,8 +634,8 @@ impl Pool {
             res.in_region.store(false, Ordering::Release);
             panics
         } else {
-            // spawn-per-region: explicit mode, nested region, or a racing
-            // leader on the same resident pool
+            // spawn-per-region: a nested region, or a racing leader on the
+            // same resident pool
             self.run_spawned(cancel, f)
         }
     }
@@ -906,8 +891,9 @@ impl Pool {
         panics
     }
 
-    /// One region on freshly spawned scoped threads (the pre-resident
-    /// code path); returns the contained panics in vpn order.
+    /// One region on freshly spawned scoped threads (the fallback for a
+    /// region launched while the resident workers are busy); returns the
+    /// contained panics in vpn order.
     fn run_spawned<F>(&self, cancel: &CancelFlag, f: &F) -> Vec<WorkerPanic>
     where
         F: Fn(usize) + Sync + ?Sized,
@@ -1043,19 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn spawning_pool_executes_every_vpn_once() {
-        let pool = Pool::new_spawning(4);
-        assert!(!pool.is_resident());
-        let hits = [(); 4].map(|_| AtomicUsize::new(0));
-        pool.run(|vpn| {
-            hits[vpn].fetch_add(1, Ordering::Relaxed);
-        });
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
     fn run_map_preserves_vpn_order() {
         let pool = Pool::new(5);
         assert_eq!(pool.run_map(|vpn| vpn * 10), vec![0, 10, 20, 30, 40]);
@@ -1083,23 +1056,13 @@ mod tests {
             assert_eq!(ids[0], std::thread::current().id(), "vpn 0 is the leader");
             union.extend(ids);
         }
-        // A spawning pool would contribute fresh thread ids every region;
+        // Spawn-per-region would contribute fresh thread ids every region;
         // a resident pool serves all ten regions from one fixed set.
         assert!(
             union.len() <= 4,
             "at most p distinct threads across regions, got {}",
             union.len()
         );
-    }
-
-    #[test]
-    fn spawning_pool_uses_fresh_threads_each_region() {
-        let pool = Pool::new_spawning(3);
-        let first = pool.run_map(|_| std::thread::current().id());
-        let second = pool.run_map(|_| std::thread::current().id());
-        // vpn 0 is always the caller; spawned vpns get fresh threads
-        assert_eq!(first[0], second[0]);
-        assert_ne!(first[1..], second[1..], "scoped threads are not reused");
     }
 
     #[test]
@@ -1126,7 +1089,7 @@ mod tests {
     #[test]
     fn blocks_partition_range() {
         for p in 1..=8 {
-            let pool = Pool::new_spawning(p);
+            let pool = Pool::new(p);
             for n in [0usize, 1, 7, 8, 100] {
                 let mut covered = 0;
                 let mut prev_hi = 0;
@@ -1145,7 +1108,7 @@ mod tests {
 
     #[test]
     fn block_sizes_differ_by_at_most_one() {
-        let pool = Pool::new_spawning(3);
+        let pool = Pool::new(3);
         let sizes: Vec<usize> = (0..3)
             .map(|v| {
                 let (lo, hi) = pool.block(v, 10);
@@ -1441,23 +1404,22 @@ mod tests {
     #[test]
     fn run_map_with_keeps_clean_results_alongside_panics() {
         // Regression: a sibling's panic must not lose values produced by
-        // clean workers, in either pool mode, even when the panic raises
-        // the cancel flag mid-region.
-        for pool in [Pool::new(4), Pool::new_spawning(4)] {
-            let cancel = CancelFlag::new();
-            let (slots, out) = pool.run_map_with(&cancel, |vpn| {
-                if vpn == 2 {
-                    panic!("sibling fault");
-                }
-                vpn + 100
-            });
-            assert!(matches!(out, PoolOutcome::Panicked(_)));
-            assert_eq!(out.panics().len(), 1);
-            assert_eq!(slots[0], Some(100));
-            assert_eq!(slots[1], Some(101));
-            assert_eq!(slots[2], None, "the faulting worker has no value");
-            assert_eq!(slots[3], Some(103));
-            assert!(cancel.is_cancelled());
-        }
+        // clean workers, even when the panic raises the cancel flag
+        // mid-region.
+        let pool = Pool::new(4);
+        let cancel = CancelFlag::new();
+        let (slots, out) = pool.run_map_with(&cancel, |vpn| {
+            if vpn == 2 {
+                panic!("sibling fault");
+            }
+            vpn + 100
+        });
+        assert!(matches!(out, PoolOutcome::Panicked(_)));
+        assert_eq!(out.panics().len(), 1);
+        assert_eq!(slots[0], Some(100));
+        assert_eq!(slots[1], Some(101));
+        assert_eq!(slots[2], None, "the faulting worker has no value");
+        assert_eq!(slots[3], Some(103));
+        assert!(cancel.is_cancelled());
     }
 }

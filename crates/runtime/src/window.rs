@@ -13,11 +13,14 @@
 //! implements that policy: it maps a measured memory usage to a new window
 //! size under a budget.
 
-use crate::doall::{DoallOutcome, FaultCell, Step};
+use crate::doall::{split_outcome, DoallOutcome, FaultCell, Step};
 use crate::pool::{CancelFlag, Pool};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
+use wlp_obs::{CachePadded, Event, Recorder};
 
 #[derive(Debug)]
 struct WinState {
@@ -246,19 +249,12 @@ impl WindowController {
 /// [`doall_dynamic`](crate::doall::doall_dynamic) but the span of in-flight
 /// iterations never exceeds `window`. Returns the outcome plus the maximum
 /// span actually observed.
-pub fn doall_windowed<F>(pool: &Pool, upper: usize, window: usize, body: F) -> (DoallOutcome, usize)
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_windowed_rec(pool, upper, window, &wlp_obs::NoopRecorder, body)
-}
-
-/// [`doall_windowed`] with observability: reports the initial window size,
-/// each claim (time blocked on window admission becomes a `LockWait`),
-/// body execution, QUIT broadcast and end-of-loop join to `rec`. With
-/// [`wlp_obs::NoopRecorder`] — which is what [`doall_windowed`] passes —
-/// every probe compiles away.
-pub fn doall_windowed_rec<R, F>(
+///
+/// `rec` is told the initial window size, each claim (time blocked on
+/// window admission becomes a `LockWait`), body execution, QUIT broadcast
+/// and end-of-loop join; with [`wlp_obs::NoopRecorder`] every probe
+/// compiles away.
+pub fn doall_windowed<R, F>(
     pool: &Pool,
     upper: usize,
     window: usize,
@@ -266,20 +262,17 @@ pub fn doall_windowed_rec<R, F>(
     body: F,
 ) -> (DoallOutcome, usize)
 where
-    R: wlp_obs::Recorder,
+    R: Recorder,
     F: Fn(usize, usize) -> Step + Sync,
 {
-    use std::time::Instant;
-    use wlp_obs::Event;
-
     let sched = WindowScheduler::new(upper, window);
-    let executed = std::sync::atomic::AtomicU64::new(0);
-    let max_started = std::sync::atomic::AtomicUsize::new(0);
+    let executed = AtomicU64::new(0);
+    let max_started = AtomicUsize::new(0);
     let cancel = CancelFlag::new();
     let fault = FaultCell::new();
     let watched = pool.deadline().is_some();
-    let cursor: Vec<std::sync::atomic::AtomicUsize> = (0..pool.size())
-        .map(|_| std::sync::atomic::AtomicUsize::new(usize::MAX))
+    let cursor: Vec<CachePadded<AtomicUsize>> = (0..pool.size())
+        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
         .collect();
     if R::ENABLED {
         rec.record(
@@ -314,7 +307,7 @@ where
             }
             let Some(i) = claimed else { break };
             local_max = local_max.max(i + 1);
-            cursor[vpn].store(i, std::sync::atomic::Ordering::Relaxed);
+            cursor[vpn].store(i, Ordering::Relaxed);
             let t1 = R::ENABLED.then(Instant::now);
             let step = match catch_unwind(AssertUnwindSafe(|| body(i, vpn))) {
                 Ok(step) => step,
@@ -350,26 +343,16 @@ where
         if R::ENABLED {
             rec.record(vpn, Event::Barrier { cost: 0 });
         }
-        executed.fetch_add(local_exec, std::sync::atomic::Ordering::Relaxed);
-        max_started.fetch_max(local_max, std::sync::atomic::Ordering::Relaxed);
+        executed.fetch_add(local_exec, Ordering::Relaxed);
+        max_started.fetch_max(local_max, Ordering::Relaxed);
     });
-    let timeout = pool_out.timeout().cloned().map(|mut t| {
-        if let Some(i) = cursor
-            .get(t.vpn)
-            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-        {
-            if i != usize::MAX {
-                t.iter = Some(i);
-            }
-        }
-        t
-    });
+    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
     (
         DoallOutcome {
             quit: sched.quit(),
-            executed: executed.load(std::sync::atomic::Ordering::Relaxed),
-            max_started: max_started.load(std::sync::atomic::Ordering::Relaxed),
-            panic: fault.take().or_else(|| pool_out.into_first_panic()),
+            executed: executed.load(Ordering::Relaxed),
+            max_started: max_started.load(Ordering::Relaxed),
+            panic,
             timeout,
         },
         sched.max_span(),
@@ -379,13 +362,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::AtomicU32;
+    use wlp_obs::NoopRecorder;
 
     #[test]
     fn windowed_doall_covers_all_iterations() {
         let pool = Pool::new(4);
         let hits: Vec<AtomicU32> = (0..200).map(|_| AtomicU32::new(0)).collect();
-        let (out, span) = doall_windowed(&pool, 200, 8, |i, _| {
+        let (out, span) = doall_windowed(&pool, 200, 8, &NoopRecorder, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             Step::Continue
         });
@@ -397,14 +381,14 @@ mod tests {
     #[test]
     fn window_bound_is_never_violated() {
         let pool = Pool::new(8);
-        let (_, span) = doall_windowed(&pool, 1000, 3, |_, _| Step::Continue);
+        let (_, span) = doall_windowed(&pool, 1000, 3, &NoopRecorder, |_, _| Step::Continue);
         assert!(span <= 3, "span {span}");
     }
 
     #[test]
     fn windowed_quit_stops_issuing() {
         let pool = Pool::new(4);
-        let (out, _) = doall_windowed(&pool, 100_000, 16, |i, _| {
+        let (out, _) = doall_windowed(&pool, 100_000, 16, &NoopRecorder, |i, _| {
             if i >= 40 {
                 Step::Quit
             } else {
@@ -422,7 +406,7 @@ mod tests {
         // only runnable iteration quits; blocked claimers must wake and see
         // the end condition.
         let pool = Pool::new(4);
-        let (out, _) = doall_windowed(&pool, 1000, 1, |i, _| {
+        let (out, _) = doall_windowed(&pool, 1000, 1, &NoopRecorder, |i, _| {
             if i == 5 {
                 Step::Quit
             } else {
@@ -489,7 +473,7 @@ mod tests {
         // The faulted iteration never completes, so the low watermark
         // stalls; blocked claimers must be woken by the cancellation.
         let pool = Pool::new(4);
-        let (out, _) = doall_windowed(&pool, 100_000, 2, |i, _| {
+        let (out, _) = doall_windowed(&pool, 100_000, 2, &NoopRecorder, |i, _| {
             if i == 50 {
                 panic!("window fault");
             }

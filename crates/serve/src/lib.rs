@@ -18,7 +18,7 @@
 //!   tenants never cold-start threads and never oversubscribe the host
 //!   (the paper's Section 8 resource-controlled self-scheduling, lifted
 //!   from iterations-within-a-loop to loops-within-a-service).
-//! * **Admission control** ([`TenantState`]) — each tenant holds a
+//! * **Admission control** (`TenantState`) — each tenant holds a
 //!   bounded number of regions in flight, a [`wlp_runtime::Governor`]
 //!   whose abort history demotes it down the strategy ladder, and a
 //!   speculation write-budget credit pool; requests past any bound are

@@ -227,7 +227,7 @@ pub struct ExecConfig {
     /// traces and makespans bit-identical.
     pub claim_cost: Option<u64>,
     /// DOACROSS grain: iterations per wavefront sync cell — the mirror of
-    /// the runtime's `doacross_grained` and the governor's grain ladder.
+    /// the runtime's `DoacrossOptions::grain` and the governor's grain ladder.
     /// Coarser grain amortizes one dispatch + one sync per `grain`
     /// iterations at the cost of pipeline fill latency. `0` is treated as
     /// `1` (per-iteration sync, the historical behavior).

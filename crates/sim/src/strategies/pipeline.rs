@@ -63,7 +63,7 @@ pub fn sim_doacross(p: usize, spec: &LoopSpec, oh: &Overheads, stages: usize) ->
 /// Replays a grained DOACROSS pipeline: `grain` consecutive iterations
 /// share one wavefront cell, so one dispatch claim and one sync per
 /// stage cover `grain` iterations — the simulator mirror of the
-/// runtime's `doacross_grained` and of the governor's grain ladder.
+/// runtime's `DoacrossOptions::grain` and of the governor's grain ladder.
 ///
 /// Coarser grain amortizes dispatch/sync overhead but lengthens pipeline
 /// fill (the first chunk of a stage waits for a whole predecessor chunk,

@@ -13,7 +13,7 @@ use crossbeam::atomic::AtomicCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wlp_core::general::{
-    general1, general2, general3, general3_recovering_rec, GeneralConfig, GeneralOutcome,
+    general1, general2, general3, general3_recovering, GeneralConfig, GeneralOutcome,
 };
 use wlp_fault::FaultPlan;
 use wlp_list::ListArena;
@@ -135,7 +135,7 @@ pub fn load_parallel_recovering<R: Recorder>(
     let out: Vec<AtomicCell<Stamp>> = (0..list.len())
         .map(|_| AtomicCell::new(Stamp { geq: 0.0, ieq: 0.0 }))
         .collect();
-    let outcome = general3_recovering_rec(pool, list, GeneralConfig::default(), rec, |i, node| {
+    let outcome = general3_recovering(pool, list, GeneralConfig::recorded(rec), |i, node| {
         let _ = plan.inject(i, 0);
         let dev = &list[node];
         out[dev.id].store(evaluate(dev, dt));

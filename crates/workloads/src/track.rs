@@ -117,6 +117,7 @@ impl TrackInstance {
         wlp_core::induction::induction2(
             pool,
             self.meas.len(),
+            wlp_runtime::DoallOptions::default(),
             |i| filter(state[self.idx[i]].load(), self.meas[i]).abs() > self.limit,
             |i, _| {
                 let e = self.idx[i];

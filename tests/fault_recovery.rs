@@ -12,12 +12,14 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlp::core::general::{general1, general2, general3, general3_recovering, GeneralConfig};
-use wlp::core::speculate::{speculative_while_rec, SpeculativeArray};
+use wlp::core::speculate::{speculative_while_with, SpeculativeArray};
 use wlp::core::{run_with_recovery, ParallelAttempt, VersionedArray};
 use wlp::fault::{corrupt_list_cycle, FaultPlan, PANIC_MESSAGE_PREFIX};
 use wlp::list::ListArena;
 use wlp::obs::{BufferRecorder, NoopRecorder, ProfileReport};
-use wlp::runtime::{doacross, doall_dynamic, doall_windowed, strip_mined, Pool, Step};
+use wlp::runtime::{
+    doacross, doall_dynamic, doall_windowed, strip_mined, DoallOptions, Pool, Step,
+};
 
 const N: usize = 256;
 
@@ -85,7 +87,7 @@ fn doall_panic_restores_and_reexecutes() {
 #[test]
 fn strip_panic_restores_and_reexecutes() {
     check_recovery("strip", 130, |plan, arr, pool| {
-        strip_mined(pool, N, 32, |i, vpn| {
+        strip_mined(pool, N, 32, DoallOptions::default(), |i, vpn| {
             let _ = plan.inject(i, vpn);
             arr.write(i, i as i64 * 3 + 1, i);
             Step::Continue
@@ -97,7 +99,7 @@ fn strip_panic_restores_and_reexecutes() {
 #[test]
 fn window_panic_restores_and_reexecutes() {
     check_recovery("window", 70, |plan, arr, pool| {
-        doall_windowed(pool, N, 16, |i, vpn| {
+        doall_windowed(pool, N, 16, &NoopRecorder, |i, vpn| {
             let _ = plan.inject(i, vpn);
             arr.write(i, i as i64 * 3 + 1, i);
             Step::Continue
@@ -154,11 +156,11 @@ fn speculative_driver_contains_panic_and_falls_back() {
     let arr = SpeculativeArray::new(vec![1i64; n]);
     let plan = FaultPlan::panic_at(60);
     let rec = BufferRecorder::new(4);
-    let out = speculative_while_rec(
+    let out = speculative_while_with(
         &Pool::new(4),
         n,
         &arr,
-        &rec,
+        DoallOptions::recorded(&rec),
         |_, _| false,
         |i, a| {
             let _ = plan.inject(i, 0);
@@ -205,7 +207,7 @@ proptest! {
         let plan = FaultPlan::panic_at(k);
         let pool = Pool::new(4);
         let out = run_with_recovery(&arr, &NoopRecorder, || {
-            strip_mined(&pool, N, strip, |i, vpn| {
+            strip_mined(&pool, N, strip, DoallOptions::default(), |i, vpn| {
                 let _ = plan.inject(i, vpn);
                 arr.write(i, i as i64 * 3 + 1, i);
                 Step::Continue
@@ -223,7 +225,7 @@ proptest! {
         let plan = FaultPlan::panic_at(k);
         let pool = Pool::new(4);
         let out = run_with_recovery(&arr, &NoopRecorder, || {
-            doall_windowed(&pool, N, window, |i, vpn| {
+            doall_windowed(&pool, N, window, &NoopRecorder, |i, vpn| {
                 let _ = plan.inject(i, vpn);
                 arr.write(i, i as i64 * 3 + 1, i);
                 Step::Continue

@@ -16,10 +16,10 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use wlp::core::{governed_while, speculative_while_rec, SpeculativeArray};
+use wlp::core::{governed_while, speculative_while, speculative_while_with, SpeculativeArray};
 use wlp::fault::{FaultAction, FaultPlan};
-use wlp::obs::{AbortReason, BufferRecorder, Event, ProfileReport, StrategyChoice};
-use wlp::runtime::{Deadline, Governor, GovernorPolicy, Pool};
+use wlp::obs::{AbortReason, BufferRecorder, Event, NoopRecorder, ProfileReport, StrategyChoice};
+use wlp::runtime::{Deadline, DoallOptions, Governor, GovernorPolicy, Pool};
 
 /// Sequential truth of the governed test loop: `body` writes
 /// `i * 7 + 3` below the exit, everything at or above it keeps the
@@ -105,6 +105,7 @@ proptest! {
                 n,
                 vec![0i64; n],
                 &mut gov,
+                &NoopRecorder,
                 |i| i >= exit,
                 |i, a| {
                     if let FaultAction::HogWrites(k) = plan.inject(i, 0) {
@@ -233,11 +234,11 @@ fn stalled_worker_times_out_recovers_and_leaves_the_pool_reusable() {
     let arr = SpeculativeArray::new(vec![0i64; n]);
     let rec = BufferRecorder::new(4);
 
-    let out = speculative_while_rec(
+    let out = speculative_while_with(
         &armed,
         n,
         &arr,
-        &rec,
+        DoallOptions::recorded(&rec),
         |i, _| i == exit,
         |i, a| {
             let _ = plan.inject(i, 0);
@@ -267,11 +268,10 @@ fn stalled_worker_times_out_recovers_and_leaves_the_pool_reusable() {
     // The timed-out region must not wedge the resident pool: a fresh
     // speculative region on the *undeadlined* handle commits cleanly.
     let probe = SpeculativeArray::new(vec![0i64; 64]);
-    let ok = speculative_while_rec(
+    let ok = speculative_while(
         &pool,
         64,
         &probe,
-        &wlp::obs::NoopRecorder,
         |i, _| i == 48,
         |i, a| a.write(i, i as i64),
     );

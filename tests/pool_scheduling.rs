@@ -10,9 +10,16 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Duration;
 use wlp::runtime::{
-    doall_dynamic, doall_dynamic_chunked, strip_mined_chunked, CancelFlag, ChunkPolicy, Deadline,
-    Pool, Step,
+    doall_dynamic, doall_with, strip_mined, CancelFlag, ChunkPolicy, Deadline, DoallOptions,
+    IssueOrder, Pool, Step,
 };
+
+fn chunked(policy: ChunkPolicy) -> DoallOptions<'static> {
+    DoallOptions {
+        order: IssueOrder::Dynamic(policy),
+        ..DoallOptions::default()
+    }
+}
 
 /// Runs one pool region and returns each vpn's host thread id.
 fn thread_ids(pool: &Pool) -> HashMap<usize, ThreadId> {
@@ -46,23 +53,6 @@ fn resident_pool_reuses_the_same_threads_across_regions() {
         "ten regions drew on more than p threads: {}",
         union.len()
     );
-}
-
-#[test]
-fn spawning_pool_uses_fresh_threads_per_region() {
-    let pool = Pool::new_spawning(4);
-    assert!(!pool.is_resident());
-    let first = thread_ids(&pool);
-    let second = thread_ids(&pool);
-    // vpn 0 is the caller in both regions; every worker vpn is a fresh
-    // thread each time.
-    assert_eq!(first[&0], second[&0]);
-    for vpn in 1..4 {
-        assert_ne!(
-            first[&vpn], second[&vpn],
-            "vpn {vpn} must be a fresh spawn in each region"
-        );
-    }
 }
 
 #[test]
@@ -166,7 +156,7 @@ proptest! {
         let quit = quit_at.filter(|&q| q < n);
 
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let out = doall_dynamic_chunked(&pool, n, policy, |i, _| {
+        let out = doall_with(&pool, n, chunked(policy), |_| (), |i, ()| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             if Some(i) == quit { Step::Quit } else { Step::Continue }
         });
@@ -203,7 +193,7 @@ proptest! {
         let pool = Pool::new(3);
         let quit = quit_at.filter(|&q| q < n);
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let out = strip_mined_chunked(&pool, n, strip, ChunkPolicy::Fixed(k), |i, _| {
+        let out = strip_mined(&pool, n, strip, chunked(ChunkPolicy::Fixed(k)), |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             if Some(i) == quit { Step::Quit } else { Step::Continue }
         });

@@ -6,17 +6,18 @@
 //! * per processor, `busy + lock_wait + idle == makespan`;
 //! * `committed + undone == executed`.
 //!
-//! Checked here for Induction-1, General-3 and the speculative driver on
-//! the threaded runtime (nanosecond traces) and on the deterministic
-//! simulator (cycle traces).
+//! Checked here for Induction-1, General-3, the speculative driver and
+//! every rung of the governed ladder on the threaded runtime (nanosecond
+//! traces) and on the deterministic simulator (cycle traces).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wlp::core::general::{general3_until_rec, GeneralConfig};
-use wlp::core::induction::induction1_rec;
-use wlp::core::speculate::{speculative_while_rec, SpeculativeArray};
+use wlp::core::general::{general3_until, GeneralConfig};
+use wlp::core::governed_while;
+use wlp::core::induction::induction1;
+use wlp::core::speculate::{speculative_while_with, SpeculativeArray};
 use wlp::list::ListArena;
-use wlp::obs::{BufferRecorder, ProfileReport, Trace};
-use wlp::runtime::{Pool, Step};
+use wlp::obs::{BufferRecorder, ProfileReport, StrategyChoice, Trace};
+use wlp::runtime::{DoallOptions, Governor, GovernorPolicy, Pool, Step};
 use wlp::sim::spec::TerminatorKind;
 use wlp::sim::{
     sim_general3_traced, sim_induction_doall_traced, ExecConfig, LoopSpec, Overheads, Schedule,
@@ -36,10 +37,10 @@ fn threaded_induction1_conserves() {
     let pool = Pool::new(P);
     let work: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
     let rec = BufferRecorder::new(P);
-    let out = induction1_rec(
+    let out = induction1(
         &pool,
         1000,
-        &rec,
+        DoallOptions::recorded(&rec),
         |i| i >= 600,
         |i, _| {
             work[i].fetch_add(1, Ordering::Relaxed);
@@ -60,7 +61,7 @@ fn threaded_general3_conserves() {
     let pool = Pool::new(P);
     let list = ListArena::from_values_shuffled(0u64..800, 11);
     let rec = BufferRecorder::new(P);
-    let out = general3_until_rec(&pool, &list, GeneralConfig::default(), &rec, |i, _| {
+    let out = general3_until(&pool, &list, GeneralConfig::recorded(&rec), |i, _| {
         if i >= 500 {
             Step::Quit
         } else {
@@ -80,7 +81,8 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
     // commit with overshoot: exit at 80 of 600
     let arr = SpeculativeArray::new(vec![0i64; 600]);
     let rec = BufferRecorder::new(P);
-    speculative_while_rec(&pool, 600, &arr, &rec, |i, _| i == 80, |i, a| a.write(i, 1));
+    let opts = DoallOptions::recorded(&rec);
+    speculative_while_with(&pool, 600, &arr, opts, |i, _| i == 80, |i, a| a.write(i, 1));
     let r = checked(&rec.finish());
     assert_eq!(r.spec_commits, 1);
     assert_eq!(r.committed, 80);
@@ -94,11 +96,11 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
     let n = 64usize;
     let arr = SpeculativeArray::new(vec![1i64; n + 1]);
     let rec = BufferRecorder::new(P);
-    speculative_while_rec(
+    speculative_while_with(
         &pool,
         n,
         &arr,
-        &rec,
+        DoallOptions::recorded(&rec),
         |i, _| i >= n,
         |i, a| {
             let left = a.read(i);
@@ -110,6 +112,54 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
     assert_eq!(r.committed, 0);
     assert_eq!(r.undone, r.executed);
     assert_eq!(r.spec_success_rate(), Some(0.0));
+}
+
+#[test]
+fn threaded_governed_ladder_reports_every_rung() {
+    // A write budget of 4 fails every parallel rung, so the governor walks
+    // speculative → windowed → distribution → sequential; each round on a
+    // parallel rung must show up in the report as exactly one commit or
+    // abort, whichever rung ran it.
+    let pool = Pool::new(P);
+    let policy = GovernorPolicy {
+        demote_threshold: 2,
+        initial_backoff: 2,
+        max_backoff: 8,
+        budget_writes: Some(4),
+        ..GovernorPolicy::default()
+    };
+    let mut gov = Governor::new(policy);
+    let rec = BufferRecorder::new(P);
+    let mut parallel_rounds = [0u64; 3];
+    while gov.current() != StrategyChoice::Sequential {
+        let (out, _) = governed_while(
+            &pool,
+            64,
+            vec![0i64; 64],
+            &mut gov,
+            &rec,
+            |i| i == 40,
+            |i, a| a.write(i, i as i64 + 1),
+        );
+        let rung = match out.strategy {
+            StrategyChoice::Speculative => 0,
+            StrategyChoice::Windowed => 1,
+            StrategyChoice::Distribution => 2,
+            StrategyChoice::Sequential => unreachable!("the loop stops there"),
+        };
+        parallel_rounds[rung] += 1;
+    }
+    assert!(
+        parallel_rounds.iter().all(|&r| r > 0),
+        "every parallel rung ran: {parallel_rounds:?}"
+    );
+    let rounds: u64 = parallel_rounds.iter().sum();
+    let r = checked(&rec.finish());
+    assert_eq!(r.spec_aborts + r.spec_commits, rounds);
+    assert_eq!(r.aborts_budget, rounds, "every rung's abort is attributed");
+    assert_eq!(r.backup_elems, 64 * rounds, "every rung charges its backup");
+    assert_eq!(r.committed, 0);
+    assert_eq!(r.undone, r.executed, "aborts discard every body they ran");
 }
 
 #[test]

@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use wlp::core::constructs::{run_twice_while, while_doall};
-use wlp::core::induction::{induction1, induction2, induction2_static};
+use wlp::core::induction::{induction1, induction2};
 use wlp::list::ListArena;
-use wlp::runtime::{doall_windowed, strip_mined, Pool, Step};
+use wlp::obs::NoopRecorder;
+use wlp::runtime::{doall_windowed, strip_mined, DoallOptions, IssueOrder, Pool, Step};
 
 /// The sequential reference: which iterations run their bodies, and where
 /// the loop exits, for `while !(i ∈ exits) { body(i) }` over `0..n`.
@@ -40,7 +41,7 @@ proptest! {
 
         // Induction-1: per-processor minima + reduction
         let hits = body_hits(n);
-        let o1 = induction1(&pool, n, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
+        let o1 = induction1(&pool, n, DoallOptions::default(), term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
         prop_assert_eq!(o1.last_valid, expect_exit, "induction1 exit");
         for i in 0..n {
             // Induction-1 may overshoot (bodies past LI on processors that
@@ -52,7 +53,7 @@ proptest! {
 
         // Induction-2 (QUIT): bodies are exactly the valid iterations
         let hits = body_hits(n);
-        let o2 = induction2(&pool, n, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
+        let o2 = induction2(&pool, n, DoallOptions::default(), term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
         prop_assert_eq!(o2.last_valid, expect_exit, "induction2 exit");
         for i in 0..n {
             let h = hits[i].load(Ordering::Relaxed);
@@ -64,7 +65,8 @@ proptest! {
         }
 
         // static schedule: same semantics, possibly different quit witness
-        let o3 = induction2_static(&pool, n, term, |_, _| {});
+        let cyclic = DoallOptions { order: IssueOrder::Cyclic, ..DoallOptions::default() };
+        let o3 = induction2(&pool, n, cyclic, term, |_, _| {});
         match (o3.last_valid, expect_exit) {
             (Some(got), Some(want)) => {
                 prop_assert!(got >= want && exits.contains(&got), "static quit {} vs {}", got, want)
@@ -97,8 +99,8 @@ proptest! {
         let pool = Pool::new(workers);
         let body = |i: usize, _vpn: usize| if i == exit { Step::Quit } else { Step::Continue };
 
-        let s = strip_mined(&pool, n, strip, body);
-        let w = doall_windowed(&pool, n, window, body).0;
+        let s = strip_mined(&pool, n, strip, DoallOptions::default(), body);
+        let w = doall_windowed(&pool, n, window, &NoopRecorder, body).0;
         let expect = (exit < n).then_some(exit);
         prop_assert_eq!(s.outcome.quit, expect, "strip-mined quit");
         prop_assert_eq!(w.quit, expect, "windowed quit");
