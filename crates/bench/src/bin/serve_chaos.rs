@@ -45,10 +45,11 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wlp_bench::corpus_run_line;
 use wlp_bench::trajectory::{TrajectoryExhibit, TrajectoryRecord};
 use wlp_fault::ChaosScenario;
 use wlp_serve::{CancelFlag, ServeConfig, Service};
-use wlp_workloads::sources::{corpus, machine_inputs};
+use wlp_workloads::sources::corpus;
 
 /// Credits each scenario's service starts with — asserted restored.
 const CREDITS: u64 = 1 << 16;
@@ -645,37 +646,13 @@ impl Conn {
     }
 }
 
-/// A corpus `run` request (real arrays/scalars from `wlp-workloads`).
-fn corpus_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
-    let (arrays, scalars) = machine_inputs(name, n);
-    let arrays_json: Vec<String> = arrays
-        .iter()
-        .map(|(k, v)| {
-            let items: Vec<String> = v.iter().map(i64::to_string).collect();
-            format!("{}:[{}]", json::to_string(k), items.join(","))
-        })
-        .collect();
-    let scalars_json: Vec<String> = scalars
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", json::to_string(k)))
-        .collect();
-    format!(
-        r#"{{"op":"run","tenant":{},"program":{},"arrays":{{{}}},"scalars":{{{}}},"max_iters":{},"reply":"digest"}}"#,
-        json::to_string(tenant),
-        json::to_string(src),
-        arrays_json.join(","),
-        scalars_json.join(","),
-        2 * n + 4,
-    )
-}
-
 /// One pass over the corpus against a live daemon. Returns
 /// `(hits, fatal)` out of `corpus().len()` responses.
 fn replay_corpus(conn: &mut Conn, tenant: &str, n: usize) -> (usize, usize) {
     let mut hits = 0usize;
     let mut fatal = 0usize;
     for (name, src) in corpus() {
-        match conn.send(&corpus_line(tenant, name, src, n)) {
+        match conn.send(&corpus_run_line(tenant, name, src, n)) {
             Some(resp) => {
                 if resp.contains("\"cache\":\"hit\"") {
                     hits += 1;

@@ -35,8 +35,9 @@ use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wlp_bench::corpus_run_line;
 use wlp_serve::{ServeConfig, Service};
-use wlp_workloads::sources::{corpus, machine_inputs};
+use wlp_workloads::sources::corpus;
 
 /// Minimum cache-hit ratio `--gate` accepts: ≥100 requests over ≤10
 /// distinct programs must land at least 80% hits.
@@ -126,31 +127,6 @@ struct BenchFile {
     start_comparison: Option<StartComparison>,
 }
 
-/// One request line for `program` under `tenant`, digest-reply to keep
-/// response assembly out of the measurement.
-fn request_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
-    let (arrays, scalars) = machine_inputs(name, n);
-    let arrays_json: Vec<String> = arrays
-        .iter()
-        .map(|(k, v)| {
-            let items: Vec<String> = v.iter().map(i64::to_string).collect();
-            format!("{}:[{}]", serde::json::to_string(k), items.join(","))
-        })
-        .collect();
-    let scalars_json: Vec<String> = scalars
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", serde::json::to_string(k)))
-        .collect();
-    format!(
-        r#"{{"op":"run","tenant":{},"program":{},"arrays":{{{}}},"scalars":{{{}}},"max_iters":{},"reply":"digest"}}"#,
-        serde::json::to_string(tenant),
-        serde::json::to_string(src),
-        arrays_json.join(","),
-        scalars_json.join(","),
-        2 * n + 4,
-    )
-}
-
 fn percentile(sorted_us: &[u64], pct: usize) -> u64 {
     if sorted_us.is_empty() {
         return 0;
@@ -227,7 +203,7 @@ fn closed_loop(service: &Service, clients: usize, total: usize, n: usize) -> Pha
                     let mut lat = Vec::with_capacity(share);
                     for r in 0..share {
                         let (name, src) = programs[(c + r) % programs.len()];
-                        let line = request_line(&tenant, name, src, n);
+                        let line = corpus_run_line(&tenant, name, src, n);
                         let t0 = Instant::now();
                         let resp = service.handle_line(&line);
                         lat.push(t0.elapsed().as_micros() as u64);
@@ -272,7 +248,7 @@ fn open_loop(service: &Service, total: usize, interarrival: Duration, n: usize) 
             std::thread::sleep(wait);
         }
         let (name, src) = programs[r % programs.len()];
-        let line = request_line(&format!("open-{name}"), name, src, n);
+        let line = corpus_run_line(&format!("open-{name}"), name, src, n);
         let t0 = Instant::now();
         let resp = service.handle_line(&line);
         lat.push(t0.elapsed().as_micros() as u64);
@@ -290,7 +266,7 @@ fn one_pass(service: &Service, tenant: &str, n: usize) -> (u64, usize) {
     let start = Instant::now();
     let mut ok = 0usize;
     for (name, src) in corpus() {
-        let resp = service.handle_line(&request_line(tenant, name, src, n));
+        let resp = service.handle_line(&corpus_run_line(tenant, name, src, n));
         if resp.contains("\"ok\":true") {
             ok += 1;
         }

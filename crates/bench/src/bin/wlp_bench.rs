@@ -42,6 +42,12 @@
 //!   study, and their absolute cost is what `--trajectory` tracks
 //!   across commits.
 //!
+//! * `ingest` — the daemon's first layer, request line → typed
+//!   `Request`: one `proto::parse_request` over each of the seven corpus
+//!   `run` lines at `n = 512` (`small`) and `n = 16384` (`large`),
+//!   reported per pass and as ns per request and ns per byte. Not gated:
+//!   it is the budget row a request's transport share is read against.
+//!
 //! With `--gate`, the run fails (exit 1) if any gated parallel exhibit at
 //! the largest pool size is more than 1.5× slower than its sequential
 //! baseline, if a compute `one`-policy cell at `p ≥ 2` falls below 0.9×
@@ -61,12 +67,15 @@
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
+use wlp_bench::corpus_run_line;
 use wlp_core::{governed_while, speculative_while, SpeculativeArray};
 use wlp_obs::NoopRecorder;
 use wlp_runtime::{
     doall_dynamic, doall_with, ChunkPolicy, Deadline, DoallOptions, DoallOutcome, Governor,
     GovernorPolicy, IssueOrder, Pool, Step,
 };
+use wlp_serve::proto::parse_request;
+use wlp_workloads::sources::corpus;
 use wlp_workloads::{spice, track};
 
 /// Slowdown bound for `--gate`: a parallel construct at the largest pool
@@ -121,6 +130,10 @@ struct Exhibit {
     speedup_vs_baseline: Option<f64>,
     /// Whether `--gate` applies its slowdown bound to this exhibit.
     gated: bool,
+    /// `ingest` only: the median over the request lines one repeat parses.
+    ns_per_request: Option<f64>,
+    /// `ingest` only: the median over the bytes one repeat parses.
+    ns_per_byte: Option<f64>,
 }
 
 /// Counters from a deterministic governed ladder walk, archived with
@@ -168,7 +181,7 @@ fn append_trajectory(path: &str, file: &BenchFile) -> std::io::Result<()> {
         .map(|e| TrajectoryExhibit {
             name: e.name.clone(),
             median_ns: e.median_ns,
-            value: None,
+            value: e.ns_per_byte,
             speedup_vs_baseline: e.speedup_vs_baseline,
         })
         .collect();
@@ -330,6 +343,8 @@ impl Harness {
             baseline: baseline.map(str::to_string),
             speedup_vs_baseline: speedup,
             gated,
+            ns_per_request: None,
+            ns_per_byte: None,
         });
     }
 }
@@ -370,6 +385,13 @@ fn doall_chunked(
 }
 
 fn run_all(h: &mut Harness, sizes: &Sizes) {
+    // -- ingest: request line -> typed request, the first layer -----------
+    // Single-threaded, so it runs before the pools below have put the
+    // host's cpus through a burst.
+    println!("ingest (corpus run lines):");
+    run_ingest(h, "small", 512);
+    run_ingest(h, "large", 16_384);
+
     // -- compute: sequential baseline, then every (p, policy) cell --------
     println!("compute (n = {}):", sizes.compute_n);
     let n = sizes.compute_n;
@@ -569,6 +591,36 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             arr.commit();
         },
     );
+}
+
+/// The `ingest` family: what it costs to turn the corpus `run` lines at
+/// problem size `n` into typed requests, before any layer the other
+/// families time gets to run.
+fn run_ingest(h: &mut Harness, label: &str, n: usize) {
+    let lines: Vec<String> = corpus()
+        .iter()
+        .map(|(name, src)| corpus_run_line("bench", name, src, n))
+        .collect();
+    let bytes: usize = lines.iter().map(String::len).sum();
+    h.run("ingest", "parse", label, 1, n, None, false, || {
+        for line in &lines {
+            let parsed = parse_request(black_box(line));
+            assert!(parsed.is_ok(), "corpus line rejected: {parsed:?}");
+            black_box(parsed).ok();
+        }
+    });
+    let e = h.exhibits.last_mut().expect("run pushed the exhibit");
+    let (per_request, per_byte) = (
+        e.median_ns as f64 / lines.len() as f64,
+        e.median_ns as f64 / bytes as f64,
+    );
+    println!(
+        "  {:<40} {per_request:>12.0} ns/request  {per_byte:.2} ns/byte ({} lines, {bytes} bytes)",
+        "",
+        lines.len(),
+    );
+    e.ns_per_request = Some(per_request);
+    e.ns_per_byte = Some(per_byte);
 }
 
 /// Runs a deterministic budget-storm ladder walk: a tiny write budget

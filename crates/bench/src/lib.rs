@@ -22,6 +22,35 @@ use wlp_workloads::{ma28, mcsparse, spice, track};
 
 pub mod trajectory;
 
+/// The `run` request line for corpus program `name` (`src`) at problem
+/// size `n` under `tenant`: real arrays and scalars from
+/// [`wlp_workloads::sources::machine_inputs`], digest-reply to keep
+/// response assembly out of the measurement. What `serve-replay`,
+/// `serve-chaos` and the `ingest` exhibit all send or parse.
+pub fn corpus_run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
+    use serde::json;
+    let (arrays, scalars) = wlp_workloads::sources::machine_inputs(name, n);
+    let arrays_json: Vec<String> = arrays
+        .iter()
+        .map(|(k, v)| {
+            let items: Vec<String> = v.iter().map(i64::to_string).collect();
+            format!("{}:[{}]", json::to_string(k), items.join(","))
+        })
+        .collect();
+    let scalars_json: Vec<String> = scalars
+        .iter()
+        .map(|(k, v)| format!("{}:{v}", json::to_string(k)))
+        .collect();
+    format!(
+        r#"{{"op":"run","tenant":{},"program":{},"arrays":{{{}}},"scalars":{{{}}},"max_iters":{},"reply":"digest"}}"#,
+        json::to_string(tenant),
+        json::to_string(src),
+        arrays_json.join(","),
+        scalars_json.join(","),
+        2 * n + 4,
+    )
+}
+
 /// Processor counts every figure sweeps (the Alliant FX/80 had 8).
 pub const PROCS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 

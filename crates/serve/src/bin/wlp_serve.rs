@@ -13,6 +13,10 @@
 //!   in-flight requests finish under `--drain-ms`, final stats go to
 //!   stderr, and the exit code says whether the drain completed clean.
 //!
+//! Accepted sockets go through [`wlp_serve::prepare_accepted`] (blocking
+//! I/O, `TCP_NODELAY`), and every response is one flushed write, so a
+//! pipelined client is answered as each response is ready.
+//!
 //! Each TCP connection gets a cancellation flag. A dedicated reader
 //! thread notices connection resets while a request is still executing
 //! and raises the flag, which aborts the request's region and returns
@@ -80,9 +84,10 @@ fn read_bounded_line<R: BufRead>(reader: &mut R) -> std::io::Result<BoundedLine>
     if buf.last() == Some(&b'\n') {
         buf.pop();
     }
-    Ok(BoundedLine::Line(
-        String::from_utf8_lossy(&buf).into_owned(),
-    ))
+    // the buffer becomes the line; only ill-formed UTF-8 pays for a copy
+    Ok(BoundedLine::Line(String::from_utf8(buf).unwrap_or_else(
+        |e| String::from_utf8_lossy(e.as_bytes()).into_owned(),
+    )))
 }
 
 fn line_too_long_response() -> String {
@@ -361,9 +366,7 @@ fn serve_tcp(service: &Arc<Service>, addr: &str, quiet: bool) -> ExitCode {
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                // some platforms hand the listener's nonblocking mode
-                // down to accepted sockets; connection I/O must block
-                if stream.set_nonblocking(false).is_err() {
+                if wlp_serve::prepare_accepted(&stream).is_err() {
                     continue;
                 }
                 let svc = Arc::clone(service);
@@ -440,7 +443,9 @@ fn serve_conn(service: &Service, stream: TcpStream) {
     let (tx, rx) = mpsc::channel();
     let reader_cancel = Arc::clone(&cancel);
     let reader = std::thread::spawn(move || {
-        let mut reader = BufReader::new(stream);
+        // a request line runs to tens of KB: read it in a few large
+        // reads rather than a dozen of the default 8 KB
+        let mut reader = BufReader::with_capacity(64 << 10, stream);
         loop {
             match read_bounded_line(&mut reader) {
                 Ok(BoundedLine::Eof) => return,

@@ -335,6 +335,9 @@ impl Service {
     /// speculation credits go back to their pools instead of finishing
     /// work nobody will read.
     pub fn handle_line_with(&self, line: &str, cancel: Option<&Arc<CancelFlag>>) -> String {
+        // `latency_us` and the deadline both count from here: parsing a
+        // large line is part of what the request cost.
+        let started = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
         let req = match proto::parse_request(line) {
             Ok(req) => req,
@@ -363,7 +366,7 @@ impl Service {
                 vec![("stats".into(), self.stats_value())],
             )),
             Request::Certify { id, tenant, source } => self.certify(id, &tenant, &source),
-            Request::Run(run) => self.run(run, cancel),
+            Request::Run(run) => self.run(run, started, cancel),
             Request::Shutdown { id } => {
                 self.begin_drain();
                 json::to_string(&ok_response(
@@ -461,8 +464,13 @@ impl Service {
     /// checkout bounded by the deadline, execution under the tenant's
     /// governor rung with cancellation threaded into the pool, response
     /// assembly.
-    fn run(&self, mut req: RunRequest, cancel: Option<&Arc<CancelFlag>>) -> String {
-        let started = Instant::now();
+    fn run(
+        &self,
+        mut req: RunRequest,
+        started: Instant,
+        cancel: Option<&Arc<CancelFlag>>,
+    ) -> String {
+        let parse_us = started.elapsed().as_micros() as u64;
         let tenant = self.tenant(&req.tenant);
         tenant.requests.fetch_add(1, Ordering::Relaxed);
 
@@ -483,8 +491,9 @@ impl Service {
         let cert = &entry.analysis.certificate;
         let plan = &entry.plan;
         let max_iters = req.max_iters.unwrap_or(self.cfg.default_max_iters);
-        // The deadline is measured from request parse and clamped so a
-        // client cannot buy more wall-clock than the operator allows.
+        // The deadline is measured from the line's arrival (`started`)
+        // and clamped so a client cannot buy more wall-clock than the
+        // operator allows.
         let expiry = req
             .deadline_ms
             .map(|ms| started + Duration::from_millis(ms.min(self.cfg.max_deadline_ms.max(1))));
@@ -731,6 +740,7 @@ impl Service {
                 .collect();
             fields.push(("arrays".into(), Value::Object(arrays)));
         }
+        fields.push(("parse_us".into(), Value::UInt(parse_us)));
         fields.push((
             "latency_us".into(),
             Value::UInt(started.elapsed().as_micros() as u64),
@@ -1175,6 +1185,19 @@ fn rung_name(s: StrategyChoice) -> &'static str {
     }
 }
 
+/// Prepares a socket a listener has just accepted; every TCP transport
+/// over a [`Service`] takes its connections through here. Connection I/O
+/// blocks (some platforms hand the listener's non-blocking mode down to
+/// the sockets it accepts), and `TCP_NODELAY` is set: a response is
+/// written as one flushed buffer, so there is no run of small writes for
+/// Nagle's algorithm to gather — all it did was hold a response back
+/// until the client's *next* request acknowledged the previous one, which
+/// made a pipelined connection's latency its arrival gap.
+pub fn prepare_accepted(stream: &std::net::TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)
+}
+
 /// The deterministic host functions every served [`Machine`] provides
 /// (WHILE programs may call uninterpreted functions like `g(x)`; a
 /// service has no way to ship closures over JSON, so these are fixed and
@@ -1531,6 +1554,53 @@ mod tests {
         assert!(ok.contains("\"ok\":true"), "{ok}");
         let report = svc.profile();
         assert_eq!(report.request_timeouts, 1);
+    }
+
+    /// A `run` line whose parse alone takes milliseconds in any build:
+    /// one bystander array of 600 000 elements the program never names.
+    fn heavy_line(extra: &str) -> String {
+        let bulk = vec!["123456"; 600_000].join(",");
+        format!(
+            r#"{{"op":"run","tenant":"bulk","program":{},"arrays":{{"A":[1,2],"bulk":[{bulk}]}},"scalars":{{"n":2}},"reply":"digest"{extra}}}"#,
+            json::to_string(DOUBLE),
+        )
+    }
+
+    fn field_u64(resp: &str, name: &str) -> u64 {
+        let v = json::parse(resp).expect("response is JSON");
+        v.get(name)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no `{name}` in {resp}"))
+    }
+
+    #[test]
+    fn latency_counts_the_parse_and_reports_its_share() {
+        let svc = Service::with_defaults();
+        let resp = svc.handle_line(&heavy_line(""));
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        let (parse_us, latency_us) = (field_u64(&resp, "parse_us"), field_u64(&resp, "latency_us"));
+        assert!(parse_us >= 1000, "a 4 MB line parsed in {parse_us} us?");
+        assert!(latency_us >= parse_us, "{latency_us} < {parse_us}");
+    }
+
+    #[test]
+    fn the_deadline_counts_the_parse() {
+        // the work is two iterations; only the parse can spend the 1 ms
+        let svc = Service::with_defaults();
+        let resp = svc.handle_line(&heavy_line(r#","deadline_ms":1"#));
+        assert!(resp.contains("\"code\":\"timeout\""), "{resp}");
+        assert_no_leaks(&svc);
+    }
+
+    #[test]
+    fn an_escaped_emoji_id_is_echoed_as_the_scalar_it_names() {
+        // what an `ensure_ascii` encoder sends for "😀-1"
+        let svc = Service::with_defaults();
+        let pong =
+            svc.handle_line(r#"{"op":"ping","id":"\ud83d\ude00-1","tenant":"\ud83d\ude00"}"#);
+        assert!(pong.contains("\"id\":\"😀-1\""), "{pong}");
+        let run = svc.handle_line(&run_line("\\ud83d\\ude00", 2, &[1, 1]));
+        assert!(run.contains("\"tenant\":\"😀\""), "{run}");
     }
 
     #[test]

@@ -76,6 +76,19 @@ fn smoke_requests_succeed_with_a_cache_hit() {
         "{}",
         responses[2].1
     );
+    // every run response splits its handling time as the field table
+    // documents: `parse_us` is a part of `latency_us`
+    for k in [2, 3, 5] {
+        let v = json::parse(&responses[k].1).unwrap();
+        let us = |name: &str| v.get(name).and_then(Value::as_u64);
+        let (parse_us, latency_us) = (us("parse_us"), us("latency_us"));
+        assert!(
+            parse_us.is_some() && parse_us <= latency_us,
+            "parse_us {parse_us:?} of latency_us {latency_us:?}: {}",
+            responses[k].1
+        );
+    }
+    assert!(PROTOCOL_MD.contains("| `parse_us` |"));
     // example-6's generous deadline is met — it is a normal success, not
     // a timeout — and example-7 leaves the service draining with nothing
     // in flight, exactly as documented

@@ -1,9 +1,10 @@
 //! TCP-transport behaviours only a real socket exercises: the 1 MiB
-//! oversized-line drain (previously covered on stdin only) and graceful
-//! shutdown over the wire.
+//! oversized-line drain (previously covered on stdin only), graceful
+//! shutdown over the wire, `TCP_NODELAY` on accepted sockets and a
+//! pipelined burst.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -156,4 +157,51 @@ fn shutdown_over_tcp_drains_and_exits_clean() {
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(status.success(), "drain must exit clean: {status:?}");
+}
+
+#[test]
+fn an_accepted_socket_is_left_blocking_with_nagle_off() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener
+        .set_nonblocking(true)
+        .expect("poll mode, as the daemon's");
+    let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let accepted = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break stream,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::yield_now(),
+            Err(e) => panic!("accept: {e}"),
+        }
+    };
+    wlp_serve::prepare_accepted(&accepted).expect("prepare");
+    assert!(accepted.nodelay().expect("nodelay"));
+}
+
+#[test]
+fn a_burst_of_pipelined_runs_is_answered_complete_and_in_order() {
+    let server = spawn_server(&[]);
+    let (mut reader, mut writer) = connect(&server);
+    let src = "integer i = 0\nwhile (i < n) {\n    A[i] = 2 * A[i]\n    i = i + 1\n}";
+    // every request written before the first response is read
+    let burst: String = (0..64)
+        .map(|k| {
+            format!(
+                r#"{{"op":"run","tenant":"burst","program":{},"arrays":{{"A":[{k},1,2]}},"scalars":{{"n":3}},"reply":"full","id":"b-{k}"}}"#,
+                serde::json::to_string(src)
+            ) + "\n"
+        })
+        .collect();
+    writer.write_all(burst.as_bytes()).expect("write burst");
+    writer.flush().expect("flush");
+    for k in 0..64 {
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read response");
+        assert!(resp.ends_with('\n'), "response {k} cut short: {resp}");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        assert!(resp.contains(&format!("\"id\":\"b-{k}\"")), "{resp}");
+        assert!(
+            resp.contains(&format!("\"arrays\":{{\"A\":[{},2,4]}}", 2 * k)),
+            "{resp}"
+        );
+    }
 }

@@ -6,11 +6,12 @@
 //! through a visitor; this shim serializes into an owned [`Value`] tree
 //! and renders it as JSON via [`json::to_string`] — ample for the profile
 //! reports and simulator outputs this workspace emits. The inverse
-//! direction ([`json::parse`], the `serde_json::from_str` role) produces
-//! the same [`Value`] tree; consumers destructure it through the typed
-//! accessors (`as_str`, `as_i64`, `get`, …) instead of `Deserialize`
-//! impls — ample for the newline-delimited request protocol `wlp-serve`
-//! speaks.
+//! direction has one tokenizer, the pull reader [`json::Reader`], and two
+//! kinds of consumer instead of `Deserialize` impls: [`json::parse`] (the
+//! `serde_json::from_str` role) builds the same [`Value`] tree, which
+//! callers destructure through the typed accessors (`as_str`, `as_i64`,
+//! `get`, …), and a hot path such as `wlp-serve`'s request parser drives
+//! the reader itself and fills its own types without a tree.
 
 use std::fmt;
 
@@ -64,24 +65,25 @@ impl Value {
         }
     }
 
-    /// The value as a signed integer (integral floats included).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            Value::UInt(n) => i64::try_from(*n).ok(),
-            Value::Float(x) if x.fract() == 0.0 && x.abs() < 9.0e18 => Some(*x as i64),
+    /// The numeric payload as the tokenizer's [`json::Number`], so a
+    /// value tree and a typed consumer convert by the same rules.
+    fn number(&self) -> Option<json::Number> {
+        match *self {
+            Value::UInt(n) => Some(json::Number::UInt(n)),
+            Value::Int(n) => Some(json::Number::Int(n)),
+            Value::Float(x) => Some(json::Number::Float(x)),
             _ => None,
         }
     }
 
-    /// The value as an unsigned integer.
+    /// The value as a signed integer (integral floats included).
+    pub fn as_i64(&self) -> Option<i64> {
+        self.number()?.as_i64()
+    }
+
+    /// The value as an unsigned integer (integral floats included).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::UInt(n) => Some(*n),
-            Value::Int(n) => u64::try_from(*n).ok(),
-            Value::Float(x) if x.fract() == 0.0 && *x >= 0.0 && *x < 1.9e19 => Some(*x as u64),
-            _ => None,
-        }
+        self.number()?.as_u64()
     }
 
     /// The value as a float.
@@ -246,6 +248,7 @@ impl Serialize for Value {
 /// role).
 pub mod json {
     use super::{Serialize, Value};
+    use std::borrow::Cow;
 
     /// Renders `value` as a compact JSON string.
     pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
@@ -272,242 +275,463 @@ pub mod json {
     /// Parses one JSON document into a [`Value`] tree, rejecting trailing
     /// non-whitespace (the `serde_json::from_str` role).
     pub fn parse(src: &str) -> Result<Value, ParseError> {
-        let bytes = src.as_bytes();
-        let mut p = Parser {
-            bytes,
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        let mut r = Reader::new(src);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 
-    /// Maximum container nesting [`parse`] accepts. The parser recurses
+    /// Maximum container nesting a [`Reader`] accepts. Consumers recurse
     /// once per nesting level, so without a bound a line of a few tens
     /// of KB of `[` overflows the stack and aborts the process — fatal
     /// for a resident daemon parsing untrusted request lines.
     pub const MAX_PARSE_DEPTH: usize = 128;
 
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-        depth: usize,
+    /// What the next value in the input is, by its first byte.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Kind {
+        /// `null`.
+        Null,
+        /// `true` or `false`.
+        Bool,
+        /// An integer or a float.
+        Number,
+        /// A string.
+        Str,
+        /// `[` ….
+        Array,
+        /// `{` ….
+        Object,
     }
 
-    impl Parser<'_> {
-        fn err(&self, msg: impl Into<String>) -> ParseError {
-            ParseError {
-                at: self.pos,
-                msg: msg.into(),
+    /// A JSON number as the tokenizer read it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Number {
+        /// A non-negative integer.
+        UInt(u64),
+        /// A negative integer (or `-0`).
+        Int(i64),
+        /// Anything with a fraction or an exponent.
+        Float(f64),
+    }
+
+    impl Number {
+        /// The number as a signed integer (integral floats included).
+        pub fn as_i64(self) -> Option<i64> {
+            match self {
+                Number::Int(n) => Some(n),
+                Number::UInt(n) => i64::try_from(n).ok(),
+                Number::Float(x) if x.fract() == 0.0 && x.abs() < 9.0e18 => Some(x as i64),
+                Number::Float(_) => None,
             }
         }
 
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
+        /// The number as an unsigned integer (integral floats included).
+        pub fn as_u64(self) -> Option<u64> {
+            match self {
+                Number::UInt(n) => Some(n),
+                Number::Int(n) => u64::try_from(n).ok(),
+                Number::Float(x) if x.fract() == 0.0 && x >= 0.0 && x < 1.9e19 => Some(x as u64),
+                Number::Float(_) => None,
+            }
+        }
+    }
+
+    impl From<Number> for Value {
+        fn from(n: Number) -> Value {
+            match n {
+                Number::UInt(n) => Value::UInt(n),
+                Number::Int(n) => Value::Int(n),
+                Number::Float(x) => Value::Float(x),
+            }
+        }
+    }
+
+    /// The one JSON tokenizer: a pull reader over a line. A consumer
+    /// asks what comes next ([`peek_kind`](Self::peek_kind)), takes
+    /// scalars with [`null`](Self::null) / [`bool`](Self::bool) /
+    /// [`number`](Self::number) / [`str`](Self::str), walks containers
+    /// with `begin_*` then `next_*` until it reports the end, and passes
+    /// over what it does not want with [`skip_value`](Self::skip_value),
+    /// which validates as strictly as reading does. [`parse`] is the
+    /// consumer that builds a [`Value`] tree; a typed consumer fills its
+    /// own structures and never builds one.
+    ///
+    /// Every container a consumer begins it must walk to its end;
+    /// [`finish`](Self::finish) rejects anything but whitespace after the
+    /// top-level value.
+    pub struct Reader<'a> {
+        src: &'a str,
+        pos: usize,
+        depth: usize,
+        /// The innermost open container has yielded nothing yet, so its
+        /// next item is not preceded by a comma.
+        fresh: bool,
+    }
+
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `src`.
+        pub fn new(src: &'a str) -> Self {
+            Reader {
+                src,
+                pos: 0,
+                depth: 0,
+                fresh: false,
+            }
         }
 
+        /// An error at the current position. Cold and out of line, with
+        /// the message formatted in here, so that the readers inlined
+        /// into a consumer's loop carry none of it.
+        #[cold]
+        #[inline(never)]
+        fn err(&self, msg: std::fmt::Arguments<'_>) -> ParseError {
+            ParseError {
+                at: self.pos,
+                msg: msg.to_string(),
+            }
+        }
+
+        #[inline]
+        fn peek(&self) -> Option<u8> {
+            self.src.as_bytes().get(self.pos).copied()
+        }
+
+        #[inline]
         fn skip_ws(&mut self) {
             while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
                 self.pos += 1;
             }
         }
 
+        #[inline]
         fn expect(&mut self, c: u8) -> Result<(), ParseError> {
             if self.peek() == Some(c) {
                 self.pos += 1;
                 Ok(())
             } else {
-                Err(self.err(format!("expected `{}`", c as char)))
+                Err(self.err(format_args!("expected `{}`", c as char)))
             }
         }
 
-        fn lit(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        fn lit(&mut self, word: &str) -> Result<(), ParseError> {
+            if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
                 self.pos += word.len();
-                Ok(v)
+                Ok(())
             } else {
-                Err(self.err(format!("expected `{word}`")))
+                Err(self.err(format_args!("expected `{word}`")))
             }
         }
 
-        fn value(&mut self) -> Result<Value, ParseError> {
+        /// Skips whitespace and classifies the value that follows.
+        #[inline]
+        pub fn peek_kind(&mut self) -> Result<Kind, ParseError> {
+            self.skip_ws();
             match self.peek() {
-                Some(b'{') => self.nested(Self::object),
-                Some(b'[') => self.nested(Self::array),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.lit("true", Value::Bool(true)),
-                Some(b'f') => self.lit("false", Value::Bool(false)),
-                Some(b'n') => self.lit("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
-                None => Err(self.err("unexpected end of input")),
+                Some(b'{') => Ok(Kind::Object),
+                Some(b'[') => Ok(Kind::Array),
+                Some(b'"') => Ok(Kind::Str),
+                Some(b't' | b'f') => Ok(Kind::Bool),
+                Some(b'n') => Ok(Kind::Null),
+                Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Kind::Number),
+                Some(c) => Err(self.err(format_args!("unexpected character `{}`", c as char))),
+                None => Err(self.err(format_args!("unexpected end of input"))),
             }
         }
 
-        fn nested(
-            &mut self,
-            inner: fn(&mut Self) -> Result<Value, ParseError>,
-        ) -> Result<Value, ParseError> {
-            if self.depth >= MAX_PARSE_DEPTH {
-                return Err(self.err(format!("nesting deeper than {MAX_PARSE_DEPTH} levels")));
-            }
-            self.depth += 1;
-            let v = inner(self);
-            self.depth -= 1;
-            v
+        /// Reads `null`.
+        pub fn null(&mut self) -> Result<(), ParseError> {
+            self.lit("null")
         }
 
-        fn object(&mut self) -> Result<Value, ParseError> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let v = self.value()?;
-                fields.push((key, v));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(self.err("expected `,` or `}` in object")),
-                }
+        /// Reads `true` or `false`.
+        pub fn bool(&mut self) -> Result<bool, ParseError> {
+            if self.peek() == Some(b't') {
+                self.lit("true").map(|()| true)
+            } else {
+                self.lit("false").map(|()| false)
             }
         }
 
-        fn array(&mut self) -> Result<Value, ParseError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(self.err("expected `,` or `]` in array")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, ParseError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err(self.err("unterminated string")),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{0008}'),
-                            b'f' => out.push('\u{000c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or_else(|| self.err("bad \\u escape"))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                                self.pos += 4;
-                                // Surrogate pairs are not needed by this
-                                // workspace's protocol; map lone
-                                // surrogates to the replacement character.
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            c => {
-                                return Err(self.err(format!("bad escape `\\{}`", c as char)));
-                            }
-                        }
-                    }
-                    Some(_) => {
-                        // consume one UTF-8 scalar, however many bytes
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest)
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                        let c = s.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, ParseError> {
+        /// Reads a number. Integers are accumulated digit by digit; only
+        /// a fraction or an exponent goes through float parsing.
+        #[inline]
+        pub fn number(&mut self) -> Result<Number, ParseError> {
+            let bytes = self.src.as_bytes();
             let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
+            let negative = bytes.get(start) == Some(&b'-');
+            let digits = start + usize::from(negative);
+            let mut at = digits;
+            // `None` once the magnitude no longer fits 64 bits
+            let mut magnitude = Some(0u64);
+            while let Some(d) = bytes
+                .get(at)
+                .map(|b| b.wrapping_sub(b'0'))
+                .filter(|&d| d < 10)
+            {
+                magnitude = magnitude
+                    .and_then(|m| m.checked_mul(10))
+                    .and_then(|m| m.checked_add(u64::from(d)));
+                at += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            self.pos = at;
+            if matches!(bytes.get(at), Some(b'.' | b'e' | b'E')) {
+                return self.float(start);
             }
-            let mut float = false;
-            if self.peek() == Some(b'.') {
-                float = true;
-                self.pos += 1;
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
+            let has_digits = at > digits;
+            let integer = magnitude.filter(|_| has_digits).and_then(|m| {
+                if negative {
+                    0i64.checked_sub_unsigned(m).map(Number::Int)
+                } else {
+                    Some(Number::UInt(m))
                 }
+            });
+            integer.ok_or_else(|| self.err(format_args!("integer out of range")))
+        }
+
+        /// The rest of a number whose integer part ended at a `.` or an
+        /// exponent; `start` is where the number began.
+        fn float(&mut self, start: usize) -> Result<Number, ParseError> {
+            let skip_digits = |r: &mut Self| {
+                while matches!(r.peek(), Some(c) if c.is_ascii_digit()) {
+                    r.pos += 1;
+                }
+            };
+            if self.peek() == Some(b'.') {
+                self.pos += 1;
+                skip_digits(self);
             }
             if matches!(self.peek(), Some(b'e' | b'E')) {
-                float = true;
                 self.pos += 1;
                 if matches!(self.peek(), Some(b'+' | b'-')) {
                     self.pos += 1;
                 }
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                skip_digits(self);
+            }
+            self.src[start..self.pos]
+                .parse()
+                .map(Number::Float)
+                .map_err(|_| self.err(format_args!("malformed number")))
+        }
+
+        /// Reads a string: borrowed from the input when it holds no
+        /// escape, decoded into an owned one when it does. A `\u` escape
+        /// naming a surrogate pair decodes to the one scalar the pair
+        /// encodes; a lone surrogate half becomes U+FFFD.
+        pub fn str(&mut self) -> Result<Cow<'a, str>, ParseError> {
+            self.expect(b'"')?;
+            let bytes = self.src.as_bytes();
+            let mut run = self.pos;
+            let mut owned: Option<String> = None;
+            loop {
+                // `"` and `\` are ASCII, so they never sit inside a
+                // multi-byte scalar and the runs between them slice
+                // `src` on character boundaries
+                match bytes[self.pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                {
+                    None => {
+                        self.pos = bytes.len();
+                        return Err(self.err(format_args!("unterminated string")));
+                    }
+                    Some(k) => self.pos += k,
+                }
+                let text = &self.src[run..self.pos];
+                if bytes[self.pos] == b'"' {
                     self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                let out = owned.get_or_insert_with(String::new);
+                out.push_str(text);
+                self.pos += 1;
+                out.push(self.escape()?);
+                run = self.pos;
+            }
+        }
+
+        /// Decodes one escape; `pos` is just past the backslash.
+        fn escape(&mut self) -> Result<char, ParseError> {
+            let esc = self
+                .peek()
+                .ok_or_else(|| self.err(format_args!("bad escape")))?;
+            self.pos += 1;
+            Ok(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{0008}',
+                b'f' => '\u{000c}',
+                b'u' => {
+                    let code = self.hex4()?;
+                    let paired = (0xD800..0xDC00).contains(&code)
+                        && self.src.as_bytes()[self.pos..].starts_with(b"\\u");
+                    if paired {
+                        let back = self.pos;
+                        self.pos += 2;
+                        match self.hex4() {
+                            Ok(low @ 0xDC00..=0xDFFF) => {
+                                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                return Ok(char::from_u32(scalar).unwrap_or('\u{fffd}'));
+                            }
+                            // not a low half: it is read again as an
+                            // escape of its own
+                            _ => self.pos = back,
+                        }
+                    }
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                c => return Err(self.err(format_args!("bad escape `\\{}`", c as char))),
+            })
+        }
+
+        fn hex4(&mut self) -> Result<u32, ParseError> {
+            let digits = self.src.as_bytes().get(self.pos..self.pos + 4);
+            let code = digits.and_then(|h| {
+                h.iter()
+                    .try_fold(0u32, |acc, &b| Some(acc * 16 + (b as char).to_digit(16)?))
+            });
+            let code = code.ok_or_else(|| self.err(format_args!("bad \\u escape")))?;
+            self.pos += 4;
+            Ok(code)
+        }
+
+        #[inline]
+        fn begin(&mut self, open: u8) -> Result<(), ParseError> {
+            if self.depth >= MAX_PARSE_DEPTH {
+                return Err(self.err(format_args!("nesting deeper than {MAX_PARSE_DEPTH} levels")));
+            }
+            self.expect(open)?;
+            self.depth += 1;
+            self.fresh = true;
+            Ok(())
+        }
+
+        /// Steps to the next item of the innermost container: `false` at
+        /// its `close`, which is consumed.
+        #[inline]
+        fn next(&mut self, close: u8, what: &str) -> Result<bool, ParseError> {
+            self.skip_ws();
+            let fresh = std::mem::replace(&mut self.fresh, false);
+            if self.peek() == Some(close) {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            if !fresh {
+                if self.peek() != Some(b',') {
+                    return Err(self.err(format_args!(
+                        "expected `,` or `{}` in {what}",
+                        close as char
+                    )));
+                }
+                self.pos += 1;
+                self.skip_ws();
+            }
+            Ok(true)
+        }
+
+        /// Enters an array; follow with [`next_element`](Self::next_element).
+        #[inline]
+        pub fn begin_array(&mut self) -> Result<(), ParseError> {
+            self.begin(b'[')
+        }
+
+        /// Whether the array has another element (then read or skip it);
+        /// `false` consumes the closing `]`.
+        #[inline]
+        pub fn next_element(&mut self) -> Result<bool, ParseError> {
+            self.next(b']', "array")
+        }
+
+        /// Enters an object; follow with [`next_key`](Self::next_key).
+        pub fn begin_object(&mut self) -> Result<(), ParseError> {
+            self.begin(b'{')
+        }
+
+        /// The object's next key, positioned at its value (then read or
+        /// skip it); `None` consumes the closing `}`.
+        pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+            if !self.next(b'}', "object")? {
+                return Ok(None);
+            }
+            let key = self.str()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            Ok(Some(key))
+        }
+
+        /// Passes over one value of any kind, validating it exactly as
+        /// reading it would.
+        pub fn skip_value(&mut self) -> Result<(), ParseError> {
+            match self.peek_kind()? {
+                Kind::Null => self.null(),
+                Kind::Bool => self.bool().map(drop),
+                Kind::Number => self.number().map(drop),
+                Kind::Str => self.str().map(drop),
+                Kind::Array => {
+                    self.begin_array()?;
+                    while self.next_element()? {
+                        self.skip_value()?;
+                    }
+                    Ok(())
+                }
+                Kind::Object => {
+                    self.begin_object()?;
+                    while self.next_key()?.is_some() {
+                        self.skip_value()?;
+                    }
+                    Ok(())
                 }
             }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-            if float {
-                text.parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|_| self.err("malformed number"))
-            } else if text.starts_with('-') {
-                text.parse::<i64>()
-                    .map(Value::Int)
-                    .map_err(|_| self.err("integer out of range"))
-            } else {
-                text.parse::<u64>()
-                    .map(Value::UInt)
-                    .map_err(|_| self.err("integer out of range"))
+        }
+
+        /// Reads one value of any kind into a [`Value`] tree.
+        pub fn value(&mut self) -> Result<Value, ParseError> {
+            Ok(match self.peek_kind()? {
+                Kind::Null => {
+                    self.null()?;
+                    Value::Null
+                }
+                Kind::Bool => Value::Bool(self.bool()?),
+                Kind::Number => self.number()?.into(),
+                Kind::Str => Value::Str(self.str()?.into_owned()),
+                Kind::Array => {
+                    self.begin_array()?;
+                    let mut items = Vec::new();
+                    while self.next_element()? {
+                        items.push(self.value()?);
+                    }
+                    Value::Array(items)
+                }
+                Kind::Object => {
+                    self.begin_object()?;
+                    let mut fields = Vec::new();
+                    while let Some(key) = self.next_key()? {
+                        fields.push((key.into_owned(), self.value()?));
+                    }
+                    Value::Object(fields)
+                }
+            })
+        }
+
+        /// Ends the document: only whitespace may remain.
+        pub fn finish(&mut self) -> Result<(), ParseError> {
+            self.skip_ws();
+            if self.pos != self.src.len() {
+                return Err(self.err(format_args!("trailing characters after JSON value")));
             }
+            Ok(())
         }
     }
 }
@@ -580,6 +804,122 @@ mod tests {
     fn parse_handles_escapes_and_unicode() {
         let v = json::parse(r#""tab\t nl\n quote\" uA é""#).unwrap();
         assert_eq!(v.as_str(), Some("tab\t nl\n quote\" uA é"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar_and_lone_halves_to_the_replacement() {
+        let s = |src: &str| json::parse(src).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), "a😀b");
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ude00""#), "\u{fffd}");
+        assert_eq!(s(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        // a high half followed by an escape that is not its low half:
+        // the second escape stands on its own
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{fffd}😀");
+        assert_eq!(s(r#""\ud83d\n""#), "\u{fffd}\n");
+        let err = json::parse(r#""\ud83d\u00""#).unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (9, "bad \\u escape"));
+    }
+
+    #[test]
+    fn strings_borrow_unless_they_hold_an_escape() {
+        use std::borrow::Cow;
+        let mut r = json::Reader::new(r#"["raw é 😀","tab\there"]"#);
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("raw é 😀")));
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "tab\there"));
+        assert!(!r.next_element().unwrap());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn numbers_keep_their_ranges_and_their_error_offsets() {
+        let ok = |src: &str| json::parse(src).unwrap();
+        assert_eq!(ok("18446744073709551615"), Value::UInt(u64::MAX));
+        assert_eq!(ok("-9223372036854775808"), Value::Int(i64::MIN));
+        assert_eq!(ok("-0"), Value::Int(0));
+        assert_eq!(ok("007"), Value::UInt(7));
+        assert_eq!(ok("1e400"), Value::Float(f64::INFINITY));
+        assert_eq!(ok("-.5"), Value::Float(-0.5));
+        assert_eq!(ok("1."), Value::Float(1.0));
+        // past 64 bits an integer is an error, a float is not
+        assert_eq!(
+            ok("123456789012345678901.5"),
+            Value::Float(1.2345678901234568e20)
+        );
+        let err = |src: &str| {
+            let e = json::parse(src).unwrap_err();
+            (e.at, e.msg)
+        };
+        assert_eq!(err("-"), (1, "integer out of range".into()));
+        assert_eq!(err("[-]"), (2, "integer out of range".into()));
+        assert_eq!(
+            err("18446744073709551616"),
+            (20, "integer out of range".into())
+        );
+        assert_eq!(
+            err("12345678901234567890123"),
+            (23, "integer out of range".into())
+        );
+        assert_eq!(
+            err("-9223372036854775809"),
+            (20, "integer out of range".into())
+        );
+        assert_eq!(err("1e"), (2, "malformed number".into()));
+        assert_eq!(err("-e5"), (3, "malformed number".into()));
+    }
+
+    #[test]
+    fn syntax_errors_name_the_byte_they_were_found_at() {
+        let err = |src: &str| {
+            let e = json::parse(src).unwrap_err();
+            (e.at, e.msg)
+        };
+        assert_eq!(err(""), (0, "unexpected end of input".into()));
+        assert_eq!(err("[1,]"), (3, "unexpected character `]`".into()));
+        assert_eq!(err("[1 2]"), (3, "expected `,` or `]` in array".into()));
+        assert_eq!(err(r#"{"a":1,}"#), (7, "expected `\"`".into()));
+        assert_eq!(err(r#"{"a" 1}"#), (5, "expected `:`".into()));
+        assert_eq!(
+            err(r#"{"a":1 "b":2}"#),
+            (7, "expected `,` or `}` in object".into())
+        );
+        assert_eq!(err("tru"), (0, "expected `true`".into()));
+        assert_eq!(
+            err("{} x"),
+            (3, "trailing characters after JSON value".into())
+        );
+        assert_eq!(err(r#""abc"#), (4, "unterminated string".into()));
+        assert_eq!(err(r#""abc\"#), (5, "bad escape".into()));
+        assert_eq!(err(r#""\x""#), (3, "bad escape `\\x`".into()));
+        assert_eq!(err(r#""\u12g4""#), (3, "bad \\u escape".into()));
+        // raw multi-byte text before the fault: offsets are bytes
+        assert_eq!(err(r#"["é😀",]"#), (10, "unexpected character `]`".into()));
+    }
+
+    #[test]
+    fn skipping_validates_as_strictly_as_reading() {
+        for bad in [
+            "[1,]",
+            r#"{"a":}"#,
+            r#"["\x"]"#,
+            "[18446744073709551616]",
+            r#"{"a":[tru]}"#,
+            "[1",
+        ] {
+            let read = json::parse(bad).unwrap_err();
+            let mut r = json::Reader::new(bad);
+            let skipped = r.skip_value().and_then(|()| r.finish()).unwrap_err();
+            assert_eq!(skipped, read, "{bad:?}");
+        }
+        let deep = format!("{}0{}", "[".repeat(200), "]".repeat(200));
+        let err = json::Reader::new(&deep).skip_value().unwrap_err();
+        assert_eq!(err.at, json::MAX_PARSE_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
     }
 
     #[test]
