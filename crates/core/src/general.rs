@@ -22,13 +22,14 @@
 //! cap and the recorder that observes the run.
 
 use crate::dispatch::Dispatcher;
-use crate::recover::FirstFault;
+use crate::recover::ParallelAttempt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
-use wlp_list::{DispatcherDiverged, ListArena, NodeId};
-use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
-use wlp_runtime::{doall_dynamic, CancelFlag, Pool, Step, WorkerPanic};
+use wlp_list::{DispatcherDiverged, GuardedCursor, ListArena, NodeId};
+use wlp_obs::{Event, NoopRecorder, Recorder};
+use wlp_runtime::{doall_dynamic, CancelFlag, FaultCell, Pool, Step, WorkerPanic, WorkerTimeout};
 
 /// Options for the General methods.
 #[derive(Debug)]
@@ -74,6 +75,10 @@ pub struct GeneralOutcome {
     pub hops: u64,
     /// First body panic contained during the run, if any.
     pub panic: Option<WorkerPanic>,
+    /// Watchdog verdict, if the region overran its deadline (see
+    /// [`Pool::with_deadline`]): the run was cancelled, so `iterations`
+    /// covers only a prefix of the list.
+    pub timeout: Option<WorkerTimeout>,
     /// The dispatcher guard tripped: the list is corrupted (cyclic) and
     /// the traversal was stopped within the step budget instead of
     /// hanging.
@@ -83,40 +88,230 @@ pub struct GeneralOutcome {
     pub recovered: bool,
 }
 
-impl GeneralOutcome {
-    fn new(iterations: usize, quit: usize, hops: u64) -> Self {
-        GeneralOutcome {
-            iterations,
-            quit: (quit != NO_QUIT).then_some(quit),
-            hops,
-            panic: None,
-            diverged: None,
-            recovered: false,
-        }
-    }
-}
-
-/// Shared first-divergence slot (smallest report wins is irrelevant — any
-/// one proves corruption).
-#[derive(Debug, Default)]
-struct DivergedCell(parking_lot::Mutex<Option<DispatcherDiverged>>);
-
-impl DivergedCell {
-    fn new() -> Self {
-        Self::default()
-    }
-    fn record(&self, d: DispatcherDiverged) {
-        let mut slot = self.0.lock();
-        if slot.is_none() {
-            *slot = Some(d);
-        }
-    }
-    fn take(&self) -> Option<DispatcherDiverged> {
-        self.0.lock().take()
-    }
-}
-
 const NO_QUIT: usize = usize::MAX;
+
+/// How a worker comes by its next `(iteration, node)` — the one thing the
+/// three General methods differ in.
+enum ClaimRule {
+    /// General-1: one shared cursor — a node and its iteration number —
+    /// advanced inside a critical section.
+    Locked(parking_lot::Mutex<(Option<NodeId>, usize)>),
+    /// General-2: worker `vpn` takes iterations `vpn, vpn + p, …` and
+    /// walks a private cursor to each.
+    Cyclic,
+    /// General-3: iterations are claimed from a shared counter, and a
+    /// private cursor catches up from the worker's previous one.
+    Counter(AtomicUsize),
+}
+
+/// A claim: the iteration to run, no more work, or a corrupted chain.
+type Claim = Result<Option<(usize, NodeId)>, DispatcherDiverged>;
+
+/// What the workers of one General region share besides the claim rule.
+struct Region<'a, T, R> {
+    list: &'a ListArena<T>,
+    upper: usize,
+    /// Smallest iteration that requested termination.
+    quit: AtomicUsize,
+    rec: &'a R,
+}
+
+impl<T, R: Recorder> Region<'_, T, R> {
+    /// Whether iteration `i` may still begin: below the cap and not past
+    /// the smallest exit.
+    fn open(&self, i: usize) -> bool {
+        i < self.upper && i <= self.quit.load(Ordering::Acquire)
+    }
+
+    /// `lock(list); pt = tmp; tmp = next(tmp); unlock(list)`. Tells the
+    /// recorder the time blocked on the lock, the hold, and the one hop.
+    fn claim_locked(
+        &self,
+        vpn: usize,
+        cursor: &parking_lot::Mutex<(Option<NodeId>, usize)>,
+    ) -> Claim {
+        let len = self.list.len();
+        let t0 = R::ENABLED.then(Instant::now);
+        let mut c = cursor.lock();
+        let t1 = R::ENABLED.then(Instant::now);
+        let claimed = match *c {
+            // an acyclic list yields at most `len` live nodes; a live one
+            // at index `len` is a revisit — the chain is corrupted
+            (Some(_), i) if self.open(i) && i >= len => Err(DispatcherDiverged {
+                steps: i as u64,
+                budget: len as u64,
+                cycle: true,
+            }),
+            (Some(node), i) if self.open(i) => {
+                *c = (self.list.next(node), i + 1);
+                Ok(Some((i, node)))
+            }
+            _ => Ok(None),
+        };
+        drop(c);
+        if R::ENABLED {
+            let wait = match (t0, t1) {
+                (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
+                _ => 0,
+            };
+            let hold = t1.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            self.rec.record(vpn, Event::LockWait { dur: wait });
+            self.rec.record(vpn, Event::LockAcquire { hold });
+            if let Ok(Some((i, _))) = claimed {
+                // the hop happened inside the hold, so it costs 0 extra
+                self.rec.record(vpn, Event::NextHop { hops: 1, cost: 0 });
+                let iter = i as u64;
+                self.rec.record(vpn, Event::IterClaimed { iter, cost: 0 });
+            }
+        }
+        claimed
+    }
+
+    /// `do j = 1, i − at: pt = next(pt)` — catches the private cursor up
+    /// from iteration `at` to the iteration `i` this worker took. Tells
+    /// the recorder the claim and the hops with their measured cost.
+    fn claim_private(
+        &self,
+        vpn: usize,
+        i: usize,
+        cur: &mut GuardedCursor<'_, T>,
+        at: &mut usize,
+    ) -> Claim {
+        if !self.open(i) {
+            return Ok(None);
+        }
+        if R::ENABLED {
+            let iter = i as u64;
+            self.rec.record(vpn, Event::IterClaimed { iter, cost: 0 });
+        }
+        let h0 = R::ENABLED.then(Instant::now);
+        let hops = i - *at;
+        // a private traversal of an acyclic list takes at most `len` hops,
+        // so the guarded cursor's default budget has no false positives
+        cur.advance_by(hops)?;
+        if R::ENABLED && hops > 0 {
+            let cost = h0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            let hops = hops as u64;
+            self.rec.record(vpn, Event::NextHop { hops, cost });
+        }
+        *at = i;
+        let len = self.list.len();
+        match cur.get() {
+            // a live node at logical position ≥ len is a revisit: the
+            // chain is corrupted even if Brent has not looped yet
+            Some(_) if i >= len => Err(DispatcherDiverged {
+                steps: cur.hops(),
+                budget: len as u64 + 1,
+                cycle: true,
+            }),
+            node => Ok(node.map(|n| (i, n))),
+        }
+    }
+}
+
+/// The one General driver. Quit cell, cancel flag, fault and divergence
+/// slots, tallies, the per-body `catch_unwind`, body events and outcome
+/// assembly exist here, once; `rule` only answers which `(i, node)` a
+/// worker runs next (and reports what that claim cost).
+fn general_until<T, B, R>(
+    pool: &Pool,
+    list: &ListArena<T>,
+    cfg: GeneralConfig<'_, R>,
+    rule: ClaimRule,
+    body: B,
+) -> GeneralOutcome
+where
+    T: Sync,
+    B: Fn(usize, NodeId) -> Step + Sync,
+    R: Recorder,
+{
+    let rec = cfg.rec;
+    let region = Region {
+        list,
+        upper: cfg.upper.unwrap_or(usize::MAX),
+        quit: AtomicUsize::new(NO_QUIT),
+        rec,
+    };
+    let p = pool.size();
+    let iterations = AtomicU64::new(0);
+    let hops = AtomicU64::new(0);
+    let cancel = CancelFlag::new();
+    let fault = FaultCell::new();
+    // any one report proves corruption: the first wins
+    let diverged = OnceLock::new();
+
+    let pool_out = pool.run_with(&cancel, |vpn| {
+        let mut cur = list.guarded_cursor();
+        let mut at = 0usize; // the iteration `cur` points at
+        let mut own = vpn; // the cyclic rule's next iteration
+        let mut ran = 0u64;
+        while !cancel.is_cancelled() {
+            let claim = match &rule {
+                ClaimRule::Locked(cursor) => region.claim_locked(vpn, cursor),
+                ClaimRule::Cyclic => {
+                    let i = own;
+                    own = i.saturating_add(p);
+                    region.claim_private(vpn, i, &mut cur, &mut at)
+                }
+                ClaimRule::Counter(next) => {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    region.claim_private(vpn, i, &mut cur, &mut at)
+                }
+            };
+            let (i, node) = match claim {
+                Ok(Some(claimed)) => claimed,
+                Ok(None) => break,
+                Err(d) => {
+                    let _ = diverged.set(d);
+                    cancel.cancel();
+                    break;
+                }
+            };
+            let b0 = R::ENABLED.then(Instant::now);
+            let step = match catch_unwind(AssertUnwindSafe(|| body(i, node))) {
+                Ok(step) => step,
+                Err(payload) => {
+                    fault.record(vpn, i, payload.as_ref());
+                    cancel.cancel();
+                    break;
+                }
+            };
+            ran += 1;
+            if R::ENABLED {
+                let iter = i as u64;
+                let cost = b0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                rec.record(vpn, Event::IterExecuted { iter, cost });
+            }
+            if let Step::Quit = step {
+                region.quit.fetch_min(i, Ordering::AcqRel);
+                if R::ENABLED {
+                    rec.record(vpn, Event::Quit { iter: i as u64 });
+                }
+            }
+        }
+        iterations.fetch_add(ran, Ordering::Relaxed);
+        hops.fetch_add(cur.hops(), Ordering::Relaxed);
+        if R::ENABLED {
+            rec.record(vpn, Event::Barrier { cost: 0 });
+        }
+    });
+
+    // the shared cursor hops once per iteration it hands out
+    let shared_hops = match rule {
+        ClaimRule::Locked(cursor) => cursor.into_inner().1 as u64,
+        _ => 0,
+    };
+    let quit = region.quit.into_inner();
+    GeneralOutcome {
+        iterations: iterations.into_inner() as usize,
+        quit: (quit != NO_QUIT).then_some(quit),
+        hops: shared_hops + hops.into_inner(),
+        timeout: pool_out.timeout().cloned(),
+        panic: fault.take().or_else(|| pool_out.into_first_panic()),
+        diverged: diverged.into_inner(),
+        recovered: false,
+    }
+}
 
 /// General-1 with an explicit termination step. See [`general1`].
 ///
@@ -134,113 +329,8 @@ where
     B: Fn(usize, NodeId) -> Step + Sync,
     R: Recorder,
 {
-    let rec = cfg.rec;
-    let upper = cfg.upper.unwrap_or(usize::MAX);
-    let len = list.len();
     let cursor = parking_lot::Mutex::new((list.head(), 0usize));
-    let quit = AtomicUsize::new(NO_QUIT);
-    let iterations = AtomicU64::new(0);
-    let hops = AtomicU64::new(0);
-    let cancel = CancelFlag::new();
-    let fault = FirstFault::new();
-    let diverged = DivergedCell::new();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        loop {
-            if cancel.is_cancelled() {
-                break;
-            }
-            // lock(list); pt = tmp; tmp = next(tmp); unlock(list)
-            let t0 = R::ENABLED.then(Instant::now);
-            let mut c = cursor.lock();
-            let t1 = R::ENABLED.then(Instant::now);
-            let claimed = match c.0 {
-                None => None,
-                Some(node) => {
-                    let i = c.1;
-                    if i >= upper || i > quit.load(Ordering::Acquire) {
-                        None
-                    } else if i >= len {
-                        // an acyclic list yields at most `len` live nodes;
-                        // a live one at index `len` is a revisit — the
-                        // chain is corrupted, stop every claimer
-                        diverged.record(DispatcherDiverged {
-                            steps: i as u64,
-                            budget: len as u64,
-                            cycle: true,
-                        });
-                        c.0 = None;
-                        None
-                    } else {
-                        c.0 = list.next(node);
-                        c.1 = i + 1;
-                        hops.fetch_add(1, Ordering::Relaxed);
-                        Some((i, node))
-                    }
-                }
-            };
-            drop(c);
-            if R::ENABLED {
-                let wait = match (t0, t1) {
-                    (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
-                    _ => 0,
-                };
-                let hold = t1.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(vpn, Event::LockWait { dur: wait });
-                rec.record(vpn, Event::LockAcquire { hold });
-                if let Some((i, _)) = claimed {
-                    // the hop happened inside the hold, so it costs 0 extra
-                    rec.record(vpn, Event::NextHop { hops: 1, cost: 0 });
-                    rec.record(
-                        vpn,
-                        Event::IterClaimed {
-                            iter: i as u64,
-                            cost: 0,
-                        },
-                    );
-                }
-            }
-            let Some((i, node)) = claimed else { break };
-            let b0 = R::ENABLED.then(Instant::now);
-            let step = match catch_unwind(AssertUnwindSafe(|| body(i, node))) {
-                Ok(s) => s,
-                Err(p) => {
-                    fault.record(vpn, i, p.as_ref());
-                    cancel.cancel();
-                    break;
-                }
-            };
-            iterations.fetch_add(1, Ordering::Relaxed);
-            if R::ENABLED {
-                let cost = b0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(
-                    vpn,
-                    Event::IterExecuted {
-                        iter: i as u64,
-                        cost,
-                    },
-                );
-            }
-            if let Step::Quit = step {
-                quit.fetch_min(i, Ordering::AcqRel);
-                if R::ENABLED {
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
-            }
-        }
-        if R::ENABLED {
-            rec.record(vpn, Event::Barrier { cost: 0 });
-        }
-    });
-
-    let mut out = GeneralOutcome::new(
-        iterations.load(Ordering::Relaxed) as usize,
-        quit.load(Ordering::Acquire),
-        hops.load(Ordering::Relaxed),
-    );
-    out.panic = fault.take().or_else(|| pool_out.into_first_panic());
-    out.diverged = diverged.take();
-    out
+    general_until(pool, list, cfg, ClaimRule::Locked(cursor), body)
 }
 
 /// General-1: serialize accesses to `next()` with a lock; the remainder
@@ -275,64 +365,7 @@ where
     T: Sync,
     B: Fn(usize, NodeId) -> Step + Sync,
 {
-    let upper = cfg.upper.unwrap_or(usize::MAX);
-    let p = pool.size();
-    let quit = AtomicUsize::new(NO_QUIT);
-    let iterations = AtomicU64::new(0);
-    let hops = AtomicU64::new(0);
-    let cancel = CancelFlag::new();
-    let fault = FirstFault::new();
-    let diverged = DivergedCell::new();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        // a private traversal of an acyclic list takes at most `len` hops,
-        // so the guarded cursor's default budget has no false positives
-        let mut cur = list.guarded_cursor();
-        // `do j = 1, vpn: pt = next(pt)` — private catch-up to iteration vpn
-        if vpn > 0 {
-            if let Err(d) = cur.advance_by(vpn) {
-                diverged.record(d);
-                cancel.cancel();
-                return;
-            }
-        }
-        let mut i = vpn;
-        while let Some(node) = cur.get() {
-            if i >= upper || i > quit.load(Ordering::Acquire) || cancel.is_cancelled() {
-                break;
-            }
-            match catch_unwind(AssertUnwindSafe(|| body(i, node))) {
-                Ok(step) => {
-                    iterations.fetch_add(1, Ordering::Relaxed);
-                    if let Step::Quit = step {
-                        quit.fetch_min(i, Ordering::AcqRel);
-                    }
-                }
-                Err(pl) => {
-                    fault.record(vpn, i, pl.as_ref());
-                    cancel.cancel();
-                    break;
-                }
-            }
-            // `do j = 1, nproc: pt = next(pt)` — stride to the next assigned
-            if let Err(d) = cur.advance_by(p) {
-                diverged.record(d);
-                cancel.cancel();
-                break;
-            }
-            i += p;
-        }
-        hops.fetch_add(cur.hops(), Ordering::Relaxed);
-    });
-
-    let mut out = GeneralOutcome::new(
-        iterations.load(Ordering::Relaxed) as usize,
-        quit.load(Ordering::Acquire),
-        hops.load(Ordering::Relaxed),
-    );
-    out.panic = fault.take().or_else(|| pool_out.into_first_panic());
-    out.diverged = diverged.take();
-    out
+    general_until(pool, list, cfg, ClaimRule::Cyclic, body)
 }
 
 /// General-2: static cyclic assignment — processor `vpn` privately
@@ -370,108 +403,8 @@ where
     B: Fn(usize, NodeId) -> Step + Sync,
     R: Recorder,
 {
-    let rec = cfg.rec;
-    let upper = cfg.upper.unwrap_or(usize::MAX);
-    let len = list.len();
-    let claim = AtomicUsize::new(0);
-    let quit = AtomicUsize::new(NO_QUIT);
-    let iterations = AtomicU64::new(0);
-    let hops = AtomicU64::new(0);
-    let cancel = CancelFlag::new();
-    let fault = FirstFault::new();
-    let diverged = DivergedCell::new();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut cur = list.guarded_cursor();
-        let mut prev = 0usize; // the iteration the cursor points at
-        loop {
-            if cancel.is_cancelled() {
-                break;
-            }
-            let i = claim.fetch_add(1, Ordering::Relaxed);
-            if i >= upper || i > quit.load(Ordering::Acquire) {
-                break;
-            }
-            if R::ENABLED {
-                rec.record(
-                    vpn,
-                    Event::IterClaimed {
-                        iter: i as u64,
-                        cost: 0,
-                    },
-                );
-            }
-            // `do j = 1, i − prev: pt = next(pt)` — private catch-up
-            let h0 = R::ENABLED.then(Instant::now);
-            if let Err(d) = cur.advance_by(i - prev) {
-                diverged.record(d);
-                cancel.cancel();
-                break;
-            }
-            if R::ENABLED && i > prev {
-                let cost = h0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(
-                    vpn,
-                    Event::NextHop {
-                        hops: (i - prev) as u64,
-                        cost,
-                    },
-                );
-            }
-            prev = i;
-            let Some(node) = cur.get() else { break };
-            if i >= len {
-                // a live node at logical position ≥ len is a revisit: the
-                // chain is corrupted even if Brent has not looped yet
-                diverged.record(DispatcherDiverged {
-                    steps: cur.hops(),
-                    budget: len as u64 + 1,
-                    cycle: true,
-                });
-                cancel.cancel();
-                break;
-            }
-            let b0 = R::ENABLED.then(Instant::now);
-            let step = match catch_unwind(AssertUnwindSafe(|| body(i, node))) {
-                Ok(s) => s,
-                Err(pl) => {
-                    fault.record(vpn, i, pl.as_ref());
-                    cancel.cancel();
-                    break;
-                }
-            };
-            iterations.fetch_add(1, Ordering::Relaxed);
-            if R::ENABLED {
-                let cost = b0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(
-                    vpn,
-                    Event::IterExecuted {
-                        iter: i as u64,
-                        cost,
-                    },
-                );
-            }
-            if let Step::Quit = step {
-                quit.fetch_min(i, Ordering::AcqRel);
-                if R::ENABLED {
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
-            }
-        }
-        hops.fetch_add(cur.hops(), Ordering::Relaxed);
-        if R::ENABLED {
-            rec.record(vpn, Event::Barrier { cost: 0 });
-        }
-    });
-
-    let mut out = GeneralOutcome::new(
-        iterations.load(Ordering::Relaxed) as usize,
-        quit.load(Ordering::Acquire),
-        hops.load(Ordering::Relaxed),
-    );
-    out.panic = fault.take().or_else(|| pool_out.into_first_panic());
-    out.diverged = diverged.take();
-    out
+    let next = AtomicUsize::new(0);
+    general_until(pool, list, cfg, ClaimRule::Counter(next), body)
 }
 
 /// General-3: dynamic self-scheduling without locks — the paper's best
@@ -516,17 +449,19 @@ where
         quit: None,
         hops: n as u64,
         panic: out.panic,
+        timeout: out.timeout,
         diverged: None,
         recovered: false,
     }
 }
 
 /// Fault-tolerant General-3 (the Section 5 exception rule applied to the
-/// list strategies): runs [`general3_until`]; on a contained worker
-/// panic, emits [`Event::SpecAbort`] with [`AbortReason::Exception`] and
-/// re-executes the surviving loop *sequentially* on the caller's thread
-/// over a guarded cursor. List bodies write each node's private output
-/// slot, so re-running every iteration is idempotent — the "no backups or
+/// list strategies): runs [`general3_until`]; on a contained worker panic
+/// or a watchdog expiry, emits [`Event::SpecAbort`] naming the cause
+/// (after an [`Event::TimeoutAbort`] for an expiry) and re-executes the
+/// surviving loop *sequentially* on the caller's thread over a guarded
+/// cursor. List bodies write each node's private output slot, so
+/// re-running every iteration is idempotent — the "no backups or
 /// time-stamps" rows of Table 2 need no checkpoint to restore.
 ///
 /// A corrupted (cyclic) list is **not** recoverable by re-execution: the
@@ -544,17 +479,19 @@ where
 {
     let rec = cfg.rec;
     let out = general3_until(pool, list, cfg, &body);
-    let Some(panic) = out.panic else {
+    let attempt = ParallelAttempt {
+        panic: out.panic.clone(),
+        timeout: out.timeout.clone(),
+        abort: None,
+        executed: out.iterations as u64,
+        quit: out.quit,
+    };
+    let Some(reason) = attempt.classify(rec) else {
         return out;
     };
     if R::ENABLED {
-        rec.record(
-            panic.vpn,
-            Event::SpecAbort {
-                reason: AbortReason::Exception,
-                discarded: out.iterations as u64,
-            },
-        );
+        let discarded = attempt.executed;
+        rec.record(attempt.lane(), Event::SpecAbort { reason, discarded });
     }
     // sequential fallback — guarded, so a concurrently observed corruption
     // still surfaces as `diverged` rather than a hang
@@ -583,7 +520,8 @@ where
         iterations,
         quit,
         hops: cur.hops(),
-        panic: Some(panic),
+        panic: attempt.panic,
+        timeout: attempt.timeout,
         diverged,
         recovered: true,
     }
@@ -594,7 +532,7 @@ where
 mod tests {
     use super::*;
     use crate::dispatch::ListDispatcher;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
     fn pool() -> Pool {
         Pool::new(4)
@@ -830,7 +768,6 @@ mod tests {
 
     #[test]
     fn general3_recovers_by_sequential_reexecution() {
-        use std::sync::atomic::AtomicBool;
         use wlp_obs::{BufferRecorder, ProfileReport};
         let n = 300usize;
         let list = ListArena::from_values_shuffled(0..n, 11);
@@ -862,6 +799,84 @@ mod tests {
         });
         assert!(!out.recovered);
         assert_eq!(out.iterations, 100);
+    }
+
+    /// A body that stalls once, at iteration 40, far past the deadline of
+    /// [`watched`].
+    fn stalling(armed: &AtomicBool) -> impl Fn(usize) + Sync + '_ {
+        |i| {
+            if i == 40 && armed.swap(false, Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(60));
+            }
+        }
+    }
+
+    fn watched() -> Pool {
+        pool().with_deadline(wlp_runtime::Deadline::from_millis(8))
+    }
+
+    #[test]
+    fn deadline_expiry_is_reported_by_every_method() {
+        let list = ListArena::from_values(0..500usize);
+        type Method = fn(&Pool, &ListArena<usize>, &(dyn Fn(usize) + Sync)) -> GeneralOutcome;
+        let methods: [Method; 3] = [
+            |p, l, b| general1(p, l, GeneralConfig::default(), |i, _| b(i)),
+            |p, l, b| general2(p, l, GeneralConfig::default(), |i, _| b(i)),
+            |p, l, b| general3(p, l, GeneralConfig::default(), |i, _| b(i)),
+        ];
+        for (m, run) in methods.iter().enumerate() {
+            let armed = AtomicBool::new(true);
+            let out = run(&watched(), &list, &stalling(&armed));
+            let to = out
+                .timeout
+                .unwrap_or_else(|| panic!("method {}: the expiry must be reported", m + 1));
+            assert!(to.elapsed >= std::time::Duration::from_millis(8));
+            assert!(out.panic.is_none() && out.diverged.is_none());
+            assert!(!out.recovered);
+        }
+    }
+
+    #[test]
+    fn general3_recovers_from_a_deadline_expiry() {
+        use wlp_obs::{AbortReason, BufferRecorder};
+        let n = 300usize;
+        let list = ListArena::from_values_shuffled(0..n, 11);
+        let slots: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
+        let armed = AtomicBool::new(true);
+        let stall = stalling(&armed);
+        let rec = BufferRecorder::new(4);
+        let cfg = GeneralConfig::recorded(&rec);
+        let out = general3_recovering(&watched(), &list, cfg, |i, node| {
+            stall(i);
+            slots[i].store(list[node], Ordering::Relaxed);
+            Step::Continue
+        });
+        assert!(out.recovered);
+        assert!(out.timeout.is_some() && out.panic.is_none());
+        assert_eq!(out.iterations, n, "fallback covers the whole list");
+        for i in 0..n {
+            assert_eq!(slots[i].load(Ordering::Relaxed), i, "iteration {i}");
+        }
+        let tail: Vec<Event> = rec
+            .finish()
+            .samples
+            .iter()
+            .map(|s| s.event)
+            .filter(|e| matches!(e.kind(), "timeout_abort" | "spec_abort"))
+            .collect();
+        assert!(
+            matches!(
+                tail[..],
+                [
+                    Event::TimeoutAbort { .. },
+                    Event::SpecAbort {
+                        reason: AbortReason::Timeout,
+                        ..
+                    }
+                ]
+            ),
+            "{tail:?}"
+        );
     }
 
     #[test]

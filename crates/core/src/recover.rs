@@ -19,50 +19,21 @@
 use crate::undo::VersionedArray;
 use std::time::Instant;
 use wlp_obs::{AbortReason, Event, Recorder};
-use wlp_runtime::{
-    payload_message, DoacrossOutcome, DoallOutcome, StripOutcome, WorkerPanic, WorkerTimeout,
-};
+use wlp_runtime::{DoacrossOutcome, DoallOutcome, StripOutcome, WorkerPanic, WorkerTimeout};
 
-/// Shared first-panic slot for constructs that catch per-iteration (the
-/// pool-level catch only sees panics that escape iteration bodies, which
-/// carry no iteration number).
-#[derive(Debug, Default)]
-pub(crate) struct FirstFault(parking_lot::Mutex<Option<WorkerPanic>>);
-
-impl FirstFault {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record(&self, vpn: usize, iter: usize, payload: &(dyn std::any::Any + Send)) {
-        let mut slot = self.0.lock();
-        if slot.is_none() {
-            *slot = Some(WorkerPanic {
-                vpn,
-                iter: Some(iter),
-                message: payload_message(payload),
-            });
-        }
-    }
-
-    pub(crate) fn take(&self) -> Option<WorkerPanic> {
-        self.0.lock().take()
-    }
-}
-
-/// What a parallel attempt reports into [`run_with_recovery`]: the fault
-/// (if any) and how many bodies the attempt ran (the volume a recovery
-/// discards).
+/// What a drained parallel attempt reports into the recovery tails
+/// ([`run_with_recovery`], and the `settle` every speculative driver ends
+/// in): the fault (if any) and how many bodies the attempt ran (the volume
+/// a recovery discards). The one place an attempt is classified.
 #[derive(Debug, Clone)]
 pub struct ParallelAttempt {
     /// First contained worker panic, if any.
     pub panic: Option<WorkerPanic>,
     /// Watchdog verdict, if the attempt overran a region deadline.
     pub timeout: Option<WorkerTimeout>,
-    /// Caller-attributed abort cause, when the layer above already knows
-    /// *why* the attempt is invalid (e.g. [`AbortReason::Budget`] from an
-    /// exhausted undo-log budget). Takes precedence over the inference
-    /// from `timeout`/`panic`.
+    /// Caller-attributed abort cause, when the layer above knows of one
+    /// the runtime cannot see (a body that reported an error, or
+    /// [`AbortReason::Budget`] from an exhausted undo-log budget).
     pub abort: Option<AbortReason>,
     /// Bodies executed during the attempt.
     pub executed: u64,
@@ -96,28 +67,76 @@ impl From<DoacrossOutcome> for ParallelAttempt {
 
 impl From<StripOutcome> for ParallelAttempt {
     fn from(out: StripOutcome) -> Self {
-        ParallelAttempt {
-            executed: out.outcome.executed,
-            quit: out.outcome.quit,
-            panic: out.outcome.panic,
-            timeout: out.outcome.timeout,
-            abort: None,
-        }
+        out.outcome.into()
     }
 }
 
 impl ParallelAttempt {
-    /// Why this attempt must be thrown away, if it must: the explicit
-    /// caller attribution first, then a watchdog expiry, then a contained
-    /// panic. `None` means the attempt is keepable.
+    /// Why this attempt must be thrown away, if it must. A watchdog
+    /// expiry, a contained panic and a caller-attributed cause all
+    /// invalidate the attempt the same way, but are *attributed* in that
+    /// precedence order (a timed-out region may also carry panics from its
+    /// drain; the timeout caused them to surface). `None` means the
+    /// attempt is keepable.
     pub fn failure_reason(&self) -> Option<AbortReason> {
-        self.abort.or(if self.timeout.is_some() {
+        if self.timeout.is_some() {
             Some(AbortReason::Timeout)
         } else if self.panic.is_some() {
             Some(AbortReason::Exception)
         } else {
-            None
-        })
+            self.abort
+        }
+    }
+
+    /// [`failure_reason`](Self::failure_reason), announcing a watchdog
+    /// expiry to `rec` as [`Event::TimeoutAbort`] on the overdue lane.
+    pub(crate) fn classify<R: Recorder>(&self, rec: &R) -> Option<AbortReason> {
+        if R::ENABLED {
+            if let Some(to) = &self.timeout {
+                rec.record(
+                    to.vpn,
+                    Event::TimeoutAbort {
+                        vpn: to.vpn as u64,
+                        elapsed: to.elapsed.as_nanos() as u64,
+                    },
+                );
+            }
+        }
+        self.failure_reason()
+    }
+
+    /// The invalid half of a recovery tail: puts the checkpoint back
+    /// through `restore`, which returns the element volume it is charged,
+    /// and tells `rec` — on `lane` — the restore and the abort with its
+    /// cause. Returns that volume.
+    pub(crate) fn discard<R: Recorder>(
+        &self,
+        rec: &R,
+        lane: usize,
+        reason: AbortReason,
+        restore: impl FnOnce() -> usize,
+    ) -> usize {
+        let u0 = R::ENABLED.then(Instant::now);
+        let elems = restore();
+        if R::ENABLED {
+            let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            let restored = Event::UndoRestore {
+                elems: elems as u64,
+                cost,
+            };
+            rec.record(lane, restored);
+            let discarded = self.executed;
+            rec.record(lane, Event::SpecAbort { reason, discarded });
+        }
+        elems
+    }
+
+    /// The lane that caused the fallback (0 when no lane is to blame).
+    pub(crate) fn lane(&self) -> usize {
+        let timed_out = self.timeout.as_ref().map(|t| t.vpn);
+        timed_out
+            .or(self.panic.as_ref().map(|p| p.vpn))
+            .unwrap_or(0)
     }
 }
 
@@ -168,63 +187,23 @@ where
     S: FnOnce() -> u64,
 {
     let attempt = parallel();
-    let Some(reason) = attempt.failure_reason() else {
-        return RecoveryOutcome {
-            recovered: false,
-            reason: None,
-            panic: None,
-            timeout: None,
-            restored_elems: 0,
-            quit: attempt.quit,
-            executed: attempt.executed,
-        };
-    };
-
-    // attribute events to the lane that caused the fallback
-    let vpn = attempt
-        .timeout
-        .as_ref()
-        .map(|t| t.vpn)
-        .or(attempt.panic.as_ref().map(|p| p.vpn))
-        .unwrap_or(0);
-    if R::ENABLED {
-        if let Some(to) = &attempt.timeout {
-            rec.record(
-                vpn,
-                Event::TimeoutAbort {
-                    vpn: to.vpn as u64,
-                    elapsed: to.elapsed.as_nanos() as u64,
-                },
-            );
+    let reason = attempt.classify(rec);
+    let (restored_elems, quit, executed) = match reason {
+        None => (0, attempt.quit, attempt.executed),
+        Some(reason) => {
+            // attribute events to the lane that caused the fallback
+            let lane = attempt.lane();
+            let restored = attempt.discard(rec, lane, reason, || arr.restore_all());
+            (restored, None, sequential())
         }
-    }
-    let u0 = R::ENABLED.then(Instant::now);
-    let restored = arr.restore_all();
-    if R::ENABLED {
-        let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        rec.record(
-            vpn,
-            Event::UndoRestore {
-                elems: restored as u64,
-                cost,
-            },
-        );
-        rec.record(
-            vpn,
-            Event::SpecAbort {
-                reason,
-                discarded: attempt.executed,
-            },
-        );
-    }
-    let executed = sequential();
+    };
     RecoveryOutcome {
-        recovered: true,
-        reason: Some(reason),
+        recovered: reason.is_some(),
+        reason,
         panic: attempt.panic,
         timeout: attempt.timeout,
-        restored_elems: restored,
-        quit: None,
+        restored_elems,
+        quit,
         executed,
     }
 }

@@ -16,21 +16,25 @@
 //! 3. success ⇒ undo the writes of overshot iterations and keep the
 //!    parallel result.
 //!
-//! [`speculative_while_privatized`] additionally gives each processor a
-//! private (copy-in) view of the array, records a time-stamped write trail,
-//! and copies out last values on success — the mechanism for arrays whose
-//! memory-related dependences privatization removes.
+//! That recipe is one private engine, `speculate`: every entry point
+//! below hands it a *store* (what the region runs against) and a *launch*
+//! (how iterations are issued). [`speculative_while_privatized`]'s store
+//! additionally gives each processor a private (copy-in) view of the
+//! array, records a time-stamped write trail, and copies out last values
+//! on success — the mechanism for arrays whose memory-related dependences
+//! privatization removes.
 
+use crate::recover::ParallelAttempt;
 use crate::undo::VersionedArray;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
 use wlp_pd::{copy_out_last_values, IterMarker, PdVerdict, Shadow, TrailSet};
 use wlp_runtime::{
-    doall_dynamic, doall_windowed, doall_with, ChunkPolicy, DoallOptions, DoallOutcome, IssueOrder,
-    Pool, Step, WorkerTimeout,
+    doall_dynamic, doall_windowed, doall_with, ChunkPolicy, DoallOptions, IssueOrder, Pool, Step,
 };
 
 /// An undo-log budget for one speculative attempt: a cap on the number of
@@ -45,10 +49,17 @@ struct SpecBudget {
 }
 
 impl SpecBudget {
+    fn new(limit: u64) -> Self {
+        SpecBudget {
+            limit,
+            stamped: AtomicU64::new(0),
+        }
+    }
+
     /// Adds `n` stamped writes to the charge counter in one RMW. Access
-    /// handles buffer their charges locally and flush on drop, so the
-    /// shared counter is touched once per *iteration*, not once per
-    /// *write* — the budget check itself stays a relaxed load.
+    /// handles buffer their charges locally, so the shared counter is
+    /// touched at most once per *iteration*, not once per *write* — the
+    /// budget check itself stays a relaxed load.
     #[inline]
     fn charge_many(&self, n: u64) {
         self.stamped.fetch_add(n, Ordering::Relaxed);
@@ -85,10 +96,7 @@ impl<T: Copy + Send + Sync> SpeculativeArray<T> {
     /// aborts with [`AbortReason::Budget`] and falls back to sequential
     /// execution instead of growing speculation state without bound.
     pub fn with_budget(mut self, writes: u64) -> Self {
-        self.budget = Some(SpecBudget {
-            limit: writes,
-            stamped: AtomicU64::new(0),
-        });
+        self.budget = Some(SpecBudget::new(writes));
         self
     }
 
@@ -115,27 +123,6 @@ impl<T: Copy + Send + Sync> SpeculativeArray<T> {
         self.versioned.is_empty()
     }
 
-    /// The per-iteration access handle used inside speculative bodies.
-    fn access(&self, iter: usize) -> SpecAccess<'_, T> {
-        SpecAccess {
-            arr: self,
-            marker: Some(self.shadow.iteration(iter)),
-            iter,
-            pending_charges: 0,
-        }
-    }
-
-    /// A pass-through handle for sequential (re-)execution: no marking, no
-    /// stamps.
-    pub(crate) fn direct(&self) -> SpecAccess<'_, T> {
-        SpecAccess {
-            arr: self,
-            marker: None,
-            iter: 0,
-            pending_charges: 0,
-        }
-    }
-
     /// Copies the live values out.
     pub fn snapshot(&self) -> Vec<T> {
         self.versioned.snapshot()
@@ -152,56 +139,125 @@ impl<T: Copy + Send + Sync> SpeculativeArray<T> {
     }
 }
 
-/// Per-iteration view of a [`SpeculativeArray`]: reads and writes are
-/// recorded when speculating, and pass through untouched during sequential
-/// re-execution.
-///
-/// Budget charges are buffered on the handle and flushed to the shared
-/// counter when it drops (one `fetch_add` per iteration). The budget trip
-/// is checked at iteration claim time, so per-iteration charge
-/// granularity is exactly the granularity the abort path observes.
+/// Stamped writes a group worker buffers before charging the budget. A
+/// single-array handle charges at every iteration boundary instead, which
+/// is the granularity its budget trip is observed at.
+const CHARGE_BATCH: u64 = 256;
+
+/// What every access handle shares: the iteration it is aimed at, whether
+/// it is speculating at all, and the stamped writes not yet charged to the
+/// undo-log budget — flushed to the shared counter in one RMW when the
+/// handle is re-aimed with a full batch pending, and when it drops. The
+/// budget trip is checked at iteration claim time, so nothing finer than
+/// an iteration is ever observed.
+#[derive(Debug)]
+struct AccessCore<'a> {
+    budget: Option<&'a SpecBudget>,
+    iter: usize,
+    /// `false` during sequential (re-)execution: writes go straight to the
+    /// live data, unstamped and unmarked.
+    speculating: bool,
+    pending_charges: u64,
+}
+
+impl<'a> AccessCore<'a> {
+    fn new(budget: Option<&'a SpecBudget>, speculating: bool) -> Self {
+        AccessCore {
+            budget,
+            iter: 0,
+            speculating,
+            pending_charges: 0,
+        }
+    }
+
+    /// Re-aims the handle at iteration `i`, charging the budget if `batch`
+    /// or more stamped writes are pending.
+    #[inline]
+    fn begin(&mut self, i: usize, batch: u64) {
+        self.iter = i;
+        if self.pending_charges >= batch {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some(b) = self.budget {
+            b.charge_many(self.pending_charges);
+        }
+        self.pending_charges = 0;
+    }
+
+    /// Marks a speculative write of element `e` for the PD test and counts
+    /// it against the budget; an unshadowed array (no marker) pays neither.
+    #[inline]
+    fn mark_write(&mut self, marker: &mut Option<IterMarker<'_>>, e: usize) {
+        if let Some(m) = marker {
+            m.mark_write(e);
+            self.pending_charges += 1;
+        }
+    }
+
+    /// Writes `v` to element `e` of `data`: marked, charged and stamped
+    /// with this iteration while speculating, straight through otherwise.
+    #[inline]
+    fn write<T: Copy>(
+        &mut self,
+        data: &VersionedArray<T>,
+        marker: &mut Option<IterMarker<'_>>,
+        e: usize,
+        v: T,
+    ) {
+        if !self.speculating {
+            return data.write_direct(e, v);
+        }
+        self.mark_write(marker, e);
+        data.write(e, v, self.iter);
+    }
+}
+
+impl Drop for AccessCore<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// Reads element `e` of `data`, marking the read when `marker` is there.
+#[inline]
+fn read_marked<T: Copy>(
+    data: &VersionedArray<T>,
+    marker: &mut Option<IterMarker<'_>>,
+    e: usize,
+) -> T {
+    if let Some(m) = marker {
+        m.mark_read(e);
+    }
+    data.read(e)
+}
+
+/// A worker's view of a [`SpeculativeArray`], re-aimed at each iteration
+/// it executes: reads and writes are recorded when speculating, and pass
+/// through untouched during sequential re-execution.
 #[derive(Debug)]
 pub struct SpecAccess<'a, T: Copy> {
-    arr: &'a SpeculativeArray<T>,
+    data: &'a VersionedArray<T>,
     marker: Option<IterMarker<'a>>,
-    iter: usize,
-    pending_charges: u64,
+    core: AccessCore<'a>,
 }
 
 impl<T: Copy + Send + Sync> SpecAccess<'_, T> {
     /// Reads element `e`.
     pub fn read(&mut self, e: usize) -> T {
-        if let Some(m) = &mut self.marker {
-            m.mark_read(e);
-        }
-        self.arr.versioned.read(e)
+        read_marked(self.data, &mut self.marker, e)
     }
 
     /// Writes `v` to element `e`.
     pub fn write(&mut self, e: usize, v: T) {
-        match &mut self.marker {
-            Some(m) => {
-                m.mark_write(e);
-                self.pending_charges += 1;
-                self.arr.versioned.write(e, v, self.iter);
-            }
-            None => self.arr.versioned.write_direct(e, v),
-        }
+        self.core.write(self.data, &mut self.marker, e, v);
     }
 
-    /// The iteration this handle belongs to.
+    /// The iteration this handle is aimed at.
     pub fn iteration(&self) -> usize {
-        self.iter
-    }
-}
-
-impl<T: Copy> Drop for SpecAccess<'_, T> {
-    fn drop(&mut self) {
-        if self.pending_charges != 0 {
-            if let Some(b) = &self.arr.budget {
-                b.charge_many(self.pending_charges);
-            }
-        }
+        self.core.iter
     }
 }
 
@@ -228,6 +284,336 @@ pub struct SpecOutcome {
     pub executed_parallel: u64,
     /// Elements restored while undoing overshot iterations.
     pub undone: usize,
+}
+
+/// What the engine needs from the data a speculative region runs against:
+/// the handle iterations reach it through, and what [`settle`] ends the
+/// region with. A store is a cheap value over borrowed data, so the
+/// handles it gives out outlive it.
+trait SpecStore: Sync {
+    /// A worker's access handle.
+    type Access;
+    /// A handle for worker `vpn`: marking and stamping when `speculating`,
+    /// plain pass-through for sequential (re-)execution.
+    fn access(&self, vpn: usize, speculating: bool) -> Self::Access;
+    /// Re-aims `acc` at iteration `i`.
+    fn begin(acc: &mut Self::Access, i: usize);
+    /// Elements checkpointed for the attempt.
+    fn checkpointed(&self) -> usize;
+    /// The undo-log budget tripped during the region.
+    fn budget_exceeded(&self) -> bool;
+    /// The PD test over the marks of iterations up to `attempt.quit`.
+    fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict;
+    /// Whether `verdict` lets the parallel result stand.
+    fn validates(&self, verdict: &PdVerdict) -> bool {
+        verdict.doall
+    }
+    /// Invalid attempt: every written element goes back to its checkpoint.
+    /// Returns the element volume the restore is charged.
+    fn restore_all(&self) -> usize;
+    /// Valid attempt: the writes of iterations past `last_valid` are
+    /// undone (or, for private copies, the valid last values copied out).
+    /// Returns the elements touched.
+    fn keep(self, last_valid: Option<usize>) -> usize;
+}
+
+impl<'a, T: Copy + Send + Sync> SpecStore for &'a SpeculativeArray<T> {
+    type Access = SpecAccess<'a, T>;
+    fn access(&self, _vpn: usize, speculating: bool) -> SpecAccess<'a, T> {
+        SpecAccess {
+            data: &self.versioned,
+            marker: speculating.then(|| self.shadow.iteration(0)),
+            core: AccessCore::new(self.budget.as_ref(), speculating),
+        }
+    }
+    fn begin(acc: &mut SpecAccess<'a, T>, i: usize) {
+        if let Some(m) = &mut acc.marker {
+            m.restart(i);
+        }
+        acc.core.begin(i, 1);
+    }
+    fn checkpointed(&self) -> usize {
+        self.len()
+    }
+    fn budget_exceeded(&self) -> bool {
+        SpeculativeArray::budget_exceeded(self)
+    }
+    fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict {
+        self.shadow.analyze_rec(pool, attempt.quit, 16, rec)
+    }
+    fn restore_all(&self) -> usize {
+        self.versioned.restore_all();
+        self.len()
+    }
+    fn keep(self, last_valid: Option<usize>) -> usize {
+        last_valid.map_or(0, |li| self.versioned.undo_past(li))
+    }
+}
+
+/// A worker's private count, added to the shared total when the worker
+/// leaves the region.
+struct Tally<'a> {
+    local: u64,
+    total: &'a AtomicU64,
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.total.fetch_add(self.local, Ordering::Relaxed);
+    }
+}
+
+/// How the engine issues the iterations of a region.
+enum Launch {
+    /// [`doall_with`] in this order. A worker's handle, scratch and tally
+    /// are built once per region and live on its own stack.
+    Doall(IssueOrder),
+    /// [`doall_windowed`] with this window. The window scheduler hands a
+    /// body nothing but its `vpn`, so a worker's state lives for one
+    /// iteration.
+    Windowed(usize),
+}
+
+/// The one speculative engine (Section 5): run the loop as a DOALL against
+/// `store` while it marks, then [`settle`].
+///
+/// `iteration(i, scratch, access)` is the whole loop body, terminator
+/// first, as [`speculative_while_group`] documents it. `init(lane)` builds
+/// a worker's scratch — `Some(vpn)` on a speculative worker, `None` for
+/// the sequential re-execution on the calling thread, which runs the same
+/// `iteration` over the store's direct handle.
+///
+/// `rec` is told the checkpoint volume (`Backup`), the PD analysis, every
+/// restore and the final verdict. The launch itself runs unobserved: a
+/// caller that wants per-iteration events records them in `iteration` (a
+/// terminator hit is a `TermTest`, not an executed body). Returns the
+/// outcome, the maximum span a windowed launch observed, and the error the
+/// sequential re-execution met, if any.
+fn speculate<S, W, E, R>(
+    pool: &Pool,
+    upper: usize,
+    launch: Launch,
+    store: S,
+    rec: &R,
+    init: impl Fn(Option<usize>) -> W + Sync,
+    iteration: impl Fn(usize, &mut W, &mut S::Access) -> Result<Step, E> + Sync,
+) -> (SpecOutcome, usize, Option<GroupFault<E>>)
+where
+    S: SpecStore,
+    R: Recorder,
+{
+    if R::ENABLED {
+        // the checkpoint copy happened when the data was wrapped; its
+        // volume is charged as the attempt starts — the backup side of `Tb`
+        let elems = store.checkpointed() as u64;
+        rec.record(0, Event::Backup { elems, cost: 0 });
+    }
+    let failed = AtomicBool::new(false);
+    let executed = AtomicU64::new(0);
+    let worker = |vpn: usize| {
+        let bodies = Tally {
+            local: 0,
+            total: &executed,
+        };
+        (store.access(vpn, true), init(Some(vpn)), bodies)
+    };
+    let step = |i: usize, (acc, scratch, bodies): &mut (S::Access, W, Tally<'_>)| {
+        // re-aiming first charges what the previous iteration stamped
+        S::begin(acc, i);
+        if store.budget_exceeded() {
+            // Stop issuing; `settle` rolls everything back. Not a
+            // terminator hit, so `iteration` (and its events) never runs.
+            return Step::Quit;
+        }
+        match iteration(i, scratch, acc) {
+            Ok(Step::Continue) => {
+                bodies.local += 1;
+                Step::Continue
+            }
+            Ok(Step::Quit) => Step::Quit,
+            Err(_) => {
+                failed.store(true, Ordering::Release);
+                Step::Quit
+            }
+        }
+    };
+    let (out, span) = match launch {
+        Launch::Doall(order) => {
+            let unobserved = &NoopRecorder;
+            let opts = DoallOptions {
+                order,
+                rec: unobserved,
+            };
+            (doall_with(pool, upper, opts, worker, step), 0)
+        }
+        Launch::Windowed(window) => doall_windowed(pool, upper, window, &NoopRecorder, |i, vpn| {
+            step(i, &mut worker(vpn))
+        }),
+    };
+    // the runtime-level catch is the backstop: a panic that escapes
+    // `iteration` still arrives here, in `out.panic`
+    let abort = if failed.into_inner() {
+        Some(AbortReason::Exception)
+    } else {
+        store.budget_exceeded().then_some(AbortReason::Budget)
+    };
+    let attempt = ParallelAttempt {
+        panic: out.panic,
+        timeout: out.timeout,
+        abort,
+        executed: executed.into_inner(),
+        quit: out.quit,
+    };
+    let mut fault = None;
+    let outcome = settle(pool, store, attempt, rec, |store| {
+        let rerun = run_sequential(upper, store, init(None), &iteration);
+        rerun.unwrap_or_else(|met| {
+            fault = Some(met);
+            None
+        })
+    });
+    (outcome, span, fault)
+}
+
+/// The one sequential (re-)execution: the loop in iteration order on the
+/// calling thread, over the store's direct handle. Returns the exit it
+/// found, or the error `iteration` reported.
+fn run_sequential<S: SpecStore, W, E>(
+    upper: usize,
+    store: &S,
+    mut scratch: W,
+    iteration: impl Fn(usize, &mut W, &mut S::Access) -> Result<Step, E>,
+) -> Result<Option<usize>, GroupFault<E>> {
+    let mut acc = store.access(0, false);
+    for i in 0..upper {
+        S::begin(&mut acc, i);
+        match iteration(i, &mut scratch, &mut acc) {
+            Ok(Step::Continue) => {}
+            Ok(Step::Quit) => return Ok(Some(i)),
+            Err(error) => return Err(GroupFault { iter: i, error }),
+        }
+    }
+    Ok(None)
+}
+
+/// The one tail every speculative driver ends in (Section 5): classify the
+/// drained region, and either throw the parallel attempt away — restore,
+/// re-execute sequentially through `rerun`, which returns the exit it
+/// found — or keep it, minus the overshoot. Only an attempt that
+/// [`ParallelAttempt::classify`] finds no fault with is PD-tested.
+fn settle<S: SpecStore, R: Recorder>(
+    pool: &Pool,
+    store: S,
+    attempt: ParallelAttempt,
+    rec: &R,
+    rerun: impl FnOnce(&S) -> Option<usize>,
+) -> SpecOutcome {
+    let early_abort = attempt.classify(rec);
+    let verdict = early_abort
+        .is_none()
+        .then(|| store.analyze(pool, &attempt, rec));
+    let exception = attempt.panic.is_some() || attempt.abort == Some(AbortReason::Exception);
+    let (executed, last_valid) = (attempt.executed, attempt.quit);
+
+    let valid = verdict.as_ref().is_some_and(|v| store.validates(v));
+    let (abort, last_valid, undone) = if valid {
+        // undo only the overshot iterations
+        let u0 = R::ENABLED.then(Instant::now);
+        let undone = store.keep(last_valid);
+        if R::ENABLED {
+            if undone > 0 {
+                let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                let elems = undone as u64;
+                rec.record(0, Event::UndoRestore { elems, cost });
+            }
+            // every iteration below the exit executed a body, so the kept
+            // share is exactly `last_valid` (or everything, with no exit)
+            let committed = last_valid.map_or(executed, |li| (li as u64).min(executed));
+            let undone = executed - committed;
+            rec.record(0, Event::SpecCommit { committed, undone });
+        }
+        (None, last_valid, undone)
+    } else {
+        // cross-iteration dependences, or no verdict at all: the parallel
+        // result is invalid
+        let reason = early_abort.unwrap_or(AbortReason::Dependence);
+        attempt.discard(rec, 0, reason, || store.restore_all());
+        (Some(reason), rerun(&store), 0)
+    };
+    SpecOutcome {
+        verdict,
+        committed_parallel: valid,
+        reexecuted_sequentially: !valid,
+        exception,
+        abort,
+        last_valid,
+        executed_parallel: executed,
+        undone,
+    }
+}
+
+/// The single-array loop — terminator first, then the body — as one
+/// engine iteration. On a speculative worker (`lane` is its vpn) the pair
+/// runs with its events under its own `catch_unwind`: an exception stops
+/// issue like a QUIT and voids the attempt. On the calling thread's
+/// sequential pass (`lane` is `None`) it runs bare: a panic there is a
+/// *real* exception and propagates.
+fn single_iteration<A, R: Recorder>(
+    rec: &R,
+    term: &impl Fn(usize, &mut A) -> bool,
+    body: &impl Fn(usize, &mut A),
+    i: usize,
+    lane: Option<usize>,
+    acc: &mut A,
+) -> Result<Step, ()> {
+    let pair = |acc: &mut A| {
+        if term(i, acc) {
+            Step::Quit
+        } else {
+            body(i, acc);
+            Step::Continue
+        }
+    };
+    let Some(vpn) = lane else {
+        return Ok(pair(acc));
+    };
+    let iter = i as u64;
+    if R::ENABLED {
+        rec.record(vpn, Event::IterClaimed { iter, cost: 0 });
+    }
+    let t0 = R::ENABLED.then(Instant::now);
+    let Ok(step) = catch_unwind(AssertUnwindSafe(|| pair(acc))) else {
+        if R::ENABLED {
+            rec.record(vpn, Event::Quit { iter });
+        }
+        return Err(());
+    };
+    if R::ENABLED {
+        let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        match step {
+            Step::Quit => {
+                rec.record(vpn, Event::TermTest { iter, cost });
+                rec.record(vpn, Event::Quit { iter });
+            }
+            Step::Continue => rec.record(vpn, Event::IterExecuted { iter, cost }),
+        }
+    }
+    Ok(step)
+}
+
+/// Plain sequential execution of a single-array loop (the governor's last
+/// rung, and the run-twice scheme when its first pass times out). Returns
+/// the exit it found.
+pub(crate) fn sequential_while<T: Copy + Send + Sync>(
+    upper: usize,
+    arr: &SpeculativeArray<T>,
+    term: &impl Fn(usize, &mut SpecAccess<'_, T>) -> bool,
+    body: &impl Fn(usize, &mut SpecAccess<'_, T>),
+) -> Option<usize> {
+    let bare = |i: usize, _: &mut (), acc: &mut SpecAccess<'_, T>| {
+        single_iteration(&NoopRecorder, term, body, i, None, acc)
+    };
+    run_sequential(upper, &arr, (), bare).unwrap_or_else(|_| unreachable!("nothing is contained"))
 }
 
 /// Speculatively executes `while !term(i, A) { body(i, A) }` as a DOALL
@@ -297,32 +683,12 @@ where
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
     R: Recorder,
 {
-    let rec = opts.rec;
-    record_backup(rec, arr.len());
-    let tally = RegionTally::default();
-    // this layer records its own per-iteration events (a terminator hit is
-    // a `TermTest`, not an executed body), so the DOALL runs unobserved
-    let issue = DoallOptions {
-        order: opts.order,
-        rec: &NoopRecorder,
+    let DoallOptions { order, rec } = opts;
+    let iteration = |i: usize, lane: &mut Option<usize>, acc: &mut SpecAccess<'_, T>| {
+        single_iteration(rec, &term, &body, i, *lane, acc)
     };
-    let out = doall_with(
-        pool,
-        upper,
-        issue,
-        |vpn| vpn,
-        |i, vpn| {
-            if arr.budget_exceeded() {
-                // Stop issuing; `settle` rolls everything back. No events:
-                // this is not a terminator hit.
-                return Step::Quit;
-            }
-            spec_iteration(rec, &tally, (i, *vpn), &mut arr.access(i), &term, &body)
-        },
-    );
-    settle(pool, arr, tally.attempt(out), rec, || {
-        run_sequential(upper, arr, &term, &body)
-    })
+    let launch = Launch::Doall(order);
+    speculate(pool, upper, launch, arr, rec, |lane| lane, iteration).0
 }
 
 /// [`speculative_while`] under the Section 8.2 sliding window: the span of
@@ -346,253 +712,12 @@ where
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
     R: Recorder,
 {
-    record_backup(rec, arr.len());
-    let tally = RegionTally::default();
-    let (out, span) = doall_windowed(pool, upper, window, &NoopRecorder, |i, vpn| {
-        if arr.budget_exceeded() {
-            return Step::Quit;
-        }
-        spec_iteration(rec, &tally, (i, vpn), &mut arr.access(i), &term, &body)
-    });
-    let outcome = settle(pool, arr, tally.attempt(out), rec, || {
-        run_sequential(upper, arr, &term, &body)
-    });
+    let iteration = |i: usize, lane: &mut Option<usize>, acc: &mut SpecAccess<'_, T>| {
+        single_iteration(rec, &term, &body, i, *lane, acc)
+    };
+    let launch = Launch::Windowed(window);
+    let (outcome, span, _) = speculate(pool, upper, launch, arr, rec, |lane| lane, iteration);
     (outcome, span)
-}
-
-/// The checkpoint copy happened when the array was built; its volume is
-/// charged when the attempt starts, so the report sees the backup side of
-/// `Tb`.
-fn record_backup<R: Recorder>(rec: &R, elems: usize) {
-    if R::ENABLED {
-        rec.record(
-            0,
-            Event::Backup {
-                elems: elems as u64,
-                cost: 0,
-            },
-        );
-    }
-}
-
-/// The shared counters of one speculative region.
-#[derive(Default)]
-struct RegionTally {
-    /// A body panicked (or reported an error).
-    exception: AtomicBool,
-    /// Bodies executed (valid + overshot).
-    executed: AtomicU64,
-}
-
-impl RegionTally {
-    /// What the drained region `out` amounts to. The runtime-level catch
-    /// is the backstop: a panic that escapes the per-body catch (e.g.
-    /// inside a probe) still counts as an exception.
-    fn attempt(&self, out: DoallOutcome) -> Attempt {
-        Attempt {
-            timeout: out.timeout,
-            exception: self.exception.load(Ordering::Acquire) || out.panic.is_some(),
-            last_valid: out.quit,
-            executed: self.executed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One speculative iteration — terminator first, then the body — with its
-/// events, under its own `catch_unwind`: an exception stops issue like a
-/// QUIT and marks the region for the sequential fallback.
-fn spec_iteration<A, R: Recorder>(
-    rec: &R,
-    tally: &RegionTally,
-    (i, vpn): (usize, usize),
-    acc: &mut A,
-    term: &impl Fn(usize, &mut A) -> bool,
-    body: &impl Fn(usize, &mut A),
-) -> Step {
-    if R::ENABLED {
-        rec.record(
-            vpn,
-            Event::IterClaimed {
-                iter: i as u64,
-                cost: 0,
-            },
-        );
-    }
-    let t0 = R::ENABLED.then(Instant::now);
-    let step = catch_unwind(AssertUnwindSafe(|| {
-        if term(i, acc) {
-            Step::Quit
-        } else {
-            body(i, acc);
-            tally.executed.fetch_add(1, Ordering::Relaxed);
-            Step::Continue
-        }
-    }));
-    let Ok(step) = step else {
-        tally.exception.store(true, Ordering::Release);
-        if R::ENABLED {
-            rec.record(vpn, Event::Quit { iter: i as u64 });
-        }
-        return Step::Quit;
-    };
-    if R::ENABLED {
-        let iter = i as u64;
-        let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        match step {
-            Step::Quit => {
-                rec.record(vpn, Event::TermTest { iter, cost });
-                rec.record(vpn, Event::Quit { iter });
-            }
-            Step::Continue => rec.record(vpn, Event::IterExecuted { iter, cost }),
-        }
-    }
-    step
-}
-
-/// What [`settle`] is told about a drained speculative region.
-struct Attempt {
-    /// The watchdog verdict, if the region overran its deadline.
-    timeout: Option<WorkerTimeout>,
-    /// A body panicked or reported an error.
-    exception: bool,
-    /// The region's QUIT bound: the first iteration that met the
-    /// terminator.
-    last_valid: Option<usize>,
-    /// Bodies executed (valid + overshot).
-    executed: u64,
-}
-
-/// What [`settle`] needs from the data a speculative region ran against.
-trait SpecStore {
-    /// The undo-log budget tripped during the region.
-    fn budget_exceeded(&self) -> bool;
-    /// The PD test over the marks of iterations up to `last_valid`.
-    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict;
-    /// Whether `verdict` lets the parallel result stand.
-    fn validates(&self, verdict: &PdVerdict) -> bool {
-        verdict.doall
-    }
-    /// Invalid attempt: every written element goes back to its checkpoint.
-    /// Returns the element volume the restore is charged.
-    fn restore_all(&self) -> usize;
-    /// Valid attempt: the writes of iterations past `last_valid` are
-    /// undone (or, for private copies, the valid last values copied out).
-    /// Returns the elements touched.
-    fn keep(self, last_valid: Option<usize>) -> usize;
-}
-
-impl<T: Copy + Send + Sync> SpecStore for &SpeculativeArray<T> {
-    fn budget_exceeded(&self) -> bool {
-        SpeculativeArray::budget_exceeded(self)
-    }
-    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict {
-        self.shadow.analyze_rec(pool, last_valid, 16, rec)
-    }
-    fn restore_all(&self) -> usize {
-        self.versioned.restore_all();
-        self.len()
-    }
-    fn keep(self, last_valid: Option<usize>) -> usize {
-        last_valid.map_or(0, |li| self.versioned.undo_past(li))
-    }
-}
-
-/// The one tail every speculative driver ends in (Section 5): classify the
-/// drained region, and either throw the parallel attempt away — restore,
-/// re-execute sequentially through `rerun`, which returns the exit it
-/// found — or keep it, minus the overshoot.
-///
-/// A watchdog expiry, a contained exception and an exhausted budget all
-/// invalidate the attempt the same way, but are *attributed* differently,
-/// in that precedence order (a timed-out region may also carry panics
-/// from its drain; the timeout caused them to surface). Only an attempt
-/// that survives all three is PD-tested.
-fn settle<S: SpecStore, R: Recorder>(
-    pool: &Pool,
-    store: S,
-    attempt: Attempt,
-    rec: &R,
-    rerun: impl FnOnce() -> Option<usize>,
-) -> SpecOutcome {
-    let Attempt {
-        timeout,
-        exception,
-        last_valid,
-        executed,
-    } = attempt;
-    let early_abort = if let Some(to) = &timeout {
-        if R::ENABLED {
-            rec.record(
-                to.vpn,
-                Event::TimeoutAbort {
-                    vpn: to.vpn as u64,
-                    elapsed: to.elapsed.as_nanos() as u64,
-                },
-            );
-        }
-        Some(AbortReason::Timeout)
-    } else if exception {
-        Some(AbortReason::Exception)
-    } else if store.budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-    let verdict = early_abort
-        .is_none()
-        .then(|| store.analyze(pool, last_valid, rec));
-
-    let u0 = R::ENABLED.then(Instant::now);
-    let undo_cost = || u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    let valid = verdict.as_ref().is_some_and(|v| store.validates(v));
-    let (abort, last_valid, undone) = if valid {
-        // undo only the overshot iterations
-        let undone = store.keep(last_valid);
-        if R::ENABLED {
-            if undone > 0 {
-                let (elems, cost) = (undone as u64, undo_cost());
-                rec.record(0, Event::UndoRestore { elems, cost });
-            }
-            // every iteration below the exit executed a body, so the kept
-            // share is exactly `last_valid` (or everything, with no exit)
-            let committed = last_valid.map_or(executed, |li| (li as u64).min(executed));
-            rec.record(
-                0,
-                Event::SpecCommit {
-                    committed,
-                    undone: executed - committed,
-                },
-            );
-        }
-        (None, last_valid, undone)
-    } else {
-        // cross-iteration dependences, or no verdict at all: the parallel
-        // result is invalid
-        let reason = early_abort.unwrap_or(AbortReason::Dependence);
-        let elems = store.restore_all() as u64;
-        if R::ENABLED {
-            let cost = undo_cost();
-            rec.record(0, Event::UndoRestore { elems, cost });
-            rec.record(
-                0,
-                Event::SpecAbort {
-                    reason,
-                    discarded: executed,
-                },
-            );
-        }
-        (Some(reason), rerun(), 0)
-    };
-    SpecOutcome {
-        verdict,
-        committed_parallel: valid,
-        reexecuted_sequentially: !valid,
-        exception,
-        abort,
-        last_valid,
-        executed_parallel: executed,
-        undone,
-    }
 }
 
 /// How one array takes part in a speculative group: exactly the machinery
@@ -646,9 +771,6 @@ impl<T: Copy + Send + Sync> GroupArray<'_, T> {
 /// stamps, Section 4).
 const GROUP_CHUNK: usize = 32;
 
-/// Stamped writes a worker buffers before charging the group's budget.
-const CHARGE_BATCH: u64 = 256;
-
 /// A worker's view of the arrays of a speculative group, re-aimed at each
 /// iteration it executes. Accesses are bounds-checked here (`None` = out
 /// of range, nothing recorded), so a body interpreting untrusted
@@ -662,56 +784,7 @@ pub struct GroupAccess<'g, T: Copy> {
     arrays: &'g [GroupArray<'g, T>],
     /// One slot per array: `Some` for a shadowed array while speculating.
     markers: Vec<Option<IterMarker<'g>>>,
-    budget: Option<&'g SpecBudget>,
-    iter: usize,
-    /// `false` during sequential (re-)execution: writes go straight to the
-    /// live data, unstamped and unmarked.
-    speculating: bool,
-    pending_charges: u64,
-}
-
-impl<'g, T: Copy + Send + Sync> GroupAccess<'g, T> {
-    fn new(
-        arrays: &'g [GroupArray<'g, T>],
-        budget: Option<&'g SpecBudget>,
-        speculating: bool,
-    ) -> Self {
-        let markers = arrays
-            .iter()
-            .map(|a| match a {
-                GroupArray::Shadowed(s) if speculating => Some(s.shadow.iteration(0)),
-                _ => None,
-            })
-            .collect();
-        GroupAccess {
-            arrays,
-            markers,
-            budget,
-            iter: 0,
-            speculating,
-            pending_charges: 0,
-        }
-    }
-
-    /// Re-aims the handle at iteration `i`.
-    fn begin(&mut self, i: usize) {
-        self.iter = i;
-        for m in self.markers.iter_mut().flatten() {
-            m.restart(i);
-        }
-        if self.pending_charges >= CHARGE_BATCH {
-            self.flush_charges();
-        }
-    }
-}
-
-impl<T: Copy> GroupAccess<'_, T> {
-    fn flush_charges(&mut self) {
-        if let Some(b) = self.budget {
-            b.charge_many(self.pending_charges);
-        }
-        self.pending_charges = 0;
-    }
+    core: AccessCore<'g>,
 }
 
 impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
@@ -722,13 +795,7 @@ impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
             GroupArray::ReadOnly(s) => s.get(e).copied(),
             GroupArray::Certified(v) => (e < v.len()).then(|| v.read(e)),
             GroupArray::Shadowed(s) => {
-                if e >= s.len() {
-                    return None;
-                }
-                if let Some(m) = &mut self.markers[a] {
-                    m.mark_read(e);
-                }
-                Some(s.versioned.read(e))
+                (e < s.len()).then(|| read_marked(&s.versioned, &mut self.markers[a], e))
             }
         }
     }
@@ -740,46 +807,19 @@ impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
     /// the loop never writes it.
     #[inline]
     pub fn write(&mut self, a: usize, e: usize, v: T) -> Option<()> {
-        let versioned = self.arrays[a]
+        let data = self.arrays[a]
             .versioned()
             .expect("write to an array declared read-only");
-        if e >= versioned.len() {
+        if e >= data.len() {
             return None;
         }
-        if !self.speculating {
-            versioned.write_direct(e, v);
-            return Some(());
-        }
-        if let Some(m) = &mut self.markers[a] {
-            m.mark_write(e);
-            self.pending_charges += 1;
-        }
-        versioned.write(e, v, self.iter);
+        self.core.write(data, &mut self.markers[a], e, v);
         Some(())
     }
 
     /// The iteration this handle is aimed at.
     pub fn iteration(&self) -> usize {
-        self.iter
-    }
-}
-
-impl<T: Copy> Drop for GroupAccess<'_, T> {
-    fn drop(&mut self) {
-        self.flush_charges();
-    }
-}
-
-/// A worker's private count, added to the shared total when the worker
-/// leaves the region.
-struct Tally<'a> {
-    local: u64,
-    total: &'a AtomicU64,
-}
-
-impl Drop for Tally<'_> {
-    fn drop(&mut self) {
-        self.total.fetch_add(self.local, Ordering::Relaxed);
+        self.core.iter
     }
 }
 
@@ -828,107 +868,72 @@ where
     I: Fn() -> S + Sync,
     F: Fn(usize, &mut S, &mut GroupAccess<'_, T>) -> Result<Step, E> + Sync,
 {
-    let budget = budget.map(|limit| SpecBudget {
-        limit,
-        stamped: AtomicU64::new(0),
-    });
-    let budget = budget.as_ref();
-    let tally = RegionTally::default();
-
-    let opts = DoallOptions {
-        order: IssueOrder::Dynamic(ChunkPolicy::Fixed(GROUP_CHUNK)),
-        rec: &NoopRecorder,
-    };
-    let out = doall_with(
-        pool,
-        upper,
-        opts,
-        |_vpn| {
-            let bodies = Tally {
-                local: 0,
-                total: &tally.executed,
-            };
-            (GroupAccess::new(arrays, budget, true), init(), bodies)
-        },
-        |i, (acc, scratch, bodies)| {
-            if budget.is_some_and(|b| b.exceeded()) {
-                return Step::Quit;
-            }
-            acc.begin(i);
-            match iteration(i, scratch, acc) {
-                Ok(Step::Continue) => {
-                    bodies.local += 1;
-                    Step::Continue
-                }
-                Ok(Step::Quit) => Step::Quit,
-                Err(_) => {
-                    // like a contained panic: the attempt is void
-                    tally.exception.store(true, Ordering::Release);
-                    Step::Quit
-                }
-            }
-        },
-    );
-
-    let attempt = tally.attempt(out);
-    let overshot = attempt
-        .last_valid
-        .is_some_and(|li| attempt.executed > li as u64);
-    let unstamped = arrays
-        .iter()
-        .any(|a| a.versioned().is_some_and(|v| !v.is_stamped()));
+    let budget = budget.map(SpecBudget::new);
     let store = GroupStore {
         arrays,
-        budget,
-        void: overshot && unstamped,
+        budget: budget.as_ref(),
     };
-    let mut fault = None;
-    let outcome = settle(pool, store, attempt, &NoopRecorder, || {
-        let mut acc = GroupAccess::new(arrays, None, false);
-        let mut scratch = init();
-        for i in 0..upper {
-            acc.begin(i);
-            match iteration(i, &mut scratch, &mut acc) {
-                Ok(Step::Continue) => {}
-                Ok(Step::Quit) => return Some(i),
-                Err(error) => {
-                    fault = Some(GroupFault { iter: i, error });
-                    break;
-                }
-            }
-        }
-        None
-    });
+    let launch = Launch::Doall(IssueOrder::Dynamic(ChunkPolicy::Fixed(GROUP_CHUNK)));
+    let rec = &NoopRecorder;
+    let (outcome, _, fault) = speculate(pool, upper, launch, store, rec, |_| init(), iteration);
     fault.map_or(Ok(outcome), Err)
 }
 
-/// A speculative group as [`settle`] sees it.
+/// A speculative group as the engine sees it.
 struct GroupStore<'g, T: Copy> {
     arrays: &'g [GroupArray<'g, T>],
     budget: Option<&'g SpecBudget>,
-    /// The region overshot its exit into an unstamped array. Such an array
-    /// cannot undo selectively: its loop was declared unable to overshoot,
-    /// and if it did anyway the attempt is void.
-    void: bool,
 }
 
-impl<T: Copy + Send + Sync> SpecStore for GroupStore<'_, T> {
+impl<T: Copy + Send + Sync> GroupStore<'_, T> {
+    fn written(&self) -> impl Iterator<Item = &VersionedArray<T>> {
+        self.arrays.iter().filter_map(GroupArray::versioned)
+    }
+}
+
+impl<'g, T: Copy + Send + Sync> SpecStore for GroupStore<'g, T> {
+    type Access = GroupAccess<'g, T>;
+    fn access(&self, _vpn: usize, speculating: bool) -> GroupAccess<'g, T> {
+        let markers = self.arrays.iter().map(|a| match a {
+            GroupArray::Shadowed(s) if speculating => Some(s.shadow.iteration(0)),
+            _ => None,
+        });
+        GroupAccess {
+            arrays: self.arrays,
+            markers: markers.collect(),
+            core: AccessCore::new(self.budget, speculating),
+        }
+    }
+    fn begin(acc: &mut GroupAccess<'g, T>, i: usize) {
+        for m in acc.markers.iter_mut().flatten() {
+            m.restart(i);
+        }
+        acc.core.begin(i, CHARGE_BATCH);
+    }
+    fn checkpointed(&self) -> usize {
+        self.written().map(VersionedArray::len).sum()
+    }
     fn budget_exceeded(&self) -> bool {
         self.budget.is_some_and(|b| b.exceeded())
     }
     /// Every shadowed array must pass; the verdicts are merged.
-    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict {
+    fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict {
+        // An unstamped array cannot undo selectively: its loop was declared
+        // unable to overshoot, and if the region overshot its exit anyway
+        // the attempt is void.
+        let overshot = attempt.quit.is_some_and(|li| attempt.executed > li as u64);
+        let void = overshot && self.written().any(|v| !v.is_stamped());
         let mut merged = PdVerdict {
-            doall: !self.void,
-            privatized_doall: !self.void,
+            doall: !void,
+            privatized_doall: !void,
             conflicts: Vec::new(),
         };
-        if self.void {
+        if void {
             return merged;
         }
         for a in self.arrays {
             if let GroupArray::Shadowed(s) = a {
-                let v = s.analyze(pool, last_valid, rec);
+                let v = s.analyze(pool, attempt, rec);
                 merged.doall &= v.doall;
                 merged.privatized_doall &= v.privatized_doall;
                 merged.conflicts.extend(v.conflicts);
@@ -937,12 +942,10 @@ impl<T: Copy + Send + Sync> SpecStore for GroupStore<'_, T> {
         merged
     }
     fn restore_all(&self) -> usize {
-        let written = self.arrays.iter().filter_map(GroupArray::versioned);
-        written.map(VersionedArray::restore_all).sum()
+        self.written().map(VersionedArray::restore_all).sum()
     }
     fn keep(self, last_valid: Option<usize>) -> usize {
-        let written = self.arrays.iter().filter_map(GroupArray::versioned);
-        last_valid.map_or(0, |li| written.map(|v| v.undo_past(li)).sum())
+        last_valid.map_or(0, |li| self.written().map(|v| v.undo_past(li)).sum())
     }
 }
 
@@ -986,14 +989,15 @@ where
     if pass1.timeout.is_some() {
         // the trip count was never determined: nothing speculative to
         // salvage, the whole loop runs sequentially
-        let attempt = Attempt {
+        let attempt = ParallelAttempt {
+            panic: None,
             timeout: pass1.timeout,
-            exception: false,
-            last_valid: None,
+            abort: None,
             executed: 0,
+            quit: None,
         };
-        return settle(pool, arr, attempt, rec, || {
-            run_sequential(upper, arr, &|i, _: &mut SpecAccess<'_, T>| term(i), &body)
+        return settle(pool, arr, attempt, rec, |arr| {
+            sequential_while(upper, arr, &|i, _: &mut SpecAccess<'_, T>| term(i), &body)
         });
     }
     let end = pass1.quit.unwrap_or(upper);
@@ -1075,71 +1079,37 @@ where
     }
 }
 
-fn run_sequential<T, TF, BF>(
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    term: &TF,
-    body: &BF,
-) -> Option<usize>
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    for i in 0..upper {
-        let mut acc = arr.direct();
-        if term(i, &mut acc) {
-            return Some(i);
-        }
-        body(i, &mut acc);
-    }
-    None
-}
-
-/// A per-iteration view of a *privatized* speculative array: writes go to
-/// a processor-private overlay (recorded in a time-stamped trail), reads
-/// prefer the overlay and fall back to the original values (copy-in).
+/// A worker's view of a *privatized* speculative array: writes go to a
+/// private overlay (recorded in a time-stamped trail), reads prefer the
+/// overlay and fall back to the original values (copy-in). During
+/// sequential (re-)execution it is plain pass-through: one overlay applied
+/// in iteration order *is* the array.
 #[derive(Debug)]
 pub struct PrivAccess<'a, T: Copy> {
-    original: &'a VersionedArray<T>,
-    overlay: &'a mut HashMap<usize, T>,
-    marker: IterMarker<'a>,
-    trail: &'a TrailSet<T>,
-    budget: Option<&'a SpecBudget>,
+    shared: SpecAccess<'a, T>,
+    overlay: HashMap<usize, T>,
+    trail: Arc<TrailSet<T>>,
     vpn: usize,
-    iter: usize,
-    pending_charges: u64,
 }
 
 impl<T: Copy + Send + Sync> PrivAccess<'_, T> {
     /// Reads element `e` (private value if this processor wrote one).
     pub fn read(&mut self, e: usize) -> T {
-        self.marker.mark_read(e);
-        match self.overlay.get(&e) {
-            Some(&v) => v,
-            None => self.original.read(e),
-        }
+        let original = self.shared.read(e);
+        self.overlay.get(&e).copied().unwrap_or(original)
     }
 
     /// Writes `v` to this processor's private copy of element `e`.
     pub fn write(&mut self, e: usize, v: T) {
-        self.marker.mark_write(e);
-        // overlays and trails grow per write — exactly the state the
-        // undo-log budget is meant to bound; charges are buffered and
-        // flushed in one RMW when the handle drops at iteration end
-        self.pending_charges += 1;
-        self.overlay.insert(e, v);
-        self.trail.record(self.vpn, self.iter, e, v);
-    }
-}
-
-impl<T: Copy> Drop for PrivAccess<'_, T> {
-    fn drop(&mut self) {
-        if self.pending_charges != 0 {
-            if let Some(b) = self.budget {
-                b.charge_many(self.pending_charges);
-            }
+        let SpecAccess { marker, core, .. } = &mut self.shared;
+        if !core.speculating {
+            return self.shared.write(e, v);
         }
+        // overlays and trails grow per write — exactly the state the
+        // undo-log budget is meant to bound
+        core.mark_write(marker, e);
+        self.overlay.insert(e, v);
+        self.trail.record(self.vpn, core.iter, e, v);
     }
 }
 
@@ -1152,13 +1122,13 @@ impl<T: Copy> Drop for PrivAccess<'_, T> {
 /// *is* the backup, as the paper notes) and the loop re-runs sequentially.
 ///
 /// Soundness of the overshoot exemption (see `wlp_pd::shadow`): overlays
-/// persist per worker across iterations, but [`doall_dynamic`] hands each
-/// worker monotonically increasing iteration indices, so a *valid*
-/// iteration can never observe an *overshot* same-worker overlay write —
-/// overshot work always comes after all of a worker's valid work. Any
-/// valid-to-valid overlay leak is an exposed read of another iteration's
-/// write and fails the privatization criterion, forcing the sequential
-/// fallback.
+/// persist per worker across iterations, but [`doall_dynamic`]'s issue
+/// order hands each worker monotonically increasing iteration indices, so
+/// a *valid* iteration can never observe an *overshot* same-worker overlay
+/// write — overshot work always comes after all of a worker's valid work.
+/// Any valid-to-valid overlay leak is an exposed read of another
+/// iteration's write and fails the privatization criterion, forcing the
+/// sequential fallback.
 pub fn speculative_while_privatized<T, TF, BF>(
     pool: &Pool,
     upper: usize,
@@ -1171,50 +1141,47 @@ where
     TF: Fn(usize, &mut PrivAccess<'_, T>) -> bool + Sync,
     BF: Fn(usize, &mut PrivAccess<'_, T>) + Sync,
 {
-    let p = pool.size();
-    let overlays: Vec<parking_lot::Mutex<HashMap<usize, T>>> = (0..p)
-        .map(|_| parking_lot::Mutex::new(HashMap::new()))
-        .collect();
-    let trail: TrailSet<T> = TrailSet::new(p);
-    let tally = RegionTally::default();
-
-    let out = doall_dynamic(pool, upper, |i, vpn| {
-        if arr.budget_exceeded() {
-            return Step::Quit;
-        }
-        let mut overlay = overlays[vpn].lock();
-        let mut acc = PrivAccess {
-            original: &arr.versioned,
-            overlay: &mut overlay,
-            marker: arr.shadow.iteration(i),
-            trail: &trail,
-            budget: arr.budget.as_ref(),
-            vpn,
-            iter: i,
-            pending_charges: 0,
-        };
-        spec_iteration(&NoopRecorder, &tally, (i, vpn), &mut acc, &term, &body)
-    });
-
-    let store = PrivStore { arr, trail };
-    settle(pool, store, tally.attempt(out), &NoopRecorder, || {
-        run_sequential_privatized(upper, arr, &term, &body)
-    })
+    let store = PrivStore {
+        arr,
+        trail: Arc::new(TrailSet::new(pool.size())),
+    };
+    let rec = &NoopRecorder;
+    let iteration = |i: usize, lane: &mut Option<usize>, acc: &mut PrivAccess<'_, T>| {
+        single_iteration(rec, &term, &body, i, *lane, acc)
+    };
+    let launch = Launch::Doall(IssueOrder::default());
+    speculate(pool, upper, launch, store, rec, |lane| lane, iteration).0
 }
 
-/// A privatized array and the trail of its private writes, as [`settle`]
-/// sees them.
+/// A privatized array and the trail of its private writes, as the engine
+/// sees them. The trail is shared with the workers' handles for the
+/// region and consumed by the copy-out after it.
 struct PrivStore<'a, T: Copy> {
     arr: &'a SpeculativeArray<T>,
-    trail: TrailSet<T>,
+    trail: Arc<TrailSet<T>>,
 }
 
-impl<T: Copy + Send + Sync> SpecStore for PrivStore<'_, T> {
+impl<'a, T: Copy + Send + Sync> SpecStore for PrivStore<'a, T> {
+    type Access = PrivAccess<'a, T>;
+    fn access(&self, vpn: usize, speculating: bool) -> PrivAccess<'a, T> {
+        PrivAccess {
+            shared: self.arr.access(vpn, speculating),
+            overlay: HashMap::new(),
+            trail: Arc::clone(&self.trail),
+            vpn,
+        }
+    }
+    fn begin(acc: &mut PrivAccess<'a, T>, i: usize) {
+        <&SpeculativeArray<T>>::begin(&mut acc.shared, i);
+    }
+    fn checkpointed(&self) -> usize {
+        self.arr.len()
+    }
     fn budget_exceeded(&self) -> bool {
         self.arr.budget_exceeded()
     }
-    fn analyze<R: Recorder>(&self, pool: &Pool, last_valid: Option<usize>, rec: &R) -> PdVerdict {
-        self.arr.analyze(pool, last_valid, rec)
+    fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict {
+        self.arr.analyze(pool, attempt, rec)
     }
     fn validates(&self, verdict: &PdVerdict) -> bool {
         verdict.privatized_doall
@@ -1228,7 +1195,8 @@ impl<T: Copy + Send + Sync> SpecStore for PrivStore<'_, T> {
     /// any stamp if the loop ran its full range). Returns the elements
     /// whose value came from the trail.
     fn keep(self, last_valid: Option<usize>) -> usize {
-        let events = self.trail.into_events();
+        let trail = Arc::into_inner(self.trail).expect("every handle left with its worker");
+        let events = trail.into_events();
         let mut values = self.arr.versioned.snapshot();
         let li = last_valid.unwrap_or(usize::MAX - 1);
         let copied = copy_out_last_values(&events, li, &mut values);
@@ -1239,46 +1207,6 @@ impl<T: Copy + Send + Sync> SpecStore for PrivStore<'_, T> {
     }
 }
 
-fn run_sequential_privatized<T, TF, BF>(
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    term: &TF,
-    body: &BF,
-) -> Option<usize>
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut PrivAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut PrivAccess<'_, T>) + Sync,
-{
-    // Sequential semantics: a single "processor" with a persistent overlay
-    // applied in iteration order; writes land directly in the shared array.
-    let trail: TrailSet<T> = TrailSet::new(1);
-    let shadow_sink = Shadow::new(arr.len()); // marks discarded
-    let mut overlay: HashMap<usize, T> = HashMap::new();
-    let mut last = None;
-    for i in 0..upper {
-        let mut acc = PrivAccess {
-            original: &arr.versioned,
-            overlay: &mut overlay,
-            marker: shadow_sink.iteration(i),
-            trail: &trail,
-            budget: None, // sequential truth is never budget-limited
-            vpn: 0,
-            iter: i,
-            pending_charges: 0,
-        };
-        if term(i, &mut acc) {
-            last = Some(i);
-            break;
-        }
-        body(i, &mut acc);
-    }
-    for (e, v) in overlay {
-        arr.versioned.write_direct(e, v);
-    }
-    last
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // indexing by iteration number is the semantics under test
 mod tests {
@@ -1286,6 +1214,13 @@ mod tests {
 
     fn pool() -> Pool {
         Pool::new(4)
+    }
+
+    /// A speculating handle aimed at iteration `i`.
+    fn access<T: Copy + Send + Sync>(arr: &SpeculativeArray<T>, i: usize) -> SpecAccess<'_, T> {
+        let mut acc = SpecStore::access(&arr, 0, true);
+        <&SpeculativeArray<T>>::begin(&mut acc, i);
+        acc
     }
 
     fn chunked(policy: ChunkPolicy) -> DoallOptions<'static> {
@@ -2054,7 +1989,7 @@ mod tests {
                 s.spawn(move || {
                     for k in 0..iters_per_thread {
                         let i = t * iters_per_thread + k;
-                        let mut acc = arr.access(i);
+                        let mut acc = access(arr, i);
                         for _ in 0..writes_per_iter {
                             acc.write(i, i as u64);
                         }
@@ -2083,12 +2018,12 @@ mod tests {
             for t in 0..threads {
                 let arr = &arr;
                 s.spawn(move || {
-                    let mut acc = arr.access(t + 1);
+                    let mut acc = access(arr, t + 1);
                     acc.write(0, (t + 1) as i64);
                 });
             }
         });
-        let mut acc = arr.access(0);
+        let mut acc = access(&arr, 0);
         acc.write(0, 100);
         drop(acc);
         assert_eq!(arr.versioned.stamp(0), Some(0), "earliest writer wins");

@@ -21,8 +21,8 @@
 //! schedulers, which the methods in this crate compose with.)
 
 use crate::speculate::{
-    run_twice_speculative, speculative_while_windowed, speculative_while_with, SpecAccess,
-    SpecOutcome, SpeculativeArray,
+    run_twice_speculative, sequential_while, speculative_while_windowed, speculative_while_with,
+    SpecAccess, SpeculativeArray,
 };
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use wlp_obs::{AbortReason, Event, Recorder, StrategyChoice};
@@ -108,42 +108,33 @@ where
         }
     };
     let rung = governor.current();
-    let spec = |out: SpecOutcome| {
-        (
-            out.abort,
-            out.committed_parallel,
-            out.last_valid,
-            out.executed_parallel,
-        )
-    };
     let index_term = |i: usize, _: &mut SpecAccess<'_, T>| term(i);
-    let (abort, committed_parallel, last_valid, executed) = match rung {
+    let parallel = match rung {
         StrategyChoice::Speculative => {
             let opts = DoallOptions::recorded(rec);
-            spec(speculative_while_with(
+            Some(speculative_while_with(
                 &gpool, upper, &arr, opts, index_term, &body,
             ))
         }
         StrategyChoice::Windowed => {
             let window = governor.degraded_window();
-            spec(speculative_while_windowed(&gpool, upper, window, &arr, rec, index_term, &body).0)
+            Some(speculative_while_windowed(&gpool, upper, window, &arr, rec, index_term, &body).0)
         }
-        StrategyChoice::Distribution => spec(run_twice_speculative(
+        StrategyChoice::Distribution => Some(run_twice_speculative(
             &gpool, upper, &arr, rec, &term, &body,
         )),
-        StrategyChoice::Sequential => {
-            let mut last_valid = None;
-            let mut executed = 0u64;
-            for i in 0..upper {
-                if term(i) {
-                    last_valid = Some(i);
-                    break;
-                }
-                let mut acc = arr.direct();
-                body(i, &mut acc);
-                executed += 1;
-            }
-            (None, false, last_valid, executed)
+        StrategyChoice::Sequential => None,
+    };
+    let (abort, committed_parallel, last_valid, executed) = match parallel {
+        Some(out) => (
+            out.abort,
+            out.committed_parallel,
+            out.last_valid,
+            out.executed_parallel,
+        ),
+        None => {
+            let last_valid = sequential_while(upper, &arr, &index_term, &body);
+            (None, false, last_valid, last_valid.unwrap_or(upper) as u64)
         }
     };
 

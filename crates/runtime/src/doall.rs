@@ -128,17 +128,22 @@ impl QuitCell {
     }
 }
 
-/// Shared first-fault slot: the first contained body panic wins; later
+/// Shared first-fault slot for constructs that catch per iteration (the
+/// pool-level catch only sees panics that escape iteration bodies, which
+/// carry no iteration number): the first contained body panic wins; later
 /// ones (peers that panic before observing the cancel flag) are dropped.
 #[derive(Debug, Default)]
-pub(crate) struct FaultCell(Mutex<Option<WorkerPanic>>);
+pub struct FaultCell(Mutex<Option<WorkerPanic>>);
 
 impl FaultCell {
-    pub(crate) fn new() -> Self {
+    /// An empty slot.
+    pub fn new() -> Self {
         FaultCell(Mutex::new(None))
     }
 
-    pub(crate) fn record(&self, vpn: usize, iter: usize, payload: &(dyn std::any::Any + Send)) {
+    /// Records the panic `payload` of iteration `iter` on worker `vpn`,
+    /// unless an earlier one is already held.
+    pub fn record(&self, vpn: usize, iter: usize, payload: &(dyn std::any::Any + Send)) {
         self.record_at(vpn, Some(iter), payload);
     }
 
@@ -161,7 +166,8 @@ impl FaultCell {
         }
     }
 
-    pub(crate) fn take(&self) -> Option<WorkerPanic> {
+    /// Empties the slot, yielding the first recorded panic.
+    pub fn take(&self) -> Option<WorkerPanic> {
         self.0.lock().take()
     }
 }

@@ -59,7 +59,9 @@ pub use barrier::CentralBarrier;
 pub use chunk::ChunkPolicy;
 pub use deque::{Steal, StealDeque};
 pub use doacross::{doacross, doacross_with, DoacrossOptions, DoacrossOutcome};
-pub use doall::{doall_dynamic, doall_with, DoallOptions, DoallOutcome, IssueOrder, Step};
+pub use doall::{
+    doall_dynamic, doall_with, DoallOptions, DoallOutcome, FaultCell, IssueOrder, Step,
+};
 pub use governor::{FailureCounts, Governor, GovernorPolicy, Transition};
 pub use pool::{
     payload_message, CancelFlag, Deadline, Pool, PoolOutcome, WorkerPanic, WorkerTimeout,

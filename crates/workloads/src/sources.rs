@@ -1,22 +1,14 @@
 //! WHILE-source forms of representative loops, certified end to end.
 //!
-//! Each constant is a loop the front-end can parse; [`certify`] runs the
-//! static analysis over it and [`certified_config`] translates the
-//! resulting [`SafetyCertificate`] into the simulator's [`ExecConfig`] —
-//! the point where a static proof actually removes run-time machinery:
-//!
-//! * certified-DOALL + remainder-invariant exit → no backups, no stamps,
-//!   no PD shadow (the loop runs as a plain DOALL);
-//! * certified-DOALL + remainder-variant exit → overshoot undo only,
-//!   the PD test is dropped;
-//! * speculate-bounded → full PD machinery, but the undo budget is the
-//!   certified bound (uncertain writes only), not the naive every-write
-//!   one.
+//! Each constant is a loop the front-end can parse, and [`certify`] runs
+//! the static analysis over it. Which run-time machinery the resulting
+//! certificate leaves necessary is decided in one place, the `ExecPlan`
+//! that [`wlp_analyze::compile_source`] lowers (per-array access modes,
+//! stamps, the shadowed stores one iteration can charge): the tests below
+//! pin each source's certificate next to the plan it yields.
 
-use wlp_analyze::{analyze, Analysis, CertVerdict, SafetyCertificate};
-use wlp_core::taxonomy::TerminatorClass;
+use wlp_analyze::{analyze, Analysis};
 use wlp_ir::frontend::parse_loop;
-use wlp_sim::ExecConfig;
 
 /// Figure 5(b): the even/odd element swap through a temporary. The
 /// temporary's carried dependences make the baseline plan sequential;
@@ -174,6 +166,8 @@ pub fn machine_inputs(name: &str, n: usize) -> MachineInputs {
         other => panic!("unknown corpus program `{other}`"),
     }
 }
+
+/// The static analysis of one source.
 ///
 /// # Panics
 /// On parse errors — the sources are compile-time constants, so failure
@@ -182,31 +176,25 @@ pub fn certify(src: &str) -> Analysis {
     analyze(&parse_loop(src).expect("workload source parses"))
 }
 
-/// The execution machinery a certificate prescribes for an `iters`-long
-/// run, as a simulator [`ExecConfig`].
-pub fn certified_config(cert: &SafetyCertificate, iters: u64) -> ExecConfig {
-    match cert.verdict {
-        // one lane, no speculation state to configure
-        CertVerdict::CertifiedSequential => ExecConfig::default(),
-        CertVerdict::CertifiedDoall => {
-            if cert.terminator == TerminatorClass::RemainderVariant {
-                // independent iterations but a data-dependent exit:
-                // overshot iterations must be undone, nothing is shadowed
-                ExecConfig::with_undo(cert.naive_write_budget(iters))
-            } else {
-                ExecConfig::default()
-            }
-        }
-        CertVerdict::SpeculateBounded => ExecConfig::with_pd(cert.naive_write_budget(iters))
-            .with_write_budget(cert.write_budget(iters).max(1)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlp_analyze::{compile_source, CertVerdict};
+    use wlp_core::taxonomy::TerminatorClass;
+    use wlp_ir::exec::{AccessMode, ExecPlan, Schedule, SeqReason};
     use wlp_ir::plan::StrategyKind;
     use wlp_runtime::GovernorPolicy;
+
+    /// The plan the daemon would run `src` under.
+    fn plan_of(src: &str) -> ExecPlan {
+        compile_source(src).expect("workload source compiles").2
+    }
+
+    /// `plan`'s access mode for the array called `name`.
+    fn mode_of(plan: &ExecPlan, name: &str) -> AccessMode {
+        let slot = plan.arrays().iter().position(|a| a == name);
+        plan.modes()[slot.expect("the source names the array")]
+    }
 
     #[test]
     fn swap_is_replanned_from_sequential_to_doall() {
@@ -217,10 +205,15 @@ mod tests {
         assert_eq!(a.refined.strategy, StrategyKind::InductionDoall);
         assert_eq!(a.certificate.verdict, CertVerdict::CertifiedDoall);
 
-        let cfg = certified_config(&a.certificate, 1024);
-        assert!(!cfg.pd_shadow && !cfg.stamp_writes && !cfg.undo_overshoot);
-        assert_eq!(cfg.backup_elems, 0);
-        assert_eq!(cfg.budget_writes, None);
+        // the plan shadows nothing and charges no budget; until it gives
+        // each worker a private `tmp` (ROADMAP 1(b)) it runs sequentially
+        let plan = plan_of(SWAP);
+        assert_eq!(
+            plan.schedule(),
+            Schedule::Sequential(SeqReason::ExtraScalarState)
+        );
+        assert_eq!(mode_of(&plan, "A"), AccessMode::Certified);
+        assert_eq!(plan.shadowed_stores_per_iter(), 0);
     }
 
     #[test]
@@ -235,9 +228,17 @@ mod tests {
         assert_eq!(a.certificate.naive_write_budget(n), 2 * n);
         assert_eq!(a.certificate.write_budget(n), n);
 
-        let cfg = certified_config(&a.certificate, n);
-        assert!(cfg.pd_shadow && cfg.stamp_writes);
-        assert_eq!(cfg.budget_writes, Some(n));
+        // the plan PD-tests `A` alone, and one iteration can charge the
+        // budget exactly the uncertain write
+        let plan = plan_of(GATHER_SCATTER);
+        assert!(matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }));
+        assert_eq!(mode_of(&plan, "A"), AccessMode::Shadowed);
+        assert_eq!(mode_of(&plan, "B"), AccessMode::Certified);
+        assert_eq!(mode_of(&plan, "idx"), AccessMode::ReadOnly);
+        assert_eq!(
+            plan.shadowed_stores_per_iter(),
+            a.certificate.uncertain_writes_per_iter
+        );
 
         // the same bound flows into the governor's policy…
         let policy = a.certificate.apply_to_policy(GovernorPolicy::default(), n);
@@ -282,9 +283,17 @@ mod tests {
         assert_eq!(a.certificate.verdict, CertVerdict::CertifiedDoall);
         assert_eq!(a.terminator, TerminatorClass::RemainderVariant);
 
-        let cfg = certified_config(&a.certificate, 64);
-        assert!(cfg.stamp_writes && cfg.undo_overshoot);
-        assert!(!cfg.pd_shadow, "certified loops drop the run-time test");
+        // independent iterations but a data-dependent exit: overshot
+        // iterations must be undone (stamps), nothing is shadowed
+        let plan = plan_of(GUARDED_UPDATE);
+        assert!(matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }));
+        assert!(plan.stamps_certified());
+        assert_eq!(mode_of(&plan, "A"), AccessMode::Certified);
+        assert_eq!(
+            plan.shadowed_stores_per_iter(),
+            0,
+            "certified loops drop the run-time test"
+        );
     }
 
     #[test]
@@ -318,7 +327,9 @@ mod tests {
     fn partial_sums_is_certified_sequential() {
         let a = certify(PARTIAL_SUMS);
         assert_eq!(a.certificate.verdict, CertVerdict::CertifiedSequential);
-        let cfg = certified_config(&a.certificate, 64);
-        assert_eq!(cfg, ExecConfig::default());
+        assert_eq!(
+            plan_of(PARTIAL_SUMS).schedule(),
+            Schedule::Sequential(SeqReason::CertifiedSequential)
+        );
     }
 }

@@ -11,14 +11,15 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 use wlp::core::general::{general1, general2, general3, general3_recovering, GeneralConfig};
 use wlp::core::speculate::{speculative_while_with, SpeculativeArray};
 use wlp::core::{run_with_recovery, ParallelAttempt, VersionedArray};
 use wlp::fault::{corrupt_list_cycle, FaultPlan, PANIC_MESSAGE_PREFIX};
 use wlp::list::ListArena;
-use wlp::obs::{BufferRecorder, NoopRecorder, ProfileReport};
+use wlp::obs::{AbortReason, BufferRecorder, Event, NoopRecorder, ProfileReport, Trace};
 use wlp::runtime::{
-    doacross, doall_dynamic, doall_windowed, strip_mined, DoallOptions, Pool, Step,
+    doacross, doall_dynamic, doall_windowed, strip_mined, Deadline, DoallOptions, Pool, Step,
 };
 
 const N: usize = 256;
@@ -35,10 +36,26 @@ fn sequential_fill(arr: &VersionedArray<i64>) -> u64 {
     arr.len() as u64
 }
 
+/// The events of the recovery tail, in the order they were recorded, with
+/// their measured fields zeroed.
+fn recovery_events(trace: &Trace) -> Vec<Event> {
+    let tail = trace.samples.iter().filter_map(|s| match s.event {
+        Event::TimeoutAbort { vpn, .. } => Some(Event::TimeoutAbort { vpn, elapsed: 0 }),
+        Event::UndoRestore { .. } => Some(Event::UndoRestore { elems: 0, cost: 0 }),
+        Event::SpecAbort { reason, .. } => Some(Event::SpecAbort {
+            reason,
+            discarded: 0,
+        }),
+        _ => None,
+    });
+    tail.collect()
+}
+
 /// Drives one construct through `run_with_recovery` with a fault planned
 /// at iteration `k`, then checks the Section 5 contract end to end: fault
 /// fired, recovery ran, final state is the sequential one, and the trace
-/// shows exactly one exception abort.
+/// shows exactly one exception abort — a restore, then the abort naming
+/// its cause.
 fn check_recovery(
     name: &str,
     k: usize,
@@ -67,9 +84,63 @@ fn check_recovery(
         expected(N),
         "{name}: final state sequential"
     );
-    let report = ProfileReport::from_trace(&rec.finish());
+    let trace = rec.finish();
+    let report = ProfileReport::from_trace(&trace);
     assert_eq!(report.spec_aborts, 1, "{name}");
     assert_eq!(report.aborts_exception, 1, "{name}");
+    assert_eq!(
+        recovery_events(&trace),
+        [
+            Event::UndoRestore { elems: 0, cost: 0 },
+            Event::SpecAbort {
+                reason: AbortReason::Exception,
+                discarded: 0
+            },
+        ],
+        "{name}"
+    );
+}
+
+/// A watchdog expiry takes the same tail as a panic, announced first by
+/// the `TimeoutAbort` naming the overdue lane.
+#[test]
+fn doall_timeout_restores_and_reexecutes() {
+    let arr = VersionedArray::new(vec![-7i64; N]);
+    let plan = FaultPlan::stall_at(40, Duration::from_millis(50));
+    let pool = Pool::new(4).with_deadline(Deadline::from_millis(8));
+    let rec = BufferRecorder::new(4);
+    let out = run_with_recovery(
+        &arr,
+        &rec,
+        || {
+            doall_dynamic(&pool, N, |i, vpn| {
+                let _ = plan.inject(i, vpn);
+                arr.write(i, i as i64 * 3 + 1, i);
+                Step::Continue
+            })
+            .into()
+        },
+        || sequential_fill(&arr),
+    );
+    assert!(plan.fired(), "the stall must have been injected");
+    assert!(out.recovered);
+    assert_eq!(out.reason, Some(AbortReason::Timeout));
+    let overdue = out.timeout.as_ref().expect("watchdog verdict kept").vpn as u64;
+    assert_eq!(arr.snapshot(), expected(N));
+    assert_eq!(
+        recovery_events(&rec.finish()),
+        [
+            Event::TimeoutAbort {
+                vpn: overdue,
+                elapsed: 0
+            },
+            Event::UndoRestore { elems: 0, cost: 0 },
+            Event::SpecAbort {
+                reason: AbortReason::Timeout,
+                discarded: 0
+            },
+        ]
+    );
 }
 
 #[test]

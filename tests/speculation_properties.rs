@@ -3,8 +3,14 @@
 //! test passes, the final state equals the sequential execution's.**
 
 use proptest::prelude::*;
-use wlp::core::speculate::{speculative_while, SpeculativeArray};
-use wlp::runtime::Pool;
+use wlp::core::speculate::{
+    run_twice_speculative, speculative_while, speculative_while_group,
+    speculative_while_privatized, speculative_while_strips, speculative_while_windowed,
+    speculative_while_with, GroupAccess, GroupArray, PrivAccess, SpecAccess, SpecOutcome,
+    SpeculativeArray,
+};
+use wlp::obs::NoopRecorder;
+use wlp::runtime::{ChunkPolicy, DoallOptions, IssueOrder, Pool, Step};
 
 /// A tiny interpreted loop body: each iteration performs up to 4 accesses
 /// drawn from this alphabet, then possibly triggers the RV exit.
@@ -46,45 +52,185 @@ fn run_reference(m: usize, prog: &[Vec<Op>], exit_at: Option<usize>) -> (Vec<i64
     (a, None)
 }
 
-/// The same program through the speculation driver.
+/// The one array of a program, as each driver's access handle shows it.
+trait Cells {
+    fn get(&mut self, e: usize) -> i64;
+    fn put(&mut self, e: usize, v: i64);
+}
+
+impl Cells for SpecAccess<'_, i64> {
+    fn get(&mut self, e: usize) -> i64 {
+        self.read(e)
+    }
+    fn put(&mut self, e: usize, v: i64) {
+        self.write(e, v)
+    }
+}
+
+impl Cells for PrivAccess<'_, i64> {
+    fn get(&mut self, e: usize) -> i64 {
+        self.read(e)
+    }
+    fn put(&mut self, e: usize, v: i64) {
+        self.write(e, v)
+    }
+}
+
+impl Cells for GroupAccess<'_, i64> {
+    fn get(&mut self, e: usize) -> i64 {
+        self.read(0, e).expect("generated subscripts are in range")
+    }
+    fn put(&mut self, e: usize, v: i64) {
+        self.write(0, e, v)
+            .expect("generated subscripts are in range")
+    }
+}
+
+/// Iteration `i` of `prog` against `a`.
+fn run_body(prog: &[Vec<Op>], i: usize, a: &mut impl Cells) {
+    let mut acc = 0i64;
+    for op in &prog[i] {
+        match *op {
+            Op::ReadAdd(e) => acc += a.get(e),
+            Op::Write(e) => a.put(e, acc + i as i64),
+            Op::ReadWrite(e) => {
+                let v = a.get(e);
+                a.put(e, v + 1);
+            }
+        }
+    }
+}
+
+/// A speculative entry point of `wlp-core`, with the option that selects
+/// among its behaviours.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Plain,
+    With(ChunkPolicy),
+    Windowed(usize),
+    RunTwice,
+    Strips(usize),
+    Privatized,
+    Group,
+}
+
+/// Every entry point: each chunk policy, windows of 1, 4 and wider than
+/// any generated loop, strips of 1 and 5.
+const ENTRIES: [Entry; 12] = [
+    Entry::Plain,
+    Entry::With(ChunkPolicy::One),
+    Entry::With(ChunkPolicy::Fixed(32)),
+    Entry::With(ChunkPolicy::Guided { min: 1 }),
+    Entry::Windowed(1),
+    Entry::Windowed(4),
+    Entry::Windowed(1 << 20),
+    Entry::RunTwice,
+    Entry::Strips(1),
+    Entry::Strips(5),
+    Entry::Privatized,
+    Entry::Group,
+];
+
+/// What a driver reported: the exit it found and whether every parallel
+/// attempt it made was kept.
+struct Ran {
+    state: Vec<i64>,
+    last_valid: Option<usize>,
+    committed: bool,
+}
+
+/// The same program through speculative entry point `entry`. The
+/// generator's exit is index-only, which is what lets the run-twice
+/// scheme evaluate it without the array.
 fn run_speculative(
+    entry: Entry,
     m: usize,
     prog: &[Vec<Op>],
     exit_at: Option<usize>,
     workers: usize,
-) -> (Vec<i64>, bool) {
-    let arr = SpeculativeArray::new(vec![0i64; m]);
+) -> Ran {
     let pool = Pool::new(workers);
-    let out = speculative_while(
-        &pool,
-        prog.len(),
-        &arr,
-        |i, _| exit_at == Some(i),
-        |i, a| {
-            let mut acc = 0i64;
-            for op in &prog[i] {
-                match *op {
-                    Op::ReadAdd(e) => acc += a.read(e),
-                    Op::Write(e) => a.write(e, acc + i as i64),
-                    Op::ReadWrite(e) => {
-                        let v = a.read(e);
-                        a.write(e, v + 1);
+    let n = prog.len();
+    let exit = |i: usize| exit_at == Some(i);
+    let mut arr = SpeculativeArray::new(vec![0i64; m]);
+    let term = |i: usize, _: &mut SpecAccess<'_, i64>| exit(i);
+    let body = |i: usize, a: &mut SpecAccess<'_, i64>| run_body(prog, i, a);
+    let out: SpecOutcome = match entry {
+        Entry::Plain => speculative_while(&pool, n, &arr, term, body),
+        Entry::With(policy) => {
+            let opts = DoallOptions {
+                order: IssueOrder::Dynamic(policy),
+                ..DoallOptions::default()
+            };
+            speculative_while_with(&pool, n, &arr, opts, term, body)
+        }
+        Entry::Windowed(w) => {
+            speculative_while_windowed(&pool, n, w, &arr, &NoopRecorder, term, body).0
+        }
+        Entry::RunTwice => run_twice_speculative(&pool, n, &arr, &NoopRecorder, exit, body),
+        Entry::Privatized => speculative_while_privatized(
+            &pool,
+            n,
+            &arr,
+            |i, _| exit(i),
+            |i, a| run_body(prog, i, a),
+        ),
+        Entry::Strips(strip) => {
+            let out = speculative_while_strips(&pool, n, strip, &mut arr, term, body);
+            return Ran {
+                state: arr.snapshot(),
+                last_valid: out.last_valid,
+                committed: out.strips_committed.iter().all(|&c| c),
+            };
+        }
+        Entry::Group => {
+            let group = [GroupArray::Shadowed(arr)];
+            let out = speculative_while_group(
+                &pool,
+                n,
+                &group,
+                None,
+                || (),
+                |i, _: &mut (), a| {
+                    if exit(i) {
+                        return Ok::<_, ()>(Step::Quit);
                     }
-                }
-            }
-        },
-    );
-    (arr.snapshot(), out.committed_parallel)
+                    run_body(prog, i, a);
+                    Ok(Step::Continue)
+                },
+            )
+            .expect("the body reports no error");
+            let [array] = group;
+            return Ran {
+                state: array
+                    .into_live()
+                    .expect("a written array gives its data back"),
+                last_valid: out.last_valid,
+                committed: out.committed_parallel,
+            };
+        }
+    };
+    Ran {
+        state: arr.snapshot(),
+        last_valid: out.last_valid,
+        committed: out.committed_parallel,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn speculation_always_matches_sequential(prog in program_strategy(6), workers in 1usize..5) {
+    fn speculation_always_matches_sequential(
+        prog in program_strategy(6),
+        workers in 1usize..5,
+    ) {
         let (expect, _) = run_reference(6, &prog, None);
-        let (got, _) = run_speculative(6, &prog, None, workers);
-        prop_assert_eq!(got, expect);
+        for entry in ENTRIES {
+            let got = run_speculative(entry, 6, &prog, None, workers);
+            prop_assert_eq!(&got.state, &expect, "{:?}", entry);
+            prop_assert_eq!(got.last_valid, None, "{:?}", entry);
+        }
     }
 
     #[test]
@@ -94,9 +240,12 @@ proptest! {
         workers in 1usize..5,
     ) {
         let exit = (exit_frac * prog.len() as f64) as usize;
-        let (expect, _) = run_reference(6, &prog, Some(exit));
-        let (got, _) = run_speculative(6, &prog, Some(exit), workers);
-        prop_assert_eq!(got, expect);
+        let (expect, last_valid) = run_reference(6, &prog, Some(exit));
+        for entry in ENTRIES {
+            let got = run_speculative(entry, 6, &prog, Some(exit), workers);
+            prop_assert_eq!(&got.state, &expect, "{:?}", entry);
+            prop_assert_eq!(got.last_valid, last_valid, "{:?}", entry);
+        }
     }
 
     #[test]
@@ -104,9 +253,11 @@ proptest! {
         // every iteration touches only its own element: must validate
         let prog: Vec<Vec<Op>> = (0..n).map(|i| vec![Op::ReadWrite(i), Op::Write(i)]).collect();
         let (expect, _) = run_reference(n, &prog, None);
-        let (got, committed) = run_speculative(n, &prog, None, workers);
-        prop_assert_eq!(got, expect);
-        prop_assert!(committed, "independent loop must pass the PD test");
+        for entry in ENTRIES {
+            let got = run_speculative(entry, n, &prog, None, workers);
+            prop_assert_eq!(&got.state, &expect, "{:?}", entry);
+            prop_assert!(got.committed, "independent loop must pass the PD test: {:?}", entry);
+        }
     }
 
     #[test]
@@ -137,17 +288,7 @@ proptest! {
                 if i == panic_at && armed.swap(false, Ordering::SeqCst) {
                     panic!("injected fault at {i}");
                 }
-                let mut acc = 0i64;
-                for op in &prog[i] {
-                    match *op {
-                        Op::ReadAdd(e) => acc += a.read(e),
-                        Op::Write(e) => a.write(e, acc + i as i64),
-                        Op::ReadWrite(e) => {
-                            let v = a.read(e);
-                            a.write(e, v + 1);
-                        }
-                    }
-                }
+                run_body(&prog, i, a);
             },
         );
         prop_assert!(out.exception);
@@ -160,9 +301,9 @@ proptest! {
         // every iteration increments element 0: flow deps everywhere
         let prog: Vec<Vec<Op>> = (0..n).map(|_| vec![Op::ReadWrite(0)]).collect();
         let (expect, _) = run_reference(2, &prog, None);
-        let (got, committed) = run_speculative(2, &prog, None, workers);
-        prop_assert_eq!(&got, &expect);
-        prop_assert_eq!(got[0], n as i64);
-        prop_assert!(!committed, "a shared counter is never a DOALL");
+        let got = run_speculative(Entry::Plain, 2, &prog, None, workers);
+        prop_assert_eq!(&got.state, &expect);
+        prop_assert_eq!(got.state[0], n as i64);
+        prop_assert!(!got.committed, "a shared counter is never a DOALL");
     }
 }
