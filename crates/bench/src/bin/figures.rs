@@ -11,80 +11,12 @@
 //! ablation-chunk ablation-hedge ablation-doacross ablation-balance
 //! gantt profile faults`.
 
-use wlp_bench::{
-    fig6, fig7, fig_ma28, fig_mcsparse, inputs, render_ablation_balance, render_ablation_chunk,
-    render_ablation_doacross, render_ablation_hedge, render_ablation_strip, render_ablation_window,
-    render_certifier, render_costmodel, render_faults, render_fission, render_gantt_exhibit,
-    render_profile, render_table1, render_table2,
-};
-
-fn by_input(make: &dyn Fn(&str, &wlp_sparse::Csr) -> wlp_bench::Figure, which: &str) -> String {
-    inputs()
-        .into_iter()
-        .find(|(n, _)| *n == which)
-        .map(|(n, m)| make(n, &m).render())
-        .expect("known input")
-}
-
-fn exhibit(name: &str) -> Option<String> {
-    Some(match name {
-        "table1" => render_table1(),
-        "table2" => render_table2(),
-        "fig6" => fig6().render(),
-        "fig7" => fig7().render(),
-        "fig8" => by_input(&fig_mcsparse, "gematt11"),
-        "fig9" => by_input(&fig_mcsparse, "gematt12"),
-        "fig10" => by_input(&fig_mcsparse, "orsreg1"),
-        "fig11" => by_input(&fig_mcsparse, "saylr4"),
-        "fig12" => by_input(&fig_ma28, "gematt11"),
-        "fig13" => by_input(&fig_ma28, "gematt12"),
-        "fig14" => by_input(&fig_ma28, "orsreg1"),
-        "costmodel" => render_costmodel(),
-        "certifier" => render_certifier(),
-        "fission" => render_fission(),
-        "ablation-strip" => render_ablation_strip(),
-        "ablation-window" => render_ablation_window(),
-        "ablation-chunk" => render_ablation_chunk(),
-        "ablation-hedge" => render_ablation_hedge(),
-        "ablation-doacross" => render_ablation_doacross(),
-        "ablation-balance" => render_ablation_balance(),
-        "gantt" => render_gantt_exhibit(),
-        "profile" => render_profile(),
-        "faults" => render_faults(),
-        _ => return None,
-    })
-}
-
-const ALL: [&str; 23] = [
-    "table1",
-    "table2",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "costmodel",
-    "certifier",
-    "fission",
-    "ablation-strip",
-    "ablation-window",
-    "ablation-chunk",
-    "ablation-hedge",
-    "ablation-doacross",
-    "ablation-balance",
-    "gantt",
-    "profile",
-    "faults",
-];
+use wlp_bench::{exhibit, EXHIBITS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() {
-        ALL.to_vec()
+        EXHIBITS.to_vec()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
@@ -92,7 +24,10 @@ fn main() {
         match exhibit(name) {
             Some(text) => println!("{text}"),
             None => {
-                eprintln!("unknown exhibit `{name}`; available: {}", ALL.join(" "));
+                eprintln!(
+                    "unknown exhibit `{name}`; available: {}",
+                    EXHIBITS.join(" ")
+                );
                 std::process::exit(2);
             }
         }

@@ -1051,6 +1051,72 @@ pub fn render_gantt_exhibit() -> String {
     out
 }
 
+/// Every exhibit the `figures` binary prints, in print order.
+pub const EXHIBITS: [&str; 23] = [
+    "table1",
+    "table2",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "costmodel",
+    "certifier",
+    "fission",
+    "ablation-strip",
+    "ablation-window",
+    "ablation-chunk",
+    "ablation-hedge",
+    "ablation-doacross",
+    "ablation-balance",
+    "gantt",
+    "profile",
+    "faults",
+];
+
+/// Renders the exhibit called `name` (one of [`EXHIBITS`]); `None` for an
+/// unknown name. The one dispatch `figures` prints from and
+/// `tests/figures_golden.rs` pins.
+pub fn exhibit(name: &str) -> Option<String> {
+    let by_input = |make: &dyn Fn(&str, &Csr) -> Figure, which: &str| {
+        inputs()
+            .into_iter()
+            .find(|(n, _)| *n == which)
+            .map(|(n, m)| make(n, &m).render())
+            .expect("known input")
+    };
+    Some(match name {
+        "table1" => render_table1(),
+        "table2" => render_table2(),
+        "fig6" => fig6().render(),
+        "fig7" => fig7().render(),
+        "fig8" => by_input(&fig_mcsparse, "gematt11"),
+        "fig9" => by_input(&fig_mcsparse, "gematt12"),
+        "fig10" => by_input(&fig_mcsparse, "orsreg1"),
+        "fig11" => by_input(&fig_mcsparse, "saylr4"),
+        "fig12" => by_input(&fig_ma28, "gematt11"),
+        "fig13" => by_input(&fig_ma28, "gematt12"),
+        "fig14" => by_input(&fig_ma28, "orsreg1"),
+        "costmodel" => render_costmodel(),
+        "certifier" => render_certifier(),
+        "fission" => render_fission(),
+        "ablation-strip" => render_ablation_strip(),
+        "ablation-window" => render_ablation_window(),
+        "ablation-chunk" => render_ablation_chunk(),
+        "ablation-hedge" => render_ablation_hedge(),
+        "ablation-doacross" => render_ablation_doacross(),
+        "ablation-balance" => render_ablation_balance(),
+        "gantt" => render_gantt_exhibit(),
+        "profile" => render_profile(),
+        "faults" => render_faults(),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
