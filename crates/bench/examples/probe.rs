@@ -2,8 +2,7 @@
 //! first-success depths and MA28 scan lengths, per input. Used to pick the
 //! calibration constants documented in EXPERIMENTS.md.
 
-use wlp_sim::strategies::sim_doany_sequential;
-use wlp_sim::{sim_doany, sim_induction_doall, sim_sequential, Schedule};
+use wlp_sim::{sim_doany, sim_doany_sequential, sim_induction_doall, sim_sequential, Schedule};
 use wlp_sparse::EliminationWork;
 use wlp_workloads::{ma28, mcsparse};
 

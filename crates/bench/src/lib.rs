@@ -10,11 +10,11 @@
 use wlp_core::cost::CostModel;
 use wlp_core::taxonomy::{table1, Parallelism};
 use wlp_list::ChunkedList;
-use wlp_sim::engine::Engine;
-use wlp_sim::strategies::sim_doany_sequential;
+use wlp_sim::engine::{render_gantt, Engine};
 use wlp_sim::{
-    sim_doacross_grained, sim_doany, sim_general1, sim_general2, sim_general3, sim_induction_doall,
-    sim_sequential, sim_strip_mined, sim_windowed, ExecConfig, LoopSpec, Overheads, Schedule,
+    sim_doacross, sim_doany, sim_doany_sequential, sim_general1, sim_general2, sim_general3,
+    sim_induction_doall, sim_sequential, sim_strip_mined, sim_windowed, simulate, ExecConfig,
+    LoopSpec, Overheads, Schedule, Strategy,
 };
 use wlp_sparse::gen::{gemat11_like, gemat12_like, orsreg_like, saylr_like};
 use wlp_sparse::{Csr, EliminationWork};
@@ -537,7 +537,7 @@ pub fn render_fission() -> String {
         let mut best = (grains[0], 0.0f64);
         out.push_str(&format!("{p:>3} | {mono:>18.2} |"));
         for g in grains {
-            let r = sim_doacross_grained(p, &spec, &oh, stages, g);
+            let r = sim_doacross(p, &spec, &oh, stages, g);
             let s = r.speedup(&seq);
             if s > best.1 {
                 best = (g, s);
@@ -729,14 +729,14 @@ pub fn render_ablation_doacross() -> String {
 stages  speedup  (the pipeline depth bounds the speedup)\n",
     );
     for stages in [1usize, 2, 3, 4, 6, 8] {
-        let r = wlp_sim::sim_doacross(8, &spec, &oh, stages);
+        let r = sim_doacross(8, &spec, &oh, stages, 1);
         out.push_str(&format!("{stages:>6} {:>8.2}\n", r.speedup(&seq)));
     }
     out.push_str(
         "\nWith p < stages the processor count caps it instead:\n  p  speedup (8 stages)\n",
     );
     for p in [1usize, 2, 4, 8] {
-        let r = wlp_sim::sim_doacross(p, &spec, &oh, 8);
+        let r = sim_doacross(p, &spec, &oh, 8, 1);
         out.push_str(&format!("{p:>3} {:>8.2}\n", r.speedup(&seq)));
     }
     out
@@ -959,96 +959,59 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
 /// is printed, so the exhibit doubles as an end-to-end audit of the
 /// observability layer.
 pub fn render_profile() -> String {
-    use wlp_obs::{ProfileReport, Trace};
-    use wlp_sim::{
-        sim_general1_traced, sim_general3_traced, sim_induction_doall_traced, sim_windowed_traced,
-    };
+    use wlp_obs::ProfileReport;
 
     let p = 8;
     let mut out =
         String::from("## Profile — ProfileReport per strategy (JSON, simulator cycles, p = 8)\n\n");
-    let mut add = |label: &str, trace: Trace| {
-        let r = ProfileReport::from_trace(&trace);
+    let mut add = |label: &str, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig, strategy| {
+        let mut eng = Engine::new_observed(p);
+        simulate(&mut eng, spec, oh, cfg, strategy);
+        let r = ProfileReport::from_trace(&eng.finish_obs_trace());
         r.check_conservation().expect("conservation laws must hold");
         out.push_str(&format!("{label}: {}\n", r.to_json()));
     };
 
     let (spec, oh) = spice::sim_spec(10_000);
     let bare = ExecConfig::bare();
-    add(
-        "spice-general1",
-        sim_general1_traced(p, &spec, &oh, &bare).1,
-    );
-    add(
-        "spice-general3",
-        sim_general3_traced(p, &spec, &oh, &bare).1,
-    );
+    add("spice-general1", &spec, &oh, &bare, Strategy::General1);
+    add("spice-general3", &spec, &oh, &bare, Strategy::General3);
 
     let (tspec, toh, tcfg) = track::sim_spec(5000, 4500);
-    add(
-        "track-induction1",
-        sim_induction_doall_traced(p, &tspec, &toh, &tcfg, Schedule::Dynamic).1,
-    );
-    add(
-        "track-windowed32",
-        sim_windowed_traced(p, &tspec, &toh, &tcfg, 32).1,
-    );
+    let induction1 = Strategy::Induction(Schedule::Dynamic);
+    add("track-induction1", &tspec, &toh, &tcfg, induction1);
+    let windowed = Strategy::Windowed { window: 32 };
+    add("track-windowed32", &tspec, &toh, &tcfg, windowed);
     out
 }
 
 /// Schedule visualization: ASCII Gantt charts of General-1 (lock-bound
 /// staircase) vs General-3 (dense dynamic schedule) on a small list loop —
-/// the mechanics behind Figure 6, made visible. Mirrors the strategy
-/// replay loops on a traced engine.
+/// the mechanics behind Figure 6, made visible. Both charts are drawn from
+/// the observed trace of the real strategy replay; the lock is made
+/// expensive (a 20-cycle hold against 26-cycle bodies) so four processors
+/// already queue, and the closing barrier free so the picture ends with
+/// the last body.
 pub fn render_gantt_exhibit() -> String {
-    use wlp_sim::engine::{render_gantt, Resource};
-    let (n, p, work, hold, t_next, t_dispatch) = (48usize, 4usize, 25u64, 20u64, 3u64, 2u64);
-
-    // General-1: every claim serializes through the list lock
-    let mut g1 = Engine::new_traced(p);
-    let mut lock = Resource::new();
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = g1.next_proc(&runnable) {
-        if claim >= n {
-            runnable[proc] = false;
-            continue;
-        }
-        claim += 1;
-        lock.acquire(&mut g1, proc, hold);
-        g1.work(proc, work);
-    }
-
-    // General-3: lock-free dynamic claims with private catch-up hops
-    let mut g3 = Engine::new_traced(p);
-    let mut prev = vec![0usize; p];
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = g3.next_proc(&runnable) {
-        if claim >= n {
-            runnable[proc] = false;
-            continue;
-        }
-        let i = claim;
-        claim += 1;
-        g3.work(proc, t_dispatch + (i - prev[proc]) as u64 * t_next);
-        prev[proc] = i;
-        g3.work(proc, work);
-    }
-
-    let mut out =
-        String::from("## Schedule traces — General-1 vs General-3 (`#` busy, `.` idle)\n\n");
-    out.push_str(&format!(
-        "General-1 (lock on next(), makespan {}):\n",
-        g1.makespan()
-    ));
-    out.push_str(&render_gantt(&g1, 72));
-    out.push_str(&format!(
-        "\nGeneral-3 (dynamic, no locks, makespan {}):\n",
-        g3.makespan()
-    ));
-    out.push_str(&render_gantt(&g3, 72));
-    out
+    let (n, p, work) = (48, 4, 25);
+    let spec = LoopSpec::uniform(n, work);
+    let oh = Overheads {
+        t_lock: 16,
+        t_barrier: 0,
+        ..Overheads::default()
+    };
+    let chart = |strategy| {
+        let mut eng = Engine::new_observed(p);
+        let r = simulate(&mut eng, &spec, &oh, &ExecConfig::bare(), strategy);
+        (r.makespan, render_gantt(&eng.finish_obs_trace(), 72))
+    };
+    let (g1_makespan, g1) = chart(Strategy::General1);
+    let (g3_makespan, g3) = chart(Strategy::General3);
+    format!(
+        "## Schedule traces — General-1 vs General-3 (`#` busy, `.` idle)\n\n\
+         General-1 (lock on next(), makespan {g1_makespan}):\n{g1}\n\
+         General-3 (dynamic, no locks, makespan {g3_makespan}):\n{g3}"
+    )
 }
 
 /// Every exhibit the `figures` binary prints, in print order.
@@ -1281,7 +1244,7 @@ mod tests {
             );
             let mono = seq.makespan as f64 / (attempt.makespan + seq.makespan) as f64;
             for g in [1usize, 2, 4, 8, 16, 32] {
-                let fis = sim_doacross_grained(p, &spec, &oh, stages, g).speedup(&seq);
+                let fis = sim_doacross(p, &spec, &oh, stages, g).speedup(&seq);
                 assert!(
                     fis > mono,
                     "p={p} grain={g}: fission {fis:.2}x vs monolithic {mono:.2}x"

@@ -29,9 +29,9 @@ pub enum AbortReason {
 }
 
 /// One rung of the adaptive governor's strategy ladder, shared between
-/// the static cost model (`wlp-core`), the runtime governor
-/// (`wlp-runtime`), and the simulator mirror — demotion decisions and
-/// cost-model decisions speak the same vocabulary.
+/// the static cost model (`wlp-core`) and the runtime governor
+/// (`wlp-runtime`) — demotion decisions and cost-model decisions speak
+/// the same vocabulary.
 ///
 /// The ladder is ordered from most to least speculative; [`demoted`]
 /// steps one rung down and [`Sequential`](StrategyChoice::Sequential)

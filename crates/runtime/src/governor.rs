@@ -21,10 +21,10 @@
 //! under failure: it has nothing left to demote to.
 //!
 //! The governor is deliberately a pure state machine (no clocks, no
-//! threads): the runtime drives it with real outcomes, and the simulator
-//! (`wlp-sim`) drives the *same* type with simulated ones, so policy
-//! behaviour can be explored deterministically before it is trusted on a
-//! machine.
+//! threads): the runtime drives it with real outcomes, and a test can
+//! drive the *same* type with any outcome sequence, so policy behaviour
+//! is explored deterministically (`tests/governor_properties.rs`) before
+//! it is trusted on a machine.
 
 use crate::pool::Deadline;
 use std::collections::VecDeque;

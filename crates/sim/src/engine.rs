@@ -14,23 +14,11 @@ use serde::Serialize;
 use std::cell::Cell;
 use wlp_obs::{Event, Sample, Trace};
 
-/// A recorded busy interval on one processor (tracing only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Processor the work ran on.
-    pub proc: usize,
-    /// Start time (cycles).
-    pub start: u64,
-    /// End time (cycles).
-    pub end: u64,
-}
-
 /// Per-processor clocks and busy-time accounting.
 #[derive(Debug, Clone)]
 pub struct Engine {
     clocks: Vec<u64>,
     busy: Vec<u64>,
-    trace: Option<Vec<Span>>,
     events: Option<Vec<Sample>>,
     // Dispatch-event budget: the simulator's analogue of the runtime's
     // runaway-dispatcher guard. Every successful `next_proc` dispatch
@@ -52,7 +40,6 @@ impl Engine {
         Engine {
             clocks: vec![0; p],
             busy: vec![0; p],
-            trace: None,
             events: None,
             steps: Cell::new(0),
             step_budget: u64::MAX,
@@ -81,27 +68,14 @@ impl Engine {
         self.steps.get() >= self.step_budget
     }
 
-    /// Like [`Engine::new`], but records every busy span for
-    /// [`render_gantt`] — use only for small runs.
-    pub fn new_traced(p: usize) -> Self {
-        let mut e = Engine::new(p);
-        e.trace = Some(Vec::new());
-        e
-    }
-
     /// Like [`Engine::new`], but collects [`wlp_obs::Event`] samples —
     /// the same schema the threaded runtime records — retrievable with
-    /// [`Engine::finish_obs_trace`].
+    /// [`Engine::finish_obs_trace`]. The one recording mechanism: profiles,
+    /// Chrome exports and [`render_gantt`] all read the resulting [`Trace`].
     pub fn new_observed(p: usize) -> Self {
         let mut e = Engine::new(p);
         e.events = Some(Vec::new());
         e
-    }
-
-    /// Whether this engine collects observability events.
-    #[inline]
-    pub fn observed(&self) -> bool {
-        self.events.is_some()
     }
 
     /// Records `event` on `proc`, stamped with the processor's current
@@ -143,12 +117,6 @@ impl Engine {
         }
     }
 
-    /// Recorded busy spans (empty unless created with
-    /// [`Engine::new_traced`]).
-    pub fn spans(&self) -> &[Span] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
     /// Number of processors.
     #[inline]
     pub fn p(&self) -> usize {
@@ -161,27 +129,24 @@ impl Engine {
         self.clocks[proc]
     }
 
-    /// Advances `proc` by `cost` busy cycles.
+    /// Advances `proc` by `cost` busy cycles without recording an event;
+    /// observed runs pair it with an [`Engine::emit`] that accounts for the
+    /// cycles (or use [`Engine::charge`], which does both).
     #[inline]
     pub fn work(&mut self, proc: usize, cost: u64) {
-        if cost > 0 {
-            if let Some(t) = &mut self.trace {
-                t.push(Span {
-                    proc,
-                    start: self.clocks[proc],
-                    end: self.clocks[proc] + cost,
-                });
-            }
-        }
         self.clocks[proc] += cost;
         self.busy[proc] += cost;
     }
 
-    /// Stalls `proc` (idle) until absolute time `t` (no-op if already past).
+    /// Stalls `proc` (idle) until absolute time `t` (no-op if already
+    /// past): blocked on a scheduling resource — a lock, a window slot, a
+    /// pipeline predecessor — recorded as an [`Event::LockWait`].
     #[inline]
-    pub fn wait_until(&mut self, proc: usize, t: u64) {
+    pub fn stall_until(&mut self, proc: usize, t: u64) {
         if t > self.clocks[proc] {
+            let dur = t - self.clocks[proc];
             self.clocks[proc] = t;
+            self.emit(proc, Event::LockWait { dur });
         }
     }
 
@@ -220,46 +185,18 @@ impl Engine {
         }
     }
 
-    /// Aligns all clocks at `max(clock)` without charging anything or
-    /// recording a barrier event (the implicit join before a parallel
-    /// phase).
-    fn align(&mut self) {
-        let t = self.clocks.iter().copied().max().unwrap_or(0);
-        for c in &mut self.clocks {
-            *c = t;
-        }
-    }
-
-    /// Runs `f(proc)` cycles of perfectly parallel work: charges every
-    /// processor its share and synchronizes (used for checkpoint/restore
-    /// and PD post-analysis phases, which the paper treats as fully
-    /// parallel).
-    pub fn parallel_phase(&mut self, total_cost: u64) {
-        let p = self.p() as u64;
-        let share = total_cost.div_ceil(p);
-        self.align();
-        for i in 0..self.p() {
-            self.work(i, share);
-        }
-    }
-
-    /// Like [`Engine::parallel_phase`], but records the event built by
-    /// `make(proc, share)` on every processor, so observed phases (backup,
-    /// undo, PD analysis) stay attributable in the trace.
-    pub fn parallel_phase_with(
-        &mut self,
-        total_cost: u64,
-        mut make: impl FnMut(usize, u64) -> Event,
-    ) {
-        let p = self.p() as u64;
-        let share = total_cost.div_ceil(p);
-        self.align();
-        for i in 0..self.p() {
-            self.work(i, share);
-            if self.events.is_some() {
-                let event = make(i, share);
-                self.emit(i, event);
-            }
+    /// Runs `volume` units of perfectly parallel work at `each` cycles a
+    /// unit (the checkpoint, undo and PD post-analysis phases, which the
+    /// paper treats as fully parallel): joins the clocks at their maximum,
+    /// then charges every processor its share, recorded as
+    /// `make(volume, share)` with the volume attributed once, on processor 0.
+    pub fn parallel_phase(&mut self, volume: u64, each: u64, make: impl Fn(u64, u64) -> Event) {
+        let share = (volume * each).div_ceil(self.p() as u64);
+        let joined = self.makespan();
+        for proc in 0..self.p() {
+            self.clocks[proc] = joined;
+            let mine = if proc == 0 { volume } else { 0 };
+            self.charge(proc, share, |cost| make(mine, cost));
         }
     }
 
@@ -293,20 +230,9 @@ impl Resource {
     /// Observed engines record the queueing delay as [`Event::LockWait`]
     /// and the hold as [`Event::LockAcquire`].
     pub fn acquire(&mut self, eng: &mut Engine, proc: usize, hold: u64) -> u64 {
-        let wait = self.free_at.saturating_sub(eng.now(proc));
-        eng.wait_until(proc, self.free_at);
-        if wait > 0 {
-            eng.emit(proc, Event::LockWait { dur: wait });
-        }
-        eng.work(proc, hold);
-        eng.emit(proc, Event::LockAcquire { hold });
+        eng.stall_until(proc, self.free_at);
+        eng.charge(proc, hold, |hold| Event::LockAcquire { hold });
         self.free_at = eng.now(proc);
-        self.free_at
-    }
-
-    /// When the resource next becomes free.
-    #[inline]
-    pub fn free_at(&self) -> u64 {
         self.free_at
     }
 }
@@ -346,7 +272,7 @@ impl TimedMin {
 }
 
 /// Outcome of a simulated loop execution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Report {
     /// Processor count the simulation ran with.
     pub p: usize,
@@ -383,18 +309,22 @@ impl Report {
     }
 }
 
-/// Renders recorded spans as an ASCII Gantt chart: one row per processor,
-/// `#` for busy buckets, `.` for idle — the lock-serialization staircase
-/// of General-1 or the pipeline wavefront of DOACROSS, at a glance.
-pub fn render_gantt(eng: &Engine, width: usize) -> String {
-    let spans = eng.spans();
-    let makespan = eng.makespan().max(1);
+/// Renders an observed run as an ASCII Gantt chart: one row per
+/// processor, `#` for busy buckets, `.` for idle — the lock-serialization
+/// staircase of General-1 at a glance. A busy event is stamped at
+/// completion with its cost, so `[t - cost, t]` is the span it draws.
+pub fn render_gantt(trace: &Trace, width: usize) -> String {
+    let makespan = trace.makespan.max(1);
     let width = width.max(10);
-    let mut rows = vec![vec![b'.'; width]; eng.p()];
-    for s in spans {
-        let lo = (s.start * width as u64 / makespan) as usize;
-        let hi = ((s.end * width as u64).div_ceil(makespan) as usize).min(width);
-        for cell in &mut rows[s.proc][lo..hi.max(lo + 1).min(width)] {
+    let mut rows = vec![vec![b'.'; width]; trace.p];
+    for s in &trace.samples {
+        let cost = s.event.busy_cost();
+        if cost == 0 {
+            continue;
+        }
+        let lo = (s.t.saturating_sub(cost) * width as u64 / makespan) as usize;
+        let hi = ((s.t * width as u64).div_ceil(makespan) as usize).min(width);
+        for cell in &mut rows[s.proc as usize][lo..hi.max(lo + 1).min(width)] {
             *cell = b'#';
         }
     }
@@ -424,12 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_is_idle_time() {
+    fn stall_until_is_idle_time() {
         let mut e = Engine::new(1);
-        e.wait_until(0, 50);
+        e.stall_until(0, 50);
         assert_eq!(e.now(0), 50);
         assert_eq!(e.busy()[0], 0);
-        e.wait_until(0, 10); // no going back
+        e.stall_until(0, 10); // no going back
         assert_eq!(e.now(0), 50);
     }
 
@@ -483,30 +413,9 @@ mod tests {
     #[test]
     fn parallel_phase_divides_evenly() {
         let mut e = Engine::new(4);
-        e.parallel_phase(100);
+        e.parallel_phase(50, 2, |elems, cost| Event::Backup { elems, cost });
         assert_eq!(e.makespan(), 25);
         assert_eq!(e.busy().iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn traced_engine_records_spans() {
-        let mut e = Engine::new_traced(2);
-        e.work(0, 10);
-        e.work(1, 4);
-        e.work(0, 3);
-        assert_eq!(e.spans().len(), 3);
-        assert_eq!(
-            e.spans()[2],
-            Span {
-                proc: 0,
-                start: 10,
-                end: 13
-            }
-        );
-        // untraced engines record nothing
-        let mut u = Engine::new(2);
-        u.work(0, 5);
-        assert!(u.spans().is_empty());
     }
 
     #[test]
@@ -515,10 +424,7 @@ mod tests {
         e.charge(0, 10, |c| Event::IterExecuted { iter: 0, cost: c });
         e.charge(1, 4, |c| Event::IterClaimed { iter: 1, cost: c });
         e.barrier(2);
-        e.parallel_phase_with(8, |_, share| Event::UndoRestore {
-            elems: 1,
-            cost: share,
-        });
+        e.parallel_phase(4, 2, |elems, cost| Event::UndoRestore { elems, cost });
         let trace = e.finish_obs_trace();
         assert_eq!(trace.p, 2);
         assert_eq!(trace.makespan, e.makespan());
@@ -535,7 +441,6 @@ mod tests {
         // unobserved engines emit nothing and finish with an empty trace
         let mut u = Engine::new(2);
         u.emit(0, Event::Quit { iter: 3 });
-        assert!(!u.observed());
         assert!(u.finish_obs_trace().samples.is_empty());
     }
 
@@ -565,11 +470,12 @@ mod tests {
 
     #[test]
     fn gantt_rows_reflect_busy_fraction() {
-        let mut e = Engine::new_traced(2);
-        e.work(0, 100); // P0 busy the whole run
-        e.work(1, 10); // P1 busy 10%
-        e.wait_until(1, 100);
-        let g = render_gantt(&e, 40);
+        let mut e = Engine::new_observed(2);
+        let body = |c| Event::IterExecuted { iter: 0, cost: c };
+        e.charge(0, 100, body); // P0 busy the whole run
+        e.charge(1, 10, body); // P1 busy 10%
+        e.stall_until(1, 100);
+        let g = render_gantt(&e.finish_obs_trace(), 40);
         let rows: Vec<&str> = g.lines().collect();
         let p0_busy = rows[0].matches('#').count();
         let p1_busy = rows[1].matches('#').count();

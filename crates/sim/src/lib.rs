@@ -29,9 +29,7 @@ pub mod strategies;
 pub use engine::{Engine, Report, Resource};
 pub use spec::{ChunkPolicy, ExecConfig, LoopSpec, Overheads};
 pub use strategies::{
-    sim_distribution, sim_doacross, sim_doacross_grained, sim_doany, sim_general1,
-    sim_general1_traced, sim_general2, sim_general3, sim_general3_traced, sim_governed,
-    sim_governed_traced, sim_induction_doall, sim_induction_doall_traced, sim_prefix_doall,
-    sim_sequential, sim_strip_mined, sim_strip_mined_traced, sim_windowed, sim_windowed_traced,
-    GovernedSimOutcome, Schedule,
+    sim_doacross, sim_doany, sim_doany_sequential, sim_general1, sim_general2, sim_general3,
+    sim_induction_doall, sim_sequential, sim_strip_mined, sim_windowed, simulate, Schedule,
+    Strategy,
 };

@@ -143,50 +143,14 @@ impl Default for Overheads {
     }
 }
 
-/// How many iterations a self-scheduling claim grants at once — the
-/// simulator's mirror of the threaded runtime's `ChunkPolicy` (the two
-/// enums are kept structurally identical so an `ExecConfig` can be read
-/// off a real run's configuration).
-///
-/// Chunking amortizes the `t_dispatch` charge over `len` iterations at
-/// the price of a larger in-flight span: under an RV terminator a chunk
-/// that straddles the exit executes (and must undo) every iteration it
-/// already started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkPolicy {
-    /// One iteration per claim: the Alliant's ordered-issue
-    /// self-scheduler. The historical default; traces and makespans are
-    /// bit-identical to the pre-chunking simulator.
-    #[default]
-    One,
-    /// Fixed chunks of `k` iterations (k ≥ 1).
-    Fixed(usize),
-    /// Guided self-scheduling: each claim takes
-    /// `max(min, ceil(remaining / p))` iterations, so chunks shrink as
-    /// the loop drains.
-    Guided {
-        /// Smallest chunk a claim may shrink to (≥ 1).
-        min: usize,
-    },
-}
-
-impl ChunkPolicy {
-    /// Iterations the next claim should take, given `remaining`
-    /// unclaimed iterations and `p` processors. Never exceeds
-    /// `remaining` (when `remaining > 0`) and never returns 0.
-    pub fn grant(&self, remaining: usize, p: usize) -> usize {
-        let want = match *self {
-            ChunkPolicy::One => 1,
-            ChunkPolicy::Fixed(k) => k.max(1),
-            ChunkPolicy::Guided { min } => remaining.div_ceil(p.max(1)).max(min.max(1)),
-        };
-        if remaining == 0 {
-            want
-        } else {
-            want.min(remaining)
-        }
-    }
-}
+/// How many iterations a self-scheduling claim grants at once: the
+/// threaded runtime's own policy type, so an [`ExecConfig`] can be read off
+/// a real run's configuration. Chunking amortizes the claim charge over the
+/// grant at the price of a larger in-flight span — under an RV terminator a
+/// chunk that straddles the exit executes (and must undo) every iteration
+/// it already started. `ChunkPolicy::One`, the default, is the Alliant's
+/// ordered-issue self-scheduler.
+pub use wlp_runtime::ChunkPolicy;
 
 /// Which run-time support machinery the transformed loop carries — the
 /// sources of the paper's `T_b` (before), `T_d` (during) and `T_a` (after)
@@ -209,29 +173,12 @@ pub struct ExecConfig {
     pub max_engine_steps: Option<u64>,
     /// Self-scheduling grant size for dynamic DOALL loops.
     pub chunk: ChunkPolicy,
-    /// Watchdog deadline in engine cycles — the simulator's mirror of the
-    /// runtime's `Deadline`: an iteration whose body would run longer than
-    /// this wedges its lane, the region is cancelled and the attempt
-    /// aborts with a timeout instead of stretching the makespan without
-    /// bound. `None` = no watchdog.
-    pub deadline_ticks: Option<u64>,
-    /// Undo-log budget in stamped writes — the mirror of
-    /// `SpeculativeArray::with_budget`: a speculative attempt whose
-    /// stamped-write total exceeds this aborts with a budget trip instead
-    /// of growing speculation state without bound. `None` = unbounded.
-    pub budget_writes: Option<u64>,
     /// Per-claim dispatcher cost override for dynamic self-scheduling —
     /// the mirror of the runtime's lock-free claim path (a relaxed
     /// `fetch_add` or a deque pop instead of a locked counter). `None`
     /// charges the historical [`Overheads::t_dispatch`], keeping existing
     /// traces and makespans bit-identical.
     pub claim_cost: Option<u64>,
-    /// DOACROSS grain: iterations per wavefront sync cell — the mirror of
-    /// the runtime's `DoacrossOptions::grain` and the governor's grain ladder.
-    /// Coarser grain amortizes one dispatch + one sync per `grain`
-    /// iterations at the cost of pipeline fill latency. `0` is treated as
-    /// `1` (per-iteration sync, the historical behavior).
-    pub doacross_grain: usize,
 }
 
 impl ExecConfig {
@@ -271,31 +218,11 @@ impl ExecConfig {
         self
     }
 
-    /// Arms the simulated watchdog: lanes wedged longer than `ticks`
-    /// cancel the region.
-    pub fn with_deadline_ticks(mut self, ticks: u64) -> Self {
-        self.deadline_ticks = Some(ticks);
-        self
-    }
-
-    /// Bounds the undo log: speculative attempts stamping more than
-    /// `writes` abort with a budget trip.
-    pub fn with_write_budget(mut self, writes: u64) -> Self {
-        self.budget_writes = Some(writes);
-        self
-    }
-
     /// Overrides the per-claim dispatcher charge for dynamic
     /// self-scheduling (models the lock-free claim fast path). Without
     /// this, claims cost [`Overheads::t_dispatch`].
     pub fn with_claim_cost(mut self, cycles: u64) -> Self {
         self.claim_cost = Some(cycles);
-        self
-    }
-
-    /// Sets the DOACROSS grain (iterations per wavefront sync cell).
-    pub fn with_doacross_grain(mut self, grain: usize) -> Self {
-        self.doacross_grain = grain;
         self
     }
 }
@@ -347,14 +274,6 @@ mod tests {
             ExecConfig::bare().with_chunk(ChunkPolicy::Fixed(8)).chunk,
             ChunkPolicy::Fixed(8)
         );
-        assert_eq!(ExecConfig::bare().deadline_ticks, None);
-        assert_eq!(ExecConfig::bare().budget_writes, None);
-        let governed = ExecConfig::with_pd(64)
-            .with_deadline_ticks(500)
-            .with_write_budget(32);
-        assert_eq!(governed.deadline_ticks, Some(500));
-        assert_eq!(governed.budget_writes, Some(32));
-        assert!(governed.pd_shadow && governed.stamp_writes);
         assert_eq!(ExecConfig::bare().claim_cost, None);
         assert_eq!(ExecConfig::bare().with_claim_cost(1).claim_cost, Some(1));
     }

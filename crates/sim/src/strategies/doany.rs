@@ -1,70 +1,49 @@
-//! WHILE-DOANY simulation (Section 9, MCSPARSE).
-//!
-//! A DOANY loop searches for *any* iteration satisfying a predicate — the
-//! program is insensitive to which satisfying iterate is chosen (MCSPARSE's
-//! non-deterministic pivot search). Overshoot therefore needs no undo: no
-//! backups, no time-stamps, even though the terminator is RV.
+//! WHILE-DOANY claim rule and its sequential baseline (Section 9, MCSPARSE's
+//! non-deterministic pivot search).
 
-use super::common::{report, Stats};
-use crate::engine::{Engine, Report, TimedMin};
-use crate::spec::{LoopSpec, Overheads};
-
-/// Sequential DOANY baseline: iterate in order, work-then-test, stop at the
-/// first satisfying iteration. `successes` holds the satisfying iteration
-/// indices (any order).
-pub fn sim_doany_sequential(spec: &LoopSpec, oh: &Overheads, successes: &[usize]) -> Report {
-    let first = successes.iter().copied().min();
-    let mut eng = Engine::new(1);
-    let mut stats = Stats::default();
-    let mut quit = TimedMin::new();
-    let end = first.map_or(spec.upper, |f| (f + 1).min(spec.upper));
-    for i in 0..end {
-        eng.work(0, oh.t_next + (spec.work)(i) + oh.t_term);
-        stats.executed += 1;
-        stats.hops += 1;
-    }
-    if let Some(f) = first.filter(|&f| f < spec.upper) {
-        quit.register(eng.makespan(), f);
-    }
-    report(&eng, spec, &quit, stats)
-}
+use super::driver::{Counter, Grant, Sim};
+use std::collections::HashSet;
 
 /// Parallel WHILE-DOANY: dynamic self-scheduled claims, every claimed
 /// iteration executes its body (work-then-test); the first *completing*
-/// satisfying iteration registers the quit. Iterations claimed before the
-/// quit becomes visible run to completion and are simply kept or discarded
-/// by the application — never undone.
-pub fn sim_doany(p: usize, spec: &LoopSpec, oh: &Overheads, successes: &[usize]) -> Report {
-    let ok: std::collections::HashSet<usize> = successes.iter().copied().collect();
-    let mut eng = Engine::new(p);
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let t = eng.now(proc);
+/// iteration among `successes` registers the quit. Iterations claimed
+/// before the quit becomes visible run to completion and are simply kept or
+/// discarded by the application — never undone.
+pub(crate) fn doany(sim: &mut Sim, successes: &[usize]) {
+    let ok: HashSet<usize> = successes.iter().copied().collect();
+    let mut counter = Counter::ordered(sim, 0..sim.spec.upper);
+    sim.drive(|sim, proc| {
         // DOANY: any visible success ends the loop — iteration order is
         // irrelevant, so the bound is "a success exists", not "claim > q".
-        if claim >= spec.upper || quit.visible_min(t).is_some() {
-            runnable[proc] = false;
-            continue;
+        if sim.quit.visible_min(sim.eng.now(proc)).is_some() {
+            return Grant::Done;
         }
-        let i = claim;
-        claim += 1;
-        eng.work(proc, oh.t_dispatch + (spec.work)(i) + oh.t_term);
-        stats.executed += 1;
+        let Some(grant) = counter.claim(sim, proc) else {
+            return Grant::Done;
+        };
+        let i = grant.start;
+        sim.execute(proc, i, (sim.spec.work)(i) + sim.oh.t_term);
         if ok.contains(&i) {
-            quit.register(eng.now(proc), i);
+            sim.register_quit(proc, i);
         }
-    }
+        Grant::Again
+    });
+}
 
-    report(&eng, spec, &quit, stats)
+/// Sequential DOANY baseline: iterate in order, work-then-test, stop at the
+/// first of `successes`.
+pub(crate) fn doany_sequential(sim: &mut Sim, successes: &[usize]) {
+    let upper = sim.spec.upper;
+    let first = successes.iter().copied().min();
+    super::induction::serial(sim, first.map_or(upper, |f| (f + 1).min(upper)));
+    if let Some(f) = first.filter(|&f| f < upper) {
+        sim.register_quit(0, f);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{sim_doany, sim_doany_sequential, LoopSpec, Overheads};
 
     fn oh() -> Overheads {
         Overheads::default()

@@ -1,266 +1,77 @@
-//! General-recurrence (linked-list) strategy simulations — Section 3.3.
-//!
-//! The dispatcher is an inherently sequential chain (`tmp = next(tmp)`), so
-//! none of these parallelize the dispatcher itself; they overlap the
-//! remainder work of different iterations:
-//!
-//! * **Distribution** (the Wu & Lewis baseline): one processor evaluates
-//!   the whole recurrence into an array, then a DOALL consumes it.
-//! * **General-1**: a critical section around `next()`; processors
-//!   cooperatively traverse the list once, paying lock serialization.
-//! * **General-2**: static assignment `i ≡ vpn (mod p)`; every processor
-//!   privately traverses the *entire* list.
-//! * **General-3**: dynamic self-scheduling; each processor catches up from
-//!   its previous position to its newly claimed iteration, so it also
-//!   privately traverses (at most) the entire list, but load balance is
-//!   dynamic and spans stay small.
+//! General-recurrence (linked-list) claim rules — Section 3.3. The
+//! dispatcher is an inherently sequential chain (`tmp = next(tmp)`), so none
+//! of these parallelize the dispatcher itself; they overlap the remainder
+//! work of different iterations. (General-2 is the hopping
+//! [`strided`](super::induction::strided) rule.)
 
-use super::common::{epilogue, prologue, report, run_body, Stats};
-use crate::engine::{Engine, Report, Resource, TimedMin};
-use crate::spec::{ExecConfig, LoopSpec, Overheads, TerminatorKind};
-use wlp_obs::{Event, Trace};
+use super::driver::{Counter, Grant, Sim};
+use crate::engine::Resource;
 
-/// Loop distribution (Section 3.3 naive scheme / Wu & Lewis \[29\]): the
-/// dispatcher loop runs sequentially on processor 0, storing its terms;
-/// after a barrier the remainder runs as a dynamic DOALL.
-///
-/// With an RI terminator the dispatcher loop stops at the exit; with an RV
-/// terminator the test lives in the remainder, so *all* `upper` terms are
-/// computed sequentially — the extra serial time the paper holds against
-/// this scheme.
-pub fn sim_distribution(p: usize, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    let mut eng = Engine::new(p);
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(&mut eng, oh, cfg);
-
-    let terms = match (spec.terminator, spec.exit_at) {
-        (TerminatorKind::RemainderInvariant, Some(e)) => (e + 1).min(spec.upper),
-        _ => spec.upper,
-    };
-    eng.charge(0, terms as u64 * (oh.t_next + oh.t_term), |c| {
-        Event::NextHop {
-            hops: terms as u64,
-            cost: c,
-        }
-    });
-    stats.hops += terms as u64;
-    eng.barrier(oh.t_barrier);
-
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let t = eng.now(proc);
-        let stop = claim >= spec.upper || quit.visible_min(t).is_some_and(|q| claim > q);
-        if stop {
-            runnable[proc] = false;
-            continue;
-        }
-        let i = claim;
-        claim += 1;
-        eng.charge(proc, oh.t_dispatch, |c| Event::IterClaimed {
-            iter: i as u64,
-            cost: c,
-        });
-        run_body(&mut eng, &mut quit, spec, oh, cfg, proc, i, &mut stats);
-    }
-
-    epilogue(&mut eng, oh, cfg, &stats);
-    report(&eng, spec, &quit, stats)
+/// Loop distribution's first loop: the dispatcher runs sequentially on
+/// processor 0, one hop and one test per stored term, then a barrier.
+pub(crate) fn serial_dispatcher(sim: &mut Sim) {
+    let terms = sim.dispatcher_terms() as u64;
+    sim.next_hops(0, terms, sim.oh.t_next + sim.oh.t_term);
+    sim.eng.barrier(sim.oh.t_barrier);
 }
 
-/// General-1: the `next()` operation sits in a critical section; the list
-/// is traversed once, cooperatively. Iterations issue in lock-acquisition
-/// order. The lock hold (`t_lock + t_next + t_term` for the null check)
-/// serializes dispatch, which caps the speedup at
-/// `(work + hold) / hold`-ish regardless of `p` — the reason the paper
-/// calls this scheme unattractive.
-pub fn sim_general1(p: usize, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    run_general1(&mut Engine::new(p), spec, oh, cfg)
-}
-
-/// Like [`sim_general1`], additionally returning the recorded [`Trace`]
-/// (lock waits and holds become `LockWait`/`LockAcquire` events).
-pub fn sim_general1_traced(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-) -> (Report, Trace) {
-    let mut eng = Engine::new_observed(p);
-    let r = run_general1(&mut eng, spec, oh, cfg);
-    let trace = eng.finish_obs_trace();
-    (r, trace)
-}
-
-fn run_general1(eng: &mut Engine, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    let p = eng.p();
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    let mut lock = Resource::new();
-    prologue(eng, oh, cfg);
-
-    let hold = oh.t_lock + oh.t_next + oh.t_term;
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let t = eng.now(proc);
-        if quit.visible_min(t).is_some_and(|q| claim > q) {
-            runnable[proc] = false;
-            continue;
+/// General-1: every claim takes the list lock for `t_lock + t_next +
+/// t_term` (the hop and its null check), which serializes dispatch and caps
+/// the speedup at `(work + hold) / hold`-ish regardless of `p` — the reason
+/// the paper calls this scheme unattractive. Lock waits and holds become
+/// `LockWait`/`LockAcquire` events.
+pub(crate) fn general1(sim: &mut Sim) {
+    let hold = sim.oh.t_lock + sim.oh.t_next + sim.oh.t_term;
+    let (mut next, mut lock) = (0, Resource::new());
+    sim.drive(|sim, proc| {
+        if sim.cut(proc, next) {
+            return Grant::Done;
         }
         // must take the lock even to discover the end of the list
-        lock.acquire(eng, proc, hold);
-        if claim >= spec.upper {
-            quit.register(eng.now(proc), claim.max(1) - 1);
-            eng.emit(
-                proc,
-                Event::Quit {
-                    iter: claim.max(1) as u64 - 1,
-                },
-            );
-            runnable[proc] = false;
-            continue;
+        lock.acquire(sim.eng, proc, hold);
+        if next >= sim.spec.upper {
+            sim.register_quit(proc, next.max(1) - 1);
+            return Grant::Done;
         }
-        let i = claim;
-        claim += 1;
-        stats.hops += 1;
+        let i = next;
+        next += 1;
         // the hop itself ran inside the lock hold, so it costs 0 extra here
-        eng.emit(proc, Event::NextHop { hops: 1, cost: 0 });
-        eng.emit(
-            proc,
-            Event::IterClaimed {
-                iter: i as u64,
-                cost: 0,
-            },
-        );
-        run_body(eng, &mut quit, spec, oh, cfg, proc, i, &mut stats);
-    }
-
-    epilogue(eng, oh, cfg, &stats);
-    report(eng, spec, &quit, stats)
+        sim.next_hops(proc, 1, 0);
+        sim.free_claim(proc, i);
+        Grant::Run(i..i + 1)
+    });
 }
 
-/// General-2: processor `vpn` privately traverses the list and executes
-/// iterations `vpn, vpn+p, …`. No locks, no dispatch — but `p × n` total
-/// hops, and the static assignment can leave large spans executing under an
-/// RV terminator.
-pub fn sim_general2(p: usize, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    let mut eng = Engine::new(p);
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(&mut eng, oh, cfg);
-
-    // cursor position per processor (list index it currently points at)
-    let mut pos: Vec<usize> = vec![0; p];
-    let mut target: Vec<usize> = (0..p).collect();
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let i = target[proc];
-        if i >= spec.upper {
-            // the `do j = 1, nproc` hop loop bails at null: charge the hops
-            // up to the end of the list plus the null discovery itself
-            let hop_count = (spec.upper - pos[proc]) as u64 + 1;
-            eng.charge(proc, hop_count * oh.t_next, |c| Event::NextHop {
-                hops: hop_count,
-                cost: c,
-            });
-            stats.hops += hop_count;
-            runnable[proc] = false;
-            continue;
-        }
-        let hop_count = (i - pos[proc]) as u64;
-        if hop_count > 0 {
-            eng.charge(proc, hop_count * oh.t_next, |c| Event::NextHop {
-                hops: hop_count,
-                cost: c,
-            });
-        }
-        stats.hops += hop_count;
-        pos[proc] = i;
-        let t = eng.now(proc);
-        if quit.visible_min(t).is_some_and(|q| i > q) {
-            runnable[proc] = false;
-            continue;
-        }
-        eng.emit(
-            proc,
-            Event::IterClaimed {
-                iter: i as u64,
-                cost: 0,
-            },
-        );
-        run_body(&mut eng, &mut quit, spec, oh, cfg, proc, i, &mut stats);
-        target[proc] = i + p;
-    }
-
-    epilogue(&mut eng, oh, cfg, &stats);
-    report(&eng, spec, &quit, stats)
-}
-
-/// General-3: dynamic self-scheduling without locks. On claiming iteration
-/// `i`, a processor advances its private cursor `i − prev` hops from its
-/// previous iteration, then executes the body. Hops per processor are
-/// bounded by the list length (its cursor only moves forward), dispatch is
-/// load-balanced, and spans stay as small as the dynamic scheduler's.
-pub fn sim_general3(p: usize, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    run_general3(&mut Engine::new(p), spec, oh, cfg)
-}
-
-/// Like [`sim_general3`], additionally returning the recorded [`Trace`]
-/// (claims and cursor catch-up hops become `IterClaimed`/`NextHop`
-/// events).
-pub fn sim_general3_traced(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-) -> (Report, Trace) {
-    let mut eng = Engine::new_observed(p);
-    let r = run_general3(&mut eng, spec, oh, cfg);
-    let trace = eng.finish_obs_trace();
-    (r, trace)
-}
-
-fn run_general3(eng: &mut Engine, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    let p = eng.p();
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(eng, oh, cfg);
-
-    let mut prev: Vec<usize> = vec![0; p];
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let t = eng.now(proc);
-        let stop = claim >= spec.upper || quit.visible_min(t).is_some_and(|q| claim > q);
-        if stop {
-            runnable[proc] = false;
-            continue;
-        }
-        let i = claim;
-        claim += 1;
-        let hops = (i - prev[proc]) as u64;
-        eng.charge(proc, oh.t_dispatch, |c| Event::IterClaimed {
-            iter: i as u64,
-            cost: c,
-        });
+/// General-3: on claiming iteration `i` off the shared counter, a processor
+/// advances its private cursor `i − prev` hops from its previous iteration.
+/// Hops per processor are bounded by the list length (its cursor only moves
+/// forward).
+pub(crate) fn general3(sim: &mut Sim) {
+    let mut counter = Counter::ordered(sim, 0..sim.spec.upper);
+    let mut prev = vec![0; sim.eng.p()];
+    sim.drive(|sim, proc| {
+        let Some(grant) = counter.claim(sim, proc) else {
+            return Grant::Done;
+        };
+        let hops = (grant.start - prev[proc]) as u64;
         if hops > 0 {
-            eng.charge(proc, hops * oh.t_next, |c| Event::NextHop { hops, cost: c });
+            sim.next_hops(proc, hops, sim.oh.t_next);
         }
-        stats.hops += hops;
-        prev[proc] = i;
-        run_body(eng, &mut quit, spec, oh, cfg, proc, i, &mut stats);
-    }
-
-    epilogue(eng, oh, cfg, &stats);
-    report(eng, spec, &quit, stats)
+        prev[proc] = grant.start;
+        Grant::Run(grant)
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::strategies::sim_sequential;
+    use crate::{
+        sim_general1, sim_general2, sim_general3, sim_sequential, simulate, Engine, ExecConfig,
+        LoopSpec, Overheads, Report, Strategy,
+    };
+
+    fn sim_distribution(p: usize, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
+        simulate(&mut Engine::new(p), spec, oh, cfg, Strategy::Distribution)
+    }
 
     fn oh() -> Overheads {
         Overheads::default()
@@ -386,28 +197,21 @@ mod tests {
     }
 
     #[test]
-    fn traced_general_runs_event_every_busy_cycle() {
+    fn general1_records_lock_waits_and_general3_none() {
         let spec = LoopSpec::uniform(257, 13);
-        let (r1, t1) = sim_general1_traced(3, &spec, &oh(), &ExecConfig::bare());
-        let (r3, t3) = sim_general3_traced(3, &spec, &oh(), &ExecConfig::bare());
-        for (r, trace) in [(&r1, &t1), (&r3, &t3)] {
-            for proc in 0..3 {
-                let evented: u64 = trace
-                    .samples
-                    .iter()
-                    .filter(|s| s.proc as usize == proc)
-                    .map(|s| s.event.busy_cost())
-                    .sum();
-                assert_eq!(evented, r.busy[proc], "proc {proc}");
-            }
-        }
+        let waited = |strategy| {
+            let mut eng = Engine::new_observed(3);
+            simulate(&mut eng, &spec, &oh(), &ExecConfig::bare(), strategy);
+            let trace = eng.finish_obs_trace();
+            trace
+                .samples
+                .iter()
+                .map(|s| s.event.wait_time())
+                .sum::<u64>()
+        };
         // General-1 serializes on the dispatcher lock: waits must show up
-        let lock_wait: u64 = t1.samples.iter().map(|s| s.event.wait_time()).sum();
-        assert!(lock_wait > 0, "General-1 at p=3 must record lock waits");
-        assert_eq!(
-            t3.samples.iter().map(|s| s.event.wait_time()).sum::<u64>(),
-            0
-        );
+        assert!(waited(Strategy::General1) > 0);
+        assert_eq!(waited(Strategy::General3), 0);
     }
 
     #[test]

@@ -1,291 +1,91 @@
-//! Baseline, Induction-1/2, prefix-DOALL and strip-mined simulations.
+//! Sequential baseline, the static-stride claim rule and the prefix-DOALL
+//! scan phases (Sections 3.1, 3.2).
 
-use super::common::{epilogue, prologue, report, run_body, Stats};
-use crate::engine::{Engine, Report, TimedMin};
-use crate::spec::{ExecConfig, LoopSpec, Overheads, TerminatorKind};
-use wlp_obs::{Event, Trace};
+use super::driver::{Grant, Sim};
+use wlp_obs::Event;
 
-/// Iteration-to-processor assignment policy for DOALL simulations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Shared-counter self-scheduling: ordered issue, as on the Alliant.
-    Dynamic,
-    /// Iteration `i` on processor `i mod p` (General-2-style static).
-    StaticCyclic,
-}
-
-/// The untransformed sequential WHILE loop: one processor, test-then-work,
-/// one dispatcher increment per iteration. This is the paper's `T_seq`
-/// (`T_rec + T_rem`); a sequential loop needs no backups or stamps, so the
-/// `ExecConfig` is ignored apart from nothing.
-pub fn sim_sequential(spec: &LoopSpec, oh: &Overheads) -> Report {
-    let mut eng = Engine::new(1);
-    let mut stats = Stats::default();
-    let end = spec.work_end();
+/// The untransformed loop on processor 0: one dispatcher increment, then
+/// test-and-work, per iteration of `0..end`.
+pub(crate) fn serial(sim: &mut Sim, end: usize) {
+    let (spec, oh) = (sim.spec, sim.oh);
     for i in 0..end {
-        eng.work(0, oh.t_next + oh.t_term + (spec.work)(i));
-        stats.hops += 1;
-        stats.executed += 1;
-        let _ = i;
+        sim.next_hops(0, 1, oh.t_next);
+        sim.execute(0, i, oh.t_term + (spec.work)(i));
     }
-    // the terminating test itself (when the loop exits by condition)
-    if spec.exit_at.is_some_and(|e| e < spec.upper) {
-        eng.work(0, oh.t_next + oh.t_term);
-        stats.hops += 1;
+}
+
+/// The paper's `T_seq` (`T_rec + T_rem`): [`serial`] up to the exit, plus
+/// the terminating test itself when the loop exits by condition.
+pub(crate) fn sequential(sim: &mut Sim) {
+    let (spec, oh) = (sim.spec, sim.oh);
+    serial(sim, spec.work_end());
+    if let Some(e) = spec.exit_at.filter(|&e| e < spec.upper) {
+        sim.next_hops(0, 1, oh.t_next);
+        sim.term_test(0, e);
     }
-    let quit = TimedMin::new();
-    report(&eng, spec, &quit, stats)
 }
 
-/// Induction-1/2 (Section 3.1): the dispatcher has a closed form, so the
-/// loop runs as a DOALL with the terminator test inlined; the smallest
-/// quitting iteration is the last valid iteration. `Schedule::Dynamic`
-/// models Induction-2 (ordered issue + QUIT); `Schedule::StaticCyclic`
-/// models a static assignment (larger spans, more overshoot under RV).
-pub fn sim_induction_doall(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    schedule: Schedule,
-) -> Report {
-    run_induction_doall(&mut Engine::new(p), spec, oh, cfg, schedule)
-}
-
-/// Like [`sim_induction_doall`], additionally returning the recorded
-/// [`Trace`] (the same event schema the threaded runtime's recorders
-/// produce).
-pub fn sim_induction_doall_traced(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    schedule: Schedule,
-) -> (Report, Trace) {
-    let mut eng = Engine::new_observed(p);
-    let r = run_induction_doall(&mut eng, spec, oh, cfg, schedule);
-    let trace = eng.finish_obs_trace();
-    (r, trace)
-}
-
-/// The shared dynamic self-scheduling loop over iterations `[lo, hi)`,
-/// honouring the config's [`ChunkPolicy`](crate::spec::ChunkPolicy). A
-/// grant of one iteration is charged exactly as the historical
-/// one-at-a-time scheduler (`IterClaimed` carrying `t_dispatch`), so
-/// `ChunkPolicy::One` runs are bit-identical to the pre-chunking
-/// simulator; a wider grant pays `t_dispatch` once as a `ChunkClaimed`
-/// event and issues its iterations back to back, re-testing the visible
-/// QUIT bound before each body (the overshoot a chunk can add is bounded
-/// by its own length).
-#[allow(clippy::too_many_arguments)]
-fn run_dynamic_range(
-    eng: &mut Engine,
-    quit: &mut TimedMin,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    lo: usize,
-    hi: usize,
-    stats: &mut Stats,
-) {
-    let p = eng.p();
-    let mut claim = lo;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let t = eng.now(proc);
-        let stop = claim >= hi || quit.visible_min(t).is_some_and(|q| claim > q);
-        if stop {
-            runnable[proc] = false;
-            continue;
-        }
-        let want = cfg.chunk.grant(hi - claim, p);
-        let c_lo = claim;
-        let c_hi = (c_lo + want).min(hi);
-        claim = c_hi;
-        // the config may model a cheaper (lock-free) claim path; the
-        // default stays the historical t_dispatch charge
-        let t_claim = cfg.claim_cost.unwrap_or(oh.t_dispatch);
-        if c_hi - c_lo == 1 {
-            eng.charge(proc, t_claim, |c| Event::IterClaimed {
-                iter: c_lo as u64,
-                cost: c,
-            });
-            run_body(eng, quit, spec, oh, cfg, proc, c_lo, stats);
-        } else {
-            eng.charge(proc, t_claim, |c| Event::ChunkClaimed {
-                lo: c_lo as u64,
-                len: (c_hi - c_lo) as u64,
-                cost: c,
-            });
-            for i in c_lo..c_hi {
-                let t = eng.now(proc);
-                if quit.visible_min(t).is_some_and(|q| i > q) {
-                    break;
-                }
-                eng.emit(
-                    proc,
-                    Event::IterClaimed {
-                        iter: i as u64,
-                        cost: 0,
-                    },
-                );
-                run_body(eng, quit, spec, oh, cfg, proc, i, stats);
+/// Static assignment: processor `vpn` runs iterations `vpn, vpn+p, …` with
+/// no shared counter, so the claim itself is free. With `hop` (General-2)
+/// the processor first privately walks the list to each target, and to the
+/// null at its end.
+pub(crate) fn strided(sim: &mut Sim, hop: bool) {
+    let (p, upper) = (sim.eng.p(), sim.spec.upper);
+    let mut target: Vec<usize> = (0..p).collect();
+    sim.drive(|sim, proc| {
+        let i = target[proc];
+        if hop {
+            // from its previous target (the head, the first time); past the
+            // end the `do j = 1, nproc` hop loop bails at null: the hops up
+            // to the end of the list plus the null discovery
+            let hops = (i.min(upper) - i.saturating_sub(p)) as u64 + u64::from(i >= upper);
+            if hops > 0 {
+                sim.next_hops(proc, hops, sim.oh.t_next);
             }
         }
-    }
+        if i >= upper || sim.cut(proc, i) {
+            return Grant::Done;
+        }
+        sim.free_claim(proc, i);
+        target[proc] = i + p;
+        Grant::Run(i..i + 1)
+    });
 }
 
-fn run_induction_doall(
-    eng: &mut Engine,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    schedule: Schedule,
-) -> Report {
-    let p = eng.p();
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(eng, oh, cfg);
-
-    match schedule {
-        Schedule::Dynamic => {
-            run_dynamic_range(eng, &mut quit, spec, oh, cfg, 0, spec.upper, &mut stats);
+/// The prefix DOALL's first loop: a three-phase blocked scan over the
+/// dispatcher terms — local scan, serial tree combine over the `p` partials
+/// on processor 0, re-offset. All three are dispatcher evaluation
+/// (`NextHop`); the terms are counted where they are first produced.
+pub(crate) fn prefix_scan(sim: &mut Sim) {
+    let (p, oh) = (sim.eng.p(), sim.oh);
+    let terms = sim.dispatcher_terms();
+    let block = terms.div_ceil(p);
+    let pass = |sim: &mut Sim, count: bool| {
+        for proc in 0..p {
+            let mine = terms.saturating_sub(proc * block).min(block);
+            let hops = if count { mine as u64 } else { 0 };
+            let scan = |cost| Event::NextHop { hops, cost };
+            sim.eng.charge(proc, block as u64 * oh.t_prefix_op, scan);
         }
-        Schedule::StaticCyclic => {
-            let mut next_iter: Vec<usize> = (0..p).collect();
-            let mut runnable = vec![true; p];
-            while let Some(proc) = eng.next_proc(&runnable) {
-                let i = next_iter[proc];
-                let t = eng.now(proc);
-                let stop = i >= spec.upper || quit.visible_min(t).is_some_and(|q| i > q);
-                if stop {
-                    runnable[proc] = false;
-                    continue;
-                }
-                next_iter[proc] = i + p;
-                // static assignment: the "claim" is free — no shared counter
-                eng.emit(
-                    proc,
-                    Event::IterClaimed {
-                        iter: i as u64,
-                        cost: 0,
-                    },
-                );
-                run_body(eng, &mut quit, spec, oh, cfg, proc, i, &mut stats);
-            }
-        }
-    }
-
-    epilogue(eng, oh, cfg, &stats);
-    report(eng, spec, &quit, stats)
-}
-
-/// Associative dispatcher (Section 3.2): loop distribution, a three-phase
-/// parallel prefix evaluating the dispatcher terms in `O(n/p + log p)`,
-/// then the remainder as a dynamic DOALL over the precomputed terms.
-///
-/// For an RV terminator the paper notes the first loop computes dispatcher
-/// terms all the way to `upper` — possibly many superfluous ones — which is
-/// exactly what this replay charges.
-pub fn sim_prefix_doall(p: usize, spec: &LoopSpec, oh: &Overheads, cfg: &ExecConfig) -> Report {
-    let mut eng = Engine::new(p);
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(&mut eng, oh, cfg);
-
-    // How many dispatcher terms must be precomputed?
-    // RI: the dispatcher loop carries the termination test, so it computes
-    // exactly the needed terms (but sequentially testing adds t_term each).
-    // RV: the test lives in the remainder, so all `upper` terms are built.
-    let terms = match (spec.terminator, spec.exit_at) {
-        (TerminatorKind::RemainderInvariant, Some(e)) => (e + 1).min(spec.upper),
-        _ => spec.upper,
+        sim.eng.barrier(oh.t_barrier);
     };
-    // Three-phase blocked scan: local scan, log p combine, re-offset.
-    let block = terms.div_ceil(p) as u64;
-    for proc in 0..p {
-        eng.work(proc, block * oh.t_prefix_op);
-    }
-    eng.barrier(oh.t_barrier);
-    // serial tree combine over p partials, charged to processor 0
-    eng.work(
-        0,
-        (p as u64).next_power_of_two().trailing_zeros() as u64 * oh.t_prefix_op,
-    );
-    eng.barrier(oh.t_barrier);
-    for proc in 0..p {
-        eng.work(proc, block * oh.t_prefix_op);
-    }
-    eng.barrier(oh.t_barrier);
-    stats.hops += terms as u64;
-
-    // Remainder loop: dynamic DOALL over the precomputed terms.
-    run_dynamic_range(
-        &mut eng, &mut quit, spec, oh, cfg, 0, spec.upper, &mut stats,
-    );
-
-    epilogue(&mut eng, oh, cfg, &stats);
-    report(&eng, spec, &quit, stats)
-}
-
-/// Strip-mined DOALL (Sections 4/8.1): strips of `strip` iterations, each a
-/// dynamic DOALL, separated by barriers; execution stops after the strip
-/// containing the exit. Overshoot is bounded by the strip size.
-pub fn sim_strip_mined(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    strip: usize,
-) -> Report {
-    run_strip_mined(&mut Engine::new(p), spec, oh, cfg, strip)
-}
-
-/// Like [`sim_strip_mined`], additionally returning the recorded [`Trace`].
-pub fn sim_strip_mined_traced(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    strip: usize,
-) -> (Report, Trace) {
-    let mut eng = Engine::new_observed(p);
-    let r = run_strip_mined(&mut eng, spec, oh, cfg, strip);
-    let trace = eng.finish_obs_trace();
-    (r, trace)
-}
-
-fn run_strip_mined(
-    eng: &mut Engine,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    strip: usize,
-) -> Report {
-    assert!(strip > 0, "strip size must be positive");
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(eng, oh, cfg);
-
-    let mut lo = 0usize;
-    'strips: while lo < spec.upper {
-        let hi = (lo + strip).min(spec.upper);
-        run_dynamic_range(eng, &mut quit, spec, oh, cfg, lo, hi, &mut stats);
-        eng.barrier(oh.t_barrier);
-        if quit.final_min().is_some() {
-            break 'strips;
-        }
-        lo = hi;
-    }
-
-    epilogue(eng, oh, cfg, &stats);
-    report(eng, spec, &quit, stats)
+    pass(sim, true);
+    let levels = (p as u64).next_power_of_two().trailing_zeros() as u64;
+    let combine = |cost| Event::NextHop { hops: 0, cost };
+    sim.eng.charge(0, levels * oh.t_prefix_op, combine);
+    sim.eng.barrier(oh.t_barrier);
+    pass(sim, false);
+    sim.stats.hops += terms as u64;
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::spec::TerminatorKind::{RemainderInvariant as RI, RemainderVariant as RV};
+    use crate::{
+        sim_induction_doall, sim_sequential, sim_strip_mined, simulate, ChunkPolicy, Engine,
+        ExecConfig, LoopSpec, Overheads, Schedule, Strategy,
+    };
+    use wlp_obs::Event;
 
     fn oh() -> Overheads {
         Overheads::default()
@@ -427,7 +227,8 @@ mod tests {
     fn prefix_doall_beats_sequential_and_distribution_charges_prefix() {
         let spec = LoopSpec::uniform(4000, 150);
         let seq = sim_sequential(&spec, &oh());
-        let r = sim_prefix_doall(8, &spec, &oh(), &ExecConfig::bare());
+        let cfg = ExecConfig::bare();
+        let r = simulate(&mut Engine::new(8), &spec, &oh(), &cfg, Strategy::Prefix);
         let s = r.speedup(&seq);
         assert!(s > 4.0, "prefix DOALL should scale, got {s}");
         assert_eq!(r.hops, 4000, "all dispatcher terms computed");
@@ -467,42 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_events_account_for_every_busy_cycle() {
-        let spec = LoopSpec::uniform(300, 40).with_exit(200, RV);
-        let (r, trace) = sim_induction_doall_traced(
-            4,
-            &spec,
-            &oh(),
-            &ExecConfig::with_undo(100),
-            Schedule::Dynamic,
-        );
-        assert_eq!(trace.p, 4);
-        assert_eq!(trace.makespan, r.makespan);
-        for proc in 0..4 {
-            let evented: u64 = trace
-                .samples
-                .iter()
-                .filter(|s| s.proc as usize == proc)
-                .map(|s| s.event.busy_cost())
-                .sum();
-            assert_eq!(
-                evented, r.busy[proc],
-                "proc {proc}: every busy cycle evented"
-            );
-        }
-        // the untraced run is bit-identical in outcome
-        let plain = sim_induction_doall(
-            4,
-            &spec,
-            &oh(),
-            &ExecConfig::with_undo(100),
-            Schedule::Dynamic,
-        );
-        assert_eq!(plain.makespan, r.makespan);
-        assert_eq!(plain.busy, r.busy);
-    }
-
-    #[test]
     fn step_budget_cuts_a_run_short_and_flags_divergence() {
         let spec = LoopSpec::uniform(10_000, 10);
         let cfg = ExecConfig::bare().with_step_budget(50);
@@ -523,7 +288,6 @@ mod tests {
 
     #[test]
     fn chunking_amortizes_dispatch_without_changing_coverage() {
-        use crate::spec::ChunkPolicy;
         let spec = LoopSpec::uniform(2000, 10);
         let one = sim_induction_doall(4, &spec, &oh(), &ExecConfig::bare(), Schedule::Dynamic);
         for policy in [ChunkPolicy::Fixed(32), ChunkPolicy::Guided { min: 4 }] {
@@ -541,10 +305,19 @@ mod tests {
 
     #[test]
     fn chunked_trace_reports_grants_and_default_reports_none() {
-        use crate::spec::ChunkPolicy;
         let spec = LoopSpec::uniform(400, 20);
-        let cfg = ExecConfig::bare().with_chunk(ChunkPolicy::Fixed(50));
-        let (_, trace) = sim_induction_doall_traced(4, &spec, &oh(), &cfg, Schedule::Dynamic);
+        let traced = |cfg: &ExecConfig| {
+            let mut eng = Engine::new_observed(4);
+            simulate(
+                &mut eng,
+                &spec,
+                &oh(),
+                cfg,
+                Strategy::Induction(Schedule::Dynamic),
+            );
+            eng.finish_obs_trace()
+        };
+        let trace = traced(&ExecConfig::bare().with_chunk(ChunkPolicy::Fixed(50)));
         let grants = trace
             .samples
             .iter()
@@ -555,8 +328,7 @@ mod tests {
         assert_eq!(r.chunk_grants, 8);
         assert_eq!(r.claimed, 400, "per-iteration claims still reported");
 
-        let (_, plain) =
-            sim_induction_doall_traced(4, &spec, &oh(), &ExecConfig::bare(), Schedule::Dynamic);
+        let plain = traced(&ExecConfig::bare());
         assert!(
             plain
                 .samples
@@ -568,7 +340,6 @@ mod tests {
 
     #[test]
     fn chunk_overshoot_is_bounded_by_the_grant_under_rv() {
-        use crate::spec::ChunkPolicy;
         // The exit must land mid-stream (past the first round of chunks)
         // for concurrent chunks to be in flight when the QUIT fires.
         let spec = LoopSpec::uniform(100_000, 100).with_exit(5000, RV);

@@ -7,131 +7,53 @@
 //! speedup is the pipeline depth — the structural limit this replay
 //! exhibits.
 
-use super::common::{report, Stats};
-use crate::engine::{Engine, Report, TimedMin};
-use crate::spec::{LoopSpec, Overheads};
+use super::driver::{Counter, Grant, Sim};
+use crate::spec::ChunkPolicy;
+use wlp_obs::Event;
 
-/// Replays a `stages`-deep DOACROSS pipeline over `spec` on `p`
-/// processors: whole iterations are claimed dynamically, and each stage
-/// waits for its wavefront predecessor. Stage costs split `work(i)`
-/// evenly (remainder cycles go to the last stage).
+/// The DOACROSS wavefront: sync cells of `grain` consecutive iterations
+/// are claimed dynamically with one dispatch per cell, and each stage of a
+/// cell waits for the same stage of its predecessor. Stage costs split the
+/// cell's `work + t_term` evenly (remainder cycles go to the last stage).
+///
+/// Events follow the threaded `doacross`: a stage stall is a `LockWait`,
+/// and each iteration's body time is one `IterExecuted` stamped when the
+/// cell's last stage completes.
 ///
 /// # Panics
 /// Panics if `stages == 0`.
-pub fn sim_doacross(p: usize, spec: &LoopSpec, oh: &Overheads, stages: usize) -> Report {
+pub(crate) fn doacross(sim: &mut Sim, stages: usize, grain: usize) {
     assert!(stages > 0, "need at least one stage");
-    let mut eng = Engine::new(p);
-    let mut stats = Stats::default();
-    let quit = TimedMin::new();
-    let n = spec.work_end();
-
-    // completion time of each (iteration, stage)
-    let mut done: Vec<Vec<u64>> = Vec::with_capacity(n);
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        if claim >= n {
-            runnable[proc] = false;
-            continue;
-        }
-        let i = claim;
-        claim += 1;
-        eng.work(proc, oh.t_dispatch);
-        let total = (spec.work)(i) + oh.t_term;
+    let (spec, oh) = (sim.spec, sim.oh);
+    let mut counter = Counter::new(0..spec.work_end(), ChunkPolicy::Fixed(grain), oh.t_dispatch);
+    // when the previous cell left each stage
+    let mut left = vec![0u64; stages];
+    sim.drive(|sim, proc| {
+        let Some(cell) = counter.claim(sim, proc) else {
+            return Grant::Done;
+        };
+        let body = |i| (spec.work)(i) + oh.t_term;
+        let total: u64 = cell.clone().map(body).sum();
         let share = total / stages as u64;
-        let mut finish = Vec::with_capacity(stages);
-        #[allow(clippy::needless_range_loop)] // `s` is the stage number, not just an index
-        for s in 0..stages {
-            if i > 0 {
-                eng.wait_until(proc, done[i - 1][s]);
-            }
-            let cost = if s + 1 == stages {
-                total - share * (stages as u64 - 1)
-            } else {
-                share
-            };
-            eng.work(proc, cost);
-            finish.push(eng.now(proc));
+        let last = total - share * (stages as u64 - 1);
+        for (s, left) in left.iter_mut().enumerate() {
+            sim.eng.stall_until(proc, *left);
+            sim.eng
+                .work(proc, if s + 1 == stages { last } else { share });
+            *left = sim.eng.now(proc);
         }
-        done.push(finish);
-        stats.executed += 1;
-    }
-
-    report(&eng, spec, &quit, stats)
-}
-
-/// Replays a grained DOACROSS pipeline: `grain` consecutive iterations
-/// share one wavefront cell, so one dispatch claim and one sync per
-/// stage cover `grain` iterations — the simulator mirror of the
-/// runtime's `DoacrossOptions::grain` and of the governor's grain ladder.
-///
-/// Coarser grain amortizes dispatch/sync overhead but lengthens pipeline
-/// fill (the first chunk of a stage waits for a whole predecessor chunk,
-/// not one iteration), so the sweet spot depends on the body-cost /
-/// sync-cost ratio — exactly the trade-off the `fission` exhibit sweeps.
-/// `grain <= 1` is the per-iteration pipeline of [`sim_doacross`].
-///
-/// # Panics
-/// Panics if `stages == 0`.
-pub fn sim_doacross_grained(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    stages: usize,
-    grain: usize,
-) -> Report {
-    assert!(stages > 0, "need at least one stage");
-    let g = grain.max(1);
-    if g == 1 {
-        return sim_doacross(p, spec, oh, stages);
-    }
-    let mut eng = Engine::new(p);
-    let mut stats = Stats::default();
-    let quit = TimedMin::new();
-    let n = spec.work_end();
-    let chunks = n.div_ceil(g);
-
-    // completion time of each (chunk, stage)
-    let mut done: Vec<Vec<u64>> = Vec::with_capacity(chunks);
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        if claim >= chunks {
-            runnable[proc] = false;
-            continue;
+        for i in cell {
+            let (iter, cost) = (i as u64, body(i));
+            sim.eng.emit(proc, Event::IterExecuted { iter, cost });
+            sim.stats.executed += 1;
         }
-        let c = claim;
-        claim += 1;
-        eng.work(proc, oh.t_dispatch);
-        let lo = c * g;
-        let hi = ((c + 1) * g).min(n);
-        let total: u64 = (lo..hi).map(|i| (spec.work)(i) + oh.t_term).sum();
-        let share = total / stages as u64;
-        let mut finish = Vec::with_capacity(stages);
-        #[allow(clippy::needless_range_loop)] // `s` is the stage number, not just an index
-        for s in 0..stages {
-            if c > 0 {
-                eng.wait_until(proc, done[c - 1][s]);
-            }
-            let cost = if s + 1 == stages {
-                total - share * (stages as u64 - 1)
-            } else {
-                share
-            };
-            eng.work(proc, cost);
-            finish.push(eng.now(proc));
-        }
-        done.push(finish);
-        stats.executed += (hi - lo) as u64;
-    }
-
-    report(&eng, spec, &quit, stats)
+        Grant::Again
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::strategies::sim_sequential;
+    use crate::{sim_doacross, sim_sequential, LoopSpec, Overheads};
 
     #[test]
     fn pipeline_speedup_approaches_stage_count() {
@@ -140,7 +62,7 @@ mod tests {
         let seq = sim_sequential(&spec, &oh);
         let mut prev = 0.0;
         for stages in [1usize, 2, 4, 8] {
-            let r = sim_doacross(8, &spec, &oh, stages);
+            let r = sim_doacross(8, &spec, &oh, stages, 1);
             let s = r.speedup(&seq);
             assert!(s > prev, "more stages must help: {s:.2} at {stages}");
             assert!(
@@ -150,7 +72,7 @@ mod tests {
             prev = s;
         }
         // deep pipeline gets close to its depth
-        let r8 = sim_doacross(8, &spec, &oh, 8);
+        let r8 = sim_doacross(8, &spec, &oh, 8, 1);
         assert!(r8.speedup(&seq) > 5.0, "got {:.2}", r8.speedup(&seq));
     }
 
@@ -159,7 +81,7 @@ mod tests {
         let spec = LoopSpec::uniform(500, 50);
         let oh = Overheads::default();
         let seq = sim_sequential(&spec, &oh);
-        let r = sim_doacross(8, &spec, &oh, 1);
+        let r = sim_doacross(8, &spec, &oh, 1, 1);
         let s = r.speedup(&seq);
         assert!(s <= 1.1, "a 1-stage wavefront cannot overlap: {s:.2}");
     }
@@ -169,23 +91,28 @@ mod tests {
         let spec = LoopSpec::uniform(2000, 80);
         let oh = Overheads::default();
         let seq = sim_sequential(&spec, &oh);
-        let r = sim_doacross(2, &spec, &oh, 8);
+        let r = sim_doacross(2, &spec, &oh, 8, 1);
         assert!(r.speedup(&seq) <= 2.0 * 1.1);
     }
 
     #[test]
     fn all_iterations_execute() {
         let spec = LoopSpec::uniform(333, 21);
-        let r = sim_doacross(4, &spec, &Overheads::default(), 3);
+        let r = sim_doacross(4, &spec, &Overheads::default(), 3, 1);
         assert_eq!(r.executed, 333);
     }
 
     #[test]
     fn grain_one_is_the_per_iteration_pipeline() {
+        // one iteration per sync cell: a 2-stage pipeline of uniform
+        // bodies finishes one iteration every half body after the fill
         let spec = LoopSpec::uniform(500, 40);
         let oh = Overheads::default();
-        let a = sim_doacross(4, &spec, &oh, 2);
-        let b = sim_doacross_grained(4, &spec, &oh, 2, 1);
+        let a = sim_doacross(4, &spec, &oh, 2, 1);
+        let half = (40 + oh.t_term).div_ceil(2);
+        assert_eq!(a.makespan, oh.t_dispatch + 20 + 500 * half);
+        // a degenerate grain of 0 is the same schedule
+        let b = sim_doacross(4, &spec, &oh, 2, 0);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.executed, b.executed);
     }
@@ -194,7 +121,7 @@ mod tests {
     fn grained_pipeline_executes_everything_including_the_ragged_tail() {
         // 333 is not a multiple of 8: the last chunk is partial
         let spec = LoopSpec::uniform(333, 21);
-        let r = sim_doacross_grained(4, &spec, &Overheads::default(), 3, 8);
+        let r = sim_doacross(4, &spec, &Overheads::default(), 3, 8);
         assert_eq!(r.executed, 333);
     }
 
@@ -204,8 +131,8 @@ mod tests {
         // overhead, chunking pays for itself
         let spec = LoopSpec::uniform(4000, 4);
         let oh = Overheads::default();
-        let fine = sim_doacross_grained(4, &spec, &oh, 2, 1);
-        let coarse = sim_doacross_grained(4, &spec, &oh, 2, 16);
+        let fine = sim_doacross(4, &spec, &oh, 2, 1);
+        let coarse = sim_doacross(4, &spec, &oh, 2, 16);
         assert!(
             coarse.makespan < fine.makespan,
             "grain 16 ({}) should beat grain 1 ({}) on cheap bodies",

@@ -1,107 +1,52 @@
-//! Sliding-window DOALL simulation (Section 8.2).
+//! Sliding-window DOALL claim rule (Section 8.2).
 
-use super::common::{epilogue, prologue, report, run_body, Stats};
-use crate::engine::{Engine, Report, TimedMin};
-use crate::spec::{ExecConfig, LoopSpec, Overheads};
-use wlp_obs::{Event, Trace};
+use super::driver::{Counter, Grant, Sim};
+use wlp_obs::Event;
 
-/// Dynamic DOALL whose in-flight iteration span never exceeds `window`
-/// (the resource-controlled self-scheduler). A processor whose claim would
-/// widen the span beyond the window idles until the low-watermark iteration
-/// completes. Smaller windows bound time-stamp memory and RV overshoot at
-/// the price of idle time; `window ≥ upper` degenerates to the plain
-/// dynamic DOALL.
+/// Dynamic self-scheduling whose in-flight iteration span never exceeds
+/// `window` (the resource-controlled self-scheduler). A processor whose
+/// claim would widen the span beyond the window idles until the
+/// low-watermark iteration completes; the stall is a `LockWait`.
 ///
 /// # Panics
 /// Panics if `window == 0`.
-pub fn sim_windowed(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    window: usize,
-) -> Report {
-    run_windowed(&mut Engine::new(p), spec, oh, cfg, window)
-}
-
-/// Like [`sim_windowed`], additionally returning the recorded [`Trace`]
-/// (window-admission stalls become `LockWait` events).
-pub fn sim_windowed_traced(
-    p: usize,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    window: usize,
-) -> (Report, Trace) {
-    let mut eng = Engine::new_observed(p);
-    let r = run_windowed(&mut eng, spec, oh, cfg, window);
-    let trace = eng.finish_obs_trace();
-    (r, trace)
-}
-
-fn run_windowed(
-    eng: &mut Engine,
-    spec: &LoopSpec,
-    oh: &Overheads,
-    cfg: &ExecConfig,
-    window: usize,
-) -> Report {
+pub(crate) fn windowed(sim: &mut Sim, window: usize) {
     assert!(window > 0, "window must be positive");
-    let p = eng.p();
-    let mut quit = TimedMin::new();
-    let mut stats = Stats::default();
-    prologue(eng, oh, cfg);
-    eng.emit(
-        0,
-        Event::WindowResize {
-            window: window as u64,
-        },
-    );
-
+    let resize = Event::WindowResize {
+        window: window as u64,
+    };
+    sim.eng.emit(0, resize);
+    let mut counter = Counter::ordered(sim, 0..sim.spec.upper);
     // Completion time of each claimed iteration; actions are processed in
     // non-decreasing time order, so the low watermark only advances.
-    let mut end_time: Vec<u64> = Vec::with_capacity(spec.upper.min(1 << 20));
-    let mut low = 0usize;
-    let mut claim = 0usize;
-    let mut runnable = vec![true; p];
-    while let Some(proc) = eng.next_proc(&runnable) {
-        let t = eng.now(proc);
-        if claim >= spec.upper || quit.visible_min(t).is_some_and(|q| claim > q) {
-            runnable[proc] = false;
-            continue;
-        }
-        while low < claim && end_time[low] <= t {
+    let (mut end_time, mut low) = (Vec::<u64>::new(), 0);
+    sim.drive(|sim, proc| {
+        let Some(next) = counter.peek(sim, proc) else {
+            return Grant::Done;
+        };
+        let t = sim.eng.now(proc);
+        while low < next && end_time[low] <= t {
             low += 1;
         }
-        if claim - low >= window {
+        if next - low >= window {
             // idle until the watermark iteration completes, then re-check
-            let stall = end_time[low].saturating_sub(t);
-            eng.wait_until(proc, end_time[low]);
-            if stall > 0 {
-                eng.emit(proc, Event::LockWait { dur: stall });
-            }
-            continue;
+            sim.eng.stall_until(proc, end_time[low]);
+            return Grant::Again;
         }
-        let i = claim;
-        claim += 1;
-        eng.charge(proc, oh.t_dispatch, |c| Event::IterClaimed {
-            iter: i as u64,
-            cost: c,
-        });
-        run_body(eng, &mut quit, spec, oh, cfg, proc, i, &mut stats);
-        end_time.push(eng.now(proc));
-        debug_assert_eq!(end_time.len(), claim);
-    }
-
-    epilogue(eng, oh, cfg, &stats);
-    report(eng, spec, &quit, stats)
+        let grant = counter.claim(sim, proc).expect("peeked");
+        sim.run_bodies(proc, grant);
+        end_time.push(sim.eng.now(proc));
+        Grant::Again
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::spec::TerminatorKind::RemainderVariant as RV;
-    use crate::strategies::{sim_induction_doall, sim_sequential, Schedule};
+    use crate::{
+        sim_induction_doall, sim_sequential, sim_windowed, ExecConfig, LoopSpec, Overheads,
+        Schedule,
+    };
 
     fn oh() -> Overheads {
         Overheads::default()

@@ -18,7 +18,7 @@ use wlp::core::general::{general3_until, GeneralConfig};
 use wlp::list::ListArena;
 use wlp::obs::{chrome_trace, BufferRecorder, ProfileReport, Trace};
 use wlp::runtime::{Pool, Step};
-use wlp::sim::{sim_general3_traced, ExecConfig, LoopSpec, Overheads};
+use wlp::sim::{simulate, Engine, ExecConfig, LoopSpec, Overheads, Strategy};
 
 const N: usize = 2_000;
 const P: usize = 4;
@@ -41,9 +41,13 @@ fn main() {
     });
     let threaded: Trace = rec.finish();
 
-    // The simulated run: the same strategy replayed on the virtual machine.
+    // The simulated run: the same strategy replayed on an observed engine
+    // of the virtual machine — how any simulated strategy is traced.
     let spec = LoopSpec::uniform(N, 40);
-    let (_, simulated) = sim_general3_traced(P, &spec, &Overheads::default(), &ExecConfig::bare());
+    let mut eng = Engine::new_observed(P);
+    let (oh, cfg) = (Overheads::default(), ExecConfig::bare());
+    simulate(&mut eng, &spec, &oh, &cfg, Strategy::General3);
+    let simulated = eng.finish_obs_trace();
 
     // Side-by-side histograms: one schema, two clock domains.
     let ht = threaded.kind_histogram();

@@ -19,9 +19,7 @@ use wlp::list::ListArena;
 use wlp::obs::{BufferRecorder, ProfileReport, StrategyChoice, Trace};
 use wlp::runtime::{DoallOptions, Governor, GovernorPolicy, Pool, Step};
 use wlp::sim::spec::TerminatorKind;
-use wlp::sim::{
-    sim_general3_traced, sim_induction_doall_traced, ExecConfig, LoopSpec, Overheads, Schedule,
-};
+use wlp::sim::{simulate, Engine, ExecConfig, LoopSpec, Overheads, Report, Schedule, Strategy};
 
 const P: usize = 4;
 
@@ -162,12 +160,18 @@ fn threaded_governed_ladder_reports_every_rung() {
     assert_eq!(r.undone, r.executed, "aborts discard every body they ran");
 }
 
+/// One simulated run on an observed `P`-processor engine.
+fn simulated(spec: &LoopSpec, cfg: &ExecConfig, strategy: Strategy) -> (Report, Trace) {
+    let mut eng = Engine::new_observed(P);
+    let report = simulate(&mut eng, spec, &Overheads::default(), cfg, strategy);
+    (report, eng.finish_obs_trace())
+}
+
 #[test]
 fn simulated_induction1_conserves() {
     let spec = LoopSpec::uniform(1000, 30).with_exit(600, TerminatorKind::RemainderVariant);
     let cfg = ExecConfig::with_undo(1000);
-    let (report, trace) =
-        sim_induction_doall_traced(P, &spec, &Overheads::default(), &cfg, Schedule::Dynamic);
+    let (report, trace) = simulated(&spec, &cfg, Strategy::Induction(Schedule::Dynamic));
     let r = checked(&trace);
     assert_eq!(
         r.makespan, report.makespan,
@@ -181,7 +185,7 @@ fn simulated_induction1_conserves() {
 #[test]
 fn simulated_general3_conserves() {
     let spec = LoopSpec::uniform(2000, 25);
-    let (report, trace) = sim_general3_traced(P, &spec, &Overheads::default(), &ExecConfig::bare());
+    let (report, trace) = simulated(&spec, &ExecConfig::bare(), Strategy::General3);
     let r = checked(&trace);
     assert_eq!(r.makespan, report.makespan);
     assert_eq!(r.executed, 2000);
@@ -198,8 +202,7 @@ fn simulated_speculation_conserves() {
     // full speculation machinery: backups, stamps, PD shadow + analysis
     let spec = LoopSpec::uniform(1500, 40).with_exit(900, TerminatorKind::RemainderVariant);
     let cfg = ExecConfig::with_pd(1500);
-    let (report, trace) =
-        sim_induction_doall_traced(P, &spec, &Overheads::default(), &cfg, Schedule::Dynamic);
+    let (report, trace) = simulated(&spec, &cfg, Strategy::Induction(Schedule::Dynamic));
     let r = checked(&trace);
     assert_eq!(r.spec_commits, 1, "the PD-validated run commits");
     assert_eq!(r.committed + r.undone, r.executed);

@@ -3,11 +3,12 @@
 //! coverage guarantees.
 
 use proptest::prelude::*;
+use wlp::obs::{ProfileReport, Trace};
 use wlp::sim::spec::TerminatorKind;
+use wlp::sim::Strategy as Sim;
 use wlp::sim::{
-    sim_distribution, sim_doacross, sim_general1, sim_general2, sim_general3, sim_induction_doall,
-    sim_prefix_doall, sim_sequential, sim_strip_mined, sim_windowed, ExecConfig, LoopSpec,
-    Overheads, Schedule,
+    sim_general3, sim_induction_doall, sim_sequential, sim_strip_mined, sim_windowed, simulate,
+    ChunkPolicy, Engine, ExecConfig, LoopSpec, Overheads, Report, Schedule,
 };
 
 #[derive(Debug, Clone)]
@@ -39,30 +40,80 @@ fn build(p: &SpecParams) -> LoopSpec {
     s
 }
 
+/// Every strategy the simulator replays (DOANY here searches the whole
+/// range: no iteration satisfies it).
+const STRATEGIES: [(&str, Sim<'static>); 13] = [
+    ("sequential", Sim::Sequential),
+    ("induction", Sim::Induction(Schedule::Dynamic)),
+    ("static", Sim::Induction(Schedule::StaticCyclic)),
+    ("general1", Sim::General1),
+    ("general2", Sim::General2),
+    ("general3", Sim::General3),
+    ("distribution", Sim::Distribution),
+    ("prefix", Sim::Prefix),
+    ("strips", Sim::StripMined { strip: 64 }),
+    ("window", Sim::Windowed { window: 32 }),
+    (
+        "doacross",
+        Sim::Doacross {
+            stages: 4,
+            grain: 1,
+        },
+    ),
+    (
+        "doacross-g8",
+        Sim::Doacross {
+            stages: 4,
+            grain: 8,
+        },
+    ),
+    ("doany", Sim::Doany { successes: &[] }),
+];
+
+fn observed(
+    p: usize,
+    spec: &LoopSpec,
+    oh: &Overheads,
+    cfg: &ExecConfig,
+    strategy: Sim,
+) -> (Report, Trace) {
+    let mut eng = Engine::new_observed(p);
+    let r = simulate(&mut eng, spec, oh, cfg, strategy);
+    (r, eng.finish_obs_trace())
+}
+
+/// Runs every entry of [`STRATEGIES`] on an observed engine.
 fn all_strategies(
     p: usize,
     spec: &LoopSpec,
     oh: &Overheads,
     cfg: &ExecConfig,
-) -> Vec<(&'static str, wlp::sim::Report)> {
-    vec![
-        (
-            "induction",
-            sim_induction_doall(p, spec, oh, cfg, Schedule::Dynamic),
-        ),
-        (
-            "static",
-            sim_induction_doall(p, spec, oh, cfg, Schedule::StaticCyclic),
-        ),
-        ("general1", sim_general1(p, spec, oh, cfg)),
-        ("general2", sim_general2(p, spec, oh, cfg)),
-        ("general3", sim_general3(p, spec, oh, cfg)),
-        ("distribution", sim_distribution(p, spec, oh, cfg)),
-        ("prefix", sim_prefix_doall(p, spec, oh, cfg)),
-        ("strips", sim_strip_mined(p, spec, oh, cfg, 64)),
-        ("window", sim_windowed(p, spec, oh, cfg, 32)),
-        ("doacross", sim_doacross(p, spec, oh, 4)),
-    ]
+) -> Vec<(&'static str, Report, Trace)> {
+    STRATEGIES
+        .iter()
+        .map(|&(name, strategy)| {
+            let (r, trace) = observed(p, spec, oh, cfg, strategy);
+            (name, r, trace)
+        })
+        .collect()
+}
+
+/// The recording contract of one observed run: observation changes nothing,
+/// every busy cycle is in exactly one event, and the profile conserves.
+fn check_recording(
+    name: &str,
+    plain: &Report,
+    r: &Report,
+    trace: &Trace,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(r, plain, "{}: observation changed the report", name);
+    let profile = ProfileReport::from_trace(trace);
+    let evented: Vec<u64> = profile.procs.iter().map(|pp| pp.busy).collect();
+    prop_assert_eq!(&evented, &r.busy, "{}: busy cycles not evented", name);
+    prop_assert_eq!(profile.check_conservation(), Ok(()), "{}", name);
+    prop_assert_eq!(profile.executed, r.executed, "{}: bodies evented", name);
+    prop_assert_eq!(trace.makespan, r.makespan, "{}: one clock", name);
+    Ok(())
 }
 
 proptest! {
@@ -74,7 +125,7 @@ proptest! {
         let oh = Overheads::default();
         let cfg = ExecConfig::with_undo(64);
         let seq = sim_sequential(&spec, &oh);
-        for (name, r) in all_strategies(p, &spec, &oh, &cfg) {
+        for (name, r, _) in all_strategies(p, &spec, &oh, &cfg) {
             // busy time cannot exceed p × makespan
             let busy: u64 = r.busy.iter().sum();
             prop_assert!(busy <= p as u64 * r.makespan, "{}: conservation", name);
@@ -96,11 +147,29 @@ proptest! {
         let oh = Overheads::default();
         let cfg = ExecConfig::bare();
         let valid = spec.work_end() as u64;
-        for (name, r) in all_strategies(p, &spec, &oh, &cfg) {
+        for (name, r, _) in all_strategies(p, &spec, &oh, &cfg) {
             prop_assert!(r.executed >= valid, "{}: executed {} < valid {}", name, r.executed, valid);
             // RI exits never produce undo work
             if let Some((_, false)) = params.exit {
                 prop_assert_eq!(r.overshoot, 0, "{}: RI loops cannot overshoot bodies", name);
+            }
+        }
+    }
+
+    #[test]
+    fn every_strategy_records_every_busy_cycle(params in spec_strategy(), p in 1usize..9) {
+        let spec = build(&params);
+        let oh = Overheads::default();
+        let hit = [params.upper / 2];
+        for base in [ExecConfig::bare(), ExecConfig::with_undo(64), ExecConfig::with_pd(64)] {
+            for chunk in [ChunkPolicy::One, ChunkPolicy::Fixed(7), ChunkPolicy::Guided { min: 2 }] {
+                let cfg = base.with_chunk(chunk);
+                let found = ("doany-hit", Sim::Doany { successes: &hit });
+                for (name, strategy) in STRATEGIES.into_iter().chain([found]) {
+                    let plain = simulate(&mut Engine::new(p), &spec, &oh, &cfg, strategy);
+                    let (r, trace) = observed(p, &spec, &oh, &cfg, strategy);
+                    check_recording(name, &plain, &r, &trace)?;
+                }
             }
         }
     }
