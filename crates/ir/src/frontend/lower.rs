@@ -38,7 +38,22 @@ pub struct Symbols {
 
 /// A linear form `Σ coeff·var + konst` with integer coefficients, or
 /// nothing when the expression is not linear/foldable.
+///
+/// Exact over ℤ: the dependence tests downstream reason about these
+/// coefficients as integers, so a fold that would overflow `i64` is "not
+/// linear" (`None`), never a wrapped value — and never a panic on text a
+/// tenant can send. (The executor folds subscripts too, in
+/// `exec::Lowering::affine`; that one wraps on purpose, because it must
+/// reproduce the ring the executor computes in, and is a different
+/// function.)
 pub(crate) fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
+    /// `k·m`, every coefficient checked.
+    fn scaled(mut m: HashMap<String, i64>, k: i64) -> Option<HashMap<String, i64>> {
+        for c in m.values_mut() {
+            *c = c.checked_mul(k)?;
+        }
+        Some(m)
+    }
     match e {
         Expr::Int(v) => Some((HashMap::new(), *v)),
         Expr::Var(v) => {
@@ -47,47 +62,36 @@ pub(crate) fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
             Some((m, 0))
         }
         Expr::Neg(inner) => {
-            let (mut m, k) = linear_form(inner)?;
-            for c in m.values_mut() {
-                *c = -*c;
-            }
-            Some((m, -k))
+            let (m, k) = linear_form(inner)?;
+            Some((scaled(m, -1)?, k.checked_neg()?))
         }
-        Expr::Bin(BinOp::Add, a, b) => {
+        Expr::Bin(op @ (BinOp::Add | BinOp::Sub), a, b) => {
             let (mut ma, ka) = linear_form(a)?;
             let (mb, kb) = linear_form(b)?;
+            let add = *op == BinOp::Add;
             for (v, c) in mb {
-                *ma.entry(v).or_insert(0) += c;
+                let sum = ma.entry(v).or_insert(0);
+                *sum = if add {
+                    sum.checked_add(c)?
+                } else {
+                    sum.checked_sub(c)?
+                };
             }
-            Some((ma, ka + kb))
-        }
-        Expr::Bin(BinOp::Sub, a, b) => {
-            let (mut ma, ka) = linear_form(a)?;
-            let (mb, kb) = linear_form(b)?;
-            for (v, c) in mb {
-                *ma.entry(v).or_insert(0) -= c;
-            }
-            Some((ma, ka - kb))
+            let k = if add {
+                ka.checked_add(kb)?
+            } else {
+                ka.checked_sub(kb)?
+            };
+            Some((ma, k))
         }
         Expr::Bin(BinOp::Mul, a, b) => {
             let (ma, ka) = linear_form(a)?;
             let (mb, kb) = linear_form(b)?;
+            let k = ka.checked_mul(kb);
             match (ma.values().all(|&c| c == 0), mb.values().all(|&c| c == 0)) {
-                (true, _) => {
-                    // constant × linear
-                    let mut m = mb;
-                    for c in m.values_mut() {
-                        *c *= ka;
-                    }
-                    Some((m, ka * kb))
-                }
-                (_, true) => {
-                    let mut m = ma;
-                    for c in m.values_mut() {
-                        *c *= kb;
-                    }
-                    Some((m, ka * kb))
-                }
+                // constant × linear, linear × constant
+                (true, _) => Some((scaled(mb, ka)?, k?)),
+                (_, true) => Some((scaled(ma, kb)?, k?)),
                 _ => None, // var × var: nonlinear
             }
         }
@@ -162,9 +166,16 @@ impl Lowerer {
             }
             match self.inductions.get(v) {
                 Some((stride, Some(init))) => {
-                    // v = init + stride·iteration (update at end of body)
-                    coeff += c * stride;
-                    offset += c * init;
+                    // v = init + stride·iteration (update at end of body);
+                    // a fold that leaves i64 is as good as no fold
+                    let folded = (
+                        c.checked_mul(*stride).and_then(|x| coeff.checked_add(x)),
+                        c.checked_mul(*init).and_then(|x| offset.checked_add(x)),
+                    );
+                    let (Some(c), Some(o)) = folded else {
+                        return Subscript::Unknown;
+                    };
+                    (coeff, offset) = (c, o);
                 }
                 _ => return Subscript::Unknown, // unknown base or non-induction
             }

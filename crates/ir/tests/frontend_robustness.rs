@@ -1,9 +1,51 @@
 //! Front-end robustness: arbitrary input never panics, and valid programs
 //! round-trip through parse → lower → plan without surprises.
 
+mod common;
+
+use common::reference_run;
 use proptest::prelude::*;
-use wlp_ir::frontend::{parse_program, Program};
+use wlp_analyze::{analyze, plan_hints};
+use wlp_ir::exec::ExecPlan;
+use wlp_ir::frontend::{lower_with_symbols, parse_program, Program};
+use wlp_ir::interp::Machine;
 use wlp_ir::{parse_loop, plan};
+
+/// Literals whose folded coefficient leaves `i64`: `linear_form` must call
+/// the expression "not linear" — it used to overflow (a panic in a debug
+/// build, a wrapped coefficient handed to the dependence tests in a
+/// release one) — and the whole pipeline must still agree with the walker,
+/// which computes in the wrapping ring.
+#[test]
+fn literals_that_overflow_a_linear_fold_go_the_conservative_way() {
+    for body in [
+        "A[0] = i; i = i + 9223372036854775807 + 9223372036854775807",
+        "A[0] = A[0] + 1; i = i + 4611686018427387904 * 4",
+        "A[3037000500 * (3037000500 * i)] = 1; i = i + 1",
+        "A[i] = 1; i = i - -9223372036854775807 - 2",
+    ] {
+        let src = format!("integer i = 0\nwhile (i < 4) {{ {body} }}");
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let (ir, symbols) = lower_with_symbols(&prog).expect("lowers");
+        let analysis = analyze(&ir);
+        let plan = ExecPlan::lower(&prog, &plan_hints(&ir, &symbols, &analysis));
+
+        let start = || {
+            let mut m = Machine::default();
+            m.arrays.insert("A".into(), vec![0; 8]);
+            m
+        };
+        let mut want = start();
+        let expected = reference_run(&prog, &mut want, 6);
+        let mut got = start();
+        let mut frame = got.bind(&plan);
+        let result = plan.run_sequential(&mut frame, 6);
+        got.absorb(&plan, frame);
+        assert_eq!(result, expected, "{src}");
+        assert_eq!(got.arrays, want.arrays, "{src}");
+        assert_eq!(got.scalars, want.scalars, "{src}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]

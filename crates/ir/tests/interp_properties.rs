@@ -10,7 +10,10 @@
 //! and non-threshold terminators, RI and RV exits, ascending and
 //! descending inductions, an induction update that is not the last
 //! statement, and the five error cases (unbound scalar, unknown array,
-//! unknown function, out of bounds, division by zero).
+//! unknown function, out of bounds, division by zero) — riding on the
+//! right or the left of a term or as a store's subscript, and on one
+//! program in ten two different ones in one statement, so the *order* in
+//! which a statement's operands are checked is the walker's too.
 
 mod common;
 
@@ -139,7 +142,7 @@ impl Sub {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Fault {
     UnboundScalar,
     UnknownArray,
@@ -159,6 +162,25 @@ impl Fault {
             Fault::DivisionByZero => "w[i] / (i - 4)",
         }
     }
+}
+
+/// Where the first line carries its fault.
+#[derive(Debug, Clone, Copy)]
+enum FaultAt {
+    /// `term + fault`
+    Right,
+    /// `fault + term`: the failing operand is evaluated first
+    Left,
+    /// `A[fault] = …` when the first line is a store (else as `Left`)
+    Subscript,
+}
+
+/// The faults of one program: none, one, or two different ones in the
+/// same statement (the second always rightmost, so it is met last).
+#[derive(Debug, Clone)]
+struct Faults {
+    first: Option<(Fault, FaultAt)>,
+    second: Option<Fault>,
 }
 
 #[derive(Debug, Clone)]
@@ -191,7 +213,7 @@ struct ProgParams {
     exit: Exit,
     update_first: bool,
     idx_collides: bool,
-    fault: Option<Fault>,
+    faults: Faults,
 }
 
 /// Terms a right-hand side draws from (by index).
@@ -246,19 +268,26 @@ fn exit_strategy() -> impl Strategy<Value = Exit> {
     ]
 }
 
-fn fault_strategy() -> impl Strategy<Value = Option<Fault>> {
-    // one program in three fails
-    prop_oneof![
-        (0u8..10).prop_map(|_| None),
-        (0u8..10).prop_map(|_| None),
+fn fault_strategy() -> impl Strategy<Value = Faults> {
+    let fault = || {
         prop_oneof![
-            Just(Some(Fault::UnboundScalar)),
-            Just(Some(Fault::UnknownArray)),
-            Just(Some(Fault::UnknownFunction)),
-            Just(Some(Fault::OutOfBounds)),
-            Just(Some(Fault::DivisionByZero)),
-        ],
-    ]
+            Just(Fault::UnboundScalar),
+            Just(Fault::UnknownArray),
+            Just(Fault::UnknownFunction),
+            Just(Fault::OutOfBounds),
+            Just(Fault::DivisionByZero),
+        ]
+    };
+    let at = prop_oneof![
+        Just(FaultAt::Right),
+        Just(FaultAt::Left),
+        Just(FaultAt::Subscript),
+    ];
+    // six programs in ten run clean, three carry one fault, one carries two
+    (0u8..10, fault(), at, fault()).prop_map(|(pick, first, at, second)| Faults {
+        first: (pick >= 6).then_some((first, at)),
+        second: (pick == 9 && second != first).then_some(second),
+    })
 }
 
 fn prog_strategy() -> impl Strategy<Value = ProgParams> {
@@ -271,7 +300,7 @@ fn prog_strategy() -> impl Strategy<Value = ProgParams> {
         fault_strategy(),
     )
         .prop_map(
-            |((n, descending, stride), stop_cond, lines, exit, (upd, idx_collides), fault)| {
+            |((n, descending, stride), stop_cond, lines, exit, (upd, idx_collides), faults)| {
                 ProgParams {
                     n,
                     descending,
@@ -282,7 +311,7 @@ fn prog_strategy() -> impl Strategy<Value = ProgParams> {
                     exit,
                     update_first: upd == 0,
                     idx_collides,
-                    fault,
+                    faults,
                 }
             },
         )
@@ -328,15 +357,36 @@ fn source_of(p: &ProgParams) -> String {
         src.push_str(&update);
     }
     for (k, line) in p.lines.iter().enumerate() {
-        // the fault rides on the first line's term
-        let term = |t: usize| match (&p.fault, k) {
-            (Some(f), 0) => format!("{} + {}", TERMS[t], f.text()),
-            _ => TERMS[t].to_string(),
+        // the faults ride on the first line
+        let (first, second) = match k {
+            0 => (p.faults.first, p.faults.second),
+            _ => (None, None),
+        };
+        let term = |t: usize| {
+            let mut term = match first {
+                Some((f, FaultAt::Right)) => format!("{} + {}", TERMS[t], f.text()),
+                Some((f, FaultAt::Left)) => format!("{} + {}", f.text(), TERMS[t]),
+                Some((f, FaultAt::Subscript)) if !matches!(line, Line::Store(..)) => {
+                    format!("{} + {}", f.text(), TERMS[t])
+                }
+                _ => TERMS[t].to_string(),
+            };
+            if let Some(f) = second {
+                term = format!("{term} + {}", f.text());
+            }
+            term
         };
         match line {
             Line::Store(a, sub, t) => {
                 let (arr, s) = (if *a { "A" } else { "B" }, sub.text());
-                src.push_str(&format!("    {arr}[{s}] = {arr}[{s}] + {}\n", term(*t)));
+                let target = match first {
+                    Some((f, FaultAt::Subscript)) => f.text().to_string(),
+                    _ => s.clone(),
+                };
+                src.push_str(&format!(
+                    "    {arr}[{target}] = {arr}[{s}] + {}\n",
+                    term(*t)
+                ));
             }
             Line::Temp(t) => src.push_str(&format!("    t = {}\n", term(*t))),
             Line::Reduce(t) => src.push_str(&format!("    s = s + {}\n", term(*t))),
@@ -477,6 +527,58 @@ fn overshoot_into_a_failing_iteration_is_not_an_error() {
     stop[99] = 1;
     m.arrays.insert("stop".into(), stop);
     assert_all_executions_match(src, &prog, &m, 500, &pools());
+}
+
+/// A statement with two things wrong reports the one the walker meets
+/// first, and a statement that fails leaves its destination as the walker
+/// leaves it. Each body runs with `B[j]` in and out of bounds and with
+/// `k` unbound and bound: an executor that defers an operand's check to
+/// the instruction consuming it, or writes a destination before it has
+/// read every operand, diverges on some row.
+#[test]
+fn the_first_of_two_errors_in_one_statement_is_the_walkers() {
+    const BODIES: [&str; 18] = [
+        "A[k] = B[j]",
+        "A[i] = k + B[j]",
+        "A[i] = k + (m + B[j])",
+        "A[i] = k / 0",
+        "A[i] = (k - k) + B[j]",
+        // subscripts whose scalar cancels still read it
+        "A[k - k] = B[j]",
+        "A[0*k + 1] = 2",
+        "A[2*k - k - k] = 2",
+        "exit if (k < B[j])",
+        // the function is missed before its arguments are looked at
+        "A[i] = nope(k, B[j])",
+        "A[i] = g(k) + B[j]",
+        "A[i] = g(B[j]) + k",
+        // a destination that is also an operand
+        "t = 3; t = (t + 1) * t",
+        "t = 2; t = B[t]",
+        "t = 2; t = g(t) + g(g(t))",
+        "t = 0 - i; A[i] = -t",
+        // coefficients fold in the executor's ring: 2^62 · 4 wraps to 0
+        "A[4611686018427387904 * 4 * i + i] = 7",
+        "A[i*1 + 0] = A[(i + 1) - 1] + B[i + i - i]",
+    ];
+    let pools = pools();
+    for body in BODIES {
+        let src = format!("integer i = 0\nwhile (i < 3) {{ {body}; i = i + 1 }}");
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        for j in [1, 99] {
+            for k in [None, Some(1)] {
+                let mut m = Machine::default();
+                m.arrays.insert("A".into(), vec![0; 8]);
+                m.arrays.insert("B".into(), (10..18).collect());
+                m.scalars.insert("j".into(), j);
+                m.scalars.insert("m".into(), 5);
+                m.scalars.extend(k.map(|k| ("k".to_string(), k)));
+                m.define_fn("g", |a| a[0].wrapping_add(7));
+                let case = format!("{src}\nj = {j}, k = {k:?}");
+                assert_all_executions_match(&case, &prog, &m, 5, &pools);
+            }
+        }
+    }
 }
 
 /// The corpus under `examples/loops`: each golden names the verdict the

@@ -792,9 +792,13 @@ mod tests {
     #[test]
     fn deadline_overrun_surfaces_timeout_with_the_overdue_iteration() {
         use crate::pool::Deadline;
+        // A range no machine exhausts inside the deadline: the free
+        // workers claim trivial iterations at tens of ns each, and a
+        // million of them can be gone before 25 ms are.
+        const UPPER: usize = usize::MAX / 2;
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
         for order in ORDERS {
-            let out = run(&pool, 1_000_000, order, |i, _| {
+            let out = run(&pool, UPPER, order, |i, _| {
                 if i == 5 {
                     // A stall that never polls anything loop-visible: the
                     // watchdog must cancel issue and blame this iteration.
@@ -811,7 +815,7 @@ mod tests {
             assert!(to.elapsed >= std::time::Duration::from_millis(25));
             assert_eq!(out.panic, None);
             assert!(
-                out.executed < 1_000_000,
+                out.executed < UPPER as u64,
                 "{order:?}: cancellation must stop issue well before the range is exhausted"
             );
         }

@@ -326,11 +326,31 @@ mod tests {
 
     #[test]
     fn streamed_digest_equals_fnv_of_the_byte_buffer() {
+        // every count of high zero bytes, both sides of each byte boundary
+        let boundaries = (0..=8u32).flat_map(|b| {
+            let edge = 1i128 << (8 * b);
+            [edge - 1, edge].map(|x| x.min(i128::from(i64::MAX)) as i64)
+        });
+        // xorshift64: every byte width, signs and zeros mixed
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mixed = (0..4096).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state as i64) >> (state % 64)
+        });
         for data in [
             vec![],
             vec![0i64],
+            vec![0; 100],
+            vec![i64::MIN],
+            vec![-1],
+            vec![(1 << 56) - 1],
+            vec![1 << 56],
             vec![-1, i64::MIN, i64::MAX, 42],
             (0..1000).map(|i| i * 7919 - 3).collect::<Vec<i64>>(),
+            boundaries.collect(),
+            mixed.collect(),
         ] {
             let mut bytes = Vec::with_capacity(data.len() * 8);
             for x in &data {

@@ -250,3 +250,44 @@ proptest! {
         );
     }
 }
+
+/// Literals a tenant can send whose folded coefficient leaves `i64`:
+/// the front end calls them "not linear" and the request gets a
+/// well-formed answer — the walker's — never a panic inside `lower`.
+#[test]
+fn literals_that_overflow_a_linear_fold_get_a_well_formed_response() {
+    let service = Service::with_defaults();
+    for body in [
+        "A[0] = i; i = i + 9223372036854775807 + 9223372036854775807",
+        "A[0] = A[0] + 1; i = i + 4611686018427387904 * 4",
+        "A[3037000500 * (3037000500 * i)] = 1; i = i + 1",
+    ] {
+        let src = format!("integer i = 0\nwhile (i < 4) {{ {body} }}");
+        let line = format!(
+            r#"{{"op":"run","tenant":"t","program":{},"arrays":{{"A":[0,0,0,0,0,0,0,0]}},"max_iters":6}}"#,
+            json::to_string(&src),
+        );
+        let resp = service.handle_line(&line);
+        let v = json::parse(&resp).unwrap_or_else(|e| panic!("{resp}: {e:?}"));
+
+        let mut machine = Machine::default();
+        machine.arrays.insert("A".into(), vec![0; 8]);
+        let program = parse_program(&src).expect("parses");
+        match reference_run(&program, &mut machine, 6) {
+            Ok(out) => {
+                assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{resp}");
+                assert_eq!(
+                    v.get("iterations").and_then(Value::as_u64),
+                    Some(out.iterations as u64),
+                    "{resp}"
+                );
+                let (_, scalars) = response_state(&resp);
+                assert_eq!(scalars, [("i".to_string(), machine.scalars["i"])]);
+            }
+            Err(e) => {
+                assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{resp}");
+                assert!(resp.contains(&e.msg), "{resp} lacks `{e}`");
+            }
+        }
+    }
+}
