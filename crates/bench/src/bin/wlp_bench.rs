@@ -48,6 +48,17 @@
 //!   reported per pass and as ns per request and ns per byte. Not gated:
 //!   it is the budget row a request's transport share is read against.
 //!
+//! * `interp` — the daemon's executor layer: the lowered plan of each
+//!   corpus template at `n = 16384`, bound as a request binds it
+//!   (`compile_source` + `Machine::bind`), run sequentially
+//!   (`interp/seq/<template>/p1`) and, where the plan speculates, as a
+//!   speculative DOALL on two workers against that
+//!   (`interp/spec/<template>/p2`); reported per run and as ns per
+//!   iteration and ns per plan instruction. `digest` — the reply digest
+//!   over the same inputs' arrays (`small`: every element has zero high
+//!   bytes) and over as many full-width values (`wide`), as ns per
+//!   element. Not gated: they are what §7's `Trem` costs here.
+//!
 //! With `--gate`, the run fails (exit 1) if any gated parallel exhibit at
 //! the largest pool size is more than 1.5× slower than its sequential
 //! baseline, if a compute `one`-policy cell at `p ≥ 2` falls below 0.9×
@@ -67,15 +78,19 @@
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
+use wlp_analyze::compile_source;
 use wlp_bench::corpus_run_line;
 use wlp_core::{governed_while, speculative_while, SpeculativeArray};
+use wlp_ir::exec::Schedule;
+use wlp_ir::interp::Machine as LoopMachine;
 use wlp_obs::NoopRecorder;
 use wlp_runtime::{
     doall_dynamic, doall_with, ChunkPolicy, Deadline, DoallOptions, DoallOutcome, Governor,
     GovernorPolicy, IssueOrder, Pool, Step,
 };
 use wlp_serve::proto::parse_request;
-use wlp_workloads::sources::corpus;
+use wlp_serve::{fnv1a64_i64s, register_builtins};
+use wlp_workloads::sources::{corpus, machine_inputs};
 use wlp_workloads::{spice, track};
 
 /// Slowdown bound for `--gate`: a parallel construct at the largest pool
@@ -130,10 +145,16 @@ struct Exhibit {
     speedup_vs_baseline: Option<f64>,
     /// Whether `--gate` applies its slowdown bound to this exhibit.
     gated: bool,
-    /// `ingest` only: the median over the request lines one repeat parses.
-    ns_per_request: Option<f64>,
-    /// `ingest` only: the median over the bytes one repeat parses.
-    ns_per_byte: Option<f64>,
+    /// The median over each unit of work one repeat does, headline unit
+    /// first (`ingest`: byte, request; `interp`: iter, op; `digest`:
+    /// element). Empty for the families timed as a whole.
+    per_unit: Vec<UnitCost>,
+}
+
+#[derive(Serialize)]
+struct UnitCost {
+    unit: &'static str,
+    ns: f64,
 }
 
 /// Counters from a deterministic governed ladder walk, archived with
@@ -181,7 +202,7 @@ fn append_trajectory(path: &str, file: &BenchFile) -> std::io::Result<()> {
         .map(|e| TrajectoryExhibit {
             name: e.name.clone(),
             median_ns: e.median_ns,
-            value: e.ns_per_byte,
+            value: e.per_unit.first().map(|u| u.ns),
             speedup_vs_baseline: e.speedup_vs_baseline,
         })
         .collect();
@@ -343,9 +364,28 @@ impl Harness {
             baseline: baseline.map(str::to_string),
             speedup_vs_baseline: speedup,
             gated,
-            ns_per_request: None,
-            ns_per_byte: None,
+            per_unit: Vec::new(),
         });
+    }
+
+    /// States the exhibit just run per unit of its work too: `units` says
+    /// how many of each one repeat did.
+    fn per_unit(&mut self, units: &[(&'static str, usize)]) {
+        let e = self.exhibits.last_mut().expect("run pushed the exhibit");
+        e.per_unit = units
+            .iter()
+            .map(|&(unit, count)| UnitCost {
+                unit,
+                ns: e.median_ns as f64 / count as f64,
+            })
+            .collect();
+        let costs: Vec<String> = e
+            .per_unit
+            .iter()
+            .zip(units)
+            .map(|(u, (_, count))| format!("{:.2} ns/{} ({count})", u.ns, u.unit))
+            .collect();
+        println!("  {:<40} {}", "", costs.join("  "));
     }
 }
 
@@ -391,6 +431,10 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     println!("ingest (corpus run lines):");
     run_ingest(h, "small", 512);
     run_ingest(h, "large", 16_384);
+
+    // -- interp, digest: what a request executes and what its reply hashes -
+    println!("interp (corpus plans, n = {INTERP_N}):");
+    run_interp(h);
 
     // -- compute: sequential baseline, then every (p, policy) cell --------
     println!("compute (n = {}):", sizes.compute_n);
@@ -609,18 +653,83 @@ fn run_ingest(h: &mut Harness, label: &str, n: usize) {
             black_box(parsed).ok();
         }
     });
-    let e = h.exhibits.last_mut().expect("run pushed the exhibit");
-    let (per_request, per_byte) = (
-        e.median_ns as f64 / lines.len() as f64,
-        e.median_ns as f64 / bytes as f64,
-    );
-    println!(
-        "  {:<40} {per_request:>12.0} ns/request  {per_byte:.2} ns/byte ({} lines, {bytes} bytes)",
-        "",
-        lines.len(),
-    );
-    e.ns_per_request = Some(per_request);
-    e.ns_per_byte = Some(per_byte);
+    h.per_unit(&[("byte", bytes), ("request", lines.len())]);
+}
+
+/// The daemon's large problem size: where executing dominates a request.
+const INTERP_N: usize = 16_384;
+
+/// The `interp` and `digest` families: each corpus template's plan on
+/// frames bound before the clock starts, so a repeat is `run_sequential`
+/// / `run_speculative` and nothing else; then the reply digest over all
+/// the templates' arrays.
+fn run_interp(h: &mut Harness) {
+    let pool = Pool::new(2);
+    let max_iters = 2 * INTERP_N + 4;
+    let mut digested: Vec<Vec<i64>> = Vec::new();
+    for (name, src) in corpus() {
+        let (_, _, plan) = compile_source(src).expect("corpus compiles");
+        let (arrays, scalars) = machine_inputs(name, INTERP_N);
+        digested.extend(arrays.iter().map(|(_, data)| data.clone()));
+        let mut machine = LoopMachine::default();
+        machine.arrays.extend(arrays);
+        machine.scalars.extend(scalars);
+        register_builtins(&mut machine);
+        let bound = machine.bind(&plan);
+        let iters = plan
+            .run_sequential(&mut bound.clone(), max_iters)
+            .expect("corpus runs")
+            .iterations;
+        let units = [("iter", iters), ("op", iters * plan.ops_per_iter())];
+
+        let mut frames = vec![bound.clone(); h.warmup + h.repeats];
+        h.run("interp", "seq", name, 1, INTERP_N, None, false, || {
+            let mut frame = frames.pop().expect("one frame per repeat");
+            black_box(plan.run_sequential(&mut frame, max_iters)).ok();
+        });
+        h.per_unit(&units);
+        if matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }) {
+            let mut frames = vec![bound; h.warmup + h.repeats];
+            let baseline = format!("interp/seq/{name}/p1");
+            h.run(
+                "interp",
+                "spec",
+                name,
+                2,
+                INTERP_N,
+                Some(&baseline),
+                false,
+                || {
+                    let mut frame = frames.pop().expect("one frame per repeat");
+                    black_box(plan.run_speculative(&mut frame, &pool, max_iters)).ok();
+                },
+            );
+            h.per_unit(&units);
+        }
+    }
+
+    let elements: usize = digested.iter().map(Vec::len).sum();
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let wide: Vec<Vec<i64>> = digested
+        .iter()
+        .map(|data| {
+            let xorshift = data.iter().map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state | 1 << 63) as i64
+            });
+            xorshift.collect()
+        })
+        .collect();
+    for (label, arrays) in [("small", &digested), ("wide", &wide)] {
+        h.run("digest", "fnv", label, 1, elements, None, false, || {
+            for data in arrays {
+                black_box(fnv1a64_i64s(black_box(data)));
+            }
+        });
+        h.per_unit(&[("element", elements)]);
+    }
 }
 
 /// Runs a deterministic budget-storm ladder walk: a tiny write budget

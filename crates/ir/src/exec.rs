@@ -2,16 +2,16 @@
 //! a form the executor can run without looking anything up.
 //!
 //! [`ExecPlan::lower`] resolves every scalar, array and host function to
-//! a dense slot, flattens declarations and the loop body to postfix code
-//! over those slots, decides once whether the loop can run as a
+//! a dense slot, flattens declarations and the loop body to three-address
+//! code over one register file, decides once whether the loop can run as a
 //! speculative DOALL (and if not, [why](SeqReason)), and fixes a
 //! per-array [`AccessMode`]. One executor runs the result either way:
 //! [`ExecPlan::run_sequential`] iterates the body code against the
 //! frame's arrays directly, [`ExecPlan::run_speculative`] hands the very
 //! same body code to [`speculative_while_group`] with each array wrapped
 //! in exactly the machinery its mode calls for. Neither allocates per
-//! iteration: the evaluation stack and the per-worker scalar frame are
-//! built once per worker per region.
+//! iteration: the register file is built once per execution and cloned
+//! once per worker per region.
 //!
 //! The certificate lives downstream (`wlp-analyze` depends on this
 //! crate), so what it proved arrives as [`PlanHints`]; without one,
@@ -150,34 +150,89 @@ impl PlanHints {
     }
 }
 
-/// One instruction of plan code: postfix over an evaluation stack, every
-/// operand a slot index.
+/// A register of plan code: an index into the one flat `i64` file every
+/// executor owns — the scalar slots first, then the program's constants
+/// (preloaded by [`ExecPlan::frame`]), then the temporaries.
+type Reg = u32;
+
+/// One instruction of plan code: three-address over the register file.
+/// Every instruction reads all its operands before it writes, so a
+/// destination may be one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
-    Const(i64),
-    /// Push scalar slot.
-    Scalar(u32),
-    /// Pop a subscript, push that element of the array slot.
-    Load(u32),
+    /// `d = a`
+    Move { d: Reg, a: Reg },
+    /// `d = -a`
+    Neg { d: Reg, a: Reg },
+    /// `d = a op b`
+    Bin { op: BinOp, d: Reg, a: Reg, b: Reg },
+    /// `d = (a op b) as 0/1`, for a comparison no exit consumes.
+    Cmp { op: CmpOp, d: Reg, a: Reg, b: Reg },
+    /// `d = arr[scale·x + off]` (wrapping). A subscript affine in one
+    /// scalar is carried whole; any other is computed into `x` first and
+    /// rides as `1·x + 0`.
+    Load {
+        d: Reg,
+        arr: u32,
+        x: Reg,
+        scale: i64,
+        off: i64,
+    },
+    /// `arr[scale·x + off] = v`
+    Store {
+        arr: u32,
+        x: Reg,
+        v: Reg,
+        scale: i64,
+        off: i64,
+    },
+    /// Fail now if the register is an unbound scalar: emitted where the
+    /// instruction that consumes a bare scalar read comes after code the
+    /// tree walker evaluates later than that read. Does nothing unless
+    /// scalar reads are being checked.
+    Check(Reg),
     /// Fail now if the function slot is unbound (before its arguments
     /// are evaluated, which is when the tree walker noticed).
     CheckFn(u32),
-    /// Pop `argc` arguments, push the function's result.
+    /// `d = func(first, first + 1, … first + argc - 1)`
     Call {
+        d: Reg,
         func: u32,
+        first: Reg,
         argc: u32,
     },
-    Neg,
-    Bin(BinOp),
-    Cmp(CmpOp),
-    /// Pop into scalar slot.
-    SetScalar(u32),
-    /// Pop value, pop subscript, store into the array slot.
-    Store(u32),
-    /// Pop; leave the loop if zero (the WHILE condition).
-    ExitIfZero,
-    /// Pop; leave the loop if non-zero (an `exit if`).
-    ExitIfNonZero,
+    /// Leave the loop if `(a op b) == when`: the WHILE condition leaves
+    /// when it is false, an `exit if` when it is true.
+    ExitCmp {
+        op: CmpOp,
+        a: Reg,
+        b: Reg,
+        when: bool,
+    },
+    /// Leave the loop if the register is zero (a WHILE condition that is
+    /// not a comparison).
+    ExitIfZero(Reg),
+    /// Leave the loop if the register is non-zero (such an `exit if`).
+    ExitIfNonZero(Reg),
+}
+
+impl Op {
+    /// Renumbers every register operand.
+    fn relocate(&mut self, at: impl Fn(Reg) -> Reg) {
+        let regs: [Option<&mut Reg>; 3] = match self {
+            Op::Move { d, a } | Op::Neg { d, a } => [Some(d), Some(a), None],
+            Op::Bin { d, a, b, .. } | Op::Cmp { d, a, b, .. } => [Some(d), Some(a), Some(b)],
+            Op::Load { d, x, .. } => [Some(d), Some(x), None],
+            Op::Store { x, v, .. } => [Some(x), Some(v), None],
+            Op::Call { d, first, .. } => [Some(d), Some(first), None],
+            Op::ExitCmp { a, b, .. } => [Some(a), Some(b), None],
+            Op::Check(r) | Op::ExitIfZero(r) | Op::ExitIfNonZero(r) => [Some(r), None, None],
+            Op::CheckFn(_) => [None, None, None],
+        };
+        for r in regs.into_iter().flatten() {
+            *r = at(*r);
+        }
+    }
 }
 
 /// A program lowered for execution. Built once per distinct source (the
@@ -193,8 +248,11 @@ pub struct ExecPlan {
     decls: Vec<Op>,
     /// One iteration: WHILE condition, head-hoisted exits, statements.
     body: Vec<Op>,
-    /// Deepest evaluation stack either code needs.
-    stack: usize,
+    /// The literals the code reads, in the registers after the scalars.
+    consts: Vec<i64>,
+    /// Temporaries the deepest expression of either code needs: the
+    /// registers after the constants.
+    temps: usize,
     /// Scalar slots some code reads before anything assigned them: bound
     /// at entry, they make every scalar read safe unchecked.
     entry_scalars: Vec<usize>,
@@ -209,8 +267,11 @@ pub struct ExecPlan {
 #[derive(Clone)]
 pub struct Frame {
     arrays: Vec<Option<Vec<i64>>>,
-    scalars: Vec<i64>,
-    bound: Vec<bool>,
+    /// The register file and, per register, whether anything bound or
+    /// assigned it (constants and temporaries are born bound).
+    scratch: Scratch,
+    /// How many of the registers are scalar slots: the first `named`.
+    named: usize,
     funcs: Vec<Option<HostFn>>,
 }
 
@@ -227,13 +288,13 @@ impl Frame {
 
     /// Binds scalar slot `s`.
     pub fn bind_scalar(&mut self, s: usize, v: i64) {
-        self.scalars[s] = v;
-        self.bound[s] = true;
+        self.scratch.regs[..self.named][s] = v;
+        self.scratch.bound[s] = true;
     }
 
     /// The value of scalar slot `s`, if anything bound or assigned it.
     pub fn scalar(&self, s: usize) -> Option<i64> {
-        self.bound[s].then(|| self.scalars[s])
+        self.scratch.bound[..self.named][s].then(|| self.scratch.regs[s])
     }
 
     /// Binds host-function slot `f`.
@@ -242,12 +303,12 @@ impl Frame {
     }
 }
 
-/// Per-executor mutable state: the scalar frame and the evaluation stack.
-/// The sequential loop has one; a speculative region has one per worker.
+/// Per-executor mutable state: the register file. The sequential loop
+/// runs on the frame's own; a speculative region clones it per worker.
+#[derive(Clone)]
 struct Scratch {
-    scalars: Vec<i64>,
+    regs: Vec<i64>,
     bound: Vec<bool>,
-    stack: Vec<i64>,
 }
 
 /// The read-only side of an execution.
@@ -311,6 +372,28 @@ fn slot_of(names: &mut Vec<String>, name: &str) -> u32 {
     u32::try_from(at).expect("slot count fits u32")
 }
 
+/// While code is being emitted the register file's layout is not known
+/// (scalars are interned as they are met), so constants and temporaries
+/// are numbered from these bases and [`ExecPlan::lower`] renumbers them
+/// behind the scalars once it is.
+const CONST_BASE: Reg = 1 << 30;
+const TEMP_BASE: Reg = 1 << 31;
+/// The destination of an instruction whose caller has yet to name it; see
+/// [`Lowering::code`].
+const DEST: Reg = Reg::MAX;
+
+/// Names `d` as the destination of the instruction just emitted for
+/// [`DEST`].
+fn retarget(d: Reg, out: &mut [Op]) {
+    let last = out.last_mut().expect("an instruction was just emitted");
+    last.relocate(|r| if r == DEST { d } else { r });
+}
+
+/// Whether lowering `e` emits no code: its value sits in a register.
+fn is_bare(e: &Expr) -> bool {
+    matches!(e, Expr::Int(_) | Expr::Null | Expr::Var(_))
+}
+
 /// Lowering state: the slot tables, and which scalars the code emitted
 /// so far has definitely assigned.
 #[derive(Default)]
@@ -318,13 +401,18 @@ struct Lowering {
     scalars: Vec<String>,
     arrays: Vec<String>,
     funcs: Vec<String>,
+    consts: Vec<i64>,
     stored: Vec<bool>,
     assigned: Vec<bool>,
     entry_scalars: Vec<usize>,
+    /// Temporaries holding a value an instruction yet to be emitted
+    /// reads, and the most there ever were.
+    live: u32,
+    temps: u32,
 }
 
 impl Lowering {
-    fn scalar(&mut self, name: &str) -> u32 {
+    fn scalar(&mut self, name: &str) -> Reg {
         let s = slot_of(&mut self.scalars, name);
         self.assigned.resize(self.scalars.len(), false);
         s
@@ -336,72 +424,222 @@ impl Lowering {
         a
     }
 
-    /// Emits `e` in the tree walker's evaluation order.
-    fn expr(&mut self, e: &Expr, out: &mut Vec<Op>) {
-        match e {
-            Expr::Int(v) => out.push(Op::Const(*v)),
-            Expr::Null => out.push(Op::Const(0)),
-            Expr::Var(v) => {
-                let s = self.scalar(v);
-                let at = s as usize;
-                if !self.assigned[at] && !self.entry_scalars.contains(&at) {
-                    self.entry_scalars.push(at);
-                }
-                out.push(Op::Scalar(s));
-            }
+    /// The register of a scalar that is read here.
+    fn read(&mut self, name: &str) -> Reg {
+        let s = self.scalar(name);
+        let at = s as usize;
+        if !self.assigned[at] && !self.entry_scalars.contains(&at) {
+            self.entry_scalars.push(at);
+        }
+        s
+    }
+
+    /// The register preloaded with `v`.
+    fn konst(&mut self, v: i64) -> Reg {
+        let at = self.consts.iter().position(|&c| c == v).unwrap_or_else(|| {
+            self.consts.push(v);
+            self.consts.len() - 1
+        });
+        CONST_BASE + u32::try_from(at).expect("constant count fits u32")
+    }
+
+    /// A fresh temporary, live until a caller resets `live`.
+    fn temp(&mut self) -> Reg {
+        self.live += 1;
+        self.temps = self.temps.max(self.live);
+        TEMP_BASE + self.live - 1
+    }
+
+    /// Emits what `e` needs computed, in the tree walker's evaluation
+    /// order. `Some(r)`: nothing was emitted, the value sits in `r`, a
+    /// scalar's or a constant's own register. `None`: the last instruction
+    /// emitted computes it into [`DEST`], for the caller to name.
+    fn code(&mut self, e: &Expr, out: &mut Vec<Op>) -> Option<Reg> {
+        let live = self.live;
+        let op = match e {
+            Expr::Int(v) => return Some(self.konst(*v)),
+            Expr::Null => return Some(self.konst(0)),
+            Expr::Var(v) => return Some(self.read(v)),
             Expr::Index(arr, sub) => {
-                self.expr(sub, out);
-                out.push(Op::Load(self.array(arr)));
+                let (x, scale, off) = self.subscript(sub, out);
+                Op::Load {
+                    d: DEST,
+                    arr: self.array(arr),
+                    x,
+                    scale,
+                    off,
+                }
             }
             Expr::Call(f, args) => {
                 let func = slot_of(&mut self.funcs, f);
                 out.push(Op::CheckFn(func));
+                // each argument in the next temporary: consecutive
+                let first = TEMP_BASE + live;
                 for a in args {
-                    self.expr(a, out);
+                    self.into(a, Self::temp, out);
                 }
                 let argc = u32::try_from(args.len()).expect("argument count fits u32");
-                out.push(Op::Call { func, argc });
+                Op::Call {
+                    d: DEST,
+                    func,
+                    first,
+                    argc,
+                }
             }
             Expr::Neg(inner) => {
-                self.expr(inner, out);
-                out.push(Op::Neg);
+                let a = self.expr(inner, out);
+                Op::Neg { d: DEST, a }
             }
             Expr::Bin(op, a, b) => {
-                self.expr(a, out);
-                self.expr(b, out);
-                out.push(Op::Bin(*op));
+                let (a, b) = self.operands(a, b, out);
+                Op::Bin {
+                    op: *op,
+                    d: DEST,
+                    a,
+                    b,
+                }
             }
             Expr::Cmp(op, a, b) => {
-                self.expr(a, out);
-                self.expr(b, out);
-                out.push(Op::Cmp(*op));
+                let (a, b) = self.operands(a, b, out);
+                Op::Cmp {
+                    op: *op,
+                    d: DEST,
+                    a,
+                    b,
+                }
             }
+        };
+        // the operands' temporaries die with the instruction that reads
+        // them, which may therefore write one of them
+        self.live = live;
+        out.push(op);
+        None
+    }
+
+    /// Emits `e` and returns the register its value is in: its own if it
+    /// has one, a temporary otherwise.
+    fn expr(&mut self, e: &Expr, out: &mut Vec<Op>) -> Reg {
+        self.code(e, out).unwrap_or_else(|| {
+            let d = self.temp();
+            retarget(d, out);
+            d
+        })
+    }
+
+    /// Emits `e` with its value ending in the register `d` names, which
+    /// is asked for only once `e`'s own names are interned (a statement's
+    /// destination gets its slot after its right side's scalars) and only
+    /// written by the last instruction (so `e` may read it).
+    fn into(&mut self, e: &Expr, d: impl FnOnce(&mut Self) -> Reg, out: &mut Vec<Op>) -> Reg {
+        let bare = self.code(e, out);
+        let d = d(self);
+        match bare {
+            Some(a) => out.push(Op::Move { d, a }),
+            None => retarget(d, out),
+        }
+        d
+    }
+
+    /// Emits `Check(r)` if `r` is a scalar nothing has definitely
+    /// assigned and `then` emits code: that code runs before the
+    /// instruction that reads `r`, but the tree walker reads `r` first.
+    fn check_before(&mut self, r: Reg, then: &Expr, out: &mut Vec<Op>) {
+        if !is_bare(then) && self.assigned.get(r as usize) == Some(&false) {
+            out.push(Op::Check(r));
+        }
+    }
+
+    /// The operands of a two-operand node, the left one first.
+    fn operands(&mut self, a: &Expr, b: &Expr, out: &mut Vec<Op>) -> (Reg, Reg) {
+        let ra = self.expr(a, out);
+        self.check_before(ra, b, out);
+        (ra, self.expr(b, out))
+    }
+
+    /// A subscript as `(x, scale, off)`, standing for `scale·x + off`.
+    fn subscript(&mut self, sub: &Expr, out: &mut Vec<Op>) -> (Reg, i64, i64) {
+        match affine(sub) {
+            // whatever `scale` came to, the access reads (and checks) `x`
+            Some((Some(x), scale, off)) => (self.read(x), scale, off),
+            _ => (self.expr(sub, out), 1, 0),
         }
     }
 
     fn assign(&mut self, name: &str, rhs: &Expr, out: &mut Vec<Op>) {
-        self.expr(rhs, out);
-        let s = self.scalar(name);
+        let s = self.into(rhs, |lw| lw.scalar(name), out);
         self.assigned[s as usize] = true;
-        out.push(Op::SetScalar(s));
+    }
+
+    fn store(&mut self, arr: &str, sub: &Expr, rhs: &Expr, out: &mut Vec<Op>) {
+        let (x, scale, off) = self.subscript(sub, out);
+        self.check_before(x, rhs, out);
+        let v = self.expr(rhs, out);
+        let arr = self.array(arr);
+        self.stored[arr as usize] = true;
+        out.push(Op::Store {
+            arr,
+            x,
+            v,
+            scale,
+            off,
+        });
+        // a statement's temporaries die with it
+        self.live = 0;
+    }
+
+    /// Emits the test that leaves the loop when `cond` is `when`.
+    fn exit(&mut self, cond: &Expr, when: bool, out: &mut Vec<Op>) {
+        let test = match cond {
+            Expr::Cmp(op, a, b) => {
+                let (a, b) = self.operands(a, b, out);
+                Op::ExitCmp {
+                    op: *op,
+                    a,
+                    b,
+                    when,
+                }
+            }
+            _ if when => Op::ExitIfNonZero(self.expr(cond, out)),
+            _ => Op::ExitIfZero(self.expr(cond, out)),
+        };
+        out.push(test);
+        self.live = 0;
     }
 }
 
-/// The deepest the evaluation stack gets running `code`.
-fn stack_depth(code: &[Op]) -> usize {
-    let (mut depth, mut deepest) = (0usize, 0usize);
-    for op in code {
-        match op {
-            Op::Const(_) | Op::Scalar(_) => depth += 1,
-            Op::Load(_) | Op::CheckFn(_) | Op::Neg => {}
-            Op::Call { argc, .. } => depth = depth + 1 - *argc as usize,
-            Op::Bin(_) | Op::Cmp(_) => depth -= 1,
-            Op::SetScalar(_) | Op::ExitIfZero | Op::ExitIfNonZero => depth -= 1,
-            Op::Store(_) => depth -= 2,
+/// `scale·x + off` when `e` is built from literals, at most one scalar
+/// `x` and `+`, `-`, `*` alone, folded with the executor's own wrapping
+/// arithmetic: those are ring operations, so the folded form takes the
+/// value the tree takes for every `x`. (Not `frontend::lower::linear_form`,
+/// which feeds dependence tests that reason over ℤ and so must refuse a
+/// fold that overflows; this one must reproduce the overflow.)
+fn affine(e: &Expr) -> Option<(Option<&str>, i64, i64)> {
+    Some(match e {
+        Expr::Int(v) => (None, 0, *v),
+        Expr::Null => (None, 0, 0),
+        Expr::Var(x) => (Some(x), 1, 0),
+        Expr::Neg(inner) => {
+            let (x, scale, off) = affine(inner)?;
+            (x, scale.wrapping_neg(), off.wrapping_neg())
         }
-        deepest = deepest.max(depth);
-    }
-    deepest
+        Expr::Bin(BinOp::Mul, a, b) => {
+            let ((xa, sa, oa), (xb, sb, ob)) = (affine(a)?, affine(b)?);
+            let (x, scale) = match (xa, xb) {
+                (None, x) => (x, oa.wrapping_mul(sb)),
+                (x, None) => (x, sa.wrapping_mul(ob)),
+                _ => return None,
+            };
+            (x, scale, oa.wrapping_mul(ob))
+        }
+        Expr::Bin(op @ (BinOp::Add | BinOp::Sub), a, b) => {
+            let ((xa, sa, oa), (xb, sb, ob)) = (affine(a)?, affine(b)?);
+            if xa.is_some() && xb.is_some() && xa != xb {
+                return None;
+            }
+            (xa.or(xb), arith(*op, sa, sb)?, arith(*op, oa, ob)?)
+        }
+        _ => return None,
+    })
 }
 
 /// The value of `e` if it is built from literals and arithmetic alone,
@@ -539,26 +777,30 @@ impl ExecPlan {
         // canonical test-then-work: the condition and every exit test at
         // the iteration head, then the statements in order
         let mut body = Vec::new();
-        lw.expr(&p.cond, &mut body);
-        body.push(Op::ExitIfZero);
+        lw.exit(&p.cond, false, &mut body);
         for st in &p.body {
             if let Stmt::ExitIf(c) = st {
-                lw.expr(c, &mut body);
-                body.push(Op::ExitIfNonZero);
+                lw.exit(c, true, &mut body);
             }
         }
         for st in &p.body {
             match st {
                 Stmt::ExitIf(_) => {}
                 Stmt::AssignVar(name, rhs) => lw.assign(name, rhs, &mut body),
-                Stmt::AssignElem(arr, sub, rhs) => {
-                    lw.expr(sub, &mut body);
-                    lw.expr(rhs, &mut body);
-                    let a = lw.array(arr);
-                    lw.stored[a as usize] = true;
-                    body.push(Op::Store(a));
-                }
+                Stmt::AssignElem(arr, sub, rhs) => lw.store(arr, sub, rhs, &mut body),
             }
+        }
+
+        // every name is interned: constants and temporaries move behind
+        // the scalars
+        let consts_at = u32::try_from(lw.scalars.len()).expect("slot count fits u32");
+        let temps_at = consts_at + u32::try_from(lw.consts.len()).expect("fits with the bases");
+        for op in decls.iter_mut().chain(&mut body) {
+            op.relocate(|r| match r {
+                TEMP_BASE.. => r - TEMP_BASE + temps_at,
+                CONST_BASE.. => r - CONST_BASE + consts_at,
+                scalar => scalar,
+            });
         }
 
         let has_exits = p.body.iter().any(|st| matches!(st, Stmt::ExitIf(_)));
@@ -591,7 +833,8 @@ impl ExecPlan {
             .collect();
 
         ExecPlan {
-            stack: stack_depth(&decls).max(stack_depth(&body)),
+            consts: lw.consts,
+            temps: lw.temps as usize,
             scalars: lw.scalars,
             arrays: lw.arrays,
             modes,
@@ -640,23 +883,35 @@ impl ExecPlan {
     pub fn shadowed_stores_per_iter(&self) -> u64 {
         self.body
             .iter()
-            .filter(
-                |op| matches!(op, Op::Store(a) if self.modes[*a as usize] == AccessMode::Shadowed),
-            )
+            .filter(|op| {
+                matches!(op, Op::Store { arr, .. } if self.modes[*arr as usize] == AccessMode::Shadowed)
+            })
             .count() as u64
+    }
+
+    /// Instructions one iteration executes when no exit fires: the first
+    /// term of what an iteration costs.
+    pub fn ops_per_iter(&self) -> usize {
+        self.body.len()
     }
 
     /// An empty frame shaped for this plan: nothing bound.
     pub fn frame(&self) -> Frame {
+        let named = self.scalars.len();
+        let mut regs = vec![0; named + self.consts.len() + self.temps];
+        regs[named..named + self.consts.len()].copy_from_slice(&self.consts);
+        let mut bound = vec![true; regs.len()];
+        bound[..named].fill(false);
         Frame {
             arrays: vec![None; self.arrays.len()],
-            scalars: vec![0; self.scalars.len()],
-            bound: vec![false; self.scalars.len()],
+            scratch: Scratch { regs, bound },
+            named,
             funcs: vec![None; self.funcs.len()],
         }
     }
 
-    /// Runs `code` to its end or to the first exit that fires.
+    /// Runs `code` to its end or to the first exit that fires, checking
+    /// scalar reads if this execution has to.
     #[inline]
     fn run<V: ArrayView>(
         &self,
@@ -665,28 +920,90 @@ impl ExecPlan {
         s: &mut Scratch,
         view: &mut V,
     ) -> Result<Step, ExecError> {
-        #[inline(always)]
-        fn pop(stack: &mut Vec<i64>) -> i64 {
-            stack.pop().expect("plan code is stack-balanced")
+        if env.check_scalars {
+            self.run_code::<V, true>(code, env, s, view)
+        } else {
+            self.run_code::<V, false>(code, env, s, view)
         }
-        let stack = &mut s.stack;
-        stack.clear();
+    }
+
+    /// The executor. With `CHECK`, an operand that is a scalar nothing
+    /// bound or assigned fails the read, as in the tree walker; without,
+    /// the caller has established that there is none.
+    fn run_code<V: ArrayView, const CHECK: bool>(
+        &self,
+        code: &[Op],
+        env: &Env<'_>,
+        s: &mut Scratch,
+        view: &mut V,
+    ) -> Result<Step, ExecError> {
+        let (regs, bound) = (&mut s.regs[..], &mut s.bound[..]);
+        macro_rules! get {
+            ($r:expr) => {{
+                let r = $r as usize;
+                if CHECK && !bound[r] {
+                    return Err(self.unbound(r));
+                }
+                regs[r]
+            }};
+        }
+        // `bound` stays exact in both modes: it is what the frame reports
+        macro_rules! set {
+            ($d:expr, $v:expr) => {{
+                let d = $d as usize;
+                regs[d] = $v;
+                bound[d] = true;
+            }};
+        }
         for op in code {
             match *op {
-                Op::Const(v) => stack.push(v),
-                Op::Scalar(slot) => {
-                    let slot = slot as usize;
-                    if env.check_scalars && !s.bound[slot] {
-                        return Err(err(format!("unbound scalar `{}`", self.scalars[slot])));
-                    }
-                    stack.push(s.scalars[slot]);
+                Op::Move { d, a } => {
+                    let v = get!(a);
+                    set!(d, v);
                 }
-                Op::Load(a) => {
-                    let idx = pop(stack);
-                    match view.load(a as usize, idx) {
-                        Some(v) => stack.push(v),
-                        None => return Err(self.access_error(env, a as usize, idx)),
+                Op::Neg { d, a } => {
+                    let v = get!(a).wrapping_neg();
+                    set!(d, v);
+                }
+                Op::Bin { op, d, a, b } => {
+                    let (x, y) = (get!(a), get!(b));
+                    match arith(op, x, y) {
+                        Some(v) => set!(d, v),
+                        None => return Err(err("division by zero".into())),
                     }
+                }
+                Op::Cmp { op, d, a, b } => {
+                    let (x, y) = (get!(a), get!(b));
+                    set!(d, i64::from(compare(op, x, y)));
+                }
+                Op::Load {
+                    d,
+                    arr,
+                    x,
+                    scale,
+                    off,
+                } => {
+                    let idx = scale.wrapping_mul(get!(x)).wrapping_add(off);
+                    match view.load(arr as usize, idx) {
+                        Some(v) => set!(d, v),
+                        None => return Err(self.access_error(env, arr as usize, idx)),
+                    }
+                }
+                Op::Store {
+                    arr,
+                    x,
+                    v,
+                    scale,
+                    off,
+                } => {
+                    let idx = scale.wrapping_mul(get!(x)).wrapping_add(off);
+                    let v = get!(v);
+                    if view.store(arr as usize, idx, v).is_none() {
+                        return Err(self.access_error(env, arr as usize, idx));
+                    }
+                }
+                Op::Check(r) => {
+                    get!(r);
                 }
                 Op::CheckFn(f) => {
                     if env.funcs[f as usize].is_none() {
@@ -696,57 +1013,44 @@ impl ExecPlan {
                         )));
                     }
                 }
-                Op::Call { func, argc } => {
+                Op::Call {
+                    d,
+                    func,
+                    first,
+                    argc,
+                } => {
                     let f = env.funcs[func as usize]
                         .as_ref()
                         .expect("CheckFn precedes every call");
-                    let at = stack.len() - argc as usize;
-                    let v = f(&stack[at..]);
-                    stack.truncate(at);
-                    stack.push(v);
+                    let first = first as usize;
+                    let v = f(&regs[first..first + argc as usize]);
+                    set!(d, v);
                 }
-                Op::Neg => {
-                    let x = pop(stack);
-                    stack.push(x.wrapping_neg());
-                }
-                Op::Bin(op) => {
-                    let y = pop(stack);
-                    let x = pop(stack);
-                    match arith(op, x, y) {
-                        Some(v) => stack.push(v),
-                        None => return Err(err("division by zero".into())),
-                    }
-                }
-                Op::Cmp(op) => {
-                    let y = pop(stack);
-                    let x = pop(stack);
-                    stack.push(i64::from(compare(op, x, y)));
-                }
-                Op::SetScalar(slot) => {
-                    let slot = slot as usize;
-                    s.scalars[slot] = pop(stack);
-                    s.bound[slot] = true;
-                }
-                Op::Store(a) => {
-                    let v = pop(stack);
-                    let idx = pop(stack);
-                    if view.store(a as usize, idx, v).is_none() {
-                        return Err(self.access_error(env, a as usize, idx));
-                    }
-                }
-                Op::ExitIfZero => {
-                    if pop(stack) == 0 {
+                Op::ExitCmp { op, a, b, when } => {
+                    let (x, y) = (get!(a), get!(b));
+                    if compare(op, x, y) == when {
                         return Ok(Step::Quit);
                     }
                 }
-                Op::ExitIfNonZero => {
-                    if pop(stack) != 0 {
+                Op::ExitIfZero(r) => {
+                    if get!(r) == 0 {
+                        return Ok(Step::Quit);
+                    }
+                }
+                Op::ExitIfNonZero(r) => {
+                    if get!(r) != 0 {
                         return Ok(Step::Quit);
                     }
                 }
             }
         }
         Ok(Step::Continue)
+    }
+
+    #[cold]
+    fn unbound(&self, r: usize) -> ExecError {
+        // only a scalar slot can be: the other registers are born bound
+        err(format!("unbound scalar `{}`", self.scalars[r]))
     }
 
     #[cold]
@@ -760,29 +1064,26 @@ impl ExecPlan {
     }
 
     /// Runs the declarations and hands `exec` everything an execution
-    /// needs; whatever `exec` does, the frame gets its scalars back.
+    /// needs: the read-only side, the frame's registers, its arrays.
     fn with_env<R>(
         &self,
         frame: &mut Frame,
         exec: impl FnOnce(&Env<'_>, &mut Scratch, &mut Vec<Option<Vec<i64>>>) -> Result<R, ExecError>,
     ) -> Result<R, ExecError> {
-        let present: Vec<bool> = frame.arrays.iter().map(Option::is_some).collect();
-        let mut s = Scratch {
-            scalars: std::mem::take(&mut frame.scalars),
-            bound: std::mem::take(&mut frame.bound),
-            stack: Vec::with_capacity(self.stack),
-        };
+        let Frame {
+            arrays,
+            scratch: s,
+            funcs,
+            ..
+        } = frame;
+        let present: Vec<bool> = arrays.iter().map(Option::is_some).collect();
         let env = Env {
-            funcs: &frame.funcs,
+            funcs,
             present: &present,
             check_scalars: self.entry_scalars.iter().any(|&slot| !s.bound[slot]),
         };
-        let result = self
-            .run(&self.decls, &env, &mut s, &mut Direct(&mut frame.arrays))
-            .and_then(|_| exec(&env, &mut s, &mut frame.arrays));
-        frame.scalars = s.scalars;
-        frame.bound = s.bound;
-        result
+        self.run(&self.decls, &env, s, &mut Direct(arrays))?;
+        exec(&env, s, arrays)
     }
 
     /// Executes the plan one iteration after another. `max_iters` bounds
@@ -855,13 +1156,9 @@ impl ExecPlan {
                 max_iters,
                 &group,
                 budget,
-                || Scratch {
-                    scalars: s.scalars.clone(),
-                    bound: s.bound.clone(),
-                    stack: Vec::with_capacity(self.stack),
-                },
+                || s.clone(),
                 |i, worker: &mut Scratch, access| {
-                    worker.scalars[ivar] = at(i);
+                    worker.regs[ivar] = at(i);
                     self.run(&self.body, env, worker, access)
                 },
             );
@@ -878,7 +1175,7 @@ impl ExecPlan {
             match result {
                 Ok(out) => {
                     let end = out.last_valid.unwrap_or(max_iters);
-                    s.scalars[ivar] = at(end);
+                    s.regs[ivar] = at(end);
                     Ok(ExecOutcome {
                         iterations: end,
                         exited_at: out.last_valid,
@@ -886,7 +1183,7 @@ impl ExecPlan {
                     })
                 }
                 Err(GroupFault { iter, error }) => {
-                    s.scalars[ivar] = at(iter);
+                    s.regs[ivar] = at(iter);
                     Err(error)
                 }
             }
@@ -970,9 +1267,45 @@ mod tests {
     }
 
     #[test]
-    fn the_stack_is_sized_for_the_deepest_expression() {
+    fn the_frame_is_sized_for_scalars_constants_and_the_deepest_temporaries() {
         let plan = lower("while (x < 1) { A[0] = max(1, 2, 3 + (4 * (5 - x))) }");
-        // the store's subscript, then 1, 2, 3, 4, 5, x — all at once
-        assert_eq!(plan.stack, 7);
+        // x; each literal once, in the order met; max's three arguments
+        // side by side, the third computed in place
+        assert_eq!(plan.scalars(), ["x"]);
+        assert_eq!(plan.consts, [1, 0, 2, 3, 4, 5]);
+        assert_eq!(plan.temps, 3);
+        let frame = plan.frame();
+        assert_eq!(frame.scratch.regs, [0, 1, 0, 2, 3, 4, 5, 0, 0, 0]);
+        assert_eq!(frame.scratch.bound[..2], [false, true]);
+        // exit test, CheckFn, three arguments (the third in three), call, store
+        assert_eq!(plan.ops_per_iter(), 9);
+    }
+
+    /// One iteration of each corpus body, in instructions: the first
+    /// field of the cost record a break-even rule needs (the postfix code
+    /// this replaced took 164 over the seven).
+    #[test]
+    fn corpus_bodies_lower_to_a_pinned_number_of_instructions() {
+        assert!(std::mem::size_of::<Op>() <= 32);
+        let ops = |name: &str| {
+            let path = format!(
+                "{}/../../examples/loops/{name}.wlp",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            lower(&std::fs::read_to_string(path).unwrap()).ops_per_iter()
+        };
+        let pinned = [
+            ("swap", 6),
+            ("gather_scatter", 11),
+            ("counted_fill", 5),
+            ("guarded_update", 8),
+            ("partial_sums", 6),
+            ("wavefront", 9),
+            ("mcsparse_pair", 13),
+        ];
+        for (name, want) in pinned {
+            assert_eq!(ops(name), want, "{name}");
+        }
+        assert!(pinned.iter().map(|(_, n)| n).sum::<usize>() <= 64);
     }
 }

@@ -365,11 +365,12 @@ fn source_of(p: &ProgParams) -> String {
         let term = |t: usize| {
             let mut term = match first {
                 Some((f, FaultAt::Right)) => format!("{} + {}", TERMS[t], f.text()),
-                Some((f, FaultAt::Left)) => format!("{} + {}", f.text(), TERMS[t]),
-                Some((f, FaultAt::Subscript)) if !matches!(line, Line::Store(..)) => {
-                    format!("{} + {}", f.text(), TERMS[t])
+                // a store carries it in its subscript, below
+                Some((_, FaultAt::Subscript)) if matches!(line, Line::Store(..)) => {
+                    TERMS[t].to_string()
                 }
-                _ => TERMS[t].to_string(),
+                Some((f, _)) => format!("{} + {}", f.text(), TERMS[t]),
+                None => TERMS[t].to_string(),
             };
             if let Some(f) = second {
                 term = format!("{term} + {}", f.text());

@@ -39,15 +39,38 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// The digest [`crate::Service`] reports for a result array:
 /// [`fnv1a64`] of the elements' little-endian bytes, streamed so no byte
 /// buffer is ever built.
+///
+/// FNV-1a is one serial xor-multiply per byte, but xor with a zero byte
+/// changes nothing, so the zero bytes above an element's highest live
+/// byte are one multiply by that power of the prime: an index, a counter
+/// or small datum costs its live bytes plus one step, a negative or
+/// full-width value its eight bytes and nothing more.
 pub fn fnv1a64_i64s(data: &[i64]) -> u64 {
     let mut h = FNV_OFFSET;
-    for x in data {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
+    for &x in data {
+        let mut rest = x as u64;
+        let live = 8 - rest.leading_zeros() / 8;
+        for _ in 0..live {
+            h ^= rest & 0xff;
             h = h.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        if live < 8 {
+            h = h.wrapping_mul(FNV_PRIME_POWERS[(8 - live) as usize]);
         }
     }
     h
