@@ -4,20 +4,27 @@
 //! A certificate summarizes what the analysis *proved* about one loop: how
 //! many writes an iteration can perform at most (the may-write bound),
 //! which of those writes are **certified-uncertain** (only they need
-//! shadow instrumentation), and the refined verdict. It plugs into the
-//! executors at three points:
+//! shadow instrumentation), and the refined verdict. One of its three
+//! outputs reaches an executor today:
 //!
 //! * [`SafetyCertificate::write_budget`] bounds the undo log —
 //!   `SpeculativeArray::with_budget` / `GovernorPolicy::with_budget` get
-//!   the certified bound instead of the naive every-write one;
+//!   the certified bound instead of the naive every-write one, and
+//!   `wlp-serve` reserves it from the tenant's credits per request.
+//!
+//! The other two are §7's recommendation, computed and not yet consumed
+//! (`Governor::starting_at` has no caller outside its own module; every
+//! tenant's governor starts at `Speculative`). ROADMAP item 2(b) is
+//! where they are either wired into the plan's cost record or deleted:
+//!
 //! * [`SafetyCertificate::cost_model`] feeds only the *uncertain* accesses
 //!   into the Section 7 overhead terms (certified accesses are not
 //!   shadowed, so they cost nothing extra);
-//! * [`SafetyCertificate::starting_rung`] picks the governor's initial
-//!   ladder rung: certified-sequential loops start at the bottom,
+//! * [`SafetyCertificate::starting_rung`] names the ladder rung §7 would
+//!   start on: certified-sequential loops at the bottom,
 //!   certified-DOALL loops at the top, and uncertain remainder-variant
-//!   loops start windowed so overshoot stays bounded while the PD test
-//!   earns trust.
+//!   loops windowed so overshoot stays bounded while the PD test earns
+//!   trust.
 
 use crate::privatize::Privatization;
 use crate::reduction::Recurrence;
@@ -139,7 +146,8 @@ impl SafetyCertificate {
         }
     }
 
-    /// The governor's starting rung under this certificate.
+    /// The rung §7 recommends a governor start on under this certificate
+    /// (a recommendation only: no governor is constructed from it yet).
     pub fn starting_rung(
         &self,
         t_rem: f64,

@@ -10,8 +10,13 @@
 //!   ([`diag::Diagnostic`]) rendered by the `wlp-lint` CLI;
 //! * **certificates** — [`certificate::SafetyCertificate`], the static
 //!   may-write bound and verdict the runtime consumes: the undo budget
-//!   shrinks to the certified-uncertain writes, the cost model charges
-//!   only those, and the governor starts on the right ladder rung.
+//!   shrinks to the certified-uncertain writes
+//!   ([`SafetyCertificate::write_budget`], which the daemon reserves per
+//!   speculative request). The certificate also computes §7's
+//!   recommendation — a cost model that charges only the uncertain
+//!   accesses and a governor starting rung — which nothing consumes
+//!   yet: every tenant's governor starts at `Speculative` (see
+//!   [`certificate`]).
 //!
 //! Every certificate is falsifiable: [`concrete`] replays the loop into
 //! access logs and [`wlp_pd::crosscheck()`] drives them through the dynamic
@@ -30,7 +35,6 @@ pub mod fission;
 pub mod lint;
 pub mod privatize;
 pub mod reduction;
-pub mod schedule;
 pub mod terminator;
 
 pub use analyze::{analyze, Analysis};
@@ -64,7 +68,6 @@ pub use fission::{fission_plan, masked_body, BlockCertificate, DoacrossEdge, Fis
 pub use lint::{lint_source, LintOutcome};
 pub use privatize::{privatization, privatized_body, Privatization};
 pub use reduction::{recurrences, Recurrence, RecurrenceRole};
-pub use schedule::run_certified_blocks;
 pub use terminator::{classify_terminator, RvWitness};
 
 #[cfg(test)]

@@ -25,8 +25,8 @@ pub mod trajectory;
 /// The `run` request line for corpus program `name` (`src`) at problem
 /// size `n` under `tenant`: real arrays and scalars from
 /// [`wlp_workloads::sources::machine_inputs`], digest-reply to keep
-/// response assembly out of the measurement. What `serve-replay`,
-/// `serve-chaos` and the `ingest` exhibit all send or parse.
+/// response assembly out of the measurement. What `serve-chaos` sends
+/// and the `ingest` exhibit parses.
 pub fn corpus_run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
     use serde::json;
     let (arrays, scalars) = wlp_workloads::sources::machine_inputs(name, n);

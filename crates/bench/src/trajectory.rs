@@ -4,10 +4,9 @@
 //! `BENCH_trajectory.jsonl` is the repo's performance memory — one line
 //! per bench run, keyed by commit and machine, so a regression shows up
 //! as a *trend* across commits instead of a single noisy number. The
-//! runtime suite (`wlp-bench`), the service replay (`serve-replay`), and
-//! the chaos harness (`serve-chaos`) all fold their headline medians
-//! into the same file through this module; the `source` field says which
-//! harness wrote the line.
+//! runtime suite (`wlp-bench`) and the chaos harness (`serve-chaos`)
+//! fold their headline medians into the same file through this module;
+//! the `source` field says which harness wrote the line.
 //!
 //! The file is **append-only by design**: it is a history, and a run
 //! must never rewrite the runs before it. Consumers group lines by
@@ -67,8 +66,7 @@ pub struct TrajectoryExhibit {
 pub struct TrajectoryRecord {
     /// [`TRAJECTORY_SCHEMA`].
     pub schema: String,
-    /// Which harness wrote the line: `wlp-bench`, `serve-replay`,
-    /// `serve-chaos`.
+    /// Which harness wrote the line: `wlp-bench` or `serve-chaos`.
     pub source: String,
     /// The commit under test.
     pub git_sha: String,

@@ -525,9 +525,9 @@ impl Service {
             return proto::error_line(&err, Some(self.cfg.retry_after_ms));
         }
         // From here on the tenant holds an in-flight slot and the drain
-        // logic counts this request; every exit path must release both.
-        let release = InflightGuard { tenant: &tenant };
-        let active = ActiveGuard::enter(self);
+        // logic counts this request; `held` releases both, and the
+        // credits reserved next, on every exit path — unwinding included.
+        let mut held = Admitted::enter(self, &tenant);
 
         // Speculative runs reserve their certified write budget from the
         // tenant's credit pool — the backpressure valve for tenants whose
@@ -539,9 +539,8 @@ impl Service {
         } else {
             0
         };
-        if cost > 0 && !tenant.reserve_credits(cost) {
-            drop(active);
-            drop(release);
+        if cost > 0 && !held.reserve_credits(cost) {
+            drop(held);
             tenant.rejected.fetch_add(1, Ordering::Relaxed);
             self.rejected.fetch_add(1, Ordering::Relaxed);
             self.record(Event::RegionReject { retriable: true });
@@ -585,11 +584,7 @@ impl Service {
             // client went away before any work started. The ticket was
             // already handed back to the scheduler; credits and slots
             // follow it here.
-            if cost > 0 {
-                tenant.return_credits(cost);
-            }
-            drop(active);
-            drop(release);
+            drop(held);
             let abandoned = cancel.is_some_and(|c| c.is_cancelled());
             return self.timed_out(&tenant, req.id, started, abandoned, true);
         };
@@ -619,11 +614,7 @@ impl Service {
             }
         }));
         drop(lane);
-        if cost > 0 {
-            tenant.return_credits(cost);
-        }
-        drop(active);
-        drop(release);
+        drop(held);
 
         let result = match caught {
             Ok(result) => result,
@@ -1123,33 +1114,45 @@ impl Service {
     }
 }
 
-/// Releases the tenant's in-flight slot on every exit path.
-struct InflightGuard<'a> {
-    tenant: &'a Arc<TenantState>,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.tenant.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Counts one `run` in the service's drain-relevant active set between
-/// admission and response.
-struct ActiveGuard<'a> {
+/// What an admitted `run` holds between admission and response: the
+/// tenant's in-flight slot (taken by `admit`), a place in the service's
+/// drain-relevant active set, and whatever speculation credits it
+/// reserved. Dropping it returns the credits, then leaves the active
+/// set, then frees the slot.
+struct Admitted<'a> {
     svc: &'a Service,
+    tenant: &'a TenantState,
+    credits: u64,
 }
 
-impl<'a> ActiveGuard<'a> {
-    fn enter(svc: &'a Service) -> Self {
+impl<'a> Admitted<'a> {
+    fn enter(svc: &'a Service, tenant: &'a TenantState) -> Self {
         svc.active.fetch_add(1, Ordering::AcqRel);
-        ActiveGuard { svc }
+        Admitted {
+            svc,
+            tenant,
+            credits: 0,
+        }
+    }
+
+    /// Reserves `amount` of the tenant's credits for this run; false (and
+    /// nothing held) if the pool is too low.
+    fn reserve_credits(&mut self, amount: u64) -> bool {
+        let reserved = self.tenant.reserve_credits(amount);
+        if reserved {
+            self.credits += amount;
+        }
+        reserved
     }
 }
 
-impl Drop for ActiveGuard<'_> {
+impl Drop for Admitted<'_> {
     fn drop(&mut self) {
+        if self.credits > 0 {
+            self.tenant.return_credits(self.credits);
+        }
         self.svc.active.fetch_sub(1, Ordering::AcqRel);
+        self.tenant.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -1433,27 +1436,56 @@ mod tests {
         assert!(stats.contains("\"persist\":{\"enabled\":false}"), "{stats}");
     }
 
+    /// One pass of the whole corpus at `n = 64`: every response must be
+    /// `ok` with cache outcome `want`; returns each reply's digests.
+    fn corpus_pass(svc: &Service, want: &str) -> Vec<String> {
+        use wlp_workloads::sources::{corpus, machine_inputs};
+        let object = |fields: Vec<String>| format!("{{{}}}", fields.join(","));
+        corpus()
+            .iter()
+            .map(|(name, src)| {
+                let (arrays, scalars) = machine_inputs(name, 64);
+                let line = format!(
+                    r#"{{"op":"run","tenant":"t0","program":{},"arrays":{},"scalars":{},"reply":"digest"}}"#,
+                    json::to_string(src),
+                    object(arrays.iter().map(|(k, v)| format!("{k:?}:{v:?}")).collect()),
+                    object(scalars.iter().map(|(k, v)| format!("{k:?}:{v}")).collect()),
+                );
+                let r = svc.handle_line(&line);
+                assert!(r.contains("\"ok\":true"), "{name}: {r}");
+                assert!(r.contains(&format!("\"cache\":\"{want}\"")), "{name}: {r}");
+                let digests = json::parse(&r).expect("response is JSON");
+                json::to_string(digests.get("digests").expect("digests present"))
+            })
+            .collect()
+    }
+
     #[test]
     fn warm_restart_recovers_the_cache_and_first_lookup_hits() {
+        let programs = wlp_workloads::sources::corpus().len();
         let t = TempStateDir::new("warm");
-        {
+        let cold_digests = {
             let cold = Service::new(persist_config(&t.0));
-            let r = cold.handle_line(&run_line("t0", 3, &[1, 2, 3]));
-            assert!(r.contains("\"cache\":\"miss\""), "{r}");
+            let first = corpus_pass(&cold, "miss");
+            assert_eq!(corpus_pass(&cold, "hit"), first);
             let stats = cold.handle_line(r#"{"op":"stats"}"#);
             assert!(stats.contains("\"enabled\":true"), "{stats}");
-            assert!(stats.contains("\"appended\":1"), "{stats}");
+            assert!(
+                stats.contains(&format!("\"appended\":{programs}")),
+                "{stats}"
+            );
             assert!(stats.contains("\"loaded\":0"), "{stats}");
-        } // drop releases the LOCK, as a graceful shutdown would
+            first
+        }; // drop releases the LOCK, as a graceful shutdown would
         let warm = Service::new(persist_config(&t.0));
-        let r = warm.handle_line(&run_line("t0", 3, &[4, 5, 6]));
-        assert!(
-            r.contains("\"cache\":\"hit\""),
-            "warm restart must serve the first submission from recovered state: {r}"
+        assert_eq!(
+            corpus_pass(&warm, "hit"),
+            cold_digests,
+            "warm restart must serve the first pass from recovered state"
         );
-        assert!(r.contains("\"arrays\":{\"A\":[8,10,12]}"), "{r}");
+        assert_eq!(warm.cache_misses(), 0);
         let stats = warm.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"loaded\":1"), "{stats}");
+        assert!(stats.contains(&format!("\"loaded\":{programs}")), "{stats}");
         assert!(stats.contains("\"skipped_corrupt\":0"), "{stats}");
     }
 
@@ -1538,6 +1570,19 @@ mod tests {
         );
         assert!(stats.contains("\"queue_waiting\":0"), "{stats}");
         assert!(stats.contains("\"active_runs\":0"), "{stats}");
+        let parsed = json::parse(&stats).expect("stats is JSON");
+        let tenants = parsed.get("stats").and_then(|s| s.get("tenants"));
+        for (name, t) in tenants
+            .and_then(Value::as_object)
+            .expect("stats lists tenants")
+        {
+            let credits = t.get("credits").and_then(Value::as_u64);
+            assert_eq!(
+                credits,
+                Some(svc.cfg.tenant_spec_credits),
+                "`{name}` leaked speculation credits: {stats}"
+            );
+        }
     }
 
     #[test]
@@ -1610,6 +1655,16 @@ mod tests {
         cancel.cancel(); // the client is already gone
         let resp = svc.handle_line_with(&run_line("gone", 2, &[1, 1]), Some(&cancel));
         assert!(resp.contains("\"code\":\"timeout\""), "{resp}");
+        assert!(resp.contains("client abandoned"), "{resp}");
+        assert_no_leaks(&svc);
+        // the same exit with credits in hand: an uncertain write per
+        // iteration reserves its budget before the lane wait gives up
+        let src = "integer i = 0\nwhile (i < n) {\n    A[idx[i]] = A[idx[i]] + 1\n    i = i + 1\n}";
+        let line = format!(
+            r#"{{"op":"run","tenant":"gone","program":{},"arrays":{{"A":[0,0],"idx":[0,1]}},"scalars":{{"n":2}}}}"#,
+            json::to_string(src)
+        );
+        let resp = svc.handle_line_with(&line, Some(&cancel));
         assert!(resp.contains("client abandoned"), "{resp}");
         assert_no_leaks(&svc);
     }

@@ -183,6 +183,37 @@ fn hot_working_set_exceeds_the_hit_ratio_bar() {
     assert_eq!(report.cache_misses, programs.len() as u64);
 }
 
+/// The same bar under concurrent closed-loop traffic: 20 rounds of the
+/// corpus from 4 tenant threads, each issuing its next request the
+/// moment the previous response lands.
+#[test]
+fn a_hot_corpus_is_served_from_the_cache() {
+    const TENANTS: usize = 4;
+    const ROUNDS_EACH: usize = 5;
+    let service = Service::with_defaults();
+    let programs = corpus();
+    std::thread::scope(|scope| {
+        for t in 0..TENANTS {
+            let (service, programs) = (&service, &programs);
+            scope.spawn(move || {
+                let tenant = format!("hot{t}");
+                for _ in 0..ROUNDS_EACH {
+                    for (name, src) in programs {
+                        let resp = service.handle_line(&run_line(&tenant, name, src, 64));
+                        assert!(resp.contains("\"ok\":true"), "{tenant} {name}: {resp}");
+                    }
+                }
+            });
+        }
+    });
+    let total = (TENANTS * ROUNDS_EACH * programs.len()) as u64;
+    assert_eq!(service.cache_hits() + service.cache_misses(), total);
+    // 133/140 unless two threads race the same first miss
+    let ratio = service.cache_hit_ratio();
+    println!("hit ratio {ratio:.3} over {total} requests");
+    assert!(ratio >= 0.8, "hit ratio {ratio} below 0.8");
+}
+
 /// Admission rejections are deterministic at the configuration edges:
 /// a zero in-flight allowance rejects `tenant_busy`, a zero queue depth
 /// rejects `overloaded`, and both carry the retry hint.
