@@ -29,9 +29,11 @@
 //!   since the speculation machinery's overhead is the quantity under
 //!   study, not a regression.
 //! * `dispatch` — many small regions back to back on the resident pool:
-//!   the dispatch-overhead exhibit. Reported, not gated (the
-//!   spawn-per-region pool it used to be measured against is gone; the
-//!   last comparison is recorded in EXPERIMENTS.md).
+//!   the dispatch-overhead exhibit, on a plain handle (`resident`), on
+//!   one armed `with_abort` as every TCP request's is (`abort`) and on
+//!   one armed `with_deadline` (`deadline`, a monitor thread a region).
+//!   `--gate` holds `abort` within 1.5× of `resident` at every `p` the
+//!   machine can seat; the rest is reported.
 //! * `watchdog` — the same DOALL on a deadline-armed pool vs the plain
 //!   resident pool: the cost of the per-region watchdog monitor. The
 //!   deadline is generous (never trips), so the delta is pure
@@ -72,8 +74,9 @@
 //!
 //! With `--gate`, the run fails (exit 1) if any gated parallel exhibit at
 //! the largest pool size is more than 1.5× slower than its sequential
-//! baseline, or if the deadline-armed pool is more than 5% slower than
-//! the ungoverned one. A gate whose cell is wider than the machine is
+//! baseline, if the deadline-armed pool is more than 5% slower than
+//! the ungoverned one, or if abort-armed regions launch more than 1.5×
+//! slower than unarmed ones. A gate whose cell is wider than the machine is
 //! skipped, printed as skipped, and listed under `gates_skipped` in the
 //! artifact.
 //!
@@ -89,6 +92,7 @@
 
 use serde::Serialize;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 use wlp_analyze::compile_source;
 use wlp_bench::corpus_run_line;
@@ -99,8 +103,8 @@ use wlp_ir::interp::Machine as LoopMachine;
 use wlp_obs::NoopRecorder;
 use wlp_pd::Shadow;
 use wlp_runtime::{
-    doall_dynamic, doall_with, parallel_scan_inclusive, ChunkPolicy, Deadline, DoallOptions,
-    DoallOutcome, Governor, GovernorPolicy, IssueOrder, Pool, Step,
+    doall_dynamic, doall_with, parallel_scan_inclusive, CancelFlag, ChunkPolicy, Deadline,
+    DoallOptions, DoallOutcome, Governor, GovernorPolicy, IssueOrder, Pool, Step,
 };
 use wlp_serve::proto::parse_request;
 use wlp_serve::{fnv1a64_i64s, register_builtins};
@@ -114,6 +118,11 @@ const GATE_SLOWDOWN: f64 = 1.5;
 /// Watchdog bound for `--gate`: a deadline-armed pool may be at most
 /// this much slower than the ungoverned resident pool on the same work.
 const WATCHDOG_GATE: f64 = 1.05;
+
+/// Abort bound for `--gate`: back-to-back small regions on an
+/// abort-armed handle may take at most this much longer than on a plain
+/// one — an abort is read by the region, so arming it launches nothing.
+const ABORT_GATE: f64 = 1.5;
 
 #[derive(Serialize, Clone)]
 struct Machine {
@@ -134,8 +143,8 @@ struct Exhibit {
     /// Unique id: `family/mode/policy/p{p}`.
     name: String,
     family: String,
-    /// `seq`, `resident`, `deadline` or `spec`; for `layers`, the layer
-    /// (`pd`, `undo`).
+    /// `seq`, `resident`, `abort`, `deadline` or `spec`; for `layers`,
+    /// the layer (`pd`, `undo`).
     mode: String,
     /// Chunk policy label (`-` where not applicable); for `layers`, the
     /// operation; for `spice`, the General method when not General-3.
@@ -552,18 +561,29 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     );
     let (n, regions) = (sizes.dispatch_n, sizes.dispatch_regions);
     for &p in &pool_sizes() {
-        if p == 1 {
-            continue; // p = 1 runs inline: no region is dispatched
-        }
+        // p = 1 runs inline and dispatches nothing: its rows show what a
+        // guard adds to an inline region (a deadline's monitor thread is
+        // spawned beside that one too).
         let resident = Pool::new(p);
-        h.run("dispatch", "resident", "-", p, n, None, false, || {
-            for _ in 0..regions {
-                doall_dynamic(&resident, n, |i, _| {
-                    black_box(i);
-                    Step::Continue
-                });
-            }
-        });
+        let abort = resident.with_abort(Arc::new(CancelFlag::new()));
+        let deadline = resident.with_deadline(Deadline::from_millis(60_000));
+        let base = format!("dispatch/resident/-/p{p}");
+        for (mode, pool, baseline) in [
+            ("resident", &resident, None),
+            ("abort", &abort, Some(base.as_str())),
+            ("deadline", &deadline, Some(base.as_str())),
+        ] {
+            // the abort rows are gated separately: within ABORT_GATE of
+            // the baseline at every p the machine can seat
+            h.run("dispatch", mode, "-", p, n, baseline, false, || {
+                for _ in 0..regions {
+                    doall_dynamic(pool, n, |i, _| {
+                        black_box(i);
+                        Step::Continue
+                    });
+                }
+            });
+        }
     }
 
     // -- watchdog: deadline-armed pool vs ungoverned resident pool --------
@@ -964,9 +984,10 @@ struct GateReport {
 
 /// `--gate`: every gated exhibit at the largest pool size must be within
 /// [`GATE_SLOWDOWN`] of its baseline and the deadline-armed pool within
-/// [`WATCHDOG_GATE`] of the plain one. A cell wider than the machine
-/// (`p > cpus`) is skipped — oversubscription contention is not a
-/// regression in the construct — and says so.
+/// [`WATCHDOG_GATE`] of the plain one; abort-armed dispatch must be
+/// within [`ABORT_GATE`] of plain dispatch at every pool size. A cell
+/// wider than the machine (`p > cpus`) is skipped — oversubscription
+/// contention is not a regression in the construct — and says so.
 fn gate(exhibits: &[Exhibit], cpus: usize) -> GateReport {
     let max_p = pool_sizes().into_iter().max().unwrap_or(1);
     let mut report = GateReport {
@@ -975,14 +996,16 @@ fn gate(exhibits: &[Exhibit], cpus: usize) -> GateReport {
         skipped: Vec::new(),
     };
     for e in exhibits {
-        let (gate, floor) = if e.gated {
-            ("slowdown", 1.0 / GATE_SLOWDOWN)
+        let (gate, floor, widest_only) = if e.gated {
+            ("slowdown", 1.0 / GATE_SLOWDOWN, true)
         } else if e.family == "watchdog" && e.mode == "deadline" {
-            ("watchdog", 1.0 / WATCHDOG_GATE)
+            ("watchdog", 1.0 / WATCHDOG_GATE, true)
+        } else if e.family == "dispatch" && e.mode == "abort" {
+            ("abort", 1.0 / ABORT_GATE, false)
         } else {
             continue;
         };
-        if e.p != max_p {
+        if widest_only && e.p != max_p {
             continue;
         }
         let Some(s) = e.speedup_vs_baseline else {

@@ -24,9 +24,9 @@ use crate::speculate::{
     run_twice_speculative, sequential_while, speculative_while_windowed, speculative_while_with,
     SpecAccess, SpeculativeArray,
 };
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use wlp_obs::{AbortReason, Event, Recorder, StrategyChoice};
-use wlp_runtime::{DoallOptions, Governor, Pool, Transition};
+use wlp_runtime::{CancelFlag, DoallOptions, Governor, Pool, Transition};
 
 /// How a governed attempt went: which rung ran, whether the governor
 /// moved, and the usual speculation outcome facts.
@@ -219,38 +219,22 @@ pub enum HedgeWinner {
     Parallel,
 }
 
-/// Cooperative cancellation token polled by hedged executions.
-#[derive(Debug, Default)]
-pub struct CancelToken(AtomicBool);
-
-impl CancelToken {
-    /// Whether the other side already won.
-    #[inline]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-
-    fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
 /// Runs `seq` and `par` concurrently on separate threads, each against its
 /// own output copy; the first to finish cancels the other (which must poll
-/// its [`CancelToken`] to stop early). Returns the winner — the caller
+/// its [`CancelFlag`] to stop early). Returns the winner — the caller
 /// keeps that side's output. Both closures always return before this
 /// function does, so partial loser state can be discarded safely.
 pub fn hedged_execute<SF, PF>(seq: SF, par: PF) -> HedgeWinner
 where
-    SF: FnOnce(&CancelToken) + Send,
-    PF: FnOnce(&CancelToken) + Send,
+    SF: FnOnce(&CancelFlag) + Send,
+    PF: FnOnce(&CancelFlag) + Send,
 {
     const NONE: u8 = 0;
     const SEQ: u8 = 1;
     const PAR: u8 = 2;
     let winner = AtomicU8::new(NONE);
-    let seq_token = CancelToken::default();
-    let par_token = CancelToken::default();
+    let seq_token = CancelFlag::new();
+    let par_token = CancelFlag::new();
 
     std::thread::scope(|s| {
         let w = &winner;

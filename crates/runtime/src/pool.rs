@@ -46,7 +46,7 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wlp_obs::CachePadded;
@@ -62,25 +62,55 @@ const SPIN_LIMIT: u32 = 128;
 /// any caller that wants to stop a run early); polled by the scheduling
 /// loops of every construct (DOALL, DOACROSS, strip-mining, window) at
 /// iteration boundaries.
+///
+/// A flag launched on a handle built [`Pool::with_abort`] is *linked* to
+/// that handle's abort switch: [`CancelFlag::is_cancelled`] then reads
+/// the switch's word as well as its own, so raising the switch stops the
+/// region with nothing in between to carry it over.
 #[derive(Debug, Default)]
-pub struct CancelFlag(AtomicBool);
+pub struct CancelFlag {
+    raised: AtomicBool,
+    /// The abort switch this flag follows, set by the first region
+    /// launched with it on an abort-armed handle. Links do not chain.
+    link: OnceLock<Arc<CancelFlag>>,
+}
 
 impl CancelFlag {
-    /// A fresh, un-raised flag.
+    /// A fresh, un-raised, unlinked flag.
     pub const fn new() -> Self {
-        CancelFlag(AtomicBool::new(false))
+        CancelFlag {
+            raised: AtomicBool::new(false),
+            link: OnceLock::new(),
+        }
     }
 
     /// Raises the flag. Idempotent.
     #[inline]
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+        self.raised.store(true, Ordering::Release);
     }
 
-    /// Whether the flag has been raised.
+    /// Whether the flag — or the abort switch it is linked to — has been
+    /// raised.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        // Relaxed on the linked word: an abort publishes no data the
+        // region goes on to read, it only has to be seen eventually
+        // (DESIGN.md section 5h).
+        self.raised.load(Ordering::Acquire)
+            || self
+                .link
+                .get()
+                .is_some_and(|abort| abort.raised.load(Ordering::Relaxed))
+    }
+
+    /// Links this flag to `abort` for the rest of its life.
+    fn follow(&self, abort: &Arc<CancelFlag>) {
+        let linked = self.link.get_or_init(|| Arc::clone(abort));
+        assert!(
+            Arc::ptr_eq(linked, abort),
+            "a cancel flag follows one abort switch"
+        );
     }
 }
 
@@ -516,8 +546,8 @@ pub struct Pool {
     resident: Option<Arc<Resident>>,
     deadline: Option<Deadline>,
     /// An external abort switch (a client disconnect, a service drain):
-    /// when raised mid-region, the watchdog relays it onto the region's
-    /// own cancel flag so every construct's cooperative polling sees it.
+    /// every region's cancel flag is linked to it at launch, so each
+    /// construct's cooperative polling reads it directly.
     abort: Option<Arc<CancelFlag>>,
 }
 
@@ -558,23 +588,18 @@ impl Pool {
     }
 
     /// A handle to the same pool whose regions are additionally guarded
-    /// by an external abort switch: when `abort` is raised mid-region
-    /// (a client disconnect, a service drain), the watchdog relays it
-    /// onto the region's cancel flag and the region ends
-    /// [`PoolOutcome::Cancelled`] once its lanes drain cooperatively.
-    /// Composes with [`Pool::with_deadline`] — whichever fires first
-    /// stops the region.
+    /// by an external abort switch: each region's cancel flag is linked
+    /// to `abort` at launch, so once `abort` is raised (a client
+    /// disconnect, a service drain) every poll of the region's flag
+    /// reads cancelled and the region ends [`PoolOutcome::Cancelled`]
+    /// when its lanes drain cooperatively. The launch itself is the
+    /// unarmed one — no thread, no timer. Composes with
+    /// [`Pool::with_deadline`] — whichever fires first stops the region.
     pub fn with_abort(&self, abort: Arc<CancelFlag>) -> Pool {
         Pool {
             abort: Some(abort),
             ..self.clone()
         }
-    }
-
-    /// The external abort switch guarding this handle's regions, if any.
-    #[inline]
-    pub fn abort_flag(&self) -> Option<&Arc<CancelFlag>> {
-        self.abort.as_ref()
     }
 
     /// Number of workers (the paper's `nproc`).
@@ -600,14 +625,20 @@ impl Pool {
     /// poll it at iteration boundaries so peers drain quickly. The outcome
     /// is reported exactly once, after every worker has finished the
     /// region.
+    ///
+    /// # Panics
+    /// On a handle built [`Pool::with_abort`], if `cancel` was already
+    /// launched under a different abort switch.
     pub fn run_with<F>(&self, cancel: &CancelFlag, f: F) -> PoolOutcome
     where
         F: Fn(usize) + Sync,
     {
-        if self.deadline.is_none() && self.abort.is_none() {
-            Self::outcome(self.dispatch(cancel, &f), None, cancel)
-        } else {
-            self.run_watched(self.deadline, cancel, &f)
+        if let Some(abort) = &self.abort {
+            cancel.follow(abort);
+        }
+        match self.deadline {
+            None => Self::outcome(self.dispatch(cancel, &f), None, cancel),
+            Some(d) => self.run_watched(d, cancel, &f),
         }
     }
 
@@ -642,15 +673,13 @@ impl Pool {
 
     /// One region under a watchdog: a monitor thread raises the cancel
     /// flag when the deadline expires with any lane unfinished, recording
-    /// the lowest overdue vpn — and relays an external abort switch (see
-    /// [`Pool::with_abort`]) onto the same cancel flag. Cancellation
-    /// stays cooperative — the leader still waits for every lane to
-    /// drain (a body that never polls the flag cannot be reaped, only
-    /// reported) — so the resident workers stay reusable after a timeout
-    /// exactly as after a panic.
+    /// the lowest overdue vpn. Cancellation stays cooperative — the
+    /// leader still waits for every lane to drain (a body that never
+    /// polls the flag cannot be reaped, only reported) — so the resident
+    /// workers stay reusable after a timeout exactly as after a panic.
     fn run_watched(
         &self,
-        d: Option<Deadline>,
+        d: Deadline,
         cancel: &CancelFlag,
         f: &(dyn Fn(usize) + Sync),
     ) -> PoolOutcome {
@@ -679,8 +708,7 @@ impl Pool {
             unsafe { std::mem::transmute::<&CancelFlag, &'static CancelFlag>(cancel) };
         let monitor = {
             let watch = Arc::clone(&watch);
-            let abort = self.abort.clone();
-            let expiry = d.map(|d| start + d.duration());
+            let expiry = start + d.duration();
             std::thread::Builder::new()
                 .name("wlp-watchdog".into())
                 .spawn(move || {
@@ -689,37 +717,17 @@ impl Pool {
                         if *done {
                             return;
                         }
-                        if abort.as_ref().is_some_and(|a| a.is_cancelled()) {
-                            // external abort: relay onto the region's QUIT
-                            // flag; no timeout victim — the region drains
-                            // cooperatively and classifies as Cancelled
-                            cancel_static.cancel();
-                            return;
-                        }
-                        // with an abort switch the wait is sliced so a
-                        // raised switch is noticed promptly; a pure
-                        // deadline sleeps out its full remainder
-                        let remaining = match expiry {
-                            Some(e) => e.saturating_duration_since(Instant::now()),
-                            None => Duration::from_millis(2),
-                        };
-                        let slice = if abort.is_some() {
-                            remaining.min(Duration::from_millis(2))
-                        } else {
-                            remaining
-                        };
+                        let remaining = expiry.saturating_duration_since(Instant::now());
                         let (g, res) = watch
                             .cv
-                            .wait_timeout(done, slice)
+                            .wait_timeout(done, remaining)
                             .unwrap_or_else(|e| e.into_inner());
                         done = g;
                         if *done {
                             return;
                         }
-                        let expired =
-                            res.timed_out() && expiry.is_some_and(|e| Instant::now() >= e);
+                        let expired = res.timed_out() && Instant::now() >= expiry;
                         if expired {
-                            let d = d.expect("expiry implies a deadline");
                             let overdue =
                                 watch.lanes.iter().position(|l| !l.load(Ordering::Acquire));
                             let Some(overdue) = overdue else {
@@ -1298,7 +1306,7 @@ mod tests {
                 abort.cancel();
             });
             let out = guarded.run_with(&cancel, |_| {
-                // cooperative stall until the abort is relayed as QUIT
+                // cooperative stall until the switch reads through the link
                 while !cancel.is_cancelled() {
                     std::hint::spin_loop();
                 }
@@ -1398,6 +1406,46 @@ mod tests {
                 *s = slot.load(Ordering::Relaxed);
                 assert_eq!(*s, input, "region input visible on every lane");
             }
+        }
+    }
+
+    #[test]
+    fn atomic_linked_abort_is_read_not_copied() {
+        let abort = Arc::new(CancelFlag::new());
+        let pool = Pool::new(2).with_abort(Arc::clone(&abort));
+        let cancel = CancelFlag::new();
+        let in_region = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // raise the switch only once a lane is inside the region
+                while !in_region.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                abort.cancel();
+            });
+            let out = pool.run_with(&cancel, |_| {
+                in_region.store(true, Ordering::Release);
+                while !cancel.is_cancelled() {
+                    std::hint::spin_loop();
+                }
+            });
+            assert_eq!(out, PoolOutcome::Cancelled);
+        });
+        assert!(
+            !cancel.raised.load(Ordering::Relaxed),
+            "the region's own word stays clear: the switch was read through the link"
+        );
+        assert!(cancel.is_cancelled());
+    }
+
+    #[test]
+    #[should_panic(expected = "one abort switch")]
+    fn a_flag_cannot_follow_a_second_abort_switch() {
+        let pool = Pool::new(1);
+        let cancel = CancelFlag::new();
+        for _ in 0..2 {
+            pool.with_abort(Arc::new(CancelFlag::new()))
+                .run_with(&cancel, |_| {});
         }
     }
 

@@ -79,28 +79,17 @@ impl WindowScheduler {
 
     /// Claims the next iteration, blocking while the window is full.
     /// Returns `None` when the iteration space or the quit bound is
-    /// exhausted.
-    pub fn claim(&self) -> Option<usize> {
-        self.claim_inner(None)
-    }
-
-    /// [`claim`](WindowScheduler::claim) that also honours an external
-    /// [`CancelFlag`]: a lane blocked on window admission wakes
-    /// periodically to poll the flag, so a watchdog cancel (which only
-    /// raises the flag — it cannot reach this condvar) still drains the
-    /// region instead of stranding peers behind a stalled low watermark.
-    pub fn claim_watched(&self, cancel: &CancelFlag) -> Option<usize> {
-        self.claim_inner(Some(cancel))
-    }
-
-    fn claim_inner(&self, cancel: Option<&CancelFlag>) -> Option<usize> {
+    /// exhausted, or once `cancel` is raised: a lane blocked on window
+    /// admission wakes periodically to poll the flag, so a cancel that
+    /// only raises the flag (a watchdog, an abort switch — neither can
+    /// reach this condvar) still drains the region instead of stranding
+    /// peers behind a stalled low watermark.
+    pub fn claim(&self, cancel: &CancelFlag) -> Option<usize> {
         let mut st = self.state.lock();
         loop {
-            if let Some(c) = cancel {
-                if c.is_cancelled() && !st.cancelled {
-                    st.cancelled = true;
-                    self.cv.notify_all();
-                }
+            if cancel.is_cancelled() && !st.cancelled {
+                st.cancelled = true;
+                self.cv.notify_all();
             }
             if st.cancelled || st.next >= self.upper || st.next > st.quit {
                 // Wake any peers blocked on the window so they can also see
@@ -116,14 +105,9 @@ impl WindowScheduler {
                 st.max_span = st.max_span.max(span);
                 return Some(i);
             }
-            match cancel {
-                None => self.cv.wait(&mut st),
-                Some(_) => {
-                    // Timed wait: bounded staleness for the cancel poll.
-                    self.cv
-                        .wait_for(&mut st, std::time::Duration::from_millis(1));
-                }
-            }
+            // Timed wait: bounded staleness for the cancel poll.
+            self.cv
+                .wait_for(&mut st, std::time::Duration::from_millis(1));
         }
     }
 
@@ -270,7 +254,6 @@ where
     let max_started = AtomicUsize::new(0);
     let cancel = CancelFlag::new();
     let fault = FaultCell::new();
-    let watched = pool.deadline().is_some();
     let cursor: Vec<CachePadded<AtomicUsize>> = (0..pool.size())
         .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
         .collect();
@@ -287,11 +270,7 @@ where
         let mut local_max = 0usize;
         loop {
             let t0 = R::ENABLED.then(Instant::now);
-            let claimed = if watched {
-                sched.claim_watched(&cancel)
-            } else {
-                sched.claim()
-            };
+            let claimed = sched.claim(&cancel);
             if R::ENABLED {
                 let dur = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 rec.record(vpn, Event::LockWait { dur });
@@ -363,6 +342,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
     use wlp_obs::NoopRecorder;
 
     #[test]
@@ -453,8 +433,9 @@ mod tests {
     #[test]
     fn scheduler_low_watermark_advances_in_order() {
         let sched = WindowScheduler::new(10, 10);
-        let a = sched.claim().unwrap();
-        let b = sched.claim().unwrap();
+        let flag = CancelFlag::new();
+        let a = sched.claim(&flag).unwrap();
+        let b = sched.claim(&flag).unwrap();
         assert_eq!((a, b), (0, 1));
         sched.complete(b); // completing out of order does not advance low
         assert_eq!(sched.low_watermark(), 0);
@@ -486,12 +467,34 @@ mod tests {
     }
 
     #[test]
+    fn abort_switch_cancels_a_windowed_region() {
+        // Regression: the windowed loop polls its flag only inside
+        // `claim`, and used to pick the polling claim by "has a
+        // deadline" — a handle armed only `with_abort` ran to the end.
+        let abort = Arc::new(CancelFlag::new());
+        let pool = Pool::new(2).with_abort(Arc::clone(&abort));
+        let (out, _) = doall_windowed(&pool, 100_000, 4, &NoopRecorder, |i, _| {
+            if i == 10 {
+                abort.cancel();
+            }
+            Step::Continue
+        });
+        assert!(out.panic.is_none() && out.timeout.is_none());
+        assert!(
+            out.executed < 100_000,
+            "claims must stop once the switch is raised, ran {}",
+            out.executed
+        );
+    }
+
+    #[test]
     fn cancelled_scheduler_rejects_claims_and_reports() {
         let sched = WindowScheduler::new(10, 4);
-        assert_eq!(sched.claim(), Some(0));
+        let flag = CancelFlag::new();
+        assert_eq!(sched.claim(&flag), Some(0));
         sched.cancel();
         assert!(sched.is_cancelled());
-        assert_eq!(sched.claim(), None);
+        assert_eq!(sched.claim(&flag), None);
         // stale completion after cancellation must not panic
         sched.complete(7);
         sched.complete(0);

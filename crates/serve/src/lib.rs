@@ -593,9 +593,13 @@ impl Service {
             lane: lane.index() as u64,
         });
         // Compose the lane's pool with this request's deadline and the
-        // connection's cancel flag: the pool watchdog converts either
-        // into a cooperative region abort, and the speculative executor
-        // drains an aborted region through its bounded sequential rerun.
+        // connection's cancel flag. Only the deadline costs anything at
+        // launch (a watchdog per region); the flag is linked into each
+        // region's own cancel flag and read by the lanes' polling, so a
+        // request over TCP launches its regions as one over stdin does.
+        // Either ends in a cooperative region abort, which the
+        // speculative executor drains through its bounded sequential
+        // rerun.
         let mut pool: Pool = (*lane).clone();
         if let Some(e) = expiry {
             pool = pool.with_deadline(Deadline::new(e.saturating_duration_since(Instant::now())));

@@ -12,7 +12,7 @@ use serde::{json, Value};
 use std::sync::Arc;
 use wlp_ir::frontend::parse_program;
 use wlp_ir::interp::Machine;
-use wlp_serve::{fnv1a64, register_builtins, ServeConfig, Service};
+use wlp_serve::{fnv1a64, register_builtins, CancelFlag, ServeConfig, Service};
 use wlp_workloads::sources::{corpus, machine_inputs};
 
 /// Builds the request line one tenant submits for one corpus program.
@@ -181,6 +181,52 @@ fn hot_working_set_exceeds_the_hit_ratio_bar() {
     let report = service.profile();
     assert_eq!(report.cache_hits, requests as u64 - programs.len() as u64);
     assert_eq!(report.cache_misses, programs.len() as u64);
+}
+
+/// Both transports run one launch path: a request carrying a
+/// connection's cancel flag (TCP) answers field for field what the same
+/// request answers without one (`--stdin`), the two clocks aside, and
+/// neither leaves a thread behind.
+#[test]
+fn a_connection_flag_changes_no_answer_and_leaves_no_thread() {
+    let service = Service::with_defaults();
+    let flag = Arc::new(CancelFlag::new());
+    let lines: Vec<String> = corpus()
+        .iter()
+        .map(|(name, src)| run_line("parity", name, src, 64))
+        .collect();
+    assert_eq!(lines.len(), 7);
+    let round = |cancel: Option<&Arc<CancelFlag>>| -> Vec<Vec<(String, Value)>> {
+        lines
+            .iter()
+            .map(|line| {
+                let resp = json::parse(&service.handle_line_with(line, cancel)).unwrap();
+                assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+                let fields = resp.as_object().expect("a response is an object");
+                fields
+                    .iter()
+                    .filter(|(k, _)| k != "parse_us" && k != "latency_us")
+                    .cloned()
+                    .collect()
+            })
+            .collect()
+    };
+    round(None); // warm: a first request answers "cache":"miss"
+    let threads = || std::fs::read_dir("/proc/self/task").ok().map(|d| d.count());
+    if threads().is_none() {
+        println!("thread counts skipped: no /proc/self/task on this platform");
+    }
+    // Other tests of this binary start and stop threads meanwhile; a
+    // leak would show in every round, so one undisturbed round decides.
+    let quiet = (0..50).any(|_| {
+        let before = threads();
+        let plain = round(None);
+        let after_plain = threads();
+        let armed = round(Some(&flag));
+        assert_eq!(plain, armed);
+        before == after_plain && after_plain == threads()
+    });
+    assert!(quiet, "a round of requests changed the thread count");
 }
 
 /// The same bar under concurrent closed-loop traffic: 20 rounds of the

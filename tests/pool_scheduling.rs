@@ -132,6 +132,36 @@ fn timed_out_region_leaves_the_resident_pool_reusable() {
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 }
 
+/// Threads of this process, where the platform can say.
+fn thread_count() -> Option<usize> {
+    std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
+}
+
+#[test]
+fn abort_armed_region_creates_no_thread() {
+    if thread_count().is_none() {
+        println!("skipped: no /proc/self/task on this platform, cannot count threads");
+        return;
+    }
+    for p in [1usize, 2] {
+        let pool = Pool::new(p);
+        let armed = pool.with_abort(std::sync::Arc::new(CancelFlag::new()));
+        // Other tests of this binary start and stop threads meanwhile, so
+        // a region is judged by the readings around and inside it alone:
+        // a launch that spawns would show inside on every attempt.
+        let quiet = (0..50).any(|_| {
+            let before = thread_count();
+            let inside = armed.run_map(|_| thread_count());
+            let after = thread_count();
+            before == after && inside.iter().all(|&c| c == before)
+        });
+        assert!(
+            quiet,
+            "p = {p}: an abort-armed region changed the thread count"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
