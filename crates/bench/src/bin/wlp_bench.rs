@@ -48,9 +48,12 @@
 //!
 //! * `ingest` — the daemon's first layer, request line → typed
 //!   `Request`: one `proto::parse_request` over each of the seven corpus
-//!   `run` lines at `n = 512` (`small`) and `n = 16384` (`large`),
-//!   reported per pass and as ns per request and ns per byte. Not gated:
-//!   it is the budget row a request's transport share is read against.
+//!   `run` lines at `n = 512` (`small`) and `n = 16384` (`large`; the
+//!   same with seeded-random values as `benchmark/` sends them,
+//!   `large-random`, and with `", "` between elements, `large-spaced`),
+//!   reported per pass and as ns per request and ns per byte. `--gate`
+//!   bounds `large` at 1.8 ns/byte and `large-spaced` at 3.8; the rest
+//!   is the budget a request's transport share is read against.
 //!
 //! * `interp` — the daemon's executor layer: the lowered plan of each
 //!   corpus template at `n = 16384`, bound as a request binds it
@@ -75,8 +78,9 @@
 //! With `--gate`, the run fails (exit 1) if any gated parallel exhibit at
 //! the largest pool size is more than 1.5× slower than its sequential
 //! baseline, if the deadline-armed pool is more than 5% slower than
-//! the ungoverned one, or if abort-armed regions launch more than 1.5×
-//! slower than unarmed ones. A gate whose cell is wider than the machine is
+//! the ungoverned one, if abort-armed regions launch more than 1.5×
+//! slower than unarmed ones, or if parsing the large corpus lines costs
+//! more per byte than its bound. A gate whose cell is wider than the machine is
 //! skipped, printed as skipped, and listed under `gates_skipped` in the
 //! artifact.
 //!
@@ -90,12 +94,13 @@
 //! probes, per-reason failures, terminal rung), so CI archives the
 //! governor's behaviour alongside the wall-clock rows.
 
+use rand::prelude::*;
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 use wlp_analyze::compile_source;
-use wlp_bench::corpus_run_line;
+use wlp_bench::run_line;
 use wlp_core::undo::VersionedArray;
 use wlp_core::{governed_while, speculative_while, SpeculativeArray};
 use wlp_ir::exec::Schedule;
@@ -123,6 +128,15 @@ const WATCHDOG_GATE: f64 = 1.05;
 /// abort-armed handle may take at most this much longer than on a plain
 /// one — an abort is read by the region, so arming it launches nothing.
 const ABORT_GATE: f64 = 1.5;
+
+/// Ingest bounds for `--gate`, ns per parsed byte: the corpus lines at
+/// `n = 16384` must stay under the first (3.8 before the tokenizer took
+/// integer runs itself, ≈ 1 since), and a client that writes `", "`
+/// between elements must pay no more than everyone paid before that.
+const INGEST_GATES: [(&str, f64); 2] = [
+    ("ingest/parse/large/p1", 1.8),
+    ("ingest/parse/large-spaced/p1", 3.8),
+];
 
 #[derive(Serialize, Clone)]
 struct Machine {
@@ -451,8 +465,10 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     // Single-threaded, so it runs before the pools below have put the
     // host's cpus through a burst.
     println!("ingest (corpus run lines):");
-    run_ingest(h, "small", 512);
-    run_ingest(h, "large", 16_384);
+    run_ingest(h, "small", 512, false, ",");
+    run_ingest(h, "large", 16_384, false, ",");
+    run_ingest(h, "large-random", 16_384, true, ",");
+    run_ingest(h, "large-spaced", 16_384, false, ", ");
 
     // -- interp, digest: what a request executes and what its reply hashes -
     println!("interp (corpus plans, n = {INTERP_N}):");
@@ -685,11 +701,30 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
 
 /// The `ingest` family: what it costs to turn the corpus `run` lines at
 /// problem size `n` into typed requests, before any layer the other
-/// families time gets to run.
-fn run_ingest(h: &mut Harness, label: &str, n: usize) {
+/// families time gets to run. `random` redraws every array that is not
+/// constant the way `benchmark/src/gen.rs` draws it — seeded, uniform
+/// below the array's modulus, a shuffle for gather_scatter's permutation
+/// — because the corpus arrays are periodic (`i % 7`), which a branch
+/// predictor learns and seeded traffic does not repeat; `separator` is
+/// what stands between two elements.
+fn run_ingest(h: &mut Harness, label: &str, n: usize, random: bool, separator: &str) {
+    let mut rng = StdRng::seed_from_u64(1);
     let lines: Vec<String> = corpus()
         .iter()
-        .map(|(name, src)| corpus_run_line("bench", name, src, n))
+        .map(|(name, src)| {
+            let (mut arrays, scalars) = machine_inputs(name, n);
+            if random {
+                for (array, data) in arrays.iter_mut() {
+                    let modulus = data.iter().max().map_or(1, |&top| top + 1);
+                    if array == "idx" {
+                        data.shuffle(&mut rng);
+                    } else if data.iter().any(|&x| x != data[0]) {
+                        data.fill_with(|| rng.gen_range(0..modulus));
+                    }
+                }
+            }
+            run_line("bench", src, &arrays, &scalars, 2 * n + 4, separator)
+        })
         .collect();
     let bytes: usize = lines.iter().map(String::len).sum();
     h.run("ingest", "parse", label, 1, n, None, false, || {
@@ -987,7 +1022,8 @@ struct GateReport {
 /// [`WATCHDOG_GATE`] of the plain one; abort-armed dispatch must be
 /// within [`ABORT_GATE`] of plain dispatch at every pool size. A cell
 /// wider than the machine (`p > cpus`) is skipped — oversubscription
-/// contention is not a regression in the construct — and says so.
+/// contention is not a regression in the construct — and says so. The
+/// single-threaded [`INGEST_GATES`] are absolute and always checked.
 fn gate(exhibits: &[Exhibit], cpus: usize) -> GateReport {
     let max_p = pool_sizes().into_iter().max().unwrap_or(1);
     let mut report = GateReport {
@@ -1024,6 +1060,22 @@ fn gate(exhibits: &[Exhibit], cpus: usize) -> GateReport {
                 "{}: {s:.2}x of {} ({gate} gate allows no less than {floor:.2}x)",
                 e.name,
                 e.baseline.as_deref().unwrap_or("?"),
+            ));
+        }
+    }
+    for (name, bound) in INGEST_GATES {
+        let per_byte = exhibits
+            .iter()
+            .find(|e| e.name == name)
+            .and_then(|e| e.per_unit.first());
+        let Some(cost) = per_byte else {
+            continue;
+        };
+        report.checked += 1;
+        if cost.ns > bound {
+            report.failures.push(format!(
+                "{name}: {:.2} ns/{} (ingest gate allows no more than {bound})",
+                cost.ns, cost.unit
             ));
         }
     }

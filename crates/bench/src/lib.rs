@@ -28,13 +28,27 @@ pub mod trajectory;
 /// response assembly out of the measurement. What `serve-chaos` sends
 /// and the `ingest` exhibit parses.
 pub fn corpus_run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
-    use serde::json;
     let (arrays, scalars) = wlp_workloads::sources::machine_inputs(name, n);
+    run_line(tenant, src, &arrays, &scalars, 2 * n + 4, ",")
+}
+
+/// A digest-reply `run` request line over the given state, array
+/// elements joined by `separator` (`","` as the corpus lines and
+/// `benchmark/` write them, `", "` as Python's `json.dumps` does).
+pub fn run_line(
+    tenant: &str,
+    src: &str,
+    arrays: &[(String, Vec<i64>)],
+    scalars: &[(String, i64)],
+    max_iters: usize,
+    separator: &str,
+) -> String {
+    use serde::json;
     let arrays_json: Vec<String> = arrays
         .iter()
         .map(|(k, v)| {
             let items: Vec<String> = v.iter().map(i64::to_string).collect();
-            format!("{}:[{}]", json::to_string(k), items.join(","))
+            format!("{}:[{}]", json::to_string(k), items.join(separator))
         })
         .collect();
     let scalars_json: Vec<String> = scalars
@@ -42,12 +56,11 @@ pub fn corpus_run_line(tenant: &str, name: &str, src: &str, n: usize) -> String 
         .map(|(k, v)| format!("{}:{v}", json::to_string(k)))
         .collect();
     format!(
-        r#"{{"op":"run","tenant":{},"program":{},"arrays":{{{}}},"scalars":{{{}}},"max_iters":{},"reply":"digest"}}"#,
+        r#"{{"op":"run","tenant":{},"program":{},"arrays":{{{}}},"scalars":{{{}}},"max_iters":{max_iters},"reply":"digest"}}"#,
         json::to_string(tenant),
         json::to_string(src),
         arrays_json.join(","),
         scalars_json.join(","),
-        2 * n + 4,
     )
 }
 

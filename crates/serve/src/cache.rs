@@ -56,22 +56,22 @@ const FNV_PRIME_POWERS: [u64; 9] = {
 ///
 /// FNV-1a is one serial xor-multiply per byte, but xor with a zero byte
 /// changes nothing, so the zero bytes above an element's highest live
-/// byte are one multiply by that power of the prime: an index, a counter
-/// or small datum costs its live bytes plus one step, a negative or
-/// full-width value its eight bytes and nothing more.
+/// byte are multiplies only, and those fold into the highest live byte's
+/// own — `(h ^ b)·P·P^(8−live) = (h ^ b)·P^(9−live)`, exact in wrapping
+/// arithmetic: an index, a counter or small datum costs one step per
+/// live byte (a zero counts one), a negative or full-width value its
+/// eight.
 pub fn fnv1a64_i64s(data: &[i64]) -> u64 {
     let mut h = FNV_OFFSET;
     for &x in data {
         let mut rest = x as u64;
-        let live = 8 - rest.leading_zeros() / 8;
-        for _ in 0..live {
+        let live = 8 - (rest | 1).leading_zeros() / 8;
+        for _ in 1..live {
             h ^= rest & 0xff;
             h = h.wrapping_mul(FNV_PRIME);
             rest >>= 8;
         }
-        if live < 8 {
-            h = h.wrapping_mul(FNV_PRIME_POWERS[(8 - live) as usize]);
-        }
+        h = (h ^ rest).wrapping_mul(FNV_PRIME_POWERS[(9 - live) as usize]);
     }
     h
 }
@@ -380,6 +380,25 @@ mod tests {
                 bytes.extend_from_slice(&x.to_le_bytes());
             }
             assert_eq!(fnv1a64_i64s(&data), fnv1a64(&bytes));
+        }
+    }
+
+    proptest::proptest! {
+        /// Widths mixed element by element: each draw is cut down to any
+        /// number of live bytes, keeping its sign or not.
+        #[test]
+        fn streamed_digest_equals_fnv_of_the_bytes_at_any_mix_of_widths(
+            draws in proptest::collection::vec(
+                (proptest::arbitrary::any::<i64>(), 0u32..64, proptest::arbitrary::any::<bool>()),
+                0..200,
+            )
+        ) {
+            let data: Vec<i64> = draws
+                .iter()
+                .map(|&(x, shift, signed)| if signed { x >> shift } else { (x as u64 >> shift) as i64 })
+                .collect();
+            let bytes: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
+            proptest::prop_assert_eq!(fnv1a64_i64s(&data), fnv1a64(&bytes));
         }
     }
 

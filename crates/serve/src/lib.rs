@@ -212,6 +212,11 @@ pub struct Service {
     admitted: AtomicU64,
     rejected: AtomicU64,
     timeouts: AtomicU64,
+    /// Bytes of every line handed in, and the time spent turning them
+    /// into typed requests or rejections (`stats.ingest`; its line count
+    /// is `requests`).
+    ingest_bytes: AtomicU64,
+    ingest_parse_ns: AtomicU64,
     /// Raised by [`Service::begin_drain`]; while up, new `run` requests
     /// are rejected `draining` and ping reports `"draining":true`.
     draining: AtomicBool,
@@ -281,6 +286,8 @@ impl Service {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
+            ingest_bytes: AtomicU64::new(0),
+            ingest_parse_ns: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             persist,
@@ -339,7 +346,12 @@ impl Service {
         // large line is part of what the request cost.
         let started = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let req = match proto::parse_request(line) {
+        let parsed = proto::parse_request(line);
+        let parse_ns = started.elapsed().as_nanos() as u64;
+        self.ingest_bytes
+            .fetch_add(line.len() as u64, Ordering::Relaxed);
+        self.ingest_parse_ns.fetch_add(parse_ns, Ordering::Relaxed);
+        let req = match parsed {
             Ok(req) => req,
             Err(err) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -366,7 +378,7 @@ impl Service {
                 vec![("stats".into(), self.stats_value())],
             )),
             Request::Certify { id, tenant, source } => self.certify(id, &tenant, &source),
-            Request::Run(run) => self.run(run, started, cancel),
+            Request::Run(run) => self.run(run, started, parse_ns / 1000, cancel),
             Request::Shutdown { id } => {
                 self.begin_drain();
                 json::to_string(&ok_response(
@@ -468,9 +480,9 @@ impl Service {
         &self,
         mut req: RunRequest,
         started: Instant,
+        parse_us: u64,
         cancel: Option<&Arc<CancelFlag>>,
     ) -> String {
-        let parse_us = started.elapsed().as_micros() as u64;
         let tenant = self.tenant(&req.tenant);
         tenant.requests.fetch_add(1, Ordering::Relaxed);
 
@@ -1096,6 +1108,23 @@ impl Service {
                 "samples_dropped".into(),
                 Value::UInt(self.samples_dropped.load(Ordering::Relaxed)),
             ),
+            (
+                "ingest".into(),
+                Value::Object(vec![
+                    (
+                        "lines".into(),
+                        Value::UInt(self.requests.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "bytes".into(),
+                        Value::UInt(self.ingest_bytes.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "parse_us".into(),
+                        Value::UInt(self.ingest_parse_ns.load(Ordering::Relaxed) / 1000),
+                    ),
+                ]),
+            ),
             ("persist".into(), {
                 let mut fields = vec![("enabled".into(), Value::Bool(self.persist.is_some()))];
                 if let Some(store) = &self.persist {
@@ -1280,8 +1309,17 @@ mod tests {
             "{pong}"
         );
         assert!(pong.contains("\"id\":\"p1\""));
+        // a rejected line is ingested too
+        svc.handle_line("{\"op\":");
         let stats = svc.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"cache_hits\":0"), "{stats}");
+        let bytes = r#"{"op":"ping","id":"p1"}{"op":{"op":"stats"}"#.len();
+        assert!(
+            stats.contains(&format!(
+                "\"ingest\":{{\"lines\":3,\"bytes\":{bytes},\"parse_us\":"
+            )),
+            "{stats}"
+        );
     }
 
     #[test]

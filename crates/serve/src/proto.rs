@@ -364,6 +364,11 @@ fn arrays(r: &mut Reader<'_>) -> Result<Result<Arrays, String>, json::ParseError
         } else {
             let mut data = Vec::new();
             r.begin_array()?;
+            // The tokenizer takes every run of plain integers itself and
+            // stops in front of anything else, which is read and judged
+            // here. (Once `wrong` is set `data` is dropped with `out`, so
+            // what a run still adds to it is never seen.)
+            r.integers(&mut data);
             while r.next_element()? {
                 match number(r)?.and_then(Number::as_i64) {
                     Some(x) if wrong.is_none() => data.push(x),
@@ -374,6 +379,7 @@ fn arrays(r: &mut Reader<'_>) -> Result<Result<Arrays, String>, json::ParseError
                         });
                     }
                 }
+                r.integers(&mut data);
             }
             out.push((name.into_owned(), data));
         }
@@ -662,6 +668,33 @@ mod tests {
     }
 
     #[test]
+    fn integral_floats_from_two_to_the_64th_are_rejected_not_saturated() {
+        let line = |field: &str, value: &str| {
+            format!(r#"{{"op":"run","id":"f","program":"x","{field}":{value}}}"#)
+        };
+        for parse in [parse_request, parse_request_via_value] {
+            for value in ["1.85e19", "18446744073709551616.0", "1e400"] {
+                let err = parse(&line("max_iters", value)).unwrap_err();
+                assert_eq!(err.detail, "`max_iters` must be a non-negative integer");
+                let err = parse(&line("deadline_ms", value)).unwrap_err();
+                assert_eq!(err.detail, "`deadline_ms` must be a positive integer");
+                let err = parse(&format!(r#"{{"op":"ping","v":{value}}}"#)).unwrap_err();
+                assert_eq!(err.code, codes::UNSUPPORTED_VERSION);
+            }
+            // the largest integral float below the bound still converts
+            let Ok(Request::Run(r)) = parse(&line("max_iters", "1.8446744073709550e19")) else {
+                panic!("expected run");
+            };
+            assert_eq!(r.max_iters, Some(18_446_744_073_709_549_568));
+        }
+        assert_eq!(Value::Float(1.85e19).as_u64(), None);
+        assert_eq!(
+            Value::Float(1.8e19).as_u64(),
+            Some(18_000_000_000_000_000_000)
+        );
+    }
+
+    #[test]
     fn retriable_errors_carry_the_hint() {
         let err = ProtoError {
             code: codes::TENANT_BUSY,
@@ -777,6 +810,49 @@ mod tests {
         ELEMENTS[tape.below(of)]
     }
 
+    /// The elements of one array: a few of any kind, each spaced its own
+    /// way, and one time in four a run long enough for the tokenizer's
+    /// integer-run step to get going — single digits (four to a load) or
+    /// widths and signs mixed, written with one separator throughout as a
+    /// client's encoder would — then one element the step has to leave to
+    /// the general path, then a run it must pick up again.
+    fn array_items(tape: &mut Tape) -> Vec<String> {
+        let mut items: Vec<String> = (0..tape.below(6))
+            .map(|_| {
+                let item = element(tape);
+                spaced(tape, item)
+            })
+            .collect();
+        if tape.below(4) > 0 {
+            return items;
+        }
+        let widest = [1, 1, 2, 4, 7][tape.below(5)];
+        let space = tape.pick(&["", "", " "]);
+        let hinge = if tape.misfit() {
+            tape.pick(&["-", "x", "1.5", r#""s""#, "[2]"])
+        } else if tape.below(2) == 0 {
+            element(tape)
+        } else {
+            tape.pick(&["-0", "007", "12345678", "  5", "\t5", "5 ", "1.0", "1e2"])
+        };
+        for (second, len) in [(false, 64 + tape.below(8)), (true, 9 + tape.below(8))] {
+            if second {
+                items.push(hinge.to_string());
+            }
+            for _ in 0..len {
+                let sign = if widest > 1 && tape.below(8) == 0 {
+                    "-"
+                } else {
+                    ""
+                };
+                let width = 1 + tape.below(widest) as u32;
+                let magnitude = tape.below(10usize.pow(width));
+                items.push(format!("{space}{sign}{magnitude}"));
+            }
+        }
+        items
+    }
+
     /// An `arrays` (or `scalars`) object; names repeat, escaped or not.
     fn int_map(tape: &mut Tape, array_valued: bool) -> String {
         let members: Vec<String> = (0..tape.below(4))
@@ -787,13 +863,7 @@ mod tests {
                 } else if tape.misfit() {
                     tape.pick(MISFITS).to_string()
                 } else {
-                    let items: Vec<String> = (0..tape.below(6))
-                        .map(|_| {
-                            let item = element(tape);
-                            spaced(tape, item)
-                        })
-                        .collect();
-                    format!("[{}]", items.join(","))
+                    format!("[{}]", array_items(tape).join(","))
                 };
                 format!("{}:{}", spaced(tape, name), spaced(tape, &value))
             })
@@ -917,6 +987,22 @@ mod tests {
         // over its own seeds the generator must produce accepted `run`
         // requests with data in them, and both families of rejection
         let (mut runs_with_data, mut bad_json, mut bad_field) = (0, 0, 0);
+        // ...and accepted arrays the tokenizer's integer-run step works
+        // on in each of its ways, told by what the line spells (`d` any
+        // digit): eight single digits in a row cannot pass without one
+        // four-per-load compare, a wider element between commas is taken
+        // from a load's digit mask, and a float or an eight-digit number
+        // between two runs makes the step stop, leave one element to the
+        // general path, and start again inside the same array
+        let spells = |line: &str, pattern: &str| {
+            line.as_bytes().windows(pattern.len()).any(|w| {
+                w.iter().zip(pattern.bytes()).all(|(&b, p)| match p {
+                    b'd' => b.is_ascii_digit(),
+                    _ => b == p,
+                })
+            })
+        };
+        let (mut four_per_load, mut by_digit_mask, mut re_entered) = (0, 0, 0);
         for seed in 0..400u32 {
             let draws = (0..96)
                 .map(|k| seed.wrapping_mul(2654435761).rotate_left(k) ^ k)
@@ -925,6 +1011,26 @@ mod tests {
             match parse_request(&line) {
                 Ok(Request::Run(r)) if r.arrays.iter().any(|(_, a)| !a.is_empty()) => {
                     runs_with_data += 1;
+                    if r.arrays.iter().all(|(_, a)| a.len() < 64) {
+                        continue;
+                    }
+                    four_per_load += usize::from(spells(&line, "d,d,d,d,d,d,d,d,"));
+                    by_digit_mask += usize::from(
+                        [",dd,dd,d", ",-d,dd,d", ", dd, d, d"]
+                            .iter()
+                            .any(|mixed| spells(&line, mixed)),
+                    );
+                    let hinges = [
+                        "2.0",
+                        "1e3",
+                        "1.0",
+                        "1e2",
+                        "12345678",
+                        "-9223372036854775808",
+                    ];
+                    re_entered += usize::from(hinges.iter().any(|hinge| {
+                        spells(&line, &format!("d,d,d,d,d,d,d,d,{hinge},d,d,d,d,d,d,d,d,"))
+                    }));
                 }
                 Ok(_) => {}
                 Err(e) if e.detail.starts_with("invalid JSON") => bad_json += 1,
@@ -937,6 +1043,9 @@ mod tests {
         );
         assert!(bad_json >= 10, "{bad_json} syntax rejections");
         assert!(bad_field >= 10, "{bad_field} field rejections");
+        assert!(four_per_load >= 5, "{four_per_load} four-per-load runs");
+        assert!(by_digit_mask >= 5, "{by_digit_mask} mixed-width runs");
+        assert!(re_entered >= 3, "{re_entered} runs re-entered");
     }
 
     #[test]

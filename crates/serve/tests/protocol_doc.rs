@@ -70,6 +70,20 @@ fn smoke_requests_succeed_with_a_cache_hit() {
         .and_then(Value::as_u64)
         .expect("stats.cache_hits");
     assert!(hits >= 2, "expected nonzero cache hits, got {hits}");
+    // ...and what the five lines so far cost to read, as the `ingest`
+    // table documents: every line and every byte handed in, this one
+    // included
+    let ingest = |name: &str| {
+        let field = stats.get("stats").and_then(|s| s.get("ingest")?.get(name));
+        field.and_then(Value::as_u64)
+    };
+    let sent: usize = example_lines()[..5].iter().map(|l| l.len()).sum();
+    assert_eq!(ingest("lines"), Some(5));
+    assert_eq!(ingest("bytes"), Some(sent as u64));
+    assert!(ingest("parse_us").is_some(), "{}", responses[4].1);
+    for row in ["| `lines` |", "| `bytes` |", "| `parse_us` | time spent"] {
+        assert!(PROTOCOL_MD.contains(row), "PROTOCOL.md lost `{row}`");
+    }
     // the run example's documented result is exact
     assert!(
         responses[2].1.contains("\"arrays\":{\"A\":[2,4,6,8]}"),

@@ -316,7 +316,9 @@ pub mod json {
     }
 
     impl Number {
-        /// The number as a signed integer (integral floats included).
+        /// The number as a signed integer (integral floats included, up
+        /// to a conservative `9.0e18`: the few integral floats between
+        /// that and 2⁶³ are refused, none past the range is taken).
         pub fn as_i64(self) -> Option<i64> {
             match self {
                 Number::Int(n) => Some(n),
@@ -326,12 +328,17 @@ pub mod json {
             }
         }
 
-        /// The number as an unsigned integer (integral floats included).
+        /// The number as an unsigned integer (integral floats below 2⁶⁴
+        /// included; from there on `as u64` would saturate, not convert).
         pub fn as_u64(self) -> Option<u64> {
             match self {
                 Number::UInt(n) => Some(n),
                 Number::Int(n) => u64::try_from(n).ok(),
-                Number::Float(x) if x.fract() == 0.0 && x >= 0.0 && x < 1.9e19 => Some(x as u64),
+                Number::Float(x)
+                    if x.fract() == 0.0 && (0.0..18_446_744_073_709_551_616.0).contains(&x) =>
+                {
+                    Some(x as u64)
+                }
                 Number::Float(_) => None,
             }
         }
@@ -653,6 +660,90 @@ pub mod json {
             self.next(b']', "array")
         }
 
+        /// Inside an array, between elements: reads the run of plain
+        /// integers that comes next into `out`, several per 8-byte load,
+        /// and stops in front of the first element it does not take, with
+        /// the reader exactly where [`next_element`](Self::next_element)
+        /// + [`number`](Self::number) per element would have left it — so
+        /// whatever ends the run is read, and judged, by those two.
+        ///
+        /// An element is taken when it follows the `[` or a `,` directly
+        /// or after one space, is an optional `-` and 1 to 7 digits, is
+        /// followed by a `,` directly, and all of that lies inside one
+        /// load. It cannot fail: a longer number, a float, more white
+        /// space, a value of another kind, an array's last element and
+        /// the last bytes of the input are all left where they are.
+        pub fn integers(&mut self, out: &mut Vec<i64>) {
+            const LANES: u64 = 0x0101_0101_0101_0101;
+            let bytes = self.src.as_bytes();
+            // where the next element's text starts
+            let start = match bytes.get(self.pos) {
+                _ if self.fresh => self.pos,
+                Some(b',') => self.pos + 1,
+                _ => return,
+            };
+            let mut at = start;
+            while let Some(load) = bytes.get(at..at + 8) {
+                let w = u64::from_le_bytes(load.try_into().expect("an 8-byte slice"));
+                // `d,d,d,d,`: no high nibble but the digits' 3, no low
+                // nibble above 9 (the add cannot carry once the first
+                // half of the test holds)
+                let x = w ^ 0x2c30_2c30_2c30_2c30;
+                if (x | x.wrapping_add(0x0006_0006_0006_0006)) & 0xfff0_fff0_fff0_fff0 == 0 {
+                    out.extend_from_slice(&[
+                        (x & 0xf) as i64,
+                        (x >> 16 & 0xf) as i64,
+                        (x >> 32 & 0xf) as i64,
+                        (x >> 48 & 0xf) as i64,
+                    ]);
+                    at += 8;
+                    continue;
+                }
+                // Every element that ends inside this load, one per comma
+                // in it. A mask marks bytes in their top bit: `other` the
+                // bytes that are not digits, `commas` the commas. Only
+                // `commas` is carried from one element to the next;
+                // everything else feeds a push or a branch.
+                let at_least = |x: u64, least: u64| {
+                    (((x & (0x7f * LANES)) + (0x80 - least) * LANES) | x) & (0x80 * LANES)
+                };
+                let other = at_least(w ^ (0x30 * LANES), 10);
+                let mut commas = at_least(w ^ (0x2c * LANES), 1) ^ (0x80 * LANES);
+                let byte = |i: usize| (w >> (8 * i)) as u8;
+                // where in the load the next element's text starts
+                let mut k = 0;
+                while commas != 0 {
+                    let end = commas.trailing_zeros() as usize / 8;
+                    let mut digits = k + usize::from(byte(k) == b' ');
+                    let negative = byte(digits) == b'-';
+                    digits += usize::from(negative);
+                    let len = (other >> (8 * digits)).trailing_zeros() as usize / 8;
+                    if len == 0 || digits + len != end {
+                        break;
+                    }
+                    // the digits moved to the top `len` bytes, first digit
+                    // lowest, zeros below them: adjacent pairs, then
+                    // fours, then the eight fold into one number
+                    let v = ((w >> (8 * digits)) << (8 * (8 - len))) & (0x0f * LANES);
+                    let v = (v.wrapping_mul(2561) >> 8) & 0x00ff_00ff_00ff_00ff;
+                    let v = (v.wrapping_mul(6_553_601) >> 16) & 0x0000_ffff_0000_ffff;
+                    let v = (v.wrapping_mul(42_949_672_960_001) >> 32) as i64;
+                    out.push(if negative { -v } else { v });
+                    k = end + 1;
+                    commas &= commas - 1;
+                }
+                if k == 0 {
+                    break;
+                }
+                at += k;
+            }
+            if at > start {
+                // on the comma after the last element taken
+                self.pos = at - 1;
+                self.fresh = false;
+            }
+        }
+
         /// Enters an object; follow with [`next_key`](Self::next_key).
         pub fn begin_object(&mut self) -> Result<(), ParseError> {
             self.begin(b'{')
@@ -920,6 +1011,243 @@ mod tests {
         let err = json::Reader::new(&deep).skip_value().unwrap_err();
         assert_eq!(err.at, json::MAX_PARSE_DEPTH);
         assert!(err.msg.contains("nesting"), "{err}");
+    }
+
+    /// One array read the way a typed consumer reads it — elements that
+    /// are `i64`s, and where the others stood — with the integer-run step
+    /// before the first element and after every element, or without it.
+    fn read_array(src: &str, step: bool) -> Result<(Vec<i64>, Vec<usize>), json::ParseError> {
+        let mut r = json::Reader::new(src);
+        let (mut ints, mut others) = (Vec::new(), Vec::new());
+        r.begin_array()?;
+        if step {
+            r.integers(&mut ints);
+        }
+        while r.next_element()? {
+            let int = match r.peek_kind()? {
+                json::Kind::Number => r.number()?.as_i64(),
+                _ => r.skip_value().map(|()| None)?,
+            };
+            match int {
+                Some(x) => ints.push(x),
+                None => others.push(ints.len()),
+            }
+            if step {
+                r.integers(&mut ints);
+            }
+        }
+        r.finish()?;
+        Ok((ints, others))
+    }
+
+    /// The step changes nothing: same elements or same error, on `src`
+    /// and on `src` cut short at every byte.
+    fn assert_step_is_invisible(src: &str) {
+        for cut in (0..=src.len()).filter(|&k| src.is_char_boundary(k)) {
+            let text = &src[..cut];
+            assert_eq!(read_array(text, true), read_array(text, false), "{text:?}");
+        }
+    }
+
+    /// Elements around which the step must stop, start again, or carry
+    /// on: every width it takes and the first it does not, signs, zeros,
+    /// white space in every place, floats, and values of other kinds.
+    fn awkward_elements() -> Vec<String> {
+        let mut of: Vec<String> = [
+            "-",
+            "-0",
+            "0",
+            "007",
+            "0000000",
+            "00000000",
+            "-007",
+            " 5",
+            "  5",
+            "\t5",
+            "\n5",
+            "5 ",
+            "5\t",
+            " -5",
+            "  -5",
+            "- 5",
+            " 1234567",
+            " -123456",
+            "-1234567",
+            " -1234567",
+            "1.0",
+            "1.",
+            "-1.5",
+            "1e2",
+            "1E2",
+            "12e",
+            "12.e",
+            ".5",
+            "1-2",
+            "1+2",
+            "--1",
+            "x",
+            "5x",
+            "12é",
+            // the bytes on either side of `0`..=`9`, and those a bit apart
+            "/",
+            ":",
+            "1/",
+            "/1",
+            "1:",
+            ":1",
+            "1°",
+            "°1",
+            "1\u{b9}",
+            "\u{b9}",
+            "1p",
+            "q",
+            "\"s\"",
+            "\"1,2\"",
+            "[2]",
+            "[1,2,3,4,5]",
+            "{}",
+            "null",
+            "true",
+            "",
+            " ",
+        ]
+        .map(String::from)
+        .to_vec();
+        for digits in 1..=20 {
+            let magnitude: String = "12345678901234567890"[..digits].into();
+            of.push(format!("-{magnitude}"));
+            of.push("9".repeat(digits));
+            of.push(magnitude);
+        }
+        of
+    }
+
+    #[test]
+    fn the_integer_run_step_reads_what_the_general_path_reads() {
+        let singles = |n: usize| (0..n).map(|k| ((k * 7 + 3) % 10).to_string());
+        let array = |before: usize, item: &str, after: usize| {
+            let items: Vec<String> = singles(before)
+                .chain([item.to_string()])
+                .chain(singles(after))
+                .collect();
+            format!("[{}]", items.join(","))
+        };
+        // single-digit runs of every length around the four-per-load
+        // boundary, alone
+        for n in 0..=13 {
+            let items: Vec<String> = singles(n).collect();
+            assert_step_is_invisible(&format!("[{}]", items.join(",")));
+            assert_step_is_invisible(&format!("[ {}]", items.join(", ")));
+        }
+        for item in awkward_elements() {
+            for before in 0..=13 {
+                // ...in front of each awkward element, and after it
+                for after in [0, 3, 9] {
+                    assert_step_is_invisible(&array(before, &item, after));
+                }
+                // ...and the run ending every distance from the end of
+                // the input, where a load no longer fits
+                for pad in 0..=12 {
+                    let src = format!("{}{}", array(before, "42", 2), " ".repeat(pad));
+                    assert_eq!(read_array(&src, true), read_array(&src, false), "{src:?}");
+                    let src = format!("{}{}", array(before, &item, 0), " ".repeat(pad));
+                    assert_eq!(read_array(&src, true), read_array(&src, false), "{src:?}");
+                }
+            }
+        }
+        // what it read, not only that both agree
+        assert_eq!(
+            read_array(
+                "[1,2,3,4,5,6,7,8,9,10, -11,1234567,-0,007,12345678,2.0,5 ,6]",
+                true
+            ),
+            Ok((
+                vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -11, 1234567, 0, 7, 12345678, 2, 5, 6],
+                vec![]
+            ))
+        );
+    }
+
+    #[test]
+    fn the_integer_run_step_agrees_on_mixed_widths_and_separators() {
+        // xorshift64: widths of 1..=9 digits, signs and separators mixed,
+        // every array cut short at every byte
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..400 {
+            let mut src = String::from("[");
+            // mostly the widths real arrays have; now and then any
+            let widest = [2, 2, 3, 5, 9][draw(5) as usize];
+            for k in 0..draw(40) {
+                if k > 0 {
+                    src.push_str([",", ",", ",", ", ", " ,", ",  ", ",\t"][draw(7) as usize]);
+                }
+                if draw(8) == 0 {
+                    src.push('-');
+                }
+                let width = 1 + draw(widest) as u32;
+                src.push_str(&draw(10u64.pow(width)).to_string());
+            }
+            src.push(']');
+            assert_step_is_invisible(&src);
+        }
+    }
+
+    #[test]
+    fn the_integer_run_step_moves_only_between_elements() {
+        let mut r = json::Reader::new("[1,2,3,4,5,6 ,7,[8,9,1,2,3,4,5,60],1]  ");
+        let mut out = Vec::new();
+        r.begin_array().unwrap();
+        r.integers(&mut out);
+        assert_eq!(out, [1, 2, 3, 4, 5]);
+        // `6` is not followed by its comma: left to the general path
+        r.integers(&mut out);
+        assert_eq!(out.len(), 5);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.number().unwrap(), json::Number::UInt(6));
+        // in front of white space, and then of a nested array: a no-op
+        r.integers(&mut out);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.number().unwrap(), json::Number::UInt(7));
+        r.integers(&mut out);
+        assert_eq!(out.len(), 5);
+        // the innermost array is the one it reads, up to its last element
+        assert!(r.next_element().unwrap());
+        r.begin_array().unwrap();
+        r.integers(&mut out);
+        assert_eq!(out[5..], [8, 9, 1, 2, 3, 4, 5]);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.number().unwrap(), json::Number::UInt(60));
+        assert!(!r.next_element().unwrap());
+        // too close to the end of the input for a load
+        r.integers(&mut out);
+        assert_eq!(out.len(), 12);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.number().unwrap(), json::Number::UInt(1));
+        assert!(!r.next_element().unwrap());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn integral_floats_convert_only_inside_the_integer_range() {
+        let num = |src: &str| json::parse(src).unwrap();
+        assert_eq!(
+            num("1.8446744073709550e19").as_u64(),
+            Some(18446744073709549568)
+        );
+        // 2^64 and beyond: `as u64` would saturate to u64::MAX
+        assert_eq!(num("18446744073709551616.0").as_u64(), None);
+        assert_eq!(num("1.85e19").as_u64(), None);
+        assert_eq!(num("1e400").as_u64(), None);
+        assert_eq!(num("-1.0").as_u64(), None);
+        assert_eq!(num("2e2").as_u64(), Some(200));
+        assert_eq!(num("9e18").as_i64(), None);
+        assert_eq!(num("8.9e18").as_i64(), Some(8_900_000_000_000_000_000));
     }
 
     #[test]
