@@ -105,12 +105,17 @@ fn panic_seq_line(tenant: &str) -> String {
 }
 
 /// Speculative-verdict panic request — the pool contains the panic and
-/// the one-shot builtin lets the sequential rerun recover.
-fn panic_spec_line(tenant: &str) -> String {
-    let src = "integer i = 0\nwhile (i < n) {\n    A[i] = chaos_panic(A[i])\n    i = i + 1\n}";
+/// the one-shot builtin lets the sequential rerun recover. Each `round`
+/// submits its own program text: a program's first run speculates, while
+/// a repeat would be the program's run history's to send down the
+/// sequential path, where the panic is the other scenario's.
+fn panic_spec_line(tenant: &str, round: usize) -> String {
+    let src = format!(
+        "integer i = 0\nwhile (i < n) {{\n    A[i] = chaos_panic(A[i]) + {round}\n    i = i + 1\n}}"
+    );
     format!(
         r#"{{"op":"run","tenant":"{tenant}","program":{},"arrays":{{"A":[1,2,3,4]}},"scalars":{{"n":4}}}}"#,
-        json::to_string(src)
+        json::to_string(&src)
     )
 }
 
@@ -272,8 +277,13 @@ fn worker_panic(rounds: usize) -> ScenarioReport {
         );
         tally.count(&resp);
         // speculative containment: the pool absorbs the panic and the
-        // rerun recovers, so this one is expected to succeed
-        let resp = service.handle_line(&panic_spec_line(&format!("boom-spec-{r}")));
+        // rerun recovers, so this one is expected to succeed — and must
+        // have reached the speculative path to be this scenario at all
+        let resp = service.handle_line(&panic_spec_line(&format!("boom-spec-{r}"), r));
+        assert!(
+            resp.contains("\"decision\":\"speculated\"") || resp.contains("\"decision\":\"probe\""),
+            "speculative panic must run on the speculative path: {resp}"
+        );
         tally.count(&resp);
     }
     let (recovered, recovery_ms) = probe(&service, "probe", fault_at);

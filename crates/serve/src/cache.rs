@@ -17,13 +17,18 @@
 //! Eviction is LRU over a bounded capacity: the cache is sized for the
 //! working set of distinct programs, not the request volume, and a cold
 //! program pays exactly one miss before its certificate is resident.
+//!
+//! Each entry also carries the program's [`RunHistory`]: what its runs
+//! have cost on this machine, which is what decides whether the next one
+//! speculates (the paper's §7 question, answered from §8's run
+//! statistics rather than from a model).
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use wlp_analyze::{compile_source, Analysis};
-use wlp_ir::exec::ExecPlan;
+use wlp_ir::exec::{ExecPlan, Schedule};
 use wlp_ir::frontend::{FrontendError, Program};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -95,6 +100,145 @@ pub struct CacheEntry {
     /// What a request executes: `program` lowered once, under
     /// `analysis`'s certificate.
     pub plan: ExecPlan,
+    /// What this program's runs have cost, per request size class: the
+    /// one input to whether its next run speculates. Only a plan that can
+    /// speculate asks, so only a `SpeculativeDoall` plan carries one; a
+    /// plan sequential by construction pays a null pointer. Starts empty
+    /// on every insert (a recovered or re-admitted program measures
+    /// itself again).
+    pub history: Option<Box<RunHistory>>,
+}
+
+/// How often, in decisions of one size class, the path [`RunHistory`]
+/// does not prefer runs anyway to measure it again: without it a path
+/// measured slower once would never be tried again, and speculation
+/// could not win back a class when the machine starts to favour it.
+/// A power of two, so the decision count's wrap-around keeps the period.
+pub const PROBE_PERIOD: u32 = 32;
+
+/// Request size classes a [`RunHistory`] tells apart: 2¹⁹ elements is
+/// more than a 1 MiB request line can spell, so the last class is never
+/// shared in practice.
+const SIZE_CLASSES: usize = 20;
+
+/// What a [`RunHistory`] tells one run of a speculative plan to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Choice {
+    /// Speculate: the class has never been measured speculating, or
+    /// speculation is the cheaper path.
+    Speculate,
+    /// Run sequentially: speculation is measured slower than the
+    /// sequential path in this class.
+    Decline,
+    /// Measure a path: the sequential one when the class has no
+    /// sequential sample yet, otherwise, every [`PROBE_PERIOD`]-th
+    /// decision, the path the estimates do not prefer.
+    Probe {
+        /// Whether the probed path is the speculative one.
+        speculate: bool,
+    },
+}
+
+impl Choice {
+    /// Whether the run attempts the speculative path.
+    pub(crate) fn speculates(self) -> bool {
+        match self {
+            Choice::Speculate => true,
+            Choice::Decline => false,
+            Choice::Probe { speculate } => speculate,
+        }
+    }
+}
+
+/// Per-program run statistics: for each request size class, a running
+/// estimate of what one iteration costs on the speculative path (a
+/// failed attempt's rollback and sequential re-run included — that is
+/// what the attempt cost) and on the sequential path, and how many
+/// decisions the class has seen. A class is the log₂ of the elements in
+/// the request's bound arrays, so one program served at n = 512 and at
+/// n = 16384 keeps two sets of numbers: a region launch that dwarfs the
+/// small run vanishes in the large one.
+///
+/// Lock-free: every field is an atomic updated on its own. A sample that
+/// races another may be lost, which moves an estimate by one sample's
+/// weight; nothing depends on the fields agreeing with each other. Every
+/// cached program that can speculate carries one (240 bytes), so the
+/// fields are 32 bits.
+#[derive(Debug, Default)]
+pub struct RunHistory {
+    classes: [SizeClass; SIZE_CLASSES],
+}
+
+/// One size class of a [`RunHistory`]. Estimates are in 1/16 ns per
+/// iteration, saturating at ≈ 268 ms; zero means "never measured".
+#[derive(Debug, Default)]
+struct SizeClass {
+    decisions: AtomicU32,
+    speculative: AtomicU32,
+    sequential: AtomicU32,
+}
+
+impl RunHistory {
+    /// The size class of a request whose bound arrays hold `elements`
+    /// elements in all.
+    pub(crate) fn class_of(elements: usize) -> usize {
+        (elements.checked_ilog2().unwrap_or(0) as usize).min(SIZE_CLASSES - 1)
+    }
+
+    /// Decides one run in `class` (see [`Choice`]) and counts it toward
+    /// the class's probe period — whether or not the run then happens: a
+    /// probe that lands on a request refused credits or a lane is skipped.
+    pub(crate) fn decide(&self, class: usize) -> Choice {
+        let c = &self.classes[class];
+        let decision = c.decisions.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        let speculative = c.speculative.load(Ordering::Relaxed);
+        let sequential = c.sequential.load(Ordering::Relaxed);
+        if speculative == 0 {
+            return Choice::Speculate;
+        }
+        if sequential == 0 {
+            return Choice::Probe { speculate: false };
+        }
+        let speculation_pays = speculative < sequential;
+        if decision.is_multiple_of(PROBE_PERIOD) {
+            Choice::Probe {
+                speculate: !speculation_pays,
+            }
+        } else if speculation_pays {
+            Choice::Speculate
+        } else {
+            Choice::Decline
+        }
+    }
+
+    /// Records what a run `choice` decided in `class` cost: `elapsed_ns`
+    /// over `iterations`. The path's estimate moves a quarter of the way
+    /// to the sample — except on a probe, whose sample replaces it: the
+    /// estimate of a path not taken is up to a probe period old, and the
+    /// point of measuring it again is to let the machine's current
+    /// behaviour decide.
+    pub(crate) fn record(&self, class: usize, choice: Choice, elapsed_ns: u64, iterations: usize) {
+        let c = &self.classes[class];
+        let estimate = if choice.speculates() {
+            &c.speculative
+        } else {
+            &c.sequential
+        };
+        let sample = (elapsed_ns.saturating_mul(16) / iterations.max(1) as u64)
+            .clamp(1, u64::from(u32::MAX)) as u32;
+        if matches!(choice, Choice::Probe { .. }) {
+            estimate.store(sample, Ordering::Relaxed);
+            return;
+        }
+        let _ = estimate.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+            // never 0 once measured: `old - old / 4` is at least 1
+            Some(if old == 0 {
+                sample
+            } else {
+                old - old / 4 + sample / 4
+            })
+        });
+    }
 }
 
 /// Why [`CertCache::load_recovered`] refused a persisted record. Every
@@ -160,12 +304,15 @@ impl CertCache {
     fn build(&self, key: u64, source: &str) -> Result<Arc<CacheEntry>, FrontendError> {
         let (program, analysis, plan) = compile_source(source)?;
         self.plans_compiled.fetch_add(1, Ordering::Relaxed);
+        let history =
+            matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }).then(Box::default);
         Ok(Arc::new(CacheEntry {
             key,
             source: source.to_string(),
             program,
             analysis,
             plan,
+            history,
         }))
     }
 
@@ -527,6 +674,137 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].source, LOOP_B);
         assert_eq!(entries[1].source, LOOP_A);
+    }
+
+    /// Decides one run and records that it took `ns_per_iter` over 100
+    /// iterations — the service's decide → execute → record, clock-free.
+    fn run_once(h: &RunHistory, class: usize, ns_per_iter: u64) -> Choice {
+        let choice = h.decide(class);
+        h.record(class, choice, ns_per_iter * 100, 100);
+        choice
+    }
+
+    #[test]
+    fn history_speculates_first_measures_sequential_once_then_takes_the_cheaper_path() {
+        let h = RunHistory::default();
+        // a program's first run behaves as it did before any history
+        assert_eq!(h.decide(5), Choice::Speculate);
+        h.record(5, Choice::Speculate, 300_000, 1000); // 300 ns an iteration
+        assert_eq!(h.decide(5), Choice::Probe { speculate: false });
+        h.record(5, Choice::Probe { speculate: false }, 100_000, 1000);
+        // speculation measured 3× slower: declined from here on
+        for _ in 0..5 {
+            assert_eq!(run_once(&h, 5, 100), Choice::Decline);
+        }
+        // until a probe finds speculation cheaper: its sample replaces
+        // the stale estimate, and the rule flips on the next run
+        while h.decide(5) != (Choice::Probe { speculate: true }) {}
+        h.record(5, Choice::Probe { speculate: true }, 50_000, 1000);
+        assert_eq!(run_once(&h, 5, 50), Choice::Speculate);
+        // and flips back once speculation's running estimate (a quarter
+        // of the way per sample) climbs past the sequential one
+        let mut runs = 0;
+        while run_once(&h, 5, 400) == Choice::Speculate {
+            runs += 1;
+        }
+        assert!(
+            (1..PROBE_PERIOD).contains(&runs),
+            "{runs} runs to flip back"
+        );
+    }
+
+    #[test]
+    fn history_probes_fire_exactly_on_the_period() {
+        let h = RunHistory::default();
+        assert_eq!(run_once(&h, 3, 90), Choice::Speculate);
+        assert_eq!(run_once(&h, 3, 30), Choice::Probe { speculate: false });
+        // decisions are counted from the class's first: every
+        // PROBE_PERIOD-th one measures the path not preferred
+        for decision in 3..=4 * PROBE_PERIOD + 1 {
+            let want = if decision.is_multiple_of(PROBE_PERIOD) {
+                Choice::Probe { speculate: true }
+            } else {
+                Choice::Decline
+            };
+            let sample = if want.speculates() { 90 } else { 30 };
+            assert_eq!(run_once(&h, 3, sample), want, "decision {decision}");
+        }
+        // with speculation preferred, the probe measures the sequential path
+        let h = RunHistory::default();
+        run_once(&h, 3, 10);
+        run_once(&h, 3, 30);
+        for decision in 3..=2 * PROBE_PERIOD {
+            let want = if decision.is_multiple_of(PROBE_PERIOD) {
+                Choice::Probe { speculate: false }
+            } else {
+                Choice::Speculate
+            };
+            let sample = if want.speculates() { 10 } else { 30 };
+            assert_eq!(run_once(&h, 3, sample), want, "decision {decision}");
+        }
+    }
+
+    #[test]
+    fn history_size_classes_are_independent() {
+        // every cached program that can speculate carries one; the others
+        // carry a null pointer
+        assert_eq!(std::mem::size_of::<RunHistory>(), 240);
+        let cache = CertCache::new(2);
+        let (parallel, _) = cache.lookup(LOOP_A).unwrap();
+        let (sequential, _) = cache.lookup(LOOP_C).unwrap();
+        assert!(parallel.history.is_some());
+        assert!(sequential.history.is_none());
+        assert_eq!(RunHistory::class_of(0), 0);
+        assert_eq!(RunHistory::class_of(1), 0);
+        assert_eq!(RunHistory::class_of(512), 9);
+        assert_eq!(RunHistory::class_of(4 * 16384 - 1), 15);
+        assert_eq!(RunHistory::class_of(4 * 16384), 16);
+        assert_eq!(RunHistory::class_of(usize::MAX), SIZE_CLASSES - 1);
+        let h = RunHistory::default();
+        let (small, large) = (RunHistory::class_of(512), RunHistory::class_of(16384));
+        // small requests: speculation loses
+        run_once(&h, small, 500);
+        run_once(&h, small, 50);
+        assert_eq!(h.decide(small), Choice::Decline);
+        // the large class has seen none of it: it starts over, and its
+        // own numbers (speculation wins) decide it
+        assert_eq!(run_once(&h, large, 20), Choice::Speculate);
+        assert_eq!(run_once(&h, large, 30), Choice::Probe { speculate: false });
+        assert_eq!(h.decide(large), Choice::Speculate);
+        assert_eq!(h.decide(small), Choice::Decline);
+    }
+
+    #[test]
+    fn history_concurrent_updates_never_panic() {
+        let h = RunHistory::default();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let h = &h;
+                s.spawn(move || {
+                    for k in 0..2000u64 {
+                        let class = ((k + t) % 3) as usize;
+                        let choice = h.decide(class);
+                        // extremes included: no iterations, saturating time
+                        let (ns, iters) = match k % 4 {
+                            0 => (u64::MAX, 0),
+                            1 => (0, usize::MAX),
+                            _ => (k * 37 + t, (k % 50) as usize),
+                        };
+                        h.record(class, choice, ns, iters);
+                    }
+                });
+            }
+        });
+        for class in 0..3 {
+            let c = &h.classes[class];
+            assert_eq!(
+                c.decisions.load(Ordering::Relaxed),
+                8000 / 3 + u32::from(class < 2)
+            );
+            // a measured path never reads as unmeasured again
+            assert!(c.speculative.load(Ordering::Relaxed) > 0);
+            assert!(c.sequential.load(Ordering::Relaxed) > 0);
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod circuit;
 pub mod persist;
 pub mod proto;
 
-use cache::{CacheEntry, CacheOutcome, CertCache};
+use cache::{CacheEntry, CacheOutcome, CertCache, Choice, RunHistory};
 use circuit::{Admission, CircuitBreaker, CircuitPolicy};
 use parking_lot::Mutex;
 use persist::{PersistError, PersistentStore};
@@ -232,6 +232,47 @@ pub struct Service {
     /// (indexed like [`SeqReason::ALL`]): degradation that is reported,
     /// not silent.
     sequential_plans: [AtomicU64; SeqReason::ALL.len()],
+    /// What became of the runs whose plan could speculate
+    /// (`stats.speculation`).
+    speculation: SpeculationCounts,
+}
+
+/// `stats.speculation`: runs of a speculative plan, by what the service
+/// decided for them and what came of it.
+#[derive(Default)]
+struct SpeculationCounts {
+    /// Runs that attempted the speculative path (probes included).
+    attempted: AtomicU64,
+    /// Attempts whose parallel execution committed.
+    committed: AtomicU64,
+    /// Runs the program's history sent down the sequential path because
+    /// speculation is measured slower in their size class.
+    declined: AtomicU64,
+    /// Runs that measured the path the history does not prefer.
+    probes: AtomicU64,
+}
+
+/// Why a run took the path it took — the `decision` of a `run` response.
+#[derive(Clone, Copy)]
+enum Decision {
+    /// The plan is sequential by construction.
+    Planned(SeqReason),
+    /// The tenant's governor has demoted it to the sequential rung.
+    RungSequential,
+    /// The program's run history decided.
+    History(Choice),
+}
+
+impl Decision {
+    fn name(self) -> &'static str {
+        match self {
+            Decision::Planned(reason) => reason.name(),
+            Decision::RungSequential => "rung_sequential",
+            Decision::History(Choice::Speculate) => "speculated",
+            Decision::History(Choice::Decline) => "below_break_even",
+            Decision::History(Choice::Probe { .. }) => "probe",
+        }
+    }
 }
 
 impl Service {
@@ -293,6 +334,7 @@ impl Service {
             persist,
             builtins,
             sequential_plans: Default::default(),
+            speculation: SpeculationCounts::default(),
         };
         if let Some(store) = svc.persist.clone() {
             // Load every recovered record through the cache's re-analyze
@@ -541,12 +583,34 @@ impl Service {
         // credits reserved next, on every exit path — unwinding included.
         let mut held = Admitted::enter(self, &tenant);
 
-        // Speculative runs reserve their certified write budget from the
-        // tenant's credit pool — the backpressure valve for tenants whose
-        // speculation keeps the undo machinery hot. A plan that is
-        // sequential by construction never speculates and reserves nothing.
-        let speculative_plan = matches!(plan.schedule(), Schedule::SpeculativeDoall { .. });
-        let cost = if speculative_plan && cert.verdict == CertVerdict::SpeculateBounded {
+        // ---- the one speculation decision ----
+        // Whether the loop can run in parallel at all was decided when the
+        // plan was lowered; whether it may now, by the tenant's governor
+        // rung; whether it pays, by what this program's runs of this size
+        // have cost on this machine. The governor only ever sees attempts,
+        // so neither planner conservatism nor a history decline is booked
+        // against a tenant as a failed speculation.
+        let class = RunHistory::class_of(
+            req.arrays
+                .iter()
+                .filter(|(name, _)| plan.arrays().contains(name))
+                .map(|(_, data)| data.len())
+                .sum(),
+        );
+        let rung = tenant.governor.lock().current();
+        let decision = match (plan.schedule(), entry.history.as_deref()) {
+            (Schedule::Sequential(reason), _) => Decision::Planned(reason),
+            _ if rung == StrategyChoice::Sequential => Decision::RungSequential,
+            (_, Some(history)) => Decision::History(history.decide(class)),
+            (_, None) => unreachable!("the cache gives every speculative plan a run history"),
+        };
+        let attempt_parallel = matches!(decision, Decision::History(choice) if choice.speculates());
+
+        // A run that will speculate reserves its certified write budget
+        // from the tenant's credit pool — the backpressure valve for
+        // tenants whose speculation keeps the undo machinery hot. A run
+        // that executes sequentially, for whatever reason, reserves nothing.
+        let cost = if attempt_parallel && cert.verdict == CertVerdict::SpeculateBounded {
             cert.write_budget(max_iters as u64).max(1)
         } else {
             0
@@ -585,12 +649,6 @@ impl Service {
         let mut frame = machine.bind(plan);
 
         // ---- execution on a checked-out lane ----
-        // Whether the loop can run in parallel at all was decided when
-        // the plan was lowered; the governor only ever sees attempts the
-        // plan allows, so planner conservatism is never booked against a
-        // tenant as a failed speculation.
-        let rung = tenant.governor.lock().current();
-        let attempt_parallel = speculative_plan && rung != StrategyChoice::Sequential;
         let Some(lane) = self.scheduler.acquire_until(expiry, cancel.map(|c| &**c)) else {
             // Gave up in the lane queue: the deadline expired or the
             // client went away before any work started. The ticket was
@@ -619,9 +677,22 @@ impl Service {
         if let Some(c) = cancel {
             pool = pool.with_abort(c.clone());
         }
-        if let Schedule::Sequential(reason) = plan.schedule() {
-            self.sequential_plans[reason.index()].fetch_add(1, Ordering::Relaxed);
+        match decision {
+            Decision::Planned(reason) => {
+                self.sequential_plans[reason.index()].fetch_add(1, Ordering::Relaxed);
+            }
+            Decision::History(Choice::Decline) => {
+                self.speculation.declined.fetch_add(1, Ordering::Relaxed);
+            }
+            Decision::History(Choice::Probe { .. }) => {
+                self.speculation.probes.fetch_add(1, Ordering::Relaxed);
+            }
+            Decision::RungSequential | Decision::History(Choice::Speculate) => {}
         }
+        if attempt_parallel {
+            self.speculation.attempted.fetch_add(1, Ordering::Relaxed);
+        }
+        let executing = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if attempt_parallel {
                 plan.run_speculative(&mut frame, &pool, max_iters)
@@ -629,6 +700,7 @@ impl Service {
                 plan.run_sequential(&mut frame, max_iters)
             }
         }));
+        let executed_ns = executing.elapsed().as_nanos() as u64;
         drop(lane);
         drop(held);
 
@@ -689,9 +761,15 @@ impl Service {
             }
             return self.timed_out(&tenant, req.id, started, abandoned, false);
         }
+        // Only a run that finished on its own is a sample of what its path
+        // costs: an error, an expiry or an abandoned client cut it short.
+        if let (Decision::History(choice), Some(history)) = (decision, entry.history.as_deref()) {
+            history.record(class, choice, executed_ns, out.iterations);
+        }
         if attempt_parallel {
             let mut gov = tenant.governor.lock();
             if out.ran_parallel {
+                self.speculation.committed.fetch_add(1, Ordering::Relaxed);
                 gov.record_success();
             } else {
                 // the speculation was attempted and thrown away: count
@@ -719,6 +797,7 @@ impl Service {
                 },
             ),
             ("ran_parallel".into(), Value::Bool(out.ran_parallel)),
+            ("decision".into(), Value::Str(decision.name().into())),
         ];
         machine.absorb(plan, frame);
         let mut arrays: Vec<(&String, &Vec<i64>)> = machine.arrays.iter().collect();
@@ -1069,6 +1148,20 @@ impl Service {
                         .collect(),
                 ),
             ),
+            (
+                "speculation".into(),
+                Value::Object(
+                    [
+                        ("attempted", &self.speculation.attempted),
+                        ("committed", &self.speculation.committed),
+                        ("declined", &self.speculation.declined),
+                        ("probes", &self.speculation.probes),
+                    ]
+                    .into_iter()
+                    .map(|(name, count)| (name.into(), Value::UInt(count.load(Ordering::Relaxed))))
+                    .collect(),
+                ),
+            ),
             ("cache_len".into(), Value::UInt(self.cache.len() as u64)),
             (
                 "cache_capacity".into(),
@@ -1378,6 +1471,86 @@ mod tests {
         // the same tenant's parallelizable program still runs parallel
         let r = svc.handle_line(&run_line("innocent", 3, &[1, 2, 3]));
         assert!(r.contains("\"ran_parallel\":true"), "{r}");
+        assert!(r.contains("\"decision\":\"speculated\""), "{r}");
+
+        // a program whose every speculation would be thrown away (all
+        // subscripts collide), measured slower speculating than not: the
+        // history declines it, and a declined run is not an attempt
+        let line = format!(
+            r#"{{"op":"run","tenant":"innocent","program":{},"arrays":{{"A":[0,0,0,0],"idx":[1,1,1,1]}},"scalars":{{"n":4}}}}"#,
+            json::to_string(COLLIDING)
+        );
+        seed_history(&svc, COLLIDING, 8, Some(1_000_000_000), None);
+        for k in 0..12 {
+            let r = svc.handle_line(&line);
+            let want = if k == 0 { "probe" } else { "below_break_even" };
+            assert!(r.contains(&format!("\"decision\":\"{want}\"")), "{k}: {r}");
+            assert!(r.contains("\"ran_parallel\":false"), "{r}");
+            assert!(r.contains("\"rung\":\"speculative\""), "{r}");
+            assert!(r.contains("\"scalars\":{\"i\":4,\"n\":4}"), "{r}");
+        }
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(
+            stats.contains(
+                "\"speculation\":{\"attempted\":1,\"committed\":1,\"declined\":11,\"probes\":1}"
+            ),
+            "{stats}"
+        );
+        assert!(stats.contains("\"rung\":\"speculative\""), "{stats}");
+    }
+
+    /// `A[idx[i]] = A[idx[i]] + 1`: one uncertain write per iteration,
+    /// so a speculative run reserves a credit per iteration of its bound.
+    const COLLIDING: &str =
+        "integer i = 0\nwhile (i < n) {\n    A[idx[i]] = A[idx[i]] + 1\n    i = i + 1\n}";
+
+    /// Plants samples in the history of `src` at `elements` elements, as
+    /// probes of each path would leave them: nanoseconds an iteration.
+    fn seed_history(
+        svc: &Service,
+        src: &str,
+        elements: usize,
+        speculative: Option<u64>,
+        sequential: Option<u64>,
+    ) {
+        let (entry, _) = svc.cache.lookup(src).expect("parses");
+        let history = entry.history.as_deref().expect("a speculative plan");
+        let class = RunHistory::class_of(elements);
+        for (speculate, ns) in [(true, speculative), (false, sequential)] {
+            if let Some(ns) = ns {
+                history.record(class, Choice::Probe { speculate }, ns, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_will_not_speculate_reserves_no_credits() {
+        let svc = Service::new(ServeConfig {
+            tenant_spec_credits: 4,
+            ..ServeConfig::default()
+        });
+        // 100 iterations of bound against a pool of 4 credits
+        let line = |tenant: &str| {
+            format!(
+                r#"{{"op":"run","tenant":"{tenant}","program":{},"arrays":{{"A":[0,0],"idx":[0,1]}},"scalars":{{"n":2}},"max_iters":100}}"#,
+                json::to_string(COLLIDING)
+            )
+        };
+        // a tenant on the sequential rung
+        *svc.tenant("demoted").governor.lock() =
+            Governor::starting_at(svc.cfg.governor, StrategyChoice::Sequential);
+        for _ in 0..3 {
+            let r = svc.handle_line(&line("demoted"));
+            assert!(r.contains("\"ok\":true"), "{r}");
+            assert!(r.contains("\"decision\":\"rung_sequential\""), "{r}");
+            assert!(r.contains("\"scalars\":{\"i\":2,\"n\":2}"), "{r}");
+        }
+        // a run the program's history declines
+        seed_history(&svc, COLLIDING, 4, Some(1_000_000), Some(10));
+        let r = svc.handle_line(&line("fresh"));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert!(r.contains("\"decision\":\"below_break_even\""), "{r}");
+        assert_no_leaks(&svc);
     }
 
     #[test]
@@ -1406,12 +1579,11 @@ mod tests {
             tenant_spec_credits: 4,
             ..ServeConfig::default()
         });
-        // GATHER_SCATTER-shaped: one uncertain write per iteration, so a
-        // 100-iteration bound needs 100 credits against a pool of 4.
-        let src = "integer i = 0\nwhile (i < n) {\n    A[idx[i]] = A[idx[i]] + 1\n    i = i + 1\n}";
+        // a program's first run speculates, and a 100-iteration bound
+        // needs 100 credits against a pool of 4
         let resp = svc.handle_line(&format!(
             r#"{{"op":"run","program":{},"arrays":{{"A":[0,0],"idx":[0,1]}},"scalars":{{"n":2}},"max_iters":100}}"#,
-            json::to_string(src)
+            json::to_string(COLLIDING)
         ));
         assert!(resp.contains("\"code\":\"budget_exhausted\""), "{resp}");
         assert!(resp.contains("\"retry_after_ms\":25"), "{resp}");

@@ -103,6 +103,54 @@ fn smoke_requests_succeed_with_a_cache_hit() {
         );
     }
     assert!(PROTOCOL_MD.contains("| `parse_us` |"));
+    // every run response says why it took its path, as documented: the
+    // program's first run at a size speculates, its second measures the
+    // sequential path, and a new size starts over
+    for (k, want) in [(2, "speculated"), (3, "probe"), (5, "speculated")] {
+        let v = json::parse(&responses[k].1).unwrap();
+        assert_eq!(
+            v.get("decision").and_then(Value::as_str),
+            Some(want),
+            "{}",
+            responses[k].1
+        );
+        assert!(
+            PROTOCOL_MD.contains(&format!("\"decision\":\"{want}\"")),
+            "PROTOCOL.md's example-{} response lost its decision",
+            k + 1
+        );
+    }
+    for value in [
+        "`speculated`",
+        "`probe`",
+        "`below_break_even`",
+        "`rung_sequential`",
+    ] {
+        assert!(
+            PROTOCOL_MD.contains(value),
+            "PROTOCOL.md does not document decision {value}"
+        );
+    }
+    assert!(PROTOCOL_MD.contains("| `decision` |"));
+    // ...and the stats block that counts them
+    let speculation = |name: &str| {
+        let block = stats.get("stats").and_then(|s| s.get("speculation"));
+        block.and_then(|b| b.get(name)).and_then(Value::as_u64)
+    };
+    for (name, count) in [
+        ("attempted", 1),
+        ("committed", 1),
+        ("declined", 0),
+        ("probes", 1),
+    ] {
+        assert_eq!(speculation(name), Some(count), "{}", responses[4].1);
+        assert!(
+            PROTOCOL_MD.contains(&format!("| `{name}` |")),
+            "PROTOCOL.md lost the speculation.{name} row"
+        );
+    }
+    assert!(PROTOCOL_MD
+        .contains("\"speculation\":{\"attempted\":1,\"committed\":1,\"declined\":0,\"probes\":1}"));
     // example-6's generous deadline is met — it is a normal success, not
     // a timeout — and example-7 leaves the service draining with nothing
     // in flight, exactly as documented

@@ -12,12 +12,22 @@ use serde::{json, Value};
 use std::sync::Arc;
 use wlp_ir::frontend::parse_program;
 use wlp_ir::interp::Machine;
+use wlp_serve::cache::PROBE_PERIOD;
 use wlp_serve::{fnv1a64, register_builtins, CancelFlag, ServeConfig, Service};
-use wlp_workloads::sources::{corpus, machine_inputs};
+use wlp_workloads::sources::{corpus, machine_inputs, MachineInputs};
 
 /// Builds the request line one tenant submits for one corpus program.
 fn run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
-    let (arrays, scalars) = machine_inputs(name, n);
+    request_line(tenant, src, &machine_inputs(name, n), 2 * n + 4)
+}
+
+/// Builds a `run` request line over explicit inputs.
+fn request_line(
+    tenant: &str,
+    src: &str,
+    (arrays, scalars): &MachineInputs,
+    max_iters: usize,
+) -> String {
     let arrays_json: Vec<String> = arrays
         .iter()
         .map(|(k, v)| {
@@ -35,7 +45,7 @@ fn run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
         json::to_string(src),
         arrays_json.join(","),
         scalars_json.join(","),
-        2 * n + 4,
+        max_iters,
     )
 }
 
@@ -47,8 +57,12 @@ type StateSummary = (Vec<(String, u64)>, Vec<(String, i64)>);
 /// after the reference tree walker (not the plan executor the service
 /// runs) interpreted the program.
 fn sequential_reference(name: &str, src: &str, n: usize) -> StateSummary {
+    reference_state(src, machine_inputs(name, n), 2 * n + 4)
+}
+
+/// [`sequential_reference`] over explicit inputs.
+fn reference_state(src: &str, (arrays, scalars): MachineInputs, max_iters: usize) -> StateSummary {
     let program = parse_program(src).expect("corpus parses");
-    let (arrays, scalars) = machine_inputs(name, n);
     let mut machine = Machine::default();
     for (k, v) in arrays {
         machine.arrays.insert(k, v);
@@ -57,7 +71,7 @@ fn sequential_reference(name: &str, src: &str, n: usize) -> StateSummary {
         machine.scalars.insert(k, v);
     }
     register_builtins(&mut machine);
-    reference_run(&program, &mut machine, 2 * n + 4).expect("reference runs");
+    reference_run(&program, &mut machine, max_iters).expect("reference runs");
     let mut digests: Vec<(String, u64)> = machine
         .arrays
         .iter()
@@ -100,11 +114,14 @@ fn response_state(resp: &str) -> StateSummary {
 
 /// The tentpole correctness property: N tenants submitting overlapping
 /// speculative regions concurrently each observe exactly the results a
-/// sequential execution of their own requests would produce.
+/// sequential execution of their own requests would produce — on
+/// whichever path each program's run history sends them, and across the
+/// probes that switch paths.
 #[test]
 fn concurrent_tenants_match_the_sequential_reference() {
     const TENANTS: usize = 4;
-    const ROUNDS: usize = 3;
+    // every tenant alone takes each program's size class past a probe
+    const ROUNDS: usize = PROBE_PERIOD as usize + 1;
     let service = Arc::new(Service::new(ServeConfig {
         workers: 4,
         lane_width: 2,
@@ -134,10 +151,9 @@ fn concurrent_tenants_match_the_sequential_reference() {
             });
         }
     });
-    // 4 tenants x 3 rounds x 5 programs = 60 runs over 5 distinct
-    // programs. Tenants racing on the same cold program may each record
-    // a miss (the analysis runs outside the cache lock), so the miss
-    // count is bounded by tenants x programs, not exactly programs.
+    // Tenants racing on the same cold program may each record a miss (the
+    // analysis runs outside the cache lock), so the miss count is bounded
+    // by tenants x programs, not exactly programs.
     let total = (TENANTS * ROUNDS * programs.len()) as u64;
     let misses = service.cache_misses();
     assert!(
@@ -145,6 +161,84 @@ fn concurrent_tenants_match_the_sequential_reference() {
         "implausible miss count {misses}"
     );
     assert_eq!(service.cache_hits() + misses, total);
+    // gather_scatter and guarded_update plan speculative: each of their
+    // size classes measured its second path once and probed again at
+    // least once a period later
+    let speculation = speculation_stats(&service);
+    assert!(speculation("probes") >= 4, "too few probes");
+    assert!(speculation("attempted") >= 2, "never speculated");
+}
+
+/// A reader of the service's `stats.speculation` counters.
+fn speculation_stats(service: &Service) -> impl Fn(&str) -> u64 {
+    let stats = json::parse(&service.handle_line(r#"{"op":"stats"}"#)).unwrap();
+    let block = stats
+        .get("stats")
+        .and_then(|s| s.get("speculation"))
+        .cloned()
+        .expect("stats.speculation");
+    move |name| {
+        block
+            .get(name)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no speculation.{name}"))
+    }
+}
+
+/// A program whose speculation can never commit — gather_scatter with
+/// every subscript on one of four cells — is measured, declined, and
+/// probed on the period, and every answer is the sequential one whichever
+/// path produced it.
+#[test]
+fn a_program_whose_speculation_always_fails_is_declined_after_two_runs() {
+    const RUNS: u32 = 40;
+    let n = 4096;
+    let (name, src) = corpus()[1];
+    assert_eq!(name, "gather_scatter");
+    let (mut arrays, scalars) = machine_inputs(name, n);
+    for (array, data) in &mut arrays {
+        if array == "idx" {
+            data.iter_mut()
+                .enumerate()
+                .for_each(|(i, x)| *x = (i % 4) as i64);
+        }
+    }
+    let inputs = (arrays, scalars);
+    let want = reference_state(src, inputs.clone(), n + 8);
+    let service = Service::with_defaults();
+    let mut decisions = Vec::new();
+    for k in 0..RUNS {
+        // a fresh tenant each time, as the benchmark sends them: the
+        // governor's ladder stays out of it
+        let resp = service.handle_line(&request_line(&format!("collide-{k}"), src, &inputs, n + 8));
+        assert_eq!(response_state(&resp), want, "run {k}: {resp}");
+        let v = json::parse(&resp).unwrap();
+        decisions.push(
+            v.get("decision")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_string(),
+        );
+        if k == 1 {
+            assert_eq!(speculation_stats(&service)("declined"), 0);
+        }
+    }
+    assert_eq!(decisions[..2], ["speculated", "probe"], "{decisions:?}");
+    let speculation = speculation_stats(&service);
+    assert!(speculation("declined") > 0, "{decisions:?}");
+    assert_eq!(speculation("committed"), 0);
+    // the sequential path measured on the second run, then the path not
+    // preferred on every PROBE_PERIOD-th
+    let probes = u64::from(1 + RUNS / PROBE_PERIOD);
+    assert_eq!(speculation("probes"), probes, "{decisions:?}");
+    assert_eq!(
+        decisions.iter().filter(|d| *d == "probe").count() as u64,
+        probes
+    );
+    for (k, d) in decisions.iter().enumerate() {
+        let on_period = (k as u32 + 1).is_multiple_of(PROBE_PERIOD);
+        assert_eq!(d == "probe", k == 1 || on_period, "run {k}: {decisions:?}");
+    }
 }
 
 /// The acceptance bar: >= 100 requests over <= 10 distinct programs must
@@ -187,18 +281,26 @@ fn hot_working_set_exceeds_the_hit_ratio_bar() {
 /// connection's cancel flag (TCP) answers field for field what the same
 /// request answers without one (`--stdin`), the two clocks aside, and
 /// neither leaves a thread behind.
+///
+/// Which path a request of a speculative plan takes is its program's run
+/// history's call, so each transport gets a fresh service and the same
+/// two rounds of the corpus. Those two are decided before any estimate
+/// is compared: every speculative plan speculates on its first run and
+/// measures the sequential path on its second. The first round is where
+/// an armed speculative region must launch and commit like a plain one.
 #[test]
 fn a_connection_flag_changes_no_answer_and_leaves_no_thread() {
-    let service = Service::with_defaults();
     let flag = Arc::new(CancelFlag::new());
     let lines: Vec<String> = corpus()
         .iter()
         .map(|(name, src)| run_line("parity", name, src, 64))
         .collect();
     assert_eq!(lines.len(), 7);
-    let round = |cancel: Option<&Arc<CancelFlag>>| -> Vec<Vec<(String, Value)>> {
-        lines
-            .iter()
+    type Answer = Vec<(String, Value)>;
+    let rounds = |service: &Service, cancel: Option<&Arc<CancelFlag>>| -> Vec<Answer> {
+        // the first round answers "cache":"miss", the second "hit"
+        (0..2)
+            .flat_map(|_| &lines)
             .map(|line| {
                 let resp = json::parse(&service.handle_line_with(line, cancel)).unwrap();
                 assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
@@ -211,20 +313,46 @@ fn a_connection_flag_changes_no_answer_and_leaves_no_thread() {
             })
             .collect()
     };
-    round(None); // warm: a first request answers "cache":"miss"
+    let field = |resp: &Answer, name: &str| -> Value {
+        resp.iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("no {name}"))
+    };
     let threads = || std::fs::read_dir("/proc/self/task").ok().map(|d| d.count());
     if threads().is_none() {
         println!("thread counts skipped: no /proc/self/task on this platform");
     }
     // Other tests of this binary start and stop threads meanwhile; a
-    // leak would show in every round, so one undisturbed round decides.
+    // leak would show in every attempt, so one undisturbed attempt decides.
     let quiet = (0..50).any(|_| {
+        // a service's workers spawn when it is built: before counting
+        let (plain_service, armed_service) = (Service::with_defaults(), Service::with_defaults());
         let before = threads();
-        let plain = round(None);
+        let plain = rounds(&plain_service, None);
         let after_plain = threads();
-        let armed = round(Some(&flag));
+        let armed = rounds(&armed_service, Some(&flag));
+        let after_armed = threads();
         assert_eq!(plain, armed);
-        before == after_plain && after_plain == threads()
+        let (first, second) = plain.split_at(lines.len());
+        let speculated: Vec<&Answer> = first
+            .iter()
+            .filter(|r| field(r, "decision") == Value::Str("speculated".into()))
+            .collect();
+        assert!(!speculated.is_empty(), "no corpus program speculated");
+        for resp in speculated {
+            assert_eq!(field(resp, "ran_parallel"), Value::Bool(true), "{resp:?}");
+        }
+        // the same programs measure the sequential path next
+        for (a, b) in first.iter().zip(second) {
+            if field(a, "decision") == Value::Str("speculated".into()) {
+                assert_eq!(field(b, "decision"), Value::Str("probe".into()), "{b:?}");
+                assert_eq!(field(b, "ran_parallel"), Value::Bool(false), "{b:?}");
+            } else {
+                assert_eq!(field(a, "decision"), field(b, "decision"));
+            }
+        }
+        before == after_plain && after_plain == after_armed
     });
     assert!(quiet, "a round of requests changed the thread count");
 }
