@@ -13,15 +13,16 @@
 //!   in-flight requests finish under `--drain-ms`, final stats go to
 //!   stderr, and the exit code says whether the drain completed clean.
 //!
+//! Both run one loop, `serve_lines`, on the thread that reads the lines.
 //! Accepted sockets go through [`wlp_serve::prepare_accepted`] (blocking
 //! I/O, `TCP_NODELAY`), and every response is one flushed write, so a
 //! pipelined client is answered as each response is ready.
 //!
-//! Each TCP connection gets a cancellation flag. A dedicated reader
-//! thread notices connection resets while a request is still executing
-//! and raises the flag, which aborts the request's region and returns
-//! its lane and credits — a client that disconnects stops costing the
-//! other tenants capacity.
+//! Each TCP connection gets a cancellation flag. One watcher thread
+//! raises it when the client resets the connection while a request is in
+//! flight, which aborts the request's region and returns its lane and
+//! credits — a client that disconnects stops costing the other tenants
+//! capacity. A half-close is not a reset.
 //!
 //! Tunables (see `docs/OPERATIONS.md` for sizing guidance):
 //! `--workers N`, `--lane-width N`, `--cache N`, `--max-inflight N`,
@@ -38,11 +39,10 @@
 //! startup, exit 1 — never a mid-request surprise.
 
 use serde::json;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wlp_serve::proto::{self, codes, ProtoError};
 use wlp_serve::{CancelFlag, ServeConfig, Service};
@@ -90,17 +90,6 @@ fn read_bounded_line<R: BufRead>(reader: &mut R) -> std::io::Result<BoundedLine>
     )))
 }
 
-fn line_too_long_response() -> String {
-    proto::error_line(
-        &ProtoError {
-            code: codes::BAD_REQUEST,
-            detail: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            id: None,
-        },
-        None,
-    )
-}
-
 /// SIGTERM/SIGINT → a flag the accept loop polls. The handler only
 /// stores to an atomic, which is async-signal-safe; everything else
 /// (drain, stats flush) happens on the main thread.
@@ -137,6 +126,57 @@ mod sig {
     pub fn install() {}
     pub fn termed() -> bool {
         false
+    }
+}
+
+/// A connection's socket, asked without waiting.
+mod sock {
+    use std::net::TcpStream;
+
+    const POLLIN: i16 = 0x1;
+    const POLLERR: i16 = 0x8;
+    const POLLHUP: i16 = 0x10;
+
+    /// A read would return at once: a byte, EOF or an error is waiting.
+    pub fn readable(socket: &TcpStream) -> bool {
+        ready(socket, POLLIN) != 0
+    }
+
+    /// The client reset the connection. A clean half-close raises only
+    /// `POLLIN | POLLRDHUP`, neither asked for, so it is not a reset.
+    pub fn reset(socket: &TcpStream) -> bool {
+        ready(socket, 0) & (POLLERR | POLLHUP) != 0
+    }
+
+    /// A zero-timeout `poll(2)`: the socket's ready `events`, and
+    /// `POLLERR` / `POLLHUP`, which are reported unasked.
+    #[cfg(target_os = "linux")]
+    fn ready(socket: &TcpStream, events: i16) -> i16 {
+        use std::os::fd::AsRawFd;
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+        }
+        let mut polled = PollFd {
+            fd: socket.as_raw_fd(),
+            events,
+            revents: 0,
+        };
+        // SAFETY: one initialised pollfd, which outlives the call.
+        unsafe { poll(&mut polled, 1, 0) };
+        polled.revents
+    }
+
+    /// Elsewhere every socket reads as readable and none as reset: the
+    /// bounded wait ends at once, and a reset is seen by the next read.
+    #[cfg(not(target_os = "linux"))]
+    fn ready(_socket: &TcpStream, events: i16) -> i16 {
+        events
     }
 }
 
@@ -304,33 +344,12 @@ fn finish_drain(service: &Service, quiet: bool) -> ExitCode {
 }
 
 fn serve_stdin(service: &Service, quiet: bool) -> ExitCode {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut reader = stdin.lock();
-    let mut out = BufWriter::new(stdout.lock());
-    loop {
-        let resp = match read_bounded_line(&mut reader) {
-            Ok(BoundedLine::Eof) => return ExitCode::SUCCESS,
-            Ok(BoundedLine::TooLong) => line_too_long_response(),
-            Ok(BoundedLine::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                service.handle_line(&line)
-            }
-            Err(e) => {
-                eprintln!("wlp-serve: stdin read failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() {
-            // downstream closed the pipe: nothing left to serve
-            return ExitCode::SUCCESS;
-        }
-        if service.is_draining() {
-            // a `shutdown` request: requests are serial here, so the
-            // response above was the drain's last word
-            return finish_drain(service, quiet);
+    match serve_lines(service, std::io::stdin(), std::io::stdout(), None) {
+        Ok(()) if service.is_draining() => finish_drain(service, quiet),
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("wlp-serve: stdin read failed: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -345,6 +364,13 @@ fn serve_tcp(service: &Arc<Service>, addr: &str, quiet: bool) -> ExitCode {
     };
     if listener.set_nonblocking(true).is_err() {
         eprintln!("wlp-serve: cannot poll the listener");
+        return ExitCode::FAILURE;
+    }
+    if let Err(e) = std::thread::Builder::new()
+        .name("wlp-resets".into())
+        .spawn(watch_resets)
+    {
+        eprintln!("wlp-serve: cannot start the reset watcher: {e}");
         return ExitCode::FAILURE;
     }
     if !quiet {
@@ -370,7 +396,13 @@ fn serve_tcp(service: &Arc<Service>, addr: &str, quiet: bool) -> ExitCode {
                     continue;
                 }
                 let svc = Arc::clone(service);
-                std::thread::spawn(move || serve_conn(&svc, stream));
+                std::thread::spawn(move || {
+                    let conn = Arc::new(Conn {
+                        socket: stream,
+                        cancel: Arc::new(CancelFlag::new()),
+                    });
+                    let _ = serve_lines(&svc, &conn.socket, &conn.socket, Some(&conn));
+                });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -388,141 +420,106 @@ fn serve_tcp(service: &Arc<Service>, addr: &str, quiet: bool) -> ExitCode {
     finish_drain(service, quiet)
 }
 
-/// How long a connection's handler keeps polling for the client's next
-/// line after it has answered one, before it blocks on the channel.
+/// How long a connection's thread keeps asking its socket for the next
+/// request after it has answered one, before it blocks in `read`.
 ///
 /// A closed-loop client sends its next request some tens of µs after it
-/// reads a response. If the handler blocks in that gap its cpu goes idle,
-/// and what it costs to wake a thread on an idle cpu is not the daemon's
-/// to set: on a shared virtual machine it moves between ~15 µs and
-/// ~100 µs with what the host's other guests are doing, per hop, and a
-/// request crosses three (client → reader → handler → client). Since the
-/// executor stopped being the larger part of a small request, those hops
-/// are: one build answered `n = 512` requests at 4300 or at 6200 a second
-/// (the benchmark's `hot-small`, at its yardstick's nominal speed)
-/// depending on the host. Polling keeps the handler's cpu awake across the
-/// gap, which takes the reader → handler hop out and lets the reader wake
-/// on the cpu the client has just left: 6000–6200 in either state.
-///
-/// The poll yields on every turn, so it only uses a cpu nobody else
-/// wants, and it is bounded, so a quiet connection is parked as before
-/// and costs nothing. The gap is one slow wake-up (the client's) plus
-/// ~35 µs: 50 µs of polling did not cover it on a slow host, 100 and 200
-/// read the same as this; the rest is room for a host slower than the
-/// slowest seen (wake-ups of ~140 µs).
+/// reads a response. A thread that blocks in that gap leaves its cpu
+/// idle, and waking a thread on an idle cpu costs ~15–100 µs on a shared
+/// virtual machine, whatever the daemon does: without this poll the
+/// benchmark's `hot-small` (`n = 512`) answered at a median of 46 µs,
+/// with it at 38. The poll yields on every turn, so it only takes a cpu
+/// nobody else wants, and it ends, so a quiet connection costs nothing.
+/// 50 µs did not cover the gap on a slow host; 100 and 200 read the same
+/// as 500, which leaves room for a host slower than any seen.
 const HOT_POLL: Duration = Duration::from_micros(500);
 
-/// The connection's next line: polled for [`HOT_POLL`] when the
-/// connection has just been answered (`hot`), then waited for. `None`
-/// when the reader is gone.
-fn next_item(rx: &mpsc::Receiver<BoundedLine>, hot: bool) -> Option<BoundedLine> {
-    if hot {
-        let started = Instant::now();
-        while started.elapsed() < HOT_POLL {
-            match rx.try_recv() {
-                Ok(item) => return Some(item),
-                Err(mpsc::TryRecvError::Disconnected) => return None,
-                Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
-            }
-        }
-    }
-    rx.recv().ok()
-}
+/// How often the reset watcher polls the connections that have a request
+/// in flight: the longest a reset goes unnoticed while its request runs.
+const WATCH_TICK: Duration = Duration::from_millis(5);
 
-/// One TCP connection. The reader runs on its own thread so a
-/// connection reset is noticed *while* a request executes: the reset
-/// raises `cancel`, the service aborts the region, and the lane goes
-/// back to the pool. A clean half-close (EOF) does **not** cancel —
-/// clients may legitimately shut down their write half and wait for the
-/// final response.
-fn serve_conn(service: &Service, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let cancel = Arc::new(CancelFlag::new());
-    let (tx, rx) = mpsc::channel();
-    let reader_cancel = Arc::clone(&cancel);
-    let reader = std::thread::spawn(move || {
-        // a request line runs to tens of KB: read it in a few large
-        // reads rather than a dozen of the default 8 KB
-        let mut reader = BufReader::with_capacity(64 << 10, stream);
-        loop {
-            match read_bounded_line(&mut reader) {
-                Ok(BoundedLine::Eof) => return,
-                Err(_) => {
-                    // reset mid-stream: the client is gone for real
-                    reader_cancel.cancel();
-                    return;
+/// One stream of request lines, each answered and flushed before the next
+/// is read: `--stdin`'s loop, and each TCP connection's on its own
+/// thread. It ends at EOF, after a `shutdown` on stdin, when a response
+/// cannot be written, or with `Err` on a failed read. Reads and writes
+/// happen between requests, so a failed one leaves nothing to cancel.
+fn serve_lines<R: Read, W: Write>(
+    service: &Service,
+    input: R,
+    output: W,
+    conn: Option<&Arc<Conn>>,
+) -> std::io::Result<()> {
+    // a request line runs to tens of KB: read it in a few large reads
+    // rather than a dozen of the default 8 KB
+    let mut reader = BufReader::with_capacity(64 << 10, input);
+    let mut out = BufWriter::new(output);
+    loop {
+        let resp = match read_bounded_line(&mut reader)? {
+            BoundedLine::Eof => return Ok(()),
+            BoundedLine::TooLong => proto::error_line(
+                &ProtoError {
+                    code: codes::BAD_REQUEST,
+                    detail: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                    id: None,
+                },
+                None,
+            ),
+            BoundedLine::Line(line) if line.trim().is_empty() => continue,
+            BoundedLine::Line(line) => match conn {
+                None => service.handle_line(&line),
+                // in the watcher's table while it runs: no syscall, no wake-up
+                Some(conn) => {
+                    let in_flight = || IN_FLIGHT.lock().expect("in-flight table");
+                    in_flight().push(Arc::clone(conn));
+                    let resp = service.handle_line_with(&line, Some(&conn.cancel));
+                    in_flight().retain(|c| !Arc::ptr_eq(c, conn));
+                    resp
                 }
-                Ok(item) => {
-                    if tx.send(item).is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-    });
-    let mut out = BufWriter::new(write_half);
-    let mut hot = false;
-    while let Some(item) = next_item(&rx, hot) {
-        hot = true;
-        let resp = match item {
-            BoundedLine::Eof => break,
-            BoundedLine::TooLong => line_too_long_response(),
-            BoundedLine::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                service.handle_line_with(&line, Some(&cancel))
-            }
+            },
         };
         if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() {
-            // the client stopped reading; abort its remaining work
-            cancel.cancel();
-            break;
+            return Ok(());
+        }
+        match conn {
+            // a `shutdown` request: requests are serial here, so the
+            // response above was the drain's last word
+            None if service.is_draining() => return Ok(()),
+            None => {}
+            Some(conn) => {
+                let started = Instant::now();
+                while reader.buffer().is_empty()
+                    && !sock::readable(&conn.socket)
+                    && started.elapsed() < HOT_POLL
+                {
+                    std::thread::yield_now();
+                }
+            }
         }
     }
-    drop(rx);
-    let _ = reader.join();
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A TCP connection's side of [`serve_lines`]: its socket, and the
+/// cancel flag a reset raises.
+struct Conn {
+    socket: TcpStream,
+    cancel: Arc<CancelFlag>,
+}
 
-    fn line(item: Option<BoundedLine>) -> Option<String> {
-        match item {
-            Some(BoundedLine::Line(s)) => Some(s),
-            _ => None,
-        }
-    }
+/// The connections with a request in flight, which [`watch_resets`]
+/// polls. No holder can panic, so the lock is never poisoned.
+static IN_FLIGHT: Mutex<Vec<Arc<Conn>>> = Mutex::new(Vec::new());
 
-    #[test]
-    fn a_hot_connection_gets_a_queued_line_without_blocking() {
-        let (tx, rx) = mpsc::channel();
-        tx.send(BoundedLine::Line("a".into())).unwrap();
-        assert_eq!(line(next_item(&rx, true)).as_deref(), Some("a"));
-    }
-
-    #[test]
-    fn a_line_later_than_the_poll_still_arrives() {
-        let (tx, rx) = mpsc::channel();
-        let late = std::thread::spawn(move || {
-            std::thread::sleep(HOT_POLL * 20);
-            tx.send(BoundedLine::Line("late".into())).unwrap();
-        });
-        let started = Instant::now();
-        assert_eq!(line(next_item(&rx, true)).as_deref(), Some("late"));
-        assert!(started.elapsed() >= HOT_POLL);
-        late.join().unwrap();
-    }
-
-    #[test]
-    fn a_hung_up_reader_ends_the_connection_hot_or_not() {
-        for hot in [false, true] {
-            let (tx, rx) = mpsc::channel::<BoundedLine>();
-            drop(tx);
-            assert!(next_item(&rx, hot).is_none());
+/// The process's one reset watcher: every [`WATCH_TICK`] it polls the
+/// sockets in [`IN_FLIGHT`] and raises the cancel flag of each one its
+/// client reset, so the request's region aborts and its lane and credits
+/// go back. With nothing in flight a tick costs a wake-up and a lock.
+fn watch_resets() {
+    loop {
+        std::thread::sleep(WATCH_TICK);
+        for conn in IN_FLIGHT.lock().expect("in-flight table").iter() {
+            if sock::reset(&conn.socket) {
+                conn.cancel.cancel();
+            }
         }
     }
 }

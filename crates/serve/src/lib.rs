@@ -378,8 +378,8 @@ impl Service {
     }
 
     /// [`handle_line`](Self::handle_line) with a per-connection cancel
-    /// flag. Transports raise the flag when the client goes away (write
-    /// error, socket reset); a `run` observing it stops waiting for a
+    /// flag. The TCP transport raises the flag when the client resets the
+    /// connection while the request runs; a `run` observing it stops waiting for a
     /// lane, aborts its region, and answers `timeout` — the lane and
     /// speculation credits go back to their pools instead of finishing
     /// work nobody will read.

@@ -1,10 +1,12 @@
 //! TCP-transport behaviours only a real socket exercises: the 1 MiB
 //! oversized-line drain (previously covered on stdin only), graceful
-//! shutdown over the wire, `TCP_NODELAY` on accepted sockets and a
-//! pipelined burst.
+//! shutdown over the wire, `TCP_NODELAY` on accepted sockets, a
+//! pipelined burst, a reset that aborts the request in flight, a
+//! half-close that does not, lines that arrive during and after the
+//! daemon's bounded wait, and one thread per connection.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -204,4 +206,173 @@ fn a_burst_of_pipelined_runs_is_answered_complete_and_in_order() {
             "{resp}"
         );
     }
+}
+
+/// A run whose one-shot `chaos_stall` sleeps `ms` on its first call.
+fn stall_run(ms: u64, id: &str) -> String {
+    let src =
+        format!("integer i = 0\nwhile (i < n) {{\n    A[i] = chaos_stall({ms})\n    i = i + 1\n}}");
+    format!(
+        r#"{{"op":"run","tenant":"stall","program":{},"arrays":{{"A":[0,0]}},"scalars":{{"n":2}},"id":"{id}"}}"#,
+        serde::json::to_string(&src)
+    )
+}
+
+/// `stats.<key>`, read over the given connection.
+fn stat(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, key: &str) -> u64 {
+    let resp = round_trip(reader, writer, r#"{"op":"stats"}"#);
+    let parsed = serde::json::parse(&resp).expect("stats is JSON");
+    parsed
+        .get("stats")
+        .and_then(|s| s.get(key))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("no stats.{key}: {resp}"))
+}
+
+/// `SO_LINGER {1, 0}`: closing the socket then resets the connection
+/// instead of ending it with a FIN.
+#[cfg(target_os = "linux")]
+fn reset_on_close(stream: &TcpStream) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct Linger {
+        l_onoff: i32,
+        l_linger: i32,
+    }
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const Linger, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+    let linger = Linger {
+        l_onoff: 1,
+        l_linger: 0,
+    };
+    // SAFETY: an open socket, and a `struct linger` that outlives the call.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_LINGER,
+            &linger,
+            std::mem::size_of::<Linger>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "SO_LINGER: {}", std::io::Error::last_os_error());
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_reset_aborts_the_request_in_flight() {
+    let server = spawn_server(&["--chaos"]);
+    let (mut reader, mut writer) = connect(&server);
+    let lanes_free = stat(&mut reader, &mut writer, "lanes_free");
+
+    let mut doomed = TcpStream::connect(&server.addr).expect("connect");
+    writeln!(doomed, "{}", stall_run(800, "doomed")).expect("write stall");
+    doomed.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        stat(&mut reader, &mut writer, "active_runs"),
+        1,
+        "the stall is running when the reset comes"
+    );
+    reset_on_close(&doomed);
+    drop(doomed);
+
+    // the request was abandoned, not answered: it counts as a timeout and
+    // gives its lane back once the stall returns
+    let deadline = Instant::now() + Duration::from_millis(1500);
+    loop {
+        let settled = stat(&mut reader, &mut writer, "timeouts") == 1
+            && stat(&mut reader, &mut writer, "active_runs") == 0
+            && stat(&mut reader, &mut writer, "lanes_free") == lanes_free;
+        if settled {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the reset did not cancel the request within 1.5 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn eof_ends_the_connection_and_a_half_close_still_gets_its_answer() {
+    let server = spawn_server(&["--chaos"]);
+    // nothing sent: the daemon closes its side at once
+    let (mut reader, writer) = connect(&server);
+    writer.shutdown(Shutdown::Write).expect("close");
+    let mut resp = String::new();
+    assert_eq!(reader.read_line(&mut resp).expect("read EOF"), 0, "{resp}");
+
+    // a request in flight when the client half-closes is answered (the
+    // reset watcher must not take the half-close for a reset), then EOF
+    let (mut reader, writer) = connect(&server);
+    writeln!(&writer, "{}", stall_run(200, "half")).expect("write stall");
+    writer.shutdown(Shutdown::Write).expect("half-close");
+    reader.read_line(&mut resp).expect("read response");
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("\"id\":\"half\""), "{resp}");
+    resp.clear();
+    assert_eq!(reader.read_line(&mut resp).expect("read EOF"), 0, "{resp}");
+}
+
+#[test]
+fn a_line_that_arrives_while_its_predecessor_runs_is_answered_unprompted() {
+    let server = spawn_server(&["--chaos"]);
+    let (mut reader, mut writer) = connect(&server);
+    // the ping reaches the socket, not the daemon's buffer, while the
+    // stall runs; after the stall's answer it is read without a further send
+    writeln!(writer, "{}", stall_run(100, "first")).expect("write stall");
+    writer.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(30));
+    let pong = round_trip(&mut reader, &mut writer, r#"{"op":"ping","id":"second"}"#);
+    assert!(pong.contains("\"id\":\"first\""), "{pong}");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("read pong");
+    assert!(resp.contains("\"id\":\"second\""), "{resp}");
+}
+
+#[test]
+fn a_line_later_than_the_bounded_wait_still_arrives() {
+    let server = spawn_server(&[]);
+    let (mut reader, mut writer) = connect(&server);
+    let pong = round_trip(&mut reader, &mut writer, r#"{"op":"ping","id":"early"}"#);
+    assert!(pong.contains("\"id\":\"early\""), "{pong}");
+    // twenty times the daemon's 500 µs bounded wait: it blocks in read
+    std::thread::sleep(Duration::from_millis(10));
+    let pong = round_trip(&mut reader, &mut writer, r#"{"op":"ping","id":"late"}"#);
+    assert!(pong.contains("\"id\":\"late\""), "{pong}");
+}
+
+#[test]
+fn each_connection_costs_one_thread() {
+    if !cfg!(target_os = "linux") {
+        eprintln!("skipped: threads are counted in /proc/<pid>/task, which only Linux has");
+        return;
+    }
+    let server = spawn_server(&[]);
+    let threads = || {
+        std::fs::read_dir(format!("/proc/{}/task", server.child.id()))
+            .expect("task dir")
+            .count()
+    };
+    // a first answered connection: whatever the daemon starts lazily has
+    // started by now
+    let (mut reader, mut writer) = connect(&server);
+    round_trip(&mut reader, &mut writer, r#"{"op":"ping"}"#);
+    let before = threads();
+    let k = 4;
+    let idle: Vec<_> = (0..k)
+        .map(|_| {
+            let (mut reader, mut writer) = connect(&server);
+            let pong = round_trip(&mut reader, &mut writer, r#"{"op":"ping"}"#);
+            assert!(pong.contains("\"pong\":true"), "{pong}");
+            (reader, writer)
+        })
+        .collect();
+    assert_eq!(threads(), before + k, "{k} idle connections");
+    drop(idle);
 }
