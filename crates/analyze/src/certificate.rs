@@ -4,34 +4,25 @@
 //! A certificate summarizes what the analysis *proved* about one loop: how
 //! many writes an iteration can perform at most (the may-write bound),
 //! which of those writes are **certified-uncertain** (only they need
-//! shadow instrumentation), and the refined verdict. One of its three
-//! outputs reaches an executor today:
+//! shadow instrumentation), and the refined verdict. Two outputs come of
+//! it:
 //!
 //! * [`SafetyCertificate::write_budget`] bounds the undo log —
 //!   `SpeculativeArray::with_budget` / `GovernorPolicy::with_budget` get
 //!   the certified bound instead of the naive every-write one, and
-//!   `wlp-serve` reserves it from the tenant's credits per request.
-//!
-//! The other two are §7's recommendation, computed and not yet consumed
-//! (`Governor::starting_at` has no caller outside its own module; every
-//! tenant's governor starts at `Speculative`). ROADMAP item 2(b) is
-//! where they are either wired into the plan's cost record or deleted:
-//!
+//!   `wlp-serve` reserves it from the tenant's credits per request;
 //! * [`SafetyCertificate::cost_model`] feeds only the *uncertain* accesses
 //!   into the Section 7 overhead terms (certified accesses are not
-//!   shadowed, so they cost nothing extra);
-//! * [`SafetyCertificate::starting_rung`] names the ladder rung §7 would
-//!   start on: certified-sequential loops at the bottom,
-//!   certified-DOALL loops at the top, and uncertain remainder-variant
-//!   loops windowed so overshoot stays bounded while the PD test earns
-//!   trust.
+//!   shadowed, so they cost nothing extra). It is computed and not yet
+//!   consumed: the daemon decides from each program's measured run
+//!   history, and ROADMAP item 4 is where a prediction either joins that
+//!   decision or this goes.
 
 use crate::privatize::Privatization;
 use crate::reduction::Recurrence;
 use wlp_core::cost::CostModel;
 use wlp_core::taxonomy::{Parallelism, TerminatorClass};
 use wlp_ir::{ArrayId, LoopIr, Subscript, WRef};
-use wlp_obs::StrategyChoice;
 use wlp_runtime::GovernorPolicy;
 
 /// The analysis verdict a certificate carries.
@@ -143,38 +134,6 @@ impl SafetyCertificate {
             parallelism: self.parallelism,
             accesses: (self.uncertain_writes_per_iter * iters) as f64,
             uses_pd: self.needs_pd(),
-        }
-    }
-
-    /// The rung §7 recommends a governor start on under this certificate
-    /// (a recommendation only: no governor is constructed from it yet).
-    pub fn starting_rung(
-        &self,
-        t_rem: f64,
-        t_rec: f64,
-        p: usize,
-        iters: u64,
-        min_speedup: f64,
-    ) -> StrategyChoice {
-        match self.verdict {
-            CertVerdict::CertifiedSequential => StrategyChoice::Sequential,
-            CertVerdict::CertifiedDoall => self
-                .cost_model(t_rem, t_rec, p, iters)
-                .recommended_strategy(min_speedup),
-            CertVerdict::SpeculateBounded => {
-                let rec = self
-                    .cost_model(t_rem, t_rec, p, iters)
-                    .recommended_strategy(min_speedup);
-                if rec == StrategyChoice::Speculative
-                    && self.terminator == TerminatorClass::RemainderVariant
-                {
-                    // uncertain writes + possible overshoot: bound the
-                    // in-flight span instead of starting fully speculative
-                    StrategyChoice::Windowed
-                } else {
-                    rec
-                }
-            }
         }
     }
 }

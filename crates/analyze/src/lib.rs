@@ -12,10 +12,9 @@
 //!   may-write bound and verdict the runtime consumes: the undo budget
 //!   shrinks to the certified-uncertain writes
 //!   ([`SafetyCertificate::write_budget`], which the daemon reserves per
-//!   speculative request). The certificate also computes §7's
-//!   recommendation — a cost model that charges only the uncertain
-//!   accesses and a governor starting rung — which nothing consumes
-//!   yet: every tenant's governor starts at `Speculative` (see
+//!   speculative request). The certificate also computes §7's cost
+//!   model charging only the uncertain accesses, which nothing consumes
+//!   yet: the daemon decides from measured run history (see
 //!   [`certificate`]).
 //!
 //! Every certificate is falsifiable: [`concrete`] replays the loop into

@@ -17,7 +17,6 @@
 //! sequential re-execution — a slowdown proportional to `T_seq/p`.
 
 use crate::taxonomy::Parallelism;
-use wlp_obs::StrategyChoice;
 
 /// Inputs to the Section 7 model, in consistent (arbitrary) time units.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,27 +111,6 @@ impl CostModel {
     /// proportional to `T_seq/p`.
     pub fn failure_penalty(&self) -> f64 {
         5.0 * self.t_seq() / self.p as f64
-    }
-
-    /// Maps the Section 7 decision onto the governor's strategy ladder —
-    /// the static starting rung for [`Governor::starting_at`]: rejected
-    /// loops start [`Sequential`]; accepted loops with a sequential
-    /// dispatcher start at [`Distribution`] (dispatcher evaluated
-    /// sequentially, remainder distributed); everything else starts at
-    /// full [`Speculative`]. The governor demotes from there at run time.
-    ///
-    /// [`Governor::starting_at`]: wlp_runtime::Governor::starting_at
-    /// [`Sequential`]: StrategyChoice::Sequential
-    /// [`Distribution`]: StrategyChoice::Distribution
-    /// [`Speculative`]: StrategyChoice::Speculative
-    pub fn recommended_strategy(&self, min_speedup: f64) -> StrategyChoice {
-        match self.decide(min_speedup) {
-            Decision::Sequential { .. } => StrategyChoice::Sequential,
-            Decision::Parallelize { .. } => match self.parallelism {
-                Parallelism::Sequential => StrategyChoice::Distribution,
-                Parallelism::Full | Parallelism::ParallelPrefix => StrategyChoice::Speculative,
-            },
-        }
     }
 
     /// The Section 7 decision: parallelize unless there is not enough
@@ -283,43 +261,6 @@ mod tests {
         };
         assert!(
             mk(Parallelism::ParallelPrefix).ideal_speedup() < mk(Parallelism::Full).ideal_speedup()
-        );
-    }
-
-    #[test]
-    fn recommended_strategy_spans_the_ladder() {
-        let rich = CostModel {
-            t_rem: 10_000.0,
-            t_rec: 10.0,
-            p: 8,
-            parallelism: Parallelism::Full,
-            accesses: 100.0,
-            uses_pd: true,
-        };
-        assert_eq!(rich.recommended_strategy(1.5), StrategyChoice::Speculative);
-        let seq_dispatcher = CostModel {
-            t_rem: 10_000.0,
-            t_rec: 100.0,
-            p: 8,
-            parallelism: Parallelism::Sequential,
-            accesses: 100.0,
-            uses_pd: false,
-        };
-        assert_eq!(
-            seq_dispatcher.recommended_strategy(1.5),
-            StrategyChoice::Distribution
-        );
-        let dominated = CostModel {
-            t_rem: 100.0,
-            t_rec: 900.0,
-            p: 8,
-            parallelism: Parallelism::Sequential,
-            accesses: 0.0,
-            uses_pd: false,
-        };
-        assert_eq!(
-            dominated.recommended_strategy(1.5),
-            StrategyChoice::Sequential
         );
     }
 

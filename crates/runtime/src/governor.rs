@@ -28,7 +28,7 @@
 
 use crate::pool::Deadline;
 use std::collections::VecDeque;
-use wlp_obs::{AbortReason, CachePadded, StrategyChoice};
+use wlp_obs::{AbortReason, StrategyChoice};
 
 /// Tuning knobs for one [`Governor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,41 +165,29 @@ pub struct Governor {
     grain: usize,
     /// Committed attempts since the grain last changed.
     grain_run: u64,
-    /// The frequently-written counter tail, padded onto its own cache
-    /// line: `wlp-serve` keeps one governor per tenant (each behind its
-    /// own mutex, adjacent in the tenant table), and without the padding
-    /// every attempt recorded for one tenant invalidates the line holding
-    /// its neighbours' counters.
-    counters: CachePadded<GovernorCounters>,
-}
-
-/// See [`Governor::counters`].
-#[derive(Debug, Clone, Copy, Default)]
-struct GovernorCounters {
+    /// Demotions decided so far.
     demotions: u64,
+    /// Re-promotion probes decided so far.
     repromotions: u64,
+    /// Cumulative failures by cause.
     failures: FailureCounts,
 }
 
 impl Governor {
     /// A governor starting at the top rung ([`StrategyChoice::Speculative`]).
     pub fn new(policy: GovernorPolicy) -> Self {
-        Self::starting_at(policy, StrategyChoice::Speculative)
-    }
-
-    /// A governor starting at an arbitrary rung — e.g. the one the cost
-    /// model picked statically.
-    pub fn starting_at(policy: GovernorPolicy, start: StrategyChoice) -> Self {
         Governor {
             policy,
-            current: start,
+            current: StrategyChoice::Speculative,
             recent: VecDeque::with_capacity(policy.window.max(1)),
             streak: 0,
             backoff: policy.initial_backoff.max(1),
             probing: true,
             grain: policy.initial_grain.max(1),
             grain_run: 0,
-            counters: CachePadded::new(GovernorCounters::default()),
+            demotions: 0,
+            repromotions: 0,
+            failures: FailureCounts::default(),
         }
     }
 
@@ -239,17 +227,17 @@ impl Governor {
 
     /// Demotions decided so far.
     pub fn demotions(&self) -> u64 {
-        self.counters.demotions
+        self.demotions
     }
 
     /// Re-promotion probes decided so far.
     pub fn repromotions(&self) -> u64 {
-        self.counters.repromotions
+        self.repromotions
     }
 
     /// Cumulative failures by cause.
     pub fn failures(&self) -> FailureCounts {
-        self.counters.failures
+        self.failures
     }
 
     fn push(&mut self, failed: bool) {
@@ -287,7 +275,7 @@ impl Governor {
             to: self.current.promoted(),
         };
         self.current = t.to;
-        self.counters.repromotions += 1;
+        self.repromotions += 1;
         self.streak = 0;
         // A probe resets the evidence: the new rung is judged on its own
         // attempts, not on the rung that earned the probe.
@@ -300,10 +288,10 @@ impl Governor {
     /// count crosses the policy threshold and a lower rung exists.
     pub fn record_failure(&mut self, reason: AbortReason) -> Option<Transition> {
         match reason {
-            AbortReason::Dependence => self.counters.failures.dependence += 1,
-            AbortReason::Exception => self.counters.failures.exception += 1,
-            AbortReason::Timeout => self.counters.failures.timeout += 1,
-            AbortReason::Budget => self.counters.failures.budget += 1,
+            AbortReason::Dependence => self.failures.dependence += 1,
+            AbortReason::Exception => self.failures.exception += 1,
+            AbortReason::Timeout => self.failures.timeout += 1,
+            AbortReason::Budget => self.failures.budget += 1,
         }
         self.push(true);
         self.streak = 0;
@@ -322,7 +310,7 @@ impl Governor {
             to,
         };
         self.current = to;
-        self.counters.demotions += 1;
+        self.demotions += 1;
         self.recent.clear();
         // Exponential backoff before the next upward probe; once the
         // requirement overflows the cap, never probe again — this is what

@@ -1,9 +1,9 @@
-//! A per-tenant circuit breaker, layered above the governor ladder.
+//! A per-tenant circuit breaker.
 //!
-//! The governor ladder already contains *strategy*
-//! failures — a tenant whose speculations keep aborting is demoted
-//! toward sequential execution, but its requests still run and still
-//! occupy lanes. A tenant whose requests keep **timing out** is a
+//! *Strategy* failures are each program's own: its run history prices a
+//! thrown-away speculation and sends the program down the sequential
+//! path once speculating stops paying, but its requests still run and
+//! still occupy lanes. A tenant whose requests keep **timing out** is a
 //! different animal: each one holds a lane for its full deadline and
 //! returns nothing, so a burst of them converts the whole service's
 //! capacity into dead time. The breaker cuts that off at admission:
@@ -15,8 +15,8 @@
 //! **half-open**: a bounded number of probe requests are admitted, and
 //! the first success closes the circuit while another failure re-opens
 //! it (with the same interval — the backoff lives in the client's
-//! retry loop, the governor ladder, and the admission valves; stacking
-//! a third exponential here would triple-penalize).
+//! retry loop and the admission valves; stacking another exponential
+//! here would double-penalize).
 //!
 //! The state machine is deliberately tiny and lock-cheap: one enum
 //! behind the tenant's existing mutex, advanced only on request

@@ -19,10 +19,11 @@
 //!   (the paper's Section 8 resource-controlled self-scheduling, lifted
 //!   from iterations-within-a-loop to loops-within-a-service).
 //! * **Admission control** (`TenantState`) — each tenant holds a
-//!   bounded number of regions in flight, a [`wlp_runtime::Governor`]
-//!   whose abort history demotes it down the strategy ladder, and a
-//!   speculation write-budget credit pool; requests past any bound are
+//!   bounded number of regions in flight, a speculation write-budget
+//!   credit pool and a circuit breaker; requests past any bound are
 //!   rejected with a `retry_after_ms` hint instead of queuing unbounded.
+//!   Whether a run speculates is not the tenant's but the program's: its
+//!   plan says whether it can, its [`cache::RunHistory`] whether it pays.
 //!
 //! [`Service::handle_line`] is the whole contract: one request line in,
 //! one response line out, callable concurrently from any number of
@@ -48,10 +49,8 @@ use std::time::{Duration, Instant};
 use wlp_analyze::CertVerdict;
 use wlp_ir::exec::{Schedule, SeqReason};
 use wlp_ir::interp::{HostFn, Machine};
-use wlp_obs::{AbortReason, Event, ProfileReport, Sample, StrategyChoice, Trace};
-use wlp_runtime::{
-    payload_message, Deadline, Governor, GovernorPolicy, Pool, RegionScheduler, SchedulerConfig,
-};
+use wlp_obs::{Event, ProfileReport, Sample, Trace};
+use wlp_runtime::{payload_message, Deadline, Pool, RegionScheduler, SchedulerConfig};
 
 pub use cache::{fnv1a64, fnv1a64_i64s};
 pub use circuit::CircuitState;
@@ -82,8 +81,6 @@ pub struct ServeConfig {
     /// reserves its certified write budget up front and returns it on
     /// completion; reservation failure is rejected `budget_exhausted`.
     pub tenant_spec_credits: u64,
-    /// Governor policy each tenant's ladder starts from.
-    pub governor: GovernorPolicy,
     /// Most obs [`Sample`]s the service retains (a ring: oldest are
     /// dropped past the cap, counted in `samples_dropped`). Without a
     /// bound a resident daemon's event buffer grows with request volume;
@@ -126,7 +123,6 @@ impl Default for ServeConfig {
             default_max_iters: 10_000,
             retry_after_ms: 25,
             tenant_spec_credits: 1 << 20,
-            governor: GovernorPolicy::default(),
             max_samples: 16_384,
             max_tenants: 1_024,
             max_deadline_ms: 60_000,
@@ -138,12 +134,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-tenant admission and adaptation state.
+/// Per-tenant admission state.
 struct TenantState {
     /// Regions currently admitted (between admission and completion).
     in_flight: AtomicUsize,
-    /// Strategy ladder driven by this tenant's abort history.
-    governor: Mutex<Governor>,
     /// Remaining speculation write-budget credits.
     credits: AtomicU64,
     /// Requests accounted to this tenant.
@@ -152,9 +146,8 @@ struct TenantState {
     rejected: AtomicU64,
     /// Requests that missed their deadline or lost their client.
     timeouts: AtomicU64,
-    /// Consecutive-hard-failure circuit breaker, layered above the
-    /// governor: an open circuit rejects at admission, before any lane
-    /// or credit is touched.
+    /// Consecutive-hard-failure circuit breaker: an open circuit rejects
+    /// at admission, before any lane or credit is touched.
     breaker: Mutex<CircuitBreaker>,
 }
 
@@ -162,7 +155,6 @@ impl TenantState {
     fn new(cfg: &ServeConfig) -> Self {
         TenantState {
             in_flight: AtomicUsize::new(0),
-            governor: Mutex::new(Governor::new(cfg.governor)),
             credits: AtomicU64::new(cfg.tenant_spec_credits),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -257,8 +249,6 @@ struct SpeculationCounts {
 enum Decision {
     /// The plan is sequential by construction.
     Planned(SeqReason),
-    /// The tenant's governor has demoted it to the sequential rung.
-    RungSequential,
     /// The program's run history decided.
     History(Choice),
 }
@@ -267,7 +257,6 @@ impl Decision {
     fn name(self) -> &'static str {
         match self {
             Decision::Planned(reason) => reason.name(),
-            Decision::RungSequential => "rung_sequential",
             Decision::History(Choice::Speculate) => "speculated",
             Decision::History(Choice::Decline) => "below_break_even",
             Decision::History(Choice::Probe { .. }) => "probe",
@@ -515,9 +504,9 @@ impl Service {
 
     /// The `run` op: cache lookup, deadline clamp, admission (drain
     /// state, circuit breaker, in-flight bound, queue depth), lane
-    /// checkout bounded by the deadline, execution under the tenant's
-    /// governor rung with cancellation threaded into the pool, response
-    /// assembly.
+    /// checkout bounded by the deadline, execution on the path the plan
+    /// and the program's run history choose with cancellation threaded
+    /// into the pool, response assembly.
     fn run(
         &self,
         mut req: RunRequest,
@@ -585,11 +574,10 @@ impl Service {
 
         // ---- the one speculation decision ----
         // Whether the loop can run in parallel at all was decided when the
-        // plan was lowered; whether it may now, by the tenant's governor
-        // rung; whether it pays, by what this program's runs of this size
-        // have cost on this machine. The governor only ever sees attempts,
-        // so neither planner conservatism nor a history decline is booked
-        // against a tenant as a failed speculation.
+        // plan was lowered; whether it pays, by what this program's runs of
+        // this size have cost on this machine, a thrown-away speculation's
+        // rollback and re-run included. Nothing about the tenant enters it:
+        // one program's failed attempts never change another's path.
         let class = RunHistory::class_of(
             req.arrays
                 .iter()
@@ -597,10 +585,8 @@ impl Service {
                 .map(|(_, data)| data.len())
                 .sum(),
         );
-        let rung = tenant.governor.lock().current();
         let decision = match (plan.schedule(), entry.history.as_deref()) {
             (Schedule::Sequential(reason), _) => Decision::Planned(reason),
-            _ if rung == StrategyChoice::Sequential => Decision::RungSequential,
             (_, Some(history)) => Decision::History(history.decide(class)),
             (_, None) => unreachable!("the cache gives every speculative plan a run history"),
         };
@@ -687,7 +673,7 @@ impl Service {
             Decision::History(Choice::Probe { .. }) => {
                 self.speculation.probes.fetch_add(1, Ordering::Relaxed);
             }
-            Decision::RungSequential | Decision::History(Choice::Speculate) => {}
+            Decision::History(Choice::Speculate) => {}
         }
         if attempt_parallel {
             self.speculation.attempted.fetch_add(1, Ordering::Relaxed);
@@ -712,12 +698,6 @@ impl Service {
                 // e.g. a chaos builtin). Lane, credits, and slots are
                 // already back; report the hard failure and let the
                 // breaker see it.
-                if attempt_parallel {
-                    tenant
-                        .governor
-                        .lock()
-                        .record_failure(AbortReason::Exception);
-                }
                 self.breaker_failure(&tenant);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 return proto::error_line(
@@ -733,12 +713,6 @@ impl Service {
         let out = match result {
             Ok(out) => out,
             Err(e) => {
-                if attempt_parallel {
-                    tenant
-                        .governor
-                        .lock()
-                        .record_failure(AbortReason::Exception);
-                }
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 return proto::error_line(
                     &ProtoError {
@@ -756,9 +730,6 @@ impl Service {
         let expired = expiry.is_some_and(|e| Instant::now() >= e);
         let abandoned = cancel.is_some_and(|c| c.is_cancelled());
         if expired || abandoned {
-            if attempt_parallel {
-                tenant.governor.lock().record_failure(AbortReason::Timeout);
-            }
             return self.timed_out(&tenant, req.id, started, abandoned, false);
         }
         // Only a run that finished on its own is a sample of what its path
@@ -766,16 +737,8 @@ impl Service {
         if let (Decision::History(choice), Some(history)) = (decision, entry.history.as_deref()) {
             history.record(class, choice, executed_ns, out.iterations);
         }
-        if attempt_parallel {
-            let mut gov = tenant.governor.lock();
-            if out.ran_parallel {
-                self.speculation.committed.fetch_add(1, Ordering::Relaxed);
-                gov.record_success();
-            } else {
-                // the speculation was attempted and thrown away: count
-                // it against the tenant's ladder
-                gov.record_failure(AbortReason::Dependence);
-            }
+        if attempt_parallel && out.ran_parallel {
+            self.speculation.committed.fetch_add(1, Ordering::Relaxed);
         }
         if tenant.breaker.lock().record_success() {
             self.record(Event::CircuitTrip { open: false });
@@ -787,7 +750,6 @@ impl Service {
             ("cache".into(), cache_value(outcome)),
             ("program_key".into(), Value::UInt(entry.key)),
             ("verdict".into(), Value::Str(cert.verdict.name().into())),
-            ("rung".into(), Value::Str(rung_name(rung).into())),
             ("iterations".into(), Value::UInt(out.iterations as u64)),
             (
                 "exited_at".into(),
@@ -1010,7 +972,7 @@ impl Service {
         if tenants.len() >= self.cfg.max_tenants.max(1) {
             // Tenant names are client-chosen, so the table must stay
             // bounded. Evict an arbitrary idle tenant (its counters,
-            // credits, and governor rung reset if it ever returns);
+            // credits, and breaker reset if it ever returns);
             // tenants with regions in flight are never evicted, so at
             // worst the table holds max_tenants idle + every busy one.
             let idle = tenants
@@ -1101,10 +1063,6 @@ impl Service {
                         (
                             "credits".into(),
                             Value::UInt(t.credits.load(Ordering::Relaxed)),
-                        ),
-                        (
-                            "rung".into(),
-                            Value::Str(rung_name(t.governor.lock().current()).into()),
                         ),
                         (
                             "timeouts".into(),
@@ -1305,15 +1263,6 @@ fn cache_value(outcome: CacheOutcome) -> Value {
     )
 }
 
-fn rung_name(s: StrategyChoice) -> &'static str {
-    match s {
-        StrategyChoice::Speculative => "speculative",
-        StrategyChoice::Windowed => "windowed",
-        StrategyChoice::Distribution => "distribution",
-        StrategyChoice::Sequential => "sequential",
-    }
-}
-
 /// Prepares a socket a listener has just accepted; every TCP transport
 /// over a [`Service`] takes its connections through here. Connection I/O
 /// blocks (some platforms hand the listener's non-blocking mode down to
@@ -1448,7 +1397,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_conservatism_is_reported_and_never_demotes_the_tenant() {
+    fn planner_conservatism_and_history_declines_are_reported_not_attempted() {
         // certified DOALL, but `s` is extra scalar state: the plan is
         // sequential by construction, which is no fault of the tenant's
         let fill = "integer i = 0\ninteger s = 0\nwhile (i < n) {\n    s = s + 3\n    A[i] = 2 * A[i]\n    i = i + 1\n}";
@@ -1461,13 +1410,11 @@ mod tests {
             let r = svc.handle_line(&line);
             assert!(r.contains("\"verdict\":\"certified_doall\""), "{r}");
             assert!(r.contains("\"ran_parallel\":false"), "{r}");
-            assert!(r.contains("\"rung\":\"speculative\""), "{r}");
             assert!(r.contains("\"scalars\":{\"i\":3,\"n\":3,\"s\":9}"), "{r}");
         }
         let stats = svc.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"extra_scalar_state\":12"), "{stats}");
         assert!(stats.contains("\"certified_sequential\":0"), "{stats}");
-        assert!(stats.contains("\"rung\":\"speculative\""), "{stats}");
         // the same tenant's parallelizable program still runs parallel
         let r = svc.handle_line(&run_line("innocent", 3, &[1, 2, 3]));
         assert!(r.contains("\"ran_parallel\":true"), "{r}");
@@ -1486,7 +1433,6 @@ mod tests {
             let want = if k == 0 { "probe" } else { "below_break_even" };
             assert!(r.contains(&format!("\"decision\":\"{want}\"")), "{k}: {r}");
             assert!(r.contains("\"ran_parallel\":false"), "{r}");
-            assert!(r.contains("\"rung\":\"speculative\""), "{r}");
             assert!(r.contains("\"scalars\":{\"i\":4,\"n\":4}"), "{r}");
         }
         let stats = svc.handle_line(r#"{"op":"stats"}"#);
@@ -1496,7 +1442,38 @@ mod tests {
             ),
             "{stats}"
         );
-        assert!(stats.contains("\"rung\":\"speculative\""), "{stats}");
+    }
+
+    #[test]
+    fn one_programs_failures_never_change_another_programs_path() {
+        // six distinct programs whose every subscript collides, each run
+        // once under one tenant: six fresh-class speculations, each thrown
+        // away by the PD test
+        let svc = Service::with_defaults();
+        for v in ["i", "j", "k", "u", "v", "w"] {
+            let src = format!(
+                "integer {v} = 0\nwhile ({v} < n) {{\n    A[idx[{v}]] = A[idx[{v}]] + 1\n    {v} = {v} + 1\n}}"
+            );
+            let r = svc.handle_line(&format!(
+                r#"{{"op":"run","tenant":"mixed","program":{},"arrays":{{"A":[0,0,0,0],"idx":[1,1,1,1]}},"scalars":{{"n":4}},"reply":"full"}}"#,
+                json::to_string(&src)
+            ));
+            assert!(r.contains("\"decision\":\"speculated\""), "{v}: {r}");
+            assert!(r.contains("\"ran_parallel\":false"), "{v}: {r}");
+            assert!(r.contains("\"A\":[0,4,0,0]"), "{v}: {r}");
+        }
+        // the tenant's next program is judged on its own history alone
+        let r = svc.handle_line(&run_line("mixed", 3, &[1, 2, 3]));
+        assert!(r.contains("\"decision\":\"speculated\""), "{r}");
+        assert!(r.contains("\"ran_parallel\":true"), "{r}");
+        assert!(r.contains("\"arrays\":{\"A\":[2,4,6]}"), "{r}");
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(
+            stats.contains(
+                "\"speculation\":{\"attempted\":7,\"committed\":1,\"declined\":0,\"probes\":0}"
+            ),
+            "{stats}"
+        );
     }
 
     /// `A[idx[i]] = A[idx[i]] + 1`: one uncertain write per iteration,
@@ -1529,27 +1506,16 @@ mod tests {
             tenant_spec_credits: 4,
             ..ServeConfig::default()
         });
-        // 100 iterations of bound against a pool of 4 credits
-        let line = |tenant: &str| {
-            format!(
-                r#"{{"op":"run","tenant":"{tenant}","program":{},"arrays":{{"A":[0,0],"idx":[0,1]}},"scalars":{{"n":2}},"max_iters":100}}"#,
-                json::to_string(COLLIDING)
-            )
-        };
-        // a tenant on the sequential rung
-        *svc.tenant("demoted").governor.lock() =
-            Governor::starting_at(svc.cfg.governor, StrategyChoice::Sequential);
-        for _ in 0..3 {
-            let r = svc.handle_line(&line("demoted"));
-            assert!(r.contains("\"ok\":true"), "{r}");
-            assert!(r.contains("\"decision\":\"rung_sequential\""), "{r}");
-            assert!(r.contains("\"scalars\":{\"i\":2,\"n\":2}"), "{r}");
-        }
-        // a run the program's history declines
+        // a run the program's history declines: 100 iterations of bound
+        // against a pool of 4 credits
         seed_history(&svc, COLLIDING, 4, Some(1_000_000), Some(10));
-        let r = svc.handle_line(&line("fresh"));
+        let r = svc.handle_line(&format!(
+            r#"{{"op":"run","tenant":"t0","program":{},"arrays":{{"A":[0,0],"idx":[0,1]}},"scalars":{{"n":2}},"max_iters":100}}"#,
+            json::to_string(COLLIDING)
+        ));
         assert!(r.contains("\"ok\":true"), "{r}");
         assert!(r.contains("\"decision\":\"below_break_even\""), "{r}");
+        assert!(r.contains("\"scalars\":{\"i\":2,\"n\":2}"), "{r}");
         assert_no_leaks(&svc);
     }
 

@@ -120,16 +120,29 @@ fn smoke_requests_succeed_with_a_cache_hit() {
             k + 1
         );
     }
-    for value in [
-        "`speculated`",
-        "`probe`",
-        "`below_break_even`",
-        "`rung_sequential`",
-    ] {
+    for value in ["`speculated`", "`probe`", "`below_break_even`"] {
         assert!(
             PROTOCOL_MD.contains(value),
             "PROTOCOL.md does not document decision {value}"
         );
+    }
+    // the decision is the program's, not the tenant's: there is no
+    // strategy ladder to report
+    assert!(!PROTOCOL_MD.contains("rung_sequential"));
+    let tenants = stats
+        .get("stats")
+        .and_then(|s| s.get("tenants"))
+        .and_then(Value::as_object)
+        .expect("stats.tenants");
+    assert!(!tenants.is_empty(), "{}", responses[4].1);
+    for (name, row) in tenants {
+        assert!(row.get("rung").is_none(), "tenant `{name}`: {row:?}");
+    }
+    for (line, resp) in &responses {
+        if line.contains(r#""op":"run""#) {
+            let v = json::parse(resp).unwrap();
+            assert!(v.get("rung").is_none(), "{resp}");
+        }
     }
     assert!(PROTOCOL_MD.contains("| `decision` |"));
     // ...and the stats block that counts them

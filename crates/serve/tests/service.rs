@@ -208,8 +208,8 @@ fn a_program_whose_speculation_always_fails_is_declined_after_two_runs() {
     let service = Service::with_defaults();
     let mut decisions = Vec::new();
     for k in 0..RUNS {
-        // a fresh tenant each time, as the benchmark sends them: the
-        // governor's ladder stays out of it
+        // a fresh tenant each time, as the benchmark sends them; the
+        // decision is the program's history, whoever sends it
         let resp = service.handle_line(&request_line(&format!("collide-{k}"), src, &inputs, n + 8));
         assert_eq!(response_state(&resp), want, "run {k}: {resp}");
         let v = json::parse(&resp).unwrap();
