@@ -8,8 +8,8 @@
 //! it:
 //!
 //! * [`SafetyCertificate::write_budget`] bounds the undo log —
-//!   `SpeculativeArray::with_budget` / `GovernorPolicy::with_budget` get
-//!   the certified bound instead of the naive every-write one, and
+//!   `SpeculativeArray::with_budget` gets the certified bound instead of
+//!   the naive every-write one, and
 //!   `wlp-serve` reserves it from the tenant's credits per request;
 //! * [`SafetyCertificate::cost_model`] feeds only the *uncertain* accesses
 //!   into the Section 7 overhead terms (certified accesses are not
@@ -23,7 +23,6 @@ use crate::reduction::Recurrence;
 use wlp_core::cost::CostModel;
 use wlp_core::taxonomy::{Parallelism, TerminatorClass};
 use wlp_ir::{ArrayId, LoopIr, Subscript, WRef};
-use wlp_runtime::GovernorPolicy;
 
 /// The analysis verdict a certificate carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,17 +103,11 @@ impl SafetyCertificate {
         self.writes_per_iter * iters
     }
 
-    /// Applies the certificate to a governor policy: the undo budget
-    /// becomes the certified bound (plus slack 1 so a fully-certified loop
-    /// keeps a non-zero, immediately-tripping guard against its own
-    /// certificate being wrong).
-    pub fn apply_to_policy(&self, policy: GovernorPolicy, iters: u64) -> GovernorPolicy {
-        policy.with_budget(self.write_budget(iters).max(1))
-    }
-
     /// Wraps shared data in a [`SpeculativeArray`](wlp_core::SpeculativeArray) whose undo budget is
     /// the certified bound for `iters` iterations — the `with_budget`
-    /// handoff the runtime uses instead of the naive every-write cap.
+    /// handoff the runtime uses instead of the naive every-write cap. The
+    /// bound is at least 1, so a fully-certified loop keeps a non-zero,
+    /// immediately-tripping guard against its own certificate being wrong.
     pub fn speculative_array<T: Copy + Send + Sync>(
         &self,
         init: Vec<T>,

@@ -88,11 +88,6 @@
 //! machine, and every exhibit's median — is *appended* to `PATH`
 //! (`BENCH_trajectory.jsonl` by convention), building a bench history
 //! across commits that CI archives as an artifact.
-//!
-//! The artifact also carries a `governor` block: counters from a
-//! deterministic budget-storm ladder walk (demotions, re-promotion
-//! probes, per-reason failures, terminal rung), so CI archives the
-//! governor's behaviour alongside the wall-clock rows.
 
 use rand::prelude::*;
 use serde::Serialize;
@@ -102,14 +97,13 @@ use std::time::Instant;
 use wlp_analyze::compile_source;
 use wlp_bench::run_line;
 use wlp_core::undo::VersionedArray;
-use wlp_core::{governed_while, speculative_while, SpeculativeArray};
+use wlp_core::{speculative_while, SpeculativeArray};
 use wlp_ir::exec::Schedule;
 use wlp_ir::interp::Machine as LoopMachine;
-use wlp_obs::NoopRecorder;
 use wlp_pd::Shadow;
 use wlp_runtime::{
     doall_dynamic, doall_with, parallel_scan_inclusive, CancelFlag, ChunkPolicy, Deadline,
-    DoallOptions, DoallOutcome, Governor, GovernorPolicy, IssueOrder, Pool, Step,
+    DoallOptions, DoallOutcome, IssueOrder, Pool, Step,
 };
 use wlp_serve::proto::parse_request;
 use wlp_serve::{fnv1a64_i64s, register_builtins};
@@ -190,32 +184,11 @@ struct UnitCost {
     ns: f64,
 }
 
-/// Counters from a deterministic governed ladder walk, archived with
-/// the wall-clock rows so CI can track governor behaviour over time.
-#[derive(Serialize)]
-struct GovernorCounters {
-    /// Governed rounds executed.
-    rounds: usize,
-    /// Rung the governor settled on.
-    final_rung: &'static str,
-    /// Whether re-promotion probing had stopped (backoff exhausted).
-    terminal: bool,
-    demotions: u64,
-    repromotions: u64,
-    failures_dependence: u64,
-    failures_exception: u64,
-    failures_timeout: u64,
-    failures_budget: u64,
-    /// Every round's result matched the sequential truth.
-    consistent: bool,
-}
-
 #[derive(Serialize)]
 struct BenchFile {
     schema: String,
     machine: Machine,
     config: RunConfig,
-    governor: GovernorCounters,
     /// Every `--gate` bound this machine was too small to check, with
     /// the reason; filled whether or not `--gate` was passed.
     gates_skipped: Vec<String>,
@@ -962,53 +935,6 @@ fn run_scan(h: &mut Harness) {
     }
 }
 
-/// Runs a deterministic budget-storm ladder walk: a tiny write budget
-/// fails every parallel rung, so the governor demotes speculative →
-/// windowed → distribution → sequential with doubling backoff between
-/// re-promotion probes, and the counters land in the artifact.
-fn governed_storm() -> GovernorCounters {
-    let pool = Pool::new(4);
-    let policy = GovernorPolicy {
-        demote_threshold: 2,
-        initial_backoff: 2,
-        max_backoff: 8,
-        budget_writes: Some(4),
-        ..GovernorPolicy::default()
-    };
-    let mut gov = Governor::new(policy);
-    let (upper, exit) = (64usize, 40usize);
-    let truth: Vec<i64> = (0..upper)
-        .map(|i| if i < exit { i as i64 + 1 } else { 0 })
-        .collect();
-    let rounds = 120;
-    let mut consistent = true;
-    for _ in 0..rounds {
-        let (_, data) = governed_while(
-            &pool,
-            upper,
-            vec![0i64; upper],
-            &mut gov,
-            &NoopRecorder,
-            |i| i >= exit,
-            |i, a| a.write(i, i as i64 + 1),
-        );
-        consistent &= data == truth;
-    }
-    let f = gov.failures();
-    GovernorCounters {
-        rounds,
-        final_rung: gov.current().name(),
-        terminal: gov.is_terminal(),
-        demotions: gov.demotions(),
-        repromotions: gov.repromotions(),
-        failures_dependence: f.dependence,
-        failures_exception: f.exception,
-        failures_timeout: f.timeout,
-        failures_budget: f.budget,
-        consistent,
-    }
-}
-
 /// What `--gate` found: the bounds that failed, and the bounds it could
 /// not check on this machine.
 struct GateReport {
@@ -1111,18 +1037,6 @@ fn main() {
     };
     run_all(&mut h, &sizes);
 
-    let governor = governed_storm();
-    println!(
-        "governor storm: final rung {} (terminal: {}), {} demotions / {} repromotions, \
-         {} budget trips, consistent: {}",
-        governor.final_rung,
-        governor.terminal,
-        governor.demotions,
-        governor.repromotions,
-        governor.failures_budget,
-        governor.consistent,
-    );
-
     let machine = Machine {
         os: std::env::consts::OS.to_string(),
         arch: std::env::consts::ARCH.to_string(),
@@ -1130,14 +1044,13 @@ fn main() {
     };
     let gates = gate(&h.exhibits, machine.cpus);
     let file = BenchFile {
-        schema: "wlp-bench-runtime/v2".to_string(),
+        schema: "wlp-bench-runtime/v3".to_string(),
         machine,
         config: RunConfig {
             smoke,
             repeats,
             warmup,
         },
-        governor,
         gates_skipped: gates.skipped,
         exhibits: h.exhibits,
     };

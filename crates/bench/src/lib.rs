@@ -508,7 +508,8 @@ pub fn render_certifier() -> String {
 /// re-execution. The fission plan instead schedules the certified blocks
 /// as a DOACROSS pipeline — the sequential recurrence block feeds the
 /// DOALL consumer block across a distance-1 edge — with the grain
-/// (iterations per sync cell) swept over the governor's ladder rungs.
+/// (iterations per sync cell; `DoacrossOptions::grain` on the threaded
+/// runtime) swept from 1 to 32.
 pub fn render_fission() -> String {
     use wlp_workloads::sources;
     let a = sources::certify(sources::MCSPARSE_PAIR);
@@ -837,9 +838,9 @@ pub fn render_faults() -> String {
         None => out.push_str("cyclic-list  GUARD FAILED: corruption went undetected\n"),
     }
 
-    // The governor's other two failure modes, end to end on the threaded
-    // speculative driver: a stalled lane reaped by the watchdog and a
-    // write hog reaped by the undo-log budget.
+    // The other two failure modes, end to end on `speculative_while_with`:
+    // a stalled lane reaped by the watchdog deadline and a write hog
+    // reaped by the undo-log budget.
     out.push_str("\nmode/seed      wall_us  abort       correct  pool-reusable\n");
     for (mode, seed) in [
         (wlp_fault::FaultMode::Stall, 1),

@@ -60,6 +60,6 @@ pub use speculate::{
     speculative_while_with, GroupAccess, GroupArray, GroupFault, SpecOutcome, SpeculativeArray,
     StripSpecOutcome,
 };
-pub use strategy::{governed_while, hedged_execute, GovernedOutcome, HedgeWinner, StatsStamping};
+pub use strategy::{hedged_execute, HedgeWinner, StatsStamping};
 pub use taxonomy::{classify, DispatcherClass, Parallelism, TaxonomyCell, TerminatorClass};
 pub use undo::VersionedArray;

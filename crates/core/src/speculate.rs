@@ -601,10 +601,9 @@ fn single_iteration<A, R: Recorder>(
     Ok(step)
 }
 
-/// Plain sequential execution of a single-array loop (the governor's last
-/// rung, and the run-twice scheme when its first pass times out). Returns
-/// the exit it found.
-pub(crate) fn sequential_while<T: Copy + Send + Sync>(
+/// Plain sequential execution of a single-array loop (the run-twice
+/// scheme when its first pass times out). Returns the exit it found.
+fn sequential_while<T: Copy + Send + Sync>(
     upper: usize,
     arr: &SpeculativeArray<T>,
     term: &impl Fn(usize, &mut SpecAccess<'_, T>) -> bool,

@@ -9,7 +9,8 @@
 //! helper that mutates a linked-list workload into a cyclic one so the
 //! runaway-dispatcher guards fire.
 //!
-//! Three in-body fault kinds cover the governor's failure modes:
+//! Three in-body fault kinds cover the failure modes speculation must
+//! survive:
 //!
 //! * [`FaultKind::Panic`] — a contained exception (the Section 5 rule);
 //! * [`FaultKind::Stall`] — the lane wedges for a duration, exercising

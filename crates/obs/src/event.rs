@@ -28,60 +28,6 @@ pub enum AbortReason {
     Budget,
 }
 
-/// One rung of the adaptive governor's strategy ladder, shared between
-/// the static cost model (`wlp-core`) and the runtime governor
-/// (`wlp-runtime`) — demotion decisions and cost-model decisions speak
-/// the same vocabulary.
-///
-/// The ladder is ordered from most to least speculative; [`demoted`]
-/// steps one rung down and [`Sequential`](StrategyChoice::Sequential)
-/// is terminal.
-///
-/// [`demoted`]: StrategyChoice::demoted
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
-pub enum StrategyChoice {
-    /// Full speculative parallel execution (backups, stamps, PD test).
-    Speculative,
-    /// Windowed/strip speculation: the in-flight span (and with it the
-    /// undo memory and overshoot) is bounded by a window.
-    Windowed,
-    /// Loop distribution: the dispatcher is evaluated sequentially, the
-    /// remainder runs as a DOALL — no speculation to abort.
-    Distribution,
-    /// Plain sequential execution; never fails, terminal.
-    Sequential,
-}
-
-impl StrategyChoice {
-    /// The next rung down the ladder (`Sequential` demotes to itself).
-    pub fn demoted(self) -> StrategyChoice {
-        match self {
-            StrategyChoice::Speculative => StrategyChoice::Windowed,
-            StrategyChoice::Windowed => StrategyChoice::Distribution,
-            StrategyChoice::Distribution | StrategyChoice::Sequential => StrategyChoice::Sequential,
-        }
-    }
-
-    /// The next rung up the ladder (`Speculative` promotes to itself).
-    pub fn promoted(self) -> StrategyChoice {
-        match self {
-            StrategyChoice::Speculative | StrategyChoice::Windowed => StrategyChoice::Speculative,
-            StrategyChoice::Distribution => StrategyChoice::Windowed,
-            StrategyChoice::Sequential => StrategyChoice::Distribution,
-        }
-    }
-
-    /// Short stable name (trace labels, JSON artifacts).
-    pub fn name(&self) -> &'static str {
-        match self {
-            StrategyChoice::Speculative => "speculative",
-            StrategyChoice::Windowed => "windowed",
-            StrategyChoice::Distribution => "distribution",
-            StrategyChoice::Sequential => "sequential",
-        }
-    }
-}
-
 /// One observable action, shared between the threaded runtime and the
 /// simulator. See the module docs for the unit conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -199,20 +145,6 @@ pub enum Event {
         /// the trace's unit.
         elapsed: u64,
     },
-    /// The governor demoted the strategy ladder after a failure storm.
-    Demote {
-        /// Rung the loop was running on.
-        from: StrategyChoice,
-        /// Rung it runs on from now.
-        to: StrategyChoice,
-    },
-    /// The governor re-promoted after a successful probe period.
-    Repromote {
-        /// Rung the loop was running on.
-        from: StrategyChoice,
-        /// Rung it runs on from now.
-        to: StrategyChoice,
-    },
     /// A QUIT was broadcast: iteration `iter` requested termination.
     Quit {
         /// The quitting iteration.
@@ -319,8 +251,6 @@ impl Event {
             Event::SpecCommit { .. } => "spec_commit",
             Event::SpecAbort { .. } => "spec_abort",
             Event::TimeoutAbort { .. } => "timeout_abort",
-            Event::Demote { .. } => "demote",
-            Event::Repromote { .. } => "repromote",
             Event::Quit { .. } => "quit",
             Event::WindowResize { .. } => "window_resize",
             Event::Barrier { .. } => "barrier",

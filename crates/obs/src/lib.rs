@@ -29,7 +29,7 @@ pub mod recorder;
 pub mod report;
 
 pub use chrome::chrome_trace;
-pub use event::{AbortReason, Event, Sample, StrategyChoice, Trace};
+pub use event::{AbortReason, Event, Sample, Trace};
 pub use pad::CachePadded;
 pub use recorder::{BufferRecorder, NoopRecorder, Recorder};
 pub use report::{ProcProfile, ProfileReport};

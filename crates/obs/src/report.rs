@@ -74,12 +74,8 @@ pub struct ProfileReport {
     /// Watchdog expiries observed (`TimeoutAbort` events). Every expiry
     /// that interrupts a speculation also produces one
     /// `SpecAbort{Timeout}`, so usually `timeouts == aborts_timeout`; a
-    /// bare governed DOALL can time out without a speculative abort.
+    /// bare deadline-armed DOALL can time out without a speculative abort.
     pub timeouts: u64,
-    /// Governor demotions observed.
-    pub demotions: u64,
-    /// Governor re-promotions observed.
-    pub repromotions: u64,
     /// QUIT broadcasts observed.
     pub quits: u64,
     /// Barrier episodes observed (summed over processors).
@@ -148,8 +144,6 @@ impl ProfileReport {
             aborts_timeout: 0,
             aborts_budget: 0,
             timeouts: 0,
-            demotions: 0,
-            repromotions: 0,
             quits: 0,
             barriers: 0,
             window_resizes: 0,
@@ -198,8 +192,6 @@ impl ProfileReport {
                     spec_undone += discarded;
                 }
                 Event::TimeoutAbort { .. } => r.timeouts += 1,
-                Event::Demote { .. } => r.demotions += 1,
-                Event::Repromote { .. } => r.repromotions += 1,
                 Event::Quit { .. } => r.quits += 1,
                 Event::Barrier { .. } => r.barriers += 1,
                 Event::WindowResize { .. } => r.window_resizes += 1,
@@ -408,8 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn governor_counters_aggregate_and_conserve() {
-        use crate::event::{AbortReason, StrategyChoice};
+    fn timeout_and_budget_counters_aggregate_and_conserve() {
+        use crate::event::AbortReason;
         let trace = Trace {
             p: 1,
             makespan: 40,
@@ -421,14 +413,6 @@ mod tests {
                     Event::SpecAbort {
                         reason: AbortReason::Timeout,
                         discarded: 0,
-                    },
-                ),
-                sample(
-                    7,
-                    0,
-                    Event::Demote {
-                        from: StrategyChoice::Speculative,
-                        to: StrategyChoice::Windowed,
                     },
                 ),
                 sample(10, 0, Event::IterExecuted { iter: 0, cost: 3 }),
@@ -443,27 +427,16 @@ mod tests {
                         discarded: 4,
                     },
                 ),
-                sample(
-                    30,
-                    0,
-                    Event::Repromote {
-                        from: StrategyChoice::Windowed,
-                        to: StrategyChoice::Speculative,
-                    },
-                ),
             ],
         };
         let r = ProfileReport::from_trace(&trace);
         assert_eq!(r.timeouts, 1);
         assert_eq!(r.aborts_timeout, 1);
         assert_eq!(r.aborts_budget, 1);
-        assert_eq!(r.demotions, 1);
-        assert_eq!(r.repromotions, 1);
         assert_eq!(r.spec_aborts, 2);
         r.check_conservation().expect("laws hold");
         let json = r.to_json();
         assert!(json.contains("\"timeouts\":1"), "{json}");
-        assert!(json.contains("\"demotions\":1"), "{json}");
     }
 
     #[test]

@@ -138,9 +138,8 @@ pub struct DoacrossOptions<'r, R = NoopRecorder> {
     /// iterations are grouped into chunks of `g` consecutive ones and stage
     /// `s` of chunk `c` waits on stage `s` of chunk `c−1`. A coarser grain
     /// divides the sync posts (and their lock traffic) by `g`, at the price
-    /// of `g−1` iterations of lost pipeline overlap at each stage boundary;
-    /// the `Governor`'s grain ladder walks this trade-off at run time
-    /// ([`Governor::current_grain`](crate::governor::Governor::current_grain)).
+    /// of `g−1` iterations of lost pipeline overlap at each stage boundary.
+    /// The caller picks it; the `fission` exhibit sweeps it.
     pub grain: usize,
     /// Receives each claim, wavefront stall (recorded as a `LockWait`) and
     /// completed unit of work. Indices are chunk numbers when `grain > 1`.

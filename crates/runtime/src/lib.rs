@@ -37,17 +37,14 @@
 //! instead of aborting the process — the strategies above restore their
 //! checkpoint and re-execute sequentially.
 //!
-//! Robustness governance: [`pool::Deadline`] arms a per-region watchdog
-//! (timeouts surface as [`pool::WorkerTimeout`] instead of hangs), and
-//! [`governor`] turns the stream of per-attempt outcomes into strategy
-//! demotions and backoff-gated re-promotions.
+//! Deadlines: [`pool::Deadline`] arms a per-region watchdog (timeouts
+//! surface as [`pool::WorkerTimeout`] instead of hangs).
 
 pub mod barrier;
 pub mod chunk;
 pub mod deque;
 pub mod doacross;
 pub mod doall;
-pub mod governor;
 pub mod pool;
 pub mod reduce;
 pub mod scan;
@@ -62,7 +59,6 @@ pub use doacross::{doacross, doacross_with, DoacrossOptions, DoacrossOutcome};
 pub use doall::{
     doall_dynamic, doall_with, DoallOptions, DoallOutcome, FaultCell, IssueOrder, Step,
 };
-pub use governor::{FailureCounts, Governor, GovernorPolicy, Transition};
 pub use pool::{
     payload_message, CancelFlag, Deadline, Pool, PoolOutcome, WorkerPanic, WorkerTimeout,
 };

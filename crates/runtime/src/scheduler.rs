@@ -12,7 +12,7 @@
 //! worker budget into fixed-width **lanes** — each lane a resident
 //! [`Pool`] of `lane_width` workers, spawned once at startup — and
 //! multiplexes regions onto them: a region checks out a lane, runs on it
-//! (DOALL, speculation, governed loop — anything that takes `&Pool`),
+//! (DOALL, speculation, DOACROSS — anything that takes `&Pool`),
 //! and releases it. When every lane is busy, submissions queue on a
 //! condvar in arrival order. This is the paper's Section 8
 //! "resource-controlled self-scheduling" lifted one level: instead of

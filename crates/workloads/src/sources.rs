@@ -183,7 +183,6 @@ mod tests {
     use wlp_core::taxonomy::TerminatorClass;
     use wlp_ir::exec::{AccessMode, ExecPlan, Schedule, SeqReason};
     use wlp_ir::plan::StrategyKind;
-    use wlp_runtime::GovernorPolicy;
 
     /// The plan the daemon would run `src` under.
     fn plan_of(src: &str) -> ExecPlan {
@@ -240,13 +239,9 @@ mod tests {
             a.certificate.uncertain_writes_per_iter
         );
 
-        // the same bound flows into the governor's policy…
-        let policy = a.certificate.apply_to_policy(GovernorPolicy::default(), n);
-        assert_eq!(policy.budget_writes, Some(n));
-
-        // …and into the speculative array: a real run of the indirect
-        // update (one uncertain write per iteration, through a
-        // permutation) commits within the certified budget
+        // the same bound flows into the speculative array: a real run of
+        // the indirect update (one uncertain write per iteration, through
+        // a permutation) commits within the certified budget
         let n_us = n as usize;
         let arr = a.certificate.speculative_array(vec![0i64; n_us], n);
         let out = wlp_core::speculative_while(

@@ -8,14 +8,23 @@
 //! state, and (d) surface in the recorded trace as an exception abort. A
 //! corrupted (cyclic) linked list must yield a structured
 //! `DispatcherDiverged` within the step budget instead of hanging.
+//!
+//! The three speculative WHILE constructs (§5's DOALL, §8.2's window,
+//! §4's run-twice) each meet every in-body fault kind — panic, stall
+//! under a watchdog `Deadline`, write hog under an undo-log budget — and
+//! must end in the sequential state with the resident pool still
+//! serving regions.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use wlp::core::general::{general1, general2, general3, general3_recovering, GeneralConfig};
-use wlp::core::speculate::{speculative_while_with, SpeculativeArray};
+use wlp::core::speculate::{
+    run_twice_speculative, speculative_while, speculative_while_windowed, speculative_while_with,
+    SpecAccess, SpeculativeArray,
+};
 use wlp::core::{run_with_recovery, ParallelAttempt, VersionedArray};
-use wlp::fault::{corrupt_list_cycle, FaultPlan, PANIC_MESSAGE_PREFIX};
+use wlp::fault::{corrupt_list_cycle, FaultAction, FaultPlan, PANIC_MESSAGE_PREFIX};
 use wlp::list::ListArena;
 use wlp::obs::{AbortReason, BufferRecorder, Event, NoopRecorder, ProfileReport, Trace};
 use wlp::runtime::{
@@ -247,6 +256,180 @@ fn speculative_driver_contains_panic_and_falls_back() {
     let report = ProfileReport::from_trace(&rec.finish());
     assert_eq!(report.aborts_exception, 1);
     assert_eq!(report.aborts_dependence, 0);
+}
+
+/// Sequential truth of the speculative test loop: `body` writes
+/// `i * 7 + 3` below the exit, everything at or above it keeps the
+/// initial value.
+fn sequential_truth(n: usize, exit: usize) -> Vec<i64> {
+    (0..n)
+        .map(|i| if i < exit { i as i64 * 7 + 3 } else { 0 })
+        .collect()
+}
+
+/// A speculative WHILE construct of `wlp-core`.
+#[derive(Debug, Clone, Copy)]
+enum Construct {
+    /// `speculative_while_with`: one DOALL plus the PD test (§5).
+    Doall,
+    /// `speculative_while_windowed` at this window (§8.2).
+    Windowed(usize),
+    /// `run_twice_speculative`: terminator pass, then a known-range DOALL (§4).
+    RunTwice,
+}
+
+/// The acceptance scenario, deterministic: a worker wedged by a 50 ms
+/// stall inside an 8 ms-deadline speculative loop. The watchdog must
+/// fire, the loop must recover to the exact sequential state, the trace
+/// must carry the `TimeoutAbort`, and the resident pool must keep serving
+/// regions afterwards.
+#[test]
+fn stalled_worker_times_out_recovers_and_leaves_the_pool_reusable() {
+    let (n, exit, stall_at) = (192usize, 150usize, 60usize);
+    let plan = FaultPlan::stall_at(stall_at, Duration::from_millis(50));
+    let pool = Pool::new(4);
+    let armed = pool.with_deadline(Deadline::from_millis(8));
+    let arr = SpeculativeArray::new(vec![0i64; n]);
+    let rec = BufferRecorder::new(4);
+
+    let out = speculative_while_with(
+        &armed,
+        n,
+        &arr,
+        DoallOptions::recorded(&rec),
+        |i, _| i == exit,
+        |i, a| {
+            let _ = plan.inject(i, 0);
+            a.write(i, i as i64 * 7 + 3);
+        },
+    );
+
+    assert!(plan.fired(), "the stall must have been injected");
+    assert_eq!(out.abort, Some(AbortReason::Timeout));
+    assert!(!out.committed_parallel);
+    assert!(out.reexecuted_sequentially);
+    assert_eq!(arr.snapshot(), sequential_truth(n, exit));
+
+    let trace = rec.finish();
+    assert!(
+        trace
+            .samples
+            .iter()
+            .any(|s| matches!(s.event, Event::TimeoutAbort { .. })),
+        "the trace must carry the watchdog's TimeoutAbort"
+    );
+    let report = ProfileReport::from_trace(&trace);
+    report.check_conservation().expect("conservation must hold");
+    assert!(report.timeouts >= 1);
+    assert_eq!(report.aborts_timeout, 1);
+
+    // The timed-out region must not wedge the resident pool: a fresh
+    // speculative region on the *undeadlined* handle commits cleanly.
+    let probe = SpeculativeArray::new(vec![0i64; 64]);
+    let ok = speculative_while(
+        &pool,
+        64,
+        &probe,
+        |i, _| i == 48,
+        |i, a| a.write(i, i as i64),
+    );
+    assert!(ok.committed_parallel && ok.abort.is_none());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every speculative construct meets every fault kind at any site:
+    /// whatever fires, the loop ends in the pure-sequential final state,
+    /// a contained panic or a write hog never commits, and a follow-up
+    /// region on the same pool commits.
+    #[test]
+    fn speculative_constructs_match_sequential_under_any_fault(
+        n in 8usize..96,
+        exit_pick in 0usize..97,
+        workers in 1usize..5,
+        mode_pick in 0usize..4,
+        site_pick in 0usize..96,
+        window in 1usize..64,
+    ) {
+        let exit = exit_pick % (n + 1);
+        let site = site_pick % n;
+        let truth = sequential_truth(n, exit);
+        let pool = Pool::new(workers);
+        // Deadline and budget armed except in panic mode: a stall trips
+        // the watchdog, a hog trips the budget, and a spurious trip on a
+        // loaded machine is harmless (the contract under test is that
+        // the result stays sequential-equivalent regardless). In panic
+        // mode the sequential fallback runs without a catch, so no other
+        // failure may send it there before the one-shot plan has fired.
+        let guarded = mode_pick != 1;
+        let armed = if guarded {
+            pool.with_deadline(Deadline::from_millis(2))
+        } else {
+            pool.clone()
+        };
+
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut runs = Vec::new();
+        for construct in [Construct::Doall, Construct::Windowed(window), Construct::RunTwice] {
+            // One-shot plan per construct: the parallel attempt eats the
+            // fault, the sequential re-execution runs clean.
+            let plan = match mode_pick {
+                0 => FaultPlan::none(),
+                1 => FaultPlan::panic_at(site),
+                2 => FaultPlan::stall_at(site, Duration::from_millis(6)),
+                _ => FaultPlan::hog_at(site, 512),
+            };
+            let mut arr = SpeculativeArray::new(vec![0i64; n]);
+            if guarded {
+                arr = arr.with_budget(3 * n as u64);
+            }
+            let term = |i: usize| i >= exit;
+            let index_term = |i: usize, _: &mut SpecAccess<'_, i64>| term(i);
+            let body = |i: usize, a: &mut SpecAccess<'_, i64>| {
+                if let FaultAction::HogWrites(k) = plan.inject(i, 0) {
+                    for _ in 0..k {
+                        a.write(i, -1);
+                    }
+                }
+                a.write(i, i as i64 * 7 + 3);
+            };
+            let out = match construct {
+                Construct::Doall => {
+                    let opts = DoallOptions::default();
+                    speculative_while_with(&armed, n, &arr, opts, index_term, body)
+                }
+                Construct::Windowed(w) => {
+                    let rec = &NoopRecorder;
+                    speculative_while_windowed(&armed, n, w, &arr, rec, index_term, body).0
+                }
+                Construct::RunTwice => {
+                    run_twice_speculative(&armed, n, &arr, &NoopRecorder, term, body)
+                }
+            };
+            // A panic or a hog that fired always aborts; a stall may
+            // finish before a starved watchdog thread wakes.
+            let must_abort = plan.fired() && mode_pick != 2;
+            let follow = SpeculativeArray::new(vec![0i64; 64]);
+            let next = speculative_while(&pool, 64, &follow, |i, _| i == 48, |i, a| {
+                a.write(i, i as i64)
+            });
+            runs.push((
+                construct,
+                arr.snapshot(),
+                must_abort && out.committed_parallel,
+                next.committed_parallel && next.abort.is_none(),
+            ));
+        }
+        std::panic::set_hook(hook);
+
+        for (construct, data, committed_a_fault, follow_up_committed) in runs {
+            prop_assert_eq!(&data, &truth, "{:?} diverged from the sequential truth", construct);
+            prop_assert!(!committed_a_fault, "{:?} committed a faulted attempt", construct);
+            prop_assert!(follow_up_committed, "{:?} left the pool unable to commit", construct);
+        }
+    }
 }
 
 proptest! {

@@ -6,18 +6,20 @@
 //! * per processor, `busy + lock_wait + idle == makespan`;
 //! * `committed + undone == executed`.
 //!
-//! Checked here for Induction-1, General-3, the speculative driver and
-//! every rung of the governed ladder on the threaded runtime (nanosecond
-//! traces) and on the deterministic simulator (cycle traces).
+//! Checked here for Induction-1, General-3 and the three speculative
+//! constructs (DOALL, windowed, run-twice) on the threaded runtime
+//! (nanosecond traces) and on the deterministic simulator (cycle traces).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlp::core::general::{general3_until, GeneralConfig};
-use wlp::core::governed_while;
 use wlp::core::induction::induction1;
-use wlp::core::speculate::{speculative_while_with, SpeculativeArray};
+use wlp::core::speculate::{
+    run_twice_speculative, speculative_while_windowed, speculative_while_with, SpecAccess,
+    SpeculativeArray,
+};
 use wlp::list::ListArena;
-use wlp::obs::{BufferRecorder, ProfileReport, StrategyChoice, Trace};
-use wlp::runtime::{DoallOptions, Governor, GovernorPolicy, Pool, Step};
+use wlp::obs::{BufferRecorder, ProfileReport, Trace};
+use wlp::runtime::{DoallOptions, Pool, Step};
 use wlp::sim::spec::TerminatorKind;
 use wlp::sim::{simulate, Engine, ExecConfig, LoopSpec, Overheads, Report, Schedule, Strategy};
 
@@ -113,49 +115,33 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
 }
 
 #[test]
-fn threaded_governed_ladder_reports_every_rung() {
-    // A write budget of 4 fails every parallel rung, so the governor walks
-    // speculative → windowed → distribution → sequential; each round on a
-    // parallel rung must show up in the report as exactly one commit or
-    // abort, whichever rung ran it.
+fn threaded_speculative_constructs_report_every_budget_abort() {
+    // A write budget of 4 fails the same loop in each speculative
+    // construct; every attempt must show up in the report as exactly one
+    // commit or abort, whichever construct ran it.
     let pool = Pool::new(P);
-    let policy = GovernorPolicy {
-        demote_threshold: 2,
-        initial_backoff: 2,
-        max_backoff: 8,
-        budget_writes: Some(4),
-        ..GovernorPolicy::default()
-    };
-    let mut gov = Governor::new(policy);
     let rec = BufferRecorder::new(P);
-    let mut parallel_rounds = [0u64; 3];
-    while gov.current() != StrategyChoice::Sequential {
-        let (out, _) = governed_while(
+    let n = 64usize;
+    let budgeted = || SpeculativeArray::new(vec![0i64; n]).with_budget(4);
+    let term = |i: usize| i == 40;
+    let body = |i: usize, a: &mut SpecAccess<'_, i64>| a.write(i, i as i64 + 1);
+    let attempts = [
+        speculative_while_with(
             &pool,
-            64,
-            vec![0i64; 64],
-            &mut gov,
-            &rec,
-            |i| i == 40,
-            |i, a| a.write(i, i as i64 + 1),
-        );
-        let rung = match out.strategy {
-            StrategyChoice::Speculative => 0,
-            StrategyChoice::Windowed => 1,
-            StrategyChoice::Distribution => 2,
-            StrategyChoice::Sequential => unreachable!("the loop stops there"),
-        };
-        parallel_rounds[rung] += 1;
-    }
-    assert!(
-        parallel_rounds.iter().all(|&r| r > 0),
-        "every parallel rung ran: {parallel_rounds:?}"
-    );
-    let rounds: u64 = parallel_rounds.iter().sum();
+            n,
+            &budgeted(),
+            DoallOptions::recorded(&rec),
+            |i, _| term(i),
+            body,
+        ),
+        speculative_while_windowed(&pool, n, 32, &budgeted(), &rec, |i, _| term(i), body).0,
+        run_twice_speculative(&pool, n, &budgeted(), &rec, term, body),
+    ];
+    let rounds = attempts.len() as u64;
     let r = checked(&rec.finish());
     assert_eq!(r.spec_aborts + r.spec_commits, rounds);
-    assert_eq!(r.aborts_budget, rounds, "every rung's abort is attributed");
-    assert_eq!(r.backup_elems, 64 * rounds, "every rung charges its backup");
+    assert_eq!(r.aborts_budget, rounds, "every abort is attributed");
+    assert_eq!(r.backup_elems, 64 * rounds, "every backup is charged");
     assert_eq!(r.committed, 0);
     assert_eq!(r.undone, r.executed, "aborts discard every body they ran");
 }
