@@ -87,9 +87,8 @@ pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> Plan
 /// and the [`ExecPlan`] lowered under it.
 ///
 /// This is the exact sequence the serve-layer certificate cache runs on
-/// a miss and warm-restart recovery runs per persisted record; keeping
-/// it here guarantees every consumer derives certificates and plans the
-/// same way.
+/// a miss; keeping it here guarantees every consumer derives
+/// certificates and plans the same way.
 pub fn compile_source(source: &str) -> Result<(Program, Analysis, ExecPlan), FrontendError> {
     let program = parse_program(source)?;
     let (body, symbols) = lower_with_symbols(&program)?;

@@ -52,14 +52,6 @@ pub fn analyze_source(source: &str) -> Result<(Program, Analysis), FrontendError
     Ok((program, analysis))
 }
 
-/// Certifies `source` end-to-end and returns the compact one-line
-/// certificate encoding ([`SafetyCertificate::encode_compact`]) — the
-/// canonical durable form: what the serve layer journals to disk and
-/// what recovery cross-checks a persisted record against.
-pub fn certify_compact(source: &str) -> Result<String, FrontendError> {
-    analyze_source(source).map(|(_, a)| a.certificate.encode_compact())
-}
-
 pub use certificate::{CertDecodeError, CertVerdict, SafetyCertificate};
 pub use concrete::{array_log, concretize, remainder_log, scalar_log, ConcreteLog, Owner};
 pub use diag::{Diagnostic, Severity};
@@ -80,17 +72,5 @@ mod pipeline_tests {
         let (program, analysis) = analyze_source(DOALL).expect("valid source");
         let body = lower(&program).expect("lower");
         assert_eq!(analysis.certificate, analyze(&body).certificate);
-    }
-
-    #[test]
-    fn certify_compact_round_trips_through_decode() {
-        let line = certify_compact(DOALL).expect("valid source");
-        let cert = SafetyCertificate::decode_compact(&line).expect("decodes");
-        assert_eq!(cert.encode_compact(), line);
-    }
-
-    #[test]
-    fn certify_compact_propagates_frontend_errors() {
-        assert!(certify_compact("while (").is_err());
     }
 }

@@ -24,12 +24,6 @@
 //! * `sigterm-burst` — a real `wlp-serve` subprocess under closed-loop
 //!   TCP load receives SIGTERM; every request sent must receive a
 //!   response and the process must exit clean inside its drain budget;
-//! * `crash-restart` — a real `wlp-serve` subprocess with a
-//!   `--state-dir` is SIGKILLed mid-journal-append under a cache-miss
-//!   storm, then restarted on the same state dir: the warm daemon must
-//!   recover its certificates (replayed-corpus hit ratio at least the
-//!   cold daemon's post-warmup ratio), skip at most the torn tail
-//!   (`skipped_corrupt` bounded), and serve zero `exec_error`s.
 //!
 //! After **every** scenario the harness asserts the leak invariant from
 //! the service's own `stats` op: all lanes free, empty queue, zero
@@ -45,11 +39,9 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wlp_bench::corpus_run_line;
 use wlp_bench::trajectory::{TrajectoryExhibit, TrajectoryRecord};
 use wlp_fault::ChaosScenario;
 use wlp_serve::{CancelFlag, ServeConfig, Service};
-use wlp_workloads::sources::corpus;
 
 /// Credits each scenario's service starts with — asserted restored.
 const CREDITS: u64 = 1 << 16;
@@ -167,14 +159,6 @@ struct ScenarioReport {
     drain_ms: Option<u64>,
     /// Whether the subprocess exited 0 (subprocess scenarios only).
     clean_exit: Option<bool>,
-    /// Replayed-corpus hit ratio after the warm restart
-    /// (`crash-restart` only).
-    warm_hit_ratio: Option<f64>,
-    /// `persist.loaded` the warm daemon reported (`crash-restart` only).
-    recovered_entries: Option<u64>,
-    /// `persist.skipped_corrupt` the warm daemon reported
-    /// (`crash-restart` only).
-    skipped_corrupt: Option<u64>,
 }
 
 #[derive(Serialize)]
@@ -258,9 +242,6 @@ fn report(
         violations,
         drain_ms: None,
         clean_exit: None,
-        warm_hit_ratio: None,
-        recovered_entries: None,
-        skipped_corrupt: None,
     }
 }
 
@@ -581,272 +562,6 @@ fn sigterm_burst(clients: usize) -> ScenarioReport {
     base
 }
 
-/// A spawned `wlp-serve` subprocess: the child, its resolved TCP
-/// address, and the thread collecting its stderr.
-struct ServeProc {
-    child: std::process::Child,
-    addr: String,
-    stderr_thread: std::thread::JoinHandle<String>,
-}
-
-/// Spawns `wlp-serve --listen 127.0.0.1:0` with `extra_args`, harvesting
-/// the kernel-assigned port from its stderr banner.
-fn spawn_serve(bin: &std::path::Path, extra_args: &[&str]) -> Result<ServeProc, String> {
-    let mut cmd = std::process::Command::new(bin);
-    cmd.args(["--listen", "127.0.0.1:0"]).args(extra_args);
-    let mut child = cmd
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("cannot spawn wlp-serve: {e}"))?;
-    let stderr = child.stderr.take().expect("piped stderr");
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel();
-    let stderr_thread = std::thread::spawn(move || {
-        let mut collected = String::new();
-        let mut sent_addr = false;
-        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-            if !sent_addr {
-                if let Some(addr) = line.strip_prefix("wlp-serve: listening on ") {
-                    let _ = addr_tx.send(addr.to_string());
-                    sent_addr = true;
-                }
-            }
-            collected.push_str(&line);
-            collected.push('\n');
-        }
-        collected
-    });
-    match addr_rx.recv_timeout(Duration::from_secs(10)) {
-        Ok(addr) => Ok(ServeProc {
-            child,
-            addr,
-            stderr_thread,
-        }),
-        Err(_) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err("wlp-serve never reported its port".into())
-        }
-    }
-}
-
-/// One persistent NDJSON-over-TCP connection to a subprocess daemon.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    fn open(addr: &str) -> Option<Conn> {
-        let stream = TcpStream::connect(addr).ok()?;
-        let writer = stream.try_clone().ok()?;
-        Some(Conn {
-            reader: BufReader::new(stream),
-            writer,
-        })
-    }
-
-    fn send(&mut self, line: &str) -> Option<String> {
-        writeln!(self.writer, "{line}").ok()?;
-        self.writer.flush().ok()?;
-        let mut resp = String::new();
-        match self.reader.read_line(&mut resp) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Some(resp),
-        }
-    }
-}
-
-/// One pass over the corpus against a live daemon. Returns
-/// `(hits, fatal)` out of `corpus().len()` responses.
-fn replay_corpus(conn: &mut Conn, tenant: &str, n: usize) -> (usize, usize) {
-    let mut hits = 0usize;
-    let mut fatal = 0usize;
-    for (name, src) in corpus() {
-        match conn.send(&corpus_run_line(tenant, name, src, n)) {
-            Some(resp) => {
-                if resp.contains("\"cache\":\"hit\"") {
-                    hits += 1;
-                }
-                if !resp.contains("\"ok\":true") && !resp.contains("\"retry_after_ms\":") {
-                    fatal += 1;
-                }
-            }
-            None => fatal += 1,
-        }
-    }
-    (hits, fatal)
-}
-
-/// Reads one `persist` counter off a live daemon's `stats` op.
-fn persist_stat(conn: &mut Conn, key: &str) -> Option<u64> {
-    let resp = conn.send(r#"{"op":"stats"}"#)?;
-    json::parse(&resp)
-        .ok()?
-        .get("stats")?
-        .get("persist")?
-        .get(key)
-        .and_then(Value::as_u64)
-}
-
-/// The kill-the-daemon scenario: SIGKILL a real `wlp-serve` subprocess
-/// mid-journal-append, restart it on the same `--state-dir`, and hold
-/// the warm daemon to the recovery bar (see the module docs).
-fn crash_restart() -> ScenarioReport {
-    let mut base = report(
-        "crash-restart",
-        &chaos_service(), // fresh idle service: invariant trivially holds
-        Tally::default(),
-        false,
-        0,
-    );
-    if cfg!(not(unix)) {
-        base.violations.push("skipped: no SIGKILL off unix".into());
-        return base;
-    }
-    let Some(bin) = serve_binary() else {
-        base.violations
-            .push("wlp-serve binary not built next to serve-chaos".into());
-        return base;
-    };
-    let state_dir = std::env::temp_dir().join(format!("wlp-chaos-state-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_dir);
-    let state = state_dir.to_string_lossy().into_owned();
-    let persist_args = ["--state-dir", state.as_str(), "--journal-fsync", "1"];
-    let n = 64usize;
-
-    // ---- phase 1: cold daemon — seed the corpus, measure its post-
-    // warmup hit ratio (the bar the warm restart must meet)
-    let cold = match spawn_serve(&bin, &persist_args) {
-        Ok(p) => p,
-        Err(e) => {
-            base.violations.push(e);
-            return base;
-        }
-    };
-    let Some(mut conn) = Conn::open(&cold.addr) else {
-        base.violations.push("cannot connect to cold daemon".into());
-        let mut child = cold.child;
-        let _ = child.kill();
-        let _ = child.wait();
-        return base;
-    };
-    let (_, seed_fatal) = replay_corpus(&mut conn, "seeder", n); // all misses: journal fills
-    let (cold_hits, warmup_fatal) = replay_corpus(&mut conn, "seeder", n);
-    let cold_ratio = cold_hits as f64 / corpus().len() as f64;
-    base.tally.requests += 2 * corpus().len();
-    base.tally.ok += 2 * corpus().len() - seed_fatal - warmup_fatal;
-    base.tally.fatal += seed_fatal + warmup_fatal;
-    if seed_fatal + warmup_fatal > 0 {
-        base.violations.push(format!(
-            "{} fatal response(s) while seeding",
-            seed_fatal + warmup_fatal
-        ));
-    }
-
-    // ---- the crash: a storm of distinct programs (every one a miss,
-    // every one a journal append at --journal-fsync 1) and a SIGKILL in
-    // the middle of it — no drain, no Drop, the LOCK file stays behind
-    let storm_addr = cold.addr.clone();
-    let storm = std::thread::spawn(move || {
-        let Some(mut conn) = Conn::open(&storm_addr) else {
-            return 0usize;
-        };
-        let mut sent = 0usize;
-        for k in 0..100_000u64 {
-            let src = format!(
-                "integer i = 0\nwhile (i < n) {{\n    A[i] = A[i] + {}\n    i = i + 1\n}}",
-                k + 1
-            );
-            let line = format!(r#"{{"op":"certify","program":{}}}"#, json::to_string(&src));
-            if conn.send(&line).is_none() {
-                break; // the daemon died mid-request: mission accomplished
-            }
-            sent += 1;
-        }
-        sent
-    });
-    std::thread::sleep(Duration::from_millis(150));
-    let mut child = cold.child;
-    let killed_at = Instant::now();
-    let _ = child.kill(); // SIGKILL on unix: no handler runs, no flush
-    let _ = child.wait();
-    let storm_appends = storm.join().unwrap_or(0);
-    let _ = cold.stderr_thread.join();
-    drop(conn);
-    if storm_appends == 0 {
-        base.violations
-            .push("miss storm never landed a request before the kill".into());
-    }
-
-    // ---- phase 2: warm daemon on the same state dir. The dead pid in
-    // LOCK must be taken over, the journal's torn tail skipped, and the
-    // corpus served from recovered certificates.
-    let warm = match spawn_serve(&bin, &persist_args) {
-        Ok(p) => p,
-        Err(e) => {
-            base.violations.push(format!(
-                "warm restart failed (stale LOCK not taken over?): {e}"
-            ));
-            let _ = std::fs::remove_dir_all(&state_dir);
-            return base;
-        }
-    };
-    let recovery_ms = killed_at.elapsed().as_millis() as u64;
-    let Some(mut conn) = Conn::open(&warm.addr) else {
-        base.violations.push("cannot connect to warm daemon".into());
-        let mut child = warm.child;
-        let _ = child.kill();
-        let _ = child.wait();
-        return base;
-    };
-    let loaded = persist_stat(&mut conn, "loaded").unwrap_or(0);
-    let skipped = persist_stat(&mut conn, "skipped_corrupt").unwrap_or(u64::MAX);
-    let (warm_hits, warm_fatal) = replay_corpus(&mut conn, "replayer", n);
-    let warm_ratio = warm_hits as f64 / corpus().len() as f64;
-    base.tally.requests += corpus().len();
-    base.tally.ok += corpus().len() - warm_fatal;
-    base.tally.fatal += warm_fatal;
-    base.warm_hit_ratio = Some(warm_ratio);
-    base.recovered_entries = Some(loaded);
-    base.skipped_corrupt = Some(skipped);
-
-    // the recovery bar
-    if loaded == 0 {
-        base.violations
-            .push("warm daemon recovered zero certificates".into());
-    }
-    if warm_ratio < cold_ratio {
-        base.violations.push(format!(
-            "warm first-pass hit ratio {warm_ratio:.2} below cold post-warmup ratio {cold_ratio:.2}"
-        ));
-    }
-    if skipped > 3 {
-        base.violations.push(format!(
-            "{skipped} records skipped as corrupt — a SIGKILL should tear at most the journal tail"
-        ));
-    }
-    if warm_fatal > 0 {
-        base.violations
-            .push(format!("{warm_fatal} exec_error(s) after warm restart"));
-    }
-
-    // graceful shutdown of the warm daemon closes the scenario
-    send_sigterm(warm.child.id());
-    let mut child = warm.child;
-    let status = child.wait().expect("warm daemon exits");
-    base.clean_exit = Some(status.success());
-    base.drain_ms = Some(recovery_ms);
-    if !status.success() {
-        base.violations
-            .push("warm daemon did not drain clean".into());
-    }
-    let _ = warm.stderr_thread.join();
-    let _ = std::fs::remove_dir_all(&state_dir);
-    base.recovered = base.violations.is_empty();
-    base.recovery_ms = recovery_ms;
-    base
-}
-
 fn main() {
     // the injected chaos_panic fires dozens of times by design; keep its
     // backtraces out of the log while leaving real panics loud
@@ -896,7 +611,6 @@ fn main() {
             ChaosScenario::ClientDisconnect => client_disconnect(rounds.min(6)),
             ChaosScenario::SlowReader => slow_reader(rounds * 4),
             ChaosScenario::SigtermBurst => sigterm_burst(burst_clients),
-            ChaosScenario::CrashRestart => crash_restart(),
         };
         eprintln!(
             "serve-chaos {}: {} requests ({} ok, {} retriable, {} fatal), recovered={} in {}ms{}",
@@ -933,7 +647,7 @@ fn main() {
     std::fs::write(&out, json::to_string(&file)).expect("write bench file");
     eprintln!("serve-chaos: wrote {out}");
     if let Some(path) = &trajectory {
-        let mut exhibits: Vec<TrajectoryExhibit> = file
+        let exhibits: Vec<TrajectoryExhibit> = file
             .scenarios
             .iter()
             .map(|r| TrajectoryExhibit {
@@ -943,20 +657,6 @@ fn main() {
                 speedup_vs_baseline: None,
             })
             .collect();
-        if let Some(r) = file.scenarios.iter().find(|r| r.name == "crash-restart") {
-            exhibits.push(TrajectoryExhibit {
-                name: "crash_restart_warm_hit_ratio".into(),
-                median_ns: 0,
-                value: r.warm_hit_ratio,
-                speedup_vs_baseline: None,
-            });
-            exhibits.push(TrajectoryExhibit {
-                name: "crash_restart_recovered_entries".into(),
-                median_ns: 0,
-                value: r.recovered_entries.map(|n| n as f64),
-                speedup_vs_baseline: None,
-            });
-        }
         TrajectoryRecord::now("serve-chaos", smoke, exhibits)
             .append_to(path)
             .expect("append trajectory record");

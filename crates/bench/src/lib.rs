@@ -22,19 +22,9 @@ use wlp_workloads::{ma28, mcsparse, spice, track};
 
 pub mod trajectory;
 
-/// The `run` request line for corpus program `name` (`src`) at problem
-/// size `n` under `tenant`: real arrays and scalars from
-/// [`wlp_workloads::sources::machine_inputs`], digest-reply to keep
-/// response assembly out of the measurement. What `serve-chaos` sends
-/// and the `ingest` exhibit parses.
-pub fn corpus_run_line(tenant: &str, name: &str, src: &str, n: usize) -> String {
-    let (arrays, scalars) = wlp_workloads::sources::machine_inputs(name, n);
-    run_line(tenant, src, &arrays, &scalars, 2 * n + 4, ",")
-}
-
 /// A digest-reply `run` request line over the given state, array
-/// elements joined by `separator` (`","` as the corpus lines and
-/// `benchmark/` write them, `", "` as Python's `json.dumps` does).
+/// elements joined by `separator` (`","` as `benchmark/` writes them,
+/// `", "` as Python's `json.dumps` does).
 pub fn run_line(
     tenant: &str,
     src: &str,

@@ -226,12 +226,12 @@ mod tests {
     #[test]
     fn records_serialize_with_schema_source_and_optionals() {
         let rec = TrajectoryRecord::now(
-            "serve-chaos",
+            "wlp-bench",
             true,
             vec![TrajectoryExhibit {
-                name: "crash_restart_warm_hit_ratio".into(),
+                name: "ingest/parse/large/p1".into(),
                 median_ns: 0,
-                value: Some(0.97),
+                value: Some(0.73),
                 speedup_vs_baseline: None,
             }],
         );
@@ -240,8 +240,8 @@ mod tests {
             line.contains("\"schema\":\"wlp-bench-trajectory/v1\""),
             "{line}"
         );
-        assert!(line.contains("\"source\":\"serve-chaos\""), "{line}");
-        assert!(line.contains("\"value\":0.97"), "{line}");
+        assert!(line.contains("\"source\":\"wlp-bench\""), "{line}");
+        assert!(line.contains("\"value\":0.73"), "{line}");
         assert!(line.contains("\"smoke\":true"), "{line}");
         assert!(!rec.git_sha.is_empty());
     }

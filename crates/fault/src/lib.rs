@@ -26,9 +26,7 @@
 //! same fault at the same place every run, so recovery tests are
 //! reproducible.
 
-use std::fs::File;
-use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use wlp_list::{ListArena, NodeId};
 
@@ -275,209 +273,13 @@ impl FaultPlan {
     }
 }
 
-/// The write/sync seam a durable store performs its disk I/O through, so
-/// storage faults can be injected *between* the store's framing logic and
-/// the filesystem. Production code passes [`DirectIo`]; tests and the
-/// chaos harness pass an [`FsFaultPlan`], which corrupts exactly one
-/// chosen operation and then behaves like [`DirectIo`] forever after —
-/// the storage analogue of [`FaultPlan`]'s one-shot in-body faults.
-pub trait StateIo: Send + Sync {
-    /// Appends `buf` at `file`'s current write position, returning how
-    /// many bytes the caller may consider written. Implementations may
-    /// write less than `buf.len()` (a short write), corrupt what they
-    /// write (a bit flip), or write a prefix while *claiming* the whole
-    /// buffer landed (a torn write — the lie a power cut tells).
-    fn append(&self, file: &mut File, buf: &[u8]) -> io::Result<usize>;
-
-    /// Flushes `file`'s data to stable storage (`fdatasync` semantics).
-    fn sync(&self, file: &File) -> io::Result<()>;
-}
-
-/// The honest [`StateIo`]: every append writes the whole buffer, every
-/// sync is a real `sync_data`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DirectIo;
-
-impl StateIo for DirectIo {
-    fn append(&self, file: &mut File, buf: &[u8]) -> io::Result<usize> {
-        file.write_all(buf)?;
-        Ok(buf.len())
-    }
-
-    fn sync(&self, file: &File) -> io::Result<()> {
-        file.sync_data()
-    }
-}
-
-/// What a firing [`FsFaultPlan`] does to the operation it lands on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsFaultKind {
-    /// Write only a seed-chosen prefix of the buffer but report complete
-    /// success — the caller believes the record is durable, recovery
-    /// finds a torn tail. This is what SIGKILL or power loss
-    /// mid-`write(2)` leaves behind.
-    TornWrite,
-    /// Write a seed-chosen prefix and honestly return the short count,
-    /// exercising the caller's short-write handling (truncate-and-retry
-    /// or mark-broken).
-    ShortWrite,
-    /// Flip one seed-chosen bit of the buffer before writing it in full —
-    /// silent media corruption the CRC must catch at recovery.
-    BitFlip,
-    /// Fail the sync call with an injected I/O error (the write itself
-    /// lands), exercising fsync-error accounting.
-    SyncError,
-}
-
-impl FsFaultKind {
-    /// Parses a kind name as used on harness command lines.
-    pub fn parse(s: &str) -> Option<FsFaultKind> {
-        match s {
-            "torn-write" => Some(FsFaultKind::TornWrite),
-            "short-write" => Some(FsFaultKind::ShortWrite),
-            "bit-flip" => Some(FsFaultKind::BitFlip),
-            "sync-error" => Some(FsFaultKind::SyncError),
-            _ => None,
-        }
-    }
-
-    /// Stable kebab-case name (inverse of [`parse`](FsFaultKind::parse)).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FsFaultKind::TornWrite => "torn-write",
-            FsFaultKind::ShortWrite => "short-write",
-            FsFaultKind::BitFlip => "bit-flip",
-            FsFaultKind::SyncError => "sync-error",
-        }
-    }
-}
-
-/// A deterministic one-shot filesystem fault: behaves like [`DirectIo`]
-/// on every operation except the planned one. Write-kinds
-/// ([`TornWrite`]/[`ShortWrite`]/[`BitFlip`]) count *append* calls,
-/// [`SyncError`] counts *sync* calls; the seed picks where inside the
-/// buffer the tear lands or which bit flips, so the same plan corrupts
-/// the same bytes every run.
-///
-/// [`TornWrite`]: FsFaultKind::TornWrite
-/// [`ShortWrite`]: FsFaultKind::ShortWrite
-/// [`BitFlip`]: FsFaultKind::BitFlip
-/// [`SyncError`]: FsFaultKind::SyncError
-#[derive(Debug)]
-pub struct FsFaultPlan {
-    kind: FsFaultKind,
-    at_op: Option<u64>,
-    seed: u64,
-    appends: AtomicU64,
-    syncs: AtomicU64,
-    fired: AtomicBool,
-}
-
-impl FsFaultPlan {
-    /// A plan that never fires (pure [`DirectIo`] behaviour).
-    pub fn none() -> Self {
-        FsFaultPlan {
-            kind: FsFaultKind::TornWrite,
-            at_op: None,
-            seed: 0,
-            appends: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-        }
-    }
-
-    /// Fault operation number `op` (0-based, counted per the kind's
-    /// operation type) with `kind`, positioning tears/flips by `seed`.
-    pub fn at(kind: FsFaultKind, op: u64, seed: u64) -> Self {
-        FsFaultPlan {
-            kind,
-            at_op: Some(op),
-            seed,
-            ..FsFaultPlan::none()
-        }
-    }
-
-    /// Derives a plan from `seed` alone: the fault lands on a
-    /// pseudo-random operation in `0..upper`. Deterministic; `upper == 0`
-    /// yields a plan that never fires.
-    pub fn seeded(kind: FsFaultKind, seed: u64, upper: u64) -> Self {
-        if upper == 0 {
-            return FsFaultPlan::none();
-        }
-        FsFaultPlan::at(kind, splitmix64(seed) % upper, splitmix64(seed ^ 0xf5))
-    }
-
-    /// Whether the fault has already fired.
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::Acquire)
-    }
-
-    /// The fault this plan injects when it fires.
-    pub fn kind(&self) -> FsFaultKind {
-        self.kind
-    }
-
-    fn fires_now(&self, op: u64) -> bool {
-        self.at_op == Some(op) && !self.fired.swap(true, Ordering::AcqRel)
-    }
-
-    /// How many bytes of an `len`-byte buffer survive the tear.
-    fn cut(&self, len: usize) -> usize {
-        if len == 0 {
-            0
-        } else {
-            (self.seed % len as u64) as usize
-        }
-    }
-}
-
-impl StateIo for FsFaultPlan {
-    fn append(&self, file: &mut File, buf: &[u8]) -> io::Result<usize> {
-        let op = self.appends.fetch_add(1, Ordering::Relaxed);
-        if self.kind == FsFaultKind::SyncError || !self.fires_now(op) {
-            return DirectIo.append(file, buf);
-        }
-        match self.kind {
-            FsFaultKind::TornWrite => {
-                file.write_all(&buf[..self.cut(buf.len())])?;
-                Ok(buf.len()) // the lie: claim the whole record landed
-            }
-            FsFaultKind::ShortWrite => {
-                let cut = self.cut(buf.len());
-                file.write_all(&buf[..cut])?;
-                Ok(cut)
-            }
-            FsFaultKind::BitFlip => {
-                let mut corrupt = buf.to_vec();
-                if !corrupt.is_empty() {
-                    let bit = self.seed % (corrupt.len() as u64 * 8);
-                    corrupt[(bit / 8) as usize] ^= 1 << (bit % 8);
-                }
-                file.write_all(&corrupt)?;
-                Ok(buf.len())
-            }
-            FsFaultKind::SyncError => unreachable!("handled above"),
-        }
-    }
-
-    fn sync(&self, file: &File) -> io::Result<()> {
-        if self.kind == FsFaultKind::SyncError {
-            let op = self.syncs.fetch_add(1, Ordering::Relaxed);
-            if self.fires_now(op) {
-                return Err(io::Error::other("wlp-fault: injected fsync error"));
-            }
-        }
-        DirectIo.sync(file)
-    }
-}
-
 /// The service-level chaos scenarios the `serve-chaos` harness runs
 /// against a live `wlp-serve` [`Service`]. Where [`FaultMode`] names
 /// faults *inside one loop region*, these name faults at the service
 /// boundary: a worker misbehaving mid-region while other tenants keep
 /// submitting, a client vanishing mid-request, a client that reads its
-/// responses too slowly to matter, and the process itself being told to
-/// die under load. Every scenario must end with the same invariant —
+/// responses too slowly to matter, and the process being told to stop
+/// under load. Every scenario must end with the same invariant —
 /// zero leaked lanes, zero leaked credits, an empty queue — asserted
 /// from the service's own `stats` op.
 ///
@@ -499,28 +301,21 @@ pub enum ChaosScenario {
     SlowReader,
     /// SIGTERM arrives while a closed loop of clients is running; the
     /// drain must answer every in-flight request and exit clean. Needs a
-    /// real `wlp-serve` subprocess (see
-    /// [`needs_subprocess`](ChaosScenario::needs_subprocess)).
+    /// real `wlp-serve` subprocess: signal delivery cannot be injected
+    /// into an in-process [`Service`].
+    ///
+    /// [`Service`]: ../wlp_serve/struct.Service.html
     SigtermBurst,
-    /// SIGKILL arrives mid-journal-append (a cache-miss storm is forcing
-    /// appends when the kill lands), then the daemon is restarted with
-    /// the same `--state-dir`: the replayed corpus must hit the warm
-    /// cache, `skipped_corrupt` must stay bounded (the one torn tail the
-    /// kill can tear), and no corrupt certificate may ever be served.
-    /// Needs a real subprocess — only a process death proves the store
-    /// crash-safe.
-    CrashRestart,
 }
 
 impl ChaosScenario {
     /// Every scenario, in the order the harness runs them.
-    pub const ALL: [ChaosScenario; 6] = [
+    pub const ALL: [ChaosScenario; 5] = [
         ChaosScenario::WorkerPanic,
         ChaosScenario::WorkerStall,
         ChaosScenario::ClientDisconnect,
         ChaosScenario::SlowReader,
         ChaosScenario::SigtermBurst,
-        ChaosScenario::CrashRestart,
     ];
 
     /// Parses a scenario name as used on harness command lines.
@@ -531,7 +326,6 @@ impl ChaosScenario {
             "client-disconnect" => Some(ChaosScenario::ClientDisconnect),
             "slow-reader" => Some(ChaosScenario::SlowReader),
             "sigterm-burst" => Some(ChaosScenario::SigtermBurst),
-            "crash-restart" => Some(ChaosScenario::CrashRestart),
             _ => None,
         }
     }
@@ -545,20 +339,7 @@ impl ChaosScenario {
             ChaosScenario::ClientDisconnect => "client-disconnect",
             ChaosScenario::SlowReader => "slow-reader",
             ChaosScenario::SigtermBurst => "sigterm-burst",
-            ChaosScenario::CrashRestart => "crash-restart",
         }
-    }
-
-    /// Whether the scenario needs a real `wlp-serve` subprocess (signal
-    /// delivery and process death cannot be injected into an in-process
-    /// [`Service`]).
-    ///
-    /// [`Service`]: ../wlp_serve/struct.Service.html
-    pub fn needs_subprocess(&self) -> bool {
-        matches!(
-            self,
-            ChaosScenario::SigtermBurst | ChaosScenario::CrashRestart
-        )
     }
 }
 
@@ -704,116 +485,6 @@ mod tests {
             assert_eq!(ChaosScenario::parse(s.name()), Some(s), "{}", s.name());
         }
         assert_eq!(ChaosScenario::parse("coffee-spill"), None);
-        // signal delivery and process death escape the in-process harness
-        let subprocess: Vec<_> = ChaosScenario::ALL
-            .iter()
-            .filter(|s| s.needs_subprocess())
-            .collect();
-        assert_eq!(
-            subprocess,
-            vec![&ChaosScenario::SigtermBurst, &ChaosScenario::CrashRestart]
-        );
-    }
-
-    /// A scratch file in the OS temp dir, deleted on drop.
-    struct TempFile {
-        path: std::path::PathBuf,
-        file: File,
-    }
-
-    impl TempFile {
-        fn new(tag: &str) -> TempFile {
-            // tag is unique per test, pid per run — no collisions
-            let path = std::env::temp_dir().join(format!("wlp-fault-{tag}-{}", std::process::id()));
-            let file = File::create(&path).expect("create temp file");
-            TempFile { path, file }
-        }
-
-        fn contents(&self) -> Vec<u8> {
-            std::fs::read(&self.path).expect("read back")
-        }
-    }
-
-    impl Drop for TempFile {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-
-    #[test]
-    fn direct_io_is_honest() {
-        let mut t = TempFile::new("direct");
-        assert_eq!(DirectIo.append(&mut t.file, b"hello").unwrap(), 5);
-        DirectIo.sync(&t.file).unwrap();
-        assert_eq!(t.contents(), b"hello");
-    }
-
-    #[test]
-    fn torn_write_lies_about_what_landed() {
-        let mut t = TempFile::new("torn");
-        let plan = FsFaultPlan::at(FsFaultKind::TornWrite, 1, 3);
-        assert_eq!(plan.append(&mut t.file, b"aaaa").unwrap(), 4);
-        // op 1 fires: claims 8 bytes written, disk got a 3-byte prefix
-        assert_eq!(plan.append(&mut t.file, b"bbbbbbbb").unwrap(), 8);
-        assert!(plan.fired());
-        // one-shot: later appends are whole again
-        assert_eq!(plan.append(&mut t.file, b"cc").unwrap(), 2);
-        assert_eq!(t.contents(), b"aaaabbbcc");
-    }
-
-    #[test]
-    fn short_write_reports_the_truncated_count() {
-        let mut t = TempFile::new("short");
-        let plan = FsFaultPlan::at(FsFaultKind::ShortWrite, 0, 2);
-        assert_eq!(plan.append(&mut t.file, b"wxyz").unwrap(), 2);
-        assert_eq!(t.contents(), b"wx");
-    }
-
-    #[test]
-    fn bit_flip_corrupts_exactly_one_bit() {
-        let mut t = TempFile::new("flip");
-        let plan = FsFaultPlan::at(FsFaultKind::BitFlip, 0, 11);
-        assert_eq!(plan.append(&mut t.file, &[0u8; 4]).unwrap(), 4);
-        let got = t.contents();
-        let flipped: u32 = got.iter().map(|b| b.count_ones()).sum();
-        assert_eq!(flipped, 1, "{got:?}");
-        // bit 11 = byte 1, bit 3
-        assert_eq!(got, vec![0, 1 << 3, 0, 0]);
-    }
-
-    #[test]
-    fn sync_error_fires_once_and_only_in_sync() {
-        let mut t = TempFile::new("sync");
-        let plan = FsFaultPlan::at(FsFaultKind::SyncError, 0, 0);
-        // appends are untouched by a sync fault (and don't consume its op)
-        assert_eq!(plan.append(&mut t.file, b"data").unwrap(), 4);
-        assert!(plan.sync(&t.file).is_err());
-        assert!(plan.fired());
-        plan.sync(&t.file).expect("one-shot: second sync succeeds");
-        assert_eq!(t.contents(), b"data");
-    }
-
-    #[test]
-    fn fs_plans_are_seed_deterministic() {
-        let a = FsFaultPlan::seeded(FsFaultKind::TornWrite, 7, 100);
-        let b = FsFaultPlan::seeded(FsFaultKind::TornWrite, 7, 100);
-        assert_eq!(a.at_op, b.at_op);
-        assert_eq!(a.seed, b.seed);
-        assert!(a.at_op.unwrap() < 100);
-        assert!(FsFaultPlan::seeded(FsFaultKind::BitFlip, 7, 0)
-            .at_op
-            .is_none());
-        assert!(!FsFaultPlan::none().fired());
-        assert_eq!(FsFaultKind::parse("bit-flip"), Some(FsFaultKind::BitFlip));
-        assert_eq!(FsFaultKind::parse("bogus"), None);
-        for k in [
-            FsFaultKind::TornWrite,
-            FsFaultKind::ShortWrite,
-            FsFaultKind::BitFlip,
-            FsFaultKind::SyncError,
-        ] {
-            assert_eq!(FsFaultKind::parse(k.name()), Some(k));
-        }
     }
 
     #[test]

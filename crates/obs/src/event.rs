@@ -206,29 +206,6 @@ pub enum Event {
         /// half-open probe closed it again (recovery).
         open: bool,
     },
-    /// The persistent certificate store wrote a snapshot (journal
-    /// compaction or explicit snapshot): the resident working set was
-    /// written to a temp file, fsynced, and atomically renamed over the
-    /// previous snapshot.
-    SnapshotWrite {
-        /// Records the snapshot contains.
-        records: u64,
-    },
-    /// A certificate record was appended to the crash-safe journal
-    /// (a cache miss whose certificate is now durable).
-    JournalAppend {
-        /// Framed bytes appended (header + payload).
-        bytes: u64,
-    },
-    /// Warm-restart recovery skipped records it could not trust — torn
-    /// tail, failed CRC, content-hash mismatch, undecodable certificate,
-    /// or a certificate that no longer matches re-analysis. Skipping is
-    /// the designed response to corruption; the records are simply
-    /// re-certified (and re-journaled) on their next request.
-    RecoverySkip {
-        /// Records skipped during this recovery.
-        records: u64,
-    },
 }
 
 impl Event {
@@ -261,9 +238,6 @@ impl Event {
             Event::RequestTimeout { .. } => "request_timeout",
             Event::Drain { .. } => "drain",
             Event::CircuitTrip { .. } => "circuit_trip",
-            Event::SnapshotWrite { .. } => "snapshot_write",
-            Event::JournalAppend { .. } => "journal_append",
-            Event::RecoverySkip { .. } => "recovery_skip",
         }
     }
 

@@ -98,14 +98,6 @@ pub struct ProfileReport {
     /// Per-tenant circuit-breaker trips (openings only; half-open
     /// recoveries emit a `circuit_trip` event but are not counted here).
     pub circuit_trips: u64,
-    /// Snapshots written by the persistent certificate store (journal
-    /// compactions and explicit snapshots).
-    pub snapshot_writes: u64,
-    /// Certificate records appended to the crash-safe journal.
-    pub journal_appends: u64,
-    /// Records skipped by warm-restart recovery (torn tail, failed CRC,
-    /// hash/certificate mismatch) — summed over `recovery_skip` events.
-    pub recovery_skips: u64,
     /// Total samples aggregated.
     pub samples: u64,
 }
@@ -154,9 +146,6 @@ impl ProfileReport {
             request_timeouts: 0,
             drains: 0,
             circuit_trips: 0,
-            snapshot_writes: 0,
-            journal_appends: 0,
-            recovery_skips: 0,
             samples: trace.samples.len() as u64,
         };
         let mut iter_undone = 0u64;
@@ -202,9 +191,6 @@ impl ProfileReport {
                 Event::RequestTimeout { .. } => r.request_timeouts += 1,
                 Event::Drain { .. } => r.drains += 1,
                 Event::CircuitTrip { open } => r.circuit_trips += u64::from(open),
-                Event::SnapshotWrite { .. } => r.snapshot_writes += 1,
-                Event::JournalAppend { .. } => r.journal_appends += 1,
-                Event::RecoverySkip { records } => r.recovery_skips += records,
                 Event::TermTest { .. } | Event::LockWait { .. } | Event::LockAcquire { .. } => {}
             }
         }
@@ -459,27 +445,6 @@ mod tests {
         r.check_conservation().expect("laws hold");
         let json = r.to_json();
         assert!(json.contains("\"request_timeouts\":2"), "{json}");
-    }
-
-    #[test]
-    fn persistence_events_aggregate() {
-        let trace = Trace {
-            p: 1,
-            makespan: 20,
-            samples: vec![
-                sample(2, 0, Event::JournalAppend { bytes: 96 }),
-                sample(4, 0, Event::JournalAppend { bytes: 120 }),
-                sample(6, 0, Event::SnapshotWrite { records: 5 }),
-                sample(8, 0, Event::RecoverySkip { records: 3 }),
-            ],
-        };
-        let r = ProfileReport::from_trace(&trace);
-        assert_eq!(r.journal_appends, 2);
-        assert_eq!(r.snapshot_writes, 1);
-        assert_eq!(r.recovery_skips, 3, "skips sum the per-event record counts");
-        r.check_conservation().expect("laws hold");
-        let json = r.to_json();
-        assert!(json.contains("\"journal_appends\":2"), "{json}");
     }
 
     #[test]

@@ -30,13 +30,10 @@
 //! `--drain-ms MS`, `--circuit-trip N`, `--circuit-open-ms MS`,
 //! `--chaos`, `--quiet`.
 //!
-//! Durable state (`docs/OPERATIONS.md` § Durable state): `--state-dir
-//! DIR` gives the certificate cache a crash-safe snapshot + journal and
-//! a warm restart; `--journal-fsync N` sets the fsync batch (default 1 =
-//! every append; 0 = OS-paced); `--compact-bytes N` sets the journal
-//! size that triggers compaction. An unusable state dir (missing parent,
-//! not writable, locked by a live daemon) is a one-line error at
-//! startup, exit 1 — never a mid-request surprise.
+//! The daemon keeps no state on disk. Its certificate cache is a pure
+//! function of the program texts it has seen, so a restarted daemon
+//! answers every request as before and pays one analysis per distinct
+//! program, on that program's first request.
 
 use serde::json;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -192,7 +189,6 @@ fn usage() -> ! {
          \x20                [--cache N] [--max-inflight N] [--max-queue N]\n\
          \x20                [--max-iters N] [--credits N] [--max-deadline MS]\n\
          \x20                [--drain-ms MS] [--circuit-trip N] [--circuit-open-ms MS]\n\
-         \x20                [--state-dir DIR] [--journal-fsync N] [--compact-bytes N]\n\
          \x20                [--chaos] [--quiet]\n\
          \n\
          Serves the wlp NDJSON protocol (docs/PROTOCOL.md): one JSON request\n\
@@ -200,14 +196,6 @@ fn usage() -> ! {
          SIGTERM (or a `shutdown` request) begins a graceful drain."
     );
     std::process::exit(2);
-}
-
-/// The persist config under construction. `--journal-fsync` and
-/// `--compact-bytes` may precede `--state-dir` on the command line; a
-/// missing `--state-dir` is caught after parsing.
-fn persist_cfg(cfg: &mut ServeConfig) -> &mut wlp_serve::persist::PersistConfig {
-    cfg.persist
-        .get_or_insert_with(|| wlp_serve::persist::PersistConfig::at(""))
 }
 
 fn parse_args() -> Args {
@@ -245,26 +233,6 @@ fn parse_args() -> Args {
             "--circuit-open-ms" => {
                 args.cfg.circuit.open_ms = num("--circuit-open-ms").max(1) as u64
             }
-            "--state-dir" => match it.next() {
-                Some(dir) => {
-                    let mut pcfg = args
-                        .cfg
-                        .persist
-                        .take()
-                        .unwrap_or_else(|| wlp_serve::persist::PersistConfig::at(&dir));
-                    pcfg.state_dir = dir.into();
-                    args.cfg.persist = Some(pcfg);
-                }
-                None => usage(),
-            },
-            "--journal-fsync" => {
-                let n = num("--journal-fsync") as u64;
-                persist_cfg(&mut args.cfg).journal_fsync_every = n;
-            }
-            "--compact-bytes" => {
-                let n = num("--compact-bytes").max(1) as u64;
-                persist_cfg(&mut args.cfg).compact_bytes = n;
-            }
             "--chaos" => args.cfg.chaos_builtins = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => usage(),
@@ -274,43 +242,22 @@ fn parse_args() -> Args {
             }
         }
     }
-    if let Some(pcfg) = &args.cfg.persist {
-        if pcfg.state_dir.as_os_str().is_empty() {
-            eprintln!("wlp-serve: --journal-fsync/--compact-bytes need --state-dir DIR");
-            usage()
-        }
-    }
     args
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
     sig::install();
-    // Fail fast: an unusable --state-dir is a startup error the operator
-    // sees once, not a per-request surprise later.
-    let service = match Service::try_new(args.cfg.clone()) {
-        Ok(svc) => Arc::new(svc),
-        Err(e) => {
-            eprintln!("wlp-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let service = Arc::new(Service::new(args.cfg));
     if !args.quiet {
+        let cfg = service.config();
         eprintln!(
             "wlp-serve: {} workers in {}-wide lanes, cache capacity {}, protocol v{}",
-            args.cfg.workers,
-            args.cfg.lane_width,
-            args.cfg.cache_capacity,
+            cfg.workers,
+            cfg.lane_width,
+            cfg.cache_capacity,
             wlp_serve::PROTOCOL_VERSION,
         );
-        if let Some(store) = service.persist_store() {
-            eprintln!(
-                "wlp-serve: state dir {} ({} certificate(s) recovered, {} skipped)",
-                store.state_dir().display(),
-                store.loaded(),
-                store.skipped_corrupt(),
-            );
-        }
     }
     match args.listen {
         None => serve_stdin(&service, args.quiet),
@@ -325,8 +272,6 @@ fn main() -> ExitCode {
 /// a moment before it reaches the socket.
 fn finish_drain(service: &Service, quiet: bool) -> ExitCode {
     let clean = service.await_drain(Duration::from_millis(service.config().drain_deadline_ms));
-    // The drain is the last chance to fsync a batched journal tail.
-    service.flush_persist();
     std::thread::sleep(Duration::from_millis(50));
     if !quiet {
         eprintln!(

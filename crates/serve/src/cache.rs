@@ -104,8 +104,7 @@ pub struct CacheEntry {
     /// one input to whether its next run speculates. Only a plan that can
     /// speculate asks, so only a `SpeculativeDoall` plan carries one; a
     /// plan sequential by construction pays a null pointer. Starts empty
-    /// on every insert (a recovered or re-admitted program measures
-    /// itself again).
+    /// on every insert (a re-admitted program measures itself again).
     pub history: Option<Box<RunHistory>>,
 }
 
@@ -241,23 +240,6 @@ impl RunHistory {
     }
 }
 
-/// Why [`CertCache::load_recovered`] refused a persisted record. Every
-/// variant means "pay one cold miss for this program later" — never
-/// "serve something wrong".
-#[derive(Debug)]
-pub enum RecoverError {
-    /// The persisted source no longer parses/lowers (grammar drift since
-    /// the record was written).
-    Frontend(FrontendError),
-    /// Re-analysis produced a different certificate than the record
-    /// carries — stale or tampered; the persisted line is never trusted
-    /// over a fresh derivation.
-    CertMismatch,
-    /// A different program already occupies this hash slot (FNV-1a
-    /// collision); the resident entry wins, as on the lookup path.
-    Collision,
-}
-
 /// Whether a lookup was served from the cache or had to run the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
@@ -374,60 +356,6 @@ impl CertCache {
         Ok((entry, CacheOutcome::Miss))
     }
 
-    /// Loads one warm-restart record recovered by the persistence layer.
-    ///
-    /// The persisted certificate is a **cross-check, not the artifact**:
-    /// the source is re-analyzed from scratch and the entry is admitted
-    /// only when the fresh certificate's compact encoding equals the
-    /// persisted line byte-for-byte. A bit-flipped, stale, or tampered
-    /// record that somehow survived the CRC therefore still cannot be
-    /// served — it is refused here and costs one cold miss.
-    ///
-    /// Does not touch the hit/miss counters (recovery is not traffic)
-    /// but honors capacity and LRU order like any insert.
-    pub fn load_recovered(&self, source: &str, cert_line: &str) -> Result<(), RecoverError> {
-        let key = fnv1a64(source.as_bytes());
-        {
-            let st = self.state.lock();
-            if let Some(resident) = st.map.get(&key) {
-                if resident.source == source {
-                    return Ok(()); // already resident (snapshot/journal overlap)
-                }
-                return Err(RecoverError::Collision);
-            }
-        }
-        let entry = self.build(key, source).map_err(RecoverError::Frontend)?;
-        if entry.analysis.certificate.encode_compact() != cert_line {
-            return Err(RecoverError::CertMismatch);
-        }
-        let mut st = self.state.lock();
-        match st.map.get(&key) {
-            None => {
-                if st.map.len() >= self.capacity {
-                    if let Some(evict) = st.order.pop_front() {
-                        st.map.remove(&evict);
-                    }
-                }
-                st.map.insert(key, entry);
-                st.order.push_back(key);
-                Ok(())
-            }
-            Some(resident) if resident.source == source => Ok(()),
-            Some(_) => Err(RecoverError::Collision),
-        }
-    }
-
-    /// The resident entries, coldest first (LRU order) — what a
-    /// compaction snapshots: evicting the coldest from the snapshot too
-    /// (when over capacity) falls out of the ordering for free.
-    pub fn resident_entries(&self) -> Vec<Arc<CacheEntry>> {
-        let st = self.state.lock();
-        st.order
-            .iter()
-            .filter_map(|key| st.map.get(key).cloned())
-            .collect()
-    }
-
     /// Lookups served without running the pipeline.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -438,9 +366,7 @@ impl CertCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Execution plans lowered so far: one per miss and one per record
-    /// [`load_recovered`](Self::load_recovered) analyzed — never one for
-    /// a hit.
+    /// Execution plans lowered so far: one per miss, never one for a hit.
     pub fn plans_compiled(&self) -> u64 {
         self.plans_compiled.load(Ordering::Relaxed)
     }
@@ -550,23 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn recovered_entries_carry_the_plan_a_fresh_compile_gives() {
-        let recovered = CertCache::new(8);
-        for src in [LOOP_A, LOOP_B, LOOP_C] {
-            let line = wlp_analyze::certify_compact(src).unwrap();
-            recovered.load_recovered(src, &line).unwrap();
-        }
-        assert_eq!(recovered.plans_compiled(), 3);
-        for entry in recovered.resident_entries() {
-            let (_, _, fresh) = compile_source(&entry.source).unwrap();
-            assert_eq!(entry.plan, fresh, "{}", entry.source);
-        }
-        // serving them afterwards lowers nothing more
-        recovered.lookup(LOOP_A).unwrap();
-        assert_eq!((recovered.hits(), recovered.plans_compiled()), (1, 3));
-    }
-
-    #[test]
     fn second_lookup_hits_and_shares_the_entry() {
         let cache = CertCache::new(8);
         let (e1, o1) = cache.lookup(LOOP_A).unwrap();
@@ -621,59 +530,6 @@ mod tests {
         assert_eq!(o, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn load_recovered_admits_only_matching_certificates() {
-        let cache = CertCache::new(8);
-        let line = wlp_analyze::certify_compact(LOOP_A).unwrap();
-        cache.load_recovered(LOOP_A, &line).expect("genuine record");
-        assert_eq!(cache.len(), 1);
-        // recovery is not traffic: counters untouched...
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        // ...but the next real lookup hits without re-analyzing
-        let (_, o) = cache.lookup(LOOP_A).unwrap();
-        assert_eq!(o, CacheOutcome::Hit);
-
-        // a certificate for a DIFFERENT program must be refused
-        let wrong = wlp_analyze::certify_compact(LOOP_C).unwrap();
-        assert!(matches!(
-            cache.load_recovered(LOOP_B, &wrong),
-            Err(RecoverError::CertMismatch)
-        ));
-        // a source that no longer parses must be refused, not panic
-        assert!(matches!(
-            cache.load_recovered("while (", "cert-v1;x"),
-            Err(RecoverError::Frontend(_))
-        ));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn load_recovered_is_idempotent_and_capacity_bounded() {
-        let cache = CertCache::new(2);
-        let a = wlp_analyze::certify_compact(LOOP_A).unwrap();
-        let b = wlp_analyze::certify_compact(LOOP_B).unwrap();
-        let c = wlp_analyze::certify_compact(LOOP_C).unwrap();
-        cache.load_recovered(LOOP_A, &a).unwrap();
-        cache.load_recovered(LOOP_A, &a).unwrap(); // overlap: no-op
-        cache.load_recovered(LOOP_B, &b).unwrap();
-        cache.load_recovered(LOOP_C, &c).unwrap(); // evicts coldest (A)
-        assert_eq!(cache.len(), 2);
-        let (_, o) = cache.lookup(LOOP_C).unwrap();
-        assert_eq!(o, CacheOutcome::Hit);
-    }
-
-    #[test]
-    fn resident_entries_are_coldest_first() {
-        let cache = CertCache::new(8);
-        cache.lookup(LOOP_A).unwrap();
-        cache.lookup(LOOP_B).unwrap();
-        cache.lookup(LOOP_A).unwrap(); // warm A above B
-        let entries = cache.resident_entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].source, LOOP_B);
-        assert_eq!(entries[1].source, LOOP_A);
     }
 
     /// Decides one run and records that it took `ns_per_iter` over 100

@@ -32,13 +32,11 @@
 
 pub mod cache;
 pub mod circuit;
-pub mod persist;
 pub mod proto;
 
 use cache::{CacheEntry, CacheOutcome, CertCache, Choice, RunHistory};
 use circuit::{Admission, CircuitBreaker, CircuitPolicy};
 use parking_lot::Mutex;
-use persist::{PersistError, PersistentStore};
 use proto::{codes, ProtoError, ReplyMode, Request, RunRequest};
 use serde::{json, Value};
 use std::collections::{HashMap, VecDeque};
@@ -106,10 +104,6 @@ pub struct ServeConfig {
     /// on every served machine — **test harnesses only** (the
     /// `serve-chaos` bench bin injects worker faults through them).
     pub chaos_builtins: bool,
-    /// Crash-safe certificate persistence (`--state-dir`): `Some` gives
-    /// the cache a snapshot + journal on disk and a warm restart; `None`
-    /// (the default) keeps the service fully in-memory.
-    pub persist: Option<persist::PersistConfig>,
 }
 
 impl Default for ServeConfig {
@@ -129,7 +123,6 @@ impl Default for ServeConfig {
             drain_deadline_ms: 5_000,
             circuit: CircuitPolicy::default(),
             chaos_builtins: false,
-            persist: None,
         }
     }
 }
@@ -215,8 +208,6 @@ pub struct Service {
     /// `run` requests currently between admission and response — what a
     /// graceful drain waits on.
     active: AtomicUsize,
-    /// Crash-safe certificate store (`Some` iff `cfg.persist` was set).
-    persist: Option<Arc<PersistentStore>>,
     /// The fixed host functions, built once; a request's machine starts
     /// from a clone of the table (`Arc`s, not closures).
     builtins: HashMap<String, HostFn>,
@@ -266,35 +257,7 @@ impl Decision {
 
 impl Service {
     /// Builds a service (workers spawn immediately and stay resident).
-    ///
-    /// Panics if `cfg.persist` names an unusable state dir — daemons that
-    /// need the fail-fast one-line error use [`try_new`](Self::try_new).
     pub fn new(cfg: ServeConfig) -> Self {
-        Service::try_new(cfg).expect("persistent state dir unusable")
-    }
-
-    /// Builds a service, fail-fast-validating `cfg.persist` (missing
-    /// parent, non-writable dir, lock held by a live daemon) and warm
-    /// restarting the certificate cache from snapshot + journal. With
-    /// `persist: None` this cannot fail.
-    pub fn try_new(cfg: ServeConfig) -> Result<Self, PersistError> {
-        Service::try_new_with_io(cfg, Arc::new(persist::DirectIo))
-    }
-
-    /// [`try_new`](Self::try_new) with the persistence I/O seam exposed:
-    /// chaos tests pass a [`wlp_fault::FsFaultPlan`] here to inject torn
-    /// writes, short writes, bit flips, and fsync errors under the store.
-    pub fn try_new_with_io(
-        cfg: ServeConfig,
-        io: Arc<dyn persist::StateIo>,
-    ) -> Result<Self, PersistError> {
-        let (persist, recovered) = match cfg.persist.clone() {
-            Some(pcfg) => {
-                let (store, records) = PersistentStore::open(pcfg, io)?;
-                (Some(Arc::new(store)), records)
-            }
-            None => (None, Vec::new()),
-        };
         let scheduler = RegionScheduler::new(SchedulerConfig {
             total_workers: cfg.workers,
             lane_width: cfg.lane_width,
@@ -303,7 +266,7 @@ impl Service {
         let mut builtins = Machine::default();
         register_builtins(&mut builtins);
         let builtins = builtins.funcs;
-        let svc = Service {
+        Service {
             cfg,
             scheduler,
             cache,
@@ -320,33 +283,10 @@ impl Service {
             ingest_parse_ns: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            persist,
             builtins,
             sequential_plans: Default::default(),
             speculation: SpeculationCounts::default(),
-        };
-        if let Some(store) = svc.persist.clone() {
-            // Load every recovered record through the cache's re-analyze
-            // + byte-compare gate; refusals are skips, never panics, and
-            // never served.
-            let mut load_skips = 0u64;
-            for rec in &recovered {
-                match svc.cache.load_recovered(&rec.source, &rec.cert_line) {
-                    Ok(()) => store.note_loaded(),
-                    Err(_) => {
-                        store.note_skipped();
-                        load_skips += 1;
-                    }
-                }
-            }
-            let scan_skips = store.skipped_corrupt() - load_skips;
-            if scan_skips + load_skips > 0 {
-                svc.record(Event::RecoverySkip {
-                    records: scan_skips + load_skips,
-                });
-            }
         }
-        Ok(svc)
     }
 
     /// A service with default tunables.
@@ -857,10 +797,7 @@ impl Service {
         }
     }
 
-    /// Cache lookup + obs accounting; errors are pre-rendered. A miss
-    /// minted a fresh certificate, so it is also the journal-append
-    /// point: by the time the response leaves, the certificate is on
-    /// disk (subject to the fsync batch policy) and survives a crash.
+    /// Cache lookup + obs accounting; errors are pre-rendered.
     fn lookup(&self, source: &str) -> Result<(Arc<CacheEntry>, CacheOutcome), String> {
         match self.cache.lookup(source) {
             Ok((entry, outcome)) => {
@@ -868,55 +805,10 @@ impl Service {
                     CacheOutcome::Hit => Event::CertCacheHit { key: entry.key },
                     CacheOutcome::Miss => Event::CertCacheMiss { key: entry.key },
                 });
-                if outcome == CacheOutcome::Miss {
-                    self.persist_entry(&entry);
-                }
                 Ok((entry, outcome))
             }
             Err(e) => Err(e.render(source)),
         }
-    }
-
-    /// Journals one freshly minted certificate and compacts the journal
-    /// when it has outgrown its threshold. Persistence failures are
-    /// counted and events recorded; they never fail the request — the
-    /// entry is resident either way, it just may not survive a restart.
-    fn persist_entry(&self, entry: &CacheEntry) {
-        let Some(store) = &self.persist else { return };
-        let cert_line = entry.analysis.certificate.encode_compact();
-        let out = store.append(&entry.source, &cert_line);
-        if out.persisted {
-            self.record(Event::JournalAppend { bytes: out.bytes });
-        }
-        if out.needs_compact {
-            // The collection closure runs under the journal lock (see
-            // `PersistentStore::compact`), so every record that could be
-            // truncated out of the journal is already resident and lands
-            // in the snapshot.
-            let snapshot = store.compact(|| {
-                self.cache
-                    .resident_entries()
-                    .iter()
-                    .map(|e| (e.source.clone(), e.analysis.certificate.encode_compact()))
-                    .collect()
-            });
-            if let Ok(records) = snapshot {
-                self.record(Event::SnapshotWrite { records });
-            }
-        }
-    }
-
-    /// Flushes any fsync-batched journal tail (graceful-shutdown path;
-    /// no-op without persistence).
-    pub fn flush_persist(&self) {
-        if let Some(store) = &self.persist {
-            store.sync();
-        }
-    }
-
-    /// The persistent store, when `persist` was configured.
-    pub fn persist_store(&self) -> Option<&Arc<PersistentStore>> {
-        self.persist.as_ref()
     }
 
     /// Admission control: per-tenant in-flight bound, then shared queue
@@ -1176,23 +1068,6 @@ impl Service {
                     ),
                 ]),
             ),
-            ("persist".into(), {
-                let mut fields = vec![("enabled".into(), Value::Bool(self.persist.is_some()))];
-                if let Some(store) = &self.persist {
-                    fields.extend([
-                        ("loaded".into(), Value::UInt(store.loaded())),
-                        ("appended".into(), Value::UInt(store.appended())),
-                        ("snapshots".into(), Value::UInt(store.snapshots())),
-                        (
-                            "skipped_corrupt".into(),
-                            Value::UInt(store.skipped_corrupt()),
-                        ),
-                        ("io_errors".into(), Value::UInt(store.io_errors())),
-                        ("journal_bytes".into(), Value::UInt(store.journal_bytes())),
-                    ]);
-                }
-                Value::Object(fields)
-            }),
             ("tenants".into(), Value::Object(per_tenant)),
         ])
     }
@@ -1581,140 +1456,6 @@ mod tests {
         );
         let stats = svc.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"samples_dropped\":"), "{stats}");
-    }
-
-    /// A unique scratch state dir, removed on drop.
-    struct TempStateDir(std::path::PathBuf);
-
-    impl TempStateDir {
-        fn new(tag: &str) -> TempStateDir {
-            let dir = std::env::temp_dir()
-                .join(format!("wlp-serve-persist-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            TempStateDir(dir)
-        }
-    }
-
-    impl Drop for TempStateDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn persist_config(dir: &std::path::Path) -> ServeConfig {
-        ServeConfig {
-            persist: Some(persist::PersistConfig::at(dir)),
-            ..ServeConfig::default()
-        }
-    }
-
-    #[test]
-    fn persist_stats_report_disabled_without_a_state_dir() {
-        let svc = Service::with_defaults();
-        let stats = svc.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"persist\":{\"enabled\":false}"), "{stats}");
-    }
-
-    /// One pass of the whole corpus at `n = 64`: every response must be
-    /// `ok` with cache outcome `want`; returns each reply's digests.
-    fn corpus_pass(svc: &Service, want: &str) -> Vec<String> {
-        use wlp_workloads::sources::{corpus, machine_inputs};
-        let object = |fields: Vec<String>| format!("{{{}}}", fields.join(","));
-        corpus()
-            .iter()
-            .map(|(name, src)| {
-                let (arrays, scalars) = machine_inputs(name, 64);
-                let line = format!(
-                    r#"{{"op":"run","tenant":"t0","program":{},"arrays":{},"scalars":{},"reply":"digest"}}"#,
-                    json::to_string(src),
-                    object(arrays.iter().map(|(k, v)| format!("{k:?}:{v:?}")).collect()),
-                    object(scalars.iter().map(|(k, v)| format!("{k:?}:{v}")).collect()),
-                );
-                let r = svc.handle_line(&line);
-                assert!(r.contains("\"ok\":true"), "{name}: {r}");
-                assert!(r.contains(&format!("\"cache\":\"{want}\"")), "{name}: {r}");
-                let digests = json::parse(&r).expect("response is JSON");
-                json::to_string(digests.get("digests").expect("digests present"))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn warm_restart_recovers_the_cache_and_first_lookup_hits() {
-        let programs = wlp_workloads::sources::corpus().len();
-        let t = TempStateDir::new("warm");
-        let cold_digests = {
-            let cold = Service::new(persist_config(&t.0));
-            let first = corpus_pass(&cold, "miss");
-            assert_eq!(corpus_pass(&cold, "hit"), first);
-            let stats = cold.handle_line(r#"{"op":"stats"}"#);
-            assert!(stats.contains("\"enabled\":true"), "{stats}");
-            assert!(
-                stats.contains(&format!("\"appended\":{programs}")),
-                "{stats}"
-            );
-            assert!(stats.contains("\"loaded\":0"), "{stats}");
-            first
-        }; // drop releases the LOCK, as a graceful shutdown would
-        let warm = Service::new(persist_config(&t.0));
-        assert_eq!(
-            corpus_pass(&warm, "hit"),
-            cold_digests,
-            "warm restart must serve the first pass from recovered state"
-        );
-        assert_eq!(warm.cache_misses(), 0);
-        let stats = warm.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains(&format!("\"loaded\":{programs}")), "{stats}");
-        assert!(stats.contains("\"skipped_corrupt\":0"), "{stats}");
-    }
-
-    #[test]
-    fn corrupted_journal_costs_a_miss_never_a_panic_or_wrong_answer() {
-        let t = TempStateDir::new("corrupt");
-        {
-            let cold = Service::new(persist_config(&t.0));
-            cold.handle_line(&run_line("t0", 3, &[1, 2, 3]));
-        }
-        // flip a payload bit in the only journal record
-        let journal = t.0.join(persist::JOURNAL_FILE);
-        let mut bytes = std::fs::read(&journal).unwrap();
-        bytes[20] ^= 0x01;
-        std::fs::write(&journal, &bytes).unwrap();
-        let warm = Service::new(persist_config(&t.0));
-        let r = warm.handle_line(&run_line("t0", 3, &[1, 2, 3]));
-        assert!(r.contains("\"cache\":\"miss\""), "{r}");
-        assert!(r.contains("\"arrays\":{\"A\":[2,4,6]}"), "{r}");
-        let stats = warm.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"skipped_corrupt\":1"), "{stats}");
-        assert_eq!(warm.profile().recovery_skips, 1);
-    }
-
-    #[test]
-    fn unusable_state_dir_fails_fast_with_one_line_error() {
-        let t = TempStateDir::new("fail-fast");
-        let bogus = t.0.join("no-such-parent").join("state");
-        let err = Service::try_new(persist_config(&bogus))
-            .err()
-            .expect("must refuse to boot");
-        let line = err.to_string();
-        assert!(!line.contains('\n'), "one-line error: {line:?}");
-        assert!(line.contains("parent directory"), "{line}");
-    }
-
-    #[test]
-    fn injected_fsync_errors_never_fail_requests() {
-        let t = TempStateDir::new("sync-fault");
-        let io = Arc::new(wlp_fault::FsFaultPlan::at(
-            wlp_fault::FsFaultKind::SyncError,
-            0,
-            0,
-        ));
-        let svc = Service::try_new_with_io(persist_config(&t.0), io).expect("open");
-        let r = svc.handle_line(&run_line("t0", 2, &[1, 1]));
-        assert!(r.contains("\"ok\":true"), "{r}");
-        let stats = svc.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"io_errors\":1"), "{stats}");
     }
 
     fn chaos_config() -> ServeConfig {

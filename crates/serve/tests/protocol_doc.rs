@@ -201,3 +201,24 @@ fn the_documented_error_example_is_accurate() {
         "PROTOCOL.md's error example drifted from the implementation.\nactual: {resp}"
     );
 }
+
+#[test]
+fn every_stats_key_is_documented_and_none_is_persist() {
+    let service = Service::with_defaults();
+    let resp = service.handle_line(r#"{"op":"stats","id":"s"}"#);
+    let v = json::parse(&resp).expect("response is valid JSON");
+    let stats = v
+        .get("stats")
+        .and_then(Value::as_object)
+        .expect("stats object");
+    assert!(stats.len() >= 20, "{resp}");
+    for (key, _) in stats {
+        assert!(
+            PROTOCOL_MD.contains(&format!("`{key}`")),
+            "stats.{key} is not documented in PROTOCOL.md"
+        );
+    }
+    // the certificate cache is memory-only: there is no store to report
+    assert!(stats.iter().all(|(key, _)| key != "persist"), "{resp}");
+    assert!(!PROTOCOL_MD.contains("persist"));
+}
