@@ -2,13 +2,13 @@
 
 use crate::certificate::{count_writes, CertVerdict, SafetyCertificate};
 use crate::diag::{Diagnostic, Severity};
-use crate::fission::{fission_plan, FissionPlan};
+use crate::fission::{fission_of, FissionPlan};
 use crate::privatize::{privatization, privatized_body, Privatization};
 use crate::reduction::{recurrences, Recurrence, RecurrenceRole};
 use crate::terminator::{classify_terminator, RvWitness};
 use std::collections::BTreeSet;
-use wlp_core::taxonomy::TerminatorClass;
-use wlp_ir::dependence::dep_graph;
+use wlp_core::taxonomy::{Parallelism, TerminatorClass};
+use wlp_ir::dependence::{dep_graph, DepGraph};
 use wlp_ir::plan::{plan, Plan, StrategyKind};
 use wlp_ir::{LoopIr, StmtKind, Subscript, WRef};
 
@@ -81,7 +81,7 @@ fn describe(r: &WRef) -> String {
 /// front — closed form or parallel prefix), and accesses to the scalars
 /// they own are likewise dropped everywhere. What is left is exactly the
 /// memory traffic a parallel execution of the remainder performs.
-pub(crate) fn remainder_view(body: &LoopIr) -> LoopIr {
+fn remainder_view(body: &LoopIr) -> LoopIr {
     let update_vars: BTreeSet<_> = body
         .stmts
         .iter()
@@ -108,48 +108,61 @@ pub(crate) fn remainder_view(body: &LoopIr) -> LoopIr {
     out
 }
 
-/// The certificate pipeline shared by the whole-loop analysis and the
-/// per-block fission certifier: plan → privatize → refined plan →
-/// recurrences → terminator → carried-edge census → verdict. Keeping it
-/// in one place guarantees a fused block masked down to its own
-/// statements is judged by exactly the rules the whole loop is.
-pub(crate) struct CertCore {
-    pub baseline: Plan,
-    pub refined: Plan,
+/// The part of the certificate pipeline a whole loop and a fused block
+/// share: privatize → refined plan → remainder view and its dependence
+/// graph. Keeping it in one place guarantees a fused block masked down to
+/// its own statements is judged by exactly the rules the whole loop is.
+pub(crate) struct Refinement {
     pub priv_info: Privatization,
     pub refined_body: LoopIr,
-    pub recs: Vec<Recurrence>,
-    pub terminator: TerminatorClass,
-    pub rv_witness: Option<RvWitness>,
-    pub certificate: SafetyCertificate,
+    pub refined: Plan,
+    /// [`remainder_view`] of `refined_body`: what a parallel execution of
+    /// the remainder touches.
+    pub rem_view: LoopIr,
+    pub rem_graph: DepGraph,
 }
 
-pub(crate) fn certify_core(body: &LoopIr) -> CertCore {
-    let baseline = plan(body);
+fn refine(body: &LoopIr) -> Refinement {
     let priv_info = privatization(body);
     let refined_body = privatized_body(body, &priv_info);
     let refined = plan(&refined_body);
-    let recs = recurrences(body);
-    let (terminator, rv_witness) = classify_terminator(body);
+    let rem_view = remainder_view(&refined_body);
+    let rem_graph = dep_graph(&rem_view);
+    Refinement {
+        priv_info,
+        refined_body,
+        refined,
+        rem_view,
+        rem_graph,
+    }
+}
 
+/// Carried-edge census → write count → verdict over one refinement. The
+/// terminator and dispatcher parallelism are whole-loop properties the
+/// caller supplies.
+fn certificate_of(
+    body: &LoopIr,
+    r: &Refinement,
+    terminator: TerminatorClass,
+    parallelism: Parallelism,
+) -> SafetyCertificate {
     // The planner reasons per fused block (fission sequencing), but the
     // executors run the remainder as one fused DOALL under the PD test —
     // so a budget-0 certificate additionally requires that *no*
     // loop-carried edge survives anywhere in the dispatcher-censored
     // remainder, SCC boundaries notwithstanding.
-    let rem_view = remainder_view(&refined_body);
-    let rem_graph = dep_graph(&rem_view);
-    let carried_stmts: BTreeSet<usize> = rem_graph
+    let carried_stmts: BTreeSet<usize> = r
+        .rem_graph
         .edges
         .iter()
         .filter(|e| e.loop_carried)
         .flat_map(|e| [e.from, e.to])
         .collect();
     let (writes_per_iter, uncertain, uncertain_arrays, uncertain_stmts) =
-        count_writes(body, &refined_body, &priv_info, &recs, &carried_stmts);
-    let verdict = if refined.strategy == StrategyKind::Sequential {
+        count_writes(body, &r.refined_body, &r.priv_info, &carried_stmts);
+    let verdict = if r.refined.strategy == StrategyKind::Sequential {
         CertVerdict::CertifiedSequential
-    } else if !refined.needs_pd_test && carried_stmts.is_empty() {
+    } else if !r.refined.needs_pd_test && carried_stmts.is_empty() {
         CertVerdict::CertifiedDoall
     } else {
         CertVerdict::SpeculateBounded
@@ -159,42 +172,77 @@ pub(crate) fn certify_core(body: &LoopIr) -> CertCore {
         // certified loops shadow nothing
         CertVerdict::CertifiedDoall | CertVerdict::CertifiedSequential => (0, Vec::new()),
     };
-
-    let certificate = SafetyCertificate {
+    SafetyCertificate {
         verdict,
         terminator,
-        parallelism: refined.cell.parallelism,
+        parallelism,
         writes_per_iter,
         uncertain_writes_per_iter: uncertain,
         uncertain_arrays,
         uncertain_stmts,
-    };
+    }
+}
 
+/// The whole-loop certificate pipeline: the baseline plan, the
+/// [`Refinement`], recurrences and the dataflow terminator, and the
+/// certificate. [`analyze`] runs it once per loop and hands it to the
+/// fission certifier.
+pub(crate) struct CertCore {
+    pub baseline: Plan,
+    pub refinement: Refinement,
+    pub recs: Vec<Recurrence>,
+    pub rv_witness: Option<RvWitness>,
+    pub certificate: SafetyCertificate,
+}
+
+pub(crate) fn certify_core(body: &LoopIr) -> CertCore {
+    let baseline = plan(body);
+    let refinement = refine(body);
+    let recs = recurrences(body);
+    let (terminator, rv_witness) = classify_terminator(body);
+    let certificate = certificate_of(
+        body,
+        &refinement,
+        terminator,
+        refinement.refined.cell.parallelism,
+    );
     CertCore {
         baseline,
-        refined,
-        priv_info,
-        refined_body,
+        refinement,
         recs,
-        terminator,
         rv_witness,
         certificate,
     }
 }
 
+/// The certificate of one fused block, `masked` being the body masked to
+/// its statements. Overshoot and dispatcher parallelism are whole-loop
+/// properties — an exit test in a sibling block still governs this
+/// block's iterations, and every stage shares the one dispatcher — so
+/// they are copied from `whole`, and the block runs no baseline plan,
+/// recurrence census or terminator classification of its own.
+pub(crate) fn certify_block(masked: &LoopIr, whole: &SafetyCertificate) -> SafetyCertificate {
+    certificate_of(masked, &refine(masked), whole.terminator, whole.parallelism)
+}
+
 /// Runs the full analysis over one loop body.
 pub fn analyze(body: &LoopIr) -> Analysis {
+    let core = certify_core(body);
+    let fission = fission_of(body, &core);
     let CertCore {
         baseline,
-        refined,
-        priv_info,
-        refined_body,
+        refinement:
+            Refinement {
+                priv_info,
+                refined_body,
+                refined,
+                ..
+            },
         recs,
-        terminator,
         rv_witness,
         certificate,
-    } = certify_core(body);
-    let fission = fission_plan(body);
+    } = core;
+    let terminator = certificate.terminator;
 
     let mut diagnostics = Vec::new();
     let span_of = |stmt: usize| body.stmts.get(stmt).and_then(|s| s.span);

@@ -19,7 +19,6 @@
 //!   decision or this goes.
 
 use crate::privatize::Privatization;
-use crate::reduction::Recurrence;
 use wlp_core::cost::CostModel;
 use wlp_core::taxonomy::{Parallelism, TerminatorClass};
 use wlp_ir::{ArrayId, LoopIr, Subscript, WRef};
@@ -336,7 +335,6 @@ pub fn count_writes(
     body: &LoopIr,
     refined: &LoopIr,
     priv_info: &Privatization,
-    _recs: &[Recurrence],
     carried_stmts: &std::collections::BTreeSet<usize>,
 ) -> (u64, u64, Vec<ArrayId>, Vec<usize>) {
     // dispatcher updates are materialized up front (closed form / prefix),

@@ -7,11 +7,12 @@
 //! plan sequential — even though most statements are independent. This
 //! pass recovers that parallelism at the plan level:
 //!
-//! 1. build the dependence graph of the **dispatcher-censored,
+//! 1. take the dependence graph of the **dispatcher-censored,
 //!    privatization-refined remainder** (so privatized scalars and the
 //!    dispatcher's own carried edges do not glue unrelated statements
-//!    together), condense it with [`wlp_ir::condense`] and distribute
-//!    along SCCs ([`wlp_ir::distribute()`]);
+//!    together) from the whole loop's certificate core, which built it
+//!    for its carried-edge census, and distribute along its SCCs
+//!    ([`wlp_ir::distribute::distribute_with`], which condenses it once);
 //! 2. fuse contiguous same-nature loops bottom-up ([`wlp_ir::fuse`]),
 //!    then apply the ICC-style splitting criterion: a *parallel* block is
 //!    split wherever a loop-carried edge connects two of its statements —
@@ -20,8 +21,10 @@
 //!    schedule synchronizes explicitly;
 //! 3. certify every **work block** (a block containing at least one
 //!    computation statement) independently, by masking the body down to
-//!    the block's statements and running the exact certificate pipeline
-//!    the whole loop gets (`certify_core` in [`mod@crate::analyze`]);
+//!    the block's statements and running the privatize → refined plan →
+//!    carried-edge census → write count steps the whole loop's
+//!    certificate is made of (`certify_block` in [`mod@crate::analyze`]);
+//!    terminator and dispatcher parallelism are the whole loop's;
 //! 4. emit the cross-block loop-carried edges with computed
 //!    synchronization distances — for affine subscript pairs with equal
 //!    stride the distance is exact `(o₁−o₂)/c`; anything else is
@@ -31,14 +34,11 @@
 //! DOACROSS stage; a stage executes iteration `i` only after its
 //! predecessor stages have passed the sync points the edges dictate.
 
-use crate::analyze::{certify_core, remainder_view};
+use crate::analyze::{certify_block, certify_core, CertCore};
 use crate::certificate::{CertVerdict, SafetyCertificate};
-use crate::privatize::{privatization, privatized_body};
-use crate::terminator::classify_terminator;
 use std::collections::BTreeSet;
-use wlp_ir::dependence::{dep_graph, DepGraph, DepKind};
+use wlp_ir::dependence::{DepGraph, DepKind};
 use wlp_ir::distribute::{distribute_with, fuse, DistributedLoop, FusedBlock, LoopNature};
-use wlp_ir::scc::condense;
 use wlp_ir::span::Span;
 use wlp_ir::{LoopIr, StmtKind, Subscript, WRef};
 
@@ -52,8 +52,9 @@ pub struct BlockCertificate {
     /// Nature the distribution assigned (conservative: `Sequential` when
     /// any member has a carried self-dependence, `Unknown`s included).
     pub nature: LoopNature,
-    /// The block's certificate, produced by the same pipeline that
-    /// certifies whole loops, on the body masked to this block.
+    /// The block's certificate: the whole-loop certificate steps run on
+    /// the body masked to this block, with the whole loop's terminator
+    /// and dispatcher parallelism.
     pub certificate: SafetyCertificate,
     /// Union of the member statements' source spans.
     pub span: Option<Span>,
@@ -287,18 +288,21 @@ fn sync_distance(from: &wlp_ir::Stmt, to: &wlp_ir::Stmt) -> u64 {
 
 /// Runs the fission certifier over one loop body.
 pub fn fission_plan(body: &LoopIr) -> FissionPlan {
-    let priv_info = privatization(body);
-    let refined = privatized_body(body, &priv_info);
-    let view = remainder_view(&refined);
-    let g = dep_graph(&view);
-    let scc_count = condense(&g).len();
-    let loops = distribute_with(&view, &g);
-    let fused = fuse(loops, 0);
-    let split = split_at_carried_sinks(fused, &g);
+    fission_of(body, &certify_core(body))
+}
 
-    let whole = classify_terminator(body);
-    let whole_terminator = whole.0;
-    let dispatcher_parallelism = certify_core(body).certificate.parallelism;
+/// The fission certifier over the whole loop's certificate core: its
+/// remainder view and graph are what distribution splits, and its
+/// certificate supplies the whole-loop terminator and parallelism every
+/// block certificate carries.
+pub(crate) fn fission_of(body: &LoopIr, core: &CertCore) -> FissionPlan {
+    let view = &core.refinement.rem_view;
+    let g = &core.refinement.rem_graph;
+    let loops = distribute_with(view, g);
+    // distribution yields one loop per SCC
+    let scc_count = loops.len();
+    let fused = fuse(loops, 0);
+    let split = split_at_carried_sinks(fused, g);
 
     let mut blocks = Vec::new();
     for blk in &split {
@@ -309,13 +313,7 @@ pub fn fission_plan(body: &LoopIr) -> FissionPlan {
         if !has_work {
             continue;
         }
-        let masked = masked_body(body, &stmts);
-        let mut certificate = certify_core(&masked).certificate;
-        // overshoot and dispatcher parallelism are whole-loop properties:
-        // an exit test in a sibling block still governs this block's
-        // iterations, and every stage shares the one dispatcher
-        certificate.terminator = whole_terminator;
-        certificate.parallelism = dispatcher_parallelism;
+        let certificate = certify_block(&masked_body(body, &stmts), &core.certificate);
         let span = stmts
             .iter()
             .filter_map(|&s| body.stmts[s].span)
@@ -329,7 +327,7 @@ pub fn fission_plan(body: &LoopIr) -> FissionPlan {
         });
     }
 
-    let edges = doacross_edges(&view, &g, &blocks);
+    let edges = doacross_edges(view, g, &blocks);
     FissionPlan {
         scc_count,
         blocks,

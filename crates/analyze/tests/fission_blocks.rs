@@ -17,13 +17,24 @@
 //! * every cross-block conflict the log exhibits must span at least the
 //!   certified DOACROSS sync distance, and the corpus must actually
 //!   materialize some edges (the checks are not allowed to be vacuous).
+//!
+//! The fission certifier derives each block certificate from only the
+//! steps a block certificate carries. The from-scratch path stays the
+//! reference: every block certificate must equal the whole-loop pipeline
+//! ([`analyze`]) run on the masked body, with the whole loop's
+//! terminator and parallelism, over the corpus and generated bodies.
 
+#[path = "support/fission_bodies.rs"]
+mod fission_bodies;
+
+use fission_bodies::{params_strategy, source_of};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use wlp_analyze::{
     analyze, concretize, fission_plan, masked_body, CertVerdict, ConcreteLog, FissionPlan, Owner,
 };
-use wlp_ir::frontend::{lower, parse_program};
+use wlp_ir::frontend::{lower, parse_loop, parse_program};
 use wlp_ir::{ArrayId, LoopIr, VarId, WRef};
 use wlp_pd::{crosscheck, Access, Claims};
 
@@ -89,7 +100,7 @@ fn check_blocks(
 
     for b in &plan.blocks {
         // the block runs under its own certificate: re-derive the masked
-        // body's privatization, exactly what certify_core saw
+        // body's privatization, exactly what the block certifier saw
         let a = analyze(&masked_body(body, &b.stmts));
         let private = |o: Owner| match o {
             Owner::Scalar(v) => a.privatization.scalars.contains(&v),
@@ -272,4 +283,57 @@ fn corpus_block_certificates_agree_with_the_oracle() {
         materialized_edges >= 2,
         "only {materialized_edges} DOACROSS edge conflicts materialized dynamically"
     );
+}
+
+/// Every block certificate of `body` against [`analyze`] of the masked
+/// body, and the plan `analyze` carries against [`fission_plan`]'s.
+/// Returns the number of blocks checked.
+fn check_against_full_pipeline(name: &str, body: &LoopIr) -> Result<usize, String> {
+    let whole = analyze(body);
+    let plan = fission_plan(body);
+    if format!("{plan:?}") != format!("{:?}", whole.fission) {
+        return Err(format!(
+            "{name}: fission_plan and analyze disagree\n{plan:?}\n{:?}",
+            whole.fission
+        ));
+    }
+    for b in &plan.blocks {
+        let mut reference = analyze(&masked_body(body, &b.stmts)).certificate;
+        reference.terminator = whole.certificate.terminator;
+        reference.parallelism = whole.certificate.parallelism;
+        if b.certificate != reference {
+            return Err(format!(
+                "{name}: block #{} ({}) certificate {:?}, the full pipeline on the \
+                 masked body gives {reference:?}",
+                b.index,
+                b.describe_stmts(),
+                b.certificate
+            ));
+        }
+    }
+    Ok(plan.blocks.len())
+}
+
+#[test]
+fn corpus_block_certificates_equal_the_full_pipeline_on_the_masked_body() {
+    let mut blocks = 0;
+    for (name, body) in corpus_bodies() {
+        blocks += check_against_full_pipeline(&name, &body).unwrap_or_else(|e| panic!("{e}"));
+    }
+    assert!(blocks >= 10, "only {blocks} corpus blocks checked");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn generated_block_certificates_equal_the_full_pipeline_on_the_masked_body(
+        params in params_strategy()
+    ) {
+        let src = source_of(&params);
+        let body = parse_loop(&src).unwrap_or_else(|e| panic!("{src}\n{e:?}"));
+        if let Err(e) = check_against_full_pipeline(&src, &body) {
+            prop_assert!(false, "{}", e);
+        }
+    }
 }

@@ -12,74 +12,14 @@
 //! (`distribute` → `fuse` → split) loses no writes and reorders none
 //! that matter.
 
+#[path = "support/fission_bodies.rs"]
+mod fission_bodies;
+
+use fission_bodies::{params_strategy, source_of, Params};
 use proptest::prelude::*;
 use wlp_analyze::fission_plan;
 use wlp_ir::frontend::{lower, parse_program, Program, Stmt};
 use wlp_ir::interp::{run_sequential, Machine};
-
-/// One generated body statement writing its own array `X{j}`.
-#[derive(Debug, Clone)]
-enum Kind {
-    /// `Xj[i] = Xj[i - 1] + w[i] + c` — a provable recurrence.
-    Recurrence,
-    /// `Xj[i] = Xof[i - dist] + w[i] + c` — a cross-array carried read.
-    Consumer { of: usize, dist: usize },
-    /// `Xj[i] = Xof[i] + c` — a loop-independent cross-array read.
-    SameIter { of: usize },
-    /// `Xj[i] = c * w[i]` — fully independent.
-    Independent,
-}
-
-#[derive(Debug, Clone)]
-struct Params {
-    n: usize,
-    stmts: Vec<(Kind, i64)>,
-}
-
-/// Raw per-statement choice; `of` targets are resolved modulo the
-/// statement's position so consumers always read an *earlier* array.
-fn stmt_strategy() -> impl Strategy<Value = (u8, usize, usize, i64)> {
-    (0u8..4, 0usize..8, 1usize..4, -3i64..4)
-}
-
-fn params_strategy() -> impl Strategy<Value = Params> {
-    (6usize..40, prop::collection::vec(stmt_strategy(), 2..5)).prop_map(|(n, raw)| {
-        let stmts = raw
-            .into_iter()
-            .enumerate()
-            .map(|(j, (sel, of_raw, dist, c))| {
-                let kind = match sel {
-                    0 => Kind::Recurrence,
-                    1 if j > 0 => Kind::Consumer {
-                        of: of_raw % j,
-                        dist,
-                    },
-                    2 if j > 0 => Kind::SameIter { of: of_raw % j },
-                    3 => Kind::Independent,
-                    _ => Kind::Recurrence, // first statement has no earlier array
-                };
-                (kind, c)
-            })
-            .collect();
-        Params { n, stmts }
-    })
-}
-
-fn source_of(p: &Params) -> String {
-    let mut body = String::new();
-    for (j, (kind, c)) in p.stmts.iter().enumerate() {
-        let line = match kind {
-            Kind::Recurrence => format!("X{j}[i] = X{j}[i - 1] + w[i] + {c}"),
-            Kind::Consumer { of, dist } => format!("X{j}[i] = X{of}[i - {dist}] + w[i] + {c}"),
-            Kind::SameIter { of } => format!("X{j}[i] = X{of}[i] + {c}"),
-            Kind::Independent => format!("X{j}[i] = {c} * w[i]"),
-        };
-        body.push_str(&format!("    {line}\n"));
-    }
-    body.push_str("    i = i + 1\n");
-    // i starts at 3 so every distance-1..3 read stays in bounds
-    format!("integer i = 3\nwhile (i < {}) {{\n{body}}}", p.n)
-}
 
 fn machine_of(p: &Params) -> Machine {
     let mut m = Machine::default();
@@ -178,26 +118,52 @@ fn corpus_fission_plans_execute_equivalently() {
             vec!["A", "B", "C", "w"],
         ),
     ] {
-        let prog = parse_program(src).expect(name);
-        let plan = fission_plan(&lower(&prog).expect(name));
-        assert!(plan.is_fissioned(), "{name}: {plan:?}");
-
-        let build = || {
+        let (staged, whole) = staged_and_whole(src, || {
             let mut m = Machine::default();
             for a in &arrays {
                 m.arrays
                     .insert(a.to_string(), (0..70).map(|v| v % 7 + 1).collect());
             }
             m
-        };
-        let mut whole = build();
-        run_sequential(&prog, &mut whole, 100).expect(name);
-        let mut staged = build();
-        for b in &plan.blocks {
-            let bp = block_program(&prog, &b.stmts);
-            run_sequential(&bp, &mut staged, 100).expect(name);
-        }
+        });
         assert_eq!(staged.arrays, whole.arrays, "{name}");
         assert_eq!(staged.scalars, whole.scalars, "{name}");
     }
+}
+
+/// Runs `src` whole and block by block in stage order, each from the
+/// machine `build` makes; the plan must split the loop.
+fn staged_and_whole(src: &str, build: impl Fn() -> Machine) -> (Machine, Machine) {
+    let prog = parse_program(src).expect(src);
+    let plan = fission_plan(&lower(&prog).expect(src));
+    assert!(plan.is_fissioned(), "{src}\n{plan:?}");
+    let mut whole = build();
+    run_sequential(&prog, &mut whole, 100).expect(src);
+    let mut staged = build();
+    for b in &plan.blocks {
+        run_sequential(&block_program(&prog, &b.stmts), &mut staged, 100).expect(src);
+    }
+    (staged, whole)
+}
+
+/// `B[i - 1]` read by the first statement is the value the second wrote
+/// one iteration earlier: a carried flow dependence from the second
+/// statement back to the first, which with the same-iteration flow on `A`
+/// makes a cycle. The dependence graph draws every edge from the lower
+/// statement index to the higher one, so it sees a forward `Anti` edge,
+/// and privatizing `A` drops the forward flow edge: the plan is two DOALL
+/// stages, and stage order runs every `A` assignment before any `B`.
+#[test]
+#[ignore = "ROADMAP 3(b): the fission graph is direction-blind"]
+fn a_backward_carried_flow_keeps_its_statements_in_one_stage() {
+    let src = "integer i = 1\nwhile (i < 6) {\n    A[i] = B[i - 1] + 1\n    B[i] = A[i] * 2\n    i = i + 1\n}";
+    let (staged, whole) = staged_and_whole(src, || {
+        let mut m = Machine::default();
+        m.arrays.insert("A".into(), vec![0; 6]);
+        m.arrays.insert("B".into(), vec![0; 6]);
+        m
+    });
+    assert_eq!(whole.arrays["A"], [0, 1, 3, 7, 15, 31]);
+    // stage order leaves A = [0, 1, 1, 1, 1, 1]
+    assert_eq!(staged.arrays, whole.arrays);
 }

@@ -1,0 +1,100 @@
+//! Allocation pin for one certificate-cache miss: `compile_source` on a
+//! fixed four-template program (the largest shape the `cold-unique`
+//! benchmark workload sends) allocates at most [`BOUND`] times. Every
+//! analysis pass allocates its own graphs, sets and bodies, so a pass run
+//! twice shows up here as a few hundred more allocations.
+//!
+//! A counting global allocator needs a test binary of its own, and the
+//! counter is process-wide, so everything is measured from one `#[test]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use wlp_analyze::compile_source;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a side effect only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above; `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Four template groups — wavefront, gather_scatter, counted_fill,
+/// mcsparse_pair — under one induction, as the benchmark generates them.
+const PROGRAM: &str = "integer i = 1
+integer salt = 7
+integer s_2 = 0
+while (i < n) {
+    B_0[i] = B_0[i - 1] + w_0[i]
+    C_0[i] = B_0[i - 1] + 4
+    B_1[i] = 3 * w_1[i]
+    A_1[idx_1[i]] = A_1[idx_1[i]] + B_1[i]
+    s_2 = s_2 + 3
+    A_2[i] = w_2[i] + 5
+    A_3[i] = A_3[i - 1] + w_3[i]
+    B_3[i] = B_3[i - 1] * 2
+    C_3[i] = A_3[i - 1] + w_3[i]
+    i = i + 1
+}";
+
+/// The most allocations one `compile_source(PROGRAM)` may make. The
+/// program fissions into six work blocks. It makes 1 325 since the
+/// fission certifier reuses the whole loop's certificate core and
+/// certifies each block with only what a block certificate carries; it
+/// made 2 454 when the fission plan and every block re-ran the
+/// whole-loop pipeline.
+const BOUND: u64 = 1_400;
+
+/// Allocations of one `compile_source(PROGRAM)`. The counter is
+/// process-wide and the test harness has a thread of its own: the
+/// smallest of a few repetitions is the call's own count.
+fn allocations_of_a_miss() -> u64 {
+    (0..5)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let compiled = compile_source(PROGRAM);
+            let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
+            let (_, analysis, _) = compiled.expect("the program compiles");
+            assert!(analysis.fission.is_fissioned(), "{:?}", analysis.fission);
+            count
+        })
+        .min()
+        .expect("five repetitions")
+}
+
+#[test]
+fn a_cache_miss_runs_each_analysis_pass_once() {
+    let count = allocations_of_a_miss();
+    eprintln!("compile_source allocated {count} times");
+    assert!(
+        count <= BOUND,
+        "compile_source allocated {count} times, more than {BOUND}: \
+         did an analysis pass start running twice?"
+    );
+}

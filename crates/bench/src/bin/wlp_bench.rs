@@ -66,6 +66,15 @@
 //!   bytes) and over as many full-width values (`wide`), as ns per
 //!   element. Not gated: they are what §7's `Trem` costs here.
 //!
+//! * `analyze` — the daemon's certificate-cache miss: `compile_source`
+//!   (parse, lower, the whole-loop certificate, the fission plan with
+//!   its block certificates, the execution plan) over 64 seeded programs
+//!   of 1, 2 and 4 corpus template groups under one induction, shaped
+//!   like the `cold-unique` benchmark workload's
+//!   (`analyze/miss/{1,2,4}/p1`); reported per pass, per program and per
+//!   lowered statement, and as µs. Not gated: on `cold-unique` a miss is
+//!   most of a request.
+//!
 //! * `layers` — §7's overhead terms, one operation at a time on inputs
 //!   built before the clock starts: `layers/pd/{unmarked,mark_write,
 //!   mark_rw}` (ns per shadow-marked access, `Td`), `layers/pd/analyze`
@@ -447,6 +456,12 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     println!("interp (corpus plans, n = {INTERP_N}):");
     run_interp(h);
 
+    // -- analyze: what one certificate-cache miss computes ----------------
+    println!("analyze (compile_source, {ANALYZE_PROGRAMS} programs a repeat):");
+    for groups in [1, 2, 4] {
+        run_analyze(h, groups);
+    }
+
     // -- layers: §7's Td, Ta and Tb, one operation at a time --------------
     println!("layers (pd m = {PD_MARK_M}, analyze and undo n = {LAYER_N}):");
     run_layers(h);
@@ -786,6 +801,113 @@ fn run_interp(h: &mut Harness) {
     }
 }
 
+/// Programs per `analyze/miss` repeat.
+const ANALYZE_PROGRAMS: usize = 64;
+
+/// Corpus template `src` as one group of a generated program: its
+/// declarations other than `i` and its body statements other than the
+/// `i` update, with every name but `i`, `n`, `g` and the keywords given
+/// `suffix`.
+fn template_group(src: &str, suffix: &str) -> (String, String) {
+    const KEEP: [&str; 7] = ["i", "n", "g", "integer", "while", "exit", "if"];
+    let rename = |line: &str| {
+        let mut out = String::new();
+        let mut word = String::new();
+        for ch in line.chars().chain(std::iter::once('\n')) {
+            if ch.is_ascii_alphanumeric() || ch == '_' {
+                word.push(ch);
+                continue;
+            }
+            if word.starts_with(|c: char| c.is_ascii_alphabetic()) && !KEEP.contains(&&*word) {
+                word.push_str(suffix);
+            }
+            out.push_str(&word);
+            word.clear();
+            out.push(ch);
+        }
+        out
+    };
+    let (mut decls, mut body) = (String::new(), String::new());
+    let mut in_body = false;
+    for line in src.lines() {
+        let t = line.trim();
+        if t.starts_with("while") {
+            in_body = true;
+            continue;
+        }
+        if t.starts_with("integer i ") || t == "i = i + 1" || t == "}" || t.is_empty() {
+            continue;
+        }
+        if in_body {
+            body.push_str("    ");
+            body.push_str(&rename(t));
+        } else {
+            decls.push_str(&rename(t));
+        }
+    }
+    (decls, body)
+}
+
+/// A program shaped like the `cold-unique` benchmark workload's: `groups`
+/// seeded corpus templates with suffixed names under one induction, and
+/// a `salt` declaration that makes every text unique.
+fn cold_program(groups: usize, salt: usize, rng: &mut StdRng) -> String {
+    let templates = corpus();
+    let (mut decls, mut body) = (
+        format!("integer i = 1\ninteger salt = {salt}\n"),
+        String::new(),
+    );
+    for k in 0..groups {
+        let (_, src) = templates[rng.gen_range(0..templates.len())];
+        let (d, b) = template_group(src, &format!("_{k}"));
+        decls.push_str(&d);
+        body.push_str(&b);
+    }
+    format!("{decls}while (i < n) {{\n{body}    i = i + 1\n}}")
+}
+
+/// The `analyze` family: `compile_source` — parse, lower, analyze (the
+/// whole-loop certificate and the fission plan) and lower the execution
+/// plan — over [`ANALYZE_PROGRAMS`] seeded programs of `groups` template
+/// groups: one certificate-cache miss each.
+fn run_analyze(h: &mut Harness, groups: usize) {
+    let mut rng = StdRng::seed_from_u64(groups as u64);
+    let programs: Vec<String> = (0..ANALYZE_PROGRAMS)
+        .map(|salt| cold_program(groups, salt, &mut rng))
+        .collect();
+    let stmts: usize = programs
+        .iter()
+        .map(|src| {
+            wlp_ir::parse_loop(src)
+                .expect("generated program lowers")
+                .len()
+        })
+        .sum();
+    let label = groups.to_string();
+    h.run(
+        "analyze",
+        "miss",
+        &label,
+        1,
+        ANALYZE_PROGRAMS,
+        None,
+        false,
+        || {
+            for src in &programs {
+                black_box(compile_source(black_box(src)).expect("generated program compiles"));
+            }
+        },
+    );
+    h.per_unit(&[("program", ANALYZE_PROGRAMS), ("stmt", stmts)]);
+    let e = h.exhibits.last().expect("run pushed the exhibit");
+    println!(
+        "  {:<40} {:.1} µs/program  {:.2} µs/stmt",
+        "",
+        e.per_unit[0].ns / 1e3,
+        e.per_unit[1].ns / 1e3
+    );
+}
+
 /// Accesses per `layers/pd` marking repeat: one per shadow element.
 const PD_MARK_M: usize = 10_000;
 
@@ -1082,5 +1204,43 @@ fn main() {
             gates.checked,
             file.gates_skipped.len()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_template_group_suffixes_every_name_it_owns() {
+        let src = corpus().into_iter().find(|(n, _)| *n == "swap").unwrap().1;
+        let (decls, body) = template_group(src, "_2");
+        assert_eq!(decls, "integer tmp_2 = 0\n");
+        assert_eq!(
+            body,
+            "    tmp_2 = A_2[2 * i]\n    A_2[2 * i] = A_2[2 * i - 1]\n    A_2[2 * i - 1] = tmp_2\n"
+        );
+        let src = corpus()
+            .into_iter()
+            .find(|(n, _)| *n == "guarded_update")
+            .unwrap()
+            .1;
+        let (_, body) = template_group(src, "_0");
+        assert_eq!(
+            body,
+            "    A_0[i] = g(A_0[i])\n    exit if (A_0[i] > limit_0)\n"
+        );
+    }
+
+    #[test]
+    fn cold_programs_lower_with_one_induction() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for salt in 0..32 {
+            let src = cold_program(4, salt, &mut rng);
+            let body = wlp_ir::parse_loop(&src).unwrap_or_else(|e| panic!("{src}\n{e:?}"));
+            // counted_fill's `s` is the only update a template brings
+            let counted = src.matches("integer s_").count();
+            assert_eq!(body.updates().count(), 1 + counted, "{src}");
+        }
     }
 }

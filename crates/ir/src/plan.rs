@@ -7,7 +7,7 @@
 
 use crate::dependence::dep_graph;
 use crate::distribute::{distribute_with, fuse, FusedBlock, LoopNature};
-use crate::ir::{LoopIr, StmtKind, Subscript, UpdateOp, WRef};
+use crate::ir::{LoopIr, Stmt, StmtKind, Subscript, UpdateOp, WRef};
 use wlp_core::taxonomy::{classify, DispatcherClass, TaxonomyCell, TerminatorClass};
 
 /// The concrete execution method the planner recommends.
@@ -71,14 +71,15 @@ fn censor_unknown(body: &LoopIr) -> LoopIr {
     out
 }
 
+fn unknown_access(s: &Stmt) -> bool {
+    s.writes
+        .iter()
+        .chain(s.reads.iter())
+        .any(|r| matches!(r, WRef::Element(_, Subscript::Unknown)))
+}
+
 fn has_unknown_access(body: &LoopIr, stmts: &[usize]) -> bool {
-    stmts.iter().any(|&s| {
-        body.stmts[s]
-            .writes
-            .iter()
-            .chain(body.stmts[s].reads.iter())
-            .any(|r| matches!(r, WRef::Element(_, Subscript::Unknown)))
-    })
+    stmts.iter().any(|&s| unknown_access(&body.stmts[s]))
 }
 
 /// Plans the parallelization of `body`.
@@ -91,7 +92,6 @@ fn has_unknown_access(body: &LoopIr, stmts: &[usize]) -> bool {
 pub fn plan(body: &LoopIr) -> Plan {
     let g = dep_graph(body);
     let loops = distribute_with(body, &g);
-    let blocks = fuse(loops.clone(), 0);
 
     // dispatcher: first distributed loop that is exactly a recurrence
     let dispatcher_op = loops.iter().find_map(|l| l.recurrence);
@@ -131,18 +131,19 @@ pub fn plan(body: &LoopIr) -> Plan {
     // provably sequential — no point speculating on a known dependence.
     // The cycle is just as provable when the offending statements *also*
     // touch Unknown locations: censor those references and re-test, so a
-    // guaranteed-to-abort speculation is never planned.
+    // guaranteed-to-abort speculation is never planned. A body with no
+    // Unknown reference is its own censored body, already tested.
     let remainder_sequential = loops
         .iter()
         .filter(|l| l.recurrence.is_none())
         .any(|l| l.nature == LoopNature::Sequential && !has_unknown_access(body, &l.stmts))
-        || {
+        || (body.stmts.iter().any(unknown_access) && {
             let censored = censor_unknown(body);
             let cg = dep_graph(&censored);
             distribute_with(&censored, &cg)
                 .iter()
                 .any(|l| l.recurrence.is_none() && l.nature == LoopNature::Sequential)
-        };
+        });
 
     let strategy = if remainder_sequential {
         StrategyKind::Sequential
@@ -156,6 +157,7 @@ pub fn plan(body: &LoopIr) -> Plan {
         }
     };
 
+    let blocks = fuse(loops, 0);
     let doacross_opportunity =
         blocks.len() > 1 && blocks.iter().any(|b| b.nature == LoopNature::Sequential);
 
