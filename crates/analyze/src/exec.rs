@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use wlp_core::taxonomy::TerminatorClass;
 use wlp_ir::exec::{ExecPlan, PlanHints, SeqReason};
 use wlp_ir::frontend::{lower_with_symbols, parse_program, FrontendError, Program, Symbols};
-use wlp_ir::{ArrayId, LoopIr, Subscript, WRef};
+use wlp_ir::{ArrayId, LoopIr, StmtKind, Subscript, WRef};
 
 /// Whether every access to `a` is the same non-constant affine subscript:
 /// iteration `i` then touches one element no other iteration does, so a
@@ -56,6 +56,16 @@ pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> Plan
         .difference(&shadowed)
         .map(|a| symbols.arrays[a.0 as usize].clone())
         .collect();
+    // The executor shadows whole arrays, so every store to a shadowed
+    // array is stamped, not only the ones a carried edge makes uncertain
+    // (`A[2*i + 1]` beside an uncertain `A[107 - 2*i]`).
+    let shadowed_writes = body
+        .stmts
+        .iter()
+        .filter(|s| !matches!(s.kind, StmtKind::Update(_)))
+        .flat_map(|s| &s.writes)
+        .filter(|w| matches!(w, WRef::Element(a, _) if shadowed.contains(a)))
+        .count() as u64;
 
     // The verdict may lean on privatization; this executor shares every
     // array, which is only the same thing when the workspace is
@@ -78,7 +88,7 @@ pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> Plan
         sequential,
         certified,
         terminator_rv: cert.terminator == TerminatorClass::RemainderVariant,
-        write_budget_per_iter: Some(cert.uncertain_writes_per_iter),
+        write_budget_per_iter: Some(shadowed_writes),
     }
 }
 
@@ -138,6 +148,24 @@ mod tests {
             "`i < n` is a threshold: B cannot be overshot"
         );
         assert_eq!(plan.shadowed_stores_per_iter(), 1);
+    }
+
+    #[test]
+    fn the_undo_budget_covers_every_store_to_a_shadowed_array() {
+        // only the stores a carried edge touches are uncertain, but `A` is
+        // shadowed whole, so all three are stamped
+        let src = "integer i = 0\nwhile (i < n) {\n    A[2*i + 1] = A[2*i + 1] + i\n    \
+                   A[107 - 2*i] = A[107 - 2*i] + 1\n    A[2*i + 3] = A[2*i + 3] + 1\n    \
+                   i = i + 2\n}";
+        let program = parse_program(src).unwrap();
+        let (body, symbols) = lower_with_symbols(&program).unwrap();
+        let analysis = analyze(&body);
+        assert!(analysis.certificate.uncertain_writes_per_iter < 3);
+        let hints = plan_hints(&body, &symbols, &analysis);
+        let plan = ExecPlan::lower(&program, &hints);
+        assert_eq!(modes(&plan), [("A", AccessMode::Shadowed)]);
+        assert_eq!(plan.shadowed_stores_per_iter(), 3);
+        assert_eq!(hints.write_budget_per_iter, Some(3));
     }
 
     #[test]

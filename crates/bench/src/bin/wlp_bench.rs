@@ -59,8 +59,9 @@
 //!   corpus template at `n = 16384`, bound as a request binds it
 //!   (`compile_source` + `Machine::bind`), run sequentially
 //!   (`interp/seq/<template>/p1`) and, where the plan speculates, as a
-//!   speculative DOALL on two workers against that
-//!   (`interp/spec/<template>/p2`); reported per run and as ns per
+//!   speculative DOALL on one and on two workers against that
+//!   (`interp/spec/<template>/p{1,2}`: at p = 1 the speculation
+//!   machinery with no parallelism to hide it); reported per run and as ns per
 //!   iteration and ns per plan instruction. `digest` — the reply digest
 //!   over the same inputs' arrays (`small`: every element has zero high
 //!   bytes) and over as many full-width values (`wide`), as ns per
@@ -733,7 +734,7 @@ const INTERP_N: usize = 16_384;
 /// / `run_speculative` and nothing else; then the reply digest over all
 /// the templates' arrays.
 fn run_interp(h: &mut Harness) {
-    let pool = Pool::new(2);
+    let pools = [Pool::new(1), Pool::new(2)];
     let max_iters = 2 * INTERP_N + 4;
     let mut digested: Vec<Vec<i64>> = Vec::new();
     for (name, src) in corpus() {
@@ -758,22 +759,24 @@ fn run_interp(h: &mut Harness) {
         });
         h.per_unit(&units);
         if matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }) {
-            let mut frames = vec![bound; h.warmup + h.repeats];
             let baseline = format!("interp/seq/{name}/p1");
-            h.run(
-                "interp",
-                "spec",
-                name,
-                2,
-                INTERP_N,
-                Some(&baseline),
-                false,
-                || {
-                    let mut frame = frames.pop().expect("one frame per repeat");
-                    black_box(plan.run_speculative(&mut frame, &pool, max_iters)).ok();
-                },
-            );
-            h.per_unit(&units);
+            for pool in &pools {
+                let mut frames = vec![bound.clone(); h.warmup + h.repeats];
+                h.run(
+                    "interp",
+                    "spec",
+                    name,
+                    pool.size(),
+                    INTERP_N,
+                    Some(&baseline),
+                    false,
+                    || {
+                        let mut frame = frames.pop().expect("one frame per repeat");
+                        black_box(plan.run_speculative(&mut frame, pool, max_iters)).ok();
+                    },
+                );
+                h.per_unit(&units);
+            }
         }
     }
 

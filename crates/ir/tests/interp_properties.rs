@@ -5,12 +5,14 @@
 //! arrays, final scalars, iteration count, exit position, and (when the
 //! program fails) the error message and the partial state at the failure.
 //!
-//! The generator covers scalar temporaries, reductions, host calls,
-//! affine / indirect / nested-indirect / constant subscripts, threshold
-//! and non-threshold terminators, RI and RV exits, ascending and
-//! descending inductions, an induction update that is not the last
-//! statement, and the five error cases (unbound scalar, unknown array,
-//! unknown function, out of bounds, division by zero) — riding on the
+//! The generator covers scalar temporaries, reductions, host calls, a
+//! comparison used as a value, affine (positive and negative scale) /
+//! indirect / nested-indirect / constant subscripts, WHILE conditions and
+//! `exit if`s under each of the six comparisons in either operand order
+//! or under no comparison at all (threshold and non-threshold, RI and RV),
+//! ascending and descending inductions, an induction update that is not
+//! the last statement, and the five error cases (unbound scalar, unknown
+//! array, unknown function, out of bounds, division by zero) — riding on the
 //! right or the left of a term or as a store's subscript, and on one
 //! program in ten two different ones in one statement, so the *order* in
 //! which a statement's operands are checked is the walker's too.
@@ -126,15 +128,18 @@ fn assert_all_executions_match(
 #[derive(Debug, Clone)]
 enum Sub {
     Affine(i64, i64), // coeff·i + offset
+    Mirror(i64),      // last - coeff·i: a negative scale
     Indirect,         // idx[i]
     Nested,           // idx[idx[i]]
     Const(i64),
 }
 
 impl Sub {
-    fn text(&self) -> String {
+    /// The subscript, into arrays whose last index is `last`.
+    fn text(&self, last: usize) -> String {
         match self {
             Sub::Affine(c, o) => format!("{c}*i + {o}"),
+            Sub::Mirror(c) => format!("{last} - {c}*i"),
             Sub::Indirect => "idx[i]".into(),
             Sub::Nested => "idx[idx[i]]".into(),
             Sub::Const(k) => k.to_string(),
@@ -193,13 +198,37 @@ enum Line {
     Reduce(usize),
 }
 
+/// The six comparisons, and each one's mirror: `a op b` is `b mirror a`.
+const CMPS: [(&str, &str); 6] = [
+    ("<", ">"),
+    ("<=", ">="),
+    (">", "<"),
+    (">=", "<="),
+    ("==", "=="),
+    ("!=", "!="),
+];
+
+/// `a CMPS[op] b`, or the same comparison written the other way round.
+fn comparison(a: &str, op: usize, b: &str, swapped: bool) -> String {
+    let (op, mirror) = CMPS[op];
+    if swapped {
+        format!("{b} {mirror} {a}")
+    } else {
+        format!("{a} {op} {b}")
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Exit {
     None,
-    /// `exit if (stop[i] == 1)`: remainder-invariant, not a threshold
-    Stop(usize),
+    /// `exit if (stop[i] == 1)`, or bare `exit if (stop[i])`:
+    /// remainder-invariant, not a threshold
+    Stop(usize, bool),
     /// `exit if (A[i] > limit)`: remainder-variant when A is stored to
     Limit,
+    /// `exit if (w[i] op w[e])` under comparison `op`, either way round:
+    /// remainder-invariant
+    Cmp(usize, usize, bool),
 }
 
 #[derive(Debug, Clone)]
@@ -207,8 +236,11 @@ struct ProgParams {
     n: usize,
     descending: bool,
     stride: i64,
-    /// `while (stop[i] == 0)` instead of a threshold on `i`
-    stop_cond: Option<usize>,
+    /// The WHILE condition: `i` under comparison `.0` against a bound, in
+    /// operand order `.1`
+    cond: (usize, bool),
+    /// `while (stop2[i] == 0)`, or bare `while (1 - stop2[i])`, instead
+    stop_cond: Option<(usize, bool)>,
     lines: Vec<Line>,
     exit: Exit,
     update_first: bool,
@@ -217,7 +249,7 @@ struct ProgParams {
 }
 
 /// Terms a right-hand side draws from (by index).
-const TERMS: [&str; 8] = [
+const TERMS: [&str; 9] = [
     "i",
     "3",
     "w[i]",
@@ -225,6 +257,7 @@ const TERMS: [&str; 8] = [
     "max(i, limit) - h(B[i])",
     "-w[i] * 2",
     "A[i] / 2",
+    "(w[i] < 3) * 2",
     "t",
 ];
 
@@ -237,6 +270,7 @@ fn sub_strategy() -> impl Strategy<Value = Sub> {
         Just(Sub::Indirect),
         Just(Sub::Indirect),
         Just(Sub::Nested),
+        (1i64..3).prop_map(Sub::Mirror),
         (0i64..6).prop_map(Sub::Const),
     ]
 }
@@ -263,8 +297,10 @@ fn exit_strategy() -> impl Strategy<Value = Exit> {
     prop_oneof![
         Just(Exit::None),
         Just(Exit::None),
-        (0usize..60).prop_map(Exit::Stop),
+        (0usize..60, any::<bool>()).prop_map(|(e, bare)| Exit::Stop(e, bare)),
         Just(Exit::Limit),
+        (0usize..CMPS.len(), 0usize..40, any::<bool>())
+            .prop_map(|(op, e, swapped)| Exit::Cmp(op, e, swapped)),
     ]
 }
 
@@ -292,21 +328,35 @@ fn fault_strategy() -> impl Strategy<Value = Faults> {
 
 fn prog_strategy() -> impl Strategy<Value = ProgParams> {
     (
-        (6usize..48, any::<bool>(), 1i64..3),
-        prop::option::of(4usize..40),
+        (
+            6usize..48,
+            any::<bool>(),
+            1i64..3,
+            0usize..CMPS.len(),
+            any::<bool>(),
+        ),
+        (prop::option::of(4usize..40), any::<bool>()),
         prop::collection::vec(line_strategy(), 1..4),
         exit_strategy(),
         (0u8..8, any::<bool>()),
         fault_strategy(),
     )
         .prop_map(
-            |((n, descending, stride), stop_cond, lines, exit, (upd, idx_collides), faults)| {
+            |(
+                (n, descending, stride, op, swapped),
+                (stop_cond, bare),
+                lines,
+                exit,
+                (upd, idx_collides),
+                faults,
+            )| {
                 ProgParams {
                     n,
                     descending,
                     stride,
-                    // a non-threshold condition on one program in three
-                    stop_cond: stop_cond.filter(|c| c % 3 == 0),
+                    cond: (op, swapped),
+                    // a condition not on `i` on one program in three
+                    stop_cond: stop_cond.filter(|c| c % 3 == 0).map(|c| (c, bare)),
                     lines,
                     exit,
                     update_first: upd == 0,
@@ -323,7 +373,14 @@ fn i_max(p: &ProgParams) -> usize {
     2 * p.n + 8
 }
 
+/// The length of `A` and `B`: long enough for `2·i + 3` at the largest
+/// `i`, and for `last - 2·i` to stay non-negative there.
+fn array_len(p: &ProgParams) -> usize {
+    2 * i_max(p) + 8
+}
+
 fn source_of(p: &ProgParams) -> String {
+    let last = array_len(p) - 1;
     let uses_t = p.lines.iter().any(|l| {
         matches!(l, Line::Temp(_))
             || matches!(l, Line::Store(_, _, t) | Line::Reduce(t) if TERMS[*t] == "t")
@@ -340,16 +397,35 @@ fn source_of(p: &ProgParams) -> String {
     if p.lines.iter().any(|l| matches!(l, Line::Reduce(_))) {
         src.push_str("integer s = 0\n");
     }
-    let cond = match (p.stop_cond, p.descending) {
-        (Some(_), _) => "stop2[i] == 0".to_string(),
-        (None, false) => format!("i < {}", p.n),
-        (None, true) => "i >= 0".to_string(),
+    let cond = match p.stop_cond {
+        Some((_, false)) => "stop2[i] == 0".to_string(),
+        Some((_, true)) => "1 - stop2[i]".to_string(),
+        None => {
+            // a bound that stops `i` at the array ends where the
+            // comparison can; `>` and `>=` ascending, `<` and `<=`
+            // descending run until `max_iters` or an error does
+            let (op, swapped) = p.cond;
+            let n = p.n as i64;
+            let bound = match (CMPS[op].0, p.descending) {
+                ("<", _) | ("!=", false) => n,
+                ("<=", _) | ("==", true) => n - 1,
+                (">", _) | ("!=", true) => -1,
+                _ => 0,
+            };
+            comparison("i", op, &bound.to_string(), swapped)
+        }
     };
     src.push_str(&format!("while ({cond}) {{\n"));
     match p.exit {
         Exit::None => {}
-        Exit::Stop(_) => src.push_str("    exit if (stop[i] == 1)\n"),
+        Exit::Stop(_, false) => src.push_str("    exit if (stop[i] == 1)\n"),
+        Exit::Stop(_, true) => src.push_str("    exit if (stop[i])\n"),
         Exit::Limit => src.push_str("    exit if (A[i] > limit)\n"),
+        Exit::Cmp(op, e, swapped) => {
+            // `w[e]`: the comparison turns at iteration `e`
+            let test = comparison("w[i]", op, &(3 * e as i64 - 7).to_string(), swapped);
+            src.push_str(&format!("    exit if ({test})\n"));
+        }
     }
     let step = if p.descending { -1 } else { p.stride };
     let update = format!("    i = i + {step}\n");
@@ -379,7 +455,7 @@ fn source_of(p: &ProgParams) -> String {
         };
         match line {
             Line::Store(a, sub, t) => {
-                let (arr, s) = (if *a { "A" } else { "B" }, sub.text());
+                let (arr, s) = (if *a { "A" } else { "B" }, sub.text(last));
                 let target = match first {
                     Some((f, FaultAt::Subscript)) => f.text().to_string(),
                     _ => s.clone(),
@@ -403,8 +479,7 @@ fn source_of(p: &ProgParams) -> String {
 fn machine_of(p: &ProgParams) -> Machine {
     let top = i_max(p);
     let mut m = Machine::default();
-    // long enough for 2·i + 3 at the largest i
-    let len = 2 * top + 8;
+    let len = array_len(p);
     m.arrays.insert("A".into(), (0..len as i64).collect());
     m.arrays
         .insert("B".into(), (0..len as i64).map(|v| 1000 - v).collect());
@@ -421,7 +496,7 @@ fn machine_of(p: &ProgParams) -> Machine {
     m.arrays
         .insert("w".into(), (0..=top as i64).map(|v| v * 3 - 7).collect());
     let mut stop = vec![0i64; top + 1];
-    if let Exit::Stop(e) = p.exit {
+    if let Exit::Stop(e, _) = p.exit {
         if e <= top {
             stop[e] = 1;
         }
@@ -430,7 +505,7 @@ fn machine_of(p: &ProgParams) -> Machine {
     // the non-threshold condition turns false at one position and true
     // again after it: only max_iters or that position ends the loop
     let mut stop2 = vec![0i64; top + 1];
-    if let Some(c) = p.stop_cond {
+    if let Some((c, _)) = p.stop_cond {
         stop2[c.min(top)] = 1;
     }
     m.arrays.insert("stop2".into(), stop2);
