@@ -11,8 +11,6 @@
 //! * [`general3`] — dynamic self-scheduling without locks: a processor
 //!   catches its private cursor up from its previous iteration to the one
 //!   it just claimed.
-//! * [`wu_lewis_distribution`] — the related-work baseline \[29\]: evaluate
-//!   the dispatcher sequentially into an array, then DOALL the remainder.
 //!
 //! Each method comes in two flavours: the plain one for loops whose only
 //! exit is dispatcher exhaustion (the RI null-pointer terminator — "no
@@ -21,7 +19,6 @@
 //! semantics. Both take a [`GeneralConfig`], which carries the iteration
 //! cap and the recorder that observes the run.
 
-use crate::dispatch::Dispatcher;
 use crate::recover::ParallelAttempt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -29,7 +26,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 use wlp_list::{DispatcherDiverged, GuardedCursor, ListArena, NodeId};
 use wlp_obs::{Event, NoopRecorder, Recorder};
-use wlp_runtime::{doall_dynamic, CancelFlag, FaultCell, Pool, Step, WorkerPanic, WorkerTimeout};
+use wlp_runtime::{CancelFlag, FaultCell, Pool, Step, WorkerPanic, WorkerTimeout};
 
 /// Options for the General methods.
 #[derive(Debug)]
@@ -427,34 +424,6 @@ where
     })
 }
 
-/// The Wu & Lewis loop-distribution baseline \[29\]: the dispatcher is
-/// evaluated sequentially into an array, then the remainder runs as a
-/// DOALL over the stored values. Works for any [`Dispatcher`]; `max`
-/// bounds the precomputation (strip length).
-pub fn wu_lewis_distribution<D, B>(pool: &Pool, d: &D, max: usize, body: B) -> GeneralOutcome
-where
-    D: Dispatcher,
-    B: Fn(usize, &D::Value) + Sync,
-{
-    let values = crate::dispatch::evaluate_sequential(d, max);
-    let n = values.len();
-    let iterations = AtomicU64::new(0);
-    let out = doall_dynamic(pool, n, |i, _| {
-        body(i, &values[i]);
-        iterations.fetch_add(1, Ordering::Relaxed);
-        Step::Continue
-    });
-    GeneralOutcome {
-        iterations: iterations.load(Ordering::Relaxed) as usize,
-        quit: None,
-        hops: n as u64,
-        panic: out.panic,
-        timeout: out.timeout,
-        diverged: None,
-        recovered: false,
-    }
-}
-
 /// Fault-tolerant General-3 (the Section 5 exception rule applied to the
 /// list strategies): runs [`general3_until`]; on a contained worker panic
 /// or a watchdog expiry, emits [`Event::SpecAbort`] naming the cause
@@ -531,7 +500,6 @@ where
 #[allow(clippy::needless_range_loop)] // indexing by iteration number is the semantics under test
 mod tests {
     use super::*;
-    use crate::dispatch::ListDispatcher;
     use std::sync::atomic::{AtomicBool, AtomicU32};
 
     fn pool() -> Pool {
@@ -658,19 +626,6 @@ mod tests {
             assert_eq!(out.iterations, 0);
             assert_eq!(out.quit, None);
         }
-    }
-
-    #[test]
-    fn wu_lewis_baseline_matches() {
-        let list = ListArena::from_values_shuffled(0..200usize, 5);
-        let d = ListDispatcher::new(&list);
-        let hits: Vec<AtomicU32> = (0..200).map(|_| AtomicU32::new(0)).collect();
-        let out = wu_lewis_distribution(&pool(), &d, usize::MAX, |_i, node| {
-            hits[list[*node]].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(out.iterations, 200);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(out.hops, 200);
     }
 
     #[test]

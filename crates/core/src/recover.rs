@@ -19,7 +19,7 @@
 use crate::undo::VersionedArray;
 use std::time::Instant;
 use wlp_obs::{AbortReason, Event, Recorder};
-use wlp_runtime::{DoacrossOutcome, DoallOutcome, StripOutcome, WorkerPanic, WorkerTimeout};
+use wlp_runtime::{DoacrossOutcome, DoallOutcome, WorkerPanic, WorkerTimeout};
 
 /// What a drained parallel attempt reports into the recovery tails
 /// ([`run_with_recovery`], and the `settle` every speculative driver ends
@@ -62,12 +62,6 @@ impl From<DoacrossOutcome> for ParallelAttempt {
             executed: out.executed,
             quit: None,
         }
-    }
-}
-
-impl From<StripOutcome> for ParallelAttempt {
-    fn from(out: StripOutcome) -> Self {
-        out.outcome.into()
     }
 }
 

@@ -17,31 +17,24 @@
 //!    parallel result.
 //!
 //! That recipe is one private engine, `speculate`: every entry point
-//! below hands it a *store* (what the region runs against) and a *launch*
-//! (how iterations are issued). [`speculative_while_privatized`]'s store
-//! additionally gives each processor a private (copy-in) view of the
-//! array, records a time-stamped write trail, and copies out last values
-//! on success — the mechanism for arrays whose memory-related dependences
-//! privatization removes.
+//! below hands it a *store* (what the region runs against — one
+//! [`SpeculativeArray`], or a group of arrays each in its own mode) and
+//! the [`IssueOrder`] its DOALL claims iterations in.
 
 use crate::recover::ParallelAttempt;
 use crate::undo::VersionedArray;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
-use wlp_pd::{copy_out_last_values, IterMarker, PdVerdict, Shadow, TrailSet};
-use wlp_runtime::{
-    doall_dynamic, doall_windowed, doall_with, ChunkPolicy, DoallOptions, IssueOrder, Pool, Step,
-};
+use wlp_pd::{IterMarker, PdVerdict, Shadow};
+use wlp_runtime::{doall_with, ChunkPolicy, DoallOptions, IssueOrder, Pool, Step};
 
 /// An undo-log budget for one speculative attempt: a cap on the number of
 /// stamped (restorable) writes. Exceeding it aborts the speculation with
 /// [`AbortReason::Budget`] — the bounded-resources answer to a runaway
-/// writer that would otherwise grow trails and overlays without limit
-/// (the memory-budget concern of Section 8.2, applied to the undo log).
+/// writer that would otherwise grow the undo log without limit (the
+/// memory-budget concern of Section 8.2).
 #[derive(Debug)]
 struct SpecBudget {
     limit: u64,
@@ -293,9 +286,9 @@ pub struct SpecOutcome {
 trait SpecStore: Sync {
     /// A worker's access handle.
     type Access;
-    /// A handle for worker `vpn`: marking and stamping when `speculating`,
-    /// plain pass-through for sequential (re-)execution.
-    fn access(&self, vpn: usize, speculating: bool) -> Self::Access;
+    /// A worker's handle: marking and stamping when `speculating`, plain
+    /// pass-through for sequential (re-)execution.
+    fn access(&self, speculating: bool) -> Self::Access;
     /// Re-aims `acc` at iteration `i`.
     fn begin(acc: &mut Self::Access, i: usize);
     /// Elements checkpointed for the attempt.
@@ -304,22 +297,17 @@ trait SpecStore: Sync {
     fn budget_exceeded(&self) -> bool;
     /// The PD test over the marks of iterations up to `attempt.quit`.
     fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict;
-    /// Whether `verdict` lets the parallel result stand.
-    fn validates(&self, verdict: &PdVerdict) -> bool {
-        verdict.doall
-    }
     /// Invalid attempt: every written element goes back to its checkpoint.
     /// Returns the element volume the restore is charged.
     fn restore_all(&self) -> usize;
     /// Valid attempt: the writes of iterations past `last_valid` are
-    /// undone (or, for private copies, the valid last values copied out).
-    /// Returns the elements touched.
+    /// undone. Returns the elements restored.
     fn keep(self, last_valid: Option<usize>) -> usize;
 }
 
 impl<'a, T: Copy + Send + Sync> SpecStore for &'a SpeculativeArray<T> {
     type Access = SpecAccess<'a, T>;
-    fn access(&self, _vpn: usize, speculating: bool) -> SpecAccess<'a, T> {
+    fn access(&self, speculating: bool) -> SpecAccess<'a, T> {
         SpecAccess {
             data: &self.versioned,
             marker: speculating.then(|| self.shadow.iteration(0)),
@@ -363,19 +351,10 @@ impl Drop for Tally<'_> {
     }
 }
 
-/// How the engine issues the iterations of a region.
-enum Launch {
-    /// [`doall_with`] in this order. A worker's handle, scratch and tally
-    /// are built once per region and live on its own stack.
-    Doall(IssueOrder),
-    /// [`doall_windowed`] with this window. The window scheduler hands a
-    /// body nothing but its `vpn`, so a worker's state lives for one
-    /// iteration.
-    Windowed(usize),
-}
-
-/// The one speculative engine (Section 5): run the loop as a DOALL against
-/// `store` while it marks, then [`settle`].
+/// The one speculative engine (Section 5): run the loop as a DOALL in
+/// `order` against `store` while it marks, then [`settle`]. A worker's
+/// handle, scratch and tally are built once per region and live on its
+/// own stack.
 ///
 /// `iteration(i, scratch, access)` is the whole loop body, terminator
 /// first, as [`speculative_while_group`] documents it. `init(lane)` builds
@@ -387,17 +366,16 @@ enum Launch {
 /// restore and the final verdict. The launch itself runs unobserved: a
 /// caller that wants per-iteration events records them in `iteration` (a
 /// terminator hit is a `TermTest`, not an executed body). Returns the
-/// outcome, the maximum span a windowed launch observed, and the error the
-/// sequential re-execution met, if any.
+/// outcome and the error the sequential re-execution met, if any.
 fn speculate<S, W, E, R>(
     pool: &Pool,
     upper: usize,
-    launch: Launch,
+    order: IssueOrder,
     store: S,
     rec: &R,
     init: impl Fn(Option<usize>) -> W + Sync,
     iteration: impl Fn(usize, &mut W, &mut S::Access) -> Result<Step, E> + Sync,
-) -> (SpecOutcome, usize, Option<GroupFault<E>>)
+) -> (SpecOutcome, Option<GroupFault<E>>)
 where
     S: SpecStore,
     R: Recorder,
@@ -415,7 +393,7 @@ where
             local: 0,
             total: &executed,
         };
-        (store.access(vpn, true), init(Some(vpn)), bodies)
+        (store.access(true), init(Some(vpn)), bodies)
     };
     let step = |i: usize, (acc, scratch, bodies): &mut (S::Access, W, Tally<'_>)| {
         // re-aiming first charges what the previous iteration stamped
@@ -437,19 +415,11 @@ where
             }
         }
     };
-    let (out, span) = match launch {
-        Launch::Doall(order) => {
-            let unobserved = &NoopRecorder;
-            let opts = DoallOptions {
-                order,
-                rec: unobserved,
-            };
-            (doall_with(pool, upper, opts, worker, step), 0)
-        }
-        Launch::Windowed(window) => doall_windowed(pool, upper, window, &NoopRecorder, |i, vpn| {
-            step(i, &mut worker(vpn))
-        }),
+    let opts = DoallOptions {
+        order,
+        rec: &NoopRecorder,
     };
+    let out = doall_with(pool, upper, opts, worker, step);
     // the runtime-level catch is the backstop: a panic that escapes
     // `iteration` still arrives here, in `out.panic`
     let abort = if failed.into_inner() {
@@ -472,7 +442,7 @@ where
             None
         })
     });
-    (outcome, span, fault)
+    (outcome, fault)
 }
 
 /// The one sequential (re-)execution: the loop in iteration order on the
@@ -484,7 +454,7 @@ fn run_sequential<S: SpecStore, W, E>(
     mut scratch: W,
     iteration: impl Fn(usize, &mut W, &mut S::Access) -> Result<Step, E>,
 ) -> Result<Option<usize>, GroupFault<E>> {
-    let mut acc = store.access(0, false);
+    let mut acc = store.access(false);
     for i in 0..upper {
         S::begin(&mut acc, i);
         match iteration(i, &mut scratch, &mut acc) {
@@ -515,7 +485,7 @@ fn settle<S: SpecStore, R: Recorder>(
     let exception = attempt.panic.is_some() || attempt.abort == Some(AbortReason::Exception);
     let (executed, last_valid) = (attempt.executed, attempt.quit);
 
-    let valid = verdict.as_ref().is_some_and(|v| store.validates(v));
+    let valid = verdict.as_ref().is_some_and(|v| v.doall);
     let (abort, last_valid, undone) = if valid {
         // undo only the overshot iterations
         let u0 = R::ENABLED.then(Instant::now);
@@ -601,20 +571,6 @@ fn single_iteration<A, R: Recorder>(
     Ok(step)
 }
 
-/// Plain sequential execution of a single-array loop (the run-twice
-/// scheme when its first pass times out). Returns the exit it found.
-fn sequential_while<T: Copy + Send + Sync>(
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    term: &impl Fn(usize, &mut SpecAccess<'_, T>) -> bool,
-    body: &impl Fn(usize, &mut SpecAccess<'_, T>),
-) -> Option<usize> {
-    let bare = |i: usize, _: &mut (), acc: &mut SpecAccess<'_, T>| {
-        single_iteration(&NoopRecorder, term, body, i, None, acc)
-    };
-    run_sequential(upper, &arr, (), bare).unwrap_or_else(|_| unreachable!("nothing is contained"))
-}
-
 /// Speculatively executes `while !term(i, A) { body(i, A) }` as a DOALL
 /// over `0..upper`, testing at run time that the iterations were
 /// independent. On test failure or exception, the array is restored and
@@ -686,37 +642,7 @@ where
     let iteration = |i: usize, lane: &mut Option<usize>, acc: &mut SpecAccess<'_, T>| {
         single_iteration(rec, &term, &body, i, *lane, acc)
     };
-    let launch = Launch::Doall(order);
-    speculate(pool, upper, launch, arr, rec, |lane| lane, iteration).0
-}
-
-/// [`speculative_while`] under the Section 8.2 sliding window: the span of
-/// in-flight iterations never exceeds `window`, so at most `window ×`
-/// (writes per iteration) time-stamps are live and RV overshoot is bounded
-/// by the window — the resource-controlled variant of speculation. Reports
-/// to `rec` like [`speculative_while_with`]; returns the outcome and the
-/// maximum span observed.
-pub fn speculative_while_windowed<T, TF, BF, R>(
-    pool: &Pool,
-    upper: usize,
-    window: usize,
-    arr: &SpeculativeArray<T>,
-    rec: &R,
-    term: TF,
-    body: BF,
-) -> (SpecOutcome, usize)
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-    R: Recorder,
-{
-    let iteration = |i: usize, lane: &mut Option<usize>, acc: &mut SpecAccess<'_, T>| {
-        single_iteration(rec, &term, &body, i, *lane, acc)
-    };
-    let launch = Launch::Windowed(window);
-    let (outcome, span, _) = speculate(pool, upper, launch, arr, rec, |lane| lane, iteration);
-    (outcome, span)
+    speculate(pool, upper, order, arr, rec, |lane| lane, iteration).0
 }
 
 /// How one array takes part in a speculative group: exactly the machinery
@@ -872,9 +798,9 @@ where
         arrays,
         budget: budget.as_ref(),
     };
-    let launch = Launch::Doall(IssueOrder::Dynamic(ChunkPolicy::Fixed(GROUP_CHUNK)));
+    let order = IssueOrder::Dynamic(ChunkPolicy::Fixed(GROUP_CHUNK));
     let rec = &NoopRecorder;
-    let (outcome, _, fault) = speculate(pool, upper, launch, store, rec, |_| init(), iteration);
+    let (outcome, fault) = speculate(pool, upper, order, store, rec, |_| init(), iteration);
     fault.map_or(Ok(outcome), Err)
 }
 
@@ -892,7 +818,7 @@ impl<T: Copy + Send + Sync> GroupStore<'_, T> {
 
 impl<'g, T: Copy + Send + Sync> SpecStore for GroupStore<'g, T> {
     type Access = GroupAccess<'g, T>;
-    fn access(&self, _vpn: usize, speculating: bool) -> GroupAccess<'g, T> {
+    fn access(&self, speculating: bool) -> GroupAccess<'g, T> {
         let markers = self.arrays.iter().map(|a| match a {
             GroupArray::Shadowed(s) if speculating => Some(s.shadow.iteration(0)),
             _ => None,
@@ -948,264 +874,6 @@ impl<'g, T: Copy + Send + Sync> SpecStore for GroupStore<'g, T> {
     }
 }
 
-/// The Section 5 two-pass scheme: "First, the loop is run in parallel to
-/// determine the number of iterations … and once the number of iterations
-/// is known the resulting DO loop can be speculatively parallelized using
-/// the PD test" — avoiding time-stamped shadow marks entirely, because a
-/// known-range DO loop cannot overshoot.
-///
-/// Pass 1 evaluates the terminator only (it must be cheap/independent —
-/// an RI condition); pass 2 speculates over the exact valid range with
-/// the ordinary PD test. Dependence failures still fall back to
-/// sequential re-execution.
-pub fn run_twice_speculative<T, TF, BF, R>(
-    pool: &Pool,
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    rec: &R,
-    term: TF,
-    body: BF,
-) -> SpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-    R: Recorder,
-{
-    // pass 1: terminator-only DOALL with QUIT — finds the trip count
-    let pass1 = doall_dynamic(pool, upper, |i, _| {
-        if term(i) {
-            Step::Quit
-        } else {
-            Step::Continue
-        }
-    });
-    // a panic in the terminator-only pass happens outside speculation (no
-    // writes to protect) — it is a real exception and resumes
-    if let Some(wp) = pass1.panic {
-        wp.resume();
-    }
-    if pass1.timeout.is_some() {
-        // the trip count was never determined: nothing speculative to
-        // salvage, the whole loop runs sequentially
-        let attempt = ParallelAttempt {
-            panic: None,
-            timeout: pass1.timeout,
-            abort: None,
-            executed: 0,
-            quit: None,
-        };
-        return settle(pool, arr, attempt, rec, |arr| {
-            sequential_while(upper, arr, &|i, _: &mut SpecAccess<'_, T>| term(i), &body)
-        });
-    }
-    let end = pass1.quit.unwrap_or(upper);
-
-    // pass 2: a known-range speculative DOALL (no overshoot possible)
-    let opts = DoallOptions::recorded(rec);
-    let mut out = speculative_while_with(pool, end, arr, opts, |_, _| false, body);
-    out.last_valid = pass1.quit;
-    out
-}
-
-/// Outcome of a strip-mined speculative execution.
-#[derive(Debug, Clone)]
-pub struct StripSpecOutcome {
-    /// Per strip: `true` if the strip's parallel execution was kept,
-    /// `false` if it was re-executed sequentially.
-    pub strips_committed: Vec<bool>,
-    /// The first iteration satisfying the terminator, if reached.
-    pub last_valid: Option<usize>,
-    /// Bodies executed across all parallel attempts (including discarded
-    /// and overshot ones).
-    pub executed_parallel: u64,
-}
-
-/// Strip-mined speculation (Section 5's recommendation when the
-/// termination condition depends on variables with unknown dependences —
-/// guarding against mis-determined exits and runaway loops, and bounding
-/// the state a failed test discards):
-///
-/// each strip of `strip` iterations runs speculatively; after the strip,
-/// the PD test is applied *to that strip's accesses*. A failing strip is
-/// rolled back and re-executed sequentially; a passing strip is committed
-/// (becoming the checkpoint for the next). Execution stops after the
-/// strip containing the exit.
-///
-/// # Panics
-/// Panics if `strip == 0`.
-pub fn speculative_while_strips<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    strip: usize,
-    arr: &mut SpeculativeArray<T>,
-    term: TF,
-    body: BF,
-) -> StripSpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    assert!(strip > 0, "strip size must be positive");
-    let mut strips_committed = Vec::new();
-    let mut executed_parallel = 0u64;
-    let mut last_valid = None;
-    let mut lo = 0usize;
-    while lo < upper {
-        let hi = (lo + strip).min(upper);
-        let out = speculative_while(
-            pool,
-            hi - lo,
-            &*arr, // strip-local iteration numbering keeps stamps small
-            |local, a| term(lo + local, a),
-            |local, a| body(lo + local, a),
-        );
-        executed_parallel += out.executed_parallel;
-        strips_committed.push(out.committed_parallel);
-        // commit the strip (sequential re-execution already wrote direct)
-        arr.commit();
-        if let Some(local) = out.last_valid {
-            last_valid = Some(lo + local);
-            break;
-        }
-        lo = hi;
-    }
-    StripSpecOutcome {
-        strips_committed,
-        last_valid,
-        executed_parallel,
-    }
-}
-
-/// A worker's view of a *privatized* speculative array: writes go to a
-/// private overlay (recorded in a time-stamped trail), reads prefer the
-/// overlay and fall back to the original values (copy-in). During
-/// sequential (re-)execution it is plain pass-through: one overlay applied
-/// in iteration order *is* the array.
-#[derive(Debug)]
-pub struct PrivAccess<'a, T: Copy> {
-    shared: SpecAccess<'a, T>,
-    overlay: HashMap<usize, T>,
-    trail: Arc<TrailSet<T>>,
-    vpn: usize,
-}
-
-impl<T: Copy + Send + Sync> PrivAccess<'_, T> {
-    /// Reads element `e` (private value if this processor wrote one).
-    pub fn read(&mut self, e: usize) -> T {
-        let original = self.shared.read(e);
-        self.overlay.get(&e).copied().unwrap_or(original)
-    }
-
-    /// Writes `v` to this processor's private copy of element `e`.
-    pub fn write(&mut self, e: usize, v: T) {
-        let SpecAccess { marker, core, .. } = &mut self.shared;
-        if !core.speculating {
-            return self.shared.write(e, v);
-        }
-        // overlays and trails grow per write — exactly the state the
-        // undo-log budget is meant to bound
-        core.mark_write(marker, e);
-        self.overlay.insert(e, v);
-        self.trail.record(self.vpn, core.iter, e, v);
-    }
-}
-
-/// Speculative execution with **privatization**: each processor works on a
-/// private overlay of the array (copy-in from the original), a
-/// time-stamped write trail records every private write, and — if the PD
-/// test confirms the privatization was valid — the last value per element
-/// (with stamp ≤ the last valid iteration) is copied out to the shared
-/// array. On failure the shared array is untouched (the original version
-/// *is* the backup, as the paper notes) and the loop re-runs sequentially.
-///
-/// Soundness of the overshoot exemption (see `wlp_pd::shadow`): overlays
-/// persist per worker across iterations, but [`doall_dynamic`]'s issue
-/// order hands each worker monotonically increasing iteration indices, so
-/// a *valid* iteration can never observe an *overshot* same-worker overlay
-/// write — overshot work always comes after all of a worker's valid work.
-/// Any valid-to-valid overlay leak is an exposed read of another
-/// iteration's write and fails the privatization criterion, forcing the
-/// sequential fallback.
-pub fn speculative_while_privatized<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    term: TF,
-    body: BF,
-) -> SpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut PrivAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut PrivAccess<'_, T>) + Sync,
-{
-    let store = PrivStore {
-        arr,
-        trail: Arc::new(TrailSet::new(pool.size())),
-    };
-    let rec = &NoopRecorder;
-    let iteration = |i: usize, lane: &mut Option<usize>, acc: &mut PrivAccess<'_, T>| {
-        single_iteration(rec, &term, &body, i, *lane, acc)
-    };
-    let launch = Launch::Doall(IssueOrder::default());
-    speculate(pool, upper, launch, store, rec, |lane| lane, iteration).0
-}
-
-/// A privatized array and the trail of its private writes, as the engine
-/// sees them. The trail is shared with the workers' handles for the
-/// region and consumed by the copy-out after it.
-struct PrivStore<'a, T: Copy> {
-    arr: &'a SpeculativeArray<T>,
-    trail: Arc<TrailSet<T>>,
-}
-
-impl<'a, T: Copy + Send + Sync> SpecStore for PrivStore<'a, T> {
-    type Access = PrivAccess<'a, T>;
-    fn access(&self, vpn: usize, speculating: bool) -> PrivAccess<'a, T> {
-        PrivAccess {
-            shared: self.arr.access(vpn, speculating),
-            overlay: HashMap::new(),
-            trail: Arc::clone(&self.trail),
-            vpn,
-        }
-    }
-    fn begin(acc: &mut PrivAccess<'a, T>, i: usize) {
-        <&SpeculativeArray<T>>::begin(&mut acc.shared, i);
-    }
-    fn checkpointed(&self) -> usize {
-        self.arr.len()
-    }
-    fn budget_exceeded(&self) -> bool {
-        self.arr.budget_exceeded()
-    }
-    fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict {
-        self.arr.analyze(pool, attempt, rec)
-    }
-    fn validates(&self, verdict: &PdVerdict) -> bool {
-        verdict.privatized_doall
-    }
-    /// The shared data was never touched — the original version *is* the
-    /// backup.
-    fn restore_all(&self) -> usize {
-        0
-    }
-    /// Copy-out: the last value per element with stamp ≤ `last_valid` (or
-    /// any stamp if the loop ran its full range). Returns the elements
-    /// whose value came from the trail.
-    fn keep(self, last_valid: Option<usize>) -> usize {
-        let trail = Arc::into_inner(self.trail).expect("every handle left with its worker");
-        let events = trail.into_events();
-        let mut values = self.arr.versioned.snapshot();
-        let li = last_valid.unwrap_or(usize::MAX - 1);
-        let copied = copy_out_last_values(&events, li, &mut values);
-        for (e, v) in values.into_iter().enumerate() {
-            self.arr.versioned.write_direct(e, v);
-        }
-        copied
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // indexing by iteration number is the semantics under test
 mod tests {
@@ -1217,7 +885,7 @@ mod tests {
 
     /// A speculating handle aimed at iteration `i`.
     fn access<T: Copy + Send + Sync>(arr: &SpeculativeArray<T>, i: usize) -> SpecAccess<'_, T> {
-        let mut acc = SpecStore::access(&arr, 0, true);
+        let mut acc = SpecStore::access(&arr, true);
         <&SpeculativeArray<T>>::begin(&mut acc, i);
         acc
     }
@@ -1320,235 +988,6 @@ mod tests {
         for (i, v) in snap.iter().enumerate() {
             assert_eq!(*v, i as i64, "sequential re-execution must be complete");
         }
-    }
-
-    #[test]
-    fn privatized_tmp_array_commits() {
-        // Figure 5(b): every iteration writes tmp (element n) then reads it
-        // — output dependences removed by privatization
-        let n = 40usize;
-        let mut init = vec![0i64; 2 * n + 1];
-        for (i, v) in init.iter_mut().enumerate() {
-            *v = i as i64;
-        }
-        let tmp = 2 * n;
-        let arr = SpeculativeArray::new(init.clone());
-        let out = speculative_while_privatized(
-            &pool(),
-            n,
-            &arr,
-            |i, _| i >= n,
-            |i, a| {
-                // swap A[2i] and A[2i+1] through tmp
-                let x = a.read(2 * i);
-                a.write(tmp, x);
-                let y = a.read(2 * i + 1);
-                a.write(2 * i, y);
-                let t = a.read(tmp);
-                a.write(2 * i + 1, t);
-            },
-        );
-        assert!(out.committed_parallel, "verdict: {:?}", out.verdict);
-        let snap = arr.snapshot();
-        for i in 0..n {
-            assert_eq!(snap[2 * i], init[2 * i + 1], "pair {i} swapped");
-            assert_eq!(snap[2 * i + 1], init[2 * i], "pair {i} swapped");
-        }
-    }
-
-    #[test]
-    fn privatized_fallback_on_true_dependence() {
-        // a genuine flow dependence that privatization cannot remove
-        let n = 32usize;
-        let arr = SpeculativeArray::new(vec![1i64; n + 1]);
-        let out = speculative_while_privatized(
-            &pool(),
-            n,
-            &arr,
-            |i, _| i >= n,
-            |i, a| {
-                let left = a.read(i);
-                a.write(i + 1, left + 1);
-            },
-        );
-        assert!(!out.committed_parallel);
-        assert!(out.reexecuted_sequentially);
-        // sequential semantics: A[i] = i + 1
-        let snap = arr.snapshot();
-        for i in 0..=n {
-            assert_eq!(snap[i], i as i64 + 1, "element {i}");
-        }
-    }
-
-    #[test]
-    fn privatized_copy_out_respects_last_valid() {
-        // every iteration writes element 0 (privatized); exit at 10 ⇒ the
-        // copy-out must take iteration 9's value, not a later one
-        let arr = SpeculativeArray::new(vec![-1i64]);
-        let out = speculative_while_privatized(
-            &pool(),
-            1000,
-            &arr,
-            |i, _| i == 10,
-            |i, a| a.write(0, i as i64),
-        );
-        assert!(out.committed_parallel, "verdict: {:?}", out.verdict);
-        assert_eq!(out.last_valid, Some(10));
-        assert_eq!(arr.snapshot(), vec![9]);
-    }
-
-    #[test]
-    fn strips_commit_independent_work_and_find_the_exit() {
-        let mut arr = SpeculativeArray::new(vec![0i64; 1000]);
-        let out = speculative_while_strips(
-            &pool(),
-            1000,
-            64,
-            &mut arr,
-            |i, _| i == 400,
-            |i, a| a.write(i, i as i64),
-        );
-        assert_eq!(out.last_valid, Some(400));
-        assert!(
-            out.strips_committed.iter().all(|&c| c),
-            "all strips independent"
-        );
-        // strips 0..=6 ran (exit inside strip [384, 448)); nothing later
-        assert_eq!(out.strips_committed.len(), 7);
-        let snap = arr.snapshot();
-        for i in 0..400 {
-            assert_eq!(snap[i], i as i64);
-        }
-        for i in 401..1000 {
-            assert_eq!(snap[i], 0, "iteration {i} must not survive");
-        }
-    }
-
-    #[test]
-    fn only_the_poisoned_strip_reexecutes() {
-        // a flow dependence confined to iterations 70→71 (strip 1 of 64)
-        let n = 256usize;
-        let mut arr = SpeculativeArray::new(vec![1i64; n + 1]);
-        let out = speculative_while_strips(
-            &pool(),
-            n,
-            64,
-            &mut arr,
-            |_, _| false,
-            |i, a| {
-                if i == 70 {
-                    a.write(n, 5);
-                } else if i == 71 {
-                    let v = a.read(n);
-                    a.write(71, v);
-                } else {
-                    a.write(i, 2);
-                }
-            },
-        );
-        assert_eq!(out.last_valid, None);
-        assert_eq!(out.strips_committed.len(), 4);
-        assert!(!out.strips_committed[1], "strip with the dependence fails");
-        assert!(out.strips_committed[0] && out.strips_committed[2] && out.strips_committed[3]);
-        // sequential semantics inside the failed strip
-        assert_eq!(arr.snapshot()[71], 5);
-    }
-
-    #[test]
-    fn strips_match_unstripped_results() {
-        let make = || SpeculativeArray::new((0..500i64).collect());
-        let term = |i: usize, _: &mut SpecAccess<'_, i64>| i >= 333;
-        let body = |i: usize, a: &mut SpecAccess<'_, i64>| {
-            let v = a.read(i);
-            a.write(i, v + 100);
-        };
-        let whole = make();
-        speculative_while(&pool(), 500, &whole, term, body);
-        let mut strips = make();
-        speculative_while_strips(&pool(), 500, 50, &mut strips, term, body);
-        assert_eq!(whole.snapshot(), strips.snapshot());
-    }
-
-    #[test]
-    fn run_twice_speculative_avoids_overshoot_entirely() {
-        let arr = SpeculativeArray::new(vec![0i64; 1000]);
-        let out = run_twice_speculative(
-            &pool(),
-            1000,
-            &arr,
-            &NoopRecorder,
-            |i| i == 250,
-            |i, a| a.write(i, 1),
-        );
-        assert!(out.committed_parallel);
-        assert_eq!(out.last_valid, Some(250));
-        assert_eq!(out.undone, 0, "a known-range DOALL cannot overshoot");
-        let snap = arr.snapshot();
-        assert_eq!(snap.iter().filter(|&&v| v == 1).count(), 250);
-        assert_eq!(snap[250], 0);
-    }
-
-    #[test]
-    fn run_twice_speculative_still_catches_dependences() {
-        let n = 64usize;
-        let arr = SpeculativeArray::new(vec![1i64; n + 1]);
-        let out = run_twice_speculative(
-            &pool(),
-            n,
-            &arr,
-            &NoopRecorder,
-            |_| false,
-            |i, a| {
-                let left = a.read(i);
-                a.write(i + 1, left + 1);
-            },
-        );
-        assert!(!out.committed_parallel);
-        assert!(out.reexecuted_sequentially);
-        let snap = arr.snapshot();
-        for i in 0..=n {
-            assert_eq!(snap[i], i as i64 + 1);
-        }
-    }
-
-    #[test]
-    fn windowed_speculation_bounds_overshoot_and_span() {
-        let arr = SpeculativeArray::new(vec![0i64; 2000]);
-        let (out, span) = speculative_while_windowed(
-            &pool(),
-            2000,
-            8,
-            &arr,
-            &NoopRecorder,
-            |i, _| i == 300,
-            |i, a| a.write(i, 1),
-        );
-        assert!(out.committed_parallel, "{:?}", out.verdict);
-        assert_eq!(out.last_valid, Some(300));
-        assert!(span <= 8, "span {span}");
-        assert!(
-            out.undone <= 8,
-            "undo bounded by the window: {}",
-            out.undone
-        );
-        let snap = arr.snapshot();
-        assert_eq!(snap.iter().filter(|&&v| v == 1).count(), 300);
-    }
-
-    #[test]
-    fn windowed_speculation_matches_unwindowed_results() {
-        let term = |i: usize, _: &mut SpecAccess<'_, i64>| i >= 700;
-        let body = |i: usize, a: &mut SpecAccess<'_, i64>| {
-            let v = a.read(i);
-            a.write(i, v + 5);
-        };
-        let a1 = SpeculativeArray::new((0..1000i64).collect());
-        speculative_while(&pool(), 1000, &a1, term, body);
-        let a2 = SpeculativeArray::new((0..1000i64).collect());
-        let (out, _) =
-            speculative_while_windowed(&pool(), 1000, 16, &a2, &NoopRecorder, term, body);
-        assert!(out.committed_parallel);
-        assert_eq!(a1.snapshot(), a2.snapshot());
     }
 
     /// Snapshot of a written group array's live values.

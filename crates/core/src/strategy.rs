@@ -1,21 +1,14 @@
 //! Strategies for applying the techniques (Section 8).
 //!
-//! * [`StatsStamping`] — statistics-enhanced stamping (Section 8.1): when a
-//!   compiler-supplied estimate `n̂` of the trip count exists, values
-//!   written by iterations below `x%·n̂` (where `x%` is the confidence in
-//!   the estimate) are very unlikely to need undoing, so their time-stamps
-//!   can be skipped.
-//! * [`hedged_execute`] — the 1-processor/(p−1)-processor solution
-//!   (Section 8.3): one processor runs the loop sequentially while the rest
-//!   run it in parallel on separate output copies; whichever finishes first
-//!   wins and cancels the other.
+//! [`StatsStamping`] — statistics-enhanced stamping (Section 8.1): when a
+//! compiler-supplied estimate `n̂` of the trip count exists, values
+//! written by iterations below `x%·n̂` (where `x%` is the confidence in
+//! the estimate) are very unlikely to need undoing, so their time-stamps
+//! can be skipped.
 //!
-//! (Strip-mining and the sliding window — Sections 8.1/8.2 — are the
-//! [`wlp_runtime::strip_mined`] and [`wlp_runtime::doall_windowed`]
-//! schedulers, which the methods in this crate compose with.)
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use wlp_runtime::CancelFlag;
+//! The rest of Section 8 — strip-mining, the sliding window and the
+//! 1-processor/(p−1)-processor hedge — is modelled by the simulator
+//! (`wlp-sim`), whose ablation figures compare them.
 
 /// The Section 8.1 stamping policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,60 +45,6 @@ impl StatsStamping {
         }
         let start = self.start_stamping_at().min(n);
         (n - start) as f64 / n as f64
-    }
-}
-
-/// Who finished first in a hedged execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HedgeWinner {
-    /// The sequential copy completed first.
-    Sequential,
-    /// The parallel copy completed first.
-    Parallel,
-}
-
-/// Runs `seq` and `par` concurrently on separate threads, each against its
-/// own output copy; the first to finish cancels the other (which must poll
-/// its [`CancelFlag`] to stop early). Returns the winner — the caller
-/// keeps that side's output. Both closures always return before this
-/// function does, so partial loser state can be discarded safely.
-pub fn hedged_execute<SF, PF>(seq: SF, par: PF) -> HedgeWinner
-where
-    SF: FnOnce(&CancelFlag) + Send,
-    PF: FnOnce(&CancelFlag) + Send,
-{
-    const NONE: u8 = 0;
-    const SEQ: u8 = 1;
-    const PAR: u8 = 2;
-    let winner = AtomicU8::new(NONE);
-    let seq_token = CancelFlag::new();
-    let par_token = CancelFlag::new();
-
-    std::thread::scope(|s| {
-        let w = &winner;
-        let st = &seq_token;
-        let pt = &par_token;
-        s.spawn(move || {
-            par(pt);
-            if w.compare_exchange(NONE, PAR, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                st.cancel();
-            }
-        });
-        seq(st);
-        if winner
-            .compare_exchange(NONE, SEQ, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            par_token.cancel();
-        }
-    });
-
-    match winner.load(Ordering::Acquire) {
-        SEQ => HedgeWinner::Sequential,
-        PAR => HedgeWinner::Parallel,
-        _ => unreachable!("someone must win"),
     }
 }
 
@@ -153,48 +92,5 @@ mod tests {
             confidence: 1.5,
         };
         let _ = s.start_stamping_at();
-    }
-
-    #[test]
-    fn hedge_fast_parallel_wins() {
-        let winner = hedged_execute(
-            |t| {
-                // slow sequential, polls cancellation
-                for _ in 0..1000 {
-                    if t.is_cancelled() {
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            },
-            |_| {
-                // instant parallel
-            },
-        );
-        assert_eq!(winner, HedgeWinner::Parallel);
-    }
-
-    #[test]
-    fn hedge_fast_sequential_wins() {
-        let winner = hedged_execute(
-            |_| {},
-            |t| {
-                for _ in 0..1000 {
-                    if t.is_cancelled() {
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            },
-        );
-        assert_eq!(winner, HedgeWinner::Sequential);
-    }
-
-    #[test]
-    fn hedge_always_produces_a_winner() {
-        for _ in 0..10 {
-            let w = hedged_execute(|_| {}, |_| {});
-            assert!(matches!(w, HedgeWinner::Sequential | HedgeWinner::Parallel));
-        }
     }
 }

@@ -26,25 +26,11 @@
 //!   property-tested against, and doubles as a reference implementation of
 //!   the paper's dependence definitions (flow/anti/output, privatization
 //!   criterion).
-//! * [`sparse_shadow`] — the Section 4 memory reduction: hash-table
-//!   shadows whose footprint follows the *touched* elements, for sparse
-//!   access patterns over huge arrays, with verdicts identical to the
-//!   dense shadow's (property-tested).
-//! * [`trail`] — time-stamped write trails for *live* privatized arrays:
-//!   the paper notes a privatized variable may be written in many
-//!   iterations of a valid parallel loop, so copying out the correct last
-//!   value requires a trail of `(iteration, element, value)` events from
-//!   which the value with the largest stamp `≤` the last valid iteration is
-//!   selected.
 
 pub mod crosscheck;
 pub mod oracle;
 pub mod shadow;
-pub mod sparse_shadow;
-pub mod trail;
 
 pub use crosscheck::{crosscheck, Claims, Falsified};
 pub use oracle::{oracle_verdict, Access};
 pub use shadow::{Conflict, ConflictKind, IterMarker, PdVerdict, Shadow};
-pub use sparse_shadow::{SparseMarker, SparseShadow};
-pub use trail::{copy_out_last_values, TrailEvent, TrailSet};

@@ -83,40 +83,3 @@ proptest! {
         prop_assert_eq!((v.doall, v.privatized_doall), oracle_verdict(&iters, None));
     }
 }
-
-/// The sparse shadow must agree with the dense shadow (and hence the
-/// oracle) on every pattern and cut.
-fn sparse_verdict(iterations: &[Vec<Access>], last_valid: Option<usize>) -> (bool, bool) {
-    let sh = wlp_pd::SparseShadow::new(4);
-    for (i, accs) in iterations.iter().enumerate() {
-        let mut marker = sh.iteration(i);
-        for acc in accs {
-            match *acc {
-                Access::Read(e) => marker.mark_read(e as u64),
-                Access::Write(e) => marker.mark_write(e as u64),
-            }
-        }
-    }
-    let v = sh.analyze(last_valid, 64);
-    (v.doall, v.privatized_doall)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn sparse_shadow_matches_dense(iters in iterations_strategy(8)) {
-        prop_assert_eq!(sparse_verdict(&iters, None), shadow_verdict(&iters, None, 8));
-    }
-
-    #[test]
-    fn sparse_shadow_matches_dense_for_every_cut(iters in iterations_strategy(6)) {
-        for li in 0..iters.len() {
-            prop_assert_eq!(
-                sparse_verdict(&iters, Some(li)),
-                shadow_verdict(&iters, Some(li), 6),
-                "cut at {}", li
-            );
-        }
-    }
-}

@@ -17,8 +17,8 @@
 //!   from exhaustion.
 //!
 //! The buffer is a fixed power-of-two ring: callers size it to their
-//! maximum outstanding work (`p` lane tickets for the pool, one chunk
-//! window for the scheduler), so the grow path of the original algorithm
+//! maximum outstanding work (`p` lane tickets for the pool), so the grow
+//! path of the original algorithm
 //! — the only part needing memory reclamation — is not required. ABA on
 //! index wraparound is impossible because `top`/`bottom` are 64-bit
 //! monotone counters that are never reset; slots are reused only after

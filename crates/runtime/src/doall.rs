@@ -196,9 +196,9 @@ impl Default for IssueOrder {
     }
 }
 
-/// The options of a DOALL-shaped construct ([`doall_with`],
-/// [`strip_mined`](crate::strip::strip_mined), and the strategies built
-/// on them): how iterations are issued and who observes the run.
+/// The options of a DOALL-shaped construct ([`doall_with`] and the
+/// strategies built on it): how iterations are issued and who observes
+/// the run.
 ///
 /// Probes are guarded by `R::ENABLED`, an associated constant, so the
 /// default [`NoopRecorder`] monomorphizes to the uninstrumented loop: no

@@ -13,18 +13,13 @@
 //! * [`doall`] — the DOALL loop with a software `QUIT` protocol: one driver
 //!   issuing iterations dynamically (ordered issue, one at a time or in
 //!   chunks), static-cyclic or static-blocked.
-//! * [`scan`] — parallel prefix computations (the Section 3.2 method for
-//!   associative dispatchers), including affine linear recurrences.
+//! * [`scan`] — the parallel prefix of the Section 3.2 method for
+//!   associative dispatchers.
 //! * [`reduce`] — parallel folds/reductions (used by the post-execution
 //!   minimum of Induction-1 and by the PD test's analysis phase).
-//! * [`window`] — the resource-controlled self-scheduler of Section 8.2: a
-//!   sliding iteration window bounding the span of in-flight iterations.
-//! * [`strip`] — strip-mined execution with inter-strip barriers
-//!   (Sections 4 and 8.1).
 //! * [`doacross`](mod@doacross) — pipelined execution of loops with cross-iteration
 //!   dependences (the Section 6 schedule for sequential distributed
 //!   loops, and the Wu & Lewis pipelining baseline).
-//! * [`barrier`] — a reusable centralized barrier.
 //! * [`scheduler`] — the multi-region layer: fixed-width resident worker
 //!   lanes multiplexing many concurrent loop regions onto one shared
 //!   worker budget, with FIFO queuing and queue-pressure reporting for
@@ -40,7 +35,6 @@
 //! Deadlines: [`pool::Deadline`] arms a per-region watchdog (timeouts
 //! surface as [`pool::WorkerTimeout`] instead of hangs).
 
-pub mod barrier;
 pub mod chunk;
 pub mod deque;
 pub mod doacross;
@@ -49,10 +43,7 @@ pub mod pool;
 pub mod reduce;
 pub mod scan;
 pub mod scheduler;
-pub mod strip;
-pub mod window;
 
-pub use barrier::CentralBarrier;
 pub use chunk::ChunkPolicy;
 pub use deque::{Steal, StealDeque};
 pub use doacross::{doacross, doacross_with, DoacrossOptions, DoacrossOutcome};
@@ -62,8 +53,6 @@ pub use doall::{
 pub use pool::{
     payload_message, CancelFlag, Deadline, Pool, PoolOutcome, WorkerPanic, WorkerTimeout,
 };
-pub use reduce::{parallel_fold, parallel_min, parallel_min_index};
-pub use scan::{geometric_recurrence_terms, linear_recurrence_terms, parallel_scan_inclusive};
+pub use reduce::{parallel_fold, parallel_min};
+pub use scan::parallel_scan_inclusive;
 pub use scheduler::{Lane, RegionScheduler, SchedulerConfig};
-pub use strip::{strip_mined, StripOutcome};
-pub use window::{doall_windowed, WindowController, WindowScheduler};

@@ -60,7 +60,7 @@ const SPIN_LIMIT: u32 = 128;
 /// A shared cooperative-cancellation flag — the fault-path analogue of the
 /// software `QUIT` protocol. Raised by the first panicking worker (or by
 /// any caller that wants to stop a run early); polled by the scheduling
-/// loops of every construct (DOALL, DOACROSS, strip-mining, window) at
+/// loops of every construct (DOALL, DOACROSS) at
 /// iteration boundaries.
 ///
 /// A flag launched on a handle built [`Pool::with_abort`] is *linked* to
@@ -199,14 +199,6 @@ impl std::fmt::Display for WorkerPanic {
             ),
             None => write!(f, "worker {} panicked: {}", self.vpn, self.message),
         }
-    }
-}
-
-impl WorkerPanic {
-    /// Re-raises this panic on the caller's thread — for constructs whose
-    /// return type cannot carry the fault to the caller.
-    pub fn resume(self) -> ! {
-        panic!("{self}");
     }
 }
 
@@ -573,7 +565,7 @@ impl Pool {
     /// gets its cancel flag raised and ends with
     /// [`PoolOutcome::TimedOut`]. Because every construct in this crate
     /// takes the pool by reference, this threads deadlines through
-    /// DOALL/strip/window/speculation with no signature changes.
+    /// DOALL/DOACROSS/speculation with no signature changes.
     pub fn with_deadline(&self, d: Deadline) -> Pool {
         Pool {
             deadline: Some(d),

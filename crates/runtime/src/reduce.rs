@@ -48,30 +48,6 @@ pub fn parallel_min<T: Ord + Copy + Send + Sync>(pool: &Pool, xs: &[T]) -> Optio
     )
 }
 
-/// Index of the minimum element (first occurrence); `None` when empty.
-pub fn parallel_min_index<T: Ord + Send + Sync>(pool: &Pool, xs: &[T]) -> Option<usize> {
-    parallel_fold(
-        pool,
-        xs.len(),
-        None,
-        |acc: Option<usize>, i| match acc {
-            Some(m) if xs[m] <= xs[i] => Some(m),
-            _ => Some(i),
-        },
-        |a, b| match (a, b) {
-            (Some(x), Some(y)) => {
-                if xs[y] < xs[x] {
-                    Some(y)
-                } else {
-                    Some(x)
-                }
-            }
-            (x, None) => x,
-            (None, y) => y,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,27 +72,5 @@ mod tests {
         let xs: Vec<i64> = (0..500).map(|i| (i * 37 % 101) - 50).collect();
         assert_eq!(parallel_min(&pool, &xs), xs.iter().copied().min());
         assert_eq!(parallel_min::<i64>(&pool, &[]), None);
-    }
-
-    #[test]
-    fn min_index_is_first_occurrence() {
-        let pool = Pool::new(4);
-        let xs = vec![5, 1, 3, 1, 1, 9];
-        assert_eq!(parallel_min_index(&pool, &xs), Some(1));
-        assert_eq!(parallel_min_index::<i32>(&pool, &[]), None);
-    }
-
-    #[test]
-    fn min_index_matches_sequential_on_random_data() {
-        let pool = Pool::new(8);
-        let xs: Vec<u32> = (0..997)
-            .map(|i| (i * 2654435761u64 % 4096) as u32)
-            .collect();
-        let seq = xs
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i);
-        assert_eq!(parallel_min_index(&pool, &xs), seq);
     }
 }

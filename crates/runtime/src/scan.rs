@@ -7,11 +7,10 @@
 //!
 //! [`parallel_scan_inclusive`] is the classic three-phase blocked scan:
 //! local scans, a sequential scan over `p` block sums, and a parallel
-//! re-offset pass. [`linear_recurrence_terms`] instantiates it for the
-//! paper's generic affine dispatcher `x(i) = a·x(i−k) + b` by scanning the
-//! monoid of affine-map composition.
+//! re-offset pass. Both parallel phases are regions of the caller's pool.
 
 use crate::pool::Pool;
+use std::sync::Mutex;
 
 /// In-place inclusive prefix scan of `xs` under the associative `op`.
 ///
@@ -43,35 +42,32 @@ where
         return;
     }
 
-    // Split into p contiguous blocks matching Pool::block.
-    let mut blocks: Vec<&mut [T]> = Vec::with_capacity(p);
+    // Split into p contiguous blocks matching Pool::block: lane `vpn`
+    // owns block `vpn` and, after phase 2, that block's left offset.
+    let mut lanes: Vec<Mutex<(&mut [T], Option<T>)>> = Vec::with_capacity(p);
     {
         let mut rest = xs;
         for vpn in 0..p {
             let (lo, hi) = pool.block(vpn, n);
             let (head, tail) = rest.split_at_mut(hi - lo);
-            blocks.push(head);
+            lanes.push(Mutex::new((head, None)));
             rest = tail;
         }
     }
 
-    // Phase 1: local inclusive scans, in parallel.
-    let op_ref = &op;
-    std::thread::scope(|s| {
-        for block in blocks.iter_mut() {
-            s.spawn(move || {
-                for i in 1..block.len() {
-                    block[i] = op_ref(&block[i - 1], &block[i]);
-                }
-            });
+    // Phase 1: local inclusive scans, one per lane.
+    pool.run(|vpn| {
+        let block = &mut *lanes[vpn].lock().expect("no lane panicked").0;
+        for i in 1..block.len() {
+            block[i] = op(&block[i - 1], &block[i]);
         }
     });
 
     // Phase 2: sequential exclusive scan over the p block totals.
-    let mut offsets: Vec<Option<T>> = Vec::with_capacity(p);
     let mut acc: Option<T> = None;
-    for block in blocks.iter() {
-        offsets.push(acc.clone());
+    for lane in lanes.iter_mut() {
+        let (block, offset) = lane.get_mut().expect("no lane panicked");
+        *offset = acc.clone();
         if let Some(last) = block.last() {
             acc = Some(match acc {
                 Some(a) => op(&a, last),
@@ -80,102 +76,23 @@ where
         }
     }
 
-    // Phase 3: apply each block's left offset, in parallel.
-    std::thread::scope(|s| {
-        for (block, offset) in blocks.iter_mut().zip(offsets) {
-            if let Some(off) = offset {
-                s.spawn(move || {
-                    for x in block.iter_mut() {
-                        *x = op_ref(&off, x);
-                    }
-                });
+    // Phase 3: apply each block's left offset, one per lane.
+    pool.run(|vpn| {
+        let (block, offset) = &mut *lanes[vpn].lock().expect("no lane panicked");
+        if let Some(off) = offset {
+            for x in block.iter_mut() {
+                *x = op(off, x);
             }
         }
     });
 }
 
-/// An affine map `x ↦ a·x + b`; composition of such maps is associative,
-/// which is what lets the paper's generic recurrence `x(i) = a·x(i−k) + b`
-/// be evaluated by parallel prefix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Affine {
-    /// Multiplier.
-    pub a: f64,
-    /// Offset.
-    pub b: f64,
-}
-
-impl Affine {
-    /// `self ∘ g`: first apply `g`, then `self`.
-    #[inline]
-    pub fn after(&self, g: &Affine) -> Affine {
-        Affine {
-            a: self.a * g.a,
-            b: self.a * g.b + self.b,
-        }
-    }
-
-    /// Applies the map to `x`.
-    #[inline]
-    pub fn apply(&self, x: f64) -> f64 {
-        self.a * x + self.b
-    }
-}
-
-/// Evaluates the `n` terms `x(1..=n)` of `x(i) = a·x(i−1) + b`, `x(0) = x0`,
-/// using a parallel prefix over affine-map composition.
-pub fn linear_recurrence_terms(pool: &Pool, x0: f64, a: f64, b: f64, n: usize) -> Vec<f64> {
-    let mut maps = vec![Affine { a, b }; n];
-    // Inclusive scan of composition: maps[i] = f^(i+1), so term i is
-    // maps[i](x0). Note composition order: later ∘ earlier.
-    parallel_scan_inclusive(pool, &mut maps, |f, g| g.after(f));
-    maps.into_iter().map(|m| m.apply(x0)).collect()
-}
-
-/// Evaluates the `n` terms `x(1..=n)` of the paper's *multiplicative*
-/// associative form `x(i) = a·x(i−1)^b` (`x0, a > 0`): taking logarithms
-/// turns it into the affine recurrence `ln x(i) = b·ln x(i−1) + ln a`,
-/// which the parallel prefix evaluates; the terms are exponentiated back.
-///
-/// # Panics
-/// Panics if `x0 <= 0` or `a <= 0` (the log transform needs positivity).
-pub fn geometric_recurrence_terms(pool: &Pool, x0: f64, a: f64, b: f64, n: usize) -> Vec<f64> {
-    assert!(
-        x0 > 0.0 && a > 0.0,
-        "log transform requires positive x0 and a"
-    );
-    linear_recurrence_terms(pool, x0.ln(), b, a.ln(), n)
-        .into_iter()
-        .map(f64::exp)
-        .collect()
-}
-
-/// Evaluates the terms of the strided recurrence `x(i) = a·x(i−k) + b` for
-/// `i in k..k+n`, given seeds `x(0..k)`. The `k` interleaved chains are
-/// independent, each evaluated by [`linear_recurrence_terms`].
-///
-/// Returns the `n` terms in index order `x(k), x(k+1), …, x(k+n−1)`.
-///
-/// # Panics
-/// Panics if `seeds` is empty.
-pub fn strided_recurrence_terms(pool: &Pool, seeds: &[f64], a: f64, b: f64, n: usize) -> Vec<f64> {
-    let k = seeds.len();
-    assert!(k > 0, "stride k must be positive");
-    let mut out = vec![0.0; n];
-    for (c, &seed) in seeds.iter().enumerate() {
-        // chain c produces x(k+c), x(2k+c), ... → out positions c, c+k, ...
-        let chain_len = if n > c { (n - c).div_ceil(k) } else { 0 };
-        let terms = linear_recurrence_terms(pool, seed, a, b, chain_len);
-        for (j, t) in terms.into_iter().enumerate() {
-            out[c + j * k] = t;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
 
     fn seq_scan(xs: &[i64]) -> Vec<i64> {
         let mut out = Vec::with_capacity(xs.len());
@@ -212,72 +129,28 @@ mod tests {
     }
 
     #[test]
-    fn linear_recurrence_matches_sequential_evaluation() {
+    fn scan_runs_on_the_pools_own_threads() {
+        // every `op` call is made by the caller (lane 0) or a resident
+        // worker of the pool, never by a thread spawned for the scan
         let pool = Pool::new(4);
-        let (x0, a, b, n) = (1.0, 1.001, 0.5, 500);
-        let par = linear_recurrence_terms(&pool, x0, a, b, n);
-        let mut x = x0;
-        for (i, term) in par.iter().enumerate() {
-            x = a * x + b;
-            assert!(
-                (x - term).abs() <= 1e-9 * x.abs().max(1.0),
-                "term {i}: seq {x} vs par {term}"
-            );
-        }
-    }
-
-    #[test]
-    fn affine_composition_is_associative() {
-        let f = Affine { a: 2.0, b: 1.0 };
-        let g = Affine { a: -0.5, b: 3.0 };
-        let h = Affine { a: 4.0, b: -2.0 };
-        let left = f.after(&g).after(&h);
-        let right = f.after(&g.after(&h));
-        assert!((left.a - right.a).abs() < 1e-12);
-        assert!((left.b - right.b).abs() < 1e-12);
-        // and matches pointwise application
-        for x in [-3.0, 0.0, 7.5] {
-            assert!((left.apply(x) - f.apply(g.apply(h.apply(x)))).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn strided_recurrence_matches_sequential() {
-        let pool = Pool::new(3);
-        let seeds = [1.0, 2.0, 3.0]; // k = 3
-        let (a, b, n) = (0.9, 1.0, 20);
-        let par = strided_recurrence_terms(&pool, &seeds, a, b, n);
-        // sequential: x(i) = a*x(i-3)+b
-        let mut xs = seeds.to_vec();
-        for i in 3..3 + n {
-            let v = a * xs[i - 3] + b;
-            xs.push(v);
-        }
-        for i in 0..n {
-            assert!((par[i] - xs[3 + i]).abs() < 1e-9, "i = {i}");
-        }
-    }
-
-    #[test]
-    fn geometric_recurrence_matches_sequential() {
-        let pool = Pool::new(4);
-        let (x0, a, b, n) = (2.0f64, 1.5, 0.9, 60);
-        let par = geometric_recurrence_terms(&pool, x0, a, b, n);
-        let mut x = x0;
-        for (i, term) in par.iter().enumerate() {
-            x = a * x.powf(b);
-            assert!(
-                (x - term).abs() <= 1e-9 * x.abs().max(1.0),
-                "term {i}: seq {x} vs par {term}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geometric_recurrence_rejects_nonpositive_seed() {
-        let pool = Pool::new(2);
-        let _ = geometric_recurrence_terms(&pool, -1.0, 2.0, 1.0, 5);
+        // the barrier holds every lane until all four are in, so each runs
+        // on a thread of its own and the set names every pool thread
+        let gate = Barrier::new(4);
+        let lanes = pool.run_map(|_| {
+            gate.wait();
+            thread::current().id()
+        });
+        let lanes: HashSet<ThreadId> = lanes.into_iter().collect();
+        assert_eq!(lanes.len(), 4);
+        let callers = Mutex::new(HashSet::new());
+        let mut xs: Vec<i64> = (0..1000).collect();
+        parallel_scan_inclusive(&pool, &mut xs, |a, b| {
+            callers.lock().unwrap().insert(thread::current().id());
+            a + b
+        });
+        assert_eq!(xs[999], 999 * 1000 / 2);
+        let callers = callers.into_inner().unwrap();
+        assert!(callers.is_subset(&lanes), "{callers:?} vs lanes {lanes:?}");
     }
 
     #[test]

@@ -331,13 +331,6 @@ impl RegionScheduler {
             }
         }
     }
-
-    /// Runs one region: acquires a lane (blocking FIFO), hands its pool
-    /// to `f`, releases the lane when `f` returns (or unwinds).
-    pub fn run_region<T>(&self, f: impl FnOnce(&Pool) -> T) -> T {
-        let lane = self.acquire();
-        f(&lane)
-    }
 }
 
 #[cfg(test)]
@@ -387,13 +380,12 @@ mod tests {
             lane_width: 2,
         });
         let hits = AtomicUsize::new(0);
-        let sum = s.run_region(|pool| {
-            pool.run(|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            pool.size()
+        let lane = s.acquire();
+        lane.run(|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(sum, 2);
+        assert_eq!(lane.size(), 2);
+        drop(lane);
         assert_eq!(hits.load(Ordering::Relaxed), 2);
         assert_eq!(s.regions_run(), 1);
     }
@@ -432,10 +424,8 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    s.run_region(|pool| {
-                        pool.run(|_| {});
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
+                    s.acquire().run(|_| {});
+                    done.fetch_add(1, Ordering::Relaxed);
                 });
             }
         });

@@ -14,7 +14,7 @@
 //! This facade crate re-exports the workspace members under stable paths:
 //!
 //! * [`list`] — arena linked lists (the general-recurrence dispatcher).
-//! * [`runtime`] — threaded DOALL/QUIT/prefix/window substrate.
+//! * [`runtime`] — threaded DOALL/QUIT/prefix/DOACROSS substrate.
 //! * [`sim`] — deterministic discrete-event multiprocessor simulator.
 //! * [`pd`] — the Privatizing DOALL run-time dependence test.
 //! * [`sparse`] — sparse-matrix formats, generators, pivot search.

@@ -1,35 +1,33 @@
 //! End-to-end fault-recovery acceptance tests: the paper's Section 5
 //! exception rule, exercised through the `wlp-fault` harness.
 //!
-//! For every parallel construct (DOALL, DOACROSS, strip-mined, windowed)
-//! and the speculative driver, an injected worker panic must (a) be
+//! For every parallel construct (DOALL, DOACROSS) and the speculative
+//! driver, an injected worker panic must (a) be
 //! contained — no process abort, (b) restore the checkpoint, (c) fall back
 //! to sequential re-execution producing exactly the sequential final
 //! state, and (d) surface in the recorded trace as an exception abort. A
 //! corrupted (cyclic) linked list must yield a structured
 //! `DispatcherDiverged` within the step budget instead of hanging.
 //!
-//! The three speculative WHILE constructs (§5's DOALL, §8.2's window,
-//! §4's run-twice) each meet every in-body fault kind — panic, stall
-//! under a watchdog `Deadline`, write hog under an undo-log budget — and
-//! must end in the sequential state with the resident pool still
-//! serving regions.
+//! Both speculative WHILE engines (§5's single-array DOALL, and the
+//! array group the daemon runs plans on) meet every in-body fault kind —
+//! panic, stall under a watchdog `Deadline`, write hog under an undo-log
+//! budget — and must end in the sequential state with the resident pool
+//! still serving regions.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use wlp::core::general::{general1, general2, general3, general3_recovering, GeneralConfig};
 use wlp::core::speculate::{
-    run_twice_speculative, speculative_while, speculative_while_windowed, speculative_while_with,
+    speculative_while, speculative_while_group, speculative_while_with, GroupAccess, GroupArray,
     SpecAccess, SpeculativeArray,
 };
 use wlp::core::{run_with_recovery, ParallelAttempt, VersionedArray};
 use wlp::fault::{corrupt_list_cycle, FaultAction, FaultPlan, PANIC_MESSAGE_PREFIX};
 use wlp::list::ListArena;
 use wlp::obs::{AbortReason, BufferRecorder, Event, NoopRecorder, ProfileReport, Trace};
-use wlp::runtime::{
-    doacross, doall_dynamic, doall_windowed, strip_mined, Deadline, DoallOptions, Pool, Step,
-};
+use wlp::runtime::{doacross, doall_dynamic, Deadline, DoallOptions, Pool, Step};
 
 const N: usize = 256;
 
@@ -165,31 +163,6 @@ fn doall_panic_restores_and_reexecutes() {
 }
 
 #[test]
-fn strip_panic_restores_and_reexecutes() {
-    check_recovery("strip", 130, |plan, arr, pool| {
-        strip_mined(pool, N, 32, DoallOptions::default(), |i, vpn| {
-            let _ = plan.inject(i, vpn);
-            arr.write(i, i as i64 * 3 + 1, i);
-            Step::Continue
-        })
-        .into()
-    });
-}
-
-#[test]
-fn window_panic_restores_and_reexecutes() {
-    check_recovery("window", 70, |plan, arr, pool| {
-        doall_windowed(pool, N, 16, &NoopRecorder, |i, vpn| {
-            let _ = plan.inject(i, vpn);
-            arr.write(i, i as i64 * 3 + 1, i);
-            Step::Continue
-        })
-        .0
-        .into()
-    });
-}
-
-#[test]
 fn doacross_panic_restores_and_reexecutes() {
     check_recovery("doacross", 200, |plan, arr, pool| {
         doacross(pool, N, 2, |i, s| {
@@ -272,10 +245,9 @@ fn sequential_truth(n: usize, exit: usize) -> Vec<i64> {
 enum Construct {
     /// `speculative_while_with`: one DOALL plus the PD test (§5).
     Doall,
-    /// `speculative_while_windowed` at this window (§8.2).
-    Windowed(usize),
-    /// `run_twice_speculative`: terminator pass, then a known-range DOALL (§4).
-    RunTwice,
+    /// `speculative_while_group`, as the daemon runs a plan: a shadowed,
+    /// a certified and a read-only array, claimed 32 iterations at a time.
+    Group,
 }
 
 /// The acceptance scenario, deterministic: a worker wedged by a 50 ms
@@ -350,7 +322,6 @@ proptest! {
         workers in 1usize..5,
         mode_pick in 0usize..4,
         site_pick in 0usize..96,
-        window in 1usize..64,
     ) {
         let exit = exit_pick % (n + 1);
         let site = site_pick % n;
@@ -368,11 +339,12 @@ proptest! {
         } else {
             pool.clone()
         };
+        let budget = guarded.then_some(3 * n as u64);
 
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let mut runs = Vec::new();
-        for construct in [Construct::Doall, Construct::Windowed(window), Construct::RunTwice] {
+        for construct in [Construct::Doall, Construct::Group] {
             // One-shot plan per construct: the parallel attempt eats the
             // fault, the sequential re-execution runs clean.
             let plan = match mode_pick {
@@ -381,31 +353,53 @@ proptest! {
                 2 => FaultPlan::stall_at(site, Duration::from_millis(6)),
                 _ => FaultPlan::hog_at(site, 512),
             };
-            let mut arr = SpeculativeArray::new(vec![0i64; n]);
-            if guarded {
-                arr = arr.with_budget(3 * n as u64);
-            }
-            let term = |i: usize| i >= exit;
-            let index_term = |i: usize, _: &mut SpecAccess<'_, i64>| term(i);
-            let body = |i: usize, a: &mut SpecAccess<'_, i64>| {
-                if let FaultAction::HogWrites(k) = plan.inject(i, 0) {
-                    for _ in 0..k {
-                        a.write(i, -1);
-                    }
-                }
-                a.write(i, i as i64 * 7 + 3);
-            };
-            let out = match construct {
+            let (states, committed, clean) = match construct {
                 Construct::Doall => {
+                    let mut arr = SpeculativeArray::new(vec![0i64; n]);
+                    if let Some(writes) = budget {
+                        arr = arr.with_budget(writes);
+                    }
+                    let body = |i: usize, a: &mut SpecAccess<'_, i64>| {
+                        if let FaultAction::HogWrites(k) = plan.inject(i, 0) {
+                            for _ in 0..k {
+                                a.write(i, -1);
+                            }
+                        }
+                        a.write(i, i as i64 * 7 + 3);
+                    };
                     let opts = DoallOptions::default();
-                    speculative_while_with(&armed, n, &arr, opts, index_term, body)
+                    let out = speculative_while_with(&armed, n, &arr, opts, |i, _| i >= exit, body);
+                    (vec![arr.snapshot()], out.committed_parallel, true)
                 }
-                Construct::Windowed(w) => {
-                    let rec = &NoopRecorder;
-                    speculative_while_windowed(&armed, n, w, &arr, rec, index_term, body).0
-                }
-                Construct::RunTwice => {
-                    run_twice_speculative(&armed, n, &arr, &NoopRecorder, term, body)
+                Construct::Group => {
+                    // array 2 holds each iteration's value, read-only; the
+                    // body copies it into the shadowed array 0 and the
+                    // certified array 1, and hogs the shadowed one
+                    let values: Vec<i64> = (0..n as i64).map(|i| i * 7 + 3).collect();
+                    let arrays = [
+                        GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; n])),
+                        GroupArray::Certified(VersionedArray::new(vec![0i64; n])),
+                        GroupArray::ReadOnly(&values),
+                    ];
+                    let body = |i: usize, _: &mut (), g: &mut GroupAccess<'_, i64>| {
+                        if i >= exit {
+                            return Ok::<_, ()>(Step::Quit);
+                        }
+                        if let FaultAction::HogWrites(k) = plan.inject(i, 0) {
+                            for _ in 0..k {
+                                g.write(0, i, -1).ok_or(())?;
+                            }
+                        }
+                        let v = g.read(2, i).ok_or(())?;
+                        g.write(0, i, v).ok_or(())?;
+                        g.write(1, i, v).ok_or(())?;
+                        Ok(Step::Continue)
+                    };
+                    let out = speculative_while_group(&armed, n, &arrays, budget, || (), body);
+                    let committed = out.as_ref().is_ok_and(|o| o.committed_parallel);
+                    let [shadowed, certified, _] = arrays;
+                    let states = [shadowed, certified].map(|a| a.into_live().expect("written"));
+                    (states.to_vec(), committed, out.is_ok())
                 }
             };
             // A panic or a hog that fired always aborts; a stall may
@@ -417,15 +411,19 @@ proptest! {
             });
             runs.push((
                 construct,
-                arr.snapshot(),
-                must_abort && out.committed_parallel,
+                states,
+                clean,
+                must_abort && committed,
                 next.committed_parallel && next.abort.is_none(),
             ));
         }
         std::panic::set_hook(hook);
 
-        for (construct, data, committed_a_fault, follow_up_committed) in runs {
-            prop_assert_eq!(&data, &truth, "{:?} diverged from the sequential truth", construct);
+        for (construct, states, clean, committed_a_fault, follow_up_committed) in runs {
+            prop_assert!(clean, "{:?}: the sequential loop met an error", construct);
+            for data in &states {
+                prop_assert_eq!(data, &truth, "{:?} diverged from the sequential truth", construct);
+            }
             prop_assert!(!committed_a_fault, "{:?} committed a faulted attempt", construct);
             prop_assert!(follow_up_committed, "{:?} left the pool unable to commit", construct);
         }
@@ -448,43 +446,6 @@ proptest! {
                 arr.write(i, i as i64 * 3 + 1, i);
                 Step::Continue
             })
-            .into()
-        }, || sequential_fill(&arr));
-        prop_assert!(out.recovered);
-        prop_assert_eq!(arr.snapshot(), expected(N));
-    }
-
-    /// Recovery equivalence, strip-mined DOALL.
-    #[test]
-    fn strip_recovery_equivalence(k in 0usize..N, strip in 1usize..96) {
-        let arr = VersionedArray::new(vec![-7i64; N]);
-        let plan = FaultPlan::panic_at(k);
-        let pool = Pool::new(4);
-        let out = run_with_recovery(&arr, &NoopRecorder, || {
-            strip_mined(&pool, N, strip, DoallOptions::default(), |i, vpn| {
-                let _ = plan.inject(i, vpn);
-                arr.write(i, i as i64 * 3 + 1, i);
-                Step::Continue
-            })
-            .into()
-        }, || sequential_fill(&arr));
-        prop_assert!(out.recovered);
-        prop_assert_eq!(arr.snapshot(), expected(N));
-    }
-
-    /// Recovery equivalence, windowed DOALL.
-    #[test]
-    fn window_recovery_equivalence(k in 0usize..N, window in 1usize..64) {
-        let arr = VersionedArray::new(vec![-7i64; N]);
-        let plan = FaultPlan::panic_at(k);
-        let pool = Pool::new(4);
-        let out = run_with_recovery(&arr, &NoopRecorder, || {
-            doall_windowed(&pool, N, window, &NoopRecorder, |i, vpn| {
-                let _ = plan.inject(i, vpn);
-                arr.write(i, i as i64 * 3 + 1, i);
-                Step::Continue
-            })
-            .0
             .into()
         }, || sequential_fill(&arr));
         prop_assert!(out.recovered);

@@ -10,8 +10,8 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Duration;
 use wlp::runtime::{
-    doall_dynamic, doall_with, strip_mined, CancelFlag, ChunkPolicy, Deadline, DoallOptions,
-    IssueOrder, Pool, Step,
+    doall_dynamic, doall_with, CancelFlag, ChunkPolicy, Deadline, DoallOptions, IssueOrder, Pool,
+    Step,
 };
 
 fn chunked(policy: ChunkPolicy) -> DoallOptions<'static> {
@@ -207,36 +207,6 @@ proptest! {
                 out.max_started <= end + span + 1,
                 "max_started {} exceeds quit {} + span {}",
                 out.max_started, end, span
-            );
-        }
-    }
-
-    /// Chunking inside strips preserves the strip-mining contract: the
-    /// quit's strip finishes, later strips never start.
-    #[test]
-    fn chunked_strips_respect_the_strip_bound(
-        n in 1usize..400,
-        strip in 1usize..64,
-        quit_at in prop::option::of(0usize..400),
-        k in 1usize..32,
-    ) {
-        let pool = Pool::new(3);
-        let quit = quit_at.filter(|&q| q < n);
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let out = strip_mined(&pool, n, strip, chunked(ChunkPolicy::Fixed(k)), |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            if Some(i) == quit { Step::Quit } else { Step::Continue }
-        });
-        prop_assert_eq!(out.outcome.quit, quit);
-        let end = quit.unwrap_or(n);
-        for (i, h) in hits.iter().enumerate().take(end) {
-            prop_assert_eq!(h.load(Ordering::Relaxed), 1, "iteration {} below the exit", i);
-        }
-        if let Some(q) = quit {
-            let strip_end = (q / strip + 1) * strip;
-            prop_assert!(
-                out.outcome.max_started <= strip_end,
-                "iterations must not start past the quit's strip"
             );
         }
     }

@@ -6,20 +6,17 @@
 //! * per processor, `busy + lock_wait + idle == makespan`;
 //! * `committed + undone == executed`.
 //!
-//! Checked here for Induction-1, General-3 and the three speculative
-//! constructs (DOALL, windowed, run-twice) on the threaded runtime
-//! (nanosecond traces) and on the deterministic simulator (cycle traces).
+//! Checked here for Induction-1, General-3 and speculation on the
+//! threaded runtime (nanosecond traces) and on the deterministic simulator
+//! (cycle traces).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlp::core::general::{general3_until, GeneralConfig};
 use wlp::core::induction::induction1;
-use wlp::core::speculate::{
-    run_twice_speculative, speculative_while_windowed, speculative_while_with, SpecAccess,
-    SpeculativeArray,
-};
+use wlp::core::speculate::{speculative_while_with, SpecAccess, SpeculativeArray};
 use wlp::list::ListArena;
 use wlp::obs::{BufferRecorder, ProfileReport, Trace};
-use wlp::runtime::{DoallOptions, Pool, Step};
+use wlp::runtime::{ChunkPolicy, DoallOptions, IssueOrder, Pool, Step};
 use wlp::sim::spec::TerminatorKind;
 use wlp::sim::{simulate, Engine, ExecConfig, LoopSpec, Overheads, Report, Schedule, Strategy};
 
@@ -116,27 +113,27 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
 
 #[test]
 fn threaded_speculative_constructs_report_every_budget_abort() {
-    // A write budget of 4 fails the same loop in each speculative
-    // construct; every attempt must show up in the report as exactly one
-    // commit or abort, whichever construct ran it.
+    // A write budget of 4 fails the same loop under each issue order
+    // (one at a time, the daemon's 32-iteration claims, guided chunks);
+    // every attempt must show up in the report as exactly one commit or
+    // abort, however its iterations were claimed.
     let pool = Pool::new(P);
     let rec = BufferRecorder::new(P);
     let n = 64usize;
-    let budgeted = || SpeculativeArray::new(vec![0i64; n]).with_budget(4);
-    let term = |i: usize| i == 40;
     let body = |i: usize, a: &mut SpecAccess<'_, i64>| a.write(i, i as i64 + 1);
-    let attempts = [
-        speculative_while_with(
-            &pool,
-            n,
-            &budgeted(),
-            DoallOptions::recorded(&rec),
-            |i, _| term(i),
-            body,
-        ),
-        speculative_while_windowed(&pool, n, 32, &budgeted(), &rec, |i, _| term(i), body).0,
-        run_twice_speculative(&pool, n, &budgeted(), &rec, term, body),
+    let policies = [
+        ChunkPolicy::One,
+        ChunkPolicy::Fixed(32),
+        ChunkPolicy::Guided { min: 1 },
     ];
+    let attempts = policies.map(|policy| {
+        let opts = DoallOptions {
+            order: IssueOrder::Dynamic(policy),
+            rec: &rec,
+        };
+        let arr = SpeculativeArray::new(vec![0i64; n]).with_budget(4);
+        speculative_while_with(&pool, n, &arr, opts, |i, _| i == 40, body)
+    });
     let rounds = attempts.len() as u64;
     let r = checked(&rec.finish());
     assert_eq!(r.spec_aborts + r.spec_commits, rounds);

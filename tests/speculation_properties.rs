@@ -4,12 +4,9 @@
 
 use proptest::prelude::*;
 use wlp::core::speculate::{
-    run_twice_speculative, speculative_while, speculative_while_group,
-    speculative_while_privatized, speculative_while_strips, speculative_while_windowed,
-    speculative_while_with, GroupAccess, GroupArray, PrivAccess, SpecAccess, SpecOutcome,
-    SpeculativeArray,
+    speculative_while, speculative_while_group, speculative_while_with, GroupAccess, GroupArray,
+    SpecAccess, SpecOutcome, SpeculativeArray,
 };
-use wlp::obs::NoopRecorder;
 use wlp::runtime::{ChunkPolicy, DoallOptions, IssueOrder, Pool, Step};
 
 /// A tiny interpreted loop body: each iteration performs up to 4 accesses
@@ -67,15 +64,6 @@ impl Cells for SpecAccess<'_, i64> {
     }
 }
 
-impl Cells for PrivAccess<'_, i64> {
-    fn get(&mut self, e: usize) -> i64 {
-        self.read(e)
-    }
-    fn put(&mut self, e: usize, v: i64) {
-        self.write(e, v)
-    }
-}
-
 impl Cells for GroupAccess<'_, i64> {
     fn get(&mut self, e: usize) -> i64 {
         self.read(0, e).expect("generated subscripts are in range")
@@ -107,27 +95,15 @@ fn run_body(prog: &[Vec<Op>], i: usize, a: &mut impl Cells) {
 enum Entry {
     Plain,
     With(ChunkPolicy),
-    Windowed(usize),
-    RunTwice,
-    Strips(usize),
-    Privatized,
     Group,
 }
 
-/// Every entry point: each chunk policy, windows of 1, 4 and wider than
-/// any generated loop, strips of 1 and 5.
-const ENTRIES: [Entry; 12] = [
+/// Every entry point, under each chunk policy.
+const ENTRIES: [Entry; 5] = [
     Entry::Plain,
     Entry::With(ChunkPolicy::One),
     Entry::With(ChunkPolicy::Fixed(32)),
     Entry::With(ChunkPolicy::Guided { min: 1 }),
-    Entry::Windowed(1),
-    Entry::Windowed(4),
-    Entry::Windowed(1 << 20),
-    Entry::RunTwice,
-    Entry::Strips(1),
-    Entry::Strips(5),
-    Entry::Privatized,
     Entry::Group,
 ];
 
@@ -139,9 +115,7 @@ struct Ran {
     committed: bool,
 }
 
-/// The same program through speculative entry point `entry`. The
-/// generator's exit is index-only, which is what lets the run-twice
-/// scheme evaluate it without the array.
+/// The same program through speculative entry point `entry`.
 fn run_speculative(
     entry: Entry,
     m: usize,
@@ -152,7 +126,7 @@ fn run_speculative(
     let pool = Pool::new(workers);
     let n = prog.len();
     let exit = |i: usize| exit_at == Some(i);
-    let mut arr = SpeculativeArray::new(vec![0i64; m]);
+    let arr = SpeculativeArray::new(vec![0i64; m]);
     let term = |i: usize, _: &mut SpecAccess<'_, i64>| exit(i);
     let body = |i: usize, a: &mut SpecAccess<'_, i64>| run_body(prog, i, a);
     let out: SpecOutcome = match entry {
@@ -163,25 +137,6 @@ fn run_speculative(
                 ..DoallOptions::default()
             };
             speculative_while_with(&pool, n, &arr, opts, term, body)
-        }
-        Entry::Windowed(w) => {
-            speculative_while_windowed(&pool, n, w, &arr, &NoopRecorder, term, body).0
-        }
-        Entry::RunTwice => run_twice_speculative(&pool, n, &arr, &NoopRecorder, exit, body),
-        Entry::Privatized => speculative_while_privatized(
-            &pool,
-            n,
-            &arr,
-            |i, _| exit(i),
-            |i, a| run_body(prog, i, a),
-        ),
-        Entry::Strips(strip) => {
-            let out = speculative_while_strips(&pool, n, strip, &mut arr, term, body);
-            return Ran {
-                state: arr.snapshot(),
-                last_valid: out.last_valid,
-                committed: out.strips_committed.iter().all(|&c| c),
-            };
         }
         Entry::Group => {
             let group = [GroupArray::Shadowed(arr)];

@@ -1,14 +1,12 @@
 //! Property: every parallelization strategy produces the sequential
 //! WHILE loop's results — same exit iteration, same surviving side
-//! effects — for arbitrary exit points, pool widths, and schedulers.
+//! effects — for arbitrary exit points, pool widths, and issue orders.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
-use wlp::core::constructs::{run_twice_while, while_doall};
 use wlp::core::induction::{induction1, induction2};
 use wlp::list::ListArena;
-use wlp::obs::NoopRecorder;
-use wlp::runtime::{doall_windowed, strip_mined, DoallOptions, IssueOrder, Pool, Step};
+use wlp::runtime::{DoallOptions, IssueOrder, Pool, Step};
 
 /// The sequential reference: which iterations run their bodies, and where
 /// the loop exits, for `while !(i ∈ exits) { body(i) }` over `0..n`.
@@ -73,44 +71,6 @@ proptest! {
             }
             (None, None) => {}
             other => prop_assert!(false, "static exit mismatch: {:?}", other),
-        }
-
-        // run-twice: no stamps, exact bodies
-        let hits = body_hits(n);
-        let o4 = run_twice_while(&pool, n, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
-        prop_assert_eq!(o4.last_valid, expect_exit, "run_twice exit");
-        for i in 0..n {
-            prop_assert_eq!(hits[i].load(Ordering::Relaxed), u32::from(expect_ran[i]), "run_twice {}", i);
-        }
-
-        // the construct alias
-        let o5 = while_doall(&pool, n, term, |_, _| {});
-        prop_assert_eq!(o5.last_valid, expect_exit);
-    }
-
-    #[test]
-    fn schedulers_honour_quit_and_coverage(
-        n in 1usize..300,
-        exit in 0usize..350,
-        workers in 1usize..5,
-        strip in 1usize..64,
-        window in 1usize..32,
-    ) {
-        let pool = Pool::new(workers);
-        let body = |i: usize, _vpn: usize| if i == exit { Step::Quit } else { Step::Continue };
-
-        let s = strip_mined(&pool, n, strip, DoallOptions::default(), body);
-        let w = doall_windowed(&pool, n, window, &NoopRecorder, body).0;
-        let expect = (exit < n).then_some(exit);
-        prop_assert_eq!(s.outcome.quit, expect, "strip-mined quit");
-        prop_assert_eq!(w.quit, expect, "windowed quit");
-        if exit < n {
-            // overshoot bounds: strip size / window size respectively
-            prop_assert!(s.outcome.max_started <= (exit / strip + 1) * strip);
-            prop_assert!(w.executed <= (exit + window + 1) as u64);
-        } else {
-            prop_assert_eq!(s.outcome.executed, n as u64);
-            prop_assert_eq!(w.executed, n as u64);
         }
     }
 
