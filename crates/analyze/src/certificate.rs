@@ -4,22 +4,13 @@
 //! A certificate summarizes what the analysis *proved* about one loop: how
 //! many writes an iteration can perform at most (the may-write bound),
 //! which of those writes are **certified-uncertain** (only they need
-//! shadow instrumentation), and the refined verdict. Two outputs come of
-//! it:
-//!
-//! * [`SafetyCertificate::write_budget`] bounds the undo log —
-//!   `SpeculativeArray::with_budget` gets the certified bound instead of
-//!   the naive every-write one, and
-//!   `wlp-serve` reserves it from the tenant's credits per request;
-//! * [`SafetyCertificate::cost_model`] feeds only the *uncertain* accesses
-//!   into the Section 7 overhead terms (certified accesses are not
-//!   shadowed, so they cost nothing extra). It is computed and not yet
-//!   consumed: the daemon decides from each program's measured run
-//!   history, and ROADMAP item 4 is where a prediction either joins that
-//!   decision or this goes.
+//! shadow instrumentation), and the refined verdict. Its output is
+//! [`SafetyCertificate::write_budget`], which bounds the undo log:
+//! `SpeculativeArray::with_budget` gets the certified bound instead of the
+//! naive every-write one, and `wlp-serve` reserves it from the tenant's
+//! credits per request.
 
 use crate::privatize::Privatization;
-use wlp_core::cost::CostModel;
 use wlp_core::taxonomy::{Parallelism, TerminatorClass};
 use wlp_ir::{ArrayId, LoopIr, Subscript, WRef};
 
@@ -113,20 +104,6 @@ impl SafetyCertificate {
         iters: u64,
     ) -> wlp_core::SpeculativeArray<T> {
         wlp_core::SpeculativeArray::new(init).with_budget(self.write_budget(iters).max(1))
-    }
-
-    /// The Section 7 cost model under this certificate: only uncertain
-    /// accesses pay the shadowing overhead terms, and the PD test is
-    /// applied only when uncertainty remains.
-    pub fn cost_model(&self, t_rem: f64, t_rec: f64, p: usize, iters: u64) -> CostModel {
-        CostModel {
-            t_rem,
-            t_rec,
-            p,
-            parallelism: self.parallelism,
-            accesses: (self.uncertain_writes_per_iter * iters) as f64,
-            uses_pd: self.needs_pd(),
-        }
     }
 }
 

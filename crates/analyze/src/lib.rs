@@ -12,10 +12,7 @@
 //!   may-write bound and verdict the runtime consumes: the undo budget
 //!   shrinks to the certified-uncertain writes
 //!   ([`SafetyCertificate::write_budget`], which the daemon reserves per
-//!   speculative request). The certificate also computes §7's cost
-//!   model charging only the uncertain accesses, which nothing consumes
-//!   yet: the daemon decides from measured run history (see
-//!   [`certificate`]).
+//!   speculative request).
 //!
 //! Every certificate is falsifiable: [`concrete`] replays the loop into
 //! access logs and [`wlp_pd::crosscheck()`] drives them through the dynamic

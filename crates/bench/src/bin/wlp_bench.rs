@@ -30,14 +30,15 @@
 //!   study, not a regression.
 //! * `dispatch` — many small regions back to back on the resident pool:
 //!   the dispatch-overhead exhibit, on a plain handle (`resident`), on
-//!   one armed `with_abort` as every TCP request's is (`abort`) and on
-//!   one armed `with_deadline` (`deadline`, a monitor thread a region).
-//!   `--gate` holds `abort` within 1.5× of `resident` at every `p` the
-//!   machine can seat; the rest is reported.
+//!   one armed `with_abort` (`abort`: each region's flag linked to an
+//!   abort switch) and on one armed `with_deadline` (`deadline`: each
+//!   region's flag given an expiry its pollers read the clock against).
+//!   `--gate` holds `abort` and `deadline` within 1.5× of `resident` at
+//!   every `p` the machine can seat: arming a region launches nothing.
 //! * `watchdog` — the same DOALL on a deadline-armed pool vs the plain
-//!   resident pool: the cost of the per-region watchdog monitor. The
-//!   deadline is generous (never trips), so the delta is pure
-//!   monitoring overhead; `--gate` bounds it at 5%.
+//!   resident pool: what polling an expiry costs a loop. The deadline is
+//!   generous (never trips), so the delta is pure polling overhead;
+//!   `--gate` bounds it at 5%.
 //! * `contention` — tiny bodies at full pool width, the pure claim-path
 //!   exhibit: one-at-a-time and chunked self-scheduling, and a
 //!   stamp-dense speculative loop whose cost is dominated by shadow
@@ -124,14 +125,16 @@ use wlp_workloads::{spice, track};
 /// size may be at most this much slower than its sequential baseline.
 const GATE_SLOWDOWN: f64 = 1.5;
 
-/// Watchdog bound for `--gate`: a deadline-armed pool may be at most
-/// this much slower than the ungoverned resident pool on the same work.
+/// Deadline-polling bound for `--gate`: a deadline-armed pool may be at
+/// most this much slower than the ungoverned resident pool on the same
+/// work.
 const WATCHDOG_GATE: f64 = 1.05;
 
-/// Abort bound for `--gate`: back-to-back small regions on an
-/// abort-armed handle may take at most this much longer than on a plain
-/// one — an abort is read by the region, so arming it launches nothing.
-const ABORT_GATE: f64 = 1.5;
+/// Armed-dispatch bound for `--gate`: back-to-back small regions on an
+/// abort- or deadline-armed handle may take at most this much longer than
+/// on a plain one — both are read by the region's own polling, so arming
+/// a region launches nothing.
+const ARMED_GATE: f64 = 1.5;
 
 /// Ingest bounds for `--gate`, ns per parsed byte: the corpus lines at
 /// `n = 16384` must stay under the first (3.8 before the tokenizer took
@@ -567,8 +570,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
     let (n, regions) = (sizes.dispatch_n, sizes.dispatch_regions);
     for &p in &pool_sizes() {
         // p = 1 runs inline and dispatches nothing: its rows show what a
-        // guard adds to an inline region (a deadline's monitor thread is
-        // spawned beside that one too).
+        // guard adds to an inline region.
         let resident = Pool::new(p);
         let abort = resident.with_abort(Arc::new(CancelFlag::new()));
         let deadline = resident.with_deadline(Deadline::from_millis(60_000));
@@ -578,7 +580,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             ("abort", &abort, Some(base.as_str())),
             ("deadline", &deadline, Some(base.as_str())),
         ] {
-            // the abort rows are gated separately: within ABORT_GATE of
+            // the armed rows are gated separately: within ARMED_GATE of
             // the baseline at every p the machine can seat
             h.run("dispatch", mode, "-", p, n, baseline, false, || {
                 for _ in 0..regions {
@@ -604,9 +606,10 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
                 black_box(flops(i));
             });
         });
-        // A deadline far beyond the region's runtime: the watchdog arms,
-        // waits and disarms every region without ever firing, so the
-        // delta against the plain pool is pure monitoring overhead.
+        // A deadline far beyond the region's runtime: every region's
+        // flag is armed and polled against the clock without ever
+        // expiring, so the delta against the plain pool is pure polling
+        // overhead.
         let armed = plain.with_deadline(Deadline::from_millis(60_000));
         h.run(
             "watchdog",
@@ -736,6 +739,8 @@ const INTERP_N: usize = 16_384;
 fn run_interp(h: &mut Harness) {
     let pools = [Pool::new(1), Pool::new(2)];
     let max_iters = 2 * INTERP_N + 4;
+    // a stdin request's stop: never raised, no link, no expiry
+    let never = CancelFlag::new();
     let mut digested: Vec<Vec<i64>> = Vec::new();
     for (name, src) in corpus() {
         let (_, _, plan) = compile_source(src).expect("corpus compiles");
@@ -747,7 +752,7 @@ fn run_interp(h: &mut Harness) {
         register_builtins(&mut machine);
         let bound = machine.bind(&plan);
         let iters = plan
-            .run_sequential(&mut bound.clone(), max_iters)
+            .run_sequential(&mut bound.clone(), max_iters, &never)
             .expect("corpus runs")
             .iterations;
         let units = [("iter", iters), ("op", iters * plan.ops_per_iter())];
@@ -755,7 +760,7 @@ fn run_interp(h: &mut Harness) {
         let mut frames = vec![bound.clone(); h.warmup + h.repeats];
         h.run("interp", "seq", name, 1, INTERP_N, None, false, || {
             let mut frame = frames.pop().expect("one frame per repeat");
-            black_box(plan.run_sequential(&mut frame, max_iters)).ok();
+            black_box(plan.run_sequential(&mut frame, max_iters, &never)).ok();
         });
         h.per_unit(&units);
         if matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }) {
@@ -772,7 +777,7 @@ fn run_interp(h: &mut Harness) {
                     false,
                     || {
                         let mut frame = frames.pop().expect("one frame per repeat");
-                        black_box(plan.run_speculative(&mut frame, pool, max_iters)).ok();
+                        black_box(plan.run_speculative(&mut frame, pool, max_iters, &never)).ok();
                     },
                 );
                 h.per_unit(&units);
@@ -1070,8 +1075,9 @@ struct GateReport {
 
 /// `--gate`: every gated exhibit at the largest pool size must be within
 /// [`GATE_SLOWDOWN`] of its baseline and the deadline-armed pool within
-/// [`WATCHDOG_GATE`] of the plain one; abort-armed dispatch must be
-/// within [`ABORT_GATE`] of plain dispatch at every pool size. A cell
+/// [`WATCHDOG_GATE`] of the plain one; abort- and deadline-armed
+/// dispatch must be within [`ARMED_GATE`] of plain dispatch at every pool
+/// size. A cell
 /// wider than the machine (`p > cpus`) is skipped — oversubscription
 /// contention is not a regression in the construct — and says so. The
 /// single-threaded [`INGEST_GATES`] are absolute and always checked.
@@ -1087,8 +1093,8 @@ fn gate(exhibits: &[Exhibit], cpus: usize) -> GateReport {
             ("slowdown", 1.0 / GATE_SLOWDOWN, true)
         } else if e.family == "watchdog" && e.mode == "deadline" {
             ("watchdog", 1.0 / WATCHDOG_GATE, true)
-        } else if e.family == "dispatch" && e.mode == "abort" {
-            ("abort", 1.0 / ABORT_GATE, false)
+        } else if e.family == "dispatch" && (e.mode == "abort" || e.mode == "deadline") {
+            ("armed-dispatch", 1.0 / ARMED_GATE, false)
         } else {
             continue;
         };

@@ -829,7 +829,7 @@ pub fn render_faults() -> String {
     }
 
     // The other two failure modes, end to end on `speculative_while_with`:
-    // a stalled lane reaped by the watchdog deadline and a write hog
+    // a stalled lane reaped by the region deadline and a write hog
     // reaped by the undo-log budget.
     out.push_str("\nmode/seed      wall_us  abort       correct  pool-reusable\n");
     for (mode, seed) in [

@@ -72,7 +72,7 @@ pub struct GeneralOutcome {
     pub hops: u64,
     /// First body panic contained during the run, if any.
     pub panic: Option<WorkerPanic>,
-    /// Watchdog verdict, if the region overran its deadline (see
+    /// Deadline verdict, if the region overran its deadline (see
     /// [`Pool::with_deadline`]): the run was cancelled, so `iterations`
     /// covers only a prefix of the list.
     pub timeout: Option<WorkerTimeout>,
@@ -426,7 +426,7 @@ where
 
 /// Fault-tolerant General-3 (the Section 5 exception rule applied to the
 /// list strategies): runs [`general3_until`]; on a contained worker panic
-/// or a watchdog expiry, emits [`Event::SpecAbort`] naming the cause
+/// or a deadline expiry, emits [`Event::SpecAbort`] naming the cause
 /// (after an [`Event::TimeoutAbort`] for an expiry) and re-executes the
 /// surviving loop *sequentially* on the caller's thread over a guarded
 /// cursor. List bodies write each node's private output slot, so

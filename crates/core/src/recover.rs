@@ -10,7 +10,7 @@
 //! "altered variables" live in a [`VersionedArray`] checkpoint, and the
 //! recovery is observable: a restore emits [`Event::UndoRestore`] and
 //! [`Event::SpecAbort`] carrying the *actual cause* — a contained panic
-//! ([`AbortReason::Exception`]), a watchdog deadline expiry
+//! ([`AbortReason::Exception`]), a region deadline expiry
 //! ([`AbortReason::Timeout`], additionally announced by
 //! [`Event::TimeoutAbort`]), or a caller-supplied reason such as an
 //! exhausted undo-log budget — so profile reports attribute fallbacks
@@ -29,7 +29,7 @@ use wlp_runtime::{DoacrossOutcome, DoallOutcome, WorkerPanic, WorkerTimeout};
 pub struct ParallelAttempt {
     /// First contained worker panic, if any.
     pub panic: Option<WorkerPanic>,
-    /// Watchdog verdict, if the attempt overran a region deadline.
+    /// Deadline verdict, if the attempt overran a region deadline.
     pub timeout: Option<WorkerTimeout>,
     /// Caller-attributed abort cause, when the layer above knows of one
     /// the runtime cannot see (a body that reported an error, or
@@ -66,7 +66,7 @@ impl From<DoacrossOutcome> for ParallelAttempt {
 }
 
 impl ParallelAttempt {
-    /// Why this attempt must be thrown away, if it must. A watchdog
+    /// Why this attempt must be thrown away, if it must. A deadline
     /// expiry, a contained panic and a caller-attributed cause all
     /// invalidate the attempt the same way, but are *attributed* in that
     /// precedence order (a timed-out region may also carry panics from its
@@ -82,7 +82,7 @@ impl ParallelAttempt {
         }
     }
 
-    /// [`failure_reason`](Self::failure_reason), announcing a watchdog
+    /// [`failure_reason`](Self::failure_reason), announcing a deadline
     /// expiry to `rec` as [`Event::TimeoutAbort`] on the overdue lane.
     pub(crate) fn classify<R: Recorder>(&self, rec: &R) -> Option<AbortReason> {
         if R::ENABLED {
@@ -141,12 +141,12 @@ pub struct RecoveryOutcome {
     /// the sequential fallback produced the final state.
     pub recovered: bool,
     /// *Why* the sequential fallback ran (`None` when it didn't): panic,
-    /// watchdog timeout, budget trip, or dependence — whatever the
+    /// deadline timeout, budget trip, or dependence — whatever the
     /// attempt reported.
     pub reason: Option<AbortReason>,
     /// The contained panic that triggered recovery, if any.
     pub panic: Option<WorkerPanic>,
-    /// The watchdog verdict that triggered recovery, if any.
+    /// The deadline verdict that triggered recovery, if any.
     pub timeout: Option<WorkerTimeout>,
     /// Elements restored from the checkpoint before re-execution.
     pub restored_elems: usize,
@@ -158,7 +158,7 @@ pub struct RecoveryOutcome {
 }
 
 /// Runs `parallel` against the checkpointed array; if the attempt is
-/// invalid — contained worker panic, watchdog deadline expiry, or an
+/// invalid — contained worker panic, region deadline expiry, or an
 /// explicit caller-attributed cause such as a budget trip — restores the
 /// checkpoint, emits the `UndoRestore` + `SpecAbort` event pair carrying
 /// the *actual* [`AbortReason`] (plus [`Event::TimeoutAbort`] for

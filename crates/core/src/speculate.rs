@@ -267,7 +267,7 @@ pub struct SpecOutcome {
     /// A body panicked during the parallel attempt.
     pub exception: bool,
     /// *Why* the parallel attempt was thrown away, when it was:
-    /// a cross-iteration dependence, a contained panic, a watchdog
+    /// a cross-iteration dependence, a contained panic, a region
     /// deadline expiry, or an exhausted undo-log budget. `None` when the
     /// parallel result was kept.
     pub abort: Option<AbortReason>,

@@ -13,11 +13,9 @@
 //! survive:
 //!
 //! * [`FaultKind::Panic`] — a contained exception (the Section 5 rule);
-//! * [`FaultKind::Stall`] — the lane wedges for a duration, exercising
-//!   watchdog deadlines ([`FaultPlan::inject_poll`] sleeps in short
-//!   slices and polls a caller-supplied cancellation predicate, so a
-//!   cancelled stall drains early — the crate stays leaf-only and does
-//!   not depend on the runtime's `CancelFlag` type);
+//! * [`FaultKind::Stall`] — the lane wedges for a duration without
+//!   polling anything, exercising region deadlines at their worst: a
+//!   lane that cannot be stopped, only reported late;
 //! * [`FaultKind::HogWrites`] — the body is asked to issue extra junk
 //!   writes, exercising undo-log budgets (the *workload* performs the
 //!   writes, since only it owns the array).
@@ -27,7 +25,7 @@
 //! reproducible.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wlp_list::{ListArena, NodeId};
 
 /// Prefix of every panic message this crate injects, so tests (and humans
@@ -47,8 +45,7 @@ pub enum FaultKind {
     /// Panic with [`PANIC_MESSAGE_PREFIX`] in the message — a contained
     /// exception.
     Panic,
-    /// Wedge the lane for the duration (cancellable via
-    /// [`FaultPlan::inject_poll`]) — a watchdog-deadline fault.
+    /// Wedge the lane for the whole duration — a region-deadline fault.
     Stall(Duration),
     /// Ask the body to issue this many extra junk writes — a budget
     /// fault.
@@ -226,23 +223,8 @@ impl FaultPlan {
     /// Injection point: call at the top of a loop body. Fires the first
     /// time the plan matches `(iter, vpn)`; a no-op (returning
     /// [`FaultAction::None`]) on every other call. A [`FaultKind::Stall`]
-    /// sleeps the full duration — use [`inject_poll`] inside cancellable
-    /// regions so a watchdog cancel drains the stall early.
-    ///
-    /// [`inject_poll`]: FaultPlan::inject_poll
+    /// sleeps the full duration.
     pub fn inject(&self, iter: usize, vpn: usize) -> FaultAction {
-        self.inject_poll(iter, vpn, &|| false)
-    }
-
-    /// Like [`inject`](FaultPlan::inject), but a [`FaultKind::Stall`]
-    /// sleeps in short slices and returns early once `cancelled` reports
-    /// `true` — the cooperative shape a watchdog-cancelled lane needs.
-    pub fn inject_poll(
-        &self,
-        iter: usize,
-        vpn: usize,
-        cancelled: &dyn Fn() -> bool,
-    ) -> FaultAction {
         if !self.matches(iter, vpn) {
             return FaultAction::None;
         }
@@ -257,15 +239,7 @@ impl FaultPlan {
                 panic!("{PANIC_MESSAGE_PREFIX} at iter {iter} on vpn {vpn}");
             }
             FaultKind::Stall(d) => {
-                const SLICE: Duration = Duration::from_millis(1);
-                let start = Instant::now();
-                loop {
-                    let elapsed = start.elapsed();
-                    if elapsed >= d || cancelled() {
-                        break;
-                    }
-                    std::thread::sleep(SLICE.min(d - elapsed));
-                }
+                std::thread::sleep(d);
                 FaultAction::None
             }
             FaultKind::HogWrites(n) => FaultAction::HogWrites(n),
@@ -370,6 +344,7 @@ pub fn corrupt_list_cycle<T>(list: &mut ListArena<T>, seed: u64) -> Option<(Node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn none_never_fires() {
@@ -429,22 +404,6 @@ mod tests {
         let t1 = Instant::now();
         let _ = plan.inject(3, 0);
         assert!(t1.elapsed() < Duration::from_millis(10));
-    }
-
-    #[test]
-    fn cancelled_stall_drains_early() {
-        let plan = FaultPlan::stall_at(0, Duration::from_secs(30));
-        let t0 = Instant::now();
-        // cancel after ~5ms of stalling
-        let deadline = t0 + Duration::from_millis(5);
-        assert_eq!(
-            plan.inject_poll(0, 0, &|| Instant::now() >= deadline),
-            FaultAction::None
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "a cancelled stall must not sleep its full duration"
-        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ use wlp_core::speculate::{
 };
 use wlp_core::taxonomy::DispatcherClass;
 use wlp_core::undo::VersionedArray;
-use wlp_runtime::{Pool, Step};
+use wlp_runtime::{CancelFlag, Pool, Step};
 
 /// How much speculation machinery one array needs (Sections 4 and 5 of
 /// the paper, applied per array instead of per loop).
@@ -463,6 +463,24 @@ impl ArrayView for GroupAccess<'_, i64> {
 
 fn err(msg: String) -> ExecError {
     ExecError { msg }
+}
+
+/// Iterations between two reads of a run's stop, in every loop the plan
+/// executes. A read is a clock read when the stop has an expiry, so
+/// checking once per this many iterations costs nothing measurable; a
+/// run stops within this many iterations of its stop tripping.
+const STOP_EVERY: usize = 1024;
+
+/// Whether iteration `i` is one that reads `stop`, and it reads tripped.
+#[inline]
+fn stopped(stop: &CancelFlag, i: usize) -> bool {
+    i.is_multiple_of(STOP_EVERY) && stop.is_cancelled_now()
+}
+
+/// The error a tripped stop ends a run with. Never a loop exit: that
+/// would report a truncated loop as the sequential result.
+fn stop_error() -> ExecError {
+    err("the run was stopped: its deadline passed or its client left".into())
 }
 
 /// Interns `name`, returning its slot.
@@ -1200,29 +1218,37 @@ impl ExecPlan {
     }
 
     /// Executes the plan one iteration after another. `max_iters` bounds
-    /// runaway loops. On an error the frame holds what had been written
-    /// when it struck.
+    /// runaway loops; `stop` is read every 1024 iterations, and a tripped
+    /// one ends the run with an error. On an error the frame holds what
+    /// had been written when it struck.
     pub fn run_sequential(
         &self,
         frame: &mut Frame,
         max_iters: usize,
+        stop: &CancelFlag,
     ) -> Result<ExecOutcome, ExecError> {
         self.with_env(frame, |env, s, arrays| {
             let mut view = Direct::new(arrays);
-            for i in 0..max_iters {
-                // the body is straight-line code after its exits: once one
-                // iteration ran whole, every register it writes is bound
-                let step = if i == 0 {
-                    self.run::<_, true>(&self.body, env, s, &mut view)?
-                } else {
-                    self.run::<_, false>(&self.body, env, s, &mut view)?
-                };
-                if step == Step::Quit {
-                    return Ok(ExecOutcome {
-                        iterations: i,
-                        exited_at: Some(i),
-                        ran_parallel: false,
-                    });
+            for from in (0..max_iters).step_by(STOP_EVERY) {
+                if stop.is_cancelled_now() {
+                    return Err(stop_error());
+                }
+                for i in from..max_iters.min(from.saturating_add(STOP_EVERY)) {
+                    // the body is straight-line code after its exits: once
+                    // one iteration ran whole, every register it writes is
+                    // bound
+                    let step = if i == 0 {
+                        self.run::<_, true>(&self.body, env, s, &mut view)?
+                    } else {
+                        self.run::<_, false>(&self.body, env, s, &mut view)?
+                    };
+                    if step == Step::Quit {
+                        return Ok(ExecOutcome {
+                            iterations: i,
+                            exited_at: Some(i),
+                            ran_parallel: false,
+                        });
+                    }
                 }
             }
             Ok(ExecOutcome {
@@ -1239,14 +1265,20 @@ impl ExecPlan {
     /// array in its [`AccessMode`], falling back to sequential
     /// re-execution when the attempt does not validate. Either way the
     /// frame ends as the sequential loop leaves it, errors included.
+    ///
+    /// `stop` is read every 1024 iterations by whoever runs them: a
+    /// speculative worker that finds it tripped voids the attempt like an
+    /// error would, and the sequential re-execution then ends the run
+    /// with that error at its first iteration.
     pub fn run_speculative(
         &self,
         frame: &mut Frame,
         pool: &Pool,
         max_iters: usize,
+        stop: &CancelFlag,
     ) -> Result<ExecOutcome, ExecError> {
         let Schedule::SpeculativeDoall { ivar, stride, init } = self.schedule else {
-            return self.run_sequential(frame, max_iters);
+            return self.run_sequential(frame, max_iters, stop);
         };
         let at = |i: usize| init.wrapping_add(stride.wrapping_mul(i as i64));
         self.with_env(frame, |env, s, arrays| {
@@ -1280,6 +1312,9 @@ impl ExecPlan {
                 // the body assigns no scalar but `ivar`, which the
                 // declarations bound: a worker never changes a flag
                 |i, worker: &mut Scratch, access| {
+                    if stopped(stop, i) {
+                        return Err(stop_error());
+                    }
                     worker.regs[ivar] = at(i);
                     self.run::<_, false>(&self.body, env, worker, access)
                 },
@@ -1377,12 +1412,16 @@ mod tests {
 
         let mut frame = plan.frame();
         frame.bind_array(0, vec![0; 4]);
-        let e = plan.run_sequential(&mut frame, 10).unwrap_err();
+        let e = plan
+            .run_sequential(&mut frame, 10, &CancelFlag::new())
+            .unwrap_err();
         assert_eq!(e.msg, "unbound scalar `n`");
         assert_eq!(frame.scalar(slot("i")), Some(0), "declarations ran");
 
         frame.bind_scalar(slot("n"), 3);
-        let out = plan.run_sequential(&mut frame, 10).unwrap();
+        let out = plan
+            .run_sequential(&mut frame, 10, &CancelFlag::new())
+            .unwrap();
         assert_eq!((out.iterations, out.exited_at), (3, Some(3)));
         assert_eq!(frame.take_array(0), Some(vec![0, 1, 2, 0]));
         assert_eq!(frame.scalar(slot("t")), Some(2));

@@ -15,7 +15,7 @@ use crate::frontend::Program;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wlp_core::taxonomy::DispatcherClass;
-use wlp_runtime::Pool;
+use wlp_runtime::{CancelFlag, Pool};
 
 /// A callable the loop may invoke (uninterpreted functions like `f(…)`).
 pub type HostFn = Arc<dyn Fn(&[i64]) -> i64 + Send + Sync>;
@@ -143,7 +143,7 @@ pub fn run_sequential(
     // no schedule is consulted on this path, so any dispatcher class does
     let plan = ExecPlan::lower(p, &PlanHints::uncertified(DispatcherClass::General));
     on_machine(&plan, machine, |frame| {
-        plan.run_sequential(frame, max_iters)
+        plan.run_sequential(frame, max_iters, &CancelFlag::new())
     })
 }
 
@@ -163,7 +163,7 @@ pub fn run_parallel(
     });
     let plan = ExecPlan::lower(p, &PlanHints::uncertified(dispatcher));
     on_machine(&plan, machine, |frame| {
-        plan.run_speculative(frame, pool, max_iters)
+        plan.run_speculative(frame, pool, max_iters, &CancelFlag::new())
     })
 }
 

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wlp_analyze::compile_source;
 use wlp_ir::exec::Schedule;
 use wlp_ir::interp::Machine;
-use wlp_runtime::Pool;
+use wlp_runtime::{CancelFlag, Pool};
 use wlp_workloads::sources::{corpus, machine_inputs};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -79,7 +79,9 @@ fn allocation_count_of_one_execution_is_independent_of_n() {
                     .map(|_| {
                         let mut frame = machine().bind(&plan);
                         allocations_during(|| {
-                            let out = plan.run_sequential(&mut frame, 2 * n + 4).expect(name);
+                            let out = plan
+                                .run_sequential(&mut frame, 2 * n + 4, &CancelFlag::new())
+                                .expect(name);
                             assert!(out.iterations + 1 >= n, "{name} ran {out:?}");
                         })
                     })
@@ -90,7 +92,7 @@ fn allocation_count_of_one_execution_is_independent_of_n() {
                         let mut frame = machine().bind(&plan);
                         allocations_during(|| {
                             let out = plan
-                                .run_speculative(&mut frame, &pool, 2 * n + 4)
+                                .run_speculative(&mut frame, &pool, 2 * n + 4, &CancelFlag::new())
                                 .expect(name);
                             assert_eq!(
                                 out.ran_parallel,

@@ -10,6 +10,7 @@ use wlp_ir::exec::ExecPlan;
 use wlp_ir::frontend::{lower_with_symbols, parse_program, Program};
 use wlp_ir::interp::Machine;
 use wlp_ir::{parse_loop, plan};
+use wlp_runtime::CancelFlag;
 
 /// Literals whose folded coefficient leaves `i64`: `linear_form` must call
 /// the expression "not linear" — it used to overflow (a panic in a debug
@@ -39,7 +40,7 @@ fn literals_that_overflow_a_linear_fold_go_the_conservative_way() {
         let expected = reference_run(&prog, &mut want, 6);
         let mut got = start();
         let mut frame = got.bind(&plan);
-        let result = plan.run_sequential(&mut frame, 6);
+        let result = plan.run_sequential(&mut frame, 6, &CancelFlag::new());
         got.absorb(&plan, frame);
         assert_eq!(result, expected, "{src}");
         assert_eq!(got.arrays, want.arrays, "{src}");

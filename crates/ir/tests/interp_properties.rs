@@ -26,7 +26,7 @@ use wlp_analyze::{analyze, plan_hints};
 use wlp_ir::exec::{AccessMode, ExecPlan, PlanHints, Schedule};
 use wlp_ir::frontend::{lower_with_symbols, parse_program, Program};
 use wlp_ir::interp::{ExecError, ExecOutcome, Machine};
-use wlp_runtime::Pool;
+use wlp_runtime::{CancelFlag, Pool};
 use wlp_workloads::sources::machine_inputs;
 
 /// The hint sets a plan is lowered under. All are sound for any program:
@@ -98,7 +98,7 @@ fn assert_all_executions_match(
 
         let mut m = start.clone();
         let mut frame = m.bind(&plan);
-        let result = plan.run_sequential(&mut frame, max_iters);
+        let result = plan.run_sequential(&mut frame, max_iters, &CancelFlag::new());
         m.absorb(&plan, frame);
         assert_eq!(
             final_of(result, m),
@@ -109,7 +109,7 @@ fn assert_all_executions_match(
         for pool in pools {
             let mut m = start.clone();
             let mut frame = m.bind(&plan);
-            let result = plan.run_speculative(&mut frame, pool, max_iters);
+            let result = plan.run_speculative(&mut frame, pool, max_iters, &CancelFlag::new());
             committed |= result.as_ref().is_ok_and(|o| o.ran_parallel);
             m.absorb(&plan, frame);
             assert_eq!(

@@ -22,7 +22,7 @@ pub enum AbortReason {
     Dependence,
     /// An iteration body signalled an exception under speculation.
     Exception,
-    /// A watchdog deadline expired before the region finished.
+    /// A region deadline expired before the region finished.
     Timeout,
     /// The speculation's undo-log budget was exhausted.
     Budget,
@@ -136,13 +136,12 @@ pub enum Event {
         /// Executed iterations whose effects were discarded.
         discarded: u64,
     },
-    /// A watchdog deadline expired: the region was cancelled because the
-    /// lane on `vpn` had not finished after `elapsed` time units.
+    /// A region deadline expired: the lane on `vpn` was the last to
+    /// finish, past the expiry, and the region ran `elapsed` time units.
     TimeoutAbort {
         /// Virtual processor of the overdue lane.
         vpn: u64,
-        /// Time the lane had been running when the watchdog fired, in
-        /// the trace's unit.
+        /// How long the region ran, in the trace's unit.
         elapsed: u64,
     },
     /// A QUIT was broadcast: iteration `iter` requested termination.

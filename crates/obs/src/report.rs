@@ -67,11 +67,11 @@ pub struct ProfileReport {
     /// Aborts caused by an exception / contained worker fault (the paper's
     /// Section 5 rule: restore the checkpoint, re-execute sequentially).
     pub aborts_exception: u64,
-    /// Aborts caused by a watchdog deadline expiry.
+    /// Aborts caused by a region deadline expiry.
     pub aborts_timeout: u64,
     /// Aborts caused by an exhausted speculation (undo-log) budget.
     pub aborts_budget: u64,
-    /// Watchdog expiries observed (`TimeoutAbort` events). Every expiry
+    /// Deadline expiries observed (`TimeoutAbort` events). Every expiry
     /// that interrupts a speculation also produces one
     /// `SpecAbort{Timeout}`, so usually `timeouts == aborts_timeout`; a
     /// bare deadline-armed DOALL can time out without a speculative abort.
@@ -232,7 +232,7 @@ impl ProfileReport {
     /// * per processor, `busy + lock_wait + idle == makespan`;
     /// * `committed + undone == executed`;
     /// * the per-reason abort counters partition `spec_aborts`;
-    /// * every timeout-driven speculative abort has its watchdog expiry
+    /// * every timeout-driven speculative abort has its deadline expiry
     ///   (`aborts_timeout ≤ timeouts`).
     ///
     /// Returns a description of the first violated law.

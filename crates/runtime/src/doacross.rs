@@ -38,7 +38,7 @@ pub struct DoacrossOutcome {
     /// callers holding a checkpoint should restore it and re-execute
     /// sequentially.
     pub panic: Option<WorkerPanic>,
-    /// Watchdog verdict, if the region overran its deadline (see
+    /// Deadline verdict, if the region overran its deadline (see
     /// [`Pool::with_deadline`](crate::pool::Pool::with_deadline)); like a
     /// panic, it invalidates the executed prefix.
     pub timeout: Option<WorkerTimeout>,

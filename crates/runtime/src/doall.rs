@@ -20,13 +20,12 @@
 //! grants a run of consecutive iterations (fixed-size or guided/shrinking
 //! chunks), amortizing the claim overhead the cost model charges per
 //! dispatch. [`IssueOrder::Cyclic`] issues iteration `i` on worker
-//! `i mod p` (the paper's General-2-style static assignment), and
-//! [`IssueOrder::Blocked`] issues one contiguous block per worker. Every
+//! `i mod p` (the paper's General-2-style static assignment). Every
 //! issued iteration tests the QUIT bound before its body, so termination
 //! semantics are the same under every order — only the *span* of
 //! concurrently executing iterations (and thus `max_started`, the work an
 //! RV terminator leaves to undo) grows, from one-at-a-time dynamic issue
-//! over larger chunks to the static orders.
+//! over larger chunks to the static order.
 //!
 //! Fault containment: a panicking body is caught at its worker's boundary,
 //! raises the shared [`CancelFlag`] (the fault-path analogue of `QUIT` —
@@ -70,7 +69,7 @@ pub struct DoallOutcome {
     /// should restore it and re-execute sequentially (the paper's
     /// Section 5 exception rule).
     pub panic: Option<WorkerPanic>,
-    /// Watchdog verdict, if the region overran its [`Deadline`]
+    /// Deadline verdict, if the region overran its [`Deadline`]
     /// (see [`Pool::with_deadline`]). Like a panic, a timeout means the
     /// executed prefix is not trustworthy — the overdue lane was cancelled
     /// mid-iteration — so checkpoint holders should restore and fall back
@@ -81,7 +80,7 @@ pub struct DoallOutcome {
     pub timeout: Option<WorkerTimeout>,
 }
 
-/// Splits a drained pool outcome into the watchdog verdict and the first
+/// Splits a drained pool outcome into the deadline verdict and the first
 /// contained panic. The pool-level [`WorkerTimeout`] cannot know loop
 /// counters, so the overdue lane's last *started* iteration — tracked in
 /// `cursor` by the drivers below — is patched in here.
@@ -185,9 +184,6 @@ pub enum IssueOrder {
     /// counter; because issue order is not global, the span of started
     /// iterations can exceed the dynamic scheduler's.
     Cyclic,
-    /// Static blocked: worker `vpn` executes the contiguous block
-    /// [`Pool::block`] assigns it.
-    Blocked,
 }
 
 impl Default for IssueOrder {
@@ -251,7 +247,7 @@ where
 /// Alliant contract — every iteration at or below the smallest quitting
 /// one runs exactly once, and none above it begins once the quit is
 /// visible — holds for every order and chunk policy; what grows with the
-/// chunk size (and under the static orders) is the *span*, and with it
+/// chunk size (and under the static order) is the *span*, and with it
 /// `max_started` and the RV-terminator overshoot to undo.
 ///
 /// `init(vpn)` runs once on each worker before its first iteration, and
@@ -279,9 +275,10 @@ where
     // claim counter is RMW-hot from all workers, the quit bound is
     // polled per iteration, the executed/max_started accumulators are
     // flushed once per worker, and each lane's cursor is written per
-    // iteration but read only by the watchdog — none of them may share a
-    // line with another, or the fetch_add traffic invalidates the poll
-    // lines (measured as the `Td` dispatch term of the cost model).
+    // iteration but read only when the region times out — none of them
+    // may share a line with another, or the fetch_add traffic
+    // invalidates the poll lines (measured as the `Td` dispatch term of
+    // the cost model).
     let claim = CachePadded::new(AtomicUsize::new(0));
     let quit = QuitCell::new();
     let max_started = CachePadded::new(AtomicUsize::new(0));
@@ -303,13 +300,9 @@ where
         // before the call.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut state = init(vpn);
-            // The static orders' private cursor: the next run this worker
-            // issues itself (`upper` once a blocked worker is done).
-            let (mut next, block_hi) = match order {
-                IssueOrder::Dynamic(_) => (0, 0),
-                IssueOrder::Cyclic => (vpn, 0),
-                IssueOrder::Blocked => pool.block(vpn, upper),
-            };
+            // The static order's private cursor: the next iteration this
+            // worker issues itself.
+            let mut next = vpn;
             'claiming: loop {
                 if cancel.is_cancelled() {
                     break;
@@ -328,11 +321,6 @@ where
                         let lo = next;
                         next = lo.saturating_add(p);
                         (lo, lo.saturating_add(1).min(upper))
-                    }
-                    IssueOrder::Blocked => {
-                        let lo = next;
-                        next = upper;
-                        (lo, block_hi)
                     }
                 };
                 if lo >= upper || lo > quit.bound() {
@@ -421,13 +409,7 @@ mod tests {
     ];
 
     /// Every way the one driver enumerates iterations.
-    const ORDERS: [IssueOrder; 5] = [
-        CHUNKED[0],
-        CHUNKED[1],
-        CHUNKED[2],
-        IssueOrder::Cyclic,
-        IssueOrder::Blocked,
-    ];
+    const ORDERS: [IssueOrder; 4] = [CHUNKED[0], CHUNKED[1], CHUNKED[2], IssueOrder::Cyclic];
 
     fn run(
         pool: &Pool,
@@ -481,11 +463,6 @@ mod tests {
     #[test]
     fn cyclic_covers_all_iterations_exactly_once() {
         mark_all(IssueOrder::Cyclic);
-    }
-
-    #[test]
-    fn blocked_covers_all_iterations_exactly_once() {
-        mark_all(IssueOrder::Blocked);
     }
 
     #[test]
@@ -559,18 +536,6 @@ mod tests {
         for i in 0..30 {
             assert_eq!(owner[i].load(Ordering::Relaxed), i % 3);
         }
-    }
-
-    #[test]
-    fn blocked_assignment_is_contiguous() {
-        let pool = Pool::new(4);
-        let owner: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        run(&pool, 40, IssueOrder::Blocked, |i, vpn| {
-            owner[i].store(vpn, Ordering::Relaxed);
-            Step::Continue
-        });
-        let owners: Vec<usize> = owner.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{owners:?}");
     }
 
     #[test]
@@ -671,11 +636,6 @@ mod tests {
     #[test]
     fn cyclic_contains_body_panic() {
         assert_panic_contained(IssueOrder::Cyclic);
-    }
-
-    #[test]
-    fn blocked_contains_body_panic() {
-        assert_panic_contained(IssueOrder::Blocked);
     }
 
     #[test]

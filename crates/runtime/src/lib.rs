@@ -12,7 +12,7 @@
 //! * [`Pool`] — a fixed-width worker group exposing vpn to each worker.
 //! * [`doall`] — the DOALL loop with a software `QUIT` protocol: one driver
 //!   issuing iterations dynamically (ordered issue, one at a time or in
-//!   chunks), static-cyclic or static-blocked.
+//!   chunks) or static-cyclic.
 //! * [`scan`] — the parallel prefix of the Section 3.2 method for
 //!   associative dispatchers.
 //! * [`reduce`] — parallel folds/reductions (used by the post-execution
@@ -32,8 +32,10 @@
 //! instead of aborting the process — the strategies above restore their
 //! checkpoint and re-execute sequentially.
 //!
-//! Deadlines: [`pool::Deadline`] arms a per-region watchdog (timeouts
-//! surface as [`pool::WorkerTimeout`] instead of hangs).
+//! Deadlines: [`pool::Deadline`] arms each region's [`CancelFlag`] with an
+//! expiry that the region's own polling reads — no thread keeps the time
+//! — and a lane finishing past it surfaces as [`pool::WorkerTimeout`]
+//! instead of a hang.
 
 pub mod chunk;
 pub mod deque;

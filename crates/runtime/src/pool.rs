@@ -43,7 +43,7 @@
 
 use crate::deque::{Steal, StealDeque};
 use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -57,31 +57,67 @@ use wlp_obs::CachePadded;
 /// condvar.
 const SPIN_LIMIT: u32 = 128;
 
-/// A shared cooperative-cancellation flag — the fault-path analogue of the
-/// software `QUIT` protocol. Raised by the first panicking worker (or by
-/// any caller that wants to stop a run early); polled by the scheduling
-/// loops of every construct (DOALL, DOACROSS) at
-/// iteration boundaries.
+/// Polls of an armed flag per clock read, on each thread. A clock read
+/// costs as much as one to three plan iterations; a construct that polls
+/// once per iteration pays it once per this many, well under a
+/// nanosecond an iteration, and sees an expiry within this many
+/// iterations.
+const CLOCK_EVERY: u32 = 256;
+
+thread_local! {
+    /// Polls of armed flags left on this thread before the next clock
+    /// read. Shared by every armed flag the thread polls: it sets a
+    /// cadence, not a per-flag count.
+    static POLLS_UNTIL_CLOCK: Cell<u32> = const { Cell::new(0) };
+}
+
+/// A shared cooperative-cancellation flag — the software `QUIT` word of
+/// the Alliant (Section 3.1). Raised by the first panicking worker, by
+/// any caller that wants to stop a run early, or by the clock; polled by
+/// the scheduling loops of every construct (DOALL, DOACROSS) at
+/// iteration boundaries, and by the plan executor's loops.
 ///
-/// A flag launched on a handle built [`Pool::with_abort`] is *linked* to
-/// that handle's abort switch: [`CancelFlag::is_cancelled`] then reads
-/// the switch's word as well as its own, so raising the switch stops the
-/// region with nothing in between to carry it over.
+/// A flag may be *armed* once ([`CancelFlag::armed`], or the first region
+/// launched with it on a handle built [`Pool::with_abort`] or
+/// [`Pool::with_deadline`]):
+///
+/// * a *link* to an abort switch: [`CancelFlag::is_cancelled`] then reads
+///   the switch's word as well as its own, so raising the switch stops
+///   the run with nothing in between to carry it over. Links do not
+///   chain: only the switch's own word is read.
+/// * an *expiry*: the flag raises itself once the expiry has passed. No
+///   thread watches the time; the pollers read the clock themselves,
+///   every 256th poll of an armed flag on each thread.
+///
+/// An unarmed flag polls one word and never reads the clock.
 #[derive(Debug, Default)]
 pub struct CancelFlag {
     raised: AtomicBool,
-    /// The abort switch this flag follows, set by the first region
-    /// launched with it on an abort-armed handle. Links do not chain.
-    link: OnceLock<Arc<CancelFlag>>,
+    arm: OnceLock<Arm>,
+}
+
+/// What an armed [`CancelFlag`] follows besides its own word.
+#[derive(Debug)]
+struct Arm {
+    link: Option<Arc<CancelFlag>>,
+    expiry: Option<Instant>,
 }
 
 impl CancelFlag {
-    /// A fresh, un-raised, unlinked flag.
+    /// A fresh, un-raised, unarmed flag.
     pub const fn new() -> Self {
         CancelFlag {
             raised: AtomicBool::new(false),
-            link: OnceLock::new(),
+            arm: OnceLock::new(),
         }
+    }
+
+    /// A flag that follows the abort switch `link` and raises itself at
+    /// `expiry`; with neither it is [`CancelFlag::new`].
+    pub fn armed(link: Option<&Arc<CancelFlag>>, expiry: Option<Instant>) -> Self {
+        let flag = CancelFlag::new();
+        flag.arm(link, expiry);
+        flag
     }
 
     /// Raises the flag. Idempotent.
@@ -90,36 +126,95 @@ impl CancelFlag {
         self.raised.store(true, Ordering::Release);
     }
 
-    /// Whether the flag — or the abort switch it is linked to — has been
-    /// raised.
+    /// Whether the flag has been raised, its link has, or its expiry has
+    /// passed. The poll of a loop: an armed flag reads the clock only
+    /// every 256th call on a thread, so an expiry is seen within that
+    /// many polls. A check made once, not in a loop, wants
+    /// [`CancelFlag::is_cancelled_now`].
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        // Relaxed on the linked word: an abort publishes no data the
-        // region goes on to read, it only has to be seen eventually
-        // (DESIGN.md section 5h).
-        self.raised.load(Ordering::Acquire)
-            || self
-                .link
-                .get()
-                .is_some_and(|abort| abort.raised.load(Ordering::Relaxed))
+        self.raised.load(Ordering::Acquire) || self.arm.get().is_some_and(|arm| self.poll(arm))
     }
 
-    /// Links this flag to `abort` for the rest of its life.
-    fn follow(&self, abort: &Arc<CancelFlag>) {
-        let linked = self.link.get_or_init(|| Arc::clone(abort));
-        assert!(
-            Arc::ptr_eq(linked, abort),
-            "a cancel flag follows one abort switch"
-        );
+    /// [`CancelFlag::is_cancelled`] with the clock read on every call.
+    pub fn is_cancelled_now(&self) -> bool {
+        self.raised.load(Ordering::Acquire)
+            || self
+                .arm
+                .get()
+                .is_some_and(|arm| arm.linked() || self.expired(arm))
+    }
+
+    /// When an armed flag raises itself, if it has an expiry.
+    pub(crate) fn expiry(&self) -> Option<Instant> {
+        self.arm.get().and_then(|arm| arm.expiry)
+    }
+
+    /// Arms the flag, once: a later arm keeps the first expiry and must
+    /// name the same abort switch, if it names one.
+    fn arm(&self, link: Option<&Arc<CancelFlag>>, expiry: Option<Instant>) {
+        if link.is_none() && expiry.is_none() {
+            return;
+        }
+        let arm = self.arm.get_or_init(|| Arm {
+            link: link.cloned(),
+            expiry,
+        });
+        if let Some(abort) = link {
+            assert!(
+                arm.link.as_ref().is_some_and(|l| Arc::ptr_eq(l, abort)),
+                "a cancel flag follows one abort switch"
+            );
+        }
+    }
+
+    /// The armed half of a poll: the link's word, then the clock when this
+    /// thread's countdown runs out.
+    #[inline]
+    fn poll(&self, arm: &Arm) -> bool {
+        arm.linked()
+            || arm.expiry.is_some()
+                && POLLS_UNTIL_CLOCK.with(|left| match left.get() {
+                    0 => {
+                        left.set(CLOCK_EVERY - 1);
+                        self.expired(arm)
+                    }
+                    n => {
+                        left.set(n - 1);
+                        false
+                    }
+                })
+    }
+
+    /// Reads the clock against the expiry, latching a passed one into the
+    /// flag's own word.
+    #[cold]
+    fn expired(&self, arm: &Arm) -> bool {
+        let passed = arm.expiry.is_some_and(|e| Instant::now() >= e);
+        if passed {
+            self.cancel();
+        }
+        passed
     }
 }
 
-/// A wall-clock budget for one pool region, enforced by a watchdog (see
-/// [`Pool::with_deadline`]). When a region is still running after the
-/// deadline, the watchdog raises the region's [`CancelFlag`] — the
-/// software-QUIT analogue — and the region ends with
-/// [`PoolOutcome::TimedOut`] naming the slowest lane instead of hanging
-/// the caller forever.
+impl Arm {
+    /// Whether the abort switch is raised. Relaxed: an abort publishes no
+    /// data the run goes on to read, it only has to be seen eventually
+    /// (DESIGN.md section 5h).
+    #[inline]
+    fn linked(&self) -> bool {
+        self.link
+            .as_ref()
+            .is_some_and(|abort| abort.raised.load(Ordering::Relaxed))
+    }
+}
+
+/// A wall-clock budget for one pool region (see [`Pool::with_deadline`]).
+/// Each region's [`CancelFlag`] is armed to expire `d` after launch: its
+/// pollers raise it — the software-QUIT analogue — and a region with a
+/// lane still running past the expiry ends with [`PoolOutcome::TimedOut`]
+/// naming the last lane to finish instead of hanging the caller forever.
 ///
 /// Cancellation is cooperative: a lane that never polls the cancel flag
 /// (a truly wedged body) cannot be reaped, only reported. Every
@@ -144,18 +239,17 @@ impl Deadline {
     }
 }
 
-/// A watchdog-observed deadline expiry: which lane was still running,
-/// (optionally) which iteration it was on, and for how long the region
-/// had been running when the watchdog fired.
+/// A region deadline expiry: which lane finished last past the expiry,
+/// (optionally) which iteration it was on, and how long the region ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerTimeout {
-    /// Virtual processor number of the overdue lane (the lowest-numbered
-    /// lane that had not finished when the deadline expired).
+    /// Virtual processor number of the overdue lane (the last lane to
+    /// finish, when it finished after the expiry).
     pub vpn: usize,
     /// Iteration the lane was executing, when the containing construct
     /// knows it (`None` for timeouts observed at the pool boundary).
     pub iter: Option<usize>,
-    /// How long the region had been running when the watchdog fired.
+    /// How long the region ran, from launch until its last lane finished.
     pub elapsed: Duration,
 }
 
@@ -224,10 +318,10 @@ pub enum PoolOutcome {
     /// At least one worker panicked; payloads in vpn order.
     Panicked(Vec<WorkerPanic>),
     /// The region's [`Deadline`] expired before every lane finished. The
-    /// watchdog raised the cancel flag and the region drained; panics
+    /// pollers raised the cancel flag and the region drained; panics
     /// contained on the way out ride along in vpn order.
     TimedOut {
-        /// The overdue lane the watchdog observed.
+        /// The last lane to finish past the expiry.
         timeout: WorkerTimeout,
         /// Panics contained while the region drained (usually empty).
         panics: Vec<WorkerPanic>,
@@ -251,7 +345,7 @@ impl PoolOutcome {
         }
     }
 
-    /// The watchdog expiry, when the region timed out.
+    /// The deadline expiry, when the region timed out.
     pub fn timeout(&self) -> Option<&WorkerTimeout> {
         match self {
             PoolOutcome::TimedOut { timeout, .. } => Some(timeout),
@@ -561,11 +655,13 @@ impl Pool {
     }
 
     /// A handle to the same pool (same resident workers) whose regions
-    /// are guarded by a watchdog: any region still running after `d`
-    /// gets its cancel flag raised and ends with
+    /// each have `d` to run: a region's cancel flag is armed at launch to
+    /// expire `d` later, the region's own polling stops it, and a region
+    /// with a lane finishing past the expiry ends with
     /// [`PoolOutcome::TimedOut`]. Because every construct in this crate
     /// takes the pool by reference, this threads deadlines through
-    /// DOALL/DOACROSS/speculation with no signature changes.
+    /// DOALL/DOACROSS/speculation with no signature changes. No thread is
+    /// started to keep the time.
     pub fn with_deadline(&self, d: Deadline) -> Pool {
         Pool {
             deadline: Some(d),
@@ -573,7 +669,7 @@ impl Pool {
         }
     }
 
-    /// The watchdog deadline guarding this handle's regions, if any.
+    /// The deadline guarding this handle's regions, if any.
     #[inline]
     pub fn deadline(&self) -> Option<Deadline> {
         self.deadline
@@ -618,20 +714,60 @@ impl Pool {
     /// is reported exactly once, after every worker has finished the
     /// region.
     ///
+    /// On an armed handle `cancel` is armed first (see [`CancelFlag`]):
+    /// linked to the handle's abort switch, expiring at launch plus the
+    /// handle's deadline. Whenever `cancel` has an expiry, each lane reads
+    /// the clock once as it finishes, and the region timed out iff one of
+    /// them finished past the expiry.
+    ///
     /// # Panics
     /// On a handle built [`Pool::with_abort`], if `cancel` was already
-    /// launched under a different abort switch.
+    /// armed with a different abort switch.
     pub fn run_with<F>(&self, cancel: &CancelFlag, f: F) -> PoolOutcome
     where
         F: Fn(usize) + Sync,
     {
-        if let Some(abort) = &self.abort {
-            cancel.follow(abort);
+        let deadline = self.deadline.map(|d| (Instant::now(), d.duration()));
+        cancel.arm(self.abort.as_ref(), deadline.map(|(start, d)| start + d));
+        let Some(expiry) = cancel.expiry() else {
+            return Self::outcome(self.dispatch(cancel, &f), None, cancel);
+        };
+        let start = deadline.map_or_else(Instant::now, |(start, _)| start);
+        // The last lane to finish past the expiry; `usize::MAX` while none
+        // has. A lane that unwinds still finishes, through the guard.
+        let late = AtomicUsize::new(usize::MAX);
+        struct LaneExit<'a> {
+            vpn: usize,
+            expiry: Instant,
+            late: &'a AtomicUsize,
         }
-        match self.deadline {
-            None => Self::outcome(self.dispatch(cancel, &f), None, cancel),
-            Some(d) => self.run_watched(d, cancel, &f),
+        impl Drop for LaneExit<'_> {
+            fn drop(&mut self) {
+                if Instant::now() >= self.expiry {
+                    self.late.store(self.vpn, Ordering::Relaxed);
+                }
+            }
         }
+        let panics = self.dispatch(cancel, &|vpn: usize| {
+            let _exit = LaneExit {
+                vpn,
+                expiry,
+                late: &late,
+            };
+            f(vpn);
+        });
+        let timeout = match late.into_inner() {
+            usize::MAX => None,
+            vpn => {
+                cancel.cancel();
+                Some(WorkerTimeout {
+                    vpn,
+                    iter: None,
+                    elapsed: start.elapsed(),
+                })
+            }
+        };
+        Self::outcome(panics, timeout, cancel)
     }
 
     /// Routes one region to the right execution mode (inline, resident,
@@ -663,143 +799,21 @@ impl Pool {
         }
     }
 
-    /// One region under a watchdog: a monitor thread raises the cancel
-    /// flag when the deadline expires with any lane unfinished, recording
-    /// the lowest overdue vpn. Cancellation stays cooperative — the
-    /// leader still waits for every lane to drain (a body that never
-    /// polls the flag cannot be reaped, only reported) — so the resident
-    /// workers stay reusable after a timeout exactly as after a panic.
-    fn run_watched(
-        &self,
-        d: Deadline,
-        cancel: &CancelFlag,
-        f: &(dyn Fn(usize) + Sync),
-    ) -> PoolOutcome {
-        struct Watch {
-            /// Per-lane completion flags, set by a drop guard so a
-            /// panicking lane still counts as finished.
-            lanes: Vec<AtomicBool>,
-            /// The watchdog's verdict, if it fired.
-            victim: std::sync::Mutex<Option<WorkerTimeout>>,
-            /// Region-finished handshake (std sync: the monitor needs a
-            /// timed condvar wait).
-            done: std::sync::Mutex<bool>,
-            cv: std::sync::Condvar,
-        }
-        let watch = Arc::new(Watch {
-            lanes: (0..self.workers).map(|_| AtomicBool::new(false)).collect(),
-            victim: std::sync::Mutex::new(None),
-            done: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        });
-        let start = Instant::now();
-        // SAFETY: lifetime-erased only. The monitor thread is joined
-        // below, before this function returns, so it can never observe
-        // the flag after the caller's borrow ends.
-        let cancel_static =
-            unsafe { std::mem::transmute::<&CancelFlag, &'static CancelFlag>(cancel) };
-        let monitor = {
-            let watch = Arc::clone(&watch);
-            let expiry = start + d.duration();
-            std::thread::Builder::new()
-                .name("wlp-watchdog".into())
-                .spawn(move || {
-                    let mut done = watch.done.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if *done {
-                            return;
-                        }
-                        let remaining = expiry.saturating_duration_since(Instant::now());
-                        let (g, res) = watch
-                            .cv
-                            .wait_timeout(done, remaining)
-                            .unwrap_or_else(|e| e.into_inner());
-                        done = g;
-                        if *done {
-                            return;
-                        }
-                        let expired = res.timed_out() && Instant::now() >= expiry;
-                        if expired {
-                            let overdue =
-                                watch.lanes.iter().position(|l| !l.load(Ordering::Acquire));
-                            let Some(overdue) = overdue else {
-                                // Every lane finished right at the expiry;
-                                // the region beat the deadline after all.
-                                return;
-                            };
-                            let elapsed = start.elapsed();
-                            cancel_static.cancel();
-                            // Grace re-scan: cooperative lanes drain within
-                            // moments of the cancel, so whoever is still
-                            // unfinished afterwards is the actual stall —
-                            // not merely the lowest lane that happened to be
-                            // mid-iteration when the deadline expired.
-                            let grace_expiry =
-                                Instant::now() + (d.duration() / 4).min(Duration::from_millis(5));
-                            while !*done {
-                                let rem = grace_expiry.saturating_duration_since(Instant::now());
-                                if rem.is_zero() {
-                                    break;
-                                }
-                                let (g, _) = watch
-                                    .cv
-                                    .wait_timeout(done, rem)
-                                    .unwrap_or_else(|e| e.into_inner());
-                                done = g;
-                            }
-                            let vpn = watch
-                                .lanes
-                                .iter()
-                                .position(|l| !l.load(Ordering::Acquire))
-                                .unwrap_or(overdue);
-                            *watch.victim.lock().unwrap_or_else(|e| e.into_inner()) =
-                                Some(WorkerTimeout {
-                                    vpn,
-                                    iter: None,
-                                    elapsed,
-                                });
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn watchdog thread")
-        };
-        let lanes = &watch.lanes;
-        let panics = self.dispatch(cancel, &|vpn: usize| {
-            struct LaneGuard<'a>(&'a AtomicBool);
-            impl Drop for LaneGuard<'_> {
-                fn drop(&mut self) {
-                    self.0.store(true, Ordering::Release);
-                }
-            }
-            let _finished = LaneGuard(&lanes[vpn]);
-            f(vpn);
-        });
-        {
-            let mut done = watch.done.lock().unwrap_or_else(|e| e.into_inner());
-            *done = true;
-            watch.cv.notify_all();
-        }
-        let _ = monitor.join();
-        let timeout = watch
-            .victim
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        Self::outcome(panics, timeout, cancel)
-    }
-
-    /// Classifies a drained region: a watchdog verdict trumps panics,
-    /// panics trump cooperative cancellation.
+    /// Classifies a drained region: a deadline expiry trumps panics,
+    /// panics trump cooperative cancellation. Cancellation is the raised
+    /// word or link alone: a region whose lanes all finished before the
+    /// expiry stays clean even if the expiry passes before this runs.
     fn outcome(
         panics: Vec<WorkerPanic>,
         timeout: Option<WorkerTimeout>,
         cancel: &CancelFlag,
     ) -> PoolOutcome {
+        let raised =
+            || cancel.raised.load(Ordering::Acquire) || cancel.arm.get().is_some_and(Arm::linked);
         match timeout {
             Some(timeout) => PoolOutcome::TimedOut { timeout, panics },
             None if !panics.is_empty() => PoolOutcome::Panicked(panics),
-            None if cancel.is_cancelled() => PoolOutcome::Cancelled,
+            None if raised() => PoolOutcome::Cancelled,
             None => PoolOutcome::Clean,
         }
     }

@@ -40,6 +40,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The longest a waiter with a stop sleeps before it reads the stop
+/// again: how late a raised flag is noticed in the lane queue.
+const WAIT_SLICE: Duration = Duration::from_millis(5);
+
 /// Sizing for a [`RegionScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
@@ -229,24 +233,21 @@ impl RegionScheduler {
 
     /// Checks out a lane, blocking in FIFO order until one frees up.
     pub fn acquire(&self) -> Lane<'_> {
-        self.acquire_until(None, None)
+        self.acquire_until(None)
             .expect("unbounded acquire always succeeds")
     }
 
-    /// Checks out a lane in FIFO order, giving up at `expiry` or when
-    /// `cancel` is raised (the request's client vanished). `None` for
-    /// both bounds is an unbounded [`RegionScheduler::acquire`].
+    /// Checks out a lane in FIFO order, giving up once `stop` reads
+    /// cancelled: its expiry passed, or it or its link was raised (the
+    /// request's client vanished). `None` is an unbounded
+    /// [`RegionScheduler::acquire`]. A waiter with a `stop` sleeps in
+    /// slices of at most 5 ms, cut short at the expiry.
     ///
     /// A waiter that gives up **abandons its ticket**: the FIFO skips
     /// past it, so a departed request can neither hold a queue slot nor
-    /// stall the tickets behind it. Returns `None` on expiry or
-    /// cancellation, with the queue left exactly as if the waiter had
-    /// never arrived.
-    pub fn acquire_until(
-        &self,
-        expiry: Option<Instant>,
-        cancel: Option<&CancelFlag>,
-    ) -> Option<Lane<'_>> {
+    /// stall the tickets behind it. Returns `None` when it gives up, with
+    /// the queue left exactly as if the waiter had never arrived.
+    pub fn acquire_until(&self, stop: Option<&CancelFlag>) -> Option<Lane<'_>> {
         let shared = &self.shared;
         let mut st = shared.state.lock();
         let ticket = st.next_ticket;
@@ -269,53 +270,7 @@ impl RegionScheduler {
         }
         shared.waiting.fetch_add(1, Ordering::Relaxed);
         loop {
-            let gave_up = 'wait: {
-                if cancel.is_some_and(|c| c.is_cancelled()) {
-                    break 'wait true;
-                }
-                match (expiry, cancel) {
-                    (None, None) => {
-                        shared.available.wait(&mut st);
-                        false
-                    }
-                    (bound, cancel) => {
-                        // Slice the wait so a raised cancel flag is
-                        // noticed promptly even with no deadline; a pure
-                        // deadline waits out its full remainder.
-                        let remaining = match bound {
-                            Some(e) => {
-                                let r = e.saturating_duration_since(Instant::now());
-                                if r.is_zero() {
-                                    break 'wait true;
-                                }
-                                r
-                            }
-                            None => Duration::MAX,
-                        };
-                        let slice = if cancel.is_some() {
-                            remaining.min(Duration::from_millis(5))
-                        } else {
-                            remaining
-                        };
-                        let timed_out = shared.available.wait_for(&mut st, slice);
-                        timed_out && bound.is_some_and(|e| Instant::now() >= e)
-                    }
-                }
-            };
-            if ticket == st.now_serving {
-                if let Some(idx) = st.free.pop() {
-                    st.now_serving += 1;
-                    st.skip_abandoned();
-                    shared.waiting.fetch_sub(1, Ordering::Relaxed);
-                    // same hand-off as the fast path: wake the successor
-                    // ticket if another lane is still free
-                    if !st.free.is_empty() {
-                        shared.available.notify_all();
-                    }
-                    return Some(Lane { sched: self, idx });
-                }
-            }
-            if gave_up || cancel.is_some_and(|c| c.is_cancelled()) {
+            if stop.is_some_and(CancelFlag::is_cancelled_now) {
                 shared.waiting.fetch_sub(1, Ordering::Relaxed);
                 if ticket == st.now_serving {
                     // Head of the queue: advance past our own ticket so
@@ -328,6 +283,28 @@ impl RegionScheduler {
                     st.abandoned.insert(ticket);
                 }
                 return None;
+            }
+            match stop {
+                None => shared.available.wait(&mut st),
+                Some(stop) => {
+                    let slice = stop.expiry().map_or(WAIT_SLICE, |e| {
+                        e.saturating_duration_since(Instant::now()).min(WAIT_SLICE)
+                    });
+                    shared.available.wait_for(&mut st, slice);
+                }
+            }
+            if ticket == st.now_serving {
+                if let Some(idx) = st.free.pop() {
+                    st.now_serving += 1;
+                    st.skip_abandoned();
+                    shared.waiting.fetch_sub(1, Ordering::Relaxed);
+                    // same hand-off as the fast path: wake the successor
+                    // ticket if another lane is still free
+                    if !st.free.is_empty() {
+                        shared.available.notify_all();
+                    }
+                    return Some(Lane { sched: self, idx });
+                }
             }
         }
     }
@@ -546,7 +523,8 @@ mod tests {
         let held = s.acquire();
         let expiry = std::time::Instant::now() + std::time::Duration::from_millis(30);
         let t0 = std::time::Instant::now();
-        assert!(s.acquire_until(Some(expiry), None).is_none());
+        let stop = CancelFlag::armed(None, Some(expiry));
+        assert!(s.acquire_until(Some(&stop)).is_none());
         assert!(t0.elapsed() >= std::time::Duration::from_millis(25));
         assert_eq!(s.waiting(), 0, "expired waiter left the queue");
         drop(held);
@@ -567,7 +545,7 @@ mod tests {
         let cancel = CancelFlag::new();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                assert!(s.acquire_until(None, Some(&cancel)).is_none());
+                assert!(s.acquire_until(Some(&cancel)).is_none());
             });
             while s.waiting() < 1 {
                 std::thread::yield_now();
@@ -576,7 +554,7 @@ mod tests {
         });
         assert_eq!(s.waiting(), 0);
         drop(held);
-        assert!(s.acquire_until(None, None).is_some());
+        assert!(s.acquire_until(None).is_some());
     }
 
     #[test]
@@ -593,7 +571,8 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let expiry = std::time::Instant::now() + std::time::Duration::from_millis(20);
-                assert!(s.acquire_until(Some(expiry), None).is_none());
+                let stop = CancelFlag::armed(None, Some(expiry));
+                assert!(s.acquire_until(Some(&stop)).is_none());
             });
             while s.waiting() < 1 {
                 std::thread::yield_now();
@@ -637,7 +616,8 @@ mod tests {
             }
             scope.spawn(|| {
                 let expiry = std::time::Instant::now() + std::time::Duration::from_millis(15);
-                assert!(s.acquire_until(Some(expiry), None).is_none());
+                let stop = CancelFlag::armed(None, Some(expiry));
+                assert!(s.acquire_until(Some(&stop)).is_none());
             });
             while s.waiting() < 2 {
                 std::thread::yield_now();

@@ -48,7 +48,7 @@ use wlp_analyze::CertVerdict;
 use wlp_ir::exec::{Schedule, SeqReason};
 use wlp_ir::interp::{HostFn, Machine};
 use wlp_obs::{Event, ProfileReport, Sample, Trace};
-use wlp_runtime::{payload_message, Deadline, Pool, RegionScheduler, SchedulerConfig};
+use wlp_runtime::{payload_message, RegionScheduler, SchedulerConfig};
 
 pub use cache::{fnv1a64, fnv1a64_i64s};
 pub use circuit::CircuitState;
@@ -309,9 +309,9 @@ impl Service {
     /// [`handle_line`](Self::handle_line) with a per-connection cancel
     /// flag. The TCP transport raises the flag when the client resets the
     /// connection while the request runs; a `run` observing it stops waiting for a
-    /// lane, aborts its region, and answers `timeout` — the lane and
-    /// speculation credits go back to their pools instead of finishing
-    /// work nobody will read.
+    /// lane, or stops its loop within 1024 iterations, and answers
+    /// `timeout` — the lane and speculation credits go back to their
+    /// pools instead of finishing work nobody will read.
     pub fn handle_line_with(&self, line: &str, cancel: Option<&Arc<CancelFlag>>) -> String {
         // `latency_us` and the deadline both count from here: parsing a
         // large line is part of what the request cost.
@@ -442,11 +442,11 @@ impl Service {
         json::to_string(&ok_response(id.as_deref(), "certify", fields))
     }
 
-    /// The `run` op: cache lookup, deadline clamp, admission (drain
-    /// state, circuit breaker, in-flight bound, queue depth), lane
-    /// checkout bounded by the deadline, execution on the path the plan
-    /// and the program's run history choose with cancellation threaded
-    /// into the pool, response assembly.
+    /// The `run` op: cache lookup, the request's stop (deadline clamp,
+    /// connection flag), admission (drain state, circuit breaker,
+    /// in-flight bound, queue depth), lane checkout bounded by the stop,
+    /// execution on the path the plan and the program's run history
+    /// choose with every loop reading the stop, response assembly.
     fn run(
         &self,
         mut req: RunRequest,
@@ -474,12 +474,16 @@ impl Service {
         let cert = &entry.analysis.certificate;
         let plan = &entry.plan;
         let max_iters = req.max_iters.unwrap_or(self.cfg.default_max_iters);
-        // The deadline is measured from the line's arrival (`started`)
-        // and clamped so a client cannot buy more wall-clock than the
-        // operator allows.
+        // The request's one stop: it follows the connection's flag and
+        // expires at the deadline, measured from the line's arrival
+        // (`started`) and clamped so a client cannot buy more wall-clock
+        // than the operator allows. The lane queue, every loop the
+        // executor runs and the verdict all read it.
         let expiry = req
             .deadline_ms
             .map(|ms| started + Duration::from_millis(ms.min(self.cfg.max_deadline_ms.max(1))));
+        let stop = CancelFlag::armed(cancel, expiry);
+        let abandoned = || cancel.is_some_and(|c| c.is_cancelled());
 
         // ---- admission ----
         if self.is_draining() {
@@ -575,34 +579,18 @@ impl Service {
         let mut frame = machine.bind(plan);
 
         // ---- execution on a checked-out lane ----
-        let Some(lane) = self.scheduler.acquire_until(expiry, cancel.map(|c| &**c)) else {
+        let Some(lane) = self.scheduler.acquire_until(Some(&stop)) else {
             // Gave up in the lane queue: the deadline expired or the
             // client went away before any work started. The ticket was
             // already handed back to the scheduler; credits and slots
             // follow it here.
             drop(held);
-            let abandoned = cancel.is_some_and(|c| c.is_cancelled());
-            return self.timed_out(&tenant, req.id, started, abandoned, true);
+            return self.timed_out(&tenant, req.id, started, abandoned(), true);
         };
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.record(Event::RegionAdmit {
             lane: lane.index() as u64,
         });
-        // Compose the lane's pool with this request's deadline and the
-        // connection's cancel flag. Only the deadline costs anything at
-        // launch (a watchdog per region); the flag is linked into each
-        // region's own cancel flag and read by the lanes' polling, so a
-        // request over TCP launches its regions as one over stdin does.
-        // Either ends in a cooperative region abort, which the
-        // speculative executor drains through its bounded sequential
-        // rerun.
-        let mut pool: Pool = (*lane).clone();
-        if let Some(e) = expiry {
-            pool = pool.with_deadline(Deadline::new(e.saturating_duration_since(Instant::now())));
-        }
-        if let Some(c) = cancel {
-            pool = pool.with_abort(c.clone());
-        }
         match decision {
             Decision::Planned(reason) => {
                 self.sequential_plans[reason.index()].fetch_add(1, Ordering::Relaxed);
@@ -621,14 +609,19 @@ impl Service {
         let executing = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if attempt_parallel {
-                plan.run_speculative(&mut frame, &pool, max_iters)
+                plan.run_speculative(&mut frame, &lane, max_iters, &stop)
             } else {
-                plan.run_sequential(&mut frame, max_iters)
+                plan.run_sequential(&mut frame, max_iters, &stop)
             }
         }));
         let executed_ns = executing.elapsed().as_nanos() as u64;
         drop(lane);
         drop(held);
+        // A stop that tripped during the run — the executor then returned
+        // the error it stops with — or before its result was in makes the
+        // answer a timeout, whatever the executor returned: nobody is
+        // waiting for it, and the contract says expiry ⇒ retriable error.
+        let stopped = stop.is_cancelled_now();
 
         let result = match caught {
             Ok(result) => result,
@@ -650,6 +643,9 @@ impl Service {
                 );
             }
         };
+        if stopped {
+            return self.timed_out(&tenant, req.id, started, abandoned(), false);
+        }
         let out = match result {
             Ok(out) => out,
             Err(e) => {
@@ -664,14 +660,6 @@ impl Service {
                 );
             }
         };
-        // A result produced after the deadline (or after the client hung
-        // up) is still a timeout: nobody is waiting for the answer, and
-        // the contract says expiry ⇒ retriable error.
-        let expired = expiry.is_some_and(|e| Instant::now() >= e);
-        let abandoned = cancel.is_some_and(|c| c.is_cancelled());
-        if expired || abandoned {
-            return self.timed_out(&tenant, req.id, started, abandoned, false);
-        }
         // Only a run that finished on its own is a sample of what its path
         // costs: an error, an expiry or an abandoned client cut it short.
         if let (Decision::History(choice), Some(history)) = (decision, entry.history.as_deref()) {
@@ -1520,6 +1508,74 @@ mod tests {
         assert!(ok.contains("\"ok\":true"), "{ok}");
         let report = svc.profile();
         assert_eq!(report.request_timeouts, 1);
+    }
+
+    /// A run's stop reaches every loop it runs: a deadline or a raised
+    /// connection flag ends a sequential plan and a first-run speculation
+    /// within 1024 iterations, where letting the loop finish would take
+    /// far longer than the bound asserted here.
+    #[test]
+    fn a_stop_ends_sequential_and_speculative_loops_within_its_bound() {
+        const BOUND: Duration = Duration::from_millis(400);
+        // an extra scalar keeps this plan sequential (`extra_scalar_state`)
+        let counting = "integer i = 0\nwhile (i < n) {\n    s = s + 1\n    i = i + 1\n}";
+        let sequential = |extra: &str| {
+            let n = 60_000_000;
+            format!(
+                r#"{{"op":"run","tenant":"seq","program":{},"scalars":{{"n":{n},"s":0}},"max_iters":{n}{extra}}}"#,
+                json::to_string(counting)
+            )
+        };
+        // 192 certified stores an iteration: the first run speculates
+        let stores = "    A[i] = A[i] + 1\n".repeat(192);
+        let certified = format!("integer i = 0\nwhile (i < n) {{\n{stores}    i = i + 1\n}}");
+        let n = 250_000;
+        let speculative = format!(
+            r#"{{"op":"run","tenant":"spec","program":{},"arrays":{{"A":[{}]}},"scalars":{{"n":{n}}},"max_iters":{n},"deadline_ms":50}}"#,
+            json::to_string(&certified),
+            vec!["0"; n].join(",")
+        );
+
+        let svc = Service::with_defaults();
+        let timed = |line: &str, cancel: Option<&Arc<CancelFlag>>| {
+            let t0 = Instant::now();
+            let resp = svc.handle_line_with(line, cancel);
+            assert!(t0.elapsed() < BOUND, "{:?}: {resp}", t0.elapsed());
+            assert!(resp.contains("\"code\":\"timeout\""), "{resp}");
+            resp
+        };
+
+        let resp = timed(&sequential(r#","deadline_ms":20"#), None);
+        assert!(resp.contains("deadline expired during execution"), "{resp}");
+        assert_no_leaks(&svc);
+
+        let cancel = Arc::new(CancelFlag::new());
+        let resp = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                cancel.cancel();
+            });
+            timed(&sequential(""), Some(&cancel))
+        });
+        assert!(
+            resp.contains("client abandoned the request during execution"),
+            "{resp}"
+        );
+        assert_no_leaks(&svc);
+
+        // certify first: the analysis of 192 statements is not what is
+        // timed, and a certify leaves the program without a run history
+        let cert = svc.handle_line(&format!(
+            r#"{{"op":"certify","program":{}}}"#,
+            json::to_string(&certified)
+        ));
+        assert!(cert.contains("\"verdict\":\"certified_doall\""), "{cert}");
+        let resp = timed(&speculative, None);
+        assert!(resp.contains("deadline expired during execution"), "{resp}");
+        assert_no_leaks(&svc);
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"extra_scalar_state\":2"), "{stats}");
+        assert!(stats.contains("\"attempted\":1"), "{stats}");
     }
 
     /// A `run` line whose parse alone takes milliseconds in any build:

@@ -145,20 +145,31 @@ fn abort_armed_region_creates_no_thread() {
     }
     for p in [1usize, 2] {
         let pool = Pool::new(p);
-        let armed = pool.with_abort(std::sync::Arc::new(CancelFlag::new()));
-        // Other tests of this binary start and stop threads meanwhile, so
-        // a region is judged by the readings around and inside it alone:
-        // a launch that spawns would show inside on every attempt.
-        let quiet = (0..50).any(|_| {
-            let before = thread_count();
-            let inside = armed.run_map(|_| thread_count());
-            let after = thread_count();
-            before == after && inside.iter().all(|&c| c == before)
-        });
-        assert!(
-            quiet,
-            "p = {p}: an abort-armed region changed the thread count"
-        );
+        let abort = || std::sync::Arc::new(CancelFlag::new());
+        let deadline = Deadline::from_millis(60_000);
+        for (arming, armed) in [
+            ("abort", pool.with_abort(abort())),
+            ("deadline", pool.with_deadline(deadline)),
+            (
+                "abort and deadline",
+                pool.with_abort(abort()).with_deadline(deadline),
+            ),
+        ] {
+            // Other tests of this binary start and stop threads meanwhile,
+            // so a region is judged by the readings around and inside it
+            // alone: a launch that spawns would show inside on every
+            // attempt.
+            let quiet = (0..50).any(|_| {
+                let before = thread_count();
+                let inside = armed.run_map(|_| thread_count());
+                let after = thread_count();
+                before == after && inside.iter().all(|&c| c == before)
+            });
+            assert!(
+                quiet,
+                "p = {p}: a region armed with {arming} changed the thread count"
+            );
+        }
     }
 }
 

@@ -53,17 +53,17 @@ proptest! {
                         let flag = Arc::new(CancelFlag::new());
                         let lane = match r % 5 {
                             0 => sched.try_acquire(),
-                            1 => sched.acquire_until(
-                                Some(Instant::now() + Duration::from_micros((r >> 8) % 800)),
+                            1 => sched.acquire_until(Some(&CancelFlag::armed(
                                 None,
-                            ),
+                                Some(Instant::now() + Duration::from_micros((r >> 8) % 800)),
+                            ))),
                             2 => {
                                 // abandon before ever being served
                                 flag.cancel();
-                                sched.acquire_until(
-                                    Some(Instant::now() + Duration::from_millis(50)),
+                                sched.acquire_until(Some(&CancelFlag::armed(
                                     Some(&flag),
-                                )
+                                    Some(Instant::now() + Duration::from_millis(50)),
+                                )))
                             }
                             3 => {
                                 // cancel raised mid-wait by a sibling thread
@@ -75,17 +75,17 @@ proptest! {
                                         flag.cancel();
                                     }
                                 });
-                                let got = sched.acquire_until(
-                                    Some(Instant::now() + Duration::from_millis(100)),
+                                let got = sched.acquire_until(Some(&CancelFlag::armed(
                                     Some(&flag),
-                                );
+                                    Some(Instant::now() + Duration::from_millis(100)),
+                                )));
                                 raiser.join().unwrap();
                                 got
                             }
-                            _ => sched.acquire_until(
-                                Some(Instant::now() + Duration::from_millis(250)),
+                            _ => sched.acquire_until(Some(&CancelFlag::armed(
                                 None,
-                            ),
+                                Some(Instant::now() + Duration::from_millis(250)),
+                            ))),
                         };
                         if let Some(lane) = lane {
                             if r & 1 == 0 {
@@ -110,7 +110,10 @@ proptest! {
         );
         // the FIFO is live, not wedged behind an abandoned ticket: a
         // fresh bounded acquire is served from an idle scheduler
-        let probe = sched.acquire_until(Some(Instant::now() + Duration::from_secs(2)), None);
+        let probe = sched.acquire_until(Some(&CancelFlag::armed(
+            None,
+            Some(Instant::now() + Duration::from_secs(2)),
+        )));
         prop_assert!(probe.is_some(), "scheduler wedged after the storm");
         drop(probe);
         prop_assert_eq!(sched.free_lanes(), sched.lanes());
