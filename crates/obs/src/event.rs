@@ -2,8 +2,8 @@
 //!
 //! One vocabulary for everything the paper's cost model charges for:
 //! iteration claim/execute/undo, dispatcher hops, lock traffic, PD
-//! marking and analysis, checkpoint/undo volume, speculation verdicts,
-//! QUIT broadcasts, window resizes, and barriers. Both the threaded
+//! analysis, checkpoint/undo volume, speculation verdicts, deadline
+//! expiries, QUIT broadcasts, window resizes, and barriers. Both the threaded
 //! runtime and the discrete-event simulator emit **exactly this type**,
 //! so a real trace and a simulated trace of the same loop diff directly.
 //!
@@ -93,13 +93,6 @@ pub enum Event {
         /// Busy time holding the lock.
         hold: u64,
     },
-    /// Shadow-array marking during the loop (`Td`'s PD component).
-    PdMark {
-        /// Accesses marked.
-        accesses: u64,
-        /// Busy time spent marking.
-        cost: u64,
-    },
     /// Post-execution PD analysis (`Ta`).
     PdAnalyze {
         /// Accesses analyzed.
@@ -160,51 +153,6 @@ pub enum Event {
         /// Busy time charged for the barrier.
         cost: u64,
     },
-    /// A certificate-cache lookup found a cached analysis for the program
-    /// hash `key` — parse and static analysis were skipped entirely.
-    CertCacheHit {
-        /// Content hash of the program the lookup was keyed by.
-        key: u64,
-    },
-    /// A certificate-cache lookup missed: the program had to be parsed
-    /// and analyzed (and the result was inserted for the next request).
-    CertCacheMiss {
-        /// Content hash of the program the lookup was keyed by.
-        key: u64,
-    },
-    /// A loop region was admitted by the region scheduler and dispatched
-    /// onto a worker lane.
-    RegionAdmit {
-        /// The scheduler lane the region ran on.
-        lane: u64,
-    },
-    /// A region submission was rejected by admission control
-    /// (backpressure); the client is told to retry later.
-    RegionReject {
-        /// Whether the rejection is retriable (tenant cap / hot budget /
-        /// queue depth) as opposed to a permanent refusal.
-        retriable: bool,
-    },
-    /// A service request missed its end-to-end deadline (or its client
-    /// vanished) and was aborted: lane returned, credits refunded, and a
-    /// retriable `timeout` error answered.
-    RequestTimeout {
-        /// Whether the request expired while still queued for a lane
-        /// (`true`) or after execution had started (`false`).
-        queued: bool,
-    },
-    /// The service entered its drain phase: no new work is admitted,
-    /// in-flight requests run to completion under the drain deadline.
-    Drain {
-        /// Requests still in flight when the drain began.
-        in_flight: u64,
-    },
-    /// A per-tenant circuit breaker changed state.
-    CircuitTrip {
-        /// `true` when the breaker opened (trip), `false` when a
-        /// half-open probe closed it again (recovery).
-        open: bool,
-    },
 }
 
 impl Event {
@@ -220,7 +168,6 @@ impl Event {
             Event::NextHop { .. } => "next_hop",
             Event::LockWait { .. } => "lock_wait",
             Event::LockAcquire { .. } => "lock_acquire",
-            Event::PdMark { .. } => "pd_mark",
             Event::PdAnalyze { .. } => "pd_analyze",
             Event::Backup { .. } => "backup",
             Event::UndoRestore { .. } => "undo_restore",
@@ -230,13 +177,6 @@ impl Event {
             Event::Quit { .. } => "quit",
             Event::WindowResize { .. } => "window_resize",
             Event::Barrier { .. } => "barrier",
-            Event::CertCacheHit { .. } => "cert_cache_hit",
-            Event::CertCacheMiss { .. } => "cert_cache_miss",
-            Event::RegionAdmit { .. } => "region_admit",
-            Event::RegionReject { .. } => "region_reject",
-            Event::RequestTimeout { .. } => "request_timeout",
-            Event::Drain { .. } => "drain",
-            Event::CircuitTrip { .. } => "circuit_trip",
         }
     }
 
@@ -249,7 +189,6 @@ impl Event {
             | Event::IterExecuted { cost, .. }
             | Event::TermTest { cost, .. }
             | Event::NextHop { cost, .. }
-            | Event::PdMark { cost, .. }
             | Event::PdAnalyze { cost, .. }
             | Event::Backup { cost, .. }
             | Event::UndoRestore { cost, .. }

@@ -54,8 +54,6 @@ pub struct ProfileReport {
     /// Total lock/window wait across processors (the serialization
     /// component of `Td`).
     pub lock_wait_total: u64,
-    /// Accesses marked into PD shadow structures during the loop.
-    pub pd_marked: u64,
     /// Accesses examined by post-execution PD analysis (`Ta`).
     pub pd_analyzed: u64,
     /// Speculative executions that committed.
@@ -82,22 +80,6 @@ pub struct ProfileReport {
     pub barriers: u64,
     /// Window resize decisions observed.
     pub window_resizes: u64,
-    /// Certificate-cache lookups that skipped parse + analysis.
-    pub cache_hits: u64,
-    /// Certificate-cache lookups that had to run the full front-end.
-    pub cache_misses: u64,
-    /// Regions admitted by the region scheduler.
-    pub regions_admitted: u64,
-    /// Region submissions rejected by admission control (backpressure).
-    pub regions_rejected: u64,
-    /// Service requests that missed their end-to-end deadline (or whose
-    /// client vanished) and were aborted with a retriable `timeout`.
-    pub request_timeouts: u64,
-    /// Service drain phases entered (graceful shutdown).
-    pub drains: u64,
-    /// Per-tenant circuit-breaker trips (openings only; half-open
-    /// recoveries emit a `circuit_trip` event but are not counted here).
-    pub circuit_trips: u64,
     /// Total samples aggregated.
     pub samples: u64,
 }
@@ -127,7 +109,6 @@ impl ProfileReport {
             hops: 0,
             busy_total: 0,
             lock_wait_total: 0,
-            pd_marked: 0,
             pd_analyzed: 0,
             spec_commits: 0,
             spec_aborts: 0,
@@ -139,13 +120,6 @@ impl ProfileReport {
             quits: 0,
             barriers: 0,
             window_resizes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            regions_admitted: 0,
-            regions_rejected: 0,
-            request_timeouts: 0,
-            drains: 0,
-            circuit_trips: 0,
             samples: trace.samples.len() as u64,
         };
         let mut iter_undone = 0u64;
@@ -161,7 +135,6 @@ impl ProfileReport {
                 Event::IterExecuted { .. } => r.executed += 1,
                 Event::IterUndone { .. } => iter_undone += 1,
                 Event::NextHop { hops, .. } => r.hops += hops,
-                Event::PdMark { accesses, .. } => r.pd_marked += accesses,
                 Event::PdAnalyze { accesses, .. } => r.pd_analyzed += accesses,
                 Event::Backup { elems, .. } => r.backup_elems += elems,
                 Event::UndoRestore { elems, .. } => r.undo_elems += elems,
@@ -184,13 +157,6 @@ impl ProfileReport {
                 Event::Quit { .. } => r.quits += 1,
                 Event::Barrier { .. } => r.barriers += 1,
                 Event::WindowResize { .. } => r.window_resizes += 1,
-                Event::CertCacheHit { .. } => r.cache_hits += 1,
-                Event::CertCacheMiss { .. } => r.cache_misses += 1,
-                Event::RegionAdmit { .. } => r.regions_admitted += 1,
-                Event::RegionReject { .. } => r.regions_rejected += 1,
-                Event::RequestTimeout { .. } => r.request_timeouts += 1,
-                Event::Drain { .. } => r.drains += 1,
-                Event::CircuitTrip { open } => r.circuit_trips += u64::from(open),
                 Event::TermTest { .. } | Event::LockWait { .. } | Event::LockAcquire { .. } => {}
             }
         }
@@ -269,7 +235,7 @@ impl ProfileReport {
         }
         if self.aborts_timeout > self.timeouts {
             return Err(format!(
-                "aborts_timeout {} exceeds observed watchdog expiries {}",
+                "aborts_timeout {} exceeds deadline expiries {}",
                 self.aborts_timeout, self.timeouts
             ));
         }
@@ -426,28 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn service_lifecycle_events_aggregate() {
-        let trace = Trace {
-            p: 1,
-            makespan: 20,
-            samples: vec![
-                sample(2, 0, Event::RequestTimeout { queued: true }),
-                sample(4, 0, Event::RequestTimeout { queued: false }),
-                sample(6, 0, Event::CircuitTrip { open: true }),
-                sample(8, 0, Event::CircuitTrip { open: false }),
-                sample(10, 0, Event::Drain { in_flight: 3 }),
-            ],
-        };
-        let r = ProfileReport::from_trace(&trace);
-        assert_eq!(r.request_timeouts, 2);
-        assert_eq!(r.circuit_trips, 1, "only openings count as trips");
-        assert_eq!(r.drains, 1);
-        r.check_conservation().expect("laws hold");
-        let json = r.to_json();
-        assert!(json.contains("\"request_timeouts\":2"), "{json}");
-    }
-
-    #[test]
     fn conservation_rejects_unattributed_aborts() {
         use crate::event::AbortReason;
         let mut r = ProfileReport::from_trace(&Trace {
@@ -462,7 +406,7 @@ mod tests {
                 },
             )],
         });
-        // a timeout abort with no watchdog expiry violates the law
+        // a timeout abort with no deadline expiry violates the law
         assert!(r.check_conservation().is_err());
         r.timeouts = 1;
         r.check_conservation().expect("now consistent");

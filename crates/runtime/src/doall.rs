@@ -761,12 +761,12 @@ mod tests {
             let out = run(&pool, UPPER, order, |i, _| {
                 if i == 5 {
                     // A stall that never polls anything loop-visible: the
-                    // watchdog must cancel issue and blame this iteration.
+                    // expired deadline must cancel issue and blame this iteration.
                     std::thread::sleep(std::time::Duration::from_millis(200));
                 }
                 Step::Continue
             });
-            let to = out.timeout.expect("watchdog verdict must be surfaced");
+            let to = out.timeout.expect("timeout verdict must be surfaced");
             assert_eq!(
                 to.iter,
                 Some(5),

@@ -1229,20 +1229,20 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_times_out_a_stalling_lane_and_reports_the_vpn() {
+    fn a_deadline_times_out_a_stalling_lane_and_reports_the_vpn() {
         let pool = Pool::new(4);
         let guarded = pool.with_deadline(Deadline::from_millis(20));
         assert!(guarded.is_resident(), "deadline handle shares the workers");
         let cancel = CancelFlag::new();
         let out = guarded.run_with(&cancel, |vpn| {
             if vpn == 2 {
-                // cooperative stall: spin until the watchdog raises QUIT
+                // cooperative stall: spin until the expired flag raises QUIT
                 while !cancel.is_cancelled() {
                     std::hint::spin_loop();
                 }
             }
         });
-        let to = out.timeout().expect("watchdog must fire").clone();
+        let to = out.timeout().expect("the deadline must expire").clone();
         assert_eq!(to.vpn, 2, "lowest unfinished lane");
         assert!(to.elapsed >= Duration::from_millis(20));
         assert!(out.panics().is_empty());
@@ -1268,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_timeout_carries_concurrent_panics() {
+    fn a_deadline_timeout_carries_concurrent_panics() {
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(20));
         let cancel = CancelFlag::new();
         let out = pool.run_with(&cancel, |vpn| {

@@ -116,8 +116,7 @@ pub struct Lane<'a> {
 }
 
 impl Lane<'_> {
-    /// The lane's index (stable for the scheduler's lifetime; used as the
-    /// `lane` field of `RegionAdmit` observability events).
+    /// The lane's index (stable for the scheduler's lifetime).
     pub fn index(&self) -> usize {
         self.idx
     }

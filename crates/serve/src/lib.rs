@@ -11,8 +11,7 @@
 //!   full `wlp-analyze` pipeline and the slot-resolved
 //!   [`ExecPlan`](wlp_ir::exec::ExecPlan) are memoized by source content
 //!   hash; a hot program pays zero front-end cost per request, and the
-//!   hit/miss counters surface through `wlp-obs` events and the `stats`
-//!   op.
+//!   hit/miss counters surface through the `stats` op.
 //! * **Region scheduler** ([`wlp_runtime::RegionScheduler`]) — resident
 //!   worker lanes checked out per region in FIFO order, so concurrent
 //!   tenants never cold-start threads and never oversubscribe the host
@@ -39,7 +38,7 @@ use circuit::{Admission, CircuitBreaker, CircuitPolicy};
 use parking_lot::Mutex;
 use proto::{codes, ProtoError, ReplyMode, Request, RunRequest};
 use serde::{json, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -47,7 +46,6 @@ use std::time::{Duration, Instant};
 use wlp_analyze::CertVerdict;
 use wlp_ir::exec::{Schedule, SeqReason};
 use wlp_ir::interp::{HostFn, Machine};
-use wlp_obs::{Event, ProfileReport, Sample, Trace};
 use wlp_runtime::{payload_message, RegionScheduler, SchedulerConfig};
 
 pub use cache::{fnv1a64, fnv1a64_i64s};
@@ -79,14 +77,6 @@ pub struct ServeConfig {
     /// reserves its certified write budget up front and returns it on
     /// completion; reservation failure is rejected `budget_exhausted`.
     pub tenant_spec_credits: u64,
-    /// Most obs [`Sample`]s the service retains (a ring: oldest are
-    /// dropped past the cap, counted in `samples_dropped`). Without a
-    /// bound a resident daemon's event buffer grows with request volume;
-    /// with one, the ring is resident memory the daemon carries for as
-    /// long as it lives (48 bytes a sample, two samples a request), so
-    /// the default is sized to a few seconds of recent history, not to
-    /// the request rate.
-    pub max_samples: usize,
     /// Most distinct tenants the table holds; past the cap an idle
     /// tenant is evicted to admit a new name (tenant strings are
     /// client-chosen, so the table must not grow with attacker input).
@@ -117,7 +107,6 @@ impl Default for ServeConfig {
             default_max_iters: 10_000,
             retry_after_ms: 25,
             tenant_spec_credits: 1 << 20,
-            max_samples: 16_384,
             max_tenants: 1_024,
             max_deadline_ms: 60_000,
             drain_deadline_ms: 5_000,
@@ -181,16 +170,15 @@ impl TenantState {
 }
 
 /// The resident service: shared scheduler, certificate cache, tenant
-/// table, and observability counters. All methods take `&self` — wrap in
-/// an [`Arc`] and call [`handle_line`](Self::handle_line) from as many
-/// transport threads as you like.
+/// table, and the counters the `stats` op reports — its one record of
+/// what it did. All methods take `&self` — wrap in an [`Arc`] and call
+/// [`handle_line`](Self::handle_line) from as many transport threads as
+/// you like.
 pub struct Service {
     cfg: ServeConfig,
     scheduler: RegionScheduler,
     cache: CertCache,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
-    samples: Mutex<VecDeque<Sample>>,
-    samples_dropped: AtomicU64,
     epoch: Instant,
     requests: AtomicU64,
     errors: AtomicU64,
@@ -271,8 +259,6 @@ impl Service {
             scheduler,
             cache,
             tenants: Mutex::new(HashMap::new()),
-            samples: Mutex::new(VecDeque::new()),
-            samples_dropped: AtomicU64::new(0),
             epoch: Instant::now(),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -369,13 +355,10 @@ impl Service {
 
     /// Flips the service into drain mode: new `run` requests are
     /// rejected retriable `draining`, everything already admitted keeps
-    /// running. Idempotent; the first call records a [`Event::Drain`].
+    /// running. Idempotent; `stats` reports `"draining":true` from the
+    /// first call on.
     pub fn begin_drain(&self) {
-        if !self.draining.swap(true, Ordering::AcqRel) {
-            self.record(Event::Drain {
-                in_flight: self.active.load(Ordering::Acquire) as u64,
-            });
-        }
+        self.draining.store(true, Ordering::Release);
     }
 
     /// Whether [`begin_drain`](Self::begin_drain) has been called.
@@ -508,8 +491,8 @@ impl Service {
                 Some(retry_after_ms),
             );
         }
-        if let Err(err) = self.admit(&tenant, &req) {
-            return proto::error_line(&err, Some(self.cfg.retry_after_ms));
+        if let Err((code, detail)) = self.admit(&tenant, &req.tenant) {
+            return self.reject(&tenant, code, detail, req.id, Some(self.cfg.retry_after_ms));
         }
         // From here on the tenant holds an in-flight slot and the drain
         // logic counts this request; `held` releases both, and the
@@ -547,18 +530,11 @@ impl Service {
         };
         if cost > 0 && !held.reserve_credits(cost) {
             drop(held);
-            tenant.rejected.fetch_add(1, Ordering::Relaxed);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            self.record(Event::RegionReject { retriable: true });
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return proto::error_line(
-                &ProtoError {
-                    code: codes::BUDGET_EXHAUSTED,
-                    detail: format!(
-                        "needs {cost} speculation write-budget credits; tenant pool is hot"
-                    ),
-                    id: req.id,
-                },
+            return self.reject(
+                &tenant,
+                codes::BUDGET_EXHAUSTED,
+                format!("needs {cost} speculation write-budget credits; tenant pool is hot"),
+                req.id,
                 Some(self.cfg.retry_after_ms),
             );
         }
@@ -588,9 +564,6 @@ impl Service {
             return self.timed_out(&tenant, req.id, started, abandoned(), true);
         };
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.record(Event::RegionAdmit {
-            lane: lane.index() as u64,
-        });
         match decision {
             Decision::Planned(reason) => {
                 self.sequential_plans[reason.index()].fetch_add(1, Ordering::Relaxed);
@@ -631,7 +604,7 @@ impl Service {
                 // e.g. a chaos builtin). Lane, credits, and slots are
                 // already back; report the hard failure and let the
                 // breaker see it.
-                self.breaker_failure(&tenant);
+                tenant.breaker.lock().record_failure();
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 return proto::error_line(
                     &ProtoError {
@@ -668,9 +641,7 @@ impl Service {
         if attempt_parallel && out.ran_parallel {
             self.speculation.committed.fetch_add(1, Ordering::Relaxed);
         }
-        if tenant.breaker.lock().record_success() {
-            self.record(Event::CircuitTrip { open: false });
-        }
+        tenant.breaker.lock().record_success();
 
         // ---- response ----
         let mut fields = vec![
@@ -724,8 +695,9 @@ impl Service {
         json::to_string(&ok_response(req.id.as_deref(), "run", fields))
     }
 
-    /// Shared pre-admission rejection path: counters, obs event, error
-    /// line.
+    /// The one rejection path — drain, open circuit, in-flight bound,
+    /// queue depth, credit pool: the tenant's and the service's rejection
+    /// counters, the error count, and the retriable error line.
     fn reject(
         &self,
         tenant: &TenantState,
@@ -736,14 +708,13 @@ impl Service {
     ) -> String {
         tenant.rejected.fetch_add(1, Ordering::Relaxed);
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.record(Event::RegionReject { retriable: true });
         self.errors.fetch_add(1, Ordering::Relaxed);
         proto::error_line(&ProtoError { code, detail, id }, retry_after_ms)
     }
 
-    /// Shared deadline/abandon exit: counters, obs event, breaker
-    /// bookkeeping, retriable `timeout` line. `queued` distinguishes
-    /// giving up in the lane queue from expiring mid-execution.
+    /// Shared deadline/abandon exit: counters, breaker bookkeeping,
+    /// retriable `timeout` line. `queued` distinguishes giving up in the
+    /// lane queue from expiring mid-execution.
     fn timed_out(
         &self,
         tenant: &TenantState,
@@ -754,8 +725,7 @@ impl Service {
     ) -> String {
         tenant.timeouts.fetch_add(1, Ordering::Relaxed);
         self.timeouts.fetch_add(1, Ordering::Relaxed);
-        self.record(Event::RequestTimeout { queued });
-        self.breaker_failure(tenant);
+        tenant.breaker.lock().record_failure();
         self.errors.fetch_add(1, Ordering::Relaxed);
         let what = if abandoned {
             "client abandoned the request"
@@ -777,43 +747,23 @@ impl Service {
         )
     }
 
-    /// Counts a hard failure against the tenant's breaker, recording the
-    /// trip event when this one opened the circuit.
-    fn breaker_failure(&self, tenant: &TenantState) {
-        if tenant.breaker.lock().record_failure() {
-            self.record(Event::CircuitTrip { open: true });
-        }
-    }
-
-    /// Cache lookup + obs accounting; errors are pre-rendered.
+    /// Cache lookup; errors are pre-rendered. The cache counts its own
+    /// hits and misses.
     fn lookup(&self, source: &str) -> Result<(Arc<CacheEntry>, CacheOutcome), String> {
-        match self.cache.lookup(source) {
-            Ok((entry, outcome)) => {
-                self.record(match outcome {
-                    CacheOutcome::Hit => Event::CertCacheHit { key: entry.key },
-                    CacheOutcome::Miss => Event::CertCacheMiss { key: entry.key },
-                });
-                Ok((entry, outcome))
-            }
-            Err(e) => Err(e.render(source)),
-        }
+        self.cache.lookup(source).map_err(|e| e.render(source))
     }
 
     /// Admission control: per-tenant in-flight bound, then shared queue
-    /// depth. On rejection the counters and obs events are recorded.
-    fn admit(&self, tenant: &Arc<TenantState>, req: &RunRequest) -> Result<(), ProtoError> {
+    /// depth. A refusal comes back as the code and detail that
+    /// [`reject`](Self::reject) counts and answers.
+    fn admit(&self, tenant: &TenantState, name: &str) -> Result<(), (&'static str, String)> {
         let mut cur = tenant.in_flight.load(Ordering::Relaxed);
         loop {
             if cur >= self.cfg.max_inflight_per_tenant {
-                tenant.rejected.fetch_add(1, Ordering::Relaxed);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                self.record(Event::RegionReject { retriable: true });
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                return Err(ProtoError {
-                    code: codes::TENANT_BUSY,
-                    detail: format!("{cur} regions already in flight for `{}`", req.tenant),
-                    id: req.id.clone(),
-                });
+                return Err((
+                    codes::TENANT_BUSY,
+                    format!("{cur} regions already in flight for `{name}`"),
+                ));
             }
             match tenant.in_flight.compare_exchange_weak(
                 cur,
@@ -827,19 +777,14 @@ impl Service {
         }
         if self.scheduler.waiting() >= self.cfg.max_queue_depth {
             tenant.in_flight.fetch_sub(1, Ordering::AcqRel);
-            tenant.rejected.fetch_add(1, Ordering::Relaxed);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            self.record(Event::RegionReject { retriable: true });
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return Err(ProtoError {
-                code: codes::OVERLOADED,
-                detail: format!(
+            return Err((
+                codes::OVERLOADED,
+                format!(
                     "{} regions queued for {} lanes",
                     self.scheduler.waiting(),
                     self.scheduler.lanes()
                 ),
-                id: req.id.clone(),
-            });
+            ));
         }
         Ok(())
     }
@@ -869,20 +814,7 @@ impl Service {
             .clone()
     }
 
-    fn record(&self, event: Event) {
-        let mut samples = self.samples.lock();
-        while samples.len() >= self.cfg.max_samples.max(1) {
-            samples.pop_front();
-            self.samples_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        samples.push_back(Sample {
-            t: self.epoch.elapsed().as_nanos() as u64,
-            proc: 0,
-            event,
-        });
-    }
-
-    /// Cache hits so far (also in the `stats` op and [`profile`](Self::profile)).
+    /// Cache hits so far (also in the `stats` op).
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
     }
@@ -895,24 +827,6 @@ impl Service {
     /// Hits over total cache lookups.
     pub fn cache_hit_ratio(&self) -> f64 {
         self.cache.hit_ratio()
-    }
-
-    /// A snapshot of the service's event stream as a `wlp-obs`
-    /// [`Trace`] (single logical proc; region/cache events only).
-    pub fn trace(&self) -> Trace {
-        Trace {
-            p: 1,
-            makespan: self.epoch.elapsed().as_nanos() as u64,
-            samples: self.samples.lock().iter().cloned().collect(),
-        }
-    }
-
-    /// The [`ProfileReport`] over [`trace`](Self::trace): the same
-    /// aggregation path every other executor in the repo reports
-    /// through, so `cache_hits`/`cache_misses`/`regions_admitted`/
-    /// `regions_rejected` land in the standard report.
-    pub fn profile(&self) -> ProfileReport {
-        ProfileReport::from_trace(&self.trace())
     }
 
     /// The `stats` payload (also available without a request round-trip).
@@ -1035,10 +949,6 @@ impl Service {
                 Value::UInt(self.active.load(Ordering::Acquire) as u64),
             ),
             ("draining".into(), Value::Bool(self.is_draining())),
-            (
-                "samples_dropped".into(),
-                Value::UInt(self.samples_dropped.load(Ordering::Relaxed)),
-            ),
             (
                 "ingest".into(),
                 Value::Object(vec![
@@ -1237,9 +1147,12 @@ mod tests {
         assert!(r2.contains("\"cache\":\"hit\""), "{r2}");
         assert!(r2.contains("\"arrays\":{\"A\":[10,10,10]}"), "{r2}");
         assert_eq!((svc.cache_hits(), svc.cache_misses()), (1, 1));
-        let report = svc.profile();
-        assert_eq!((report.cache_hits, report.cache_misses), (1, 1));
-        assert_eq!(report.regions_admitted, 2);
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(
+            stats.contains("\"cache_hits\":1,\"cache_misses\":1,"),
+            "{stats}"
+        );
+        assert!(stats.contains("\"regions_admitted\":2,"), "{stats}");
     }
 
     #[test]
@@ -1422,28 +1335,20 @@ mod tests {
     }
 
     #[test]
-    fn sample_buffer_and_tenant_table_stay_bounded() {
+    fn tenant_table_stays_bounded() {
         let svc = Service::new(ServeConfig {
-            max_samples: 4,
             max_tenants: 2,
             ..ServeConfig::default()
         });
         for i in 0..16 {
             // 16 distinct client-chosen tenant names, each a real run
-            // (every run records admit + cache events)
             let ok = svc.handle_line(&run_line(&format!("t{i}"), 2, &[1, 1]));
             assert!(ok.contains("\"ok\":true"), "{ok}");
         }
         assert!(
-            svc.trace().samples.len() <= 4,
-            "sample ring overran its cap"
-        );
-        assert!(
             svc.tenants.lock().len() <= 2,
             "tenant table overran its cap"
         );
-        let stats = svc.handle_line(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"samples_dropped\":"), "{stats}");
     }
 
     fn chaos_config() -> ServeConfig {
@@ -1506,8 +1411,11 @@ mod tests {
         // credits and slots are back: the same tenant runs again at once
         let ok = svc.handle_line(&run_line("slow", 2, &[1, 1]));
         assert!(ok.contains("\"ok\":true"), "{ok}");
-        let report = svc.profile();
-        assert_eq!(report.request_timeouts, 1);
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(
+            stats.contains("\"queue_waiting\":0,\"timeouts\":1,"),
+            "{stats}"
+        );
     }
 
     /// A run's stop reaches every loop it runs: a deadline or a raised
@@ -1669,8 +1577,7 @@ mod tests {
         assert!(ok.contains("\"ok\":true"), "{ok}");
         let stats = svc.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"circuit\":\"closed\""), "{stats}");
-        let report = svc.profile();
-        assert_eq!(report.circuit_trips, 1);
+        assert!(stats.contains("\"circuit_trips\":1"), "{stats}");
         assert_no_leaks(&svc);
     }
 
@@ -1710,8 +1617,8 @@ mod tests {
         let pong = svc.handle_line(r#"{"op":"ping"}"#);
         assert!(pong.contains("\"draining\":true"), "{pong}");
         assert!(svc.await_drain(Duration::from_millis(100)), "idle drain");
-        let report = svc.profile();
-        assert_eq!(report.drains, 1);
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"draining\":true"), "{stats}");
     }
 
     #[test]

@@ -221,4 +221,11 @@ fn every_stats_key_is_documented_and_none_is_persist() {
     // the certificate cache is memory-only: there is no store to report
     assert!(stats.iter().all(|(key, _)| key != "persist"), "{resp}");
     assert!(!PROTOCOL_MD.contains("persist"));
+    // the counters are the daemon's one record: there is no event ring
+    // whose overflow to report
+    assert!(
+        stats.iter().all(|(key, _)| key != "samples_dropped"),
+        "{resp}"
+    );
+    assert!(!PROTOCOL_MD.contains("samples_dropped"));
 }

@@ -272,9 +272,6 @@ fn hot_working_set_exceeds_the_hit_ratio_bar() {
         s.get("cache_hits").and_then(Value::as_u64),
         Some(requests as u64 - programs.len() as u64)
     );
-    let report = service.profile();
-    assert_eq!(report.cache_hits, requests as u64 - programs.len() as u64);
-    assert_eq!(report.cache_misses, programs.len() as u64);
 }
 
 /// Both transports run one launch path: a request carrying a

@@ -11,7 +11,7 @@
 //!
 //! Both speculative WHILE engines (§5's single-array DOALL, and the
 //! array group the daemon runs plans on) meet every in-body fault kind —
-//! panic, stall under a watchdog `Deadline`, write hog under an undo-log
+//! panic, stall under a `Deadline`, write hog under an undo-log
 //! budget — and must end in the sequential state with the resident pool
 //! still serving regions.
 
@@ -108,7 +108,7 @@ fn check_recovery(
     );
 }
 
-/// A watchdog expiry takes the same tail as a panic, announced first by
+/// A deadline expiry takes the same tail as a panic, announced first by
 /// the `TimeoutAbort` naming the overdue lane.
 #[test]
 fn doall_timeout_restores_and_reexecutes() {
@@ -132,7 +132,7 @@ fn doall_timeout_restores_and_reexecutes() {
     assert!(plan.fired(), "the stall must have been injected");
     assert!(out.recovered);
     assert_eq!(out.reason, Some(AbortReason::Timeout));
-    let overdue = out.timeout.as_ref().expect("watchdog verdict kept").vpn as u64;
+    let overdue = out.timeout.as_ref().expect("timeout verdict kept").vpn as u64;
     assert_eq!(arr.snapshot(), expected(N));
     assert_eq!(
         recovery_events(&rec.finish()),
@@ -251,8 +251,8 @@ enum Construct {
 }
 
 /// The acceptance scenario, deterministic: a worker wedged by a 50 ms
-/// stall inside an 8 ms-deadline speculative loop. The watchdog must
-/// fire, the loop must recover to the exact sequential state, the trace
+/// stall inside an 8 ms-deadline speculative loop. The deadline must
+/// expire, the loop must recover to the exact sequential state, the trace
 /// must carry the `TimeoutAbort`, and the resident pool must keep serving
 /// regions afterwards.
 #[test]
@@ -288,7 +288,7 @@ fn stalled_worker_times_out_recovers_and_leaves_the_pool_reusable() {
             .samples
             .iter()
             .any(|s| matches!(s.event, Event::TimeoutAbort { .. })),
-        "the trace must carry the watchdog's TimeoutAbort"
+        "the trace must carry the deadline's TimeoutAbort"
     );
     let report = ProfileReport::from_trace(&trace);
     report.check_conservation().expect("conservation must hold");
@@ -328,7 +328,7 @@ proptest! {
         let truth = sequential_truth(n, exit);
         let pool = Pool::new(workers);
         // Deadline and budget armed except in panic mode: a stall trips
-        // the watchdog, a hog trips the budget, and a spurious trip on a
+        // the deadline, a hog trips the budget, and a spurious trip on a
         // loaded machine is harmless (the contract under test is that
         // the result stays sequential-equivalent regardless). In panic
         // mode the sequential fallback runs without a catch, so no other
@@ -402,8 +402,8 @@ proptest! {
                     (states.to_vec(), committed, out.is_ok())
                 }
             };
-            // A panic or a hog that fired always aborts; a stall may
-            // finish before a starved watchdog thread wakes.
+            // A panic or a hog that fired always aborts; whether a fired
+            // stall does is left open here.
             let must_abort = plan.fired() && mode_pick != 2;
             let follow = SpeculativeArray::new(vec![0i64; 64]);
             let next = speculative_while(&pool, 64, &follow, |i, _| i == 48, |i, a| {

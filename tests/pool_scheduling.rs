@@ -97,7 +97,7 @@ fn timed_out_region_leaves_the_resident_pool_reusable() {
 
     // A deadline-armed handle on the same resident workers; lane 1 wedges
     // past the deadline without ever polling the cancel flag — the worst
-    // case for the watchdog (cancellation is cooperative, so the lane can
+    // case for the deadline (cancellation is cooperative, so the lane can
     // only be reported, not reaped).
     let armed = pool.with_deadline(Deadline::from_millis(4));
     let cancel = CancelFlag::new();
@@ -108,7 +108,7 @@ fn timed_out_region_leaves_the_resident_pool_reusable() {
     });
     let to = out
         .timeout()
-        .expect("watchdog must fire on the wedged lane");
+        .expect("the deadline must expire on the wedged lane");
     assert_eq!(to.vpn, 1, "grace re-scan must blame the stalled lane");
     assert!(to.elapsed >= Duration::from_millis(4));
     assert!(cancel.is_cancelled(), "expiry must raise the cancel flag");
