@@ -45,9 +45,10 @@ impl Analysis {
             .unwrap_or(Severity::Note)
     }
 
-    /// The one-or-two-line plan summary `wlp-lint` (and the golden corpus)
-    /// prints after the findings: the whole-loop plan/verdict line, plus
-    /// the fission line when distribution actually split the remainder.
+    /// The one-or-two-line plan summary: the whole-loop plan/verdict line,
+    /// plus the fission line when distribution actually split the
+    /// remainder. `wlp-lint` prints it with the batch line between the two
+    /// ([`LintOutcome::summary`](crate::LintOutcome::summary)).
     pub fn plan_summary(&self) -> String {
         let mut out = format!(
             "plan: {:?} → {:?}; verdict {:?}; write bound {}/iter ({} uncertain)",

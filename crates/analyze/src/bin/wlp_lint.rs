@@ -75,8 +75,8 @@ fn main() -> ExitCode {
                 let header = format!("── {path} ──");
                 println!("{header}");
                 print!("{}", out.render(&src));
-                if let Some(a) = &out.analysis {
-                    println!("{}", a.plan_summary());
+                if let Some(summary) = out.summary() {
+                    println!("{summary}");
                 }
             }
         }

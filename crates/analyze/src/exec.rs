@@ -217,4 +217,27 @@ mod tests {
             SeqReason::PrivatizedArray
         );
     }
+
+    /// The batch licence reads plan code alone, yet on the corpus it is
+    /// granted exactly where the certificate proves a DOALL.
+    #[test]
+    fn the_batch_licence_agrees_with_the_certificate_on_the_corpus() {
+        let loops = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/loops");
+        let mut licensed = Vec::new();
+        for entry in std::fs::read_dir(&loops).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "wlp") {
+                continue;
+            }
+            let (_, analysis, plan) = compile_source(&std::fs::read_to_string(&path).unwrap())
+                .expect("the corpus compiles");
+            let doall = analysis.certificate.verdict == CertVerdict::CertifiedDoall;
+            assert_eq!(plan.batch_refusal().is_none(), doall, "{}", path.display());
+            if doall {
+                licensed.push(path.file_stem().unwrap().to_str().unwrap().to_string());
+            }
+        }
+        licensed.sort();
+        assert_eq!(licensed, ["counted_fill", "guarded_update", "swap"]);
+    }
 }

@@ -1,14 +1,18 @@
 //! Linting source text: parse → lower → analyze → diagnostics.
 
-use crate::analyze::{analyze, Analysis};
+use crate::analyze::Analysis;
 use crate::diag::{Diagnostic, Severity};
-use wlp_ir::frontend::{parse_loop, FrontendError};
+use crate::exec::compile_source;
+use wlp_ir::exec::ExecPlan;
+use wlp_ir::frontend::FrontendError;
 
 /// What linting one source produced.
 #[derive(Debug)]
 pub struct LintOutcome {
     /// The full analysis, when the source parsed and lowered.
     pub analysis: Option<Analysis>,
+    /// The execution plan lowered under it.
+    pub plan: Option<ExecPlan>,
     /// All diagnostics, including parse/lower errors.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -31,6 +35,22 @@ impl LintOutcome {
             .collect()
     }
 
+    /// What `wlp-lint` prints after the findings: the plan line, under it
+    /// whether the plan runs a batch at a time (or the first reason it
+    /// does not), then the fission line when distribution split the
+    /// remainder. `None` when the source did not lower.
+    pub fn summary(&self) -> Option<String> {
+        let (analysis, plan) = (self.analysis.as_ref()?, self.plan.as_ref()?);
+        let summary = analysis.plan_summary();
+        let (head, fission) = summary.split_once('\n').unwrap_or((&summary, ""));
+        let mut out = format!("{head}\n{}", plan.batch_summary());
+        if !fission.is_empty() {
+            out.push('\n');
+            out.push_str(fission);
+        }
+        Some(out)
+    }
+
     /// Renders every diagnostic as one JSON object per line.
     pub fn render_json(&self, src: &str) -> String {
         self.diagnostics
@@ -42,12 +62,12 @@ impl LintOutcome {
 
 /// Lints one WHILE-loop source text.
 pub fn lint_source(src: &str) -> LintOutcome {
-    match parse_loop(src) {
-        Ok(ir) => {
-            let analysis = analyze(&ir);
+    match compile_source(src) {
+        Ok((_, analysis, plan)) => {
             let diagnostics = analysis.diagnostics.clone();
             LintOutcome {
                 analysis: Some(analysis),
+                plan: Some(plan),
                 diagnostics,
             }
         }
@@ -61,6 +81,7 @@ pub fn lint_source(src: &str) -> LintOutcome {
                 .with_hint("fix the source before analysis can run");
             LintOutcome {
                 analysis: None,
+                plan: None,
                 diagnostics: vec![d],
             }
         }

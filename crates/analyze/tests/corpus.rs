@@ -22,8 +22,8 @@ fn corpus_dir() -> PathBuf {
 fn render(src: &str) -> String {
     let out = lint_source(src);
     let mut s = out.render(src);
-    if let Some(a) = &out.analysis {
-        s.push_str(&a.plan_summary());
+    if let Some(summary) = out.summary() {
+        s.push_str(&summary);
         s.push('\n');
     }
     s

@@ -1,8 +1,10 @@
 //! Allocation pin for one certificate-cache miss: `compile_source` on a
 //! fixed four-template program (the largest shape the `cold-unique`
-//! benchmark workload sends) allocates at most [`BOUND`] times. Every
-//! analysis pass allocates its own graphs, sets and bodies, so a pass run
-//! twice shows up here as a few hundred more allocations.
+//! benchmark workload sends) allocates at most [`BOUND`] times, and on a
+//! three-template program whose plan runs a batch at a time at most
+//! [`LICENSED_BOUND`] times. Every analysis pass allocates its own
+//! graphs, sets and bodies, so a pass run twice shows up here as a few
+//! hundred more allocations.
 //!
 //! A counting global allocator needs a test binary of its own, and the
 //! counter is process-wide, so everything is measured from one `#[test]`.
@@ -64,24 +66,49 @@ while (i < n) {
 }";
 
 /// The most allocations one `compile_source(PROGRAM)` may make. The
-/// program fissions into six work blocks. It makes 1 325 since the
+/// program fissions into six work blocks. It makes 1 329 (1 325 before
+/// the batch licence's four tables) since the
 /// fission certifier reuses the whole loop's certificate core and
 /// certifies each block with only what a block certificate carries; it
 /// made 2 454 when the fission plan and every block re-ran the
 /// whole-loop pipeline.
 const BOUND: u64 = 1_400;
 
-/// Allocations of one `compile_source(PROGRAM)`. The counter is
-/// process-wide and the test harness has a thread of its own: the
-/// smallest of a few repetitions is the call's own count.
-fn allocations_of_a_miss() -> u64 {
+/// Three template groups — swap, counted_fill, guarded_update — under one
+/// induction: a certified DOALL whose plan the batch licence admits.
+const LICENSED: &str = "integer i = 1
+integer tmp_0 = 0
+integer s_1 = 0
+while (i < n) {
+    tmp_0 = A_0[2 * i]
+    A_0[2 * i] = A_0[2 * i - 1]
+    A_0[2 * i - 1] = tmp_0
+    s_1 = s_1 + 3
+    A_1[i] = w_1[i]
+    A_2[i] = g(A_2[i])
+    exit if (A_2[i] > limit)
+    i = i + 1
+}";
+
+/// The most allocations one `compile_source(LICENSED)` may make. It makes
+/// 595: 591 for the analysis and lowering, and four for the batch
+/// licence's tables (per register, per array, its roles and its affine
+/// accesses), which every lowering now builds, `PROGRAM`'s included
+/// (1 325 → 1 329).
+const LICENSED_BOUND: u64 = 620;
+
+/// Allocations of one `compile_source(program)`, whose plan is or is not
+/// `licensed` to run a batch at a time. The counter is process-wide and
+/// the test harness has a thread of its own: the smallest of a few
+/// repetitions is the call's own count.
+fn allocations_of_a_miss(program: &str, licensed: bool) -> u64 {
     (0..5)
         .map(|_| {
             let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let compiled = compile_source(PROGRAM);
+            let compiled = compile_source(program);
             let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
-            let (_, analysis, _) = compiled.expect("the program compiles");
-            assert!(analysis.fission.is_fissioned(), "{:?}", analysis.fission);
+            let (_, _, plan) = compiled.expect("the program compiles");
+            assert_eq!(plan.batch_refusal().is_none(), licensed, "{program}");
             count
         })
         .min()
@@ -90,11 +117,15 @@ fn allocations_of_a_miss() -> u64 {
 
 #[test]
 fn a_cache_miss_runs_each_analysis_pass_once() {
-    let count = allocations_of_a_miss();
-    eprintln!("compile_source allocated {count} times");
-    assert!(
-        count <= BOUND,
-        "compile_source allocated {count} times, more than {BOUND}: \
-         did an analysis pass start running twice?"
-    );
+    let (_, analysis, _) = compile_source(PROGRAM).expect("the program compiles");
+    assert!(analysis.fission.is_fissioned(), "{:?}", analysis.fission);
+    for (program, licensed, bound) in [(PROGRAM, false, BOUND), (LICENSED, true, LICENSED_BOUND)] {
+        let count = allocations_of_a_miss(program, licensed);
+        eprintln!("compile_source allocated {count} times");
+        assert!(
+            count <= bound,
+            "compile_source allocated {count} times, more than {bound}: \
+             did an analysis pass start running twice?\n{program}"
+        );
+    }
 }

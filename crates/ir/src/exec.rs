@@ -34,6 +34,11 @@ use wlp_core::taxonomy::DispatcherClass;
 use wlp_core::undo::VersionedArray;
 use wlp_runtime::{CancelFlag, Pool, Step};
 
+mod licence;
+
+use licence::{Licence, Role, MAX_ARGS};
+pub use licence::{Refusal, LANES};
+
 /// How much speculation machinery one array needs (Sections 4 and 5 of
 /// the paper, applied per array instead of per loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,6 +355,9 @@ pub struct ExecPlan {
     /// Certified arrays need write stamps (the loop can overshoot).
     stamps: bool,
     write_budget_per_iter: Option<u64>,
+    /// Whether the body may run [`LANES`] iterations at a time, read off
+    /// `body` and `consts` alone.
+    batch: Result<Licence, Refusal>,
 }
 
 /// The state one execution of a plan runs against, slot-indexed. Made by
@@ -481,6 +489,250 @@ fn stopped(stop: &CancelFlag, i: usize) -> bool {
 /// would report a truncated loop as the sequential result.
 fn stop_error() -> ExecError {
     err("the run was stopped: its deadline passed or its client left".into())
+}
+
+/// Why a batch stopped short: some lane met an exit or an error. The
+/// batch is undone and its iterations run one at a time, which meets the
+/// same thing in sequential order.
+struct Trip;
+
+/// A batch's registers, lane `k` of each holding iteration `k` of the
+/// batch, over the frame's arrays. Run only for a licensed body with
+/// every entry scalar bound and the affine ranges checked
+/// ([`ExecPlan::batch_at`]), so nothing is checked per scalar read and an
+/// affine access cannot leave its array.
+struct Batch<'r, 'a> {
+    env: &'r Env<'r>,
+    roles: &'r [Role],
+    regs: &'r mut [[i64; LANES]],
+    arrays: &'r mut [&'a mut [i64]],
+    /// Each store's array, span and the old values it overwrote, in
+    /// order, when something can trip after a store.
+    trail: Option<&'r mut Vec<Saved>>,
+}
+
+/// What one store of a batch overwrote: array slot, span, old values.
+type Saved = (usize, (usize, isize), [i64; LANES]);
+
+/// The element lane 0 of an affine access reaches and the distance to
+/// the next lane's, if lanes 0 to 63 (`base + step·k`, wrapping) all lie
+/// in an array of `len` elements.
+fn span(len: usize, base: i64, step: i64) -> Option<(usize, isize)> {
+    let last = i128::from(base) + i128::from(step) * (LANES as i128 - 1);
+    let inside = |at: i128| (0..len as i128).contains(&at);
+    (inside(base.into()) && inside(last)).then_some((base as usize, step as isize))
+}
+
+/// The lanes of a checked [`span`] of `a`, in lane order.
+fn read_lanes(a: &[i64], (at, step): (usize, isize), out: &mut [i64; LANES]) {
+    match step {
+        1 => out.copy_from_slice(&a[at..at + LANES]),
+        2.. => {
+            let step = step as usize;
+            let src = &a[at..=at + step * (LANES - 1)];
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = src[k * step];
+            }
+        }
+        _ => {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = a[at.wrapping_add_signed(step * k as isize)];
+            }
+        }
+    }
+}
+
+/// Writes `v` to the lanes of a checked [`span`] of `a`, in lane order.
+fn write_lanes(a: &mut [i64], (at, step): (usize, isize), v: &[i64; LANES]) {
+    match step {
+        1 => a[at..at + LANES].copy_from_slice(v),
+        2.. => {
+            let step = step as usize;
+            let dst = &mut a[at..=at + step * (LANES - 1)];
+            for (k, v) in v.iter().enumerate() {
+                dst[k * step] = *v;
+            }
+        }
+        _ => {
+            for (k, v) in v.iter().enumerate() {
+                a[at.wrapping_add_signed(step * k as isize)] = *v;
+            }
+        }
+    }
+}
+
+impl Batch<'_, '_> {
+    /// The checked span lane `k` of `scale·x + off` reaches, for a carried
+    /// `x` stepping by `c`.
+    fn span(
+        &self,
+        len: usize,
+        x: Reg,
+        c: i64,
+        scale: i64,
+        off: i64,
+    ) -> Result<(usize, isize), Trip> {
+        let base = scale
+            .wrapping_mul(self.regs[x as usize][0])
+            .wrapping_add(off);
+        span(len, base, scale.wrapping_mul(c)).ok_or(Trip)
+    }
+
+    /// The batch's dispatch: runs `code` across all lanes, each
+    /// instruction before the next. `Quit` if an exit fired in any lane.
+    fn run(&mut self, code: &[Op]) -> Result<Step, Trip> {
+        macro_rules! exit_if {
+            ($a:expr, $b:expr, $leave:expr) => {{
+                if self.exits($a, $b, $leave) {
+                    return Ok(Step::Quit);
+                }
+            }};
+        }
+        for op in code {
+            match *op {
+                Op::Move { d, a } => self.unary(d, a, |x| x),
+                Op::Neg { d, a } => self.unary(d, a, i64::wrapping_neg),
+                Op::Add { d, a, b } => self.binary(d, a, b, i64::wrapping_add),
+                Op::Sub { d, a, b } => self.binary(d, a, b, i64::wrapping_sub),
+                Op::Mul { d, a, b } => self.binary(d, a, b, i64::wrapping_mul),
+                Op::Div { d, a, b } => self.div(d, a, b)?,
+                Op::Cmp { op, d, a, b } => {
+                    self.binary(d, a, b, |x, y| i64::from(compare(op, x, y)))
+                }
+                Op::LoadAt { d, arr, x, off } => self.load(d, arr, x, 1, off)?,
+                Op::Load {
+                    d,
+                    arr,
+                    x,
+                    scale,
+                    off,
+                } => self.load(d, arr, x, scale, off)?,
+                Op::StoreAt { arr, x, v, off } => self.store(arr, x, v, 1, off)?,
+                Op::Store {
+                    arr,
+                    x,
+                    v,
+                    scale,
+                    off,
+                } => self.store(arr, x, v, scale, off)?,
+                // every entry scalar is bound, so every read is
+                Op::Check(_) => {}
+                Op::CheckFn(f) => {
+                    if self.env.funcs[f as usize].is_none() {
+                        return Err(Trip);
+                    }
+                }
+                Op::Call {
+                    d,
+                    func,
+                    first,
+                    argc,
+                } => self.call(d, func, first, argc),
+                Op::ExitLt { a, b } => exit_if!(a, b, |x, y| x < y),
+                Op::ExitLe { a, b } => exit_if!(a, b, |x, y| x <= y),
+                Op::ExitGt { a, b } => exit_if!(a, b, |x, y| x > y),
+                Op::ExitGe { a, b } => exit_if!(a, b, |x, y| x >= y),
+                Op::ExitEq { a, b } => exit_if!(a, b, |x, y| x == y),
+                Op::ExitNe { a, b } => exit_if!(a, b, |x, y| x != y),
+                Op::ExitIfZero(r) => exit_if!(r, r, |x, _| x == 0),
+                Op::ExitIfNonZero(r) => exit_if!(r, r, |x, _| x != 0),
+            }
+        }
+        Ok(Step::Continue)
+    }
+
+    /// `d = f(a)`
+    #[inline(always)]
+    fn unary(&mut self, d: Reg, a: Reg, f: impl Fn(i64) -> i64) {
+        self.regs[d as usize] = self.regs[a as usize].map(f);
+    }
+
+    /// `d = f(a, b)`
+    #[inline(always)]
+    fn binary(&mut self, d: Reg, a: Reg, b: Reg, f: impl Fn(i64, i64) -> i64) {
+        let (x, y) = (self.regs[a as usize], self.regs[b as usize]);
+        self.regs[d as usize] = std::array::from_fn(|k| f(x[k], y[k]));
+    }
+
+    /// `d = a / b`; trips on a zero divisor in any lane.
+    #[inline(always)]
+    fn div(&mut self, d: Reg, a: Reg, b: Reg) -> Result<(), Trip> {
+        let (x, y) = (self.regs[a as usize], self.regs[b as usize]);
+        if y.contains(&0) {
+            return Err(Trip);
+        }
+        self.regs[d as usize] = std::array::from_fn(|k| x[k].wrapping_div(y[k]));
+        Ok(())
+    }
+
+    /// `d = arr[scale·x + off]`: a strided walk over a checked span when
+    /// `x` is carried, a gather that trips on a lane out of bounds
+    /// otherwise.
+    #[inline(always)]
+    fn load(&mut self, d: Reg, arr: u32, x: Reg, scale: i64, off: i64) -> Result<(), Trip> {
+        let a = &*self.arrays[arr as usize];
+        match self.roles[x as usize] {
+            Role::Carried(c) => {
+                let at = self.span(a.len(), x, c, scale, off)?;
+                read_lanes(a, at, &mut self.regs[d as usize]);
+            }
+            // a computed subscript: gathered lane by lane
+            _ => {
+                let mut out = self.regs[x as usize];
+                for o in &mut out {
+                    let idx = scale.wrapping_mul(*o).wrapping_add(off);
+                    *o = *a.get(idx as usize).ok_or(Trip)?;
+                }
+                self.regs[d as usize] = out;
+            }
+        }
+        Ok(())
+    }
+
+    /// `arr[scale·x + off] = v`, keeping what it overwrites on the trail
+    /// if there is one.
+    #[inline(always)]
+    fn store(&mut self, arr: u32, x: Reg, v: Reg, scale: i64, off: i64) -> Result<(), Trip> {
+        let Role::Carried(c) = self.roles[x as usize] else {
+            unreachable!("a licensed body stores only through a carried subscript");
+        };
+        let at = self.span(self.arrays[arr as usize].len(), x, c, scale, off)?;
+        let a = &mut *self.arrays[arr as usize];
+        if let Some(trail) = self.trail.as_deref_mut() {
+            let mut old = [0; LANES];
+            read_lanes(a, at, &mut old);
+            trail.push((arr as usize, at, old));
+        }
+        write_lanes(a, at, &self.regs[v as usize]);
+        Ok(())
+    }
+
+    /// `d = func(first, … first + argc - 1)`, lane by lane.
+    #[inline(always)]
+    fn call(&mut self, d: Reg, func: u32, first: Reg, argc: u32) {
+        let f = self.env.funcs[func as usize]
+            .as_ref()
+            .expect("CheckFn precedes every call");
+        let (first, argc) = (first as usize, argc as usize);
+        let mut args = [0; MAX_ARGS];
+        // per lane, in lane order: host functions are pure
+        let out = std::array::from_fn(|k| {
+            for (j, arg) in args[..argc].iter_mut().enumerate() {
+                *arg = self.regs[first + j][k];
+            }
+            f(&args[..argc])
+        });
+        self.regs[d as usize] = out;
+    }
+
+    /// Whether `leave(a, b)` holds in any lane.
+    #[inline(always)]
+    fn exits(&self, a: Reg, b: Reg, leave: impl Fn(i64, i64) -> bool) -> bool {
+        let (x, y) = (&self.regs[a as usize], &self.regs[b as usize]);
+        x.iter()
+            .zip(y)
+            .fold(false, |hit, (&x, &y)| hit | leave(x, y))
+    }
 }
 
 /// Interns `name`, returning its slot.
@@ -901,6 +1153,14 @@ impl ExecPlan {
             });
         }
 
+        let batch = licence::license(
+            &body,
+            (temps_at + lw.temps) as usize,
+            consts_at as usize,
+            &lw.consts,
+            lw.arrays.len(),
+        );
+
         let has_exits = p.body.iter().any(|st| matches!(st, Stmt::ExitIf(_)));
         let (schedule, stamps) = match induction(p, hints) {
             Ok((name, stride, init)) => {
@@ -943,6 +1203,7 @@ impl ExecPlan {
             schedule,
             stamps,
             write_budget_per_iter: hints.write_budget_per_iter,
+            batch,
         }
     }
 
@@ -1217,7 +1478,9 @@ impl ExecPlan {
         exec(&env, s, arrays)
     }
 
-    /// Executes the plan one iteration after another. `max_iters` bounds
+    /// Executes the plan one iteration after another, or, for a body the
+    /// batch licence admits with every entry scalar bound, [`LANES`]
+    /// iterations at a time with the same effect. `max_iters` bounds
     /// runaway loops; `stop` is read every 1024 iterations, and a tripped
     /// one ends the run with an error. On an error the frame holds what
     /// had been written when it struck.
@@ -1229,34 +1492,202 @@ impl ExecPlan {
     ) -> Result<ExecOutcome, ExecError> {
         self.with_env(frame, |env, s, arrays| {
             let mut view = Direct::new(arrays);
-            for from in (0..max_iters).step_by(STOP_EVERY) {
-                if stop.is_cancelled_now() {
-                    return Err(stop_error());
-                }
-                for i in from..max_iters.min(from.saturating_add(STOP_EVERY)) {
-                    // the body is straight-line code after its exits: once
-                    // one iteration ran whole, every register it writes is
-                    // bound
-                    let step = if i == 0 {
-                        self.run::<_, true>(&self.body, env, s, &mut view)?
-                    } else {
-                        self.run::<_, false>(&self.body, env, s, &mut view)?
-                    };
-                    if step == Step::Quit {
-                        return Ok(ExecOutcome {
-                            iterations: i,
-                            exited_at: Some(i),
-                            ran_parallel: false,
-                        });
+            if stop.is_cancelled_now() {
+                return Err(stop_error());
+            }
+            if max_iters == 0 {
+                return Ok(ExecOutcome::sequential(0, None, 0));
+            }
+            // the body is straight-line code after its exits: once one
+            // iteration ran whole, every register it writes is bound
+            if self.run::<_, true>(&self.body, env, s, &mut view)? == Step::Quit {
+                return Ok(ExecOutcome::sequential(0, Some(0), 0));
+            }
+            let licence = self.batch.as_ref().ok().filter(|_| !env.check_scalars);
+            // a register the body never writes holds one value for the run
+            let mut lanes: Vec<[i64; LANES]> = match licence {
+                Some(_) => s.regs.iter().map(|&v| [v; LANES]).collect(),
+                None => Vec::new(),
+            };
+            let mut trail = Vec::with_capacity(licence.map_or(0, |l| l.trail));
+            // iterations run, batches committed, iterations since the stop
+            // was last read
+            let (mut i, mut batches, mut unread) = (1, 0, 1);
+            while i < max_iters {
+                if unread >= STOP_EVERY {
+                    if stop.is_cancelled_now() {
+                        return Err(stop_error());
                     }
+                    unread = 0;
+                }
+                // a licensed body runs a batch while one fits, and one
+                // iteration at a time through a batch that did not commit
+                let ahead = match licence {
+                    Some(licence) => {
+                        let ahead = (max_iters - i).min(LANES);
+                        if ahead == LANES
+                            && self.batch_at(licence, env, s, &mut view, &mut lanes, &mut trail)
+                        {
+                            batches += 1;
+                        } else if let Some(j) = self.run_each(env, s, &mut view, i..i + ahead)? {
+                            return Ok(ExecOutcome::sequential(j, Some(j), batches));
+                        }
+                        ahead
+                    }
+                    None => {
+                        let ahead = (max_iters - i).min(STOP_EVERY - unread);
+                        if let Some(j) = self.run_each(env, s, &mut view, i..i + ahead)? {
+                            return Ok(ExecOutcome::sequential(j, Some(j), 0));
+                        }
+                        ahead
+                    }
+                };
+                i += ahead;
+                unread += ahead;
+            }
+            Ok(ExecOutcome::sequential(max_iters, None, batches))
+        })
+    }
+
+    /// Runs `iterations` one after another, untracked (iteration 0 has
+    /// run): the one whose exit fired, if one did. The one place the
+    /// sequential path runs the body an iteration at a time, so the
+    /// executor is inlined into its loop.
+    fn run_each(
+        &self,
+        env: &Env<'_>,
+        s: &mut Scratch,
+        view: &mut Direct<'_>,
+        iterations: std::ops::Range<usize>,
+    ) -> Result<Option<usize>, ExecError> {
+        for i in iterations {
+            if self.run::<_, false>(&self.body, env, s, view)? == Step::Quit {
+                return Ok(Some(i));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Runs the next [`LANES`] iterations as one batch, each instruction
+    /// across all of them. Whether it committed: a batch in which an
+    /// affine access would leave its array does not start, and one in
+    /// which any lane trips is undone, leaving `s` and the arrays as they
+    /// were.
+    fn batch_at(
+        &self,
+        licence: &Licence,
+        env: &Env<'_>,
+        s: &mut Scratch,
+        view: &mut Direct<'_>,
+        lanes: &mut [[i64; LANES]],
+        trail: &mut Vec<Saved>,
+    ) -> bool {
+        let fits = licence.affine.iter().all(|a| {
+            let base = a
+                .scale
+                .wrapping_mul(s.regs[a.x as usize])
+                .wrapping_add(a.off);
+            span(view.0[a.arr as usize].len(), base, a.step).is_some()
+        });
+        if !fits {
+            return false;
+        }
+        for (r, role) in licence.roles.iter().enumerate() {
+            if let Role::Carried(c) = *role {
+                let v = s.regs[r];
+                lanes[r] = std::array::from_fn(|k| v.wrapping_add(c.wrapping_mul(k as i64)));
+            }
+        }
+        trail.clear();
+        let mut batch = Batch {
+            env,
+            roles: &licence.roles,
+            regs: lanes,
+            arrays: &mut view.0,
+            trail: (licence.trail > 0).then_some(trail),
+        };
+        let committed = matches!(batch.run(&self.body), Ok(Step::Continue));
+        if committed {
+            // the last lane's registers are the last iteration's
+            for (r, role) in licence.roles.iter().enumerate() {
+                if *role != Role::Uniform {
+                    s.regs[r] = lanes[r][LANES - 1];
                 }
             }
-            Ok(ExecOutcome {
-                iterations: max_iters,
-                exited_at: None,
-                ran_parallel: false,
-            })
-        })
+        } else {
+            for (arr, at, old) in trail.drain(..).rev() {
+                write_lanes(view.0[arr], at, &old);
+            }
+        }
+        committed
+    }
+
+    /// Whether the body runs [`LANES`] iterations at a time when it runs
+    /// sequentially: `None` if its licence was granted, or the first
+    /// reason it was refused.
+    pub fn batch_refusal(&self) -> Option<Refusal> {
+        self.batch.as_ref().err().copied()
+    }
+
+    /// [`batch_refusal`](Self::batch_refusal) in words, as `wlp-lint`
+    /// prints it under a plan.
+    pub fn batch_summary(&self) -> String {
+        let name = |r: usize| self.scalars.get(r).map_or("a temporary", String::as_str);
+        let licence = match &self.batch {
+            Ok(licence) => licence,
+            Err(refusal) => {
+                let why = match *refusal {
+                    Refusal::Carried(r) => format!(
+                        "`{}` carries a value from one iteration to the next, not by a constant step",
+                        name(r as usize)
+                    ),
+                    Refusal::Unstepped(a) => format!(
+                        "`{}` is accessed through a subscript that does not step with the loop",
+                        self.arrays[a as usize]
+                    ),
+                    Refusal::MixedSubscripts(a) => format!(
+                        "`{}` is accessed under two different subscript steps",
+                        self.arrays[a as usize]
+                    ),
+                    Refusal::Overlap(a, d) => format!(
+                        "iterations {d} apart touch one element of `{}`",
+                        self.arrays[a as usize]
+                    ),
+                    Refusal::WideCall(f) => format!(
+                        "`{}` takes more than {MAX_ARGS} arguments",
+                        self.funcs[f as usize]
+                    ),
+                };
+                return format!("batch: refused: {why}");
+            }
+        };
+        let (mut carried, mut private, mut temps) = (Vec::new(), Vec::new(), 0);
+        for (r, role) in licence.roles.iter().enumerate() {
+            match *role {
+                Role::Uniform => {}
+                Role::Carried(c) => carried.push(format!("{} += {c}", name(r))),
+                Role::Private if r < self.scalars.len() => private.push(name(r).to_string()),
+                Role::Private => temps += 1,
+            }
+        }
+        match temps {
+            0 => {}
+            1 => private.push("1 temporary".into()),
+            n => private.push(format!("{n} temporaries")),
+        }
+        let list = |names: Vec<String>| match names.is_empty() {
+            true => "none".to_string(),
+            false => names.join(", "),
+        };
+        let trail = match licence.trail {
+            0 => "no undo trail".into(),
+            n => format!("undo trail of {n} stores"),
+        };
+        format!(
+            "batch: {LANES} iterations at a time; carried {}; private {}; {trail}",
+            list(carried),
+            list(private)
+        )
     }
 
     /// Executes the plan under its [`Schedule`]: a statically sequential
@@ -1337,6 +1768,7 @@ impl ExecPlan {
                         iterations: end,
                         exited_at: out.last_valid,
                         ran_parallel: out.committed_parallel,
+                        batches: 0,
                     })
                 }
                 Err(GroupFault { iter, error }) => {
@@ -1500,6 +1932,165 @@ mod tests {
             }
         }
         assert_eq!(emitted, VARIANTS.split_whitespace().collect());
+    }
+
+    /// The batch licence's verdicts, each granted or refused with the
+    /// first reason the check met.
+    #[test]
+    fn the_batch_licence_reads_the_body_alone() {
+        let corpus = |name: &str| {
+            let path = format!(
+                "{}/../../examples/loops/{name}.wlp",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            std::fs::read_to_string(path).unwrap()
+        };
+        let body = |b: &str| format!("integer i = 0\nwhile (i < n) {{ {b}; i = i + 1 }}");
+        // the refusal, by kind and the name it concerns
+        let verdict = |plan: &ExecPlan| {
+            plan.batch_refusal().map(|r| match r {
+                Refusal::Carried(r) => ("carried", plan.scalars()[r as usize].clone(), 0),
+                Refusal::Unstepped(a) => ("unstepped", plan.arrays()[a as usize].clone(), 0),
+                Refusal::MixedSubscripts(a) => ("mixed", plan.arrays()[a as usize].clone(), 0),
+                Refusal::Overlap(a, d) => ("overlap", plan.arrays()[a as usize].clone(), d),
+                Refusal::WideCall(f) => ("wide_call", plan.funcs()[f as usize].clone(), 0),
+            })
+        };
+        let refused = |kind, name: &str, d| Some((kind, name.to_string(), d));
+        let table = [
+            (corpus("swap"), None),
+            (corpus("gather_scatter"), refused("unstepped", "A", 0)),
+            (corpus("counted_fill"), None),
+            (corpus("guarded_update"), None),
+            (corpus("partial_sums"), refused("overlap", "A", 1)),
+            (corpus("wavefront"), refused("overlap", "B", 1)),
+            (corpus("mcsparse_pair"), refused("overlap", "A", 1)),
+            (body("A[i] = A[i + 64] + 1"), None),
+            (body("A[i] = A[i + 63] + 1"), refused("overlap", "A", 63)),
+            // 2⁶² · 4 wraps to 0: lanes 0 and 4 store one element
+            (
+                body("A[4611686018427387904 * i] = 1"),
+                refused("overlap", "A", 4),
+            ),
+            (body("s = s * 2"), refused("carried", "s", 0)),
+            (
+                body("exit if (t > 0); t = w[i]"),
+                refused("carried", "t", 0),
+            ),
+            (body("A[i] = A[2 * i]"), refused("mixed", "A", 0)),
+            (
+                body("A[i] = max(1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+                refused("wide_call", "max", 0),
+            ),
+            // what the batch handles: a private scalar, a step other than
+            // the induction's, a descending one, a gather from an array
+            // the body never stores, a division after a store
+            (body("t = w[i]; A[i] = t"), None),
+            (body("s = s + 3; A[i] = s"), None),
+            (
+                body("s = s - 2; A[i] = 1 + s; B[i] = w[idx[i]] / A[i]"),
+                None,
+            ),
+        ];
+        for (src, want) in table {
+            assert_eq!(verdict(&lower(&src)), want, "{src}");
+        }
+        // a certificate never licenses a batch: gather_scatter under hints
+        // that wrongly call `A` independent is refused all the same
+        let p = parse_program(&corpus("gather_scatter")).unwrap();
+        let wrong = PlanHints {
+            certified: vec!["A".into(), "B".into()],
+            ..PlanHints::uncertified(DispatcherClass::MonotonicInduction)
+        };
+        let plan = ExecPlan::lower(&p, &wrong);
+        let a = plan.arrays().iter().position(|a| a == "A").unwrap();
+        assert_eq!(plan.modes()[a], AccessMode::Certified, "the hint took");
+        assert_eq!(verdict(&plan), refused("unstepped", "A", 0));
+    }
+
+    /// Only a division, a computed subscript, a function check or an
+    /// exit after the first store makes a batch keep a trail.
+    #[test]
+    fn a_batch_keeps_a_trail_only_when_something_can_trip_after_a_store() {
+        let trail = |b: &str| {
+            let plan = lower(&format!(
+                "integer i = 0\nwhile (i < n) {{ {b}; i = i + 1 }}"
+            ));
+            plan.batch.as_ref().expect("licensed").trail > 0
+        };
+        for name in ["swap", "counted_fill", "guarded_update"] {
+            let path = format!(
+                "{}/../../examples/loops/{name}.wlp",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let plan = lower(&std::fs::read_to_string(path).unwrap());
+            assert_eq!(plan.batch.as_ref().unwrap().trail, 0, "{name}");
+        }
+        assert!(!trail("B[i] = w[i] / 3; A[i] = B[i]"));
+        assert!(trail("A[i] = 1; B[i] = w[i] / 3"));
+        assert!(trail("A[i] = 1; B[i] = w[idx[i]]"));
+        assert!(trail("A[i] = 1; B[i] = g(i)"));
+        assert!(!trail("A[i] = 1; B[i] = w[i + 5]"));
+    }
+
+    /// A licensed run commits a batch for every 64 iterations after the
+    /// first that complete, and runs the rest one at a time; a trip undoes
+    /// the batch and leaves the sequential error and partial state.
+    #[test]
+    fn a_batch_that_trips_is_undone_and_rerun_one_iteration_at_a_time() {
+        let plan = lower(
+            "integer i = 0\nwhile (i < n) { A[i] = A[i] + 1; B[i] = 10 / (k - i); i = i + 1 }",
+        );
+        assert_eq!(plan.batch.as_ref().unwrap().trail, 2, "both stores");
+        let slot = |name: &str| plan.scalars().iter().position(|s| s == name).unwrap();
+        let run = |n: i64, k: i64| {
+            let mut frame = plan.frame();
+            frame.bind_array(0, vec![0; 300]);
+            frame.bind_array(1, vec![0; 300]);
+            frame.bind_scalar(slot("n"), n);
+            frame.bind_scalar(slot("k"), k);
+            let out = plan.run_sequential(&mut frame, 1000, &CancelFlag::new());
+            (out, frame.take_array(0).unwrap(), frame.scalar(slot("i")))
+        };
+        // no trip: iterations 1..=256 in four batches, 257..299 one by one
+        let (out, a, i) = run(300, -1);
+        let out = out.unwrap();
+        assert_eq!((out.iterations, out.batches), (300, 4));
+        assert!(a.iter().all(|&v| v == 1));
+        assert_eq!(i, Some(300));
+        // a zero divisor at lane 17 of the third batch: that batch is
+        // undone and rerun until iteration 146 fails after its store
+        let (out, a, i) = run(300, 146);
+        assert_eq!(out.unwrap_err().msg, "division by zero");
+        assert_eq!(a[..147], [1; 147]);
+        assert!(a[147..].iter().all(|&v| v == 0));
+        assert_eq!(i, Some(146));
+    }
+
+    /// A batch whose affine access would leave its array does not start:
+    /// with no trail, only that check keeps its earlier stores from
+    /// running twice.
+    #[test]
+    fn a_batch_that_would_leave_an_array_runs_one_iteration_at_a_time() {
+        let plan =
+            lower("integer i = 0\nwhile (i < n) { A[i] = A[i] + 1; B[i] = w[i + 3]; i = i + 1 }");
+        assert_eq!(plan.batch.as_ref().unwrap().trail, 0);
+        let slot = |names: &[String], name: &str| names.iter().position(|s| s == name).unwrap();
+        let array = |name| slot(plan.arrays(), name);
+        let mut frame = plan.frame();
+        frame.bind_array(array("A"), vec![0; 300]);
+        frame.bind_array(array("B"), vec![0; 300]);
+        frame.bind_array(array("w"), (0..200).collect());
+        frame.bind_scalar(slot(plan.scalars(), "n"), 300);
+        let e = plan.run_sequential(&mut frame, 1000, &CancelFlag::new());
+        // iterations 1 to 192 ran as three batches; 193 to 256 would
+        // read past `w`, so they run one at a time up to the failing one
+        assert_eq!(e.unwrap_err().msg, "`w[200]` out of bounds");
+        let a = frame.take_array(array("A")).unwrap();
+        assert_eq!(a[..198], [1; 198]);
+        assert!(a[198..].iter().all(|&v| v == 0));
+        let b = frame.take_array(array("B")).unwrap();
+        assert_eq!(b[..197], (3..200).collect::<Vec<_>>());
     }
 
     /// One iteration of each corpus body, in instructions: the first

@@ -72,6 +72,21 @@ pub struct ExecOutcome {
     pub exited_at: Option<usize>,
     /// Whether the parallel path was actually taken (and committed).
     pub ran_parallel: bool,
+    /// Batches of [`LANES`](crate::exec::LANES) iterations the sequential
+    /// path committed (see [`ExecPlan::run_sequential`]).
+    pub batches: usize,
+}
+
+impl ExecOutcome {
+    /// A sequential run's outcome.
+    pub(crate) fn sequential(iterations: usize, exited_at: Option<usize>, batches: usize) -> Self {
+        ExecOutcome {
+            iterations,
+            exited_at,
+            ran_parallel: false,
+            batches,
+        }
+    }
 }
 
 impl Machine {

@@ -1,6 +1,7 @@
 //! Allocation regression: executing a lowered plan allocates a number of
 //! times that does not depend on the trip count — per execution (frames,
-//! checkpoints, shadows, one scratch per worker), never per iteration.
+//! checkpoints, shadows, one scratch per worker, the lanes of a batched
+//! run), never per iteration or per batch.
 //!
 //! A counting global allocator needs a test binary of its own, and the
 //! counter is process-wide, so everything is measured from one `#[test]`.
@@ -56,7 +57,7 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 #[test]
 fn allocation_count_of_one_execution_is_independent_of_n() {
     let pool = Pool::new(2);
-    let mut speculated = 0;
+    let (mut speculated, mut batched) = (0, 0);
     for (name, src) in corpus() {
         let (_, _, plan) = compile_source(src).expect("corpus compiles");
         // (sequential, speculative) allocation counts at two trip counts
@@ -83,6 +84,13 @@ fn allocation_count_of_one_execution_is_independent_of_n() {
                                 .run_sequential(&mut frame, 2 * n + 4, &CancelFlag::new())
                                 .expect(name);
                             assert!(out.iterations + 1 >= n, "{name} ran {out:?}");
+                            // swap, counted_fill and guarded_update run a
+                            // batch at a time
+                            assert_eq!(
+                                out.batches > 0,
+                                plan.batch_refusal().is_none(),
+                                "{name} ran {out:?}"
+                            );
                         })
                     })
                     .min()
@@ -113,6 +121,8 @@ fn allocation_count_of_one_execution_is_independent_of_n() {
         if matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }) {
             speculated += 1;
         }
+        batched += usize::from(plan.batch_refusal().is_none());
     }
     assert_eq!(speculated, 2, "gather_scatter and guarded_update speculate");
+    assert_eq!(batched, 3, "swap, counted_fill and guarded_update batch");
 }

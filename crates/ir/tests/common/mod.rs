@@ -111,6 +111,7 @@ pub fn reference_run(
         iterations: i,
         exited_at: Some(i),
         ran_parallel: false,
+        batches: 0,
     };
     for i in 0..max_iters {
         if eval(&p.cond, m)? == 0 {
@@ -142,5 +143,6 @@ pub fn reference_run(
         iterations: max_iters,
         exited_at: None,
         ran_parallel: false,
+        batches: 0,
     })
 }

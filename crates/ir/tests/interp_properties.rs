@@ -11,11 +11,22 @@
 //! `exit if`s under each of the six comparisons in either operand order
 //! or under no comparison at all (threshold and non-threshold, RI and RV),
 //! ascending and descending inductions, an induction update that is not
-//! the last statement, and the five error cases (unbound scalar, unknown
-//! array, unknown function, out of bounds, division by zero) — riding on the
-//! right or the left of a term or as a store's subscript, and on one
-//! program in ten two different ones in one statement, so the *order* in
-//! which a statement's operands are checked is the walker's too.
+//! the last statement, and the six error cases (unbound scalar, unknown
+//! array, unknown function, out of bounds through an affine subscript at
+//! the start or at a chosen iteration and through a computed subscript,
+//! division by zero) — riding on the right or the left
+//! of a term or as a store's subscript, on the first line or the last (so
+//! after a store), and on one program in ten two different ones in one
+//! statement, so the *order* in which a statement's operands are checked
+//! is the walker's too.
+//!
+//! Trip counts reach past four batches of [`LANES`] iterations, and
+//! `max_iters` falls anywhere between two batch boundaries. Exits and
+//! faults fire at lane 0, a middle lane or lane 63 of one of the first
+//! batches, or anywhere else, the short last batch included, so a
+//! licensed plan meets every edge of a batch: one that commits, one an
+//! exit stops, one a fault stops after its stores (which must be undone),
+//! and the tail it runs one iteration at a time.
 
 mod common;
 
@@ -23,7 +34,7 @@ use common::reference_run;
 use proptest::prelude::*;
 use std::path::Path;
 use wlp_analyze::{analyze, plan_hints};
-use wlp_ir::exec::{AccessMode, ExecPlan, PlanHints, Schedule};
+use wlp_ir::exec::{AccessMode, ExecPlan, PlanHints, Schedule, LANES};
 use wlp_ir::frontend::{lower_with_symbols, parse_program, Program};
 use wlp_ir::interp::{ExecError, ExecOutcome, Machine};
 use wlp_runtime::{CancelFlag, Pool};
@@ -96,9 +107,24 @@ fn assert_all_executions_match(
             );
         }
 
+        // batch `b` runs iterations 1 + 64·b to 64 + 64·b (iteration 0
+        // runs alone) and commits exactly when the sequential loop runs
+        // all of them: nothing else can trip it
+        let batches = |o: &ExecOutcome| match plan.batch_refusal() {
+            None => o.iterations.max(1).div_ceil(LANES) - 1,
+            Some(_) => 0,
+        };
         let mut m = start.clone();
         let mut frame = m.bind(&plan);
         let result = plan.run_sequential(&mut frame, max_iters, &CancelFlag::new());
+        if let Ok(o) = &result {
+            assert_eq!(
+                o.batches,
+                batches(o),
+                "[{label}] batches committed by {o:?}, licence {:?}\n{src}",
+                plan.batch_refusal()
+            );
+        }
         m.absorb(&plan, frame);
         assert_eq!(
             final_of(result, m),
@@ -111,6 +137,9 @@ fn assert_all_executions_match(
             let mut frame = m.bind(&plan);
             let result = plan.run_speculative(&mut frame, pool, max_iters, &CancelFlag::new());
             committed |= result.as_ref().is_ok_and(|o| o.ran_parallel);
+            if let (Ok(o), Schedule::Sequential(_)) = (&result, plan.schedule()) {
+                assert_eq!(o.batches, batches(o), "[{label}] {o:?}\n{src}");
+            }
             m.absorb(&plan, frame);
             assert_eq!(
                 final_of(result, m),
@@ -153,18 +182,26 @@ enum Fault {
     UnknownArray,
     UnknownFunction,
     OutOfBounds,
+    /// `edge[i]`: `edge` ends where `i` is the program's `fault_at`
+    Edge,
+    /// `w[cut[i]]`: `cut` holds -1 where `i` is the program's `fault_at`
+    Gather,
+    /// `w[i] / (i - fault_at)`
     DivisionByZero,
 }
 
 impl Fault {
-    /// A term that fails — some at once, some only on a later iteration.
-    fn text(&self) -> &'static str {
+    /// A term that fails — some at once, some only on a later iteration
+    /// (`i` = `at`).
+    fn text(&self, at: usize) -> String {
         match self {
-            Fault::UnboundScalar => "q",
-            Fault::UnknownArray => "Z[i]",
-            Fault::UnknownFunction => "nosuch(w[i])",
-            Fault::OutOfBounds => "w[i - 3]",
-            Fault::DivisionByZero => "w[i] / (i - 4)",
+            Fault::UnboundScalar => "q".into(),
+            Fault::UnknownArray => "Z[i]".into(),
+            Fault::UnknownFunction => "nosuch(w[i])".into(),
+            Fault::OutOfBounds => "w[i - 3]".into(),
+            Fault::Edge => "edge[i]".into(),
+            Fault::Gather => "w[cut[i]]".into(),
+            Fault::DivisionByZero => format!("w[i] / (i - {at})"),
         }
     }
 }
@@ -181,11 +218,13 @@ enum FaultAt {
 }
 
 /// The faults of one program: none, one, or two different ones in the
-/// same statement (the second always rightmost, so it is met last).
+/// same statement (the second always rightmost, so it is met last), on
+/// the first line or the last.
 #[derive(Debug, Clone)]
 struct Faults {
     first: Option<(Fault, FaultAt)>,
     second: Option<Fault>,
+    on_last_line: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -221,8 +260,8 @@ fn comparison(a: &str, op: usize, b: &str, swapped: bool) -> String {
 #[derive(Debug, Clone)]
 enum Exit {
     None,
-    /// `exit if (stop[i] == 1)`, or bare `exit if (stop[i])`:
-    /// remainder-invariant, not a threshold
+    /// `exit if (stop[i] == 1)`, or bare `exit if (stop[i])`, at `i` =
+    /// `.0`: remainder-invariant, not a threshold
     Stop(usize, bool),
     /// `exit if (A[i] > limit)`: remainder-variant when A is stored to
     Limit,
@@ -234,6 +273,11 @@ enum Exit {
 #[derive(Debug, Clone)]
 struct ProgParams {
     n: usize,
+    /// `max_iters` is `n` plus this: anywhere between two batch
+    /// boundaries
+    extra_iters: usize,
+    /// The `i` at which `DivisionByZero` and `Gather` fail
+    fault_at: usize,
     descending: bool,
     stride: i64,
     /// The WHILE condition: `i` under comparison `.0` against a bound, in
@@ -293,13 +337,27 @@ fn line_strategy() -> impl Strategy<Value = Line> {
     ]
 }
 
+/// The most iterations past `n` a run may be allowed.
+const EXTRA_ITERS: usize = 2 * LANES;
+
+/// A position for an exit or a fault: lane 0, a middle lane or lane 63
+/// of one of the first four batches (batch `b` runs iterations
+/// 1 + 64·b to 64 + 64·b), or anywhere a trip count reaches.
+fn at_strategy() -> impl Strategy<Value = usize> {
+    let lane = prop_oneof![Just(0usize), Just(LANES / 2 - 1), Just(LANES - 1)];
+    prop_oneof![
+        (0usize..4, lane).prop_map(|(b, lane)| 1 + LANES * b + lane),
+        0usize..300,
+    ]
+}
+
 fn exit_strategy() -> impl Strategy<Value = Exit> {
     prop_oneof![
         Just(Exit::None),
         Just(Exit::None),
-        (0usize..60, any::<bool>()).prop_map(|(e, bare)| Exit::Stop(e, bare)),
+        (at_strategy(), any::<bool>()).prop_map(|(e, bare)| Exit::Stop(e, bare)),
         Just(Exit::Limit),
-        (0usize..CMPS.len(), 0usize..40, any::<bool>())
+        (0usize..CMPS.len(), at_strategy(), any::<bool>())
             .prop_map(|(op, e, swapped)| Exit::Cmp(op, e, swapped)),
     ]
 }
@@ -311,6 +369,9 @@ fn fault_strategy() -> impl Strategy<Value = Faults> {
             Just(Fault::UnknownArray),
             Just(Fault::UnknownFunction),
             Just(Fault::OutOfBounds),
+            Just(Fault::Edge),
+            Just(Fault::Gather),
+            Just(Fault::DivisionByZero),
             Just(Fault::DivisionByZero),
         ]
     };
@@ -320,26 +381,29 @@ fn fault_strategy() -> impl Strategy<Value = Faults> {
         Just(FaultAt::Subscript),
     ];
     // six programs in ten run clean, three carry one fault, one carries two
-    (0u8..10, fault(), at, fault()).prop_map(|(pick, first, at, second)| Faults {
-        first: (pick >= 6).then_some((first, at)),
-        second: (pick == 9 && second != first).then_some(second),
-    })
+    (0u8..10, fault(), at, fault(), any::<bool>()).prop_map(
+        |(pick, first, at, second, on_last_line)| Faults {
+            first: (pick >= 6).then_some((first, at)),
+            second: (pick == 9 && second != first).then_some(second),
+            on_last_line,
+        },
+    )
 }
 
 fn prog_strategy() -> impl Strategy<Value = ProgParams> {
     (
         (
-            6usize..48,
+            6usize..300,
             any::<bool>(),
             1i64..3,
             0usize..CMPS.len(),
             any::<bool>(),
         ),
-        (prop::option::of(4usize..40), any::<bool>()),
+        (prop::option::of(at_strategy()), any::<bool>()),
         prop::collection::vec(line_strategy(), 1..4),
         exit_strategy(),
         (0u8..8, any::<bool>()),
-        fault_strategy(),
+        (fault_strategy(), at_strategy(), 0..EXTRA_ITERS),
     )
         .prop_map(
             |(
@@ -348,10 +412,12 @@ fn prog_strategy() -> impl Strategy<Value = ProgParams> {
                 lines,
                 exit,
                 (upd, idx_collides),
-                faults,
+                (faults, fault_at, extra_iters),
             )| {
                 ProgParams {
                     n,
+                    extra_iters,
+                    fault_at,
                     descending,
                     stride,
                     cond: (op, swapped),
@@ -370,7 +436,7 @@ fn prog_strategy() -> impl Strategy<Value = ProgParams> {
 /// Largest value `i` can take: every array is long enough for it under
 /// any generated subscript.
 fn i_max(p: &ProgParams) -> usize {
-    2 * p.n + 8
+    2 * (p.n + EXTRA_ITERS) + 8
 }
 
 /// The length of `A` and `B`: long enough for `2·i + 3` at the largest
@@ -433,23 +499,28 @@ fn source_of(p: &ProgParams) -> String {
         src.push_str(&update);
     }
     for (k, line) in p.lines.iter().enumerate() {
-        // the faults ride on the first line
-        let (first, second) = match k {
-            0 => (p.faults.first, p.faults.second),
-            _ => (None, None),
+        // the faults ride on the first line or the last
+        let on = if p.faults.on_last_line {
+            p.lines.len() - 1
+        } else {
+            0
+        };
+        let (first, second) = match k == on {
+            true => (p.faults.first, p.faults.second),
+            false => (None, None),
         };
         let term = |t: usize| {
             let mut term = match first {
-                Some((f, FaultAt::Right)) => format!("{} + {}", TERMS[t], f.text()),
+                Some((f, FaultAt::Right)) => format!("{} + {}", TERMS[t], f.text(p.fault_at)),
                 // a store carries it in its subscript, below
                 Some((_, FaultAt::Subscript)) if matches!(line, Line::Store(..)) => {
                     TERMS[t].to_string()
                 }
-                Some((f, _)) => format!("{} + {}", f.text(), TERMS[t]),
+                Some((f, _)) => format!("{} + {}", f.text(p.fault_at), TERMS[t]),
                 None => TERMS[t].to_string(),
             };
             if let Some(f) = second {
-                term = format!("{term} + {}", f.text());
+                term = format!("{term} + {}", f.text(p.fault_at));
             }
             term
         };
@@ -457,7 +528,7 @@ fn source_of(p: &ProgParams) -> String {
             Line::Store(a, sub, t) => {
                 let (arr, s) = (if *a { "A" } else { "B" }, sub.text(last));
                 let target = match first {
-                    Some((f, FaultAt::Subscript)) => f.text().to_string(),
+                    Some((f, FaultAt::Subscript)) => f.text(p.fault_at),
                     _ => s.clone(),
                 };
                 src.push_str(&format!(
@@ -502,6 +573,11 @@ fn machine_of(p: &ProgParams) -> Machine {
         }
     }
     m.arrays.insert("stop".into(), stop);
+    // an affine subscript that leaves its array where `i` is `fault_at`
+    m.arrays.insert("edge".into(), vec![1; p.fault_at]);
+    // a computed subscript that leaves `w` where `i` is `fault_at`
+    let cut = (0..=top as i64).map(|i| if i == p.fault_at as i64 { -1 } else { i });
+    m.arrays.insert("cut".into(), cut.collect());
     // the non-threshold condition turns false at one position and true
     // again after it: only max_iters or that position ends the loop
     let mut stop2 = vec![0i64; top + 1];
@@ -514,6 +590,46 @@ fn machine_of(p: &ProgParams) -> Machine {
     m.define_fn("h", |a| a[0] >> 1);
     m.define_fn("max", |a| a.iter().copied().max().unwrap_or(0));
     m
+}
+
+/// [`prog_strategy`]'s programs reshaped into bodies the batch licence
+/// admits unless a term reads the temporary before writing it: an
+/// ascending unit-stride induction updated last, `A[i]` stored and then
+/// `B[i]`, on three programs in four a fault on the second store, after
+/// the first, and on one in two no exit but the loop condition.
+fn batch_strategy() -> impl Strategy<Value = ProgParams> {
+    let fault = prop_oneof![
+        Just(None),
+        Just(Some(Fault::Edge)),
+        Just(Some(Fault::Gather)),
+        Just(Some(Fault::DivisionByZero)),
+    ];
+    (prog_strategy(), fault, any::<bool>()).prop_map(|(mut p, fault, exits)| {
+        let terms: Vec<usize> = p
+            .lines
+            .iter()
+            .map(|l| match *l {
+                Line::Store(_, _, t) | Line::Temp(t) | Line::Reduce(t) => t,
+            })
+            .collect();
+        let term = |k: usize| terms.get(k).copied().unwrap_or(2);
+        p.descending = false;
+        p.stride = 1;
+        p.update_first = false;
+        p.lines = vec![
+            Line::Store(true, Sub::Affine(1, 0), term(0)),
+            Line::Store(false, Sub::Affine(1, 0), term(1)),
+        ];
+        p.faults = Faults {
+            first: fault.map(|f| (f, FaultAt::Right)),
+            second: None,
+            on_last_line: true,
+        };
+        if !exits {
+            p.exit = Exit::None;
+        }
+        p
+    })
 }
 
 fn pools() -> [Pool; 2] {
@@ -529,7 +645,15 @@ proptest! {
         let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
         // a bound that sometimes cuts the loop short and never lets `i`
         // leave the arrays
-        let max_iters = params.n + 4;
+        let max_iters = params.n + params.extra_iters;
+        assert_all_executions_match(&src, &prog, &machine_of(&params), max_iters, &pools());
+    }
+
+    #[test]
+    fn batched_programs_equal_the_reference_walker(params in batch_strategy()) {
+        let src = source_of(&params);
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let max_iters = params.n + params.extra_iters;
         assert_all_executions_match(&src, &prog, &machine_of(&params), max_iters, &pools());
     }
 

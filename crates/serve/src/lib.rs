@@ -206,6 +206,9 @@ pub struct Service {
     /// What became of the runs whose plan could speculate
     /// (`stats.speculation`).
     speculation: SpeculationCounts,
+    /// Runs that committed at least one batch of iterations
+    /// (`ExecOutcome::batches`).
+    batched_runs: AtomicU64,
 }
 
 /// `stats.speculation`: runs of a speculative plan, by what the service
@@ -272,6 +275,7 @@ impl Service {
             builtins,
             sequential_plans: Default::default(),
             speculation: SpeculationCounts::default(),
+            batched_runs: AtomicU64::new(0),
         }
     }
 
@@ -641,6 +645,9 @@ impl Service {
         if attempt_parallel && out.ran_parallel {
             self.speculation.committed.fetch_add(1, Ordering::Relaxed);
         }
+        if out.batches > 0 {
+            self.batched_runs.fetch_add(1, Ordering::Relaxed);
+        }
         tenant.breaker.lock().record_success();
 
         // ---- response ----
@@ -899,6 +906,10 @@ impl Service {
                         })
                         .collect(),
                 ),
+            ),
+            (
+                "batched_runs".into(),
+                Value::UInt(self.batched_runs.load(Ordering::Relaxed)),
             ),
             (
                 "speculation".into(),

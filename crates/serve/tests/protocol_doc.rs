@@ -229,3 +229,28 @@ fn every_stats_key_is_documented_and_none_is_persist() {
     );
     assert!(!PROTOCOL_MD.contains("samples_dropped"));
 }
+
+#[test]
+fn batched_runs_counts_the_runs_that_committed_a_batch() {
+    // sequential by construction (`s` is a second scalar), and a body the
+    // batch licence admits: iteration 0 runs alone, then 64 at a time
+    let program = json::to_string(
+        "integer i = 0\ninteger s = 0\nwhile (i < n) {\n    s = s + 3\n    A[i] = s\n    i = i + 1\n}",
+    );
+    let service = Service::with_defaults();
+    for n in [10, 100, 65, 64] {
+        let items: Vec<String> = (0..n).map(|v: i64| v.to_string()).collect();
+        let line = format!(
+            r#"{{"op":"run","id":"b{n}","program":{program},"arrays":{{"A":[{}]}},"scalars":{{"n":{n}}},"reply":"scalars"}}"#,
+            items.join(",")
+        );
+        let resp = service.handle_line(&line);
+        assert!(resp.contains(&format!("\"s\":{}", 3 * n)), "{resp}");
+    }
+    let stats = json::parse(&service.handle_line(r#"{"op":"stats","id":"s"}"#)).unwrap();
+    let batched = stats.get("stats").and_then(|s| s.get("batched_runs"));
+    // n = 100 and n = 65 run iterations 1 to 64 as a batch; 10 and 64
+    // iterations do not reach the end of one
+    assert_eq!(batched.and_then(Value::as_u64), Some(2), "{stats:?}");
+    assert!(PROTOCOL_MD.contains("`batched_runs` (runs whose sequential execution committed"));
+}
