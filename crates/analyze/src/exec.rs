@@ -218,11 +218,19 @@ mod tests {
         );
     }
 
-    /// The batch licence reads plan code alone, yet on the corpus it is
-    /// granted exactly where the certificate proves a DOALL.
+    /// The batch licence reads plan code alone, yet on the corpus the
+    /// kind of batch it grants follows the certificate: a certified DOALL
+    /// runs plain batches, a proven recurrence scans within each batch,
+    /// and the loop left to speculation claims its computed elements.
     #[test]
     fn the_batch_licence_agrees_with_the_certificate_on_the_corpus() {
         let loops = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/loops");
+        let kind = |plan: &ExecPlan| match (plan.batch_scans().is_empty(), plan.batch_checked()) {
+            (true, checked) if checked.is_empty() => "plain",
+            (false, checked) if checked.is_empty() => "scanned",
+            (true, _) => "checked",
+            (false, _) => "scanned and checked",
+        };
         let mut licensed = Vec::new();
         for entry in std::fs::read_dir(&loops).unwrap() {
             let path = entry.unwrap().path();
@@ -231,13 +239,42 @@ mod tests {
             }
             let (_, analysis, plan) = compile_source(&std::fs::read_to_string(&path).unwrap())
                 .expect("the corpus compiles");
-            let doall = analysis.certificate.verdict == CertVerdict::CertifiedDoall;
-            assert_eq!(plan.batch_refusal().is_none(), doall, "{}", path.display());
-            if doall {
-                licensed.push(path.file_stem().unwrap().to_str().unwrap().to_string());
-            }
+            assert_eq!(plan.batch_refusal(), None, "{}", path.display());
+            let want = match analysis.certificate.verdict {
+                CertVerdict::CertifiedDoall => "plain",
+                CertVerdict::CertifiedSequential => "scanned",
+                CertVerdict::SpeculateBounded => "checked",
+            };
+            assert_eq!(kind(&plan), want, "{}", path.display());
+            let name = path.file_stem().unwrap().to_str().unwrap().to_string();
+            licensed.push((name, kind(&plan)));
         }
         licensed.sort();
-        assert_eq!(licensed, ["counted_fill", "guarded_update", "swap"]);
+        assert_eq!(
+            licensed,
+            [
+                ("counted_fill", "plain"),
+                ("gather_scatter", "checked"),
+                ("guarded_update", "plain"),
+                ("mcsparse_pair", "scanned"),
+                ("partial_sums", "scanned"),
+                ("swap", "plain"),
+                ("wavefront", "scanned"),
+            ]
+            .map(|(name, kind)| (name.to_string(), kind))
+        );
+
+        // hints that wrongly certify gather_scatter's `A` change its mode,
+        // never its licence: its elements are still claimed per batch
+        let src = std::fs::read_to_string(loops.join("gather_scatter.wlp")).unwrap();
+        let program = parse_program(&src).unwrap();
+        let (body, symbols) = lower_with_symbols(&program).unwrap();
+        let mut hints = plan_hints(&body, &symbols, &analyze(&body));
+        hints.certified = vec!["A".into(), "B".into()];
+        let plan = ExecPlan::lower(&program, &hints);
+        let a = plan.arrays().iter().position(|a| a == "A").unwrap();
+        assert_eq!(plan.modes()[a], AccessMode::Certified, "the hint took");
+        assert_eq!(kind(&plan), "checked");
+        assert_eq!(plan.batch_checked(), ["A"]);
     }
 }

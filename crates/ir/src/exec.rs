@@ -36,7 +36,7 @@ use wlp_runtime::{CancelFlag, Pool, Step};
 
 mod licence;
 
-use licence::{Licence, Role, MAX_ARGS};
+use licence::{Chain, Licence, Link, Role, MAX_ARGS};
 pub use licence::{Refusal, LANES};
 
 /// How much speculation machinery one array needs (Sections 4 and 5 of
@@ -491,10 +491,27 @@ fn stop_error() -> ExecError {
     err("the run was stopped: its deadline passed or its client left".into())
 }
 
-/// Why a batch stopped short: some lane met an exit or an error. The
-/// batch is undone and its iterations run one at a time, which meets the
-/// same thing in sequential order.
-struct Trip;
+/// Why a batch stopped short. Either way the batch is undone and its
+/// iterations run one at a time, which meets the same thing in sequential
+/// order.
+enum Trip {
+    /// Some lane met an error.
+    Fault,
+    /// Two lanes claimed one element of a checked array: iterations of
+    /// this run meet through computed subscripts, so it runs no more
+    /// batches.
+    Collision,
+}
+
+/// How an attempt at a batch ended.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Batched {
+    Committed,
+    /// It did not start, or some lane met an exit or an error.
+    Undone,
+    /// Two of its lanes claimed one element of a checked array.
+    Collided,
+}
 
 /// A batch's registers, lane `k` of each holding iteration `k` of the
 /// batch, over the frame's arrays. Run only for a licensed body with
@@ -504,15 +521,58 @@ struct Trip;
 struct Batch<'r, 'a> {
     env: &'r Env<'r>,
     roles: &'r [Role],
+    /// The instructions that are part of a scan or a checked exit, by
+    /// position, in body order: each runs its link in its place.
+    links: &'r [(usize, Link)],
     regs: &'r mut [[i64; LANES]],
     arrays: &'r mut [&'a mut [i64]],
-    /// Each store's array, span and the old values it overwrote, in
-    /// order, when something can trip after a store.
-    trail: Option<&'r mut Vec<Saved>>,
+    /// What each store overwrote, when something can trip after a store.
+    trail: Option<&'r mut Trail>,
+    /// Per checked array, which lane of which batch claimed each element;
+    /// empty for every other array.
+    marks: &'r mut [Vec<u16>],
+    /// This batch's number in `marks`: a mark is `epoch << 6 | lane`.
+    epoch: u16,
 }
 
-/// What one store of a batch overwrote: array slot, span, old values.
-type Saved = (usize, (usize, isize), [i64; LANES]);
+/// What a batch's stores overwrote, in order: array slot, elements, old
+/// values. An array is stored either through affine spans or through
+/// scattered elements, never both, so each list is undone on its own.
+#[derive(Default)]
+struct Trail {
+    spans: Vec<(usize, (usize, isize), [i64; LANES])>,
+    scattered: Vec<(usize, [usize; LANES], [i64; LANES])>,
+}
+
+/// What a licensed run keeps for its batches, made when the first one
+/// starts.
+#[derive(Default)]
+struct LaneFile {
+    /// Per register, one value per lane.
+    regs: Vec<[i64; LANES]>,
+    /// [`Batch::marks`], one buffer per checked array.
+    marks: Vec<Vec<u16>>,
+    /// The last batch's [`Batch::epoch`], 1 to 1023; 0 marks nothing.
+    epoch: u16,
+    trail: Trail,
+}
+
+/// Whether `leave` holds between `a + ca·k` and `b + cb·k` (wrapping) in
+/// any lane `k`. Where neither side wraps, their difference is linear in
+/// `k`, so any comparison but `==` holds in some lane iff it holds in the
+/// first or the last.
+fn fires(leave: CmpOp, (a, ca): (i64, i64), (b, cb): (i64, i64)) -> bool {
+    let last = |v: i64, c: i64| v.checked_add(c.checked_mul(LANES as i64 - 1)?);
+    match (last(a, ca), last(b, cb)) {
+        (Some(a_last), Some(b_last)) if leave != CmpOp::Eq => {
+            compare(leave, a, b) || compare(leave, a_last, b_last)
+        }
+        _ => (0..LANES as i64).any(|k| {
+            let at = |v: i64, c: i64| v.wrapping_add(c.wrapping_mul(k));
+            compare(leave, at(a, ca), at(b, cb))
+        }),
+    }
+}
 
 /// The element lane 0 of an affine access reaches and the distance to
 /// the next lane's, if lanes 0 to 63 (`base + step·k`, wrapping) all lie
@@ -575,7 +635,43 @@ impl Batch<'_, '_> {
         let base = scale
             .wrapping_mul(self.regs[x as usize][0])
             .wrapping_add(off);
-        span(len, base, scale.wrapping_mul(c)).ok_or(Trip)
+        span(len, base, scale.wrapping_mul(c)).ok_or(Trip::Fault)
+    }
+
+    /// The elements lanes `0..LANES` of `scale·x + off` reach in an
+    /// array of `len`, for a private `x`; trips on one out of bounds.
+    #[inline(always)]
+    fn elements(&self, len: usize, x: Reg, scale: i64, off: i64) -> Result<[usize; LANES], Trip> {
+        let x = &self.regs[x as usize];
+        let at: [usize; LANES] =
+            std::array::from_fn(|k| scale.wrapping_mul(x[k]).wrapping_add(off) as usize);
+        match at.iter().fold(false, |out, &e| out | (e >= len)) {
+            true => Err(Trip::Fault),
+            false => Ok(at),
+        }
+    }
+
+    /// Claims element `at[k]` of array `arr` for lane `k`, if `arr` is
+    /// checked: trips if another lane of this batch claimed one of them.
+    #[inline(always)]
+    fn claim(&mut self, arr: u32, at: &[usize; LANES]) -> Result<(), Trip> {
+        let Some(marks) = self
+            .marks
+            .get_mut(arr as usize)
+            .filter(|marks| !marks.is_empty())
+        else {
+            return Ok(());
+        };
+        let mut met = false;
+        for (lane, &e) in at.iter().enumerate() {
+            let mine = self.epoch << 6 | lane as u16;
+            met |= (marks[e] >> 6 == self.epoch) & (marks[e] != mine);
+            marks[e] = mine;
+        }
+        match met {
+            true => Err(Trip::Collision),
+            false => Ok(()),
+        }
     }
 
     /// The batch's dispatch: runs `code` across all lanes, each
@@ -588,7 +684,12 @@ impl Batch<'_, '_> {
                 }
             }};
         }
-        for op in code {
+        let mut links = self.links.iter().peekable();
+        for (at, op) in code.iter().enumerate() {
+            if let Some(&(_, link)) = links.next_if(|&&(to, _)| to == at) {
+                self.link(link)?;
+                continue;
+            }
             match *op {
                 Op::Move { d, a } => self.unary(d, a, |x| x),
                 Op::Neg { d, a } => self.unary(d, a, i64::wrapping_neg),
@@ -619,7 +720,7 @@ impl Batch<'_, '_> {
                 Op::Check(_) => {}
                 Op::CheckFn(f) => {
                     if self.env.funcs[f as usize].is_none() {
-                        return Err(Trip);
+                        return Err(Trip::Fault);
                     }
                 }
                 Op::Call {
@@ -641,6 +742,92 @@ impl Batch<'_, '_> {
         Ok(Step::Continue)
     }
 
+    /// Runs an instruction's part in a scan, or nothing for an exit
+    /// checked before the batch started.
+    fn link(&mut self, link: Link) -> Result<(), Trip> {
+        match link {
+            Link::Head {
+                d,
+                arr,
+                x,
+                scale,
+                off,
+                m,
+                b,
+                sum,
+            } => {
+                let Role::Carried(c) = self.roles[x as usize] else {
+                    unreachable!("a scan loads through a carried subscript");
+                };
+                let a = &*self.arrays[arr as usize];
+                let (at, _) = self.span(a.len(), x, c, scale, off)?;
+                let first = a[at];
+                self.regs[d as usize][0] = first;
+                // lane 0's map is the constant `first`: `m = 0` then, or
+                // a running sum from 0
+                self.regs[b as usize] = [0; LANES];
+                self.regs[b as usize][0] = first;
+                if !sum {
+                    self.regs[m as usize] = [1; LANES];
+                    self.regs[m as usize][0] = 0;
+                }
+            }
+            Link::Step { op, other, m, b } => match op {
+                Chain::Add => self.binary(b, b, other, i64::wrapping_add),
+                Chain::Sub => self.binary(b, b, other, i64::wrapping_sub),
+                Chain::SubFrom => {
+                    self.unary(m, m, i64::wrapping_neg);
+                    self.binary(b, other, b, i64::wrapping_sub);
+                }
+                Chain::Mul => {
+                    self.binary(m, m, other, i64::wrapping_mul);
+                    self.binary(b, b, other, i64::wrapping_mul);
+                }
+                Chain::Neg => {
+                    self.unary(m, m, i64::wrapping_neg);
+                    self.unary(b, b, i64::wrapping_neg);
+                }
+                Chain::Move => {}
+            },
+            Link::Tail {
+                head,
+                v,
+                arr,
+                x,
+                scale,
+                off,
+                m,
+                b,
+                sum,
+            } => {
+                // lane k loads what lane k - 1 stores, so each lane's
+                // map applies to the previous lane's stored value
+                let (mut last, mut stored) = (0i64, [0; LANES]);
+                let b_lanes = &self.regs[b as usize];
+                if sum {
+                    for (out, &b) in stored.iter_mut().zip(b_lanes) {
+                        last = last.wrapping_add(b);
+                        *out = last;
+                    }
+                } else {
+                    let m_lanes = &self.regs[m as usize];
+                    for ((out, &m), &b) in stored.iter_mut().zip(m_lanes).zip(b_lanes) {
+                        last = m.wrapping_mul(last).wrapping_add(b);
+                        *out = last;
+                    }
+                }
+                if let Some(head) = head {
+                    let loaded = &mut self.regs[head as usize];
+                    loaded[1..].copy_from_slice(&stored[..LANES - 1]);
+                }
+                self.regs[v as usize] = stored;
+                self.store(arr, x, v, scale, off)?;
+            }
+            Link::Bounded(_) => {}
+        }
+        Ok(())
+    }
+
     /// `d = f(a)`
     #[inline(always)]
     fn unary(&mut self, d: Reg, a: Reg, f: impl Fn(i64) -> i64) {
@@ -659,31 +846,28 @@ impl Batch<'_, '_> {
     fn div(&mut self, d: Reg, a: Reg, b: Reg) -> Result<(), Trip> {
         let (x, y) = (self.regs[a as usize], self.regs[b as usize]);
         if y.contains(&0) {
-            return Err(Trip);
+            return Err(Trip::Fault);
         }
         self.regs[d as usize] = std::array::from_fn(|k| x[k].wrapping_div(y[k]));
         Ok(())
     }
 
     /// `d = arr[scale·x + off]`: a strided walk over a checked span when
-    /// `x` is carried, a gather that trips on a lane out of bounds
-    /// otherwise.
+    /// `x` is carried, otherwise a gather that trips on a lane out of
+    /// bounds, and on a checked array claims its elements first.
     #[inline(always)]
     fn load(&mut self, d: Reg, arr: u32, x: Reg, scale: i64, off: i64) -> Result<(), Trip> {
-        let a = &*self.arrays[arr as usize];
+        let len = self.arrays[arr as usize].len();
         match self.roles[x as usize] {
             Role::Carried(c) => {
-                let at = self.span(a.len(), x, c, scale, off)?;
-                read_lanes(a, at, &mut self.regs[d as usize]);
+                let at = self.span(len, x, c, scale, off)?;
+                read_lanes(self.arrays[arr as usize], at, &mut self.regs[d as usize]);
             }
-            // a computed subscript: gathered lane by lane
             _ => {
-                let mut out = self.regs[x as usize];
-                for o in &mut out {
-                    let idx = scale.wrapping_mul(*o).wrapping_add(off);
-                    *o = *a.get(idx as usize).ok_or(Trip)?;
-                }
-                self.regs[d as usize] = out;
+                let at = self.elements(len, x, scale, off)?;
+                self.claim(arr, &at)?;
+                let a = &*self.arrays[arr as usize];
+                self.regs[d as usize] = std::array::from_fn(|k| a[at[k]]);
             }
         }
         Ok(())
@@ -693,15 +877,27 @@ impl Batch<'_, '_> {
     /// if there is one.
     #[inline(always)]
     fn store(&mut self, arr: u32, x: Reg, v: Reg, scale: i64, off: i64) -> Result<(), Trip> {
+        let len = self.arrays[arr as usize].len();
         let Role::Carried(c) = self.roles[x as usize] else {
-            unreachable!("a licensed body stores only through a carried subscript");
+            // a checked array's: claimed, then scattered in lane order
+            let at = self.elements(len, x, scale, off)?;
+            self.claim(arr, &at)?;
+            let a = &mut *self.arrays[arr as usize];
+            if let Some(trail) = self.trail.as_deref_mut() {
+                let old = std::array::from_fn(|k| a[at[k]]);
+                trail.scattered.push((arr as usize, at, old));
+            }
+            for (&e, &v) in at.iter().zip(&self.regs[v as usize]) {
+                a[e] = v;
+            }
+            return Ok(());
         };
-        let at = self.span(self.arrays[arr as usize].len(), x, c, scale, off)?;
+        let at = self.span(len, x, c, scale, off)?;
         let a = &mut *self.arrays[arr as usize];
         if let Some(trail) = self.trail.as_deref_mut() {
             let mut old = [0; LANES];
             read_lanes(a, at, &mut old);
-            trail.push((arr as usize, at, old));
+            trail.spans.push((arr as usize, at, old));
         }
         write_lanes(a, at, &self.regs[v as usize]);
         Ok(())
@@ -761,11 +957,6 @@ fn retarget(d: Reg, out: &mut [Op]) {
     last.relocate(|r| if r == DEST { d } else { r });
 }
 
-/// Whether lowering `e` emits no code: its value sits in a register.
-fn is_bare(e: &Expr) -> bool {
-    matches!(e, Expr::Int(_) | Expr::Null | Expr::Var(_))
-}
-
 /// Lowering state: the slot tables, and which scalars the code emitted
 /// so far has definitely assigned.
 #[derive(Default)]
@@ -815,6 +1006,12 @@ impl Lowering {
         CONST_BASE + u32::try_from(at).expect("constant count fits u32")
     }
 
+    /// The value of `r` if it is a constant's register.
+    fn value(&self, r: Reg) -> Option<i64> {
+        let at = r.checked_sub(CONST_BASE).filter(|_| r < TEMP_BASE)?;
+        self.consts.get(at as usize).copied()
+    }
+
     /// A fresh temporary, live until a caller resets `live`.
     fn temp(&mut self) -> Reg {
         self.live += 1;
@@ -824,8 +1021,10 @@ impl Lowering {
 
     /// Emits what `e` needs computed, in the tree walker's evaluation
     /// order. `Some(r)`: nothing was emitted, the value sits in `r`, a
-    /// scalar's or a constant's own register. `None`: the last instruction
-    /// emitted computes it into [`DEST`], for the caller to name.
+    /// scalar's or a constant's own register — an expression of literals
+    /// alone is folded into one, as [`constant`] computes it, unless it
+    /// divides by zero. `None`: the last instruction emitted computes it
+    /// into [`DEST`], for the caller to name.
     fn code(&mut self, e: &Expr, out: &mut Vec<Op>) -> Option<Reg> {
         let live = self.live;
         let op = match e {
@@ -854,10 +1053,20 @@ impl Lowering {
             }
             Expr::Neg(inner) => {
                 let a = self.expr(inner, out);
+                if let Some(v) = self.value(a) {
+                    return Some(self.konst(v.wrapping_neg()));
+                }
                 Op::Neg { d: DEST, a }
             }
             Expr::Bin(op, a, b) => {
                 let (a, b) = self.operands(a, b, out);
+                let folded = self
+                    .value(a)
+                    .zip(self.value(b))
+                    .and_then(|(x, y)| arith(*op, x, y));
+                if let Some(v) = folded {
+                    return Some(self.konst(v));
+                }
                 Op::arith(*op, DEST, a, b)
             }
             Expr::Cmp(op, a, b) => {
@@ -901,20 +1110,23 @@ impl Lowering {
         d
     }
 
-    /// Emits `Check(r)` if `r` is a scalar nothing has definitely
-    /// assigned and `then` emits code: that code runs before the
-    /// instruction that reads `r`, but the tree walker reads `r` first.
-    fn check_before(&mut self, r: Reg, then: &Expr, out: &mut Vec<Op>) {
-        if !is_bare(then) && self.assigned.get(r as usize) == Some(&false) {
-            out.push(Op::Check(r));
+    /// Emits `then` as [`expr`](Self::expr) does, behind a `Check(r)` if
+    /// `r` is a scalar nothing has definitely assigned and `then` emits
+    /// code: that code runs before the instruction that reads `r`, but
+    /// the tree walker reads `r` first.
+    fn expr_after(&mut self, r: Reg, then: &Expr, out: &mut Vec<Op>) -> Reg {
+        let at = out.len();
+        let v = self.expr(then, out);
+        if out.len() > at && self.assigned.get(r as usize) == Some(&false) {
+            out.insert(at, Op::Check(r));
         }
+        v
     }
 
     /// The operands of a two-operand node, the left one first.
     fn operands(&mut self, a: &Expr, b: &Expr, out: &mut Vec<Op>) -> (Reg, Reg) {
         let ra = self.expr(a, out);
-        self.check_before(ra, b, out);
-        (ra, self.expr(b, out))
+        (ra, self.expr_after(ra, b, out))
     }
 
     /// A subscript as `(x, scale, off)`, standing for `scale·x + off`.
@@ -933,8 +1145,7 @@ impl Lowering {
 
     fn store(&mut self, arr: &str, sub: &Expr, rhs: &Expr, out: &mut Vec<Op>) {
         let sub = self.subscript(sub, out);
-        self.check_before(sub.0, rhs, out);
-        let v = self.expr(rhs, out);
+        let v = self.expr_after(sub.0, rhs, out);
         let arr = self.array(arr);
         self.stored[arr as usize] = true;
         out.push(Op::store(arr, sub, v));
@@ -1504,12 +1715,9 @@ impl ExecPlan {
                 return Ok(ExecOutcome::sequential(0, Some(0), 0));
             }
             let licence = self.batch.as_ref().ok().filter(|_| !env.check_scalars);
-            // a register the body never writes holds one value for the run
-            let mut lanes: Vec<[i64; LANES]> = match licence {
-                Some(_) => s.regs.iter().map(|&v| [v; LANES]).collect(),
-                None => Vec::new(),
-            };
-            let mut trail = Vec::with_capacity(licence.map_or(0, |l| l.trail));
+            // whether this run still tries batches: a collision ends that
+            let mut batching = licence.is_some();
+            let mut lanes = LaneFile::default();
             // iterations run, batches committed, iterations since the stop
             // was last read
             let (mut i, mut batches, mut unread) = (1, 0, 1);
@@ -1522,12 +1730,15 @@ impl ExecPlan {
                 }
                 // a licensed body runs a batch while one fits, and one
                 // iteration at a time through a batch that did not commit
-                let ahead = match licence {
+                let ahead = match licence.filter(|_| batching) {
                     Some(licence) => {
                         let ahead = (max_iters - i).min(LANES);
-                        if ahead == LANES
-                            && self.batch_at(licence, env, s, &mut view, &mut lanes, &mut trail)
-                        {
+                        let batched = match ahead {
+                            LANES => self.batch_at(licence, env, s, &mut view, &mut lanes),
+                            _ => Batched::Undone,
+                        };
+                        batching = batched != Batched::Collided;
+                        if batched == Batched::Committed {
                             batches += 1;
                         } else if let Some(j) = self.run_each(env, s, &mut view, i..i + ahead)? {
                             return Ok(ExecOutcome::sequential(j, Some(j), batches));
@@ -1537,7 +1748,7 @@ impl ExecPlan {
                     None => {
                         let ahead = (max_iters - i).min(STOP_EVERY - unread);
                         if let Some(j) = self.run_each(env, s, &mut view, i..i + ahead)? {
-                            return Ok(ExecOutcome::sequential(j, Some(j), 0));
+                            return Ok(ExecOutcome::sequential(j, Some(j), batches));
                         }
                         ahead
                     }
@@ -1569,57 +1780,96 @@ impl ExecPlan {
     }
 
     /// Runs the next [`LANES`] iterations as one batch, each instruction
-    /// across all of them. Whether it committed: a batch in which an
-    /// affine access would leave its array does not start, and one in
+    /// across all of them. A batch in which an affine access would leave
+    /// its array, or a checked exit would fire, does not start; one in
     /// which any lane trips is undone, leaving `s` and the arrays as they
-    /// were.
+    /// were. The lane file is made when the first batch starts.
     fn batch_at(
         &self,
         licence: &Licence,
         env: &Env<'_>,
         s: &mut Scratch,
         view: &mut Direct<'_>,
-        lanes: &mut [[i64; LANES]],
-        trail: &mut Vec<Saved>,
-    ) -> bool {
-        let fits = licence.affine.iter().all(|a| {
-            let base = a
-                .scale
-                .wrapping_mul(s.regs[a.x as usize])
-                .wrapping_add(a.off);
-            span(view.0[a.arr as usize].len(), base, a.step).is_some()
-        });
-        if !fits {
-            return false;
+        lanes: &mut LaneFile,
+    ) -> Batched {
+        let lanes_of = |(r, c): (Reg, i64)| (s.regs[r as usize], c);
+        let exits = || {
+            let mut bounds = licence.bounds();
+            bounds.any(|e| fires(e.leave, lanes_of(e.a), lanes_of(e.b)))
+        };
+        let fits = || {
+            licence.affine.iter().all(|a| {
+                let base = a
+                    .scale
+                    .wrapping_mul(s.regs[a.x as usize])
+                    .wrapping_add(a.off);
+                span(view.0[a.arr as usize].len(), base, a.step).is_some()
+            })
+        };
+        if exits() || !fits() {
+            return Batched::Undone;
+        }
+        if lanes.regs.is_empty() {
+            // a register the body never writes holds one value for the run
+            lanes.regs = s.regs.iter().map(|&v| [v; LANES]).collect();
+            lanes.regs.resize(licence.lanes, [0; LANES]);
+            if !licence.checked.is_empty() {
+                lanes.marks = vec![Vec::new(); view.0.len()];
+                for &arr in &licence.checked {
+                    lanes.marks[arr as usize] = vec![0; view.0[arr as usize].len()];
+                }
+            }
+            lanes.trail.spans.reserve(licence.trail);
+            lanes.trail.scattered.reserve(licence.trail);
+        }
+        if !lanes.marks.is_empty() {
+            lanes.epoch += 1;
+            if lanes.epoch == 1 << 10 {
+                lanes.marks.iter_mut().for_each(|m| m.fill(0));
+                lanes.epoch = 1;
+            }
         }
         for (r, role) in licence.roles.iter().enumerate() {
             if let Role::Carried(c) = *role {
                 let v = s.regs[r];
-                lanes[r] = std::array::from_fn(|k| v.wrapping_add(c.wrapping_mul(k as i64)));
+                lanes.regs[r] = std::array::from_fn(|k| v.wrapping_add(c.wrapping_mul(k as i64)));
             }
         }
-        trail.clear();
+        lanes.trail.spans.clear();
+        lanes.trail.scattered.clear();
         let mut batch = Batch {
             env,
             roles: &licence.roles,
-            regs: lanes,
+            links: &licence.links,
+            regs: &mut lanes.regs,
             arrays: &mut view.0,
-            trail: (licence.trail > 0).then_some(trail),
+            trail: (licence.trail > 0).then_some(&mut lanes.trail),
+            marks: &mut lanes.marks,
+            epoch: lanes.epoch,
         };
-        let committed = matches!(batch.run(&self.body), Ok(Step::Continue));
-        if committed {
+        let batched = match batch.run(&self.body) {
+            Ok(Step::Continue) => Batched::Committed,
+            Ok(Step::Quit) | Err(Trip::Fault) => Batched::Undone,
+            Err(Trip::Collision) => Batched::Collided,
+        };
+        if batched == Batched::Committed {
             // the last lane's registers are the last iteration's
             for (r, role) in licence.roles.iter().enumerate() {
                 if *role != Role::Uniform {
-                    s.regs[r] = lanes[r][LANES - 1];
+                    s.regs[r] = lanes.regs[r][LANES - 1];
                 }
             }
         } else {
-            for (arr, at, old) in trail.drain(..).rev() {
+            for (arr, at, old) in lanes.trail.spans.drain(..).rev() {
                 write_lanes(view.0[arr], at, &old);
             }
+            for (arr, at, old) in lanes.trail.scattered.drain(..).rev() {
+                for (&e, &v) in at.iter().zip(&old) {
+                    view.0[arr][e] = v;
+                }
+            }
         }
-        committed
+        batched
     }
 
     /// Whether the body runs [`LANES`] iterations at a time when it runs
@@ -1642,15 +1892,21 @@ impl ExecPlan {
                         name(r as usize)
                     ),
                     Refusal::Unstepped(a) => format!(
-                        "`{}` is accessed through a subscript that does not step with the loop",
+                        "`{}` is accessed through a subscript that neither steps with the loop \
+                         nor is computed in the iteration",
                         self.arrays[a as usize]
                     ),
                     Refusal::MixedSubscripts(a) => format!(
-                        "`{}` is accessed under two different subscript steps",
+                        "`{}` is accessed through subscripts that do not step together",
                         self.arrays[a as usize]
                     ),
                     Refusal::Overlap(a, d) => format!(
-                        "iterations {d} apart touch one element of `{}`",
+                        "iterations {d} apart touch one element of `{}`, the later one first",
+                        self.arrays[a as usize]
+                    ),
+                    Refusal::Chain(a) => format!(
+                        "the element `{}` hands the next iteration does not reach its one store \
+                         through +, -, * and negation alone",
                         self.arrays[a as usize]
                     ),
                     Refusal::WideCall(f) => format!(
@@ -1683,11 +1939,50 @@ impl ExecPlan {
             0 => "no undo trail".into(),
             n => format!("undo trail of {n} stores"),
         };
+        let mut arrays = String::new();
+        if licence.scans().next().is_some() {
+            let scans = licence.scans().map(|(a, sum)| {
+                let how = if sum { "running sum" } else { "x ↦ m·x + b" };
+                format!("{} ({how})", self.arrays[a as usize])
+            });
+            arrays += &format!("; scanned {}", scans.collect::<Vec<_>>().join(", "));
+        }
+        if !licence.checked.is_empty() {
+            let checked = licence
+                .checked
+                .iter()
+                .map(|&a| self.arrays[a as usize].clone());
+            arrays += &format!("; checked {}", checked.collect::<Vec<_>>().join(", "));
+        }
         format!(
-            "batch: {LANES} iterations at a time; carried {}; private {}; {trail}",
+            "batch: {LANES} iterations at a time; carried {}; private {}{arrays}; {trail}",
             list(carried),
             list(private)
         )
+    }
+
+    /// The arrays a licensed body scans within a batch, each with whether
+    /// its chain only adds and subtracts (a running sum): empty when it
+    /// has none or is refused.
+    pub fn batch_scans(&self) -> Vec<(&str, bool)> {
+        let Ok(licence) = &self.batch else {
+            return Vec::new();
+        };
+        licence
+            .scans()
+            .map(|(a, sum)| (self.arrays[a as usize].as_str(), sum))
+            .collect()
+    }
+
+    /// The arrays a licensed body reaches through computed subscripts
+    /// only, each batch claiming their elements: empty when it has none
+    /// or is refused.
+    pub fn batch_checked(&self) -> Vec<&str> {
+        let checked = self.batch.as_ref().map_or(&[][..], |l| &l.checked);
+        checked
+            .iter()
+            .map(|&a| self.arrays[a as usize].as_str())
+            .collect()
     }
 
     /// Executes the plan under its [`Schedule`]: a statically sequential
@@ -1934,18 +2229,22 @@ mod tests {
         assert_eq!(emitted, VARIANTS.split_whitespace().collect());
     }
 
+    fn corpus(name: &str) -> String {
+        let path = format!(
+            "{}/../../examples/loops/{name}.wlp",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    fn body(b: &str) -> String {
+        format!("integer i = 0\nwhile (i < n) {{ {b}; i = i + 1 }}")
+    }
+
     /// The batch licence's verdicts, each granted or refused with the
     /// first reason the check met.
     #[test]
     fn the_batch_licence_reads_the_body_alone() {
-        let corpus = |name: &str| {
-            let path = format!(
-                "{}/../../examples/loops/{name}.wlp",
-                env!("CARGO_MANIFEST_DIR")
-            );
-            std::fs::read_to_string(path).unwrap()
-        };
-        let body = |b: &str| format!("integer i = 0\nwhile (i < n) {{ {b}; i = i + 1 }}");
         // the refusal, by kind and the name it concerns
         let verdict = |plan: &ExecPlan| {
             plan.batch_refusal().map(|r| match r {
@@ -1953,23 +2252,19 @@ mod tests {
                 Refusal::Unstepped(a) => ("unstepped", plan.arrays()[a as usize].clone(), 0),
                 Refusal::MixedSubscripts(a) => ("mixed", plan.arrays()[a as usize].clone(), 0),
                 Refusal::Overlap(a, d) => ("overlap", plan.arrays()[a as usize].clone(), d),
+                Refusal::Chain(a) => ("chain", plan.arrays()[a as usize].clone(), 0),
                 Refusal::WideCall(f) => ("wide_call", plan.funcs()[f as usize].clone(), 0),
             })
         };
         let refused = |kind, name: &str, d| Some((kind, name.to_string(), d));
         let table = [
-            (corpus("swap"), None),
-            (corpus("gather_scatter"), refused("unstepped", "A", 0)),
-            (corpus("counted_fill"), None),
-            (corpus("guarded_update"), None),
-            (corpus("partial_sums"), refused("overlap", "A", 1)),
-            (corpus("wavefront"), refused("overlap", "B", 1)),
-            (corpus("mcsparse_pair"), refused("overlap", "A", 1)),
             (body("A[i] = A[i + 64] + 1"), None),
-            (body("A[i] = A[i + 63] + 1"), refused("overlap", "A", 63)),
-            // 2⁶² · 4 wraps to 0: lanes 0 and 4 store one element
+            // lane j reads what lane j + 63 stores, and reads it first
+            (body("A[i] = A[i + 63] + 1"), None),
+            (body("A[i + 63] = A[i] + 1"), refused("overlap", "A", 63)),
+            // 2⁶² · 4 wraps to 0: lane 4 stores what lane 0 loaded, later
             (
-                body("A[4611686018427387904 * i] = 1"),
+                body("A[4611686018427387904 * i] = A[4611686018427387904 * i] + 1"),
                 refused("overlap", "A", 4),
             ),
             (body("s = s * 2"), refused("carried", "s", 0)),
@@ -1978,25 +2273,88 @@ mod tests {
                 refused("carried", "t", 0),
             ),
             (body("A[i] = A[2 * i]"), refused("mixed", "A", 0)),
+            (body("A[i] = 1; A[idx[i]] = 2"), refused("mixed", "A", 0)),
+            (body("A[k] = w[i]"), refused("unstepped", "A", 0)),
+            (
+                body("A[i] = w[i]; B[i] = A[i + 1]"),
+                refused("overlap", "A", 1),
+            ),
+            (body("A[i] = A[i - 2] + 1"), refused("overlap", "A", 2)),
+            // a chain read on the way, a second store, a step that is not
+            // +, -, * or negation, two loads on one chain
+            (
+                body("t = A[i - 1]; A[i] = t + 1; B[i] = t"),
+                refused("chain", "A", 0),
+            ),
+            (
+                body("A[i] = A[i - 1] + 1; A[i + 100] = 0"),
+                refused("chain", "A", 0),
+            ),
+            (body("A[i] = A[i - 1] / 2"), refused("chain", "A", 0)),
+            (body("A[i] = A[i - 1] * A[i - 1]"), refused("chain", "A", 0)),
+            (body("A[i] = A[i - 1] + A[i - 1]"), refused("chain", "A", 0)),
             (
                 body("A[i] = max(1, 2, 3, 4, 5, 6, 7, 8, 9)"),
                 refused("wide_call", "max", 0),
             ),
             // what the batch handles: a private scalar, a step other than
             // the induction's, a descending one, a gather from an array
-            // the body never stores, a division after a store
+            // the body never stores, a division after a store, scans of
+            // every step, a load of what the store before it wrote, a
+            // scatter
             (body("t = w[i]; A[i] = t"), None),
             (body("s = s + 3; A[i] = s"), None),
             (
                 body("s = s - 2; A[i] = 1 + s; B[i] = w[idx[i]] / A[i]"),
                 None,
             ),
+            (body("A[i] = w[i] - A[i - 1] * 3"), None),
+            (body("t = A[i - 1]; A[i] = -t"), None),
+            (body("A[i] = A[i - 1]; B[i] = A[i - 1] + 1"), None),
+            (body("A[idx[i]] = A[idx[i]] + w[i]"), None),
         ];
         for (src, want) in table {
             assert_eq!(verdict(&lower(&src)), want, "{src}");
         }
+    }
+
+    /// How each corpus body runs its batches, and a scan's chain by its
+    /// steps: a running sum when it only adds and subtracts.
+    #[test]
+    fn the_corpus_batches_with_scans_and_checks() {
+        // name, scans, checked arrays
+        type Batches = (
+            &'static str,
+            &'static [(&'static str, bool)],
+            &'static [&'static str],
+        );
+        let table: [Batches; 7] = [
+            ("swap", &[], &[]),
+            ("gather_scatter", &[], &["A"]),
+            ("counted_fill", &[], &[]),
+            ("guarded_update", &[], &[]),
+            ("partial_sums", &[("A", true)], &[]),
+            ("wavefront", &[("B", true)], &[]),
+            ("mcsparse_pair", &[("A", true), ("B", false)], &[]),
+        ];
+        for (name, scans, checked) in table {
+            let plan = lower(&corpus(name));
+            assert_eq!(plan.batch_refusal(), None, "{name}");
+            assert_eq!(plan.batch_scans(), scans, "{name}");
+            assert_eq!(plan.batch_checked(), checked, "{name}");
+        }
+        for (b, sum) in [
+            ("A[i] = A[i - 1] + w[i]", true),
+            ("A[i] = w[i] + A[i - 1]", true),
+            ("A[i] = A[i - 1] - w[i]", true),
+            ("A[i] = w[i] - A[i - 1]", false),
+            ("A[i] = A[i - 1] * w[i]", false),
+            ("A[i] = -A[i - 1]", false),
+        ] {
+            assert_eq!(lower(&body(b)).batch_scans(), [("A", sum)], "{b}");
+        }
         // a certificate never licenses a batch: gather_scatter under hints
-        // that wrongly call `A` independent is refused all the same
+        // that wrongly call `A` independent still claims its elements
         let p = parse_program(&corpus("gather_scatter")).unwrap();
         let wrong = PlanHints {
             certified: vec!["A".into(), "B".into()],
@@ -2005,7 +2363,142 @@ mod tests {
         let plan = ExecPlan::lower(&p, &wrong);
         let a = plan.arrays().iter().position(|a| a == "A").unwrap();
         assert_eq!(plan.modes()[a], AccessMode::Certified, "the hint took");
-        assert_eq!(verdict(&plan), refused("unstepped", "A", 0));
+        assert_eq!(plan.batch_checked(), ["A"]);
+    }
+
+    /// A literal-only expression lowers to one constant register, so the
+    /// two spellings of a step are one plan; a division by zero still
+    /// fails when it runs.
+    #[test]
+    fn literal_expressions_fold_at_lowering() {
+        let down = |step: &str| {
+            lower(&format!(
+                "integer i = 9\nwhile (i >= 0) {{ A[i] = w[i]; i = i + {step} }}"
+            ))
+        };
+        let (plus, minus) = (down("-1"), down("(0 - 1)"));
+        assert_eq!(plus.batch_summary(), minus.batch_summary());
+        assert_eq!(plus.body, minus.body);
+        assert!(
+            plus.batch_summary().contains("carried i += -1"),
+            "{}",
+            plus.batch_summary()
+        );
+        let sub = lower("integer i = 9\nwhile (i >= 0) { A[i] = w[i]; i = i - 1 }");
+        assert_eq!(plus.batch_summary(), sub.batch_summary());
+        assert_eq!(plus.ops_per_iter(), sub.ops_per_iter());
+
+        let plan = lower("integer i = 0\nwhile (i < 3) { A[i] = 2 * (3 - 5) + 1 / 0; i = i + 1 }");
+        assert!(plan.consts.contains(&-4), "{:?}", plan.consts);
+        let mut frame = plan.frame();
+        frame.bind_array(0, vec![0; 4]);
+        let e = plan.run_sequential(&mut frame, 10, &CancelFlag::new());
+        assert_eq!(e.unwrap_err().msg, "division by zero");
+    }
+
+    /// A scan gives every lane the value the sequential loop gives it:
+    /// each batch's lane 0 reads what the last one stored.
+    #[test]
+    fn a_scan_carries_each_lane_into_the_next() {
+        let plan = lower(
+            "integer i = 1\nwhile (i < n) { A[i] = A[i - 1] * 3 - w[i]; B[i] = A[i - 1] + 1; i = i + 1 }",
+        );
+        assert_eq!(plan.batch_scans(), [("A", false)]);
+        let slot = |name: &str| plan.arrays().iter().position(|a| a == name).unwrap();
+        let n = 300;
+        let mut frame = plan.frame();
+        frame.bind_array(slot("A"), vec![1; n]);
+        frame.bind_array(slot("B"), vec![0; n]);
+        frame.bind_array(slot("w"), (0..n as i64).collect());
+        frame.bind_scalar(
+            plan.scalars().iter().position(|s| s == "n").unwrap(),
+            n as i64,
+        );
+        let out = plan
+            .run_sequential(&mut frame, 1000, &CancelFlag::new())
+            .unwrap();
+        assert_eq!((out.iterations, out.batches), (n - 1, 4));
+        let (mut a, mut b) = (vec![1i64; n], vec![0i64; n]);
+        for i in 1..n {
+            a[i] = a[i - 1].wrapping_mul(3).wrapping_sub(i as i64);
+            b[i] = a[i - 1] + 1;
+        }
+        assert_eq!(frame.take_array(slot("A")).unwrap(), a);
+        assert_eq!(frame.take_array(slot("B")).unwrap(), b);
+    }
+
+    /// A checked array's batches commit until two lanes of one claim an
+    /// element; that batch is undone and the run does no more.
+    #[test]
+    fn a_collision_ends_a_runs_batches() {
+        let plan = lower(&body("A[idx[i]] = A[idx[i]] + w[i]"));
+        assert_eq!(plan.batch_checked(), ["A"]);
+        let slot = |name: &str| plan.arrays().iter().position(|a| a == name).unwrap();
+        let n = 400;
+        let run = |idx: Vec<i64>| {
+            let mut frame = plan.frame();
+            frame.bind_array(slot("A"), vec![0; n]);
+            frame.bind_array(slot("w"), (0..n as i64).collect());
+            frame.bind_array(slot("idx"), idx.clone());
+            frame.bind_scalar(
+                plan.scalars().iter().position(|s| s == "n").unwrap(),
+                n as i64,
+            );
+            let out = plan
+                .run_sequential(&mut frame, 1000, &CancelFlag::new())
+                .unwrap();
+            let mut want = vec![0; n];
+            for i in 0..n {
+                want[idx[i] as usize] += i as i64;
+            }
+            assert_eq!(frame.take_array(slot("A")).unwrap(), want);
+            out.batches
+        };
+        let permuted: Vec<i64> = (0..n as i64).map(|i| (i * 7 + 3) % n as i64).collect();
+        assert_eq!(run(permuted.clone()), 6);
+        // iteration 200 (lane 7 of batch 3) reaches what 193 (lane 0) did;
+        // 150 and 210 meet too, in different batches, which commit
+        let mut idx = permuted;
+        idx[200] = idx[193];
+        idx[150] = idx[210];
+        assert_eq!(run(idx), 3);
+    }
+
+    /// Marks outlive the batches that made them: when the batch number
+    /// wraps, every buffer is cleared, or a mark of the run's first batch
+    /// would meet the batch that reuses its number.
+    #[test]
+    fn the_mark_epoch_wraps_without_a_false_collision() {
+        let plan = lower(&body("A[idx[i]] = A[idx[i]] + w[i]"));
+        let slot = |name: &str| plan.arrays().iter().position(|a| a == name).unwrap();
+        let batches = 1030;
+        let n = 1 + LANES * batches;
+        // batch 0 and the batches from 1023 on reach the upper half, the
+        // others the lower; each batch maps its lanes to elements anew
+        let idx: Vec<i64> = (0..n as i64)
+            .map(|i| {
+                let b = (i - 1).max(0) / LANES as i64;
+                let half = if b == 0 || b >= 1023 { 64 } else { 0 };
+                half + (5 * i + b) % 64
+            })
+            .collect();
+        let mut frame = plan.frame();
+        frame.bind_array(slot("A"), vec![0; 128]);
+        frame.bind_array(slot("w"), vec![1; n]);
+        frame.bind_array(slot("idx"), idx.clone());
+        frame.bind_scalar(
+            plan.scalars().iter().position(|s| s == "n").unwrap(),
+            n as i64,
+        );
+        let out = plan
+            .run_sequential(&mut frame, n, &CancelFlag::new())
+            .unwrap();
+        assert_eq!(out.batches, batches);
+        let mut want = vec![0; 128];
+        for &e in &idx {
+            want[e as usize] += 1;
+        }
+        assert_eq!(frame.take_array(slot("A")).unwrap(), want);
     }
 
     /// Only a division, a computed subscript, a function check or an

@@ -1,12 +1,14 @@
 //! The batch licence: whether 64 consecutive iterations of a plan's body
-//! are independent, decided from the lowered body code and the constants
-//! alone.
+//! can run each instruction across all of them before the next
+//! (*instruction-major* order), decided from the lowered body code and
+//! the constants alone. This check reads nothing the analysis produced: a
+//! wrong certificate can cost a plan its batches, never its answer.
 //!
-//! A proof that iterations are independent licenses any order of their
-//! instructions, not only an order across cpus, so such a body can run
-//! each instruction across 64 iterations before the next. This check
-//! reads nothing the analysis produced: a wrong certificate can cost a
-//! plan its batches, never its answer.
+//! Instruction-major order is the sequential one exactly when, wherever
+//! lanes `j < k` reach one element of a stored array and one of the two
+//! accesses stores, lane `j`'s instruction does not come later in the
+//! body than lane `k`'s: every such pair then meets in the order the
+//! sequential loop meets it.
 //!
 //! Every register the body writes must be one of two kinds:
 //! - *carried*: its only write is `r = r + c` (or `c + r`, or `r - c`)
@@ -15,14 +17,25 @@
 //! - *private*: in body order, every read of it comes after a write, so
 //!   no iteration sees another's value.
 //!
-//! Every access to a stored array must read one carried register `x`
-//! under one `scale`; lane `k` then reaches `scale·(x + c·k) + off`. For
-//! each store against each access to that array (itself included),
-//! `scale·c·d ≢ off₂ − off₁ (mod 2⁶⁴)` must hold for every
-//! `0 < |d| < 64`: exact under the executor's wrapping arithmetic, so no
-//! two iterations of a batch touch one element when either stores to it.
+//! Every stored array must be one of two kinds:
+//! - *affine*: every access reads one carried register `x` under one
+//!   `scale`; lane `k` then reaches `scale·(x + c·k) + off`, so which
+//!   lanes meet is decided here, exactly under the executor's wrapping
+//!   arithmetic, for every pair of accesses and every distance
+//!   `0 < d < 64`. One meeting may break the order: a load of the element
+//!   the previous lane's store writes, whose value reaches that store
+//!   through `+`, `-`, `*`, negation and moves alone, each with its other
+//!   operand off the chain, and which nothing else reads. Lane `k`'s load
+//!   is then lane `k - 1`'s stored value, `x ↦ m·x + b` of lane `k - 1`'s
+//!   own load: the batch runs it as an affine *scan* (the paper's §3.2
+//!   prefix, serially over the lanes), with lane 0 alone reading memory.
+//! - *checked*: every access reads a private register, so which lanes
+//!   meet is known only when the batch runs: each access first claims its
+//!   elements for its lane, and a batch in which two lanes claim one
+//!   element stops (the paper's §5 marking, for 64 iterations at a time).
 
 use super::{Op, Reg};
+use crate::frontend::lexer::CmpOp;
 
 /// Iterations one batch runs: the lanes of a batch register.
 pub const LANES: usize = 64;
@@ -53,6 +66,81 @@ pub(super) struct Affine {
     pub off: i64,
     pub step: i64,
     pub store: bool,
+    /// Its position in the body.
+    pub at: usize,
+}
+
+/// One step of a scan's chain, applied to the value `x` on it, with `o`
+/// the instruction's operand off the chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Chain {
+    /// `x + o` or `o + x`
+    Add,
+    /// `x - o`
+    Sub,
+    /// `o - x`
+    SubFrom,
+    /// `x · o` or `o · x`
+    Mul,
+    /// `-x`
+    Neg,
+    /// `x`
+    Move,
+}
+
+/// An instruction's part in a scan, decoded from it: a batch runs this in
+/// the instruction's place. `m` and `b` are lane-file registers holding,
+/// per lane, the map `x ↦ m·x + b` from the value the scan's load gave to
+/// the value on the chain so far (`m` stays 1, unwritten, in a `sum`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Link {
+    /// The load that starts the scan, `d = arr[scale·x + off]`: lane 0
+    /// reads memory, and the map starts as the identity.
+    Head {
+        d: Reg,
+        arr: u32,
+        x: Reg,
+        scale: i64,
+        off: i64,
+        m: Reg,
+        b: Reg,
+        sum: bool,
+    },
+    /// A step of the chain, composed onto the map.
+    Step {
+        op: Chain,
+        other: Reg,
+        m: Reg,
+        b: Reg,
+    },
+    /// The store that ends the scan, `arr[scale·x + off] = v`: lane after
+    /// lane, the load's value is the previous lane's stored one and the
+    /// stored value is the map of it; `head` gets the loaded values too
+    /// when it still holds them here. Then the store runs.
+    Tail {
+        head: Option<Reg>,
+        v: Reg,
+        arr: u32,
+        x: Reg,
+        scale: i64,
+        off: i64,
+        m: Reg,
+        b: Reg,
+        sum: bool,
+    },
+    /// An exit decided before the batch started: nothing left to do.
+    Bounded(Bound),
+}
+
+/// An exit comparing registers that are carried or uniform, ahead of
+/// their updates: lane `k` compares `a + ca·k` with `b + cb·k`, so
+/// whether it fires inside a batch is known before the batch starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Bound {
+    /// The comparison under which the loop is left.
+    pub leave: CmpOp,
+    pub a: (Reg, i64),
+    pub b: (Reg, i64),
 }
 
 /// A licence to run the body a batch at a time.
@@ -63,11 +151,39 @@ pub(super) struct Licence {
     /// Every access whose range is checked before a batch starts, so it
     /// cannot leave its array inside one.
     pub affine: Vec<Affine>,
+    /// The instructions that are part of a scan or a checked exit, by
+    /// position in the body, in body order.
+    pub links: Vec<(usize, Link)>,
+    /// The stored arrays every access reaches through a private register.
+    pub checked: Vec<u32>,
+    /// Registers of a batch's lane file: the plan's, then `m` and `b` of
+    /// each scan.
+    pub lanes: usize,
     /// The stores of one iteration when something can stop a batch after
     /// its first store (a division, a computed subscript, a function
     /// check, an exit): a batch keeps the old values of what each of them
     /// overwrites, to undo them. Zero when nothing can.
     pub trail: usize,
+}
+
+impl Licence {
+    /// Per scan, its array and whether its chain only adds and subtracts
+    /// (a running sum).
+    pub fn scans(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        self.links.iter().filter_map(|&(_, link)| match link {
+            Link::Tail { arr, sum, .. } => Some((arr, sum)),
+            _ => None,
+        })
+    }
+
+    /// The exits decided before a batch starts: a batch one of them would
+    /// stop does not.
+    pub fn bounds(&self) -> impl Iterator<Item = &Bound> {
+        self.links.iter().filter_map(|(_, link)| match link {
+            Link::Bounded(bound) => Some(bound),
+            _ => None,
+        })
+    }
 }
 
 /// Why a body does not run a batch at a time: the first obstacle the
@@ -78,18 +194,26 @@ pub enum Refusal {
     /// something other than one `r = r + c`: a value one iteration hands
     /// the next.
     Carried(u32),
-    /// A stored array is accessed through a subscript that does not step
-    /// with a carried register.
+    /// A stored array is accessed through a subscript that neither steps
+    /// with a carried register nor is computed in the iteration.
     Unstepped(u32),
     /// A stored array is accessed under two different subscript registers
-    /// or scales.
+    /// or scales, or through both a stepping and a computed subscript.
     MixedSubscripts(u32),
-    /// Iterations this far apart touch one element of a stored array,
-    /// one of them storing.
+    /// Iterations this far apart touch one element of a stored array, one
+    /// of them storing, the later iteration's access first in the body.
     Overlap(u32, u32),
+    /// A stored array hands the next iteration an element that does not
+    /// reach its one store through `+`, `-`, `*` and negation alone, or
+    /// that something else reads on the way.
+    Chain(u32),
     /// A call takes more than eight arguments (`MAX_ARGS`).
     WideCall(u32),
 }
+
+/// The subscript every access to a stored array shares: `Some((x,
+/// scale))` stepping with a carried `x`, `None` computed.
+type Subscript = Option<(Reg, i64)>;
 
 /// What the scan knows of one register.
 #[derive(Debug, Clone, Copy, Default)]
@@ -164,6 +288,19 @@ fn access(op: &Op) -> Option<(u32, Reg, i64, i64, bool)> {
     }
 }
 
+/// The comparison under which an exit leaves the loop, and its operands.
+fn comparison(op: &Op) -> Option<(CmpOp, Reg, Reg)> {
+    match *op {
+        Op::ExitLt { a, b } => Some((CmpOp::Lt, a, b)),
+        Op::ExitLe { a, b } => Some((CmpOp::Le, a, b)),
+        Op::ExitGt { a, b } => Some((CmpOp::Gt, a, b)),
+        Op::ExitGe { a, b } => Some((CmpOp::Ge, a, b)),
+        Op::ExitEq { a, b } => Some((CmpOp::Eq, a, b)),
+        Op::ExitNe { a, b } => Some((CmpOp::Ne, a, b)),
+        _ => None,
+    }
+}
+
 /// Whether `op` can stop a batch whatever the ranges checked before it:
 /// an access that is not affine is decided separately.
 fn may_trip(op: &Op) -> bool {
@@ -182,8 +319,92 @@ fn may_trip(op: &Op) -> bool {
     )
 }
 
+/// What `op` does to the value on a chain in `cur`, and its operand off
+/// the chain, if it is one of the steps a scan composes.
+fn step(op: &Op, cur: Reg) -> Option<(Chain, Reg)> {
+    let other = |a: Reg, b: Reg| if a == cur { b } else { a };
+    Some(match *op {
+        Op::Move { .. } => (Chain::Move, cur),
+        Op::Neg { .. } => (Chain::Neg, cur),
+        Op::Add { a, b, .. } => (Chain::Add, other(a, b)),
+        Op::Sub { a, b, .. } if a == cur => (Chain::Sub, b),
+        Op::Sub { a, .. } => (Chain::SubFrom, a),
+        Op::Mul { a, b, .. } => (Chain::Mul, other(a, b)),
+        _ => return None,
+    })
+}
+
+/// A step of a chain: its position, what it does, its operand off the
+/// chain.
+type ChainStep = (usize, Chain, Reg);
+
+/// The chain from the load at `head` to the store at `tail`: each step's
+/// position, what it does and its operand off the chain, and whether the
+/// load's register still holds the loaded value at the store. `None` if
+/// the value takes any other way, anything else reads it, or a step other
+/// than the last leaves it in a scalar slot (a register below
+/// `scalars`), which a batch would not fill.
+fn chain(body: &[Op], head: usize, tail: usize, scalars: usize) -> Option<(Vec<ChainStep>, bool)> {
+    let first = operands(&body[head], |_| {})?;
+    // the registers holding a value on the chain, the newest one `cur`
+    // until the store reads it
+    let (mut live, mut cur) = (vec![first], Some(first));
+    let mut steps = Vec::new();
+    for (at, op) in body.iter().enumerate().skip(head + 1) {
+        let (mut reads, mut reads_cur) = (0, 0);
+        let d = operands(op, |r| {
+            if live.contains(&r) {
+                reads += 1;
+                reads_cur += usize::from(Some(r) == cur);
+            }
+        });
+        if at == tail {
+            // the store reads the chain as its value, and only so
+            let (Op::StoreAt { v, .. } | Op::Store { v, .. }) = *op else {
+                return None;
+            };
+            if Some(v) != cur || reads != 1 {
+                return None;
+            }
+            cur = None;
+            continue;
+        }
+        match (reads, d) {
+            (0, Some(d)) => {
+                if Some(d) == cur {
+                    return None;
+                }
+                live.retain(|&r| r != d);
+            }
+            (0, None) => {}
+            (1, Some(d)) if reads_cur == 1 => {
+                let (op, other) = step(op, cur?)?;
+                steps.push((at, op, other));
+                cur = Some(d);
+                if !live.contains(&d) {
+                    live.push(d);
+                }
+            }
+            _ => return None,
+        }
+    }
+    let last = steps.len().saturating_sub(1);
+    if steps[..last]
+        .iter()
+        .any(|&(at, ..)| operands(&body[at], |_| {}).is_some_and(|d| (d as usize) < scalars))
+    {
+        return None;
+    }
+    // whether the load's register was overwritten between the two
+    let held = !body[head + 1..tail]
+        .iter()
+        .any(|op| operands(op, |_| {}) == Some(first));
+    Some((steps, held))
+}
+
 /// Checks `body` over a file of `regs` registers whose constants
-/// `consts` start at register `consts_at`, touching `arrays` array slots.
+/// `consts` start at register `consts_at` (the scalar slots are the
+/// registers below it), touching `arrays` array slots.
 pub(super) fn license(
     body: &[Op],
     regs: usize,
@@ -230,9 +451,9 @@ pub(super) fn license(
         });
     }
 
-    // per array: whether the body stores to it, and the one subscript
-    // register and scale its accesses may use if it does
-    let mut subs: Vec<(bool, Option<(Reg, i64)>)> = vec![(false, None); arrays];
+    // per array: whether the body stores to it, and the one subscript a
+    // stored array's accesses share, once one was met
+    let mut subs: Vec<(bool, Option<Subscript>)> = vec![(false, None); arrays];
     for op in body {
         if let Some((arr, ..)) = access(op).filter(|a| a.4) {
             subs[arr as usize].0 = true;
@@ -245,21 +466,30 @@ pub(super) fn license(
         .enumerate()
         .any(|(at, op)| may_trip(op) && after_store(at));
     let mut affine = Vec::with_capacity(body.iter().filter_map(access).count());
+    let mut checked = Vec::new();
     for (at, op) in body.iter().enumerate() {
         let Some((arr, x, scale, off, store)) = access(op) else {
             continue;
         };
         let (stored, sub) = &mut subs[arr as usize];
-        let Role::Carried(c) = roles[x as usize] else {
-            if *stored {
-                return Err(Refusal::Unstepped(arr));
-            }
-            trips_after_store |= after_store(at);
-            continue;
+        let kind = match roles[x as usize] {
+            Role::Carried(_) => Some((x, scale)),
+            Role::Private => None,
+            Role::Uniform if *stored => return Err(Refusal::Unstepped(arr)),
+            Role::Uniform => None,
         };
-        if *stored && *sub.get_or_insert((x, scale)) != (x, scale) {
+        if *stored && *sub.get_or_insert(kind) != kind {
             return Err(Refusal::MixedSubscripts(arr));
         }
+        let Role::Carried(c) = roles[x as usize] else {
+            // a gather, or an access that claims its elements: either may
+            // stop a batch
+            trips_after_store |= after_store(at);
+            if *stored && !checked.contains(&arr) {
+                checked.push(arr);
+            }
+            continue;
+        };
         let updated = uses[x as usize].update.is_some_and(|(_, _, u)| u < at);
         let step = scale.wrapping_mul(c);
         affine.push(Affine {
@@ -269,26 +499,127 @@ pub(super) fn license(
             off: if updated { off.wrapping_add(step) } else { off },
             step,
             store,
+            at,
         });
     }
 
-    // lanes d apart reach one element iff step·d ≡ off₂ − off₁
+    // a load of the element the previous lane's store writes, ahead of
+    // that store, is a scan if its value reaches the store by a chain
+    let (mut links, mut scans) = (Vec::new(), 0);
+    let link_at = |links: &[(usize, Link)], at: usize| {
+        links.iter().find(|&&(p, _)| p == at).map(|&(_, link)| link)
+    };
     for s in affine.iter().filter(|s| s.store) {
-        for a in affine.iter().filter(|a| a.arr == s.arr) {
-            let apart = a.off.wrapping_sub(s.off);
+        let heads = affine.iter().filter(|l| {
+            l.arr == s.arr && !l.store && l.at < s.at && l.off.wrapping_add(s.step) == s.off
+        });
+        for l in heads {
+            let stores = affine.iter().filter(|a| a.arr == s.arr && a.store).count();
+            let Some((steps, held)) = chain(body, l.at, s.at, consts_at).filter(|_| stores == 1)
+            else {
+                return Err(Refusal::Chain(s.arr));
+            };
+            let taken = |at: usize| link_at(&links, at).is_some();
+            if taken(l.at) || taken(s.at) || steps.iter().any(|&(at, ..)| taken(at)) {
+                return Err(Refusal::Chain(s.arr));
+            }
+            let (m, b) = ((regs + 2 * scans) as Reg, (regs + 2 * scans + 1) as Reg);
+            let sum = steps
+                .iter()
+                .all(|&(_, op, _)| matches!(op, Chain::Add | Chain::Sub | Chain::Move));
+            // the batch reads `x` as the instruction finds it: the
+            // offsets are the instructions' own
+            let d = operands(&body[l.at], |_| {}).expect("a load writes");
+            let (arr, x, scale, off, _) = access(&body[l.at]).expect("an access");
+            let head = Link::Head {
+                d,
+                arr,
+                x,
+                scale,
+                off,
+                m,
+                b,
+                sum,
+            };
+            links.push((l.at, head));
+            for &(at, op, other) in &steps {
+                links.push((at, Link::Step { op, other, m, b }));
+            }
+            let (Op::StoreAt { v, off, .. } | Op::Store { v, off, .. }) = body[s.at] else {
+                unreachable!("an affine store is a store");
+            };
+            let tail = Link::Tail {
+                head: (held && d != v).then_some(d),
+                v,
+                arr: s.arr,
+                x: s.x,
+                scale: s.scale,
+                off,
+                m,
+                b,
+                sum,
+            };
+            links.push((s.at, tail));
+            scans += 1;
+        }
+    }
+    // lanes j and j + d reach one element iff a's off ≡ b's + step·d;
+    // the order holds when a's instruction is not later than b's, or
+    // when b is the scan load of a's store one lane on
+    for a in &affine {
+        for b in affine
+            .iter()
+            .filter(|b| b.arr == a.arr && (a.store || b.store))
+        {
+            if a.at <= b.at {
+                continue;
+            }
+            let apart = a.off.wrapping_sub(b.off);
             for d in 1..LANES as i64 {
-                let reach = s.step.wrapping_mul(d);
-                if reach == apart || reach.wrapping_neg() == apart {
-                    return Err(Refusal::Overlap(s.arr, d as u32));
+                if a.step.wrapping_mul(d) != apart {
+                    continue;
+                }
+                let scanned = d == 1
+                    && match (link_at(&links, b.at), link_at(&links, a.at)) {
+                        (Some(Link::Head { m, .. }), Some(Link::Tail { m: tail, .. })) => m == tail,
+                        _ => false,
+                    };
+                if !scanned {
+                    return Err(Refusal::Overlap(a.arr, d as u32));
                 }
             }
         }
     }
 
-    let stores = affine.iter().filter(|a| a.store).count();
+    let lane = |r: Reg| match roles[r as usize] {
+        Role::Uniform => Some((r, 0)),
+        Role::Carried(c) => Some((r, c)),
+        Role::Private => None,
+    };
+    for (at, op) in body.iter().enumerate() {
+        let Some((leave, a, b)) = comparison(op) else {
+            continue;
+        };
+        let ahead = |r: Reg| uses[r as usize].update.is_none_or(|(_, _, u)| u > at);
+        let (Some(a), Some(b)) = (lane(a), lane(b)) else {
+            continue;
+        };
+        if ahead(a.0) && ahead(b.0) {
+            links.push((at, Link::Bounded(Bound { leave, a, b })));
+        }
+    }
+
+    let stores = body
+        .iter()
+        .filter(|op| access(op).is_some_and(|a| a.4))
+        .count();
+    links.sort_unstable_by_key(|&(at, _)| at);
     Ok(Licence {
         roles,
         affine,
+        links,
+        lanes: regs + 2 * scans,
+        checked,
         trail: if trips_after_store { stores } else { 0 },
     })
 }

@@ -6,7 +6,8 @@
 //!
 //! Test-only: included by the integration tests of `wlp-ir`,
 //! `wlp-analyze` and `wlp-serve` (`#[path]`), never compiled into a
-//! library.
+//! library. [`reference_walk`] is the same walk reporting every element
+//! it reaches, which the walk itself never reads.
 
 #![allow(dead_code)] // each including test uses its own subset
 
@@ -18,7 +19,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ExecError> {
     Err(ExecError { msg: msg.into() })
 }
 
-fn read(m: &Machine, name: &str, idx: i64) -> Result<i64, ExecError> {
+/// Told each array element a walk reaches: array name, subscript.
+type Log<'a> = &'a mut dyn FnMut(&str, i64);
+
+fn read(m: &Machine, name: &str, idx: i64, log: Log<'_>) -> Result<i64, ExecError> {
+    log(name, idx);
     let Some(arr) = m.arrays.get(name) else {
         return err(format!("unknown array `{name}`"));
     };
@@ -28,7 +33,8 @@ fn read(m: &Machine, name: &str, idx: i64) -> Result<i64, ExecError> {
     }
 }
 
-fn write(m: &mut Machine, name: &str, idx: i64, v: i64) -> Result<(), ExecError> {
+fn write(m: &mut Machine, name: &str, idx: i64, v: i64, log: Log<'_>) -> Result<(), ExecError> {
+    log(name, idx);
     let Some(arr) = m.arrays.get_mut(name) else {
         return err(format!("unknown array `{name}`"));
     };
@@ -41,7 +47,7 @@ fn write(m: &mut Machine, name: &str, idx: i64, v: i64) -> Result<(), ExecError>
     }
 }
 
-fn eval(e: &Expr, m: &Machine) -> Result<i64, ExecError> {
+fn eval(e: &Expr, m: &Machine, log: Log<'_>) -> Result<i64, ExecError> {
     Ok(match e {
         Expr::Int(v) => *v,
         Expr::Null => 0,
@@ -50,8 +56,8 @@ fn eval(e: &Expr, m: &Machine) -> Result<i64, ExecError> {
             None => return err(format!("unbound scalar `{v}`")),
         },
         Expr::Index(arr, sub) => {
-            let i = eval(sub, m)?;
-            read(m, arr, i)?
+            let i = eval(sub, m, log)?;
+            read(m, arr, i, log)?
         }
         Expr::Call(f, args) => {
             let Some(func) = m.funcs.get(f) else {
@@ -59,13 +65,13 @@ fn eval(e: &Expr, m: &Machine) -> Result<i64, ExecError> {
             };
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(a, m)?);
+                vals.push(eval(a, m, log)?);
             }
             func(&vals)
         }
-        Expr::Neg(inner) => eval(inner, m)?.wrapping_neg(),
+        Expr::Neg(inner) => eval(inner, m, log)?.wrapping_neg(),
         Expr::Bin(op, a, b) => {
-            let (x, y) = (eval(a, m)?, eval(b, m)?);
+            let (x, y) = (eval(a, m, log)?, eval(b, m, log)?);
             match op {
                 BinOp::Add => x.wrapping_add(y),
                 BinOp::Sub => x.wrapping_sub(y),
@@ -79,7 +85,7 @@ fn eval(e: &Expr, m: &Machine) -> Result<i64, ExecError> {
             }
         }
         Expr::Cmp(op, a, b) => {
-            let (x, y) = (eval(a, m)?, eval(b, m)?);
+            let (x, y) = (eval(a, m, log)?, eval(b, m, log)?);
             i64::from(match op {
                 CmpOp::Lt => x < y,
                 CmpOp::Gt => x > y,
@@ -100,9 +106,21 @@ pub fn reference_run(
     m: &mut Machine,
     max_iters: usize,
 ) -> Result<ExecOutcome, ExecError> {
+    reference_walk(p, m, max_iters, &mut |_, _, _| {})
+}
+
+/// [`reference_run`], telling `touch` each array element it reaches:
+/// the iteration (`None` in the declarations), the array, the subscript.
+pub fn reference_walk(
+    p: &Program,
+    m: &mut Machine,
+    max_iters: usize,
+    touch: &mut dyn FnMut(Option<usize>, &str, i64),
+) -> Result<ExecOutcome, ExecError> {
+    let log = &mut |name: &str, idx| touch(None, name, idx);
     for Decl { name, init, .. } in &p.decls {
         let v = match init {
-            Some(e) => eval(e, m)?,
+            Some(e) => eval(e, m, log)?,
             None => 0,
         };
         m.scalars.insert(name.clone(), v);
@@ -114,12 +132,13 @@ pub fn reference_run(
         batches: 0,
     };
     for i in 0..max_iters {
-        if eval(&p.cond, m)? == 0 {
+        let log = &mut |name: &str, idx| touch(Some(i), name, idx);
+        if eval(&p.cond, m, log)? == 0 {
             return Ok(exited(i));
         }
         for st in &p.body {
             if let Stmt::ExitIf(c) = st {
-                if eval(c, m)? != 0 {
+                if eval(c, m, log)? != 0 {
                     return Ok(exited(i));
                 }
             }
@@ -128,13 +147,13 @@ pub fn reference_run(
             match st {
                 Stmt::ExitIf(_) => {}
                 Stmt::AssignVar(name, rhs) => {
-                    let v = eval(rhs, m)?;
+                    let v = eval(rhs, m, log)?;
                     m.scalars.insert(name.clone(), v);
                 }
                 Stmt::AssignElem(arr, sub, rhs) => {
-                    let i = eval(sub, m)?;
-                    let v = eval(rhs, m)?;
-                    write(m, arr, i, v)?;
+                    let i = eval(sub, m, log)?;
+                    let v = eval(rhs, m, log)?;
+                    write(m, arr, i, v, log)?;
                 }
             }
         }

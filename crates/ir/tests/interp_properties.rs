@@ -27,13 +27,25 @@
 //! licensed plan meets every edge of a batch: one that commits, one an
 //! exit stops, one a fault stops after its stores (which must be undone),
 //! and the tail it runs one iteration at a time.
+//!
+//! Two more generators aim at what a batch runs besides independent
+//! iterations: distance-1 recurrences through an array under every step
+//! a scan composes (`+`, `-` with the chain on either side, `*`, unary
+//! `-`), two in one body, a load of the stored array after the store,
+//! and the bodies the licence must keep refusing; and scatters through a
+//! permuted `idx` whose first collision, if any, falls in lane 0, 31 or
+//! 63 of a later batch. Every licensed sequential run must commit exactly
+//! the batches before the first one in which two iterations reach one
+//! element of a checked array, as the reference walker reaches them.
 
 mod common;
 
-use common::reference_run;
+use common::reference_walk;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::Path;
 use wlp_analyze::{analyze, plan_hints};
+use wlp_core::taxonomy::DispatcherClass;
 use wlp_ir::exec::{AccessMode, ExecPlan, PlanHints, Schedule, LANES};
 use wlp_ir::frontend::{lower_with_symbols, parse_program, Program};
 use wlp_ir::interp::{ExecError, ExecOutcome, Machine};
@@ -82,6 +94,23 @@ fn final_of(result: Result<ExecOutcome, ExecError>, m: Machine) -> Final {
     }
 }
 
+/// Per iteration the reference walker ran, the elements it reached: array
+/// name and subscript.
+type Touched = Vec<Vec<(String, i64)>>;
+
+/// Whether two of the iterations batch `b` runs (1 + 64·b to 64 + 64·b)
+/// reach one element of a `checked` array.
+fn meets(touched: &Touched, checked: &[&str], b: usize) -> bool {
+    let mut owner = HashMap::new();
+    let batch = touched.iter().enumerate().skip(1 + LANES * b).take(LANES);
+    batch.into_iter().any(|(i, elements)| {
+        elements
+            .iter()
+            .filter(|(a, _)| checked.contains(&a.as_str()))
+            .any(|e| *owner.entry(e).or_insert(i) != i)
+    })
+}
+
 /// Asserts that every execution of every plan for `p` from `start`
 /// matches the reference walker. Returns whether any speculative
 /// execution committed in parallel.
@@ -93,7 +122,14 @@ fn assert_all_executions_match(
     pools: &[Pool],
 ) -> bool {
     let mut m = start.clone();
-    let want = final_of(reference_run(p, &mut m, max_iters), m);
+    let mut touched = Touched::new();
+    let walked = reference_walk(p, &mut m, max_iters, &mut |i, name, idx| {
+        if let Some(i) = i {
+            touched.resize_with(touched.len().max(i + 1), Vec::new);
+            touched[i].push((name.to_string(), idx));
+        }
+    });
+    let want = final_of(walked, m);
     let mut committed = false;
     for (label, hints) in hint_variants(p) {
         let plan = ExecPlan::lower(p, &hints);
@@ -109,9 +145,16 @@ fn assert_all_executions_match(
 
         // batch `b` runs iterations 1 + 64·b to 64 + 64·b (iteration 0
         // runs alone) and commits exactly when the sequential loop runs
-        // all of them: nothing else can trip it
+        // all of them and no two of them reach one element of a checked
+        // array; after the first batch in which two do, none runs
+        let checked = plan.batch_checked();
         let batches = |o: &ExecOutcome| match plan.batch_refusal() {
-            None => o.iterations.max(1).div_ceil(LANES) - 1,
+            None => {
+                let full = o.iterations.max(1).div_ceil(LANES) - 1;
+                (0..full)
+                    .find(|&b| meets(&touched, &checked, b))
+                    .unwrap_or(full)
+            }
             Some(_) => 0,
         };
         let mut m = start.clone();
@@ -636,6 +679,297 @@ fn pools() -> [Pool; 2] {
     [Pool::new(1), Pool::new(2)]
 }
 
+/// How a distance-1 recurrence's load reaches its store.
+#[derive(Debug, Clone, Copy)]
+enum Rec {
+    /// `X[i - 1] + t`
+    Add,
+    /// `t + X[i - 1]`
+    AddLeft,
+    /// `X[i - 1] - t`
+    Sub,
+    /// `t - X[i - 1]`
+    SubFrom,
+    /// `X[i - 1] * t`
+    Mul,
+    /// `-X[i - 1] + t`
+    Neg,
+    /// `3 * X[i - 1] - t`, through a scalar: `r = X[i - 1]` first
+    Affine,
+}
+
+/// Bodies the licence must keep refusing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Unlicensed {
+    /// `r = A[i - 1]; A[i] = r + t; D[i] = r`: the chain is read on the way
+    ChainRead,
+    /// `A[i + 1] = A[i - 1] + t`
+    Distance2,
+    /// `A[i] = t; D[i] = A[i + 1]`: a later lane's element, read after
+    /// the store
+    AheadAfterStore,
+    /// `A[i] = A[i - 1] + t; A[i + 3] = 5`: two stores to a recurrent array
+    TwoStores,
+    /// `A[4] = A[4] + t`: a uniform subscript on a stored array
+    Uniform,
+    /// `A[i] = A[i - 1] + t; A[idx[i]] = 5`: stepping and computed
+    Mixed,
+}
+
+/// A generated recurrence body: `A[i] = …` under `rec`, then optionally
+/// a second one over `B`, a load of `A[i - 1]` after the store (as in
+/// wavefront), or one of the bodies the licence refuses, with exits and
+/// faults placed at batch edges.
+#[derive(Debug, Clone)]
+struct ScanParams {
+    n: usize,
+    extra_iters: usize,
+    rec: Rec,
+    second: Option<Rec>,
+    after: bool,
+    refused: Option<Unlicensed>,
+    term: usize,
+    exit_at: Option<usize>,
+    fault: Option<(Fault, usize)>,
+}
+
+/// Off-chain operands a recurrence step draws from.
+const SCAN_TERMS: [&str; 5] = ["w[i]", "g(w[i])", "3", "(w[i] / 2)", "((w[i] < 3) * 2)"];
+
+fn rec_strategy() -> impl Strategy<Value = Rec> {
+    prop_oneof![
+        Just(Rec::Add),
+        Just(Rec::AddLeft),
+        Just(Rec::Sub),
+        Just(Rec::SubFrom),
+        Just(Rec::Mul),
+        Just(Rec::Neg),
+        Just(Rec::Affine),
+    ]
+}
+
+fn scan_strategy() -> impl Strategy<Value = ScanParams> {
+    let refused = prop_oneof![
+        Just(Unlicensed::ChainRead),
+        Just(Unlicensed::Distance2),
+        Just(Unlicensed::AheadAfterStore),
+        Just(Unlicensed::TwoStores),
+        Just(Unlicensed::Uniform),
+        Just(Unlicensed::Mixed),
+    ];
+    let fault = prop_oneof![Just(Fault::DivisionByZero), Just(Fault::Edge)];
+    (
+        (6usize..300, 0..EXTRA_ITERS, rec_strategy()),
+        (prop::option::of(rec_strategy()), any::<bool>()),
+        (0u8..4, refused, 0..SCAN_TERMS.len()),
+        (0u8..3, at_strategy(), fault, at_strategy()),
+    )
+        .prop_map(
+            |(
+                (n, extra_iters, rec),
+                (second, after),
+                (pick, refused, term),
+                (pick2, exit, fault, at),
+            )| {
+                ScanParams {
+                    n,
+                    extra_iters,
+                    rec,
+                    second,
+                    after,
+                    // one body in four is one the licence must refuse
+                    refused: (pick == 0).then_some(refused),
+                    term,
+                    exit_at: (pick2 == 1).then_some(exit),
+                    fault: (pick2 == 2).then_some((fault, at)),
+                }
+            },
+        )
+}
+
+/// `X[i] = …` under `rec`, with `t` off the chain.
+fn recurrence(x: &str, rec: Rec, t: &str) -> String {
+    let prev = format!("{x}[i - 1]");
+    match rec {
+        Rec::Add => format!("    {x}[i] = {prev} + {t}\n"),
+        Rec::AddLeft => format!("    {x}[i] = {t} + {prev}\n"),
+        Rec::Sub => format!("    {x}[i] = {prev} - {t}\n"),
+        Rec::SubFrom => format!("    {x}[i] = {t} - {prev}\n"),
+        Rec::Mul => format!("    {x}[i] = {prev} * {t}\n"),
+        Rec::Neg => format!("    {x}[i] = -{prev} + {t}\n"),
+        Rec::Affine => format!("    r = {prev}\n    {x}[i] = 3 * r - {t}\n"),
+    }
+}
+
+fn scan_source(p: &ScanParams) -> String {
+    let t = SCAN_TERMS[p.term];
+    let mut src = String::from("integer i = 1\ninteger r = 0\nwhile (i < n) {\n");
+    if p.exit_at.is_some() {
+        src.push_str("    exit if (stop[i] == 1)\n");
+    }
+    match p.refused {
+        None => {
+            src.push_str(&recurrence("A", p.rec, t));
+            if let Some(rec) = p.second {
+                src.push_str(&recurrence("B", rec, t));
+            }
+            if p.after {
+                src.push_str("    C[i] = A[i - 1] + 3\n");
+            }
+        }
+        Some(Unlicensed::ChainRead) => src.push_str(&format!(
+            "    r = A[i - 1]\n    A[i] = r + {t}\n    D[i] = r\n"
+        )),
+        Some(Unlicensed::Distance2) => src.push_str(&format!("    A[i + 1] = A[i - 1] + {t}\n")),
+        Some(Unlicensed::AheadAfterStore) => {
+            src.push_str(&format!("    A[i] = {t}\n    D[i] = A[i + 1]\n"))
+        }
+        Some(Unlicensed::TwoStores) => {
+            src.push_str(&format!("    A[i] = A[i - 1] + {t}\n    A[i + 3] = 5\n"))
+        }
+        Some(Unlicensed::Uniform) => src.push_str(&format!("    A[4] = A[4] + {t}\n")),
+        Some(Unlicensed::Mixed) => {
+            src.push_str(&format!("    A[i] = A[i - 1] + {t}\n    A[idx[i]] = 5\n"))
+        }
+    }
+    // a fault after the stores, which must then be undone
+    if let Some((fault, at)) = p.fault {
+        src.push_str(&format!("    D[i] = {}\n", fault.text(at)));
+    }
+    src.push_str("    i = i + 1\n}");
+    src
+}
+
+fn scan_machine(p: &ScanParams) -> Machine {
+    let len = p.n + EXTRA_ITERS + 8;
+    let mut m = Machine::default();
+    for (name, seed) in [("A", 5i64), ("B", 11), ("C", 0), ("D", 0)] {
+        m.arrays.insert(
+            name.into(),
+            (0..len as i64).map(|v| (v * seed) % 13 - 6).collect(),
+        );
+    }
+    m.arrays
+        .insert("w".into(), (0..len as i64).map(|v| v * 3 - 7).collect());
+    m.arrays.insert(
+        "idx".into(),
+        (0..len as i64).map(|v| (v * 7) % len as i64).collect(),
+    );
+    let mut stop = vec![0; len];
+    if let Some(e) = p.exit_at.filter(|&e| e < len) {
+        stop[e] = 1;
+    }
+    m.arrays.insert("stop".into(), stop);
+    m.arrays.insert(
+        "edge".into(),
+        vec![1; p.fault.map_or(len, |(_, at)| at.min(len))],
+    );
+    m.scalars.insert("n".into(), p.n as i64);
+    m.define_fn("g", |a| a[0].wrapping_add(7));
+    m
+}
+
+/// A generated scatter: `A[idx[i]] = A[idx[i]] + …` through a permuted
+/// `idx`, after an affine store to `B` or not, with the first collision
+/// (if any) between lane `lane` of batch `batch` and another lane of it,
+/// a second one in a later batch, and exits and faults at batch edges.
+#[derive(Debug, Clone)]
+struct ScatterParams {
+    n: usize,
+    extra_iters: usize,
+    /// `idx[i]` is `(i·mul + add) mod len`
+    mul: usize,
+    add: usize,
+    collision: Option<(usize, usize)>,
+    store_first: bool,
+    exit_at: Option<usize>,
+    fault: Option<(Fault, usize)>,
+}
+
+fn scatter_strategy() -> impl Strategy<Value = ScatterParams> {
+    let lane = prop_oneof![Just(0usize), Just(LANES / 2 - 1), Just(LANES - 1)];
+    let fault = prop_oneof![
+        Just(Fault::DivisionByZero),
+        Just(Fault::Gather),
+        Just(Fault::Edge)
+    ];
+    (
+        (6usize..300, 0..EXTRA_ITERS, 0usize..4, 0usize..50),
+        (prop::option::of((0usize..4, lane)), any::<bool>()),
+        (0u8..3, at_strategy(), fault, at_strategy()),
+    )
+        .prop_map(
+            |((n, extra_iters, mul, add), (collision, store_first), (pick, exit, fault, at))| {
+                ScatterParams {
+                    n,
+                    extra_iters,
+                    // coprime with any length that is not a multiple of 7, 11, 13 or 17
+                    mul: [7, 11, 13, 17][mul],
+                    add,
+                    collision,
+                    store_first,
+                    exit_at: (pick == 1).then_some(exit),
+                    fault: (pick == 2).then_some((fault, at)),
+                }
+            },
+        )
+}
+
+fn scatter_source(p: &ScatterParams) -> String {
+    let mut src = String::from("integer i = 0\nwhile (i < n) {\n");
+    if p.exit_at.is_some() {
+        src.push_str("    exit if (stop[i] == 1)\n");
+    }
+    if p.store_first {
+        src.push_str("    B[i] = 2 * w[i]\n");
+    }
+    let fault = p
+        .fault
+        .map_or(String::new(), |(f, at)| format!(" + {}", f.text(at)));
+    src.push_str(&format!("    A[idx[i]] = A[idx[i]] + w[i]{fault}\n"));
+    src.push_str("    i = i + 1\n}");
+    src
+}
+
+fn scatter_machine(p: &ScatterParams) -> Machine {
+    // prime to every multiplier, and long enough for every iteration
+    let mut len = p.n + EXTRA_ITERS + 8;
+    while [7, 11, 13, 17].iter().any(|&m| len.is_multiple_of(m)) {
+        len += 1;
+    }
+    let mut idx: Vec<i64> = (0..len)
+        .map(|i| ((i * p.mul + p.add) % len) as i64)
+        .collect();
+    if let Some((batch, lane)) = p.collision {
+        // iteration `1 + 64·batch + lane` meets the one a lane before it
+        // (lane 0 the one after it), and 100 iterations on, two more meet
+        let at = 1 + LANES * batch + lane;
+        let other = if lane == 0 { at + 1 } else { at - 1 };
+        if at + 101 < len {
+            idx[at] = idx[other];
+            idx[at + 100] = idx[at + 101];
+        }
+    }
+    let mut m = Machine::default();
+    m.arrays
+        .insert("A".into(), (0..len as i64).map(|v| v % 11).collect());
+    m.arrays.insert("B".into(), vec![0; len]);
+    m.arrays
+        .insert("w".into(), (0..len as i64).map(|v| v * 3 - 7).collect());
+    m.arrays.insert("idx".into(), idx);
+    let mut stop = vec![0; len];
+    if let Some(e) = p.exit_at.filter(|&e| e < len) {
+        stop[e] = 1;
+    }
+    m.arrays.insert("stop".into(), stop);
+    let at = p.fault.map_or(len, |(_, at)| at);
+    m.arrays.insert("edge".into(), vec![1; at.min(len)]);
+    let cut = (0..len as i64).map(|i| if i == at as i64 { -1 } else { i });
+    m.arrays.insert("cut".into(), cut.collect());
+    m.scalars.insert("n".into(), p.n as i64);
+    m
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -655,6 +989,34 @@ proptest! {
         let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
         let max_iters = params.n + params.extra_iters;
         assert_all_executions_match(&src, &prog, &machine_of(&params), max_iters, &pools());
+    }
+
+    #[test]
+    fn scanned_recurrences_equal_the_reference_walker(params in scan_strategy()) {
+        let src = scan_source(&params);
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let plan = ExecPlan::lower(&prog, &PlanHints::uncertified(DispatcherClass::MonotonicInduction));
+        // what the licence grants, and what it must keep refusing
+        match params.refused {
+            None => {
+                let scans: Vec<&str> = plan.batch_scans().iter().map(|&(a, _)| a).collect();
+                let want: &[&str] = if params.second.is_some() { &["A", "B"] } else { &["A"] };
+                prop_assert_eq!(scans, want, "{}", src);
+            }
+            Some(_) => prop_assert!(plan.batch_refusal().is_some(), "{}", src),
+        }
+        let max_iters = params.n + params.extra_iters;
+        assert_all_executions_match(&src, &prog, &scan_machine(&params), max_iters, &pools());
+    }
+
+    #[test]
+    fn checked_scatters_equal_the_reference_walker(params in scatter_strategy()) {
+        let src = scatter_source(&params);
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let plan = ExecPlan::lower(&prog, &PlanHints::uncertified(DispatcherClass::MonotonicInduction));
+        prop_assert_eq!(plan.batch_checked(), ["A"], "{}", src);
+        let max_iters = params.n + params.extra_iters;
+        assert_all_executions_match(&src, &prog, &scatter_machine(&params), max_iters, &pools());
     }
 
     #[test]
