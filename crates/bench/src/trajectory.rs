@@ -175,8 +175,9 @@ impl TrajectoryRecord {
     }
 }
 
-/// The commit under test: `GITHUB_SHA` in CI, `git rev-parse HEAD`
-/// locally, `unknown` outside a checkout.
+/// The commit under test: `GITHUB_SHA` in CI, else `git rev-parse HEAD`
+/// in the checkout this binary was built from (whatever the working
+/// directory), `unknown` when that is no checkout.
 pub fn git_sha() -> String {
     if let Ok(sha) = std::env::var("GITHUB_SHA") {
         if !sha.is_empty() {
@@ -184,7 +185,7 @@ pub fn git_sha() -> String {
         }
     }
     std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
+        .args(["-C", env!("CARGO_MANIFEST_DIR"), "rev-parse", "HEAD"])
         .output()
         .ok()
         .filter(|o| o.status.success())

@@ -1798,7 +1798,7 @@ impl ExecPlan {
             bounds.any(|e| fires(e.leave, lanes_of(e.a), lanes_of(e.b)))
         };
         let fits = || {
-            licence.affine.iter().all(|a| {
+            licence.spans.iter().all(|a| {
                 let base = a
                     .scale
                     .wrapping_mul(s.regs[a.x as usize])

@@ -55,19 +55,51 @@ pub(super) enum Role {
     Private,
 }
 
-/// An access whose subscript reads a carried register `x`: lane `k`
-/// reaches `off + step·k` past `scale·x`, with `x` read when the batch
-/// starts (`off` already counts the update when the access follows it).
+/// The elements an access whose subscript reads a carried register `x`
+/// reaches in a batch: lane `k` reaches `off + step·k` past `scale·x`,
+/// with `x` read when the batch starts (`off` already counts the update
+/// when the access follows it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Affine {
+pub(super) struct Span {
     pub arr: u32,
     pub x: Reg,
     pub scale: i64,
     pub off: i64,
     pub step: i64,
-    pub store: bool,
+}
+
+/// An access whose subscript reads a carried register, as the check
+/// sees it: its [`Span`]'s fields, whether it stores, and where it is.
+#[derive(Debug, Clone, Copy)]
+struct Affine {
+    arr: u32,
+    x: Reg,
+    scale: i64,
+    off: i64,
+    step: i64,
+    store: bool,
     /// Its position in the body.
-    pub at: usize,
+    at: usize,
+}
+
+impl Affine {
+    fn span(&self) -> Span {
+        let Affine {
+            arr,
+            x,
+            scale,
+            off,
+            step,
+            ..
+        } = *self;
+        Span {
+            arr,
+            x,
+            scale,
+            off,
+            step,
+        }
+    }
 }
 
 /// One step of a scan's chain, applied to the value `x` on it, with `o`
@@ -148,9 +180,9 @@ pub(super) struct Bound {
 pub(super) struct Licence {
     /// Per register, what the body does with it.
     pub roles: Vec<Role>,
-    /// Every access whose range is checked before a batch starts, so it
-    /// cannot leave its array inside one.
-    pub affine: Vec<Affine>,
+    /// The spans of the affine accesses, each once, checked before a
+    /// batch starts so that no access leaves its array inside one.
+    pub spans: Vec<Span>,
     /// The instructions that are part of a scan or a checked exit, by
     /// position in the body, in body order.
     pub links: Vec<(usize, Link)>,
@@ -614,9 +646,15 @@ pub(super) fn license(
         .filter(|op| access(op).is_some_and(|a| a.4))
         .count();
     links.sort_unstable_by_key(|&(at, _)| at);
+    let mut spans: Vec<Span> = Vec::new();
+    for span in affine.iter().map(Affine::span) {
+        if !spans.contains(&span) {
+            spans.push(span);
+        }
+    }
     Ok(Licence {
         roles,
-        affine,
+        spans,
         links,
         lanes: regs + 2 * scans,
         checked,

@@ -1,7 +1,7 @@
 //! Cache-line padding for concurrently updated counters.
 //!
 //! The lock-free hot paths of this workspace (claim counters, QUIT
-//! bounds, per-lane cursors, work-stealing deque ends) are single words
+//! bounds, per-lane cursors, the pool's region word) are single words
 //! updated by different workers. Left adjacent in memory they share
 //! cache lines, and every relaxed `fetch_add` becomes a coherence-miss
 //! ping-pong — the measured `Td` dispatcher overhead the paper says must

@@ -10,6 +10,8 @@
 //! `crossbeam` utilities and `parking_lot` locks:
 //!
 //! * [`Pool`] — a fixed-width worker group exposing vpn to each worker.
+//!   Its `p − 1` resident workers claim each region's lanes from one
+//!   atomic word: the region number above the next unclaimed lane.
 //! * [`doall`] — the DOALL loop with a software `QUIT` protocol: one driver
 //!   issuing iterations dynamically (ordered issue, one at a time or in
 //!   chunks) or static-cyclic.
@@ -38,7 +40,6 @@
 //! instead of a hang.
 
 pub mod chunk;
-pub mod deque;
 pub mod doacross;
 pub mod doall;
 pub mod pool;
@@ -47,7 +48,6 @@ pub mod scan;
 pub mod scheduler;
 
 pub use chunk::ChunkPolicy;
-pub use deque::{Steal, StealDeque};
 pub use doacross::{doacross, doacross_with, DoacrossOptions, DoacrossOutcome};
 pub use doall::{
     doall_dynamic, doall_with, DoallOptions, DoallOutcome, FaultCell, IssueOrder, Step,

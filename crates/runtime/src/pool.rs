@@ -6,20 +6,21 @@
 //! an Alliant FX/80 does not spawn an OS thread per DOALL. [`Pool::new`]
 //! therefore keeps `p − 1` persistent worker threads and hands each
 //! parallel region to them **lock-free**: the leader (the caller's
-//! thread, which doubles as vpn 0) publishes a type-erased job, pushes
-//! one *lane ticket* per worker into a [`StealDeque`], and bumps an
-//! atomic epoch; workers steal tickets (a CAS each), run the closure for
-//! the stolen lane, and decrement an atomic latch the leader spins, then
-//! parks, on. No mutex or condvar is taken anywhere on the hot path —
-//! parking is an eventcount (`sleepers`/`leader_parked` flags with a
-//! Dekker-style `SeqCst` handshake) whose condvar half is reached only
-//! after a bounded spin finds nothing to do. The leader never returns
-//! before every ticket has been retired, which is what makes it sound
-//! for the job closure to borrow from the leader's stack.
+//! thread, which doubles as vpn 0) publishes a type-erased job and then
+//! the region in one *region word* — the region number above the next
+//! unclaimed lane, starting at lane 1. Workers claim lanes from that
+//! word (a CAS each), run the closure for the claimed lane, and
+//! decrement an atomic latch the leader spins, then parks, on. No mutex
+//! or condvar is taken anywhere on the hot path — parking is an
+//! eventcount (`sleepers`/`leader_parked` flags with a Dekker-style
+//! `SeqCst` handshake) whose condvar half is reached only after a
+//! bounded spin finds nothing to do. The leader never returns before
+//! every claimed lane has been retired, which is what makes it sound for
+//! the job closure to borrow from the leader's stack.
 //!
-//! Because workers *steal* lane tickets rather than owning a fixed lane,
+//! Because any worker may claim any lane rather than owning a fixed one,
 //! the mapping from OS thread to vpn may differ from region to region
-//! (each lane still runs exactly once per region — tickets are taken by
+//! (each lane still runs exactly once per region — lanes are claimed by
 //! CAS). Only a region launched while another is in flight on the same
 //! pool (a nested or racing `run_with`) runs on freshly spawned scoped
 //! threads instead.
@@ -41,7 +42,6 @@
 //! Alliant `QUIT` broadcast for faults: the first panicking worker raises
 //! it, and in-flight peers poll it at iteration boundaries.
 
-use crate::deque::{Steal, StealDeque};
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -405,34 +405,61 @@ impl std::fmt::Debug for Job {
     }
 }
 
+/// Low bits of the region word that hold the next unclaimed lane; the
+/// bits above them hold the region number.
+const LANE_BITS: u32 = 16;
+const LANE_MASK: u64 = (1 << LANE_BITS) - 1;
+
+/// Claims the next unclaimed lane of the region the word publishes:
+/// `Ok((region, lane))`, or `Err(region)` once every lane below `p` is
+/// claimed. The CAS covers the whole word, so a claimer that read one
+/// region's word never takes a lane of a later region: the region number
+/// differs, the CAS fails, and the claimer reads the word again.
+/// `Acquire` on success: the leader's `Release` publish heads a release
+/// sequence that every successful claim continues, so the claim orders
+/// the job read after the leader's write.
+fn claim(word: &AtomicU64, p: usize) -> Result<(u64, usize), u64> {
+    let mut w = word.load(Ordering::Relaxed);
+    loop {
+        let lane = (w & LANE_MASK) as usize;
+        if lane >= p {
+            return Err(w >> LANE_BITS);
+        }
+        match word.compare_exchange_weak(w, w + 1, Ordering::Acquire, Ordering::Relaxed) {
+            Ok(_) => return Ok((w >> LANE_BITS, lane)),
+            Err(now) => w = now,
+        }
+    }
+}
+
 /// Lock-free region handoff state.
 ///
 /// Publication protocol (leader side, in this order): write [`job`],
-/// store the `remaining` latch, push one lane ticket per worker into
-/// [`tickets`], `Release`-store the bumped [`epoch`], and wake sleepers
-/// if the eventcount says any are parked. A worker that steals a ticket
-/// observes the job write through the deque's release/acquire edge on
-/// `bottom` (push publishes, a successful steal acquires), so the
-/// `UnsafeCell` read below is never a data race. Tickets encode
-/// `epoch * p + lane`, which keeps them unique across regions.
+/// store the `remaining` latch, `Release`-store the next region into
+/// [`region`] with lane 1 unclaimed, and wake sleepers if the eventcount
+/// says any are parked. A worker that claims a lane (see [`claim`])
+/// observes the job write through that edge, so the `UnsafeCell` read
+/// below is never a data race. Lane 0 is never in the word: it runs on
+/// the leader.
 ///
-/// Drain protocol: each retired ticket decrements `remaining`
-/// (`SeqCst`); the leader spins on the latch, then parks behind the
-/// `leader_parked` flag. The latch decrement is a release edge, and the
-/// leader's acquiring read of zero is what makes it sound to reclaim the
-/// job borrow and take the panics afterwards.
+/// Drain protocol: each retired lane decrements `remaining` (`SeqCst`);
+/// the leader spins on the latch, then parks behind the `leader_parked`
+/// flag. The latch decrement is a release edge, and the leader's
+/// acquiring read of zero is what makes it sound to reclaim the job
+/// borrow and take the panics afterwards. A drained region has every
+/// lane claimed, so no claim races the next publish.
 struct Shared {
-    /// Region counter; bumped (by the single in-flight leader only)
-    /// after the tickets are pushed. Padded: workers spin on it.
-    epoch: CachePadded<AtomicU64>,
-    /// Lane tickets not yet claimed for the current region.
-    tickets: StealDeque,
-    /// Tickets not yet retired for the current region. Padded: the
+    /// The region number above the next unclaimed lane. Stored only by
+    /// the single in-flight leader, and workers claim lanes from it; it
+    /// starts as region 0 with every lane claimed. Padded: workers spin
+    /// on it.
+    region: CachePadded<AtomicU64>,
+    /// Lanes not yet retired for the current region. Padded: the
     /// leader spins on it while workers decrement it.
     remaining: CachePadded<AtomicUsize>,
     /// The current region's job (present exactly while a region runs).
     /// Written by the leader only; read by workers only between the
-    /// ticket steal and the latch decrement — see the protocol above.
+    /// lane claim and the latch decrement — see the protocol above.
     job: UnsafeCell<Option<Job>>,
     /// Set once, on pool drop: workers exit their loop.
     shutdown: AtomicBool,
@@ -454,14 +481,16 @@ struct Shared {
 
 // Safety: the only non-Sync field is `job`; the publication/drain
 // protocol documented on [`Shared`] orders every worker read of it after
-// the leader's write (deque release/acquire) and every leader
+// the leader's write (region word release/acquire) and every leader
 // write/clear after all worker reads (latch release/acquire).
 unsafe impl Sync for Shared {}
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let region = self.region.load(Ordering::Relaxed);
         f.debug_struct("Shared")
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
+            .field("region", &(region >> LANE_BITS))
+            .field("next_lane", &(region & LANE_MASK))
             .field("remaining", &self.remaining.load(Ordering::Relaxed))
             .field("sleepers", &self.sleepers.load(Ordering::Relaxed))
             .finish_non_exhaustive()
@@ -476,15 +505,18 @@ struct Resident {
     handles: Vec<JoinHandle<()>>,
     /// Raised while a region is in flight; a nested or concurrent
     /// `run_with` on the same pool falls back to spawn-per-region instead
-    /// of corrupting the epoch handoff.
+    /// of corrupting the region word.
     in_region: AtomicBool,
 }
 
 impl Resident {
     fn start(p: usize) -> Self {
+        assert!(
+            p as u64 <= LANE_MASK,
+            "a resident pool's lanes fit the region word"
+        );
         let shared = Arc::new(Shared {
-            epoch: CachePadded::new(AtomicU64::new(0)),
-            tickets: StealDeque::new(p),
+            region: CachePadded::new(AtomicU64::new(p as u64)),
             remaining: CachePadded::new(AtomicUsize::new(0)),
             job: UnsafeCell::new(None),
             shutdown: AtomicBool::new(false),
@@ -528,25 +560,22 @@ impl Drop for Resident {
     }
 }
 
-/// Body of a resident worker thread: steal a lane ticket, run the job
-/// for that lane, retire the ticket; spin briefly when the deque is dry,
-/// then park on the eventcount. A panicking job is contained here, so
-/// the thread survives to serve the next region.
+/// Body of a resident worker thread: claim a lane, run the job for it,
+/// retire it; spin briefly once every lane of the region is claimed,
+/// then park on the eventcount until the next region. A panicking job is
+/// contained here, so the thread survives to serve the next region.
 fn worker_loop(shared: &Shared, p: usize) {
-    // Last epoch this worker knows to be fully claimed. Only a hint for
-    // the park condition — correctness rests on the deque, not on this.
-    let mut served = 0u64;
     let mut spins = 0u32;
     loop {
-        match shared.tickets.steal() {
-            Steal::Success(ticket) => {
+        // the region this worker last saw fully claimed
+        let served = match claim(&shared.region, p) {
+            Err(region) => region,
+            Ok((_, lane)) => {
                 spins = 0;
-                served = (ticket / p) as u64;
-                let lane = ticket % p;
-                // Safety: see the protocol on [`Shared`] — the steal's
+                // Safety: see the protocol on [`Shared`] — the claim's
                 // acquire edge ordered this read after the leader's
                 // write, and the latch below keeps the borrow alive.
-                let job = unsafe { (*shared.job.get()).expect("a ticket implies a job") };
+                let job = unsafe { (*shared.job.get()).expect("a claimed lane implies a job") };
                 let result = catch_unwind(AssertUnwindSafe(|| (job.f)(lane)));
                 if let Err(payload) = result {
                     // raise QUIT first so peers drain promptly
@@ -557,7 +586,7 @@ fn worker_loop(shared: &Shared, p: usize) {
                         message: payload_message(payload.as_ref()),
                     });
                 }
-                // Retire the ticket. `SeqCst` (not just release) because
+                // Retire the lane. `SeqCst` (not just release) because
                 // this store is half of the Dekker handshake with the
                 // leader's `leader_parked` flag below.
                 if shared.remaining.fetch_sub(1, Ordering::SeqCst) == 1
@@ -566,45 +595,31 @@ fn worker_loop(shared: &Shared, p: usize) {
                     let _g = shared.done_mutex.lock();
                     shared.done.notify_one();
                 }
+                continue;
             }
-            Steal::Retry => {
-                spins = 0;
-                std::hint::spin_loop();
-            }
-            Steal::Empty => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let e = shared.epoch.load(Ordering::Acquire);
-                if e != served {
-                    // A region was published since we last looked: its
-                    // tickets (pushed before the epoch bump, so visible
-                    // now) may still be in the deque — re-steal before
-                    // concluding there is nothing to do.
-                    served = e;
-                    continue;
-                }
-                spins += 1;
-                if spins < SPIN_LIMIT {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                spins = 0;
-                // Park. Missed-wakeup safety is two-fold: the sleeper
-                // registration / epoch re-check below is `SeqCst` against
-                // the leader's publish fence + `sleepers` load (Dekker),
-                // and the leader notifies while holding `park`, which the
-                // condition re-check holds too.
-                let mut g = shared.park.lock();
-                shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                while shared.epoch.load(Ordering::SeqCst) == served
-                    && !shared.shutdown.load(Ordering::SeqCst)
-                {
-                    shared.work.wait(&mut g);
-                }
-                shared.sleepers.fetch_sub(1, Ordering::Relaxed);
-            }
+        };
+        if shared.shutdown.load(Ordering::Acquire) {
+            return;
         }
+        spins += 1;
+        if spins < SPIN_LIMIT {
+            std::hint::spin_loop();
+            continue;
+        }
+        spins = 0;
+        // Park. Missed-wakeup safety is two-fold: the sleeper
+        // registration / region re-check below is `SeqCst` against the
+        // leader's publish fence + `sleepers` load (Dekker), and the
+        // leader notifies while holding `park`, which the condition
+        // re-check holds too.
+        let mut g = shared.park.lock();
+        shared.sleepers.fetch_add(1, Ordering::SeqCst);
+        while shared.region.load(Ordering::SeqCst) >> LANE_BITS == served
+            && !shared.shutdown.load(Ordering::SeqCst)
+        {
+            shared.work.wait(&mut g);
+        }
+        shared.sleepers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -819,9 +834,9 @@ impl Pool {
     }
 
     /// One region on the resident workers, lock-free on the hot path:
-    /// publish the job, push one lane ticket per worker, bump the epoch,
-    /// run vpn 0 inline, then spin (and only then park) until every
-    /// ticket is retired; returns the contained panics in vpn order.
+    /// publish the job, then the region in the region word, run vpn 0
+    /// inline, then spin (and only then park) until every claimed lane
+    /// is retired; returns the contained panics in vpn order.
     fn run_resident(
         &self,
         res: &Resident,
@@ -831,7 +846,7 @@ impl Pool {
         let shared = &res.shared;
         let p = self.workers;
         // SAFETY: the borrows are only lifetime-erased. Workers use them
-        // strictly between their ticket steal and their latch decrement,
+        // strictly between their lane claim and their latch decrement,
         // and this function does not return before the latch reaches
         // zero — the wait loop cannot be skipped because vpn 0 runs
         // under catch_unwind and nothing between publish and wait
@@ -847,22 +862,20 @@ impl Pool {
             0,
             "previous region fully drained"
         );
-        debug_assert!(shared.tickets.is_empty(), "previous tickets all claimed");
-        // Publish. The job write is ordered before the ticket pushes
-        // (deque release on `bottom`), the pushes before the epoch bump
-        // (release store), so a worker entering via either edge sees a
-        // complete region.
+        let region = shared.region.load(Ordering::Relaxed);
+        debug_assert_eq!(region & LANE_MASK, p as u64, "previous lanes all claimed");
+        // Publish. The job and the latch are written before the region
+        // word's release store, which every lane claim acquires, so a
+        // worker that claims a lane sees a complete region.
         unsafe { *shared.job.get() = Some(job) };
         shared.remaining.store(p - 1, Ordering::Relaxed);
-        let epoch = shared.epoch.load(Ordering::Relaxed) + 1;
-        for lane in 1..p {
-            let pushed = shared.tickets.push(epoch as usize * p + lane);
-            debug_assert!(pushed, "deque sized to p can hold p - 1 tickets");
-        }
-        shared.epoch.store(epoch, Ordering::Release);
+        let next = (region >> LANE_BITS).wrapping_add(1);
+        shared
+            .region
+            .store(next << LANE_BITS | 1, Ordering::Release);
         // Dekker handshake with parking workers: the fence orders the
-        // epoch store before the `sleepers` read, pairing with the
-        // sleeper's `SeqCst` registration + epoch re-check.
+        // region store before the `sleepers` read, pairing with the
+        // sleeper's `SeqCst` registration + region re-check.
         std::sync::atomic::fence(Ordering::SeqCst);
         if shared.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = shared.park.lock();
@@ -1058,8 +1071,8 @@ mod tests {
 
     #[test]
     fn resident_pool_reuses_worker_threads_across_regions() {
-        // Workers steal lane tickets, so which thread serves which vpn may
-        // vary region to region — what residency guarantees is that the
+        // Any worker may claim any lane, so which thread serves which vpn
+        // may vary region to region — what residency guarantees is that the
         // *set* of OS threads is stable (no spawn per region) and that
         // vpn 0 always runs inline on the leader.
         let pool = Pool::new(4);
@@ -1088,7 +1101,7 @@ mod tests {
             outer_hits.fetch_add(1, Ordering::Relaxed);
             if vpn == 0 {
                 // re-entrant region: must run via the spawn fallback, not
-                // corrupt the in-flight epoch handoff
+                // corrupt the in-flight region word
                 let inner = pool.run_with(&CancelFlag::new(), |_| {
                     inner_hits.fetch_add(1, Ordering::Relaxed);
                 });
@@ -1400,7 +1413,7 @@ mod tests {
     #[test]
     fn atomic_resident_handoff_publishes_leader_writes_to_workers() {
         // The job closure reads a value the leader wrote just before the
-        // region: the ticket publication edge must make it visible.
+        // region: the region word's publication edge must make it visible.
         let pool = Pool::new(2);
         let regions = if cfg!(miri) { 4 } else { 100 };
         let mut seen = [0usize; 2];
@@ -1411,6 +1424,56 @@ mod tests {
             for (s, slot) in seen.iter_mut().zip(&slots) {
                 *s = slot.load(Ordering::Relaxed);
                 assert_eq!(*s, input, "region input visible on every lane");
+            }
+        }
+    }
+
+    #[test]
+    fn atomic_region_word_hands_out_each_lane_once_per_region() {
+        // The hand-off alone, pool-free: this thread publishes region
+        // after region as a leader does, p - 1 claimers take lanes from
+        // the word, and every claim is checked against the region this
+        // thread has published. A claimer still holding an older
+        // region's word must not take a lane of the current one.
+        let p = 4;
+        let regions = if cfg!(miri) { 8 } else { 2_000 };
+        let word = AtomicU64::new(p as u64);
+        let current = AtomicU64::new(0);
+        let retired = AtomicUsize::new(0);
+        let hits: Vec<AtomicUsize> = (0..(regions + 1) * p)
+            .map(|_| AtomicUsize::new(0))
+            .collect();
+        std::thread::scope(|s| {
+            for _ in 1..p {
+                s.spawn(|| loop {
+                    match claim(&word, p) {
+                        Ok((region, lane)) => {
+                            assert_ne!(lane, 0, "lane 0 runs on the leader");
+                            assert_eq!(
+                                region,
+                                current.load(Ordering::Relaxed),
+                                "a lane of the region the leader published"
+                            );
+                            hits[region as usize * p + lane].fetch_add(1, Ordering::Relaxed);
+                            retired.fetch_add(1, Ordering::Release);
+                        }
+                        Err(region) if region == regions as u64 => break,
+                        Err(_) => std::thread::yield_now(),
+                    }
+                });
+            }
+            for region in 1..=regions {
+                current.store(region as u64, Ordering::Relaxed);
+                word.store((region as u64) << LANE_BITS | 1, Ordering::Release);
+                while retired.load(Ordering::Acquire) < region * (p - 1) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        for region in 1..=regions {
+            for lane in 0..p {
+                let runs = hits[region * p + lane].load(Ordering::Relaxed);
+                assert_eq!(runs, usize::from(lane != 0), "region {region} lane {lane}");
             }
         }
     }

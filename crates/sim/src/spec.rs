@@ -175,7 +175,7 @@ pub struct ExecConfig {
     pub chunk: ChunkPolicy,
     /// Per-claim dispatcher cost override for dynamic self-scheduling —
     /// the mirror of the runtime's lock-free claim path (a relaxed
-    /// `fetch_add` or a deque pop instead of a locked counter). `None`
+    /// `fetch_add` instead of a locked counter). `None`
     /// charges the historical [`Overheads::t_dispatch`], keeping existing
     /// traces and makespans bit-identical.
     pub claim_cost: Option<u64>,

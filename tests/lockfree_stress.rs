@@ -1,73 +1,37 @@
 //! Stress and interleaving properties for the lock-free hot paths: the
-//! Chase–Lev work-stealing deque (steal-vs-pop races, slot reuse across
-//! ring wraparound) and the relaxed claim/stamp marking protocol, whose
+//! resident pool's region word (lanes claimed back to back across many
+//! regions) and the relaxed claim/stamp marking protocol, whose
 //! concurrent executions must stay linearizable — i.e. indistinguishable
 //! from some sequential marking order — which we check by comparing the
 //! production `Shadow` verdict of a *parallel* marking run against the
 //! brute-force sequential PD oracle on the identical access log.
 
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use wlp::pd::{oracle_verdict, Access, Shadow};
-use wlp::runtime::{doall_dynamic, Pool, Steal, StealDeque, Step};
+use wlp::runtime::{doall_dynamic, Pool, Step};
 
-/// Every value pushed into a deque hammered by concurrent stealers is
-/// taken exactly once, across an arbitrary owner script of pushes and
-/// pops. Values are distinct, so multiset equality reduces to a sum and
-/// a count.
-fn run_deque_script(capacity: usize, stealers: usize, script: &[bool]) {
-    let d = StealDeque::new(capacity);
-    let done = AtomicBool::new(false);
-    let stolen_count = AtomicUsize::new(0);
-    let stolen_sum = AtomicUsize::new(0);
-    let mut pushed_count = 0usize;
-    let mut pushed_sum = 0usize;
-    let mut taken_count = 0usize;
-    let mut taken_sum = 0usize;
-
-    std::thread::scope(|s| {
-        for _ in 0..stealers {
-            let (d, done, cnt, sum) = (&d, &done, &stolen_count, &stolen_sum);
-            s.spawn(move || loop {
-                match d.steal() {
-                    Steal::Success(v) => {
-                        cnt.fetch_add(1, Ordering::Relaxed);
-                        sum.fetch_add(v, Ordering::Relaxed);
-                    }
-                    Steal::Retry => std::hint::spin_loop(),
-                    Steal::Empty => {
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-            });
+/// Back-to-back regions on one resident pool of 4: each region is
+/// published while the workers are still spinning from the last, so
+/// claims of consecutive regions race on the region word. Every lane
+/// runs exactly once per region.
+#[test]
+fn back_to_back_regions_run_every_lane_once() {
+    let regions = 10_000usize;
+    let pool = Pool::new(4);
+    let runs = [(); 4].map(|_| AtomicUsize::new(0));
+    for region in 1..=regions {
+        pool.run(|vpn| {
+            runs[vpn].fetch_add(1, Ordering::Relaxed);
+        });
+        for (lane, r) in runs.iter().enumerate() {
+            assert_eq!(
+                r.load(Ordering::Relaxed),
+                region,
+                "lane {lane} after region {region}"
+            );
         }
-        let mut next = 1usize; // distinct nonzero payloads
-        for &push in script {
-            if push {
-                if d.push(next) {
-                    pushed_count += 1;
-                    pushed_sum += next;
-                    next += 1;
-                }
-            } else if let Some(v) = d.pop() {
-                taken_count += 1;
-                taken_sum += v;
-            }
-        }
-        done.store(true, Ordering::Release);
-    });
-    // Stealers have exited; drain what's left single-threaded.
-    while let Some(v) = d.pop() {
-        taken_count += 1;
-        taken_sum += v;
     }
-    taken_count += stolen_count.load(Ordering::Relaxed);
-    taken_sum += stolen_sum.load(Ordering::Relaxed);
-    assert_eq!(taken_count, pushed_count, "an item was lost or duplicated");
-    assert_eq!(taken_sum, pushed_sum, "an item was replaced by another");
 }
 
 /// Builds per-iteration access logs from flat proptest-generated data.
@@ -93,31 +57,6 @@ fn build_log(n_iters: usize, m: usize, raw: &[(usize, u8)]) -> Vec<Vec<Access>> 
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Owner pushes/pops racing 1–3 stealers on a small ring: exact
-    /// conservation of items for arbitrary interleavings.
-    #[test]
-    fn deque_conserves_items_under_concurrent_stealing(
-        capacity in 1usize..9,
-        stealers in 1usize..4,
-        script in prop::collection::vec(any::<bool>(), 1..400),
-    ) {
-        run_deque_script(capacity, stealers, &script);
-    }
-
-    /// A capacity-2 ring forced through hundreds of wrap cycles while a
-    /// stealer races the owner for the last element: monotone indices
-    /// make slot reuse safe (no ABA), so conservation must still hold.
-    #[test]
-    fn deque_wraparound_with_races_never_aliases_slots(
-        rounds in 50usize..300,
-    ) {
-        // all-push script against a tiny ring: the owner alternates
-        // push/pop while the stealer takes from the other end, cycling
-        // the two slots over and over
-        let script: Vec<bool> = (0..rounds * 2).map(|k| k % 3 != 2).collect();
-        run_deque_script(2, 1, &script);
-    }
 
     /// Linearizability of the relaxed claim/stamp marking: marking a
     /// random access log from 4 concurrent workers (relaxed CAS stamp
@@ -162,47 +101,6 @@ proptest! {
         // access totals flushed by marker drops are exact
         prop_assert_eq!(sh.total_accesses(), total as u64);
     }
-}
-
-/// Deterministic high-volume duel: owner and one stealer contend for a
-/// single in-flight element thousands of times. Complements the proptest
-/// with a fixed, deep schedule targeted at the `pop`-last-element CAS.
-#[test]
-fn deque_last_element_duel_is_exact() {
-    let rounds = 20_000usize;
-    let d = StealDeque::new(2);
-    let stolen = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let mut popped = 0usize;
-    std::thread::scope(|s| {
-        let (dr, stolen_r, done_r) = (&d, &stolen, &done);
-        s.spawn(move || loop {
-            match dr.steal() {
-                Steal::Success(_) => {
-                    stolen_r.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {
-                    if done_r.load(Ordering::Acquire) {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        });
-        for i in 0..rounds {
-            while !d.push(i) {
-                std::hint::spin_loop();
-            }
-            if d.pop().is_some() {
-                popped += 1;
-            }
-        }
-        done.store(true, Ordering::Release);
-    });
-    while d.pop().is_some() {
-        popped += 1;
-    }
-    assert_eq!(popped + stolen.load(Ordering::Relaxed), rounds);
 }
 
 /// The oracle agreement holds under the *maximum-contention* shape too:

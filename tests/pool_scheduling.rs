@@ -34,11 +34,12 @@ fn thread_ids(pool: &Pool) -> HashMap<usize, ThreadId> {
 
 #[test]
 fn resident_pool_reuses_the_same_threads_across_regions() {
-    // Lane tickets are work-stolen, so the thread serving a given vpn may
-    // change from region to region; residency means the *set* of serving
-    // threads is fixed. std guarantees ThreadId values are never reused
-    // while the process lives, so a bounded union across many regions
-    // proves the very same threads served them all — no respawns.
+    // Any worker may claim any lane from the region word, so the thread
+    // serving a given vpn may change from region to region; residency
+    // means the *set* of serving threads is fixed. std guarantees
+    // ThreadId values are never reused while the process lives, so a
+    // bounded union across many regions proves the very same threads
+    // served them all — no respawns.
     let pool = Pool::new(4);
     assert!(pool.is_resident());
     let mut union: std::collections::HashSet<ThreadId> = std::collections::HashSet::new();
