@@ -35,16 +35,6 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// The worst severity among the findings ([`Severity::Note`] when
-    /// there are none).
-    pub fn max_severity(&self) -> Severity {
-        self.diagnostics
-            .iter()
-            .map(|d| d.severity)
-            .max()
-            .unwrap_or(Severity::Note)
-    }
-
     /// The one-or-two-line plan summary: the whole-loop plan/verdict line,
     /// plus the fission line when distribution actually split the
     /// remainder. `wlp-lint` prints it with the batch line between the two
@@ -185,13 +175,13 @@ fn certificate_of(
 }
 
 /// The whole-loop certificate pipeline: the baseline plan, the
-/// [`Refinement`], recurrences and the dataflow terminator, and the
-/// certificate. [`analyze`] runs it once per loop and hands it to the
-/// fission certifier.
+/// [`Refinement`], the dataflow terminator, and the certificate.
+/// [`compile_source`](crate::compile_source) runs it alone on a cache
+/// miss; [`analyze`] runs it once per loop and hands it to the fission
+/// certifier.
 pub(crate) struct CertCore {
     pub baseline: Plan,
     pub refinement: Refinement,
-    pub recs: Vec<Recurrence>,
     pub rv_witness: Option<RvWitness>,
     pub certificate: SafetyCertificate,
 }
@@ -199,7 +189,6 @@ pub(crate) struct CertCore {
 pub(crate) fn certify_core(body: &LoopIr) -> CertCore {
     let baseline = plan(body);
     let refinement = refine(body);
-    let recs = recurrences(body);
     let (terminator, rv_witness) = classify_terminator(body);
     let certificate = certificate_of(
         body,
@@ -210,7 +199,6 @@ pub(crate) fn certify_core(body: &LoopIr) -> CertCore {
     CertCore {
         baseline,
         refinement,
-        recs,
         rv_witness,
         certificate,
     }
@@ -239,11 +227,11 @@ pub fn analyze(body: &LoopIr) -> Analysis {
                 refined,
                 ..
             },
-        recs,
         rv_witness,
         certificate,
     } = core;
     let terminator = certificate.terminator;
+    let recs = recurrences(body);
 
     let mut diagnostics = Vec::new();
     let span_of = |stmt: usize| body.stmts.get(stmt).and_then(|s| s.span);
@@ -549,7 +537,7 @@ mod tests {
     fn figure5c_is_certified_sequential() {
         let a = analyze(&examples::figure5c_recurrence());
         assert_eq!(a.certificate.verdict, CertVerdict::CertifiedSequential);
-        assert_eq!(a.max_severity(), Severity::Error);
+        assert!(a.diagnostics.iter().any(|d| d.severity == Severity::Error));
     }
 
     #[test]

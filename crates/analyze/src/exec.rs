@@ -10,10 +10,10 @@
 //! loop only reads are read-only whatever the certificate says — the
 //! lowering decides that from the program text itself.
 
-use crate::analyze::{analyze, Analysis};
-use crate::certificate::CertVerdict;
+use crate::analyze::certify_core;
+use crate::certificate::{CertVerdict, SafetyCertificate};
 use std::collections::BTreeSet;
-use wlp_core::taxonomy::TerminatorClass;
+use wlp_core::taxonomy::{DispatcherClass, TerminatorClass};
 use wlp_ir::exec::{ExecPlan, PlanHints, SeqReason};
 use wlp_ir::frontend::{lower_with_symbols, parse_program, FrontendError, Program, Symbols};
 use wlp_ir::{ArrayId, LoopIr, StmtKind, Subscript, WRef};
@@ -36,9 +36,16 @@ fn iteration_disjoint(body: &LoopIr, a: ArrayId) -> bool {
     }
 }
 
-/// What `analysis` licenses the executor to skip for `body`.
-pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> PlanHints {
-    let cert = &analysis.certificate;
+/// What `cert` licenses the executor to skip for `body`, given the arrays
+/// privatization proved per-iteration workspaces and the baseline plan's
+/// dispatcher class.
+pub fn plan_hints(
+    body: &LoopIr,
+    symbols: &Symbols,
+    cert: &SafetyCertificate,
+    privatized: &BTreeSet<ArrayId>,
+    dispatcher: DispatcherClass,
+) -> PlanHints {
     let stored = |stmts: &mut dyn Iterator<Item = &wlp_ir::Stmt>| -> BTreeSet<ArrayId> {
         stmts
             .flat_map(|s| s.writes.iter())
@@ -70,9 +77,7 @@ pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> Plan
     // The verdict may lean on privatization; this executor shares every
     // array, which is only the same thing when the workspace is
     // iteration-disjoint anyway (or PD-tested regardless).
-    let needs_private_copy = analysis
-        .privatization
-        .arrays
+    let needs_private_copy = privatized
         .iter()
         .any(|a| !shadowed.contains(a) && !iteration_disjoint(body, *a));
     let sequential = if cert.verdict == CertVerdict::CertifiedSequential {
@@ -84,7 +89,7 @@ pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> Plan
     };
 
     PlanHints {
-        dispatcher: analysis.baseline.dispatcher,
+        dispatcher,
         sequential,
         certified,
         terminator_rv: cert.terminator == TerminatorClass::RemainderVariant,
@@ -92,25 +97,43 @@ pub fn plan_hints(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> Plan
     }
 }
 
-/// One-stop pipeline entry: parse → lower → [`analyze()`] → plan. The
-/// parsed [`Program`], the finished [`Analysis`] (certificate included)
-/// and the [`ExecPlan`] lowered under it.
-///
-/// This is the exact sequence the serve-layer certificate cache runs on
-/// a miss; keeping it here guarantees every consumer derives
-/// certificates and plans the same way.
-pub fn compile_source(source: &str) -> Result<(Program, Analysis, ExecPlan), FrontendError> {
+/// One certificate-cache miss: parse → lower → the whole-loop
+/// certificate → plan, and nothing a request does not read (no
+/// recurrence census, fission plan or diagnostics: those are
+/// [`analyze()`](crate::analyze())'s). Keeping it here guarantees every
+/// consumer derives certificates and plans the same way.
+pub fn compile_source(
+    source: &str,
+) -> Result<(Program, SafetyCertificate, ExecPlan), FrontendError> {
     let program = parse_program(source)?;
     let (body, symbols) = lower_with_symbols(&program)?;
-    let analysis = analyze(&body);
-    let plan = ExecPlan::lower(&program, &plan_hints(&body, &symbols, &analysis));
-    Ok((program, analysis, plan))
+    let core = certify_core(&body);
+    let hints = plan_hints(
+        &body,
+        &symbols,
+        &core.certificate,
+        &core.refinement.priv_info.arrays,
+        core.baseline.dispatcher,
+    );
+    let plan = ExecPlan::lower(&program, &hints);
+    Ok((program, core.certificate, plan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{analyze, Analysis};
     use wlp_ir::exec::{AccessMode, Schedule};
+
+    fn hints_of(body: &LoopIr, symbols: &Symbols, analysis: &Analysis) -> PlanHints {
+        plan_hints(
+            body,
+            symbols,
+            &analysis.certificate,
+            &analysis.privatization.arrays,
+            analysis.baseline.dispatcher,
+        )
+    }
 
     fn plan_of(src: &str) -> ExecPlan {
         compile_source(src).expect("valid source").2
@@ -161,7 +184,7 @@ mod tests {
         let (body, symbols) = lower_with_symbols(&program).unwrap();
         let analysis = analyze(&body);
         assert!(analysis.certificate.uncertain_writes_per_iter < 3);
-        let hints = plan_hints(&body, &symbols, &analysis);
+        let hints = hints_of(&body, &symbols, &analysis);
         let plan = ExecPlan::lower(&program, &hints);
         assert_eq!(modes(&plan), [("A", AccessMode::Shadowed)]);
         assert_eq!(plan.shadowed_stores_per_iter(), 3);
@@ -222,6 +245,8 @@ mod tests {
     /// kind of batch it grants follows the certificate: a certified DOALL
     /// runs plain batches, a proven recurrence scans within each batch,
     /// and the loop left to speculation claims its computed elements.
+    /// A miss stops at the certificate core, yet certifies and plans each
+    /// body exactly as the whole analysis does.
     #[test]
     fn the_batch_licence_agrees_with_the_certificate_on_the_corpus() {
         let loops = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/loops");
@@ -237,10 +262,15 @@ mod tests {
             if path.extension().is_none_or(|e| e != "wlp") {
                 continue;
             }
-            let (_, analysis, plan) = compile_source(&std::fs::read_to_string(&path).unwrap())
-                .expect("the corpus compiles");
+            let src = std::fs::read_to_string(&path).unwrap();
+            let (program, certificate, plan) = compile_source(&src).expect("the corpus compiles");
+            let (body, symbols) = lower_with_symbols(&program).unwrap();
+            let whole = analyze(&body);
+            assert_eq!(certificate, whole.certificate, "{}", path.display());
+            let whole_plan = ExecPlan::lower(&program, &hints_of(&body, &symbols, &whole));
+            assert_eq!(plan, whole_plan, "{}", path.display());
             assert_eq!(plan.batch_refusal(), None, "{}", path.display());
-            let want = match analysis.certificate.verdict {
+            let want = match certificate.verdict {
                 CertVerdict::CertifiedDoall => "plain",
                 CertVerdict::CertifiedSequential => "scanned",
                 CertVerdict::SpeculateBounded => "checked",
@@ -269,7 +299,7 @@ mod tests {
         let src = std::fs::read_to_string(loops.join("gather_scatter.wlp")).unwrap();
         let program = parse_program(&src).unwrap();
         let (body, symbols) = lower_with_symbols(&program).unwrap();
-        let mut hints = plan_hints(&body, &symbols, &analyze(&body));
+        let mut hints = hints_of(&body, &symbols, &analyze(&body));
         hints.certified = vec!["A".into(), "B".into()];
         let plan = ExecPlan::lower(&program, &hints);
         let a = plan.arrays().iter().position(|a| a == "A").unwrap();

@@ -21,6 +21,10 @@
 //! Pipeline: [`privatize`] (def-before-use ⇒ drop carried edges) →
 //! [`reduction`] (accumulator non-interference) → [`terminator`] (RI/RV by
 //! subscript dataflow) → [`analyze()`] (refined plan + certificate).
+//! [`compile_source`] is the daemon's certificate-cache miss: it stops at
+//! the certificate and lowers the execution plan under it;
+//! [`lint_source`] runs the whole analysis, fission plan and diagnostics
+//! included.
 
 pub mod analyze;
 pub mod certificate;
@@ -34,40 +38,12 @@ pub mod reduction;
 pub mod terminator;
 
 pub use analyze::{analyze, Analysis};
-pub use exec::{compile_source, plan_hints};
-
-use wlp_ir::frontend::{lower, parse_program, FrontendError, Program};
-
-/// Parse → lower → [`analyze()`] in a single call, returning the parsed
-/// [`Program`] together with the finished [`Analysis`] (certificate
-/// included). [`compile_source`] is the same pipeline carried one step
-/// further, to the execution plan.
-pub fn analyze_source(source: &str) -> Result<(Program, Analysis), FrontendError> {
-    let program = parse_program(source)?;
-    let body = lower(&program)?;
-    let analysis = analyze(&body);
-    Ok((program, analysis))
-}
-
 pub use certificate::{CertDecodeError, CertVerdict, SafetyCertificate};
 pub use concrete::{array_log, concretize, remainder_log, scalar_log, ConcreteLog, Owner};
 pub use diag::{Diagnostic, Severity};
+pub use exec::{compile_source, plan_hints};
 pub use fission::{fission_plan, masked_body, BlockCertificate, DoacrossEdge, FissionPlan};
 pub use lint::{lint_source, LintOutcome};
 pub use privatize::{privatization, privatized_body, Privatization};
 pub use reduction::{recurrences, Recurrence, RecurrenceRole};
 pub use terminator::{classify_terminator, RvWitness};
-
-#[cfg(test)]
-mod pipeline_tests {
-    use super::*;
-
-    const DOALL: &str = "integer i = 0\nwhile (i < n) {\n    A[i] = 2 * A[i]\n    i = i + 1\n}";
-
-    #[test]
-    fn analyze_source_matches_the_staged_pipeline() {
-        let (program, analysis) = analyze_source(DOALL).expect("valid source");
-        let body = lower(&program).expect("lower");
-        assert_eq!(analysis.certificate, analyze(&body).certificate);
-    }
-}

@@ -1,17 +1,17 @@
 //! Linting source text: parse → lower → analyze → diagnostics.
 
-use crate::analyze::Analysis;
+use crate::analyze::{analyze, Analysis};
 use crate::diag::{Diagnostic, Severity};
 use crate::exec::compile_source;
 use wlp_ir::exec::ExecPlan;
-use wlp_ir::frontend::FrontendError;
+use wlp_ir::frontend::{lower, FrontendError};
 
 /// What linting one source produced.
 #[derive(Debug)]
 pub struct LintOutcome {
     /// The full analysis, when the source parsed and lowered.
     pub analysis: Option<Analysis>,
-    /// The execution plan lowered under it.
+    /// The execution plan a cache miss lowers for the source.
     pub plan: Option<ExecPlan>,
     /// All diagnostics, including parse/lower errors.
     pub diagnostics: Vec<Diagnostic>,
@@ -60,10 +60,14 @@ impl LintOutcome {
     }
 }
 
-/// Lints one WHILE-loop source text.
+/// Lints one WHILE-loop source text: the plan the daemon runs, and the
+/// whole analysis (fission plan and diagnostics included) of the program
+/// lowered again, as a `certify` reply counts it.
 pub fn lint_source(src: &str) -> LintOutcome {
-    match compile_source(src) {
-        Ok((_, analysis, plan)) => {
+    let compiled =
+        compile_source(src).and_then(|(program, _, plan)| Ok((analyze(&lower(&program)?), plan)));
+    match compiled {
+        Ok((analysis, plan)) => {
             let diagnostics = analysis.diagnostics.clone();
             LintOutcome {
                 analysis: Some(analysis),

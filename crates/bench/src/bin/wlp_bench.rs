@@ -69,10 +69,11 @@
 //!   element. Not gated: they are what §7's `Trem` costs here.
 //!
 //! * `analyze` — the daemon's certificate-cache miss: `compile_source`
-//!   (parse, lower, the whole-loop certificate, the fission plan with
-//!   its block certificates, the execution plan) over 64 seeded programs
-//!   of 1, 2 and 4 corpus template groups under one induction, shaped
-//!   like the `cold-unique` benchmark workload's
+//!   (parse, lower, the whole-loop certificate, the execution plan; no
+//!   fission plan, recurrence census or diagnostics, which the rows
+//!   included before the miss stopped building them) over 64 seeded
+//!   programs of 1, 2 and 4 corpus template groups under one induction,
+//!   shaped like the `cold-unique` benchmark workload's
 //!   (`analyze/miss/{1,2,4}/p1`); reported per pass, per program and per
 //!   lowered statement, and as µs. Not gated: on `cold-unique` a miss is
 //!   most of a request.
@@ -874,10 +875,10 @@ fn cold_program(groups: usize, salt: usize, rng: &mut StdRng) -> String {
     format!("{decls}while (i < n) {{\n{body}    i = i + 1\n}}")
 }
 
-/// The `analyze` family: `compile_source` — parse, lower, analyze (the
-/// whole-loop certificate and the fission plan) and lower the execution
-/// plan — over [`ANALYZE_PROGRAMS`] seeded programs of `groups` template
-/// groups: one certificate-cache miss each.
+/// The `analyze` family: `compile_source` — parse, lower, the
+/// whole-loop certificate and the execution plan lowered under it — over
+/// [`ANALYZE_PROGRAMS`] seeded programs of `groups` template groups: one
+/// certificate-cache miss each.
 fn run_analyze(h: &mut Harness, groups: usize) {
     let mut rng = StdRng::seed_from_u64(groups as u64);
     let programs: Vec<String> = (0..ANALYZE_PROGRAMS)

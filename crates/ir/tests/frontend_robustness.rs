@@ -29,7 +29,14 @@ fn literals_that_overflow_a_linear_fold_go_the_conservative_way() {
         let prog = parse_program(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
         let (ir, symbols) = lower_with_symbols(&prog).expect("lowers");
         let analysis = analyze(&ir);
-        let plan = ExecPlan::lower(&prog, &plan_hints(&ir, &symbols, &analysis));
+        let hints = plan_hints(
+            &ir,
+            &symbols,
+            &analysis.certificate,
+            &analysis.privatization.arrays,
+            analysis.baseline.dispatcher,
+        );
+        let plan = ExecPlan::lower(&prog, &hints);
 
         let start = || {
             let mut m = Machine::default();

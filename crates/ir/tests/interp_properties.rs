@@ -59,7 +59,13 @@ use wlp_workloads::sources::machine_inputs;
 fn hint_variants(p: &Program) -> Vec<(&'static str, PlanHints)> {
     let (body, symbols) = lower_with_symbols(p).expect("generated programs lower");
     let analysis = analyze(&body);
-    let certified = plan_hints(&body, &symbols, &analysis);
+    let certified = plan_hints(
+        &body,
+        &symbols,
+        &analysis.certificate,
+        &analysis.privatization.arrays,
+        analysis.baseline.dispatcher,
+    );
     let stamped = PlanHints {
         terminator_rv: true,
         ..certified.clone()

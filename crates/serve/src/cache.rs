@@ -3,16 +3,16 @@
 //!
 //! A service replaying the same handful of loops over and over (the
 //! expected shape of multi-tenant traffic) should pay for parsing,
-//! lowering, privatization, reduction recognition and terminator
-//! classification **once per distinct program**, not once per request.
-//! [`CertCache`] keys entries by the FNV-1a hash of the program source
-//! (verifying the stored source byte-for-byte on hit, since FNV-1a is
-//! not collision-resistant) — a hit skips the whole `wlp-ir` front end
-//! and `wlp-analyze` pipeline
-//! and hands back the parsed [`Program`], the finished [`Analysis`] and
-//! the [`ExecPlan`] lowered under its certificate, behind an `Arc`, so
-//! concurrent requests share one copy and execute without lowering
-//! anything again.
+//! lowering, privatization and terminator classification **once per
+//! distinct program**, not once per request. [`CertCache`] keys entries
+//! by the FNV-1a hash of the program source (verifying the stored source
+//! byte-for-byte on hit, since FNV-1a is not collision-resistant) — a
+//! hit skips the whole `wlp-ir` front end and `wlp-analyze` pipeline and
+//! hands back the parsed [`Program`], its [`SafetyCertificate`] and the
+//! [`ExecPlan`] lowered under it, behind an `Arc`, so concurrent requests
+//! share one copy and execute without lowering anything again. A miss
+//! computes only these ([`compile_source`]); a `certify` reply's
+//! diagnostics count is worked out on demand.
 //!
 //! Eviction is LRU over a bounded capacity: the cache is sized for the
 //! working set of distinct programs, not the request volume, and a cold
@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use wlp_analyze::{compile_source, Analysis};
+use wlp_analyze::{compile_source, SafetyCertificate};
 use wlp_ir::exec::{ExecPlan, Schedule};
 use wlp_ir::frontend::{FrontendError, Program};
 
@@ -81,8 +81,8 @@ pub fn fnv1a64_i64s(data: &[i64]) -> u64 {
     h
 }
 
-/// One resident program: everything a request needs that depends only on
-/// the source text.
+/// One resident program: what a request reads that depends only on the
+/// source text.
 #[derive(Debug)]
 pub struct CacheEntry {
     /// FNV-1a hash of the source (the cache key).
@@ -93,12 +93,15 @@ pub struct CacheEntry {
     /// otherwise a crafted program could poison the shared cache and
     /// other tenants would silently run the wrong program.
     pub source: String,
-    /// The parsed AST.
+    /// The parsed AST. No `run` reads it (a run executes `plan`); a
+    /// `certify` lowers it again to count its diagnostics, and the
+    /// repository benchmark's layer trace runs it through the reference
+    /// interpreters.
     pub program: Program,
-    /// The full static analysis, certificate included.
-    pub analysis: Analysis,
+    /// The speculation-safety certificate.
+    pub certificate: SafetyCertificate,
     /// What a request executes: `program` lowered once, under
-    /// `analysis`'s certificate.
+    /// `certificate`.
     pub plan: ExecPlan,
     /// What this program's runs have cost, per request size class: the
     /// one input to whether its next run speculates. Only a plan that can
@@ -282,9 +285,9 @@ impl CertCache {
         }
     }
 
-    /// The whole pipeline for one source: parse → lower → analyze → plan.
+    /// One miss: parse → lower → certificate → plan ([`compile_source`]).
     fn build(&self, key: u64, source: &str) -> Result<Arc<CacheEntry>, FrontendError> {
-        let (program, analysis, plan) = compile_source(source)?;
+        let (program, certificate, plan) = compile_source(source)?;
         self.plans_compiled.fetch_add(1, Ordering::Relaxed);
         let history =
             matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }).then(Box::default);
@@ -292,13 +295,13 @@ impl CertCache {
             key,
             source: source.to_string(),
             program,
-            analysis,
+            certificate,
             plan,
             history,
         }))
     }
 
-    /// Looks up `source`, running parse → lower → analyze → plan on a miss.
+    /// Looks up `source`, running [`compile_source`] on a miss.
     ///
     /// Front-end failures are returned without being cached: a malformed
     /// program pays its (cheap) parse error on every submission rather
@@ -521,9 +524,9 @@ mod tests {
         assert_eq!(o, CacheOutcome::Miss);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(b.source, LOOP_B);
-        assert_eq!(b.analysis.certificate, {
+        assert_eq!(b.certificate, {
             let fresh = CertCache::new(1);
-            fresh.lookup(LOOP_B).unwrap().0.analysis.certificate.clone()
+            fresh.lookup(LOOP_B).unwrap().0.certificate.clone()
         });
         // the resident (first-come) entry keeps its slot and still hits
         let (a2, o) = cache.lookup_keyed(42, LOOP_A).unwrap();
@@ -669,11 +672,11 @@ mod tests {
         let (miss, _) = cache.lookup(LOOP_A).unwrap();
         let (hit, o) = cache.lookup(LOOP_A).unwrap();
         assert_eq!(o, CacheOutcome::Hit);
-        assert_eq!(miss.analysis.certificate, hit.analysis.certificate);
+        assert_eq!(miss.certificate, hit.certificate);
         // and both equal a from-scratch analysis
         cache.lookup(LOOP_B).unwrap(); // evict A
         let (fresh, o) = cache.lookup(LOOP_A).unwrap();
         assert_eq!(o, CacheOutcome::Miss);
-        assert_eq!(fresh.analysis.certificate, hit.analysis.certificate);
+        assert_eq!(fresh.certificate, hit.certificate);
     }
 }

@@ -8,7 +8,7 @@
 //! fast:
 //!
 //! * **Certificate cache** ([`cache::CertCache`]) — parse, lowering, the
-//!   full `wlp-analyze` pipeline and the slot-resolved
+//!   `wlp-analyze` certificate and the slot-resolved
 //!   [`ExecPlan`](wlp_ir::exec::ExecPlan) are memoized by source content
 //!   hash; a hot program pays zero front-end cost per request, and the
 //!   hit/miss counters surface through the `stats` op.
@@ -43,8 +43,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wlp_analyze::CertVerdict;
+use wlp_analyze::{analyze, CertVerdict};
 use wlp_ir::exec::{Schedule, SeqReason};
+use wlp_ir::frontend::lower;
 use wlp_ir::interp::{HostFn, Machine};
 use wlp_runtime::{payload_message, RegionScheduler, SchedulerConfig};
 
@@ -396,8 +397,9 @@ impl Service {
     }
 
     /// The `certify` op: cache lookup + certificate, no execution, no
-    /// admission control (analysis shares the cache, so a hot program
-    /// costs a hash lookup).
+    /// admission control. No `run` reads diagnostics, so the cache keeps
+    /// none: every `certify`, hot or not, counts them with the whole
+    /// analysis of the entry's program.
     fn certify(&self, id: Option<String>, tenant: &str, source: &str) -> String {
         self.tenant(tenant).requests.fetch_add(1, Ordering::Relaxed);
         let (entry, outcome) = match self.lookup(source) {
@@ -414,17 +416,16 @@ impl Service {
                 );
             }
         };
-        let cert = &entry.analysis.certificate;
+        let body = lower(&entry.program).expect("a cached program lowered on its miss");
+        let diagnostics = analyze(&body).diagnostics.len();
+        let cert = &entry.certificate;
         let fields = vec![
             ("cache".into(), cache_value(outcome)),
             ("program_key".into(), Value::UInt(entry.key)),
             ("verdict".into(), Value::Str(cert.verdict.name().into())),
             ("certificate".into(), serde::Serialize::serialize(cert)),
             ("cert_line".into(), Value::Str(cert.encode_compact())),
-            (
-                "diagnostics".into(),
-                Value::UInt(entry.analysis.diagnostics.len() as u64),
-            ),
+            ("diagnostics".into(), Value::UInt(diagnostics as u64)),
         ];
         json::to_string(&ok_response(id.as_deref(), "certify", fields))
     }
@@ -458,7 +459,7 @@ impl Service {
                 );
             }
         };
-        let cert = &entry.analysis.certificate;
+        let cert = &entry.certificate;
         let plan = &entry.plan;
         let max_iters = req.max_iters.unwrap_or(self.cfg.default_max_iters);
         // The request's one stop: it follows the connection's flag and
@@ -1656,5 +1657,44 @@ mod tests {
         assert!(resp.contains("\"verdict\":\"certified_doall\""), "{resp}");
         assert!(resp.contains("cert-v1;"), "{resp}");
         assert_eq!(svc.cache_misses(), 1);
+    }
+
+    /// Four template groups under one induction; the whole analysis
+    /// fissions it into six work blocks, which a miss does not build.
+    const FISSIONED: &str = "integer i = 1
+integer salt = 7
+integer s_2 = 0
+while (i < n) {
+    B_0[i] = B_0[i - 1] + w_0[i]
+    C_0[i] = B_0[i - 1] + 4
+    B_1[i] = 3 * w_1[i]
+    A_1[idx_1[i]] = A_1[idx_1[i]] + B_1[i]
+    s_2 = s_2 + 3
+    A_2[i] = w_2[i] + 5
+    A_3[i] = A_3[i - 1] + w_3[i]
+    B_3[i] = B_3[i - 1] * 2
+    C_3[i] = A_3[i - 1] + w_3[i]
+    i = i + 1
+}";
+
+    #[test]
+    fn certify_counts_the_whole_analysis_diagnostics_on_a_miss_and_on_a_hit() {
+        let svc = Service::with_defaults();
+        for src in [FISSIONED, DOUBLE] {
+            let want = wlp_analyze::lint_source(src).diagnostics.len() as u64;
+            let line = format!(r#"{{"op":"certify","program":{}}}"#, json::to_string(src));
+            for cache in ["miss", "hit"] {
+                let resp = svc.handle_line(&line);
+                let reply = json::parse(&resp).expect("replies are JSON");
+                assert_eq!(reply.get("cache").and_then(Value::as_str), Some(cache));
+                let count = reply.get("diagnostics").and_then(Value::as_u64);
+                assert_eq!(count, Some(want), "{src}\n{resp}");
+            }
+        }
+        let r = svc.handle_line(&run_line("t0", 3, &[1, 2, 3]));
+        assert!(r.contains("\"cache\":\"hit\""), "{r}");
+        assert_eq!((svc.cache_hits(), svc.cache_misses()), (3, 2));
+        let stats = svc.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats.contains("\"plans_compiled\":2"), "{stats}");
     }
 }

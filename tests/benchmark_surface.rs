@@ -11,6 +11,9 @@ use wlp::ir::frontend::{lower, parse_program};
 use wlp::ir::interp::{run_parallel, run_sequential, Machine};
 use wlp::pd::Shadow;
 use wlp::runtime::{doacross, doall_dynamic, Pool, RegionScheduler, SchedulerConfig, Step};
+use wlp::serve::cache::{CacheOutcome, CertCache};
+use wlp::serve::proto::{self, Request as Parsed};
+use wlp::serve::{register_builtins, ServeConfig, Service};
 use wlp::workloads::{spice, track};
 use wlp_analyze::{analyze, fission_plan};
 
@@ -120,4 +123,57 @@ fn paper_workloads_keep_their_shapes() {
     let (par, out) = spice::load_parallel(&pool, &list, 1e-3, spice::Method::General3);
     assert_eq!(out.iterations, 500);
     assert_eq!(seq, par);
+}
+
+#[test]
+fn the_service_and_its_cache_keep_their_shapes() {
+    let svc = Service::new(ServeConfig {
+        workers: 2,
+        lane_width: 2,
+        ..ServeConfig::default()
+    });
+    let program = DOUBLE.replace('\n', "\\n");
+    let run_line = format!(
+        r#"{{"op":"run","tenant":"t","program":"{program}","arrays":{{"A":[1,2,3]}},"scalars":{{"n":3}},"max_iters":1000}}"#
+    );
+    let certify_line = format!(r#"{{"op":"certify","tenant":"t","program":"{program}"}}"#);
+    for line in [&run_line, &certify_line] {
+        let resp = svc.handle_line(line);
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+    }
+
+    let run = match proto::parse_request(&run_line) {
+        Ok(Parsed::Run(run)) => run,
+        other => panic!("a run line parsed as {other:?}"),
+    };
+    match proto::parse_request(&certify_line) {
+        Ok(Parsed::Certify { source, .. }) => assert_eq!(source, run.source),
+        other => panic!("a certify line parsed as {other:?}"),
+    }
+    let max_iters = run.max_iters.expect("the line sets max_iters");
+    let machine = || {
+        let mut m = Machine::default();
+        for (name, data) in &run.arrays {
+            m.arrays.insert(name.clone(), data.clone());
+        }
+        for (name, v) in &run.scalars {
+            m.scalars.insert(name.clone(), *v);
+        }
+        register_builtins(&mut m);
+        m
+    };
+
+    let cache = CertCache::new(ServeConfig::default().cache_capacity);
+    let (_, outcome) = cache.lookup(&run.source).expect("parses");
+    assert_eq!(outcome, CacheOutcome::Miss);
+    let (entry, outcome) = cache.lookup(&run.source).expect("parses");
+    assert_eq!(outcome, CacheOutcome::Hit);
+    let mut seq = machine();
+    let out = run_sequential(&entry.program, &mut seq, max_iters).expect("runs");
+    assert_eq!(out.iterations, 3);
+    let mut par = machine();
+    let out = run_parallel(&entry.program, &mut par, &Pool::new(2), max_iters).expect("runs");
+    assert_eq!(out.iterations, 3);
+    assert_eq!(seq.arrays["A"], [2, 4, 6]);
+    assert_eq!(seq.arrays["A"], par.arrays["A"]);
 }
