@@ -92,19 +92,6 @@ impl SafetyCertificate {
     pub fn naive_write_budget(&self, iters: u64) -> u64 {
         self.writes_per_iter * iters
     }
-
-    /// Wraps shared data in a [`SpeculativeArray`](wlp_core::SpeculativeArray) whose undo budget is
-    /// the certified bound for `iters` iterations — the `with_budget`
-    /// handoff the runtime uses instead of the naive every-write cap. The
-    /// bound is at least 1, so a fully-certified loop keeps a non-zero,
-    /// immediately-tripping guard against its own certificate being wrong.
-    pub fn speculative_array<T: Copy + Send + Sync>(
-        &self,
-        init: Vec<T>,
-        iters: u64,
-    ) -> wlp_core::SpeculativeArray<T> {
-        wlp_core::SpeculativeArray::new(init).with_budget(self.write_budget(iters).max(1))
-    }
 }
 
 /// A failure decoding a compact certificate line.

@@ -13,10 +13,10 @@
 use crate::analyze::certify_core;
 use crate::certificate::{CertVerdict, SafetyCertificate};
 use std::collections::BTreeSet;
-use wlp_core::taxonomy::{DispatcherClass, TerminatorClass};
+use wlp_core::taxonomy::DispatcherClass;
 use wlp_ir::exec::{ExecPlan, PlanHints, SeqReason};
 use wlp_ir::frontend::{lower_with_symbols, parse_program, FrontendError, Program, Symbols};
-use wlp_ir::{ArrayId, LoopIr, StmtKind, Subscript, WRef};
+use wlp_ir::{ArrayId, LoopIr, Subscript, WRef};
 
 /// Whether every access to `a` is the same non-constant affine subscript:
 /// iteration `i` then touches one element no other iteration does, so a
@@ -63,16 +63,6 @@ pub fn plan_hints(
         .difference(&shadowed)
         .map(|a| symbols.arrays[a.0 as usize].clone())
         .collect();
-    // The executor shadows whole arrays, so every store to a shadowed
-    // array is stamped, not only the ones a carried edge makes uncertain
-    // (`A[2*i + 1]` beside an uncertain `A[107 - 2*i]`).
-    let shadowed_writes = body
-        .stmts
-        .iter()
-        .filter(|s| !matches!(s.kind, StmtKind::Update(_)))
-        .flat_map(|s| &s.writes)
-        .filter(|w| matches!(w, WRef::Element(a, _) if shadowed.contains(a)))
-        .count() as u64;
 
     // The verdict may lean on privatization; this executor shares every
     // array, which is only the same thing when the workspace is
@@ -92,8 +82,6 @@ pub fn plan_hints(
         dispatcher,
         sequential,
         certified,
-        terminator_rv: cert.terminator == TerminatorClass::RemainderVariant,
-        write_budget_per_iter: Some(shadowed_writes),
     }
 }
 
@@ -174,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn the_undo_budget_covers_every_store_to_a_shadowed_array() {
+    fn every_store_to_a_shadowed_array_is_stamped() {
         // only the stores a carried edge touches are uncertain, but `A` is
         // shadowed whole, so all three are stamped
         let src = "integer i = 0\nwhile (i < n) {\n    A[2*i + 1] = A[2*i + 1] + i\n    \
@@ -188,7 +176,63 @@ mod tests {
         let plan = ExecPlan::lower(&program, &hints);
         assert_eq!(modes(&plan), [("A", AccessMode::Shadowed)]);
         assert_eq!(plan.shadowed_stores_per_iter(), 3);
-        assert_eq!(hints.write_budget_per_iter, Some(3));
+    }
+
+    /// Whether certified arrays carry stamps is read off the program: a
+    /// threshold condition on the induction, with no `exit if`, cannot be
+    /// overshot. Under `induction`'s rule the body assigns no scalar but
+    /// the induction, so such a condition is remainder-invariant by
+    /// construction and a certificate has nothing to add. Each body is
+    /// lowered under the analyzer's hints and under uncertified ones that
+    /// keep only its sequential verdict, so both plans share a schedule
+    /// (a certified recurrence would otherwise speculate, uncertified).
+    #[test]
+    fn the_certificate_does_not_enter_the_stamp_decision() {
+        let loops = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/loops");
+        let body = "{ A[i] = 1; i = i + 1 }";
+        let mut sources = vec![
+            format!("integer i = 0\nwhile (i < n) {body}"),
+            format!("integer i = 0\nwhile (2 * n >= i) {body}"),
+            "integer i = 9\nwhile (i > 0) { A[i] = 1; i = i - 1 }".to_string(),
+            format!("integer i = 0\nwhile (i > n) {body}"),
+            format!("integer i = 0\nwhile (i != n) {body}"),
+            format!("integer i = 0\nwhile (i < i + n) {body}"),
+            format!("integer i = 0\nwhile (i < A[0]) {body}"),
+            "integer i = 0\nwhile (i < n) { exit if (s[i] == 1); A[i] = 1; i = i + 1 }".to_string(),
+        ];
+        for name in [
+            "counted_fill",
+            "gather_scatter",
+            "guarded_update",
+            "mcsparse_pair",
+            "partial_sums",
+            "swap",
+            "wavefront",
+        ] {
+            sources.push(std::fs::read_to_string(loops.join(format!("{name}.wlp"))).unwrap());
+        }
+        let mut speculative = Vec::new();
+        for src in &sources {
+            let program = parse_program(src).unwrap();
+            let (body, symbols) = lower_with_symbols(&program).unwrap();
+            let hints = hints_of(&body, &symbols, &analyze(&body));
+            let none = PlanHints {
+                sequential: hints.sequential,
+                ..PlanHints::uncertified(hints.dispatcher)
+            };
+            let (with, without) = (
+                ExecPlan::lower(&program, &hints),
+                ExecPlan::lower(&program, &none),
+            );
+            assert_eq!(with.schedule(), without.schedule(), "{src}");
+            assert_eq!(with.stamps_certified(), without.stamps_certified(), "{src}");
+            if matches!(with.schedule(), Schedule::SpeculativeDoall { .. }) {
+                speculative.push(with.stamps_certified());
+            }
+        }
+        // three threshold rows and gather_scatter drop the stamps
+        assert_eq!(speculative.len(), 10);
+        assert_eq!(speculative.iter().filter(|&&s| !s).count(), 4);
     }
 
     #[test]

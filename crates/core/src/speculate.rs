@@ -30,11 +30,12 @@ use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
 use wlp_pd::{IterMarker, PdVerdict, Shadow};
 use wlp_runtime::{doall_with, ChunkPolicy, DoallOptions, IssueOrder, Pool, Step};
 
-/// An undo-log budget for one speculative attempt: a cap on the number of
-/// stamped (restorable) writes. Exceeding it aborts the speculation with
-/// [`AbortReason::Budget`] — the bounded-resources answer to a runaway
-/// writer that would otherwise grow the undo log without limit (the
-/// memory-budget concern of Section 8.2).
+/// An undo-log budget for one speculative attempt over a single array
+/// ([`SpeculativeArray::with_budget`]; a group carries none): a cap on
+/// the number of stamped (restorable) writes. Exceeding it aborts the
+/// speculation with [`AbortReason::Budget`] — the bounded-resources
+/// answer to a runaway writer that would otherwise grow the undo log
+/// without limit (the memory-budget concern of Section 8.2).
 #[derive(Debug)]
 struct SpecBudget {
     limit: u64,
@@ -47,15 +48,6 @@ impl SpecBudget {
             limit,
             stamped: AtomicU64::new(0),
         }
-    }
-
-    /// Adds `n` stamped writes to the charge counter in one RMW. Access
-    /// handles buffer their charges locally, so the shared counter is
-    /// touched at most once per *iteration*, not once per *write* — the
-    /// budget check itself stays a relaxed load.
-    #[inline]
-    fn charge_many(&self, n: u64) {
-        self.stamped.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]
@@ -132,17 +124,13 @@ impl<T: Copy + Send + Sync> SpeculativeArray<T> {
     }
 }
 
-/// Stamped writes a group worker buffers before charging the budget. A
-/// single-array handle charges at every iteration boundary instead, which
-/// is the granularity its budget trip is observed at.
-const CHARGE_BATCH: u64 = 256;
-
 /// What every access handle shares: the iteration it is aimed at, whether
-/// it is speculating at all, and the stamped writes not yet charged to the
-/// undo-log budget — flushed to the shared counter in one RMW when the
-/// handle is re-aimed with a full batch pending, and when it drops. The
-/// budget trip is checked at iteration claim time, so nothing finer than
-/// an iteration is ever observed.
+/// it is speculating at all, and the stamped writes not yet charged to its
+/// array's undo-log budget — flushed to the shared counter in one RMW when
+/// the handle is re-aimed, and when it drops, so the counter is touched at
+/// most once per *iteration*, not once per *write*. The budget trip is
+/// checked at iteration claim time, so nothing finer than an iteration is
+/// ever observed.
 #[derive(Debug)]
 struct AccessCore<'a> {
     budget: Option<&'a SpecBudget>,
@@ -150,6 +138,7 @@ struct AccessCore<'a> {
     /// `false` during sequential (re-)execution: writes go straight to the
     /// live data, unstamped and unmarked.
     speculating: bool,
+    /// Always 0 without a budget.
     pending_charges: u64,
 }
 
@@ -163,21 +152,19 @@ impl<'a> AccessCore<'a> {
         }
     }
 
-    /// Re-aims the handle at iteration `i`, charging the budget if `batch`
-    /// or more stamped writes are pending.
+    /// Re-aims the handle at iteration `i`, charging the budget what the
+    /// previous iteration stamped.
     #[inline]
-    fn begin(&mut self, i: usize, batch: u64) {
+    fn begin(&mut self, i: usize) {
         self.iter = i;
-        if self.pending_charges >= batch {
-            self.flush();
-        }
+        self.flush();
     }
 
     fn flush(&mut self) {
-        if let Some(b) = self.budget {
-            b.charge_many(self.pending_charges);
+        if let Some(b) = self.budget.filter(|_| self.pending_charges > 0) {
+            b.stamped.fetch_add(self.pending_charges, Ordering::Relaxed);
+            self.pending_charges = 0;
         }
-        self.pending_charges = 0;
     }
 
     /// Marks a speculative write of element `e` for the PD test and counts
@@ -186,7 +173,7 @@ impl<'a> AccessCore<'a> {
     fn mark_write(&mut self, marker: &mut Option<IterMarker<'_>>, e: usize) {
         if let Some(m) = marker {
             m.mark_write(e);
-            self.pending_charges += 1;
+            self.pending_charges += u64::from(self.budget.is_some());
         }
     }
 
@@ -293,8 +280,11 @@ trait SpecStore: Sync {
     fn begin(acc: &mut Self::Access, i: usize);
     /// Elements checkpointed for the attempt.
     fn checkpointed(&self) -> usize;
-    /// The undo-log budget tripped during the region.
-    fn budget_exceeded(&self) -> bool;
+    /// The undo-log budget tripped during the region (never, for a store
+    /// without one).
+    fn budget_exceeded(&self) -> bool {
+        false
+    }
     /// The PD test over the marks of iterations up to `attempt.quit`.
     fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict;
     /// Invalid attempt: every written element goes back to its checkpoint.
@@ -318,7 +308,7 @@ impl<'a, T: Copy + Send + Sync> SpecStore for &'a SpeculativeArray<T> {
         if let Some(m) = &mut acc.marker {
             m.restart(i);
         }
-        acc.core.begin(i, 1);
+        acc.core.begin(i);
     }
     fn checkpointed(&self) -> usize {
         self.len()
@@ -700,10 +690,6 @@ const GROUP_CHUNK: usize = 32;
 /// iteration it executes. Accesses are bounds-checked here (`None` = out
 /// of range, nothing recorded), so a body interpreting untrusted
 /// subscripts needs no second check.
-///
-/// Stamped writes are counted on the handle and charged to the group's
-/// budget in batches (and when the handle drops), so the shared counter is
-/// not touched per iteration.
 #[derive(Debug)]
 pub struct GroupAccess<'g, T: Copy> {
     arrays: &'g [GroupArray<'g, T>],
@@ -770,9 +756,12 @@ pub struct GroupFault<E> {
 /// does any work, `Ok(Step::Continue)` that the body ran. `scratch` is
 /// per-worker state built by `init` once per worker per region (and once
 /// more for a sequential re-execution), so neither this driver nor the
-/// body allocates per iteration. `budget` caps the stamped writes to
-/// shadowed arrays over the whole attempt ([`AbortReason::Budget`] past
-/// it).
+/// body allocates per iteration. A group carries no undo-log budget: the
+/// plans run on it store to each array at most once per iteration
+/// (straight-line code) and no attempt runs past `upper`, so their
+/// stamped writes are bounded by the plan code itself. A caller that
+/// needs a cap runs one array through [`speculative_while_with`] under
+/// [`SpeculativeArray::with_budget`].
 ///
 /// An `Err` from a speculative iteration is treated like the paper treats
 /// an exception: the attempt is invalid (the iteration may have overshot,
@@ -784,7 +773,6 @@ pub fn speculative_while_group<T, S, E, I, F>(
     pool: &Pool,
     upper: usize,
     arrays: &[GroupArray<'_, T>],
-    budget: Option<u64>,
     init: I,
     iteration: F,
 ) -> Result<SpecOutcome, GroupFault<E>>
@@ -793,11 +781,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(usize, &mut S, &mut GroupAccess<'_, T>) -> Result<Step, E> + Sync,
 {
-    let budget = budget.map(SpecBudget::new);
-    let store = GroupStore {
-        arrays,
-        budget: budget.as_ref(),
-    };
+    let store = GroupStore { arrays };
     let order = IssueOrder::Dynamic(ChunkPolicy::Fixed(GROUP_CHUNK));
     let rec = &NoopRecorder;
     let (outcome, fault) = speculate(pool, upper, order, store, rec, |_| init(), iteration);
@@ -807,7 +791,6 @@ where
 /// A speculative group as the engine sees it.
 struct GroupStore<'g, T: Copy> {
     arrays: &'g [GroupArray<'g, T>],
-    budget: Option<&'g SpecBudget>,
 }
 
 impl<T: Copy + Send + Sync> GroupStore<'_, T> {
@@ -826,20 +809,17 @@ impl<'g, T: Copy + Send + Sync> SpecStore for GroupStore<'g, T> {
         GroupAccess {
             arrays: self.arrays,
             markers: markers.collect(),
-            core: AccessCore::new(self.budget, speculating),
+            core: AccessCore::new(None, speculating),
         }
     }
     fn begin(acc: &mut GroupAccess<'g, T>, i: usize) {
         for m in acc.markers.iter_mut().flatten() {
             m.restart(i);
         }
-        acc.core.begin(i, CHARGE_BATCH);
+        acc.core.begin(i);
     }
     fn checkpointed(&self) -> usize {
         self.written().map(VersionedArray::len).sum()
-    }
-    fn budget_exceeded(&self) -> bool {
-        self.budget.is_some_and(|b| b.exceeded())
     }
     /// Every shadowed array must pass; the verdicts are merged.
     fn analyze<R: Recorder>(&self, pool: &Pool, attempt: &ParallelAttempt, rec: &R) -> PdVerdict {
@@ -1008,7 +988,6 @@ mod tests {
             &pool(),
             100,
             &arrays,
-            None,
             || (),
             |i, _, g| {
                 let v = g.read(1, i).unwrap();
@@ -1041,7 +1020,6 @@ mod tests {
             &pool(),
             50,
             &arrays,
-            None,
             || (),
             |i, _, g| {
                 let w = g.read(3, i).unwrap();
@@ -1075,7 +1053,6 @@ mod tests {
             &pool(),
             500,
             &arrays,
-            None,
             || (),
             |i, _, g| {
                 if i == 60 {
@@ -1116,7 +1093,6 @@ mod tests {
             &Pool::new(2),
             400,
             &arrays,
-            None,
             || (),
             |i, _, g| {
                 if i == exit {
@@ -1156,7 +1132,7 @@ mod tests {
             g.write(0, i, 1).unwrap();
             Ok(Step::Continue)
         };
-        let out = speculative_while_group(&pool(), 100, &arrays, None, || (), body).unwrap();
+        let out = speculative_while_group(&pool(), 100, &arrays, || (), body).unwrap();
         assert_eq!(out.last_valid, Some(30));
         assert_eq!(live(&arrays[0]).iter().sum::<i64>(), 30);
 
@@ -1167,7 +1143,6 @@ mod tests {
             &pool(),
             100,
             &arrays,
-            None,
             || (),
             |i, _, g| {
                 if i == 12 {
@@ -1186,32 +1161,6 @@ mod tests {
             }
         );
         assert_eq!(live(&arrays[0]).iter().sum::<i64>(), 12);
-    }
-
-    #[test]
-    fn group_budget_counts_shadowed_writes_only() {
-        // 64 certified writes and 64 shadowed ones against a budget of 8:
-        // only the shadowed array charges it, and it trips
-        let arrays = [
-            GroupArray::Certified(VersionedArray::new(vec![0i64; 64])),
-            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 64])),
-        ];
-        let body = |i: usize, _: &mut (), g: &mut GroupAccess<'_, i64>| {
-            g.write(0, i, 1).unwrap();
-            g.write(1, i, 1).unwrap();
-            Ok::<_, Infallible>(Step::Continue)
-        };
-        let out = speculative_while_group(&pool(), 64, &arrays, Some(8), || (), body).unwrap();
-        assert_eq!(out.abort, Some(AbortReason::Budget));
-        assert!(live(&arrays[1]).iter().all(|&v| v == 1), "rerun completes");
-        // with the certified bound (one shadowed write per iteration) it
-        // never trips
-        let arrays = [
-            GroupArray::Certified(VersionedArray::new(vec![0i64; 64])),
-            GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; 64])),
-        ];
-        let out = speculative_while_group(&pool(), 64, &arrays, Some(64), || (), body).unwrap();
-        assert!(out.committed_parallel);
     }
 
     #[test]

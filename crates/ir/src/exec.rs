@@ -15,7 +15,10 @@
 //!
 //! The certificate lives downstream (`wlp-analyze` depends on this
 //! crate), so what it proved arrives as [`PlanHints`]; without one,
-//! [`PlanHints::uncertified`] shadows every written array.
+//! [`PlanHints::uncertified`] shadows every written array. Which arrays it
+//! certified independent is all a plan takes on trust: whether certified
+//! arrays need write stamps, and how many stamped writes an iteration
+//! makes, are read off the program and the plan's own code.
 //!
 //! Two canonicalizations keep the parallel semantics honest, as before:
 //! `exit if` conditions are evaluated at the **head** of each iteration
@@ -125,6 +128,8 @@ pub enum Schedule {
 
 /// What the static analysis established about a program, in the terms
 /// lowering needs. Names, not ids: the plan resolves its own slots.
+/// `certified` is the one verdict lowering cannot check against the
+/// program text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanHints {
     /// The planner's dispatcher class.
@@ -134,23 +139,15 @@ pub struct PlanHints {
     /// Stored-to arrays whose every access is certified independent.
     /// Any other stored-to array is shadowed.
     pub certified: Vec<String>,
-    /// The terminator may read what the remainder writes.
-    pub terminator_rv: bool,
-    /// Certified bound on stamped writes to shadowed arrays per
-    /// iteration (`None`: unbounded).
-    pub write_budget_per_iter: Option<u64>,
 }
 
 impl PlanHints {
-    /// No certificate: every stored-to array is shadowed, overshoot is
-    /// assumed possible, the undo log is unbounded.
+    /// No certificate: every stored-to array is shadowed.
     pub fn uncertified(dispatcher: DispatcherClass) -> Self {
         PlanHints {
             dispatcher,
             sequential: None,
             certified: Vec::new(),
-            terminator_rv: true,
-            write_budget_per_iter: None,
         }
     }
 }
@@ -354,7 +351,6 @@ pub struct ExecPlan {
     schedule: Schedule,
     /// Certified arrays need write stamps (the loop can overshoot).
     stamps: bool,
-    write_budget_per_iter: Option<u64>,
     /// Whether the body may run [`LANES`] iterations at a time, read off
     /// `body` and `consts` alone.
     batch: Result<Licence, Refusal>,
@@ -1247,7 +1243,10 @@ fn compare(op: CmpOp, x: i64, y: i64) -> bool {
 /// `stride`: `ivar` compared, in the direction it moves, against
 /// something the loop cannot change. With no other exit such a loop
 /// cannot overshoot — iterations past the exit see the condition fail
-/// themselves.
+/// themselves. Under `induction`'s rule the body assigns no scalar but
+/// `ivar`, so the bound is loop-invariant and the condition
+/// remainder-invariant by construction: no certificate is needed to
+/// say so.
 fn is_threshold(cond: &Expr, ivar: &str, stride: i64) -> bool {
     fn invariant(e: &Expr, ivar: &str) -> bool {
         let mut ok = true;
@@ -1375,8 +1374,7 @@ impl ExecPlan {
         let has_exits = p.body.iter().any(|st| matches!(st, Stmt::ExitIf(_)));
         let (schedule, stamps) = match induction(p, hints) {
             Ok((name, stride, init)) => {
-                let may_overshoot =
-                    hints.terminator_rv || has_exits || !is_threshold(&p.cond, &name, stride);
+                let may_overshoot = has_exits || !is_threshold(&p.cond, &name, stride);
                 let ivar = lw.scalar(&name) as usize;
                 (
                     Schedule::SpeculativeDoall { ivar, stride, init },
@@ -1413,7 +1411,6 @@ impl ExecPlan {
             entry_scalars: lw.entry_scalars,
             schedule,
             stamps,
-            write_budget_per_iter: hints.write_budget_per_iter,
             batch,
         }
     }
@@ -1448,8 +1445,9 @@ impl ExecPlan {
         self.stamps
     }
 
-    /// Stores to shadowed arrays per iteration: what one iteration can
-    /// charge against the undo-log budget.
+    /// Stores to shadowed arrays per iteration: the stamped, PD-marked
+    /// writes one speculative iteration makes at most (the body is
+    /// straight-line code).
     pub fn shadowed_stores_per_iter(&self) -> u64 {
         self.body
             .iter()
@@ -2026,14 +2024,10 @@ impl ExecPlan {
                     }
                 })
                 .collect();
-            let budget = self
-                .write_budget_per_iter
-                .map(|w| w.saturating_mul(max_iters as u64).max(1));
             let result = speculative_while_group(
                 pool,
                 max_iters,
                 &group,
-                budget,
                 || s.clone(),
                 // the body assigns no scalar but `ivar`, which the
                 // declarations bound: a worker never changes a flag
@@ -2099,10 +2093,7 @@ mod tests {
     fn only_a_threshold_on_the_induction_drops_the_stamps() {
         let certified = |src: &str| {
             let p = parse_program(src).unwrap();
-            let hints = PlanHints {
-                terminator_rv: false,
-                ..PlanHints::uncertified(DispatcherClass::MonotonicInduction)
-            };
+            let hints = PlanHints::uncertified(DispatcherClass::MonotonicInduction);
             let plan = ExecPlan::lower(&p, &hints);
             assert!(matches!(plan.schedule(), Schedule::SpeculativeDoall { .. }));
             plan.stamps_certified()

@@ -239,11 +239,12 @@ mod tests {
             a.certificate.uncertain_writes_per_iter
         );
 
-        // the same bound flows into the speculative array: a real run of
-        // the indirect update (one uncertain write per iteration, through
-        // a permutation) commits within the certified budget
+        // the same bound caps a speculative array: a real run of the
+        // indirect update (one uncertain write per iteration, through a
+        // permutation) commits within the certified budget
         let n_us = n as usize;
-        let arr = a.certificate.speculative_array(vec![0i64; n_us], n);
+        let arr = wlp_core::SpeculativeArray::new(vec![0i64; n_us])
+            .with_budget(a.certificate.write_budget(n).max(1));
         let out = wlp_core::speculative_while(
             &wlp_runtime::Pool::new(2),
             n_us,

@@ -11,9 +11,9 @@
 //!
 //! Both speculative WHILE engines (§5's single-array DOALL, and the
 //! array group the daemon runs plans on) meet every in-body fault kind —
-//! panic, stall under a `Deadline`, write hog under an undo-log
-//! budget — and must end in the sequential state with the resident pool
-//! still serving regions.
+//! panic, stall under a `Deadline`, write hog (under an undo-log budget
+//! on the single array; a group carries none) — and must end in the
+//! sequential state with the resident pool still serving regions.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -328,11 +328,12 @@ proptest! {
         let truth = sequential_truth(n, exit);
         let pool = Pool::new(workers);
         // Deadline and budget armed except in panic mode: a stall trips
-        // the deadline, a hog trips the budget, and a spurious trip on a
-        // loaded machine is harmless (the contract under test is that
-        // the result stays sequential-equivalent regardless). In panic
-        // mode the sequential fallback runs without a catch, so no other
-        // failure may send it there before the one-shot plan has fired.
+        // the deadline, a hog trips the single array's budget, and a
+        // spurious trip on a loaded machine is harmless (the contract
+        // under test is that the result stays sequential-equivalent
+        // regardless). In panic mode the sequential fallback runs without
+        // a catch, so no other failure may send it there before the
+        // one-shot plan has fired.
         let guarded = mode_pick != 1;
         let armed = if guarded {
             pool.with_deadline(Deadline::from_millis(2))
@@ -374,7 +375,9 @@ proptest! {
                 Construct::Group => {
                     // array 2 holds each iteration's value, read-only; the
                     // body copies it into the shadowed array 0 and the
-                    // certified array 1, and hogs the shadowed one
+                    // certified array 1, and hogs the shadowed one. A group
+                    // carries no budget: the hog's writes are its own
+                    // iteration's, so the attempt may validate
                     let values: Vec<i64> = (0..n as i64).map(|i| i * 7 + 3).collect();
                     let arrays = [
                         GroupArray::Shadowed(SpeculativeArray::new(vec![0i64; n])),
@@ -395,16 +398,18 @@ proptest! {
                         g.write(1, i, v).ok_or(())?;
                         Ok(Step::Continue)
                     };
-                    let out = speculative_while_group(&armed, n, &arrays, budget, || (), body);
+                    let out = speculative_while_group(&armed, n, &arrays, || (), body);
                     let committed = out.as_ref().is_ok_and(|o| o.committed_parallel);
                     let [shadowed, certified, _] = arrays;
                     let states = [shadowed, certified].map(|a| a.into_live().expect("written"));
                     (states.to_vec(), committed, out.is_ok())
                 }
             };
-            // A panic or a hog that fired always aborts; whether a fired
-            // stall does is left open here.
-            let must_abort = plan.fired() && mode_pick != 2;
+            // A panic that fired always aborts, and so does a hog that
+            // fired against a budget; whether a fired stall does is left
+            // open here.
+            let budgeted = matches!(construct, Construct::Doall);
+            let must_abort = plan.fired() && (mode_pick == 1 || (mode_pick == 3 && budgeted));
             let follow = SpeculativeArray::new(vec![0i64; 64]);
             let next = speculative_while(&pool, 64, &follow, |i, _| i == 48, |i, a| {
                 a.write(i, i as i64)

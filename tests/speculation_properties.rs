@@ -144,7 +144,6 @@ fn run_speculative(
                 &pool,
                 n,
                 &group,
-                None,
                 || (),
                 |i, _: &mut (), a| {
                     if exit(i) {
